@@ -120,17 +120,41 @@ def _share(profiles: Mapping[int, StateProfile], state: int) -> float:
         raise ConfigurationError(f"no market share for state {state}") from None
 
 
+def _scale_by_state(
+    counts: Mapping[tuple[int, int], int],
+    profiles: Mapping[int, StateProfile],
+    divisor: float,
+) -> dict[tuple[int, int], float]:
+    """count / share / divisor per (state, day), in (state, day) order."""
+    return {
+        (state, day): counts[(state, day)] / _share(profiles, state) / divisor
+        for (state, day) in sorted(counts)
+    }
+
+
+def _sum_by_day(
+    by_state_day: Mapping[tuple[int, int], float], days: Iterable[int] = ()
+) -> dict[int, float]:
+    """Per-day totals over states, starting at 0.0 for each of ``days``.
+
+    The sum runs in (state, day) order from 0.0, so results are bit-stable.
+    """
+    out = dict.fromkeys(days, 0.0)
+    for (state, day) in sorted(by_state_day):
+        out[day] = out.get(day, 0.0) + by_state_day[(state, day)]
+    return out
+
+
 def daily_attendance_by_state(
     counts: Mapping[tuple[int, int], int],
     profiles: Mapping[int, StateProfile],
     factors: AdjustmentFactors,
 ) -> dict[tuple[int, int], float]:
     """Per (state, day) daily estimate: count / share / (i) / (iii) / (1 - (iv))."""
-    divisor = factors.prevalence * factors.daily_use * (1.0 - factors.non_use)
-    out: dict[tuple[int, int], float] = {}
-    for (state, day) in sorted(counts):
-        out[(state, day)] = counts[(state, day)] / _share(profiles, state) / divisor
-    return out
+    return _scale_by_state(
+        counts, profiles,
+        factors.prevalence * factors.daily_use * (1.0 - factors.non_use),
+    )
 
 
 def daily_attendance(
@@ -140,14 +164,9 @@ def daily_attendance(
 ) -> dict[int, float]:
     """Daily attendance estimate per day, summed over states.
 
-    State-specific market shares are applied before summation; the sum
-    runs in (state, day) order so results are bit-stable.
+    State-specific market shares are applied before summation.
     """
-    by_state = daily_attendance_by_state(counts, profiles, factors)
-    out: dict[int, float] = defaultdict(float)
-    for (state, day) in sorted(by_state):
-        out[day] += by_state[(state, day)]
-    return dict(out)
+    return _sum_by_day(daily_attendance_by_state(counts, profiles, factors))
 
 
 def first_day_counts(
@@ -198,13 +217,9 @@ def cumulative_attendance(
     total_days: int,
 ) -> dict[int, float]:
     """Cumulative attendance per day (nondecreasing), summed over states."""
-    by_state = cumulative_attendance_by_state(
+    return _sum_by_day(cumulative_attendance_by_state(
         first_day_counts(observations), profiles, factors, total_days=total_days
-    )
-    out: dict[int, float] = {day: 0.0 for day in range(1, total_days + 1)}
-    for (state, day) in sorted(by_state):
-        out[day] += by_state[(state, day)]
-    return out
+    ), range(1, total_days + 1))
 
 
 def uncorrected_daily(
@@ -215,11 +230,7 @@ def uncorrected_daily(
     daily_use: float,
 ) -> dict[int, float]:
     """Daily estimates with non_use = 0, the input calibrate_non_use expects."""
-    out: dict[int, float] = defaultdict(float)
-    divisor = prevalence * daily_use
-    for (state, day) in sorted(counts):
-        out[day] += counts[(state, day)] / _share(profiles, state) / divisor
-    return dict(out)
+    return _sum_by_day(_scale_by_state(counts, profiles, prevalence * daily_use))
 
 
 def calibrate_non_use(
@@ -339,20 +350,15 @@ def build_series(
 
     eff = AdjustmentFactors(base.prevalence, daily_use, non_use)
     by_state_daily = daily_attendance_by_state(counts, profiles, eff)
-    daily = daily_attendance(counts, profiles, eff)
-    new = first_day_counts(observations)
     by_state_cum = cumulative_attendance_by_state(
-        new, profiles, eff, total_days=total_days
+        first_day_counts(observations), profiles, eff, total_days=total_days
     )
-    cumulative: dict[int, float] = {d: 0.0 for d in range(1, total_days + 1)}
-    for (state, day), v in sorted(by_state_cum.items()):
-        cumulative[day] += v
     representation = state_representation(
         final_cumulative_by_state(by_state_cum, total_days=total_days)
     )
     return AttendanceSeries(
-        daily=daily,
-        cumulative=cumulative,
+        daily=_sum_by_day(by_state_daily),
+        cumulative=_sum_by_day(by_state_cum, range(1, total_days + 1)),
         by_state_daily=by_state_daily,
         by_state_cumulative=by_state_cum,
         representation=representation,

@@ -12,9 +12,12 @@ optionally projections.csv):
 - ``sbm``        block-model baseline and the group-structure bias demo
 - ``report``     all of the above plus a single summary
 
+Each analysis command is a row of ``COMMANDS``, run by ``run_command``.
+
 Exit codes: 2 for usage errors, 3 for data/validation errors, 4 for
 numerical analysis failures (separation, non-convergence). Every run
-writes a manifest with a content digest per output file.
+writes a manifest with a content digest per output file; a failed run
+records the stage that failed instead of the outputs it did not reach.
 """
 
 from __future__ import annotations
@@ -24,9 +27,10 @@ import hashlib
 import json
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
+from functools import cached_property
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 import scipy
@@ -119,7 +123,11 @@ def sha256_of(path: Path) -> str:
 
 @dataclass
 class RunManifest:
-    """Inputs, outputs (with digests), versions, and timings of one run."""
+    """Inputs, outputs (with digests), versions, and timings of one run.
+
+    ``failure`` holds ``failed_stage``, ``error`` and ``exit_code`` when
+    the run stopped on a data or analysis error, and is empty otherwise.
+    """
 
     command: str
     seed: int | None = None
@@ -128,6 +136,7 @@ class RunManifest:
     outputs: dict[str, dict] = field(default_factory=dict)
     timings_s: dict[str, float] = field(default_factory=dict)
     versions: dict[str, str] = field(default_factory=dict)
+    failure: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.versions = {
@@ -141,15 +150,8 @@ class RunManifest:
         self.outputs[name] = {"path": str(path), "sha256": sha256_of(path)}
 
     def write(self, path: Path) -> None:
-        blob = {
-            "command": self.command,
-            "seed": self.seed,
-            "config_digest": self.config_digest,
-            "inputs": self.inputs,
-            "outputs": self.outputs,
-            "timings_s": self.timings_s,
-            "versions": self.versions,
-        }
+        blob = asdict(self)
+        blob.update(blob.pop("failure"))
         path.write_text(json.dumps(blob, indent=2) + "\n", encoding="utf-8")
 
 
@@ -214,11 +216,50 @@ def load_pipeline_data(
     )
 
 
+@dataclass
+class Run:
+    """One analysis run: its config, its data and what its stages share.
+
+    The attendance series and the social network are built on first
+    use, so each is built at most once per run, by whichever stage asks
+    first. ``results`` holds each finished stage's result by name.
+    """
+
+    cfg: dict
+    outdir: Path
+    seed: int | None = None
+    data: PipelineData | None = None
+    results: dict[str, object] = field(default_factory=dict)
+
+    @cached_property
+    def series(self) -> att.AttendanceSeries:
+        cfg = self.cfg
+        factors = att.AdjustmentFactors(
+            prevalence=cfg["prevalence"],
+            daily_use=cfg["daily_use"],
+            non_use=cfg["non_use"],
+        )
+        return att.build_series(
+            self.data.observations, self.data.counts, self.data.profiles,
+            total_days=self.data.window.days, factors=factors,
+            projections=self.data.projections if cfg["calibrate_non_use"] else None,
+        )
+
+    @cached_property
+    def network(self) -> social.SocialNetwork:
+        return social.build_network(
+            self.data.events,
+            exclude_local=self.cfg["exclude_local"],
+            local_state=self.data.local,
+        )
+
+
 # ---------------------------------------------------------------------------
-# Stages. Each returns {artifact name: Path} for the manifest.
+# Stages. Each returns ({artifact name: Path} for the manifest, its result).
 
 
-def stage_ingest(data: PipelineData, outdir: Path) -> dict[str, Path]:
+def stage_ingest(run: Run) -> tuple[dict[str, Path], None]:
+    data, outdir = run.data, run.outdir
     out = {}
     out["observations"] = outdir / "observations.csv"
     write_table(
@@ -241,27 +282,11 @@ def stage_ingest(data: PipelineData, outdir: Path) -> dict[str, Path]:
         "towers_active": sum(t.active for t in data.towers),
         "towers_silent": sum(not t.active for t in data.towers),
     }, indent=2) + "\n", encoding="utf-8")
-    return out
+    return out, None
 
 
-def build_attendance(data: PipelineData, cfg: Mapping) -> att.AttendanceSeries:
-    factors = att.AdjustmentFactors(
-        prevalence=cfg["prevalence"],
-        daily_use=cfg["daily_use"],
-        non_use=cfg["non_use"],
-    )
-    projections = data.projections if cfg["calibrate_non_use"] else None
-    return att.build_series(
-        data.observations, data.counts, data.profiles,
-        total_days=data.window.days, factors=factors,
-        projections=projections,
-    )
-
-
-def stage_attendance(
-    data: PipelineData, cfg: Mapping, outdir: Path
-) -> tuple[dict[str, Path], att.AttendanceSeries]:
-    series = build_attendance(data, cfg)
+def stage_attendance(run: Run) -> tuple[dict[str, Path], att.AttendanceSeries]:
+    series, cfg, outdir = run.series, run.cfg, run.outdir
     out = {}
     out["attendance_daily"] = outdir / "attendance_daily.csv"
     write_table(
@@ -289,7 +314,7 @@ def stage_attendance(
         sorted(series.representation.items()),
     )
     grid = [q for q in cfg["sensitivity_grid"] if 0 < q < 1]
-    final_day = data.window.days
+    final_day = run.data.window.days
     base_total = series.cumulative[final_day] * (1.0 - series.factors.non_use)
     curve = att.sensitivity_curve(cfg["sensitivity_numerator"], grid)
     adjusted = att.nonuse_adjusted_totals(base_total, grid)
@@ -316,15 +341,10 @@ def stage_attendance(
     return out, series
 
 
-def stage_social(
-    data: PipelineData, cfg: Mapping, outdir: Path,
-    series: att.AttendanceSeries,
-) -> tuple[dict[str, Path], social.LogisticFit]:
-    net = social.build_network(
-        data.events,
-        exclude_local=cfg["exclude_local"],
-        local_state=data.local,
-    )
+def stage_social(run: Run) -> tuple[dict[str, Path], social.LogisticFit]:
+    # The series first, so that data with no stays fails as it does in
+    # the attendance stage.
+    series, net, cfg, outdir = run.series, run.network, run.cfg, run.outdir
     census = social.census_triples(net)
     out = {}
     out["social_census"] = outdir / "social_census.csv"
@@ -342,13 +362,12 @@ def stage_social(
     fit = social.fit_closure_model(
         triples, series.representation, seed=cfg["subsample_seed"],
     )
-    subset = social.subsample_independent(triples, cfg["subsample_seed"])
     out["social_fit"] = outdir / "social_fit.json"
     out["social_fit"].write_text(json.dumps({
         "n_nodes": net.n_nodes,
         "n_edges": net.n_edges,
         "n_triples_all": len(triples),
-        "n_triples_independent": len(subset),
+        "n_triples_independent": fit.n_triples,
         "subsample_seed": cfg["subsample_seed"],
         "beta0": fit.beta0,
         "beta1": fit.beta1,
@@ -377,23 +396,18 @@ def _cell_map(towers) -> dict[int, int]:
     return mapping
 
 
-def stage_spatial(
-    data: PipelineData, cfg: Mapping, outdir: Path,
-    series: att.AttendanceSeries,
-) -> tuple[dict[str, Path], dict]:
+def stage_spatial(run: Run) -> tuple[dict[str, Path], dict]:
+    data, series, cfg, outdir = run.data, run.series, run.cfg, run.outdir
     cell_of = _cell_map(data.towers)
     # Unlike the social stage, the host state stays in: its (weak)
     # co-location is part of the per-state spatial report.
     col = spatial.build_colocation_series(
         data.observations, n_days=data.window.days, cell_of_tower=cell_of,
     )
-    if cfg["peak_mode"] == "calendar":
-        high, low = spatial.partition_days(
-            series.daily, n_days=data.window.days,
-            peak_days=cfg["calendar_peaks"],
-        )
-    else:
-        high, low = spatial.partition_days(series.daily, n_days=data.window.days)
+    high, low = spatial.partition_days(
+        series.daily, n_days=data.window.days,
+        peak_days=cfg["calendar_peaks"] if cfg["peak_mode"] == "calendar" else None,
+    )
     report = spatial.aggregate_q(col, high, low)
     spatial.attach_bootstrap_cis(
         report, col, high, low,
@@ -401,8 +415,8 @@ def stage_spatial(
     )
     rep_daily = spatial.daily_representation(series.by_state_daily)
     mean_log = spatial.mean_log_representation(rep_daily)
-    rho_a = spatial.correlate({s: r.q_a for s, r in report.items()}, mean_log)
-    rho_d = spatial.correlate({s: r.q_d for s, r in report.items()}, mean_log)
+    q_a = {s: r.q_a for s, r in report.items()}
+    q_d = {s: r.q_d for s, r in report.items()}
 
     out = {}
     out["spatial_daily"] = outdir / "spatial_daily.csv"
@@ -438,8 +452,12 @@ def stage_spatial(
         geo.cells_table(cells),
     )
     summary = {
-        "rho_a": rho_a,
-        "rho_d": rho_d,
+        "rho_a": spatial.correlate(q_a, mean_log),
+        "rho_d": spatial.correlate(q_d, mean_log),
+        "rho_a_p_value": spatial.correlation_p_value(
+            q_a, mean_log, seed=cfg["bootstrap_seed"]),
+        "rho_d_p_value": spatial.correlation_p_value(
+            q_d, mean_log, seed=cfg["bootstrap_seed"]),
         "high_days": sorted(high),
         "peak_mode": cfg["peak_mode"],
         "n_active_cells": len(active),
@@ -452,16 +470,24 @@ def stage_spatial(
     return out, summary
 
 
-def stage_sbm(
-    data: PipelineData | None, cfg: Mapping, outdir: Path, seed: int
-) -> dict[str, Path]:
+def stage_sbm(run: Run) -> tuple[dict[str, Path], None]:
+    outdir = run.outdir
     out = {}
+    if run.data is not None:
+        out["sbm_blocks"] = outdir / "sbm_blocks.csv"
+        write_table(
+            out["sbm_blocks"],
+            ("state_code", "n", "edges_within", "p_kk", "baseline"),
+            sbm.block_table(sbm.estimate_block_probs(run.network)),
+        )
+        # The demo below sets the run's peak memory; free the network first.
+        del run.network
     curve = sbm.bias_curve(
         [1, 2, 5, 10, 20, 50, 100, 200, 500], m=5, p_in=0.20, p_out=0.04
     )
     out["sbm_bias_curve"] = outdir / "sbm_bias_curve.csv"
     write_table(out["sbm_bias_curve"], ("groups", "avg_edge_probability"), curve)
-    demo = sbm.joint_bias_demo(seed=seed)
+    demo = sbm.joint_bias_demo(seed=run.seed)
     out["sbm_demo"] = outdir / "sbm_demo.json"
     out["sbm_demo"].write_text(json.dumps({
         "analytic": demo.analytic,
@@ -471,31 +497,106 @@ def stage_sbm(
         "within_group_transitivity": demo.within_transitivity,
         "triples": {str(k): list(v) for k, v in demo.triples.items()},
     }, indent=2) + "\n", encoding="utf-8")
-    if data is not None:
-        net = social.build_network(
-            data.events, exclude_local=cfg["exclude_local"],
-            local_state=data.local,
-        )
-        est = sbm.estimate_block_probs(net)
-        out["sbm_blocks"] = outdir / "sbm_blocks.csv"
-        write_table(
-            out["sbm_blocks"],
-            ("state_code", "n", "edges_within", "p_kk", "baseline"),
-            sbm.block_table(est),
-        )
-    return out
+    return out, None
+
+
+def stage_summary(run: Run) -> tuple[dict[str, Path], dict]:
+    data, series = run.data, run.series
+    fit, spa = run.results["social"], run.results["spatial"]
+    summary = {
+        "rows_accepted": data.report.accepted,
+        "person_days": len(data.observations),
+        "cumulative_attendance": series.cumulative[data.window.days],
+        "peak_daily_attendance": max(series.daily.values(), default=None),
+        "daily_use_estimate": series.daily_use_estimate,
+        "non_use_calibrated": series.non_use_estimate,
+        "beta1": fit.beta1,
+        "beta1_ci": list(fit.ci1),
+        "rho_a": spa["rho_a"],
+        "rho_d": spa["rho_d"],
+    }
+    path = run.outdir / "summary.json"
+    path.write_text(json.dumps(summary, indent=2) + "\n", encoding="utf-8")
+    return {"summary": path}, summary
 
 
 # ---------------------------------------------------------------------------
-# Command implementations
+# Commands
+
+#: Analysis command -> (its stages in run order, its stdout line). Stages
+#: are named, and ``run_command`` finds ``stage_<name>`` when it calls it,
+#: so a wrapper installed on the module after import is the one that runs.
+COMMANDS: dict[str, tuple[tuple[str, ...], Callable[[Run], str]]] = {
+    "ingest": (("ingest",), lambda run: (
+        f"ingest: {run.data.report.accepted}/{run.data.report.rows} rows "
+        f"accepted, {len(run.data.observations)} person-days")),
+    "attendance": (("attendance",), lambda run: (
+        f"attendance: cumulative "
+        f"{run.series.cumulative[run.data.window.days]:,.0f}, "
+        f"daily_use {run.series.daily_use_estimate:.4f}, "
+        f"non_use {run.series.factors.non_use:.4f}")),
+    "social": (("social",), lambda run: (
+        "social: beta1 {0.beta1:+.4f} (95% CI {0.ci1[0]:+.4f}..{0.ci1[1]:+.4f}, "
+        "n={0.n_triples})".format(run.results["social"]))),
+    "spatial": (("spatial",), lambda run: (
+        "spatial: rho_A undefined" if run.results["spatial"]["rho_a"] is None
+        else f"spatial: rho_A {run.results['spatial']['rho_a']:+.3f}")),
+    "sbm": (("sbm",), lambda run: "sbm: bias curve and joint demo written"),
+    "report": (("ingest", "attendance", "social", "spatial", "sbm", "summary"),
+               lambda run: json.dumps(run.results["summary"], indent=2)),
+}
+
+def _timed(manifest: RunManifest, name: str, fn: Callable, *args):
+    """``fn(*args)``, its wall time recorded as ``manifest.timings_s[name]``."""
+    start = time.monotonic()
+    try:
+        return fn(*args)
+    finally:
+        manifest.timings_s[name] = round(time.monotonic() - start, 3)
 
 
-def _finish(manifest: RunManifest, outputs: Mapping[str, Path], outdir: Path,
-            t0: float) -> int:
-    for name, path in outputs.items():
-        manifest.add_output(name, path)
-    manifest.timings_s["total"] = round(time.monotonic() - t0, 3)
-    manifest.write(outdir / f"manifest_{manifest.command}.json")
+def run_command(args) -> int:
+    """Run one analysis command and write its manifest, also on failure."""
+    t0 = time.monotonic()
+    stages, line = COMMANDS[args.command]
+    outdir = Path(args.output_dir)
+    outdir.mkdir(parents=True, exist_ok=True)
+    manifest = RunManifest(args.command, seed=getattr(args, "seed", None))
+    stage = "config"  # the step running, for the failure record
+    try:
+        cfg = load_config(args.config)
+        # Flags given on the command line override their config key.
+        for key in ("exclude_local", "peak_mode", "bootstrap_replicates"):
+            if getattr(args, key, None) is not None:
+                cfg[key] = getattr(args, key)
+        manifest.config_digest = config_digest(cfg)
+        run = Run(cfg, outdir, seed=manifest.seed)
+        if args.input_dir:
+            input_dir = Path(args.input_dir)
+            manifest.inputs = {
+                name: str(input_dir / f"{name}.csv")
+                for name in ("cdr", "towers", "states")
+            }
+            stage = "load"
+            run.data = _timed(manifest, stage, load_pipeline_data, input_dir)
+        for stage in stages:
+            outputs, run.results[stage] = _timed(
+                manifest, stage, globals()[f"stage_{stage}"], run)
+            for name, path in outputs.items():
+                manifest.add_output(name, path)
+        print(line(run))
+    except Exception as exc:
+        # The exit code main() gives; any other error ends in a traceback.
+        manifest.failure = {
+            "failed_stage": stage,
+            "error": type(exc).__name__,
+            "exit_code": (3 if isinstance(exc, DATA_ERRORS)
+                          else 4 if isinstance(exc, ANALYSIS_ERRORS) else 1),
+        }
+        raise
+    finally:
+        manifest.timings_s["total"] = round(time.monotonic() - t0, 3)
+        manifest.write(outdir / f"manifest_{args.command}.json")
     return 0
 
 
@@ -515,136 +616,23 @@ def cmd_gen(args) -> int:
     print(f"gen: {len(truth.true_total)} states, "
           f"{sum(truth.visible.values())} visible customers, "
           f"{len(truth.edges)} ties -> {outdir}")
-    return _finish(manifest, paths, outdir, t0)
-
-
-def _prepare(args) -> tuple[PipelineData, dict, Path, RunManifest, float]:
-    t0 = time.monotonic()
-    cfg = load_config(args.config)
-    data = load_pipeline_data(Path(args.input_dir))
-    outdir = Path(args.output_dir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    manifest = RunManifest(args.command, seed=getattr(args, "seed", None),
-                           config_digest=config_digest(cfg))
-    manifest.inputs = {
-        name: str(Path(args.input_dir) / f"{name}.csv")
-        for name in ("cdr", "towers", "states")
-    }
-    return data, cfg, outdir, manifest, t0
-
-
-def _apply_flags(cfg: dict, args) -> None:
-    if getattr(args, "exclude_local", None) is not None:
-        cfg["exclude_local"] = args.exclude_local
-    if getattr(args, "peak_mode", None):
-        cfg["peak_mode"] = args.peak_mode
-    if getattr(args, "bootstrap_replicates", None):
-        cfg["bootstrap_replicates"] = args.bootstrap_replicates
-
-
-def cmd_ingest(args) -> int:
-    data, cfg, outdir, manifest, t0 = _prepare(args)
-    out = stage_ingest(data, outdir)
-    print(f"ingest: {data.report.accepted}/{data.report.rows} rows accepted, "
-          f"{len(data.observations)} person-days")
-    return _finish(manifest, out, outdir, t0)
-
-
-def cmd_attendance(args) -> int:
-    data, cfg, outdir, manifest, t0 = _prepare(args)
-    out, series = stage_attendance(data, cfg, outdir)
-    final = series.cumulative[data.window.days]
-    print(f"attendance: cumulative {final:,.0f}, "
-          f"daily_use {series.daily_use_estimate:.4f}, "
-          f"non_use {series.factors.non_use:.4f}")
-    return _finish(manifest, out, outdir, t0)
-
-
-def cmd_social(args) -> int:
-    data, cfg, outdir, manifest, t0 = _prepare(args)
-    _apply_flags(cfg, args)
-    series = build_attendance(data, cfg)
-    out, fit = stage_social(data, cfg, outdir, series)
-    print(f"social: beta1 {fit.beta1:+.4f} "
-          f"(95% CI {fit.ci1[0]:+.4f}..{fit.ci1[1]:+.4f}, "
-          f"n={fit.n_triples})")
-    return _finish(manifest, out, outdir, t0)
-
-
-def cmd_spatial(args) -> int:
-    data, cfg, outdir, manifest, t0 = _prepare(args)
-    _apply_flags(cfg, args)
-    series = build_attendance(data, cfg)
-    out, summary = stage_spatial(data, cfg, outdir, series)
-    rho = summary["rho_a"]
-    print(f"spatial: rho_A {rho:+.3f}" if rho is not None
-          else "spatial: rho_A undefined")
-    return _finish(manifest, out, outdir, t0)
-
-
-def cmd_sbm(args) -> int:
-    t0 = time.monotonic()
-    cfg = load_config(args.config)
-    data = None
-    if args.input_dir:
-        data = load_pipeline_data(Path(args.input_dir))
-    outdir = Path(args.output_dir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    manifest = RunManifest("sbm", seed=args.seed, config_digest=config_digest(cfg))
-    out = stage_sbm(data, cfg, outdir, args.seed)
-    print("sbm: bias curve and joint demo written")
-    return _finish(manifest, out, outdir, t0)
-
-
-def cmd_report(args) -> int:
-    data, cfg, outdir, manifest, t0 = _prepare(args)
-    _apply_flags(cfg, args)
-    outputs: dict[str, Path] = {}
-    stage_t = time.monotonic()
-    outputs.update(stage_ingest(data, outdir))
-    manifest.timings_s["ingest"] = round(time.monotonic() - stage_t, 3)
-
-    stage_t = time.monotonic()
-    att_out, series = stage_attendance(data, cfg, outdir)
-    outputs.update(att_out)
-    manifest.timings_s["attendance"] = round(time.monotonic() - stage_t, 3)
-
-    stage_t = time.monotonic()
-    soc_out, fit = stage_social(data, cfg, outdir, series)
-    outputs.update(soc_out)
-    manifest.timings_s["social"] = round(time.monotonic() - stage_t, 3)
-
-    stage_t = time.monotonic()
-    spa_out, spa_summary = stage_spatial(data, cfg, outdir, series)
-    outputs.update(spa_out)
-    manifest.timings_s["spatial"] = round(time.monotonic() - stage_t, 3)
-
-    stage_t = time.monotonic()
-    outputs.update(stage_sbm(data, cfg, outdir, args.seed or 0))
-    manifest.timings_s["sbm"] = round(time.monotonic() - stage_t, 3)
-
-    final = data.window.days
-    summary = {
-        "rows_accepted": data.report.accepted,
-        "person_days": len(data.observations),
-        "cumulative_attendance": series.cumulative[final],
-        "peak_daily_attendance": max(series.daily.values(), default=None),
-        "daily_use_estimate": series.daily_use_estimate,
-        "non_use_calibrated": series.non_use_estimate,
-        "beta1": fit.beta1,
-        "beta1_ci": list(fit.ci1),
-        "rho_a": spa_summary["rho_a"],
-        "rho_d": spa_summary["rho_d"],
-    }
-    summary_path = outdir / "summary.json"
-    summary_path.write_text(json.dumps(summary, indent=2) + "\n",
-                            encoding="utf-8")
-    outputs["summary"] = summary_path
-    print(json.dumps(summary, indent=2))
-    return _finish(manifest, outputs, outdir, t0)
+    for name, path in paths.items():
+        manifest.add_output(name, path)
+    manifest.timings_s["total"] = round(time.monotonic() - t0, 3)
+    manifest.write(outdir / "manifest_gen.json")
+    return 0
 
 
 # ---------------------------------------------------------------------------
+
+
+def _replicates(text: str) -> int:
+    n = int(text)
+    if n < spatial.MIN_BOOTSTRAP_REPLICATES:
+        raise argparse.ArgumentTypeError(
+            f"need at least {spatial.MIN_BOOTSTRAP_REPLICATES} replicates, got {n}"
+        )
+    return n
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -654,12 +642,25 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, *, inputs=True):
+    def analysis(name, summary, *, inputs=True):
+        p = sub.add_parser(name, help=summary)
         if inputs:
             p.add_argument("--input-dir", required=True,
                            help="directory with cdr.csv, towers.csv, states.csv")
         p.add_argument("--output-dir", required=True)
         p.add_argument("--config", help="JSON analysis config; defaults apply")
+        p.set_defaults(func=run_command)
+        return p
+
+    def social_flags(p):
+        p.add_argument("--exclude-local", dest="exclude_local",
+                       action="store_true", default=None)
+        p.add_argument("--include-local", dest="exclude_local",
+                       action="store_false")
+
+    def spatial_flags(p):
+        p.add_argument("--peak-mode", choices=("data", "calendar"))
+        p.add_argument("--bootstrap-replicates", type=_replicates)
 
     p = sub.add_parser("gen", help="generate a synthetic scenario")
     p.add_argument("--scenario", default="desk-small",
@@ -669,45 +670,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output-dir", required=True)
     p.set_defaults(func=cmd_gen)
 
-    p = sub.add_parser("ingest", help="parse, deduplicate, count")
-    common(p)
-    p.set_defaults(func=cmd_ingest)
+    analysis("ingest", "parse, deduplicate, count")
+    analysis("attendance", "attendance estimates + sensitivity")
+    social_flags(analysis("social", "triple census + closure fit"))
+    spatial_flags(analysis("spatial", "co-location report"))
 
-    p = sub.add_parser("attendance", help="attendance estimates + sensitivity")
-    common(p)
-    p.set_defaults(func=cmd_attendance)
-
-    p = sub.add_parser("social", help="triple census + closure fit")
-    common(p)
-    p.add_argument("--exclude-local", dest="exclude_local",
-                   action="store_true", default=None)
-    p.add_argument("--include-local", dest="exclude_local",
-                   action="store_false")
-    p.set_defaults(func=cmd_social)
-
-    p = sub.add_parser("spatial", help="co-location report")
-    common(p)
-    p.add_argument("--peak-mode", choices=("data", "calendar"))
-    p.add_argument("--bootstrap-replicates", type=int)
-    p.set_defaults(func=cmd_spatial)
-
-    p = sub.add_parser("sbm", help="block-model baseline + bias demo")
+    p = analysis("sbm", "block-model baseline + bias demo", inputs=False)
     p.add_argument("--input-dir", help="optional; adds per-state block table")
-    p.add_argument("--output-dir", required=True)
-    p.add_argument("--config")
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_sbm)
 
-    p = sub.add_parser("report", help="full pipeline + summary")
-    common(p)
+    p = analysis("report", "full pipeline + summary")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--exclude-local", dest="exclude_local",
-                   action="store_true", default=None)
-    p.add_argument("--include-local", dest="exclude_local",
-                   action="store_false")
-    p.add_argument("--peak-mode", choices=("data", "calendar"))
-    p.add_argument("--bootstrap-replicates", type=int)
-    p.set_defaults(func=cmd_report)
+    social_flags(p)
+    spatial_flags(p)
 
     return parser
 

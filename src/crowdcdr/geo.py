@@ -17,7 +17,6 @@ from math import asin, cos, radians, sin, sqrt
 from typing import Sequence
 
 import numpy as np
-from scipy.spatial import Voronoi
 
 from .errors import ConfigurationError
 from .ingest import TowerSite
@@ -111,6 +110,10 @@ def build_tessellation(
     reflections across each box side, which makes the box edges Voronoi
     boundaries, so the clipped cell areas sum to the box area.
     """
+    # Imported here: scipy.spatial takes about 0.5 s to import, and only
+    # the spatial stage needs it.
+    from scipy.spatial import Voronoi
+
     active, pts, origin = _active_points(towers, origin)
     rounded = {(round(p[0], 9), round(p[1], 9)) for p in pts}
     if len(rounded) != len(pts):

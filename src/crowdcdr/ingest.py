@@ -22,7 +22,7 @@ import io
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import IO, Iterable, Iterator, Mapping, Sequence
+from typing import IO, Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import ConfigurationError, IngestError, SchemaError
 
@@ -154,7 +154,7 @@ def _parse_state(text: str) -> int:
 def _open_text(source) -> tuple[IO[str], bool]:
     """Return (text stream, needs_close) for a path, byte stream, or text stream."""
     if isinstance(source, (str, Path)):
-        return open(source, "r", newline="", encoding="utf-8"), True
+        return open(source, "r", newline="", encoding="utf-8-sig"), True
     if isinstance(source, (bytes, bytearray)):
         return io.StringIO(source.decode("utf-8")), False
     if hasattr(source, "read"):
@@ -341,49 +341,61 @@ def count_unique_handsets(
 # Auxiliary file loaders
 
 
+def _read_table(
+    path, delimiter: str, what: str, columns: Mapping[str, Callable]
+) -> list[tuple]:
+    """Rows of an auxiliary file, each cell converted by its column's type.
+
+    A missing column, or a cell its type rejects, raises SchemaError; the
+    latter names the file and line. A UTF-8 byte-order mark is skipped.
+    """
+    rows = []
+    with open(path, "r", newline="", encoding="utf-8-sig") as fh:
+        reader = csv.DictReader(fh, delimiter=delimiter)
+        if reader.fieldnames is None or not set(columns) <= set(reader.fieldnames):
+            raise SchemaError(f"{what} file must have columns {sorted(columns)}")
+        for row in reader:
+            try:
+                rows.append(tuple(conv(row[c]) for c, conv in columns.items()))
+            except (TypeError, ValueError) as exc:
+                raise SchemaError(
+                    f"{what} file {path}, line {reader.line_num}: {exc}"
+                ) from None
+    return rows
+
+
 def load_towers(path, *, delimiter: str = ",") -> list[TowerSite]:
     """Read the tower file (tower_id, latitude, longitude)."""
     towers: list[TowerSite] = []
     seen: set[int] = set()
-    with open(path, "r", newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh, delimiter=delimiter)
-        required = {"tower_id", "latitude", "longitude"}
-        if reader.fieldnames is None or not required <= set(reader.fieldnames):
-            raise SchemaError(f"tower file must have columns {sorted(required)}")
-        for row in reader:
-            tid = int(row["tower_id"])
-            if tid in seen:
-                raise ConfigurationError(f"duplicate tower_id {tid}")
-            seen.add(tid)
-            towers.append(
-                TowerSite(tid, float(row["latitude"]), float(row["longitude"]))
-            )
+    for tid, lat, lon in _read_table(
+        path, delimiter, "tower",
+        {"tower_id": int, "latitude": float, "longitude": float},
+    ):
+        if tid in seen:
+            raise ConfigurationError(f"duplicate tower_id {tid}")
+        seen.add(tid)
+        towers.append(TowerSite(tid, lat, lon))
     return towers
 
 
 def load_state_profiles(path, *, delimiter: str = ",") -> dict[int, StateProfile]:
     """Read the market-share file (state_code, name, market_share, is_local)."""
     profiles: dict[int, StateProfile] = {}
-    with open(path, "r", newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh, delimiter=delimiter)
-        required = {"state_code", "name", "market_share", "is_local"}
-        if reader.fieldnames is None or not required <= set(reader.fieldnames):
-            raise SchemaError(f"market-share file must have columns {sorted(required)}")
-        for row in reader:
-            code = int(row["state_code"])
-            share = float(row["market_share"])
-            if not 0 < share <= 1:
-                raise ConfigurationError(
-                    f"market share for state {code} outside (0, 1]: {share}"
-                )
-            if code in profiles:
-                raise ConfigurationError(f"duplicate state_code {code}")
-            profiles[code] = StateProfile(
-                state_code=code,
-                name=row["name"],
-                market_share=share,
-                is_local=_parse_bool(row["is_local"]),
+    for code, name, share, is_local in _read_table(
+        path, delimiter, "market-share",
+        {"state_code": int, "name": str, "market_share": float,
+         "is_local": _parse_bool},
+    ):
+        if not 0 < share <= 1:
+            raise ConfigurationError(
+                f"market share for state {code} outside (0, 1]: {share}"
             )
+        if code in profiles:
+            raise ConfigurationError(f"duplicate state_code {code}")
+        profiles[code] = StateProfile(
+            state_code=code, name=name, market_share=share, is_local=is_local,
+        )
     locals_ = [p for p in profiles.values() if p.is_local]
     if len(locals_) != 1:
         raise ConfigurationError(
@@ -394,15 +406,10 @@ def load_state_profiles(path, *, delimiter: str = ",") -> dict[int, StateProfile
 
 def load_projections(path, *, delimiter: str = ",") -> dict[int, float]:
     """Read the external projections file (day, projected_attendance)."""
-    projections: dict[int, float] = {}
-    with open(path, "r", newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh, delimiter=delimiter)
-        required = {"day", "projected_attendance"}
-        if reader.fieldnames is None or not required <= set(reader.fieldnames):
-            raise SchemaError(f"projections file must have columns {sorted(required)}")
-        for row in reader:
-            projections[int(row["day"])] = float(row["projected_attendance"])
-    return projections
+    return dict(_read_table(
+        path, delimiter, "projections",
+        {"day": int, "projected_attendance": float},
+    ))
 
 
 def local_state(profiles: Mapping[int, StateProfile]) -> int:

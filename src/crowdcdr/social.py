@@ -369,22 +369,17 @@ def fit_closure_model(
     representation: Mapping[int, float],
     *,
     seed: int = 0,
-    subsample: bool = True,
-    max_triples: int | None = None,
-    **fit_kwargs,
 ) -> LogisticFit:
-    """Fit the closure regression on (optionally subsampled) triples.
+    """Fit the closure regression on the node-disjoint triple subsample.
 
     Representation shares come from the cumulative attendance estimates.
-    With ``subsample`` the greedy independent subset is used so Wald
-    inference is valid; ``max_triples`` optionally caps its size.
+    The greedy independent subset is used so Wald inference is valid;
+    the fit's ``n_triples`` is its size.
     """
-    pool = subsample_independent(triples, seed) if subsample else list(triples)
-    if max_triples is not None:
-        pool = pool[:max_triples]
+    pool = subsample_independent(triples, seed)
     missing = sorted({t.state for t in pool} - set(representation))
     if missing:
         raise AnalysisError(f"no representation share for states {missing}")
     closed = [1 if t.closed else 0 for t in pool]
     w = [representation[t.state] for t in pool]
-    return fit_logistic(closed, w, **fit_kwargs)
+    return fit_logistic(closed, w)

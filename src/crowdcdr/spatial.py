@@ -29,6 +29,9 @@ import numpy as np
 from .errors import EstimationError
 from .ingest import DailyObservation
 
+#: Fewest bootstrap replicates a percentile interval is computed from.
+MIN_BOOTSTRAP_REPLICATES = 200
+
 
 def colocation_probability(
     counts: Mapping[int, int] | Sequence[int], n_total: int | None = None
@@ -174,8 +177,9 @@ def bootstrap_mean_ci(
     vals = np.asarray(values, dtype=float)
     if vals.size < 2:
         raise EstimationError("need at least 2 defined days to bootstrap")
-    if replicates < 200:
-        raise EstimationError("need at least 200 bootstrap replicates")
+    if replicates < MIN_BOOTSTRAP_REPLICATES:
+        raise EstimationError(
+            f"need at least {MIN_BOOTSTRAP_REPLICATES} bootstrap replicates")
     rng = np.random.default_rng(seed)
     idx = rng.integers(0, vals.size, size=(replicates, vals.size))
     stats = vals[idx].mean(axis=1)
@@ -200,8 +204,9 @@ def bootstrap_ratio_ci(
     lv = np.asarray(low_values, dtype=float)
     if hv.size < 2 or lv.size < 2:
         raise EstimationError("need at least 2 defined days in each stratum")
-    if replicates < 200:
-        raise EstimationError("need at least 200 bootstrap replicates")
+    if replicates < MIN_BOOTSTRAP_REPLICATES:
+        raise EstimationError(
+            f"need at least {MIN_BOOTSTRAP_REPLICATES} bootstrap replicates")
     rng = np.random.default_rng(seed)
     hi_idx = rng.integers(0, hv.size, size=(replicates, hv.size))
     lo_idx = rng.integers(0, lv.size, size=(replicates, lv.size))

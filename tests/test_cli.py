@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from crowdcdr import cli, synth
+from crowdcdr import attendance, cli, social, synth
 from helpers import CDR_HEADER
 
 PLANTED_PEAKS = {41, 46, 69}
@@ -34,6 +34,10 @@ def read_rows(path: Path) -> list[dict]:
 def manifest_digests(path: Path) -> dict[str, str]:
     blob = read_json(path)
     return {name: rec["sha256"] for name, rec in blob["outputs"].items()}
+
+
+def timed_stages(outdir: Path, command: str) -> set[str]:
+    return set(read_json(outdir / f"manifest_{command}.json")["timings_s"])
 
 
 @pytest.fixture(scope="module")
@@ -165,9 +169,40 @@ class TestReport:
         assert "summary" in blob["outputs"]
         for name, rec in blob["outputs"].items():
             assert sha(Path(rec["path"])) == rec["sha256"], name
-        for key in ("ingest", "attendance", "social", "spatial", "sbm", "total"):
-            assert key in blob["timings_s"]
+        assert set(blob["timings_s"]) == {
+            "load", "ingest", "attendance", "social", "spatial", "sbm",
+            "summary", "total",
+        }
+        assert "failed_stage" not in blob
         assert "crowdcdr" in blob["versions"]
+
+    def test_spatial_summary_reports_permutation_p_values(self, report_dir):
+        spa = read_json(report_dir / "spatial_summary.json")
+        for key in ("rho_a_p_value", "rho_d_p_value"):
+            assert 0 < spa[key] <= 1, key
+
+    def test_shared_intermediates_are_built_once(self, gen_dir, report_dir,
+                                                 tmp_path, monkeypatch, capsys):
+        calls = {}
+
+        def counted(module, name):
+            original = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] = calls.get(name, 0) + 1
+                return original(*args, **kwargs)
+            monkeypatch.setattr(module, name, wrapper)
+
+        counted(social, "build_network")
+        counted(social, "subsample_independent")
+        counted(attendance, "build_series")
+        out = tmp_path / "counted"
+        assert run("report", "--input-dir", gen_dir, "--output-dir", out) == 0
+        capsys.readouterr()
+        assert calls == {"build_network": 1, "subsample_independent": 1,
+                         "build_series": 1}
+        assert (manifest_digests(out / "manifest_report.json")
+                == manifest_digests(report_dir / "manifest_report.json"))
 
     def test_rerun_is_bit_identical(self, gen_dir, report_dir, tmp_path,
                                     capsys):
@@ -200,7 +235,7 @@ class TestSubcommands:
         }
         counts = read_rows(out / "counts.csv")
         assert sum(int(r["unique_handsets"]) for r in counts) == len(rows)
-        assert (out / "manifest_ingest.json").exists()
+        assert timed_stages(out, "ingest") == {"load", "ingest", "total"}
 
     def test_attendance_outputs(self, gen_dir, tmp_path):
         out = tmp_path / "att"
@@ -213,6 +248,7 @@ class TestSubcommands:
         cum = read_rows(out / "attendance_cumulative.csv")
         vals = [float(r["estimate"]) for r in cum]
         assert all(a <= b + 1e-9 for a, b in zip(vals, vals[1:]))
+        assert timed_stages(out, "attendance") == {"load", "attendance", "total"}
 
     def test_social_local_inclusion_grows_network(self, gen_dir, tmp_path):
         excl, incl = tmp_path / "excl", tmp_path / "incl"
@@ -231,6 +267,7 @@ class TestSubcommands:
             "state_code", "closed", "open", "transitivity",
             "closed_fraction", "w",
         }
+        assert timed_stages(excl, "social") == {"load", "social", "total"}
 
     def test_spatial_bootstrap_flag_beats_config(self, gen_dir, tmp_path):
         cfg_path = tmp_path / "cfg.json"
@@ -245,6 +282,7 @@ class TestSubcommands:
         host_rows = [r for r in report if r["state_code"] == "1"]
         assert host_rows, "host state missing from spatial report"
         assert all(0 <= float(r["q_a"]) <= 1 for r in report if r["q_a"])
+        assert timed_stages(out, "spatial") == {"load", "spatial", "total"}
 
     def test_sbm_standalone_skips_block_table(self, tmp_path):
         out = tmp_path / "sbm"
@@ -257,6 +295,7 @@ class TestSubcommands:
         demo = read_json(out / "sbm_demo.json")
         assert demo["ratio_estimated"] > 4
         assert not (out / "sbm_blocks.csv").exists()
+        assert timed_stages(out, "sbm") == {"sbm", "total"}
 
     def test_sbm_with_input_adds_block_table(self, gen_dir, tmp_path):
         out = tmp_path / "sbm2"
@@ -265,6 +304,7 @@ class TestSubcommands:
         assert blocks and set(blocks[0]) == {
             "state_code", "n", "edges_within", "p_kk", "baseline",
         }
+        assert timed_stages(out, "sbm") == {"load", "sbm", "total"}
 
 
 class TestFailureModes:
@@ -278,6 +318,12 @@ class TestFailureModes:
         err = capsys.readouterr().err
         assert "states.csv" in err
         assert "missing input file" in err
+        blob = read_json(tmp_path / "out" / "manifest_report.json")
+        assert blob["failed_stage"] == "load"
+        assert blob["error"] == "IngestError"
+        assert blob["exit_code"] == 3
+        assert set(blob["timings_s"]) == {"load", "total"}
+        assert blob["outputs"] == {}
 
     def test_garbage_cdr_exits_3(self, gen_dir, tmp_path, capsys):
         broken = tmp_path / "garbage"
@@ -301,6 +347,23 @@ class TestFailureModes:
         assert run("attendance", "--input-dir", empty,
                    "--output-dir", tmp_path / "out") == 4
         assert "analysis error" in capsys.readouterr().err
+        blob = read_json(tmp_path / "out" / "manifest_attendance.json")
+        assert blob["failed_stage"] == "attendance"
+        assert blob["error"] == "EstimationError"
+        assert blob["exit_code"] == 4
+
+    def test_unexpected_error_is_recorded_and_raised(self, gen_dir, tmp_path,
+                                                     monkeypatch):
+        def broken(run):
+            raise RuntimeError("stage bug")
+        monkeypatch.setattr(cli, "stage_ingest", broken)
+        with pytest.raises(RuntimeError, match="stage bug"):
+            run("ingest", "--input-dir", gen_dir, "--output-dir", tmp_path)
+        blob = read_json(tmp_path / "manifest_ingest.json")
+        assert blob["failed_stage"] == "ingest"
+        assert blob["error"] == "RuntimeError"
+        assert blob["exit_code"] == 1
+        assert set(blob["timings_s"]) == {"load", "ingest", "total"}
 
     def test_unknown_config_key_exits_3(self, gen_dir, tmp_path, capsys):
         cfg_path = tmp_path / "bad.json"
@@ -309,6 +372,28 @@ class TestFailureModes:
                    "--output-dir", tmp_path / "out",
                    "--config", cfg_path) == 3
         assert "bogus" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("replicates", [0, 50])
+    def test_too_few_bootstrap_replicates_exit_2(self, gen_dir, tmp_path,
+                                                 capsys, replicates):
+        with pytest.raises(SystemExit) as exc:
+            run("spatial", "--input-dir", gen_dir, "--output-dir", tmp_path,
+                "--bootstrap-replicates", replicates)
+        assert exc.value.code == 2
+        assert "at least 200" in capsys.readouterr().err
+
+    def test_non_numeric_tower_id_exits_3(self, gen_dir, tmp_path, capsys):
+        broken = tmp_path / "badtower"
+        broken.mkdir()
+        for name in ("cdr.csv", "states.csv"):
+            shutil.copy(gen_dir / name, broken / name)
+        header, first, *rest = (gen_dir / "towers.csv").read_text(
+            encoding="utf-8").splitlines()
+        (broken / "towers.csv").write_text(
+            "\n".join([header, "x" + first, *rest]) + "\n", encoding="utf-8")
+        assert run("ingest", "--input-dir", broken,
+                   "--output-dir", tmp_path / "out") == 3
+        assert "towers.csv, line 2" in capsys.readouterr().err
 
     def test_missing_required_argument_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:

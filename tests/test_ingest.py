@@ -292,6 +292,31 @@ class TestAuxiliaryLoaders:
         proj = ingest.load_projections(paths["projections"])
         assert sorted(proj) == [25, 35, 55, 75]
 
+    @pytest.mark.parametrize("name, loader, column", [
+        ("towers", ingest.load_towers, "tower_id"),
+        ("states", ingest.load_state_profiles, "state_code"),
+        ("projections", ingest.load_projections, "projected_attendance"),
+    ])
+    def test_non_numeric_cell_is_a_schema_error_naming_the_line(
+        self, desk_small_files, tmp_path, name, loader, column
+    ):
+        paths, _ = desk_small_files
+        header, first, *rest = paths[name].read_text(encoding="utf-8").splitlines()
+        cells = first.split(",")
+        cells[header.split(",").index(column)] = "x1"
+        bad = tmp_path / f"{name}.csv"
+        bad.write_text("\n".join([header, ",".join(cells), *rest]) + "\n",
+                       encoding="utf-8")
+        with pytest.raises(SchemaError, match=f"{name}.csv, line 2"):
+            loader(bad)
+
+    def test_byte_order_mark_on_cdr_header_is_skipped(self, desk_small_files,
+                                                      tmp_path):
+        paths, _ = desk_small_files
+        bom = tmp_path / "cdr.csv"
+        bom.write_bytes(b"\xef\xbb\xbf" + paths["cdr"].read_bytes())
+        assert list(parse_cdr(bom)) == list(parse_cdr(paths["cdr"]))
+
     def test_tower_activity_marking(self):
         events = [make_event(tower=2), make_event(tower=5)]
         towers = [

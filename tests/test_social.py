@@ -332,18 +332,6 @@ class TestClosureModel:
             assert fit.p_value < 1e-4
         assert max(betas) - min(betas) < 0.5
 
-    def test_full_sample_uses_every_triple(self, planted_triples):
-        fit = fit_closure_model(
-            planted_triples, {2: 0.01, 3: 0.1}, subsample=False
-        )
-        assert fit.n_triples == len(planted_triples)
-
-    def test_cap_limits_the_subsample(self, planted_triples):
-        fit = fit_closure_model(
-            planted_triples, {2: 0.01, 3: 0.1}, seed=0, max_triples=100
-        )
-        assert fit.n_triples <= 100
-
     def test_missing_representation_is_reported(self, planted_triples):
         with pytest.raises(AnalysisError, match="states \\[3\\]"):
             fit_closure_model(planted_triples, {2: 0.01}, seed=0)
@@ -353,6 +341,7 @@ class TestClosureModel:
         net = network_from_truth(truth, exclude=1)
         triples = enumerate_connected_triples(net)
         fit = fit_closure_model(triples, truth.true_w, seed=0)
+        assert fit.n_triples == len(subsample_independent(triples, 0))
         assert fit.n_triples <= len(triples)
         assert math.isfinite(fit.beta1)
         assert math.isfinite(fit.se1)
