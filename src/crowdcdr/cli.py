@@ -49,17 +49,18 @@ from .errors import (
 )
 from .ingest import (
     DEFAULT_WINDOW,
+    CdrColumns,
     IngestReport,
+    ObservationColumns,
     StudyWindow,
-    count_unique_handsets,
-    dedupe_daily,
+    daily_observations,
     load_projections,
     load_state_profiles,
     load_towers,
     local_state,
     mark_tower_activity,
-    parse_cdr,
-    towers_with_traffic,
+    read_cdr_columns,
+    write_columns,
     write_table,
 )
 
@@ -111,6 +112,17 @@ def load_config(path: str | None) -> dict:
             raise ConfigurationError(f"unknown config keys: {sorted(unknown)}")
         cfg.update(user)
     return cfg
+
+
+def check_config(cfg: Mapping) -> None:
+    """Raise ConfigurationError for a config value no stage can run with."""
+    reps = cfg["bootstrap_replicates"]
+    if (not isinstance(reps, int) or isinstance(reps, bool)
+            or reps < spatial.MIN_BOOTSTRAP_REPLICATES):
+        raise ConfigurationError(
+            f"bootstrap_replicates must be an integer of at least "
+            f"{spatial.MIN_BOOTSTRAP_REPLICATES}, got {reps!r}"
+        )
 
 
 def sha256_of(path: Path) -> str:
@@ -167,9 +179,15 @@ def config_digest(cfg: Mapping) -> str:
 
 @dataclass
 class PipelineData:
-    """Everything the analysis stages consume, loaded once."""
+    """Everything the analysis stages consume, loaded once.
 
-    events: list
+    ``observations`` holds the rows of ``observation_columns`` as
+    ``DailyObservation`` records, the form the attendance and spatial
+    layers take.
+    """
+
+    events: CdrColumns
+    observation_columns: ObservationColumns
     observations: list
     counts: dict
     towers: list
@@ -192,21 +210,26 @@ def load_pipeline_data(
     towers = load_towers(towers_path)
     profiles = load_state_profiles(states_path)
     report = IngestReport()
-    events = list(parse_cdr(
+    events = read_cdr_columns(
         cdr,
         window=window,
         known_towers={t.tower_id for t in towers},
         report=report,
-    ))
-    towers = mark_tower_activity(towers, towers_with_traffic(events))
-    observations = dedupe_daily(events, window=window)
-    counts = count_unique_handsets(observations)
+    )
+    if not report.accepted:
+        raise IngestError(
+            f"no accepted rows in {cdr}: {report.rows} rows, rejected "
+            f"{dict(sorted(report.rejects.items()))}"
+        )
+    towers = mark_tower_activity(towers, set(np.unique(events.tower_id).tolist()))
+    daily = daily_observations(events, window)
     proj_path = input_dir / "projections.csv"
     projections = load_projections(proj_path) if proj_path.exists() else None
     return PipelineData(
         events=events,
-        observations=observations,
-        counts=counts,
+        observation_columns=daily,
+        observations=daily.to_list(),
+        counts=daily.unique_handsets(),
         towers=towers,
         profiles=profiles,
         projections=projections,
@@ -261,12 +284,12 @@ class Run:
 def stage_ingest(run: Run) -> tuple[dict[str, Path], None]:
     data, outdir = run.data, run.outdir
     out = {}
+    obs = data.observation_columns
     out["observations"] = outdir / "observations.csv"
-    write_table(
+    write_columns(
         out["observations"],
         ("person_id", "state_code", "day", "first_tower"),
-        [(o.person_id, o.state_code, o.day, o.first_tower)
-         for o in data.observations],
+        (obs.person_id, obs.state_code, obs.day, obs.first_tower),
     )
     out["counts"] = outdir / "counts.csv"
     write_table(
@@ -389,7 +412,7 @@ def _cell_map(towers) -> dict[int, int]:
     }
     for t in towers:
         if not t.active:
-            point = geo.project_local(t.latitude, t.longitude, *origin)
+            point = geo.project_tower(t, origin)
             mapping[t.tower_id] = geo.nearest_active_tower(
                 point, towers, origin=origin
             )
@@ -569,6 +592,7 @@ def run_command(args) -> int:
         for key in ("exclude_local", "peak_mode", "bootstrap_replicates"):
             if getattr(args, key, None) is not None:
                 cfg[key] = getattr(args, key)
+        check_config(cfg)
         manifest.config_digest = config_digest(cfg)
         run = Run(cfg, outdir, seed=manifest.seed)
         if args.input_dir:

@@ -53,6 +53,16 @@ def project_local(
     return x, y
 
 
+def project_tower(
+    tower: TowerSite, origin: tuple[float, float]
+) -> tuple[float, float]:
+    """``project_local`` of a tower; out of range is a ConfigurationError."""
+    try:
+        return project_local(tower.latitude, tower.longitude, *origin)
+    except ValueError as exc:
+        raise ConfigurationError(f"tower {tower.tower_id}: {exc}") from None
+
+
 def unproject_local(
     x: float, y: float, origin_lat: float, origin_lon: float
 ) -> tuple[float, float]:
@@ -90,9 +100,7 @@ def _active_points(
         raise ConfigurationError("no active towers")
     if origin is None:
         origin = tower_origin(towers)
-    pts = np.array(
-        [project_local(t.latitude, t.longitude, *origin) for t in active]
-    )
+    pts = np.array([project_tower(t, origin) for t in active])
     return active, pts, origin
 
 

@@ -3,10 +3,13 @@
 The data model is shared by every downstream module:
 
 - ``CdrEvent``: one communication record (call or text).
+- ``CdrColumns``: accepted events as one numpy array per field; what
+  ``read_cdr_columns`` returns and the analysis stages consume.
 - ``TowerSite``: tower coordinates plus an activity flag.
 - ``StateProfile``: per-state market share and the local-state marker.
 - ``DailyObservation``: one (person, day) record carrying the first tower
   used that day; the atom for attendance and co-location statistics.
+  ``ObservationColumns`` holds the same records as arrays.
 
 Each event carries a single serving tower, which locates the operator's
 customer side of the communication (the caller when the caller is a
@@ -19,15 +22,23 @@ from __future__ import annotations
 
 import csv
 import io
+import warnings
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from itertools import islice
 from pathlib import Path
 from typing import IO, Callable, Iterable, Iterator, Mapping, Sequence
+
+import numpy as np
 
 from .errors import ConfigurationError, IngestError, SchemaError
 
 UNKNOWN_STATE = 0
 N_STATES = 23
+INT64_MIN, INT64_MAX = -(2 ** 63), 2 ** 63 - 1
+
+#: Lines per chunk of ``read_cdr_columns``.
+CHUNK_LINES = 100_000
 
 #: Canonical CDR column order; also the default schema (field -> column name).
 CDR_COLUMNS = (
@@ -165,6 +176,86 @@ def _open_text(source) -> tuple[IO[str], bool]:
     raise IngestError(f"unsupported CDR source: {type(source)!r}")
 
 
+def _header_index(reader, schema: Mapping[str, str] | None) -> dict[str, int]:
+    """Field name -> column position, from the header row of a CDR source."""
+    schema = dict(schema) if schema else {f: f for f in CDR_COLUMNS}
+    schema.setdefault("kind", schema.pop("event_kind", "kind"))
+    missing = [f for f in CDR_COLUMNS if f not in schema]
+    if missing:
+        raise SchemaError(f"schema missing fields: {missing}")
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise SchemaError("empty CDR source: no header row") from None
+    positions = {name.strip(): i for i, name in enumerate(header)}
+    absent = [schema[f] for f in CDR_COLUMNS if schema[f] not in positions]
+    if absent:
+        raise SchemaError(f"CDR header missing required columns: {absent}")
+    return {f: positions[schema[f]] for f in CDR_COLUMNS}
+
+
+def _parse_int(text: str) -> int:
+    """int(text), limited to the int64 range the column model holds."""
+    value = int(text)
+    if not INT64_MIN <= value <= INT64_MAX:
+        raise ValueError(f"integer outside int64: {text!r}")
+    return value
+
+
+def _validate_row(
+    row: Sequence[str],
+    index: Mapping[str, int],
+    window: StudyWindow,
+    known_towers: set[int] | None,
+) -> CdrEvent | str:
+    """The event a CDR row holds, or the reason the row is rejected."""
+    try:
+        ts = _parse_int(row[index["timestamp"]])
+        caller = _parse_int(row[index["caller_id"]])
+        callee = _parse_int(row[index["callee_id"]])
+        kind = row[index["kind"]].strip().lower()
+        duration = _parse_int(row[index["duration"]])
+        tower = _parse_int(row[index["tower_id"]])
+        caller_state = _parse_state(row[index["caller_state"]])
+        callee_state = _parse_state(row[index["callee_state"]])
+        caller_cust = _parse_bool(row[index["caller_is_customer"]])
+        callee_cust = _parse_bool(row[index["callee_is_customer"]])
+    except (ValueError, IndexError):
+        return "unparseable"
+
+    if kind not in ("call", "text"):
+        return "unparseable"
+    if duration < 0:
+        return "negative_duration"
+    if kind == "text" and duration != 0:
+        return "text_with_duration"
+    if not window.contains(ts):
+        return "outside_window"
+    if known_towers is not None and tower not in known_towers:
+        return "unknown_tower"
+    if not (caller_cust or callee_cust):
+        return "no_customer_party"
+    if (caller_cust and caller_state == UNKNOWN_STATE) or (
+        callee_cust and callee_state == UNKNOWN_STATE
+    ):
+        return "customer_without_state"
+    return CdrEvent(ts, caller, callee, kind, duration, tower,
+                    caller_state, callee_state, caller_cust, callee_cust)
+
+
+#: Reject reasons of a parsed row, in the order ``_validate_row`` tests them.
+_ROW_REJECTS = ("negative_duration", "text_with_duration", "outside_window",
+                "unknown_tower", "no_customer_party", "customer_without_state")
+
+
+def _tolerance_error(
+    bad_parse: int, rows: int, max_bad_fraction: float
+) -> IngestError:
+    return IngestError(
+        f"{bad_parse}/{rows} rows unparseable (tolerance {max_bad_fraction:g})"
+    )
+
+
 def parse_cdr(
     source,
     schema: Mapping[str, str] | None = None,
@@ -190,108 +281,42 @@ def parse_cdr(
         When given, events referencing other towers are rejected; silent
         acceptance would corrupt the spatial statistics.
     max_bad_fraction: float
-        Tolerated fraction of rows with unparseable fields. Exceeding it
-        raises IngestError once the stream is exhausted (checked against
-        the running total every 10000 rows as well, so a corrupt 400M-row
-        file fails early instead of at the end).
+        Tolerated fraction of rows with unparseable fields (including
+        integers outside int64). Exceeding it raises IngestError once the
+        stream is exhausted (checked against the running total every 10000
+        rows as well, so a corrupt 400M-row file fails early instead of at
+        the end).
     report: IngestReport or None
         Filled in as a side channel: total rows, accepted rows, and a
         per-reason reject counter. Nothing is silently dropped.
 
     Yields events lazily in file order; the input is never materialized,
-    so arbitrarily long streams run in constant memory.
+    so a caller that consumes the stream as it goes runs in constant
+    memory. That promise covers this streaming API only: ``crowdcdr
+    report`` reads the file with ``read_cdr_columns`` and holds every
+    accepted event in memory as columns.
     """
     if report is None:
         report = IngestReport()
-    schema = dict(schema) if schema else {f: f for f in CDR_COLUMNS}
-    schema.setdefault("kind", schema.pop("event_kind", "kind"))
-    missing = [f for f in CDR_COLUMNS if f not in schema]
-    if missing:
-        raise SchemaError(f"schema missing fields: {missing}")
-
     stream, needs_close = _open_text(source)
     try:
         reader = csv.reader(stream, delimiter=delimiter)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise SchemaError("empty CDR source: no header row") from None
-        index: dict[str, int] = {}
-        positions = {name.strip(): i for i, name in enumerate(header)}
-        absent = [schema[f] for f in CDR_COLUMNS if schema[f] not in positions]
-        if absent:
-            raise SchemaError(f"CDR header missing required columns: {absent}")
-        for f in CDR_COLUMNS:
-            index[f] = positions[schema[f]]
-
+        index = _header_index(reader, schema)
         bad_parse = 0
         for row in reader:
             report.rows += 1
             if report.rows % 10000 == 0 and bad_parse > max_bad_fraction * report.rows:
-                raise IngestError(
-                    f"{bad_parse}/{report.rows} rows unparseable "
-                    f"(tolerance {max_bad_fraction:g})"
-                )
-            try:
-                ts = int(row[index["timestamp"]])
-                caller = int(row[index["caller_id"]])
-                callee = int(row[index["callee_id"]])
-                kind = row[index["kind"]].strip().lower()
-                duration = int(row[index["duration"]])
-                tower = int(row[index["tower_id"]])
-                caller_state = _parse_state(row[index["caller_state"]])
-                callee_state = _parse_state(row[index["callee_state"]])
-                caller_cust = _parse_bool(row[index["caller_is_customer"]])
-                callee_cust = _parse_bool(row[index["callee_is_customer"]])
-            except (ValueError, IndexError):
-                bad_parse += 1
-                report.rejects["unparseable"] += 1
+                raise _tolerance_error(bad_parse, report.rows, max_bad_fraction)
+            result = _validate_row(row, index, window, known_towers)
+            if isinstance(result, str):
+                if result == "unparseable":
+                    bad_parse += 1
+                report.rejects[result] += 1
                 continue
-
-            if kind not in ("call", "text"):
-                bad_parse += 1
-                report.rejects["unparseable"] += 1
-                continue
-            if duration < 0:
-                report.rejects["negative_duration"] += 1
-                continue
-            if kind == "text" and duration != 0:
-                report.rejects["text_with_duration"] += 1
-                continue
-            if not window.contains(ts):
-                report.rejects["outside_window"] += 1
-                continue
-            if known_towers is not None and tower not in known_towers:
-                report.rejects["unknown_tower"] += 1
-                continue
-            if not (caller_cust or callee_cust):
-                report.rejects["no_customer_party"] += 1
-                continue
-            if (caller_cust and caller_state == UNKNOWN_STATE) or (
-                callee_cust and callee_state == UNKNOWN_STATE
-            ):
-                report.rejects["customer_without_state"] += 1
-                continue
-
             report.accepted += 1
-            yield CdrEvent(
-                timestamp=ts,
-                caller_id=caller,
-                callee_id=callee,
-                event_kind=kind,
-                duration=duration,
-                tower_id=tower,
-                caller_state=caller_state,
-                callee_state=callee_state,
-                caller_is_customer=caller_cust,
-                callee_is_customer=callee_cust,
-            )
-
+            yield result
         if report.rows and bad_parse / report.rows > max_bad_fraction:
-            raise IngestError(
-                f"{bad_parse}/{report.rows} rows unparseable "
-                f"(tolerance {max_bad_fraction:g})"
-            )
+            raise _tolerance_error(bad_parse, report.rows, max_bad_fraction)
     finally:
         if needs_close:
             stream.close()
@@ -335,6 +360,255 @@ def count_unique_handsets(
     for obs in observations:
         counts[(obs.state_code, obs.day)] += 1
     return dict(counts)
+
+
+# ---------------------------------------------------------------------------
+# Columnar ingest
+
+
+@dataclass(frozen=True, eq=False)
+class CdrColumns:
+    """Events as one array per field, in input order.
+
+    Integer fields are int64; ``is_text`` and the customer flags are bool.
+    """
+
+    timestamp: np.ndarray
+    caller_id: np.ndarray
+    callee_id: np.ndarray
+    is_text: np.ndarray
+    duration: np.ndarray
+    tower_id: np.ndarray
+    caller_state: np.ndarray
+    callee_state: np.ndarray
+    caller_is_customer: np.ndarray
+    callee_is_customer: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.timestamp)
+
+    @classmethod
+    def from_events(cls, events: Iterable[CdrEvent]) -> CdrColumns:
+        table = np.array([
+            (e.timestamp, e.caller_id, e.callee_id, e.event_kind == "text",
+             e.duration, e.tower_id, e.caller_state, e.callee_state,
+             e.caller_is_customer, e.callee_is_customer)
+            for e in events
+        ], dtype=np.int64).reshape(-1, len(CDR_COLUMNS)).T.copy()
+        return cls(*(
+            col.astype(bool) if f.name in _BOOL_FIELDS else col
+            for f, col in zip(fields(cls), table)
+        ))
+
+    @classmethod
+    def concat(cls, parts: Sequence[CdrColumns]) -> CdrColumns:
+        if not parts:
+            return cls.from_events(())
+        return cls(*(
+            np.concatenate([getattr(p, f.name) for p in parts])
+            for f in fields(cls)
+        ))
+
+    def located(self) -> tuple[np.ndarray, np.ndarray]:
+        """Person id and state of each event's located party.
+
+        As ``located_party``: the caller when a customer, else the callee.
+        """
+        caller = self.caller_is_customer
+        return (np.where(caller, self.caller_id, self.callee_id),
+                np.where(caller, self.caller_state, self.callee_state))
+
+
+_BOOL_FIELDS = ("is_text", "caller_is_customer", "callee_is_customer")
+
+#: One parsed chunk: the numeric fields as int64; ``kind`` and the
+#: customer flags as text, so that only their canonical spellings pass
+#: (as integers, "01" or "+1" would read as a valid flag).
+_CHUNK_DTYPE = np.dtype([
+    (f, "U5" if f == "kind" else "U2" if f.endswith("_is_customer") else np.int64)
+    for f in CDR_COLUMNS
+])
+
+#: Bytes a chunk may hold for the fast path: printable ASCII without the
+#: quote character, tab and line ends. Outside that set numpy's and
+#: Python's integer parsing can disagree, a NUL ends a numpy string
+#: early, and a quote changes what the csv module reads as a row.
+_FAST_BYTES = bytes(range(0x20, 0x7F)).replace(b'"', b"") + b"\t\r\n"
+
+
+def _load_chunk(lines: list[str], usecols: list[int]) -> np.ndarray | None:
+    """The lines as one structured array, or None unless all are canonical.
+
+    Canonical: one row per line, every integer within int64, ``kind``
+    exactly ``call`` or ``text``, customer flags exactly 0 or 1 and
+    states in 0..23. Such a chunk reads the same as the row validator
+    reads it.
+    """
+    text = "".join(lines)
+    if not text.isascii() or text.encode("ascii").translate(None, _FAST_BYTES):
+        return None
+    if max(map(len, lines)) > csv.field_size_limit():
+        return None
+    try:
+        with warnings.catch_warnings():
+            # Any warning means a cell numpy had to guess at: an all-blank
+            # chunk, or (numpy 1.x) an integer read through a float, "1.0".
+            warnings.simplefilter("error")
+            table = np.loadtxt(lines, dtype=_CHUNK_DTYPE, delimiter=",",
+                               comments=None, usecols=usecols, ndmin=1)
+    except (ValueError, Warning):
+        return None
+    if len(table) != len(lines):
+        return None
+    kind = table["kind"]
+    if not ((kind == "call") | (kind == "text")).all():
+        return None
+    for f in ("caller_is_customer", "callee_is_customer"):
+        if not ((table[f] == "0") | (table[f] == "1")).all():
+            return None
+    for f in ("caller_state", "callee_state"):
+        if not ((table[f] >= 0) & (table[f] <= N_STATES)).all():
+            return None
+    return table
+
+
+def _screen_chunk(
+    table: np.ndarray,
+    window: StudyWindow,
+    known_towers: np.ndarray | None,
+    report: IngestReport,
+) -> CdrColumns:
+    """The accepted rows of a canonical chunk; the rest counted by reason."""
+    ts, duration, tower = table["timestamp"], table["duration"], table["tower_id"]
+    caller_state, callee_state = table["caller_state"], table["callee_state"]
+    is_text = table["kind"] == "text"
+    caller_cust = table["caller_is_customer"] == "1"
+    callee_cust = table["callee_is_customer"] == "1"
+    unknown = (np.zeros(len(table), bool) if known_towers is None
+               else ~np.isin(tower, known_towers))
+    codes = np.select([
+        duration < 0,
+        is_text & (duration != 0),
+        (ts < window.start) | (ts >= window.end),
+        unknown,
+        ~(caller_cust | callee_cust),
+        (caller_cust & (caller_state == UNKNOWN_STATE))
+        | (callee_cust & (callee_state == UNKNOWN_STATE)),
+    ], np.arange(1, len(_ROW_REJECTS) + 1), 0)
+    tally = np.bincount(codes, minlength=len(_ROW_REJECTS) + 1).tolist()
+    report.rows += len(table)
+    report.accepted += tally[0]
+    for reason, n in zip(_ROW_REJECTS, tally[1:]):
+        if n:
+            report.rejects[reason] += n
+    keep = codes == 0
+    return CdrColumns(
+        ts[keep], table["caller_id"][keep], table["callee_id"][keep],
+        is_text[keep], duration[keep], tower[keep], caller_state[keep],
+        callee_state[keep], caller_cust[keep], callee_cust[keep],
+    )
+
+
+def read_cdr_columns(
+    source,
+    *,
+    window: StudyWindow = DEFAULT_WINDOW,
+    known_towers: set[int] | None = None,
+    max_bad_fraction: float = 0.01,
+    report: IngestReport | None = None,
+) -> CdrColumns:
+    """Every accepted event of a comma-separated CDR file, as columns.
+
+    ``source`` is a path or bytes; the file has a header row with the
+    canonical column names (extra columns are ignored). It is read in
+    chunks of ``CHUNK_LINES`` lines, each parsed by one ``numpy.loadtxt``
+    call and screened with array masks. At the first chunk that is not in
+    canonical form (see ``_load_chunk``) the report is cleared and the
+    whole file is read again by ``parse_cdr``. Either way the accepted
+    events, the report and the tolerance IngestError are those
+    ``parse_cdr`` gives for the same file and arguments; canonical rows
+    always parse, so the tolerance can only fail on the second read.
+    """
+    if hasattr(source, "read"):
+        raise IngestError(f"unsupported CDR source: {type(source)!r}")
+    if report is None:
+        report = IngestReport()
+    # An id outside int64 matches no parsed row, so it can be left out.
+    known = (None if known_towers is None else np.fromiter(
+        (t for t in known_towers if INT64_MIN <= t <= INT64_MAX), np.int64))
+    stream, needs_close = _open_text(source)
+    try:
+        index = _header_index(csv.reader(stream), None)
+        usecols = [index[f] for f in CDR_COLUMNS]
+        parts = []
+        while lines := list(islice(stream, CHUNK_LINES)):
+            table = _load_chunk(lines, usecols)
+            if table is None:
+                break
+            parts.append(_screen_chunk(table, window, known, report))
+        else:
+            return CdrColumns.concat(parts)
+    finally:
+        if needs_close:
+            stream.close()
+    report.rows = report.accepted = 0
+    report.rejects.clear()
+    return CdrColumns.from_events(parse_cdr(
+        source, window=window, known_towers=known_towers,
+        max_bad_fraction=max_bad_fraction, report=report))
+
+
+def _run_starts(*keys: np.ndarray) -> np.ndarray:
+    """Mask of the first element of each run of equal key tuples."""
+    starts = np.ones(len(keys[0]), bool)
+    starts[1:] = np.logical_or.reduce([k[1:] != k[:-1] for k in keys])
+    return starts
+
+
+@dataclass(frozen=True, eq=False)
+class ObservationColumns:
+    """Daily observations as one int64 array per field, sorted by (person, day)."""
+
+    person_id: np.ndarray
+    state_code: np.ndarray
+    day: np.ndarray
+    first_tower: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.person_id)
+
+    def to_list(self) -> list[DailyObservation]:
+        return list(map(DailyObservation, self.person_id.tolist(),
+                        self.state_code.tolist(), self.day.tolist(),
+                        self.first_tower.tolist()))
+
+    def unique_handsets(self) -> dict[tuple[int, int], int]:
+        """Distinct-person count per (state, day), in (state, day) order."""
+        order = np.lexsort((self.day, self.state_code))
+        state, day = self.state_code[order], self.day[order]
+        starts = np.flatnonzero(_run_starts(state, day))
+        sizes = np.diff(starts, append=len(order))
+        return dict(zip(zip(state[starts].tolist(), day[starts].tolist()),
+                        sizes.tolist()))
+
+
+def daily_observations(
+    columns: CdrColumns, window: StudyWindow = DEFAULT_WINDOW
+) -> ObservationColumns:
+    """``dedupe_daily`` over columns: one observation per (person, day).
+
+    One stable sort on (person, timestamp, tower) puts each (person,
+    day)'s earliest event, ties to the smallest tower and then to input
+    order, first in its group; the day grows with the timestamp, so it
+    needs no sort key of its own.
+    """
+    person, state = columns.located()
+    day = (columns.timestamp - window.start) // 86400 + 1
+    order = np.lexsort((columns.tower_id, columns.timestamp, person))
+    order = order[(columns.caller_is_customer | columns.callee_is_customer)[order]]
+    rows = order[_run_starts(person[order], day[order])]
+    return ObservationColumns(person[rows], state[rows], day[rows],
+                              columns.tower_id[rows])
 
 
 # ---------------------------------------------------------------------------
@@ -467,6 +741,15 @@ def write_cdr(events: Iterable[CdrEvent], path, *, delimiter: str = ",") -> int:
             writer.writerow(format_event(ev))
             n += 1
     return n
+
+
+def write_columns(path, header: Sequence[str], columns: Sequence[np.ndarray], *,
+                  delimiter: str = ",") -> None:
+    """``write_table`` for integer columns, with the same bytes."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, delimiter=delimiter, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(zip(*(c.tolist() for c in columns)))
 
 
 def write_table(path, header: Sequence[str], rows: Iterable[Sequence], *,

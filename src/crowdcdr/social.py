@@ -23,7 +23,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import AnalysisError, ConvergenceError, SeparationError
-from .ingest import CdrEvent, UNKNOWN_STATE
+from .ingest import CdrColumns, CdrEvent, UNKNOWN_STATE
 
 Z_95 = 1.96
 
@@ -68,7 +68,7 @@ class SocialNetwork:
 
 
 def build_network(
-    events: Iterable[CdrEvent],
+    events: CdrColumns | Iterable[CdrEvent],
     *,
     exclude_local: bool = True,
     local_state: int | None = None,
@@ -80,27 +80,28 @@ def build_network(
     unobservable). Multiple contacts collapse to one edge. When
     ``exclude_local`` is set and ``local_state`` is given, residents of
     the venue's host state are dropped: their phone use is not comparable
-    to visitors'.
+    to visitors'. Nodes are added in order of first appearance, caller
+    before callee, each with the state of that appearance. ``CdrEvent``
+    records are converted to columns first.
     """
-    skip = local_state if exclude_local else None
+    if not isinstance(events, CdrColumns):
+        events = CdrColumns.from_events(events)
+    ids = np.stack([events.caller_id, events.callee_id], axis=1)
+    states = np.stack([events.caller_state, events.callee_state], axis=1)
+    ok = np.stack([events.caller_is_customer, events.callee_is_customer], axis=1)
+    ok &= states != UNKNOWN_STATE
+    if exclude_local and local_state is not None:
+        ok &= states != local_state
     net = SocialNetwork()
-    for ev in events:
-        caller_ok = (
-            ev.caller_is_customer
-            and ev.caller_state != UNKNOWN_STATE
-            and ev.caller_state != skip
-        )
-        callee_ok = (
-            ev.callee_is_customer
-            and ev.callee_state != UNKNOWN_STATE
-            and ev.callee_state != skip
-        )
-        if caller_ok:
-            net.add_node(ev.caller_id, ev.caller_state)
-        if callee_ok:
-            net.add_node(ev.callee_id, ev.callee_state)
-        if caller_ok and callee_ok:
-            net.add_edge(ev.caller_id, ev.callee_id)
+    party_ids, party_states = ids[ok], states[ok]     # caller, callee, caller, ...
+    _, first = np.unique(party_ids, return_index=True)
+    first.sort()
+    for person, state in zip(party_ids[first].tolist(),
+                             party_states[first].tolist()):
+        net.add_node(person, state)
+    pairs = np.sort(ids[ok.all(axis=1) & (ids[:, 0] != ids[:, 1])], axis=1)
+    for a, b in np.unique(pairs, axis=0).tolist():
+        net.add_edge(a, b)
     return net
 
 

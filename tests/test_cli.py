@@ -338,19 +338,75 @@ class TestFailureModes:
                    "--output-dir", tmp_path / "out") == 3
         assert "unparseable" in capsys.readouterr().err
 
-    def test_empty_observations_exit_4(self, gen_dir, tmp_path, capsys):
-        empty = tmp_path / "empty"
-        empty.mkdir()
+    def _cdr_only(self, gen_dir, tmp_path, cdr_text):
+        broken = tmp_path / "cdr_only"
+        broken.mkdir()
         for name in ("towers.csv", "states.csv"):
-            shutil.copy(gen_dir / name, empty / name)
-        (empty / "cdr.csv").write_text(CDR_HEADER + "\n", encoding="utf-8")
+            shutil.copy(gen_dir / name, broken / name)
+        (broken / "cdr.csv").write_text(cdr_text, encoding="utf-8")
+        return broken
+
+    def test_header_only_cdr_exits_3(self, gen_dir, tmp_path, capsys):
+        empty = self._cdr_only(gen_dir, tmp_path, CDR_HEADER + "\n")
         assert run("attendance", "--input-dir", empty,
-                   "--output-dir", tmp_path / "out") == 4
-        assert "analysis error" in capsys.readouterr().err
+                   "--output-dir", tmp_path / "out") == 3
+        assert "no accepted rows" in capsys.readouterr().err
         blob = read_json(tmp_path / "out" / "manifest_attendance.json")
-        assert blob["failed_stage"] == "attendance"
-        assert blob["error"] == "EstimationError"
-        assert blob["exit_code"] == 4
+        assert blob["failed_stage"] == "load"
+        assert blob["error"] == "IngestError"
+        assert blob["exit_code"] == 3
+
+    def test_cdr_with_every_row_rejected_exits_3(self, gen_dir, tmp_path,
+                                                  capsys):
+        header, *rows = (gen_dir / "cdr.csv").read_text(
+            encoding="utf-8").splitlines()
+        unknown = [",".join(c if i != 5 else "7" for i, c in
+                            enumerate(row.split(","))) for row in rows[:50]]
+        broken = self._cdr_only(gen_dir, tmp_path,
+                                "\n".join([header, *unknown]) + "\n")
+        assert run("report", "--input-dir", broken,
+                   "--output-dir", tmp_path / "out") == 3
+        err = capsys.readouterr().err
+        assert "no accepted rows" in err
+        assert "'unknown_tower': 50" in err
+        blob = read_json(tmp_path / "out" / "manifest_report.json")
+        assert (blob["failed_stage"], blob["exit_code"]) == ("load", 3)
+
+    def test_config_bootstrap_replicates_below_minimum_exits_3(
+            self, gen_dir, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"bootstrap_replicates": 50}),
+                            encoding="utf-8")
+        assert run("spatial", "--input-dir", gen_dir,
+                   "--output-dir", tmp_path / "out", "--config", cfg_path) == 3
+        assert "at least 200" in capsys.readouterr().err
+        blob = read_json(tmp_path / "out" / "manifest_spatial.json")
+        assert blob["failed_stage"] == "config"
+        assert blob["error"] == "ConfigurationError"
+        assert blob["exit_code"] == 3
+
+    def test_silent_tower_out_of_projection_range_exits_3(
+            self, gen_dir, tmp_path, capsys):
+        cdr = read_rows(gen_dir / "cdr.csv")
+        used = {r["tower_id"] for r in cdr}
+        header, *rows = (gen_dir / "towers.csv").read_text(
+            encoding="utf-8").splitlines()
+        silent = next(i for i, r in enumerate(rows)
+                      if r.split(",")[0] not in used)
+        tid, lat, lon = rows[silent].split(",")
+        rows[silent] = f"{tid},{float(lat) + 1.0},{lon}"
+        broken = tmp_path / "far"
+        broken.mkdir()
+        for name in ("cdr.csv", "states.csv"):
+            shutil.copy(gen_dir / name, broken / name)
+        (broken / "towers.csv").write_text("\n".join([header, *rows]) + "\n",
+                                           encoding="utf-8")
+        assert run("spatial", "--input-dir", broken,
+                   "--output-dir", tmp_path / "out") == 3
+        assert f"tower {tid}" in capsys.readouterr().err
+        blob = read_json(tmp_path / "out" / "manifest_spatial.json")
+        assert blob["error"] == "ConfigurationError"
+        assert blob["exit_code"] == 3
 
     def test_unexpected_error_is_recorded_and_raised(self, gen_dir, tmp_path,
                                                      monkeypatch):

@@ -1,21 +1,31 @@
 """Parsing, validation, daily deduplication, and distinct counting."""
 
+import io
 import itertools
 import random
+import warnings
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from crowdcdr import ingest, synth
 from crowdcdr.errors import IngestError, SchemaError
 from crowdcdr.ingest import (
     DEFAULT_WINDOW,
+    CdrColumns,
     IngestReport,
     StudyWindow,
     count_unique_handsets,
+    daily_observations,
     dedupe_daily,
     parse_cdr,
+    read_cdr_columns,
+    towers_with_traffic,
     write_cdr,
 )
+from crowdcdr.social import build_network
 from helpers import cdr_text, make_event, ts_on_day
 
 
@@ -107,6 +117,21 @@ class TestParse:
         report = IngestReport()
         assert parse_all(cdr_text([ev]), report=report) == []
         assert report.rejects["customer_without_state"] == 1
+
+    @pytest.mark.parametrize("value, accepted", [
+        (2 ** 63 - 1, True), (2 ** 63, False),
+        (-(2 ** 63), True), (-(2 ** 63) - 1, False),
+    ])
+    def test_integers_outside_int64_are_unparseable(self, value, accepted):
+        events = [make_event(day=d % 80 + 1, caller=d) for d in range(200)]
+        odd = make_event(day=5, caller=value)
+        text = cdr_text(events + [odd])
+        for parse in (parse_all, lambda t, **kw: columns_as_events(
+                read_cdr_columns(t.encode(), **kw))):
+            report = IngestReport()
+            out = parse(text, report=report)
+            assert (odd in out) is accepted
+            assert report.rejects["unparseable"] == (0 if accepted else 1)
 
     def test_long_stream_is_consumed_lazily(self):
         """A million-row source yields early events after a handful of reads."""
@@ -328,3 +353,233 @@ class TestAuxiliaryLoaders:
         assert [(t.tower_id, t.active) for t in marked] == [
             (1, False), (2, True), (5, True)
         ]
+
+
+# ---------------------------------------------------------------------------
+# The columnar fast path against the streaming oracle
+
+
+def columns_as_events(columns):
+    """The events a CdrColumns holds, as CdrEvent records."""
+    return [
+        ingest.CdrEvent(ts, a, b, "text" if t else "call", dur, tower,
+                        sa, sb, ca, cb)
+        for ts, a, b, t, dur, tower, sa, sb, ca, cb in zip(
+            *(getattr(columns, f).tolist() for f in (
+                "timestamp", "caller_id", "callee_id", "is_text", "duration",
+                "tower_id", "caller_state", "callee_state",
+                "caller_is_customer", "callee_is_customer")))
+    ]
+
+
+def _cells(fn):
+    """A line mutation that edits the comma-separated cells of the line."""
+    def mutate(line):
+        cells = line.split(",")
+        fn(cells)
+        return ",".join(cells)
+    return mutate
+
+
+def _set(i, value):
+    return _cells(lambda c: c.__setitem__(i, value(c[i]) if callable(value)
+                                          else value))
+
+
+def _text_with_duration(cells):
+    cells[3], cells[4] = "text", "30"
+
+
+ARABIC_INDIC = str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")
+
+#: Row mutations: each maps a canonical cdr.csv line (no line end) to
+#: the text that replaces it.
+MUTATIONS = {
+    "flag_true": _set(8, "true"),
+    "flag_yes": _set(9, "yes"),
+    "flag_leading_zero": _set(8, "01"),
+    "flag_plus": _set(9, "+1"),
+    "state_question": _set(6, "?"),
+    "state_empty": _set(7, ""),
+    "state_na": _set(6, "NA"),
+    "state_out_of_range": _set(7, "24"),
+    "kind_upper": _set(3, str.upper),
+    "kind_padded": _set(3, lambda k: f" {k} "),
+    "kind_unknown": _set(3, "fax"),
+    "kind_nul": _set(3, lambda k: k + "\x00"),
+    "blank_line": lambda line: "\n" + line,
+    "hash": _set(0, lambda v: "#" + v),
+    "quoted": _set(1, lambda v: f'"{v}"'),
+    "quoted_newline": lambda line: line + ',"a\nb"',
+    "extra_column": lambda line: line + ",x",
+    "underscore": _set(2, lambda v: v[0] + "_" + v[1:]),
+    "plus_sign": _set(5, lambda v: "+" + v),
+    "arabic_indic": _set(1, lambda v: v.translate(ARABIC_INDIC)),
+    "beyond_int64": _set(1, str(2 ** 63)),
+    "int_decimal_point": _set(5, lambda v: v + ".0"),
+    "int_exponent": _set(1, "1e3"),
+    "int_fraction": _set(4, "30.5"),
+    "int64_max": _set(2, str(2 ** 63 - 1)),
+    "outside_window": _set(0, str(DEFAULT_WINDOW.end + 5)),
+    "unknown_tower": _set(5, "99999"),
+    "text_with_duration": _cells(_text_with_duration),
+    "negative_duration": _set(4, "-5"),
+    "short_row": lambda line: line.rsplit(",", 2)[0],
+}
+
+
+def mutated_cdr(text, edits):
+    header, *lines = text.splitlines()
+    for row, name in edits:
+        i = row % len(lines)
+        lines[i] = MUTATIONS[name](lines[i])
+    return ("\n".join([header, *lines]) + "\n").encode("utf-8")
+
+
+def oracle_path(data, known):
+    report = IngestReport()
+    events = list(parse_cdr(data, known_towers=known, report=report))
+    obs = dedupe_daily(events)
+    return (report, events, obs, count_unique_handsets(obs),
+            towers_with_traffic(events), build_network(events, local_state=1))
+
+
+def columnar_path(data, known):
+    report = IngestReport()
+    columns = read_cdr_columns(data, known_towers=known, report=report)
+    daily = daily_observations(columns)
+    return (report, columns_as_events(columns), daily.to_list(),
+            daily.unique_handsets(), set(np.unique(columns.tower_id).tolist()),
+            build_network(columns, local_state=1))
+
+
+def assert_paths_agree(data, known):
+    try:
+        expected = oracle_path(data, known)
+    except IngestError as exc:
+        with pytest.raises(IngestError) as got:
+            columnar_path(data, known)
+        assert str(got.value) == str(exc)
+        return
+    got = columnar_path(data, known)
+    (report, events, obs, counts, towers, net), (
+        report2, events2, obs2, counts2, towers2, net2) = expected, got
+    assert (report2.rows, report2.accepted, dict(report2.rejects)) == (
+        report.rows, report.accepted, dict(report.rejects))
+    assert events2 == events
+    assert obs2 == obs
+    assert counts2 == counts
+    assert towers2 == towers
+    assert list(net2.state_of.items()) == list(net.state_of.items())
+    assert net2.states() == net.states()
+    assert sorted(net2.edges()) == sorted(net.edges())
+
+
+class TestColumnarIngest:
+    @pytest.fixture(scope="class")
+    def desk(self, desk_small_files):
+        paths, _ = desk_small_files
+        known = {t.tower_id for t in ingest.load_towers(paths["towers"])}
+        return paths["cdr"].read_text(encoding="utf-8"), known
+
+    @settings(max_examples=25, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        edits=st.lists(st.tuples(st.integers(0, 10 ** 6),
+                                 st.sampled_from(sorted(MUTATIONS))),
+                       max_size=80),
+        chunk=st.sampled_from([7, 37, 250, 100_000]),
+    )
+    def test_mutated_file_matches_the_oracle(self, desk, monkeypatch,
+                                             edits, chunk):
+        text, known = desk
+        monkeypatch.setattr(ingest, "CHUNK_LINES", chunk)
+        assert_paths_agree(mutated_cdr(text, edits), known)
+
+    @pytest.mark.parametrize("name", sorted(MUTATIONS))
+    def test_each_mutation_alone_matches_the_oracle(self, desk, monkeypatch,
+                                                    name):
+        # Alone, a mutation either leaves the file canonical, so the fast
+        # path must screen it, or must send the file to the second read.
+        text, known = desk
+        monkeypatch.setattr(ingest, "CHUNK_LINES", 250)
+        short = "\n".join(text.splitlines()[:3000])
+        assert_paths_agree(mutated_cdr(short, [(1500, name), (2900, name)]),
+                           known)
+
+    def test_clean_file_takes_the_fast_path(self, desk, monkeypatch):
+        text, known = desk
+
+        def no_fallback(*args, **kwargs):
+            raise AssertionError("row validator used on a canonical file")
+        monkeypatch.setattr(ingest, "parse_cdr", no_fallback)
+        assert len(read_cdr_columns(text.encode(), known_towers=known)) == (
+            text.count("\n") - 1)
+
+    def test_a_loadtxt_warning_sends_the_file_to_the_second_read(
+            self, desk, monkeypatch):
+        # numpy 1.x reads an integer cell such as "1.0" through a float
+        # and only warns; the row validator calls that cell unparseable.
+        text, known = desk
+        loadtxt = np.loadtxt
+
+        def warning_loadtxt(*args, **kwargs):
+            warnings.warn("parsing an integer via a float", DeprecationWarning)
+            return loadtxt(*args, **kwargs)
+        monkeypatch.setattr(ingest.np, "loadtxt", warning_loadtxt)
+        second_reads = []
+        monkeypatch.setattr(ingest, "parse_cdr",
+                            lambda *a, **kw: second_reads.append(a) or [])
+        read_cdr_columns(text.encode(), known_towers=known)
+        assert len(second_reads) == 1
+
+    def test_tolerance_error_after_fast_chunks_matches_the_oracle(
+            self, desk, monkeypatch):
+        # Ten canonical chunks are screened and counted before the first
+        # bad row; the second read must start from a clear report.
+        text, known = desk
+        header, *lines = text.splitlines()
+        lines = (lines * 2)[:12_000]
+        for i in range(9900, 10050):
+            lines[i] = "garbage,row"
+        data = ("\n".join([header, *lines]) + "\n").encode()
+        monkeypatch.setattr(ingest, "CHUNK_LINES", 1000)
+        reports = []
+        messages = []
+        for parse in (lambda **kw: list(parse_cdr(data, **kw)),
+                      lambda **kw: read_cdr_columns(data, **kw)):
+            report = IngestReport()
+            with pytest.raises(IngestError, match="unparseable") as exc:
+                parse(known_towers=known, report=report)
+            messages.append(str(exc.value))
+            reports.append((report.rows, report.accepted, dict(report.rejects)))
+        assert messages[0] == messages[1]
+        assert reports[0] == reports[1]
+
+    def test_known_tower_id_beyond_int64_matches_no_row(self):
+        events = [make_event(tower=1), make_event(tower=2)]
+        data = cdr_text(events).encode()
+        known = {1, 2 ** 70}
+        assert columns_as_events(read_cdr_columns(data, known_towers=known)) \
+            == list(parse_cdr(data, known_towers=known)) == events[:1]
+
+    def test_from_events_round_trips(self):
+        events = [make_event(day=2, caller=7, kind="text"),
+                  make_event(day=1, callee_customer=False, callee_state=0)]
+        columns = CdrColumns.from_events(events)
+        assert columns.caller_id.dtype == np.int64
+        assert columns.is_text.dtype == bool
+        assert columns_as_events(columns) == events
+        assert len(CdrColumns.from_events([])) == 0
+
+    def test_empty_and_header_only_sources(self):
+        report = IngestReport()
+        assert len(read_cdr_columns(cdr_text([]).encode(), report=report)) == 0
+        assert (report.rows, report.accepted) == (0, 0)
+        with pytest.raises(SchemaError, match="header"):
+            read_cdr_columns(b"")
+
+    def test_stream_source_is_refused(self):
+        # The fallback reads the source a second time.
+        with pytest.raises(IngestError, match="unsupported CDR source"):
+            read_cdr_columns(io.BytesIO(cdr_text([]).encode()))
