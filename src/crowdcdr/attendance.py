@@ -23,12 +23,13 @@ preferred.
 from __future__ import annotations
 
 import logging
-from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
+import numpy as np
+
 from .errors import ConfigurationError, EstimationError
-from .ingest import DailyObservation, StateProfile
+from .ingest import ObservationColumns, StateProfile, run_starts
 
 log = logging.getLogger(__name__)
 
@@ -90,27 +91,25 @@ def estimate_daily_use(stays: Iterable[tuple[int, int]]) -> float:
     return active_total / stay_total
 
 
+def _by_person(observations: ObservationColumns) -> tuple[np.ndarray, np.ndarray]:
+    """(row order by person then day, start of each person's run in it)."""
+    order = np.lexsort((observations.day, observations.person_id))
+    return order, np.flatnonzero(run_starts(observations.person_id[order]))
+
+
 def stays_from_observations(
-    observations: Iterable[DailyObservation],
+    observations: ObservationColumns,
 ) -> list[tuple[int, int]]:
-    """Per-person (days_active, stay_length) pairs.
+    """Per-person (days_active, stay_length) pairs, in person order.
 
     Stay length is last minus first active day plus one; a person seen
     on multiple visits is treated as one stay.
     """
-    per_person: dict[int, tuple[int, int, int]] = {}
-    for obs in observations:
-        prev = per_person.get(obs.person_id)
-        if prev is None:
-            per_person[obs.person_id] = (1, obs.day, obs.day)
-        else:
-            n, first, last = prev
-            per_person[obs.person_id] = (
-                n + 1, min(first, obs.day), max(last, obs.day)
-            )
-    return [
-        (n, last - first + 1) for n, first, last in per_person.values()
-    ]
+    order, starts = _by_person(observations)
+    active = np.diff(starts, append=len(order))
+    day = observations.day[order]
+    length = day[starts + active - 1] - day[starts] + 1
+    return list(zip(active.tolist(), length.tolist()))
 
 
 def _share(profiles: Mapping[int, StateProfile], state: int) -> float:
@@ -170,18 +169,15 @@ def daily_attendance(
 
 
 def first_day_counts(
-    observations: Iterable[DailyObservation],
+    observations: ObservationColumns,
 ) -> dict[tuple[int, int], int]:
     """Number of persons whose first observation falls on each (state, day)."""
-    first: dict[int, tuple[int, int]] = {}
-    for obs in observations:
-        prev = first.get(obs.person_id)
-        if prev is None or obs.day < prev[1]:
-            first[obs.person_id] = (obs.state_code, obs.day)
-    counts: dict[tuple[int, int], int] = defaultdict(int)
-    for state, day in first.values():
-        counts[(state, day)] += 1
-    return dict(counts)
+    order, starts = _by_person(observations)
+    first = order[starts]
+    return ObservationColumns(
+        observations.person_id[first], observations.state_code[first],
+        observations.day[first], observations.first_tower[first],
+    ).unique_handsets()
 
 
 def cumulative_attendance_by_state(
@@ -210,7 +206,7 @@ def cumulative_attendance_by_state(
 
 
 def cumulative_attendance(
-    observations: Iterable[DailyObservation],
+    observations: ObservationColumns,
     profiles: Mapping[int, StateProfile],
     factors: AdjustmentFactors,
     *,
@@ -321,7 +317,7 @@ def final_cumulative_by_state(
 
 
 def build_series(
-    observations: Sequence[DailyObservation],
+    observations: ObservationColumns,
     counts: Mapping[tuple[int, int], int],
     profiles: Mapping[int, StateProfile],
     *,

@@ -105,7 +105,7 @@ def load_config(path: str | None) -> dict:
     if path:
         try:
             user = json.loads(Path(path).read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise ConfigurationError(f"cannot read config {path}: {exc}") from None
         unknown = set(user) - set(cfg)
         if unknown:
@@ -181,14 +181,12 @@ def config_digest(cfg: Mapping) -> str:
 class PipelineData:
     """Everything the analysis stages consume, loaded once.
 
-    ``observations`` holds the rows of ``observation_columns`` as
-    ``DailyObservation`` records, the form the attendance and spatial
-    layers take.
+    ``events`` holds the accepted CDR rows and ``observations`` one row
+    per (person, day) derived from them, both as columns.
     """
 
     events: CdrColumns
-    observation_columns: ObservationColumns
-    observations: list
+    observations: ObservationColumns
     counts: dict
     towers: list
     profiles: dict
@@ -227,8 +225,7 @@ def load_pipeline_data(
     projections = load_projections(proj_path) if proj_path.exists() else None
     return PipelineData(
         events=events,
-        observation_columns=daily,
-        observations=daily.to_list(),
+        observations=daily,
         counts=daily.unique_handsets(),
         towers=towers,
         profiles=profiles,
@@ -284,7 +281,7 @@ class Run:
 def stage_ingest(run: Run) -> tuple[dict[str, Path], None]:
     data, outdir = run.data, run.outdir
     out = {}
-    obs = data.observation_columns
+    obs = data.observations
     out["observations"] = outdir / "observations.csv"
     write_columns(
         out["observations"],

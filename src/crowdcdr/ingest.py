@@ -7,9 +7,9 @@ The data model is shared by every downstream module:
   ``read_cdr_columns`` returns and the analysis stages consume.
 - ``TowerSite``: tower coordinates plus an activity flag.
 - ``StateProfile``: per-state market share and the local-state marker.
-- ``DailyObservation``: one (person, day) record carrying the first tower
-  used that day; the atom for attendance and co-location statistics.
-  ``ObservationColumns`` holds the same records as arrays.
+- ``ObservationColumns``: one row per (person, day) carrying the first
+  tower used that day, as one array per field; the atom for attendance
+  and co-location statistics.
 
 Each event carries a single serving tower, which locates the operator's
 customer side of the communication (the caller when the caller is a
@@ -24,6 +24,7 @@ import csv
 import io
 import warnings
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from itertools import islice
 from pathlib import Path
@@ -85,14 +86,6 @@ class StateProfile:
     name: str
     market_share: float     # fraction in (0, 1]
     is_local: bool = False
-
-
-@dataclass(frozen=True, slots=True)
-class DailyObservation:
-    person_id: int
-    state_code: int
-    day: int                # 1-based index from study start
-    first_tower: int
 
 
 @dataclass(frozen=True)
@@ -162,18 +155,37 @@ def _parse_state(text: str) -> int:
     return code
 
 
-def _open_text(source) -> tuple[IO[str], bool]:
-    """Return (text stream, needs_close) for a path, byte stream, or text stream."""
-    if isinstance(source, (str, Path)):
-        return open(source, "r", newline="", encoding="utf-8-sig"), True
-    if isinstance(source, (bytes, bytearray)):
-        return io.StringIO(source.decode("utf-8")), False
-    if hasattr(source, "read"):
-        probe = source.read(0)
-        if isinstance(probe, bytes):
-            return io.TextIOWrapper(source, encoding="utf-8", newline=""), False
-        return source, False
-    raise IngestError(f"unsupported CDR source: {type(source)!r}")
+@contextmanager
+def _reading(name: str, error: type[Exception]) -> Iterator[None]:
+    """Raise ``error`` naming ``name`` for text that is not UTF-8 or not CSV."""
+    try:
+        yield
+    except UnicodeDecodeError as exc:
+        raise error(f"{name} is not UTF-8 text: {exc.reason}") from None
+    except csv.Error as exc:
+        raise error(f"{name} is not readable CSV: {exc}") from None
+
+
+@contextmanager
+def _text_stream(source) -> Iterator[IO[str]]:
+    """A text stream over a path, byte stream, text stream, or bytes.
+
+    A path is opened here and closed on exit. A read that fails on the
+    encoding or the CSV syntax raises IngestError naming the source.
+    """
+    name = str(source) if isinstance(source, (str, Path)) else "CDR source"
+    with _reading(name, IngestError):
+        if isinstance(source, (str, Path)):
+            with open(source, "r", newline="", encoding="utf-8-sig") as fh:
+                yield fh
+        elif isinstance(source, (bytes, bytearray)):
+            yield io.StringIO(source.decode("utf-8"))
+        elif hasattr(source, "read"):
+            if isinstance(source.read(0), bytes):
+                source = io.TextIOWrapper(source, encoding="utf-8", newline="")
+            yield source
+        else:
+            raise IngestError(f"unsupported CDR source: {type(source)!r}")
 
 
 def _header_index(reader, schema: Mapping[str, str] | None) -> dict[str, int]:
@@ -298,8 +310,7 @@ def parse_cdr(
     """
     if report is None:
         report = IngestReport()
-    stream, needs_close = _open_text(source)
-    try:
+    with _text_stream(source) as stream:
         reader = csv.reader(stream, delimiter=delimiter)
         index = _header_index(reader, schema)
         bad_parse = 0
@@ -317,22 +328,20 @@ def parse_cdr(
             yield result
         if report.rows and bad_parse / report.rows > max_bad_fraction:
             raise _tolerance_error(bad_parse, report.rows, max_bad_fraction)
-    finally:
-        if needs_close:
-            stream.close()
 
 
 def dedupe_daily(
     events: Iterable[CdrEvent],
     *,
     window: StudyWindow = DEFAULT_WINDOW,
-) -> list[DailyObservation]:
+) -> ObservationColumns:
     """Collapse events to at most one observation per (person, day).
 
     The observation keeps the tower of the person's earliest event that
     day; equal timestamps are broken by the smallest tower_id, so the
     result does not depend on input order. Persons are the located
-    (customer) party of each event. Output is sorted by (person, day).
+    (customer) party of each event. Output is sorted by (person, day);
+    the dict-based oracle of ``daily_observations``.
     """
     best: dict[tuple[int, int], tuple[int, int, int]] = {}
     for ev in events:
@@ -346,20 +355,19 @@ def dedupe_daily(
         prev = best.get(key)
         if prev is None or cand[:2] < prev[:2]:
             best[key] = cand
-    return [
-        DailyObservation(person_id=pid, state_code=state, day=day, first_tower=tower)
+    table = np.array([
+        (pid, state, day, tower)
         for (pid, day), (_, tower, state) in sorted(best.items())
-    ]
+    ], dtype=np.int64).reshape(-1, 4).T
+    return ObservationColumns(*table)
 
 
 def count_unique_handsets(
-    observations: Iterable[DailyObservation],
+    observations: ObservationColumns,
 ) -> dict[tuple[int, int], int]:
-    """Distinct-person count per (state, day) from deduplicated observations."""
-    counts: Counter = Counter()
-    for obs in observations:
-        counts[(obs.state_code, obs.day)] += 1
-    return dict(counts)
+    """Distinct-person count per (state, day); oracle of ``unique_handsets``."""
+    return dict(Counter(zip(observations.state_code.tolist(),
+                            observations.day.tolist())))
 
 
 # ---------------------------------------------------------------------------
@@ -536,8 +544,7 @@ def read_cdr_columns(
     # An id outside int64 matches no parsed row, so it can be left out.
     known = (None if known_towers is None else np.fromiter(
         (t for t in known_towers if INT64_MIN <= t <= INT64_MAX), np.int64))
-    stream, needs_close = _open_text(source)
-    try:
+    with _text_stream(source) as stream:
         index = _header_index(csv.reader(stream), None)
         usecols = [index[f] for f in CDR_COLUMNS]
         parts = []
@@ -548,9 +555,6 @@ def read_cdr_columns(
             parts.append(_screen_chunk(table, window, known, report))
         else:
             return CdrColumns.concat(parts)
-    finally:
-        if needs_close:
-            stream.close()
     report.rows = report.accepted = 0
     report.rejects.clear()
     return CdrColumns.from_events(parse_cdr(
@@ -558,7 +562,7 @@ def read_cdr_columns(
         max_bad_fraction=max_bad_fraction, report=report))
 
 
-def _run_starts(*keys: np.ndarray) -> np.ndarray:
+def run_starts(*keys: np.ndarray) -> np.ndarray:
     """Mask of the first element of each run of equal key tuples."""
     starts = np.ones(len(keys[0]), bool)
     starts[1:] = np.logical_or.reduce([k[1:] != k[:-1] for k in keys])
@@ -567,7 +571,7 @@ def _run_starts(*keys: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class ObservationColumns:
-    """Daily observations as one int64 array per field, sorted by (person, day)."""
+    """Daily observations as one int64 array per field, rows in any order."""
 
     person_id: np.ndarray
     state_code: np.ndarray
@@ -577,16 +581,11 @@ class ObservationColumns:
     def __len__(self) -> int:
         return len(self.person_id)
 
-    def to_list(self) -> list[DailyObservation]:
-        return list(map(DailyObservation, self.person_id.tolist(),
-                        self.state_code.tolist(), self.day.tolist(),
-                        self.first_tower.tolist()))
-
     def unique_handsets(self) -> dict[tuple[int, int], int]:
         """Distinct-person count per (state, day), in (state, day) order."""
         order = np.lexsort((self.day, self.state_code))
         state, day = self.state_code[order], self.day[order]
-        starts = np.flatnonzero(_run_starts(state, day))
+        starts = np.flatnonzero(run_starts(state, day))
         sizes = np.diff(starts, append=len(order))
         return dict(zip(zip(state[starts].tolist(), day[starts].tolist()),
                         sizes.tolist()))
@@ -606,7 +605,7 @@ def daily_observations(
     day = (columns.timestamp - window.start) // 86400 + 1
     order = np.lexsort((columns.tower_id, columns.timestamp, person))
     order = order[(columns.caller_is_customer | columns.callee_is_customer)[order]]
-    rows = order[_run_starts(person[order], day[order])]
+    rows = order[run_starts(person[order], day[order])]
     return ObservationColumns(person[rows], state[rows], day[rows],
                               columns.tower_id[rows])
 
@@ -620,12 +619,15 @@ def _read_table(
 ) -> list[tuple]:
     """Rows of an auxiliary file, each cell converted by its column's type.
 
-    A missing column, or a cell its type rejects, raises SchemaError; the
-    latter names the file and line. A UTF-8 byte-order mark is skipped.
+    A missing column, a cell its type rejects (named by file and line),
+    or text that is not UTF-8 or not CSV raises SchemaError. A UTF-8
+    byte-order mark is skipped.
     """
     rows = []
-    with open(path, "r", newline="", encoding="utf-8-sig") as fh:
-        reader = csv.DictReader(fh, delimiter=delimiter)
+    with (_reading(f"{what} file {path}", SchemaError),
+          open(path, "r", newline="", encoding="utf-8-sig") as fh):
+        # A short row's missing cells read as "", which the types reject.
+        reader = csv.DictReader(fh, delimiter=delimiter, restval="")
         if reader.fieldnames is None or not set(columns) <= set(reader.fieldnames):
             raise SchemaError(f"{what} file must have columns {sorted(columns)}")
         for row in reader:

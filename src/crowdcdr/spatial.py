@@ -19,7 +19,7 @@ units in Q's definition.
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
+from collections import defaultdict
 from dataclasses import dataclass, field
 from math import log10
 from typing import Iterable, Mapping, Sequence
@@ -27,7 +27,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import EstimationError
-from .ingest import DailyObservation
+from .ingest import ObservationColumns, run_starts
 
 #: Fewest bootstrap replicates a percentile interval is computed from.
 MIN_BOOTSTRAP_REPLICATES = 200
@@ -48,9 +48,8 @@ def colocation_probability(
 
 @dataclass
 class CoLocationSeries:
-    """Per (state, day) cell occupancies, totals, and p values."""
+    """Per (state, day) person totals and p values, in (state, day) order."""
 
-    counts: dict[tuple[int, int], Counter] = field(default_factory=dict)
     totals: dict[tuple[int, int], int] = field(default_factory=dict)
     p: dict[tuple[int, int], float | None] = field(default_factory=dict)
     states: list[int] = field(default_factory=list)
@@ -61,7 +60,7 @@ class CoLocationSeries:
 
 
 def build_colocation_series(
-    observations: Iterable[DailyObservation],
+    observations: ObservationColumns,
     *,
     n_days: int,
     cell_of_tower: Mapping[int, int] | None = None,
@@ -71,21 +70,23 @@ def build_colocation_series(
     ``cell_of_tower`` maps towers onto their owning cell (identity when
     every observed tower is active and owns its own cell).
     """
+    cell = observations.first_tower
+    if cell_of_tower is not None:
+        cell = np.array([cell_of_tower[t] for t in cell.tolist()], np.int64)
+    # One run per occupied (state, day, cell), its length the occupancy;
+    # each (state, day) group is a block of consecutive runs.
+    order = np.lexsort((cell, observations.day, observations.state_code))
+    state, day = observations.state_code[order], observations.day[order]
+    runs = np.flatnonzero(run_starts(state, day, cell[order]))
+    occupancy = np.diff(runs, append=len(order))
+    groups = np.flatnonzero(run_starts(state[runs], day[runs]))
+    keys = zip(state[runs[groups]].tolist(), day[runs[groups]].tolist())
     series = CoLocationSeries(n_days=n_days)
-    for obs in observations:
-        cell = (
-            cell_of_tower[obs.first_tower]
-            if cell_of_tower is not None
-            else obs.first_tower
-        )
-        key = (obs.state_code, obs.day)
-        if key not in series.counts:
-            series.counts[key] = Counter()
-        series.counts[key][cell] += 1
-    for key in sorted(series.counts):
-        series.totals[key] = sum(series.counts[key].values())
-        series.p[key] = colocation_probability(series.counts[key])
-    series.states = sorted({s for s, _ in series.counts})
+    for key, counts in zip(keys, np.split(occupancy, groups[1:])):
+        counts = counts.tolist()
+        series.totals[key] = sum(counts)
+        series.p[key] = colocation_probability(counts)
+    series.states = sorted({s for s, _ in series.p})
     return series
 
 

@@ -48,7 +48,7 @@ from .errors import ConfigurationError
 from .geo import EARTH_RADIUS_KM
 from .ingest import (
     CdrEvent,
-    DailyObservation,
+    ObservationColumns,
     StudyWindow,
     DEFAULT_WINDOW,
     TowerSite,
@@ -325,23 +325,16 @@ class GroundTruth:
             out[day] += n
         return out
 
-    def observations(self) -> list[DailyObservation]:
+    def observations(self) -> ObservationColumns:
         """What ingest + dedupe should reconstruct from the emitted files."""
         if self.slot_cell is None:
             raise ConfigurationError("scenario was generated without placements")
-        out = [
-            DailyObservation(
-                person_id=int(p),
-                state_code=int(s),
-                day=int(d),
-                first_tower=self.active_tower_ids[int(c)],
-            )
-            for p, s, d, c in zip(
-                self.slot_person, self.slot_state, self.slot_day, self.slot_cell
-            )
-        ]
-        out.sort(key=lambda o: (o.person_id, o.day))
-        return out
+        order = np.lexsort((self.slot_day, self.slot_person))
+        towers = np.array(self.active_tower_ids, dtype=np.int64)
+        return ObservationColumns(
+            self.slot_person[order], self.slot_state[order],
+            self.slot_day[order], towers[self.slot_cell[order]],
+        )
 
     def cell_counts(self) -> dict[tuple[int, int], dict[int, int]]:
         """(state, day) -> {cell index: active persons placed there}."""

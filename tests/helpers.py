@@ -3,10 +3,14 @@
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from fractions import Fraction
 
-from crowdcdr.ingest import CdrEvent, DEFAULT_WINDOW
+import numpy as np
+
+from crowdcdr.ingest import CdrEvent, DEFAULT_WINDOW, ObservationColumns
 from crowdcdr.social import SocialNetwork
+from crowdcdr.spatial import colocation_probability
 
 BASE_TS = DEFAULT_WINDOW.start
 
@@ -68,6 +72,18 @@ def event_row(ev: CdrEvent) -> str:
     )
 
 
+def make_observations(rows) -> ObservationColumns:
+    """Columns of (person_id, state_code, day, first_tower) rows, in row order."""
+    table = np.array(list(rows), dtype=np.int64).reshape(-1, 4).T
+    return ObservationColumns(*table)
+
+
+def observation_rows(obs: ObservationColumns) -> list[tuple[int, int, int, int]]:
+    """The (person_id, state_code, day, first_tower) rows of columns, in order."""
+    return list(zip(obs.person_id.tolist(), obs.state_code.tolist(),
+                    obs.day.tolist(), obs.first_tower.tolist()))
+
+
 CDR_HEADER = (
     "timestamp,caller_id,callee_id,kind,duration,tower_id,"
     "caller_state,callee_state,caller_is_customer,callee_is_customer"
@@ -122,3 +138,37 @@ def network_from_truth(truth, *, exclude: int | None = None) -> SocialNetwork:
         if truth.node_state[u] != exclude and truth.node_state[v] != exclude:
             net.add_edge(u, v)
     return net
+
+
+def stays_oracle(obs: ObservationColumns) -> list[tuple[int, int]]:
+    """Per-person (days_active, stay_length) pairs by a dict loop."""
+    per_person: dict[int, tuple[int, int, int]] = {}
+    for person, _, day, _ in observation_rows(obs):
+        prev = per_person.get(person)
+        if prev is None:
+            per_person[person] = (1, day, day)
+        else:
+            n, first, last = prev
+            per_person[person] = (n + 1, min(first, day), max(last, day))
+    return [(n, last - first + 1) for n, first, last in per_person.values()]
+
+
+def first_day_counts_oracle(obs: ObservationColumns) -> dict[tuple[int, int], int]:
+    """Persons per (state, day) of their first observation, by a dict loop."""
+    first: dict[int, tuple[int, int]] = {}
+    for person, state, day, _ in observation_rows(obs):
+        prev = first.get(person)
+        if prev is None or day < prev[1]:
+            first[person] = (state, day)
+    return dict(Counter(first.values()))
+
+
+def colocation_oracle(obs: ObservationColumns, cell_of_tower=None):
+    """(totals, p) per (state, day) in sorted key order, by Counters."""
+    counts: dict[tuple[int, int], Counter] = {}
+    for _, state, day, tower in observation_rows(obs):
+        cell = cell_of_tower[tower] if cell_of_tower is not None else tower
+        counts.setdefault((state, day), Counter())[cell] += 1
+    totals = {key: sum(counts[key].values()) for key in sorted(counts)}
+    p = {key: colocation_probability(counts[key]) for key in sorted(counts)}
+    return totals, p

@@ -20,7 +20,8 @@ from crowdcdr.attendance import (
     uncorrected_daily,
 )
 from crowdcdr.errors import ConfigurationError, EstimationError
-from crowdcdr.ingest import DailyObservation, StateProfile
+from crowdcdr.ingest import StateProfile
+from helpers import make_observations
 
 PROFILES = {
     2: StateProfile(2, "a", 0.25),
@@ -32,7 +33,7 @@ FACTORS = AdjustmentFactors(prevalence=0.713, daily_use=0.404, non_use=0.406)
 
 
 def obs(person, state, day):
-    return DailyObservation(person, state, day, first_tower=1)
+    return person, state, day, 1
 
 
 class TestDailyUse:
@@ -64,11 +65,11 @@ class TestDailyUse:
         assert estimate_daily_use(pairs) == pytest.approx(target, abs=0.01)
 
     def test_stay_pairs_from_observations(self):
-        rows = [
+        rows = make_observations([
             obs(1, 2, 3), obs(1, 2, 7),          # seen twice over a 5-day span
             obs(2, 2, 4),                        # single day
             obs(3, 3, 1), obs(3, 3, 2), obs(3, 3, 9),
-        ]
+        ])
         pairs = sorted(stays_from_observations(rows))
         assert pairs == [(1, 1), (2, 5), (3, 9)]
 
@@ -79,7 +80,7 @@ class TestDailyAttendance:
         assert est[1] == pytest.approx(23378, abs=1)
 
     def test_cumulative_skips_the_daily_use_correction(self):
-        rows = [obs(i, 2, 1) for i in range(1000)]
+        rows = make_observations(obs(i, 2, 1) for i in range(1000))
         est = cumulative_attendance(rows, PROFILES, FACTORS, total_days=3)
         assert est[1] == pytest.approx(9445, abs=1)
         assert est[3] == est[1]
@@ -111,7 +112,7 @@ class TestDailyAttendance:
             daily_attendance({(9, 1): 5}, PROFILES, FACTORS)
 
     def test_person_present_from_first_observation_onward(self):
-        rows = [obs(1, 2, d) for d in range(3, 11)]
+        rows = make_observations(obs(1, 2, d) for d in range(3, 11))
         est = cumulative_attendance(rows, PROFILES, FACTORS, total_days=12)
         assert est[2] == 0.0
         assert est[3] > 0
@@ -119,7 +120,7 @@ class TestDailyAttendance:
 
     def test_daily_exceeds_the_cumulative_increment(self):
         """Repeat visits inflate the daily series but not the cumulative one."""
-        rows = [obs(1, 2, 1), obs(1, 2, 2), obs(2, 2, 2)]
+        rows = make_observations([obs(1, 2, 1), obs(1, 2, 2), obs(2, 2, 2)])
         counts = {(2, 1): 1, (2, 2): 2}
         daily = daily_attendance(counts, PROFILES, FACTORS)
         cum = cumulative_attendance(rows, PROFILES, FACTORS, total_days=2)
@@ -128,11 +129,11 @@ class TestDailyAttendance:
 
     def test_cumulative_is_nondecreasing(self):
         rng = random.Random(9)
-        rows = [
+        rows = make_observations(
             obs(p, rng.choice([2, 3, 4]), rng.randint(1, 30))
             for p in range(300)
             for _ in range(rng.randint(1, 3))
-        ]
+        )
         est = cumulative_attendance(rows, PROFILES, FACTORS, total_days=30)
         values = [est[d] for d in range(1, 31)]
         assert all(b >= a for a, b in zip(values, values[1:]))

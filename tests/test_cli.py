@@ -1,12 +1,16 @@
 """Command-line pipeline: wiring, artifacts, manifests, and exit codes."""
 
+import codecs
 import csv
 import hashlib
 import json
 import shutil
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crowdcdr import attendance, cli, social, synth
 from helpers import CDR_HEADER
@@ -451,6 +455,46 @@ class TestFailureModes:
                    "--output-dir", tmp_path / "out") == 3
         assert "towers.csv, line 2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name", ["cdr.csv", "towers.csv", "states.csv",
+                                      "projections.csv"])
+    def test_non_utf8_input_file_exits_3(self, gen_dir, tmp_path, capsys,
+                                         name):
+        broken = tmp_path / "latin"
+        shutil.copytree(gen_dir, broken)
+        data = (broken / name).read_bytes()
+        cut = data.index(b"\n") + 3
+        (broken / name).write_bytes(data[:cut] + b"\xff" + data[cut:])
+        assert run("ingest", "--input-dir", broken,
+                   "--output-dir", tmp_path / "out") == 3
+        err = capsys.readouterr().err
+        assert name in err and "not UTF-8" in err
+        blob = read_json(tmp_path / "out" / "manifest_ingest.json")
+        assert (blob["failed_stage"], blob["exit_code"]) == ("load", 3)
+
+    def test_non_utf8_config_exits_3(self, gen_dir, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_bytes(b'{"prevalence": 0.7\xff}')
+        assert run("attendance", "--input-dir", gen_dir,
+                   "--output-dir", tmp_path / "out", "--config", cfg_path) == 3
+        assert "cfg.json" in capsys.readouterr().err
+        blob = read_json(tmp_path / "out" / "manifest_attendance.json")
+        assert (blob["failed_stage"], blob["error"], blob["exit_code"]) == (
+            "config", "ConfigurationError", 3)
+
+    @pytest.mark.parametrize("name", ["cdr.csv", "towers.csv"])
+    def test_field_beyond_the_csv_limit_exits_3(self, gen_dir, tmp_path,
+                                                capsys, name):
+        broken = tmp_path / "wide"
+        shutil.copytree(gen_dir, broken)
+        header, first, *rest = (gen_dir / name).read_text(
+            encoding="utf-8").splitlines()
+        first = first.replace(",", "9" * (csv.field_size_limit() + 1) + ",", 1)
+        (broken / name).write_text("\n".join([header, first, *rest]) + "\n",
+                                   encoding="utf-8")
+        assert run("ingest", "--input-dir", broken,
+                   "--output-dir", tmp_path / "out") == 3
+        assert "field larger than field limit" in capsys.readouterr().err
+
     def test_missing_required_argument_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
             run("report")
@@ -462,3 +506,68 @@ class TestFailureModes:
             run("frobnicate")
         assert exc.value.code == 2
         capsys.readouterr()
+
+
+# ---------------------------------------------------------------------------
+# Exit-code fuzz gate: mutated desk-small inputs never end in a traceback.
+
+INPUT_FILES = ("cdr.csv", "towers.csv", "states.csv", "projections.csv")
+CELL_VALUES = [v.encode("utf-8") for v in (
+    "", "x", "-1", "0", "1.5", "1e3", "nan", "inf", "1e309",
+    "99999999999999999999", "\u00e9", '"', "a,b", "9" * 200_000,
+)]
+HEADER_NAMES = [b"", b"X", b"tower_id", b"day", b"kind ", codecs.BOM_UTF8 + b"day"]
+INVALID_UTF8 = [b"\xff", b"\xc3", b"\xed\xa0\x80", b"\x00"]
+
+MUTATIONS = st.one_of(
+    st.tuples(st.just("cell"), st.integers(0, 10 ** 6), st.sampled_from(CELL_VALUES)),
+    st.tuples(st.just("header"), st.integers(0, 10 ** 6),
+              st.sampled_from(HEADER_NAMES)),
+    st.tuples(st.just("bytes"), st.integers(0, 10 ** 6),
+              st.sampled_from(INVALID_UTF8)),
+    st.tuples(st.just("bom"), st.just(0), st.just(codecs.BOM_UTF8)),
+    st.tuples(st.just("truncate"), st.integers(0, 10 ** 6), st.just(b"")),
+    st.tuples(st.just("empty"), st.just(0), st.just(b"")),
+)
+
+
+def mutate(data: bytes, op: str, i: int, payload: bytes) -> bytes:
+    """``data`` with one mutation applied; ``i`` picks where."""
+    if op == "empty":
+        return b""
+    if op == "bom":
+        return payload + data
+    if op == "bytes":
+        i %= len(data) + 1
+        return data[:i] + payload + data[i:]
+    if op == "truncate":
+        # Drop the final line end and cut the last line short.
+        body = data.rstrip(b"\n")
+        start = body.rfind(b"\n") + 1
+        return body[:start + i % (len(body) - start + 1)]
+    lines = data.split(b"\n")
+    row = 0 if op == "header" else i % len(lines)
+    cells = lines[row].split(b",")
+    cells[i // len(lines) % len(cells)] = payload
+    lines[row] = b",".join(cells)
+    return b"\n".join(lines)
+
+
+class TestExitCodeFuzz:
+    @settings(max_examples=60, deadline=None)
+    @given(edits=st.lists(st.tuples(st.sampled_from(INPUT_FILES), MUTATIONS),
+                          min_size=1, max_size=3))
+    def test_mutated_inputs_exit_0_3_or_4(self, gen_dir, edits):
+        with tempfile.TemporaryDirectory() as tmp:
+            inputs, out = Path(tmp) / "in", Path(tmp) / "out"
+            inputs.mkdir()
+            files = {name: (gen_dir / name).read_bytes() for name in INPUT_FILES}
+            for name, mutation in edits:
+                files[name] = mutate(files[name], *mutation)
+            for name, data in files.items():
+                (inputs / name).write_bytes(data)
+            for command in ("ingest", "attendance"):
+                code = run(command, "--input-dir", inputs, "--output-dir", out)
+                assert code in (0, 3, 4)
+                blob = read_json(out / f"manifest_{command}.json")
+                assert blob.get("exit_code", 0) == code

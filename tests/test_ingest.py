@@ -25,8 +25,12 @@ from crowdcdr.ingest import (
     towers_with_traffic,
     write_cdr,
 )
+from crowdcdr.attendance import first_day_counts, stays_from_observations
 from crowdcdr.social import build_network
-from helpers import cdr_text, make_event, ts_on_day
+from crowdcdr.spatial import build_colocation_series
+from helpers import (cdr_text, colocation_oracle, first_day_counts_oracle,
+                     make_event, make_observations, observation_rows,
+                     stays_oracle, ts_on_day)
 
 
 def parse_all(text, **kwargs):
@@ -179,19 +183,19 @@ class TestDedupe:
         ]
         obs = dedupe_daily(events)
         assert len(obs) == 1
-        assert obs[0].first_tower == 5
-        assert obs[0].day == 3
+        assert obs.first_tower[0] == 5
+        assert obs.day[0] == 3
 
     def test_two_days_give_two_observations(self):
         events = [make_event(day=3, caller=1), make_event(day=4, caller=1)]
-        assert [o.day for o in dedupe_daily(events)] == [3, 4]
+        assert dedupe_daily(events).day.tolist() == [3, 4]
 
     def test_equal_timestamps_tie_to_smaller_tower(self):
         events = [
             make_event(day=2, offset=60, caller=1, tower=9),
             make_event(day=2, offset=60, caller=1, tower=5),
         ]
-        assert dedupe_daily(events)[0].first_tower == 5
+        assert dedupe_daily(events).first_tower[0] == 5
 
     def test_result_is_independent_of_input_order(self):
         events = [
@@ -200,24 +204,25 @@ class TestDedupe:
             for o, t in ((30, 8), (30, 2), (45, 1))
             for c in (10, 11)
         ]
-        expected = dedupe_daily(sorted(events, key=lambda e: e.timestamp))
+        expected = observation_rows(
+            dedupe_daily(sorted(events, key=lambda e: e.timestamp)))
         rng = random.Random(0)
         for _ in range(5):
             shuffled = events[:]
             rng.shuffle(shuffled)
-            assert dedupe_daily(shuffled) == expected
+            assert observation_rows(dedupe_daily(shuffled)) == expected
 
     def test_located_party_is_caller_when_customer_else_callee(self):
         caller_side = make_event(caller=1, callee=2)
         callee_side = make_event(
             caller=1, callee=2, caller_customer=False, caller_state=0
         )
-        assert dedupe_daily([caller_side])[0].person_id == 1
-        assert dedupe_daily([callee_side])[0].person_id == 2
-        assert dedupe_daily([callee_side])[0].state_code == 3
+        assert dedupe_daily([caller_side]).person_id[0] == 1
+        assert dedupe_daily([callee_side]).person_id[0] == 2
+        assert dedupe_daily([callee_side]).state_code[0] == 3
 
     def test_empty_input_empty_output(self):
-        assert dedupe_daily([]) == []
+        assert observation_rows(dedupe_daily([])) == []
 
     def test_idempotent_on_reconstructed_events(self):
         events = [
@@ -227,15 +232,14 @@ class TestDedupe:
                 (1, 15, 2, 4), (5, 0, 3, 2),
             ]
         ]
-        obs = dedupe_daily(events)
+        obs = observation_rows(dedupe_daily(events))
         rebuilt = [
-            make_event(day=o.day, caller=o.person_id, tower=o.first_tower,
-                       caller_state=o.state_code)
-            for o in obs
+            make_event(day=day, caller=person, tower=tower, caller_state=state)
+            for person, state, day, tower in obs
         ]
-        again = dedupe_daily(rebuilt)
-        assert [(o.person_id, o.day, o.first_tower) for o in again] == [
-            (o.person_id, o.day, o.first_tower) for o in obs
+        again = observation_rows(dedupe_daily(rebuilt))
+        assert [(p, d, t) for p, _, d, t in again] == [
+            (p, d, t) for p, _, d, t in obs
         ]
 
 
@@ -248,7 +252,7 @@ class TestCounts:
         assert counts == {(7, 1): 1, (7, 2): 1, (7, 3): 1}
 
     def test_empty_input_empty_map(self):
-        assert count_unique_handsets([]) == {}
+        assert count_unique_handsets(make_observations([])) == {}
 
     def test_counts_never_exceed_raw_events(self):
         rng = random.Random(3)
@@ -286,7 +290,7 @@ class TestFullScenarioEquivalence:
         events = list(parse_cdr(paths["cdr"], report=report))
         assert report.rejected == 0
         obs = dedupe_daily(events)
-        assert obs == truth.observations()
+        assert observation_rows(obs) == observation_rows(truth.observations())
         assert count_unique_handsets(obs) == truth.observed_counts
 
     def test_reemitting_parsed_file_is_byte_stable(self, desk_small_files, tmp_path):
@@ -333,6 +337,21 @@ class TestAuxiliaryLoaders:
         bad.write_text("\n".join([header, ",".join(cells), *rest]) + "\n",
                        encoding="utf-8")
         with pytest.raises(SchemaError, match=f"{name}.csv, line 2"):
+            loader(bad)
+
+    @pytest.mark.parametrize("name, loader", [
+        ("towers", ingest.load_towers),
+        ("states", ingest.load_state_profiles),
+        ("projections", ingest.load_projections),
+    ])
+    def test_short_last_row_is_a_schema_error_naming_the_line(
+        self, desk_small_files, tmp_path, name, loader
+    ):
+        paths, _ = desk_small_files
+        bad = tmp_path / f"{name}.csv"
+        data = paths[name].read_bytes().rstrip(b"\n")
+        bad.write_bytes(data.rsplit(b",", 1)[0])
+        with pytest.raises(SchemaError, match=f"{name}.csv, line"):
             loader(bad)
 
     def test_byte_order_mark_on_cdr_header_is_skipped(self, desk_small_files,
@@ -448,7 +467,7 @@ def columnar_path(data, known):
     report = IngestReport()
     columns = read_cdr_columns(data, known_towers=known, report=report)
     daily = daily_observations(columns)
-    return (report, columns_as_events(columns), daily.to_list(),
+    return (report, columns_as_events(columns), daily,
             daily.unique_handsets(), set(np.unique(columns.tower_id).tolist()),
             build_network(columns, local_state=1))
 
@@ -467,7 +486,7 @@ def assert_paths_agree(data, known):
     assert (report2.rows, report2.accepted, dict(report2.rejects)) == (
         report.rows, report.accepted, dict(report.rejects))
     assert events2 == events
-    assert obs2 == obs
+    assert observation_rows(obs2) == observation_rows(obs)
     assert counts2 == counts
     assert towers2 == towers
     assert list(net2.state_of.items()) == list(net.state_of.items())
@@ -579,7 +598,55 @@ class TestColumnarIngest:
         with pytest.raises(SchemaError, match="header"):
             read_cdr_columns(b"")
 
+    @pytest.mark.parametrize("read", [
+        lambda src: list(parse_cdr(src)), read_cdr_columns])
+    def test_non_utf8_source_raises_ingest_error(self, read, tmp_path):
+        data = cdr_text([make_event()]).replace("call", "c\xe9ll").encode(
+            "latin-1")
+        with pytest.raises(IngestError, match="CDR source is not UTF-8"):
+            read(data)
+        path = tmp_path / "latin.csv"
+        path.write_bytes(data)
+        with pytest.raises(IngestError, match="latin.csv is not UTF-8"):
+            read(path)
+
     def test_stream_source_is_refused(self):
         # The fallback reads the source a second time.
         with pytest.raises(IngestError, match="unsupported CDR source"):
             read_cdr_columns(io.BytesIO(cdr_text([]).encode()))
+
+
+@st.composite
+def observation_sets(draw):
+    """Unsorted rows, unique per (person, day), over few states and towers."""
+    keys = draw(st.lists(st.tuples(st.integers(1, 12), st.integers(1, 15)),
+                         unique=True, max_size=120))
+    return make_observations(
+        (person, draw(st.integers(1, 4)), day, draw(st.integers(1, 6)))
+        for person, day in keys
+    )
+
+
+class TestObservationGrouping:
+    @settings(max_examples=200, deadline=None)
+    @given(obs=observation_sets(),
+           cell_of_tower=st.none() | st.lists(
+               st.integers(1, 3), min_size=6, max_size=6).map(
+                   lambda cells: dict(zip(range(1, 7), cells))))
+    def test_columnar_grouping_matches_the_dict_oracles(self, obs,
+                                                        cell_of_tower):
+        assert sorted(stays_from_observations(obs)) == sorted(stays_oracle(obs))
+        assert first_day_counts(obs) == first_day_counts_oracle(obs)
+        series = build_colocation_series(obs, n_days=15,
+                                         cell_of_tower=cell_of_tower)
+        totals, p = colocation_oracle(obs, cell_of_tower)
+        assert list(series.totals.items()) == list(totals.items())
+        assert list(series.p.items()) == list(p.items())
+        assert series.states == sorted({s for s, _ in totals})
+
+    def test_empty_input(self):
+        obs = make_observations([])
+        assert stays_from_observations(obs) == []
+        assert first_day_counts(obs) == {}
+        series = build_colocation_series(obs, n_days=3, cell_of_tower={})
+        assert (series.totals, series.p, series.states) == ({}, {}, [])

@@ -7,7 +7,6 @@ import pytest
 
 from crowdcdr import synth
 from crowdcdr.errors import EstimationError
-from crowdcdr.ingest import DailyObservation
 from crowdcdr.spatial import (
     aggregate_q,
     attach_bootstrap_cis,
@@ -21,7 +20,7 @@ from crowdcdr.spatial import (
     mean_log_representation,
     partition_days,
 )
-from helpers import pair_enumeration_probability
+from helpers import make_observations, pair_enumeration_probability
 
 
 def series_from_p(p_by_state_day, n_days):
@@ -31,10 +30,11 @@ def series_from_p(p_by_state_day, n_days):
     gives p = (k-1)/(k+1), dense enough in (0, 1) to hit simple targets.
     Exact target values are installed directly afterwards.
     """
-    obs = []
-    for (state, day) in p_by_state_day:
-        obs.append(DailyObservation(1, state, day, first_tower=1))
-        obs.append(DailyObservation(2, state, day, first_tower=1))
+    obs = make_observations(
+        (person, state, day, 1)
+        for (state, day) in p_by_state_day
+        for person in (1, 2)
+    )
     series = build_colocation_series(obs, n_days=n_days)
     for key, value in p_by_state_day.items():
         series.p[key] = value
@@ -95,12 +95,12 @@ class TestCoLocationProbability:
 
 class TestSeries:
     def test_counts_totals_and_p(self):
-        obs = [
-            DailyObservation(1, 2, 5, first_tower=10),
-            DailyObservation(2, 2, 5, first_tower=10),
-            DailyObservation(3, 2, 5, first_tower=11),
-            DailyObservation(4, 3, 5, first_tower=10),
-        ]
+        obs = make_observations([
+            (1, 2, 5, 10),
+            (2, 2, 5, 10),
+            (3, 2, 5, 11),
+            (4, 3, 5, 10),
+        ])
         series = build_colocation_series(obs, n_days=90)
         assert series.totals[(2, 5)] == 3
         assert series.p[(2, 5)] == pytest.approx(1 / 3)
@@ -108,10 +108,10 @@ class TestSeries:
         assert series.states == [2, 3]
 
     def test_tower_to_cell_mapping_merges_towers(self):
-        obs = [
-            DailyObservation(1, 2, 1, first_tower=10),
-            DailyObservation(2, 2, 1, first_tower=11),
-        ]
+        obs = make_observations([
+            (1, 2, 1, 10),
+            (2, 2, 1, 11),
+        ])
         apart = build_colocation_series(obs, n_days=90)
         merged = build_colocation_series(
             obs, n_days=90, cell_of_tower={10: 7, 11: 7}
