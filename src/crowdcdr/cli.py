@@ -107,6 +107,8 @@ def load_config(path: str | None) -> dict:
             user = json.loads(Path(path).read_text(encoding="utf-8"))
         except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise ConfigurationError(f"cannot read config {path}: {exc}") from None
+        if not isinstance(user, dict):
+            raise ConfigurationError(f"config {path} is not a JSON object")
         unknown = set(user) - set(cfg)
         if unknown:
             raise ConfigurationError(f"unknown config keys: {sorted(unknown)}")
@@ -114,15 +116,32 @@ def load_config(path: str | None) -> dict:
     return cfg
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def check_config(cfg: Mapping) -> None:
     """Raise ConfigurationError for a config value no stage can run with."""
-    reps = cfg["bootstrap_replicates"]
-    if (not isinstance(reps, int) or isinstance(reps, bool)
-            or reps < spatial.MIN_BOOTSTRAP_REPLICATES):
-        raise ConfigurationError(
-            f"bootstrap_replicates must be an integer of at least "
-            f"{spatial.MIN_BOOTSTRAP_REPLICATES}, got {reps!r}"
-        )
+    reps = spatial.MIN_BOOTSTRAP_REPLICATES
+    number = (lambda v: _is_int(v) or isinstance(v, float), "a number")
+    flag = (lambda v: isinstance(v, bool), "true or false")
+    seed = (lambda v: _is_int(v) and v >= 0, "a non-negative integer")
+    kinds = {
+        "prevalence": number, "daily_use": number, "non_use": number,
+        "sensitivity_numerator": number,
+        "sensitivity_grid": (lambda v: isinstance(v, list)
+                             and all(map(number[0], v)), "a list of numbers"),
+        "calibrate_non_use": flag, "exclude_local": flag,
+        "subsample_seed": seed, "bootstrap_seed": seed,
+        "bootstrap_replicates": (lambda v: _is_int(v) and v >= reps,
+                                 f"an integer of at least {reps}"),
+        "peak_mode": (lambda v: v in ("data", "calendar"), "'data' or 'calendar'"),
+        "calendar_peaks": (lambda v: isinstance(v, list)
+                           and all(map(_is_int, v)), "a list of integers"),
+    }
+    for key, (valid, kind) in kinds.items():
+        if not valid(cfg[key]):
+            raise ConfigurationError(f"{key} must be {kind}, got {cfg[key]!r:.40}")
 
 
 def sha256_of(path: Path) -> str:
@@ -500,8 +519,6 @@ def stage_sbm(run: Run) -> tuple[dict[str, Path], None]:
             ("state_code", "n", "edges_within", "p_kk", "baseline"),
             sbm.block_table(sbm.estimate_block_probs(run.network)),
         )
-        # The demo below sets the run's peak memory; free the network first.
-        del run.network
     curve = sbm.bias_curve(
         [1, 2, 5, 10, 20, 50, 100, 200, 500], m=5, p_in=0.20, p_out=0.04
     )
@@ -628,7 +645,7 @@ def cmd_gen(args) -> int:
         if args.seed is not None:
             config.seed = args.seed
     else:
-        config = synth.named_scenario(args.scenario, args.seed or 1)
+        config = synth.named_scenario(args.scenario, 1 if args.seed is None else args.seed)
     outdir = Path(args.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     paths, truth = synth.generate(config, outdir)
@@ -647,13 +664,13 @@ def cmd_gen(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _replicates(text: str) -> int:
-    n = int(text)
-    if n < spatial.MIN_BOOTSTRAP_REPLICATES:
-        raise argparse.ArgumentTypeError(
-            f"need at least {spatial.MIN_BOOTSTRAP_REPLICATES} replicates, got {n}"
-        )
-    return n
+def _at_least(low: int) -> Callable[[str], int]:
+    def integer(text: str) -> int:
+        n = int(text)
+        if n < low:
+            raise argparse.ArgumentTypeError(f"need at least {low}, got {n}")
+        return n
+    return integer
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -681,12 +698,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     def spatial_flags(p):
         p.add_argument("--peak-mode", choices=("data", "calendar"))
-        p.add_argument("--bootstrap-replicates", type=_replicates)
+        p.add_argument("--bootstrap-replicates",
+                       type=_at_least(spatial.MIN_BOOTSTRAP_REPLICATES))
 
     p = sub.add_parser("gen", help="generate a synthetic scenario")
     p.add_argument("--scenario", default="desk-small",
                    help="desk | desk-small | band | representation-range")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_at_least(0), default=None)
     p.add_argument("--config", help="scenario config JSON (overrides --scenario)")
     p.add_argument("--output-dir", required=True)
     p.set_defaults(func=cmd_gen)
@@ -698,10 +716,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = analysis("sbm", "block-model baseline + bias demo", inputs=False)
     p.add_argument("--input-dir", help="optional; adds per-state block table")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_at_least(0), default=0)
 
     p = analysis("report", "full pipeline + summary")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_at_least(0), default=0)
     social_flags(p)
     spatial_flags(p)
 

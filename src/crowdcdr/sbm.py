@@ -16,12 +16,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import comb, sqrt
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import AnalysisError
-from .social import SocialNetwork, census_triples, transitivity
+from .social import SocialNetwork, TripleCensus, transitivity
 
 
 @dataclass
@@ -138,19 +138,6 @@ def sample_grouped_state(
     return net, group_of
 
 
-def within_group_network(
-    net: SocialNetwork, group_of: Mapping[int, int]
-) -> SocialNetwork:
-    """Copy of the network keeping only same-group edges."""
-    sub = SocialNetwork()
-    for node in net.nodes():
-        sub.add_node(node, net.state_of[node])
-    for u, v in net.edges():
-        if group_of[u] == group_of[v]:
-            sub.add_edge(u, v)
-    return sub
-
-
 @dataclass
 class GroupBiasDemo:
     """Two states wired identically at group level, summarised both ways."""
@@ -180,44 +167,37 @@ def joint_bias_demo(
     on m nodes, so within-group wiring is identical by construction;
     only the number of groups differs. The block estimate separates by
     about p_in / bias(g_b) while within-group transitivity agrees.
+
+    Each group is counted on its own m x m adjacency block A: triangles
+    as trace(A^3) / 6, connected triples as the sum of C(deg, 2).
+    Cross-group edges only add to p_kk, so a state with two or more
+    groups draws them as one Binomial(C(g, 2) * m * m, p_out) count.
     """
     rng = np.random.default_rng(seed)
-    net_a, groups_a = sample_grouped_state(
-        rng, state=state_a, g=g_a, m=m, p_in=p_in, p_out=p_out
-    )
-    net_b, groups_b = sample_grouped_state(
-        rng, state=state_b, g=g_b, m=m, p_in=p_in, p_out=p_out,
-        first_node=g_a * m,
-    )
-    merged = SocialNetwork()
-    group_of: dict[int, int] = {}
-    for net, groups in ((net_a, groups_a), (net_b, groups_b)):
-        for node in net.nodes():
-            merged.add_node(node, net.state_of[node])
-            group_of[node] = groups[node]
-        for u, v in net.edges():
-            merged.add_edge(u, v)
-    est = estimate_block_probs(merged)
-    within = within_group_network(merged, group_of)
-    census = census_triples(within)
-    trans = {
-        s: transitivity(census, s) for s in (state_a, state_b)
-    }
-    triples = {
-        s: (census.closed.get(s, 0), census.open.get(s, 0))
-        for s in (state_a, state_b)
-    }
-    analytic = {
-        state_a: group_structure_bias(g_a, m, p_in, p_out),
-        state_b: group_structure_bias(g_b, m, p_in, p_out),
-    }
+    pair_u, pair_v = np.triu_indices(m, k=1)
+    census = TripleCensus()
+    estimated: dict[int, float] = {}
+    groups = ((state_a, g_a), (state_b, g_b))
+    for state, g in groups:
+        # Within-group draws in sample_grouped_state's order, its oracle.
+        adj = np.zeros((g, m, m), dtype=np.int64)
+        for block in adj:
+            block[pair_u, pair_v] = rng.random(pair_u.size) < p_in
+        adj += adj.transpose(0, 2, 1)
+        deg = adj.sum(axis=2)
+        closed = int(np.einsum("gii->", adj @ adj @ adj)) // 6
+        census.closed[state] = closed
+        census.open[state] = int((deg * (deg - 1) // 2).sum()) - 3 * closed
+        cross = rng.binomial(comb(g, 2) * m * m, p_out) if g >= 2 else 0
+        estimated[state] = (int(deg.sum()) // 2 + int(cross)) / comb(g * m, 2)
+    analytic = {s: group_structure_bias(g, m, p_in, p_out) for s, g in groups}
     return GroupBiasDemo(
         analytic=analytic,
-        estimated={s: est.p_kk[s] for s in (state_a, state_b)},
-        ratio_estimated=est.p_kk[state_a] / est.p_kk[state_b],
+        estimated=estimated,
+        ratio_estimated=estimated[state_a] / estimated[state_b],
         ratio_analytic=analytic[state_a] / analytic[state_b],
-        within_transitivity=trans,
-        triples=triples,
+        within_transitivity={s: transitivity(census, s) for s, _ in groups},
+        triples={s: (census.closed[s], census.open[s]) for s, _ in groups},
     )
 
 

@@ -204,15 +204,16 @@ class ScenarioConfig:
 
     @classmethod
     def from_json(cls, path) -> "ScenarioConfig":
-        blob = json.loads(Path(path).read_text(encoding="utf-8"))
         try:
+            blob = json.loads(Path(path).read_text(encoding="utf-8"))
             states = [StateSpec(**s) for s in blob.pop("states")]
             for key in ("peak_days", "projection_days"):
                 if key in blob:
                     blob[key] = tuple(blob[key])
             cfg = cls(states=states, **blob)
-        except TypeError as exc:
-            raise ConfigurationError(f"bad scenario config: {exc}") from None
+        except (OSError, ValueError, TypeError, KeyError, AttributeError) as exc:
+            raise ConfigurationError(
+                f"bad scenario config {path}: {exc!r}") from None
         cfg.validate()
         return cfg
 

@@ -101,6 +101,24 @@ class TestGen:
                    "--output-dir", tmp_path / "x") == 3
         assert "nonesuch" in capsys.readouterr().err
 
+    def test_seed_zero_is_the_seed_used(self, tmp_path):
+        out = tmp_path / "zero"
+        assert run("gen", "--scenario", "desk-small", "--seed", 0,
+                   "--output-dir", out) == 0
+        assert read_json(out / "manifest_gen.json")["seed"] == 0
+
+    @pytest.mark.parametrize("data", [
+        None, b'{"states": [', b'{"states": []\xff}', b"[1, 2]", b"{}",
+    ], ids=["missing", "invalid-json", "not-utf8", "not-object", "no-states"])
+    def test_unreadable_scenario_config_exits_3(self, tmp_path, capsys, data):
+        cfg_path = tmp_path / "scenario.json"
+        if data is not None:
+            cfg_path.write_bytes(data)
+        assert run("gen", "--config", cfg_path,
+                   "--output-dir", tmp_path / "x") == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and "scenario.json" in err
+
 
 class TestReport:
     def test_artifact_catalog(self, report_dir):
@@ -425,6 +443,37 @@ class TestFailureModes:
         assert blob["exit_code"] == 1
         assert set(blob["timings_s"]) == {"load", "ingest", "total"}
 
+    @pytest.mark.parametrize("text", [
+        '{"prevalence": "x"}',
+        '{"calendar_peaks": "abc", "peak_mode": "calendar"}',
+        '{"sensitivity_grid": 3}',
+        '5',
+        '{"subsample_seed": -1}',
+        '{"peak_mode": "weird"}',
+        '{"exclude_local": 1}',
+    ])
+    def test_wrong_typed_config_exits_3(self, gen_dir, tmp_path, capsys,
+                                        text):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(text, encoding="utf-8")
+        assert run("report", "--input-dir", gen_dir,
+                   "--output-dir", tmp_path / "out", "--config", cfg_path) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and err.count("\n") == 1
+        blob = read_json(tmp_path / "out" / "manifest_report.json")
+        assert (blob["failed_stage"], blob["error"], blob["exit_code"]) == (
+            "config", "ConfigurationError", 3)
+
+    @pytest.mark.parametrize("command", ["gen", "sbm", "report"])
+    def test_negative_seed_exits_2(self, gen_dir, tmp_path, capsys, command):
+        argv = [command, "--output-dir", tmp_path, "--seed", -1]
+        if command == "report":
+            argv += ["--input-dir", gen_dir]
+        with pytest.raises(SystemExit) as exc:
+            run(*argv)
+        assert exc.value.code == 2
+        assert "at least 0" in capsys.readouterr().err
+
     def test_unknown_config_key_exits_3(self, gen_dir, tmp_path, capsys):
         cfg_path = tmp_path / "bad.json"
         cfg_path.write_text(json.dumps({"bogus": 1}), encoding="utf-8")
@@ -530,6 +579,17 @@ MUTATIONS = st.one_of(
     st.tuples(st.just("empty"), st.just(0), st.just(b"")),
 )
 
+#: --config contents: none, one key set to a value of the wrong kind (or
+#: of the right kind but out of range), a non-object file, an unknown key.
+CONFIG_VALUES = ["x", None, True, -1, 0, 1.5, [], [1, "a"], {}, "calendar"]
+CONFIGS = st.one_of(
+    st.none(),
+    st.builds(lambda key, value: json.dumps({key: value}),
+              st.sampled_from(sorted(cli.DEFAULT_CONFIG)),
+              st.sampled_from(CONFIG_VALUES)),
+    st.sampled_from(["5", "[]", '"x"', "null", '{"bogus": 1}']),
+)
+
 
 def mutate(data: bytes, op: str, i: int, payload: bytes) -> bytes:
     """``data`` with one mutation applied; ``i`` picks where."""
@@ -556,8 +616,9 @@ def mutate(data: bytes, op: str, i: int, payload: bytes) -> bytes:
 class TestExitCodeFuzz:
     @settings(max_examples=60, deadline=None)
     @given(edits=st.lists(st.tuples(st.sampled_from(INPUT_FILES), MUTATIONS),
-                          min_size=1, max_size=3))
-    def test_mutated_inputs_exit_0_3_or_4(self, gen_dir, edits):
+                          min_size=1, max_size=3),
+           config=CONFIGS)
+    def test_mutated_inputs_exit_0_3_or_4(self, gen_dir, edits, config):
         with tempfile.TemporaryDirectory() as tmp:
             inputs, out = Path(tmp) / "in", Path(tmp) / "out"
             inputs.mkdir()
@@ -566,8 +627,13 @@ class TestExitCodeFuzz:
                 files[name] = mutate(files[name], *mutation)
             for name, data in files.items():
                 (inputs / name).write_bytes(data)
-            for command in ("ingest", "attendance"):
-                code = run(command, "--input-dir", inputs, "--output-dir", out)
+            flags = []
+            if config is not None:
+                (Path(tmp) / "cfg.json").write_text(config, encoding="utf-8")
+                flags = ["--config", Path(tmp) / "cfg.json"]
+            for command in ("ingest", "attendance", "report"):
+                code = run(command, "--input-dir", inputs, "--output-dir", out,
+                           *flags)
                 assert code in (0, 3, 4)
                 blob = read_json(out / f"manifest_{command}.json")
                 assert blob.get("exit_code", 0) == code

@@ -15,9 +15,8 @@ from crowdcdr.sbm import (
     group_structure_bias_se,
     joint_bias_demo,
     sample_grouped_state,
-    within_group_network,
 )
-from crowdcdr.social import SocialNetwork
+from crowdcdr.social import SocialNetwork, census_triples, transitivity
 
 
 def network(state_of, edges):
@@ -137,17 +136,6 @@ class TestPlantedPartition:
         for u, v in net.edges():
             assert group_of[u] == group_of[v]
 
-    def test_within_group_filter_drops_only_cross_edges(self):
-        rng = np.random.default_rng(9)
-        net, group_of = sample_grouped_state(
-            rng, state=2, g=5, m=6, p_in=0.5, p_out=0.2
-        )
-        sub = within_group_network(net, group_of)
-        kept = set(sub.edges())
-        for u, v in net.edges():
-            assert ((u, v) in kept) == (group_of[u] == group_of[v])
-        assert sub.n_nodes == net.n_nodes
-
 
 @pytest.fixture(scope="module")
 def demo():
@@ -179,3 +167,21 @@ class TestJointDemo:
             closed, open_ = demo.triples[state]
             assert closed > 100
             assert open_ > 100
+
+    def test_counts_equal_the_census_of_the_sampled_groups(self, demo):
+        # The demo's within-group draws follow sample_grouped_state's
+        # order, so without cross edges the same seed rebuilds its groups.
+        rng = np.random.default_rng(0)
+        net_a, _ = sample_grouped_state(
+            rng, state=1, g=1, m=100, p_in=0.2, p_out=0
+        )
+        net_b, _ = sample_grouped_state(
+            rng, state=2, g=50, m=100, p_in=0.2, p_out=0, first_node=100
+        )
+        for state, net in ((1, net_a), (2, net_b)):
+            census = census_triples(net)
+            assert demo.triples[state] == (
+                census.closed[state], census.open[state]
+            )
+            assert demo.within_transitivity[state] == transitivity(census, state)
+        assert demo.estimated[1] == estimate_block_probs(net_a).p_kk[1]
