@@ -116,16 +116,12 @@ def load_config(path: str | None) -> dict:
     return cfg
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def check_config(cfg: Mapping) -> None:
     """Raise ConfigurationError for a config value no stage can run with."""
-    reps = spatial.MIN_BOOTSTRAP_REPLICATES
-    number = (lambda v: _is_int(v) or isinstance(v, float), "a number")
+    low, high = spatial.MIN_BOOTSTRAP_REPLICATES, spatial.MAX_BOOTSTRAP_REPLICATES
+    number = (lambda v: synth.is_int(v) or isinstance(v, float), "a number")
     flag = (lambda v: isinstance(v, bool), "true or false")
-    seed = (lambda v: _is_int(v) and v >= 0, "a non-negative integer")
+    seed = (lambda v: synth.is_int(v) and v >= 0, "a non-negative integer")
     kinds = {
         "prevalence": number, "daily_use": number, "non_use": number,
         "sensitivity_numerator": number,
@@ -133,11 +129,12 @@ def check_config(cfg: Mapping) -> None:
                              and all(map(number[0], v)), "a list of numbers"),
         "calibrate_non_use": flag, "exclude_local": flag,
         "subsample_seed": seed, "bootstrap_seed": seed,
-        "bootstrap_replicates": (lambda v: _is_int(v) and v >= reps,
-                                 f"an integer of at least {reps}"),
+        "bootstrap_replicates": (lambda v: synth.is_int(v) and low <= v <= high,
+                                 f"an integer of at least {low} and at most "
+                                 f"{high}"),
         "peak_mode": (lambda v: v in ("data", "calendar"), "'data' or 'calendar'"),
         "calendar_peaks": (lambda v: isinstance(v, list)
-                           and all(map(_is_int, v)), "a list of integers"),
+                           and all(map(synth.is_int, v)), "a list of integers"),
     }
     for key, (valid, kind) in kinds.items():
         if not valid(cfg[key]):
@@ -664,11 +661,13 @@ def cmd_gen(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _at_least(low: int) -> Callable[[str], int]:
+def _int_between(low: int, high: int | None = None) -> Callable[[str], int]:
     def integer(text: str) -> int:
         n = int(text)
         if n < low:
             raise argparse.ArgumentTypeError(f"need at least {low}, got {n}")
+        if high is not None and n > high:
+            raise argparse.ArgumentTypeError(f"need at most {high}, got {n}")
         return n
     return integer
 
@@ -699,12 +698,13 @@ def build_parser() -> argparse.ArgumentParser:
     def spatial_flags(p):
         p.add_argument("--peak-mode", choices=("data", "calendar"))
         p.add_argument("--bootstrap-replicates",
-                       type=_at_least(spatial.MIN_BOOTSTRAP_REPLICATES))
+                       type=_int_between(spatial.MIN_BOOTSTRAP_REPLICATES,
+                                         spatial.MAX_BOOTSTRAP_REPLICATES))
 
     p = sub.add_parser("gen", help="generate a synthetic scenario")
     p.add_argument("--scenario", default="desk-small",
                    help="desk | desk-small | band | representation-range")
-    p.add_argument("--seed", type=_at_least(0), default=None)
+    p.add_argument("--seed", type=_int_between(0), default=None)
     p.add_argument("--config", help="scenario config JSON (overrides --scenario)")
     p.add_argument("--output-dir", required=True)
     p.set_defaults(func=cmd_gen)
@@ -716,10 +716,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = analysis("sbm", "block-model baseline + bias demo", inputs=False)
     p.add_argument("--input-dir", help="optional; adds per-state block table")
-    p.add_argument("--seed", type=_at_least(0), default=0)
+    p.add_argument("--seed", type=_int_between(0), default=0)
 
     p = analysis("report", "full pipeline + summary")
-    p.add_argument("--seed", type=_at_least(0), default=0)
+    p.add_argument("--seed", type=_int_between(0), default=0)
     social_flags(p)
     spatial_flags(p)
 

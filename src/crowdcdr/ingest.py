@@ -123,19 +123,6 @@ class IngestReport:
         return sum(self.rejects.values())
 
 
-def located_party(event: CdrEvent) -> tuple[int, int] | None:
-    """(person_id, state) of the party the serving tower locates.
-
-    The caller when the caller is a customer, else the callee; None if
-    neither party is a customer.
-    """
-    if event.caller_is_customer:
-        return event.caller_id, event.caller_state
-    if event.callee_is_customer:
-        return event.callee_id, event.callee_state
-    return None
-
-
 def _parse_bool(text: str) -> bool:
     t = text.strip().lower()
     if t in ("1", "true", "t", "yes"):
@@ -330,46 +317,6 @@ def parse_cdr(
             raise _tolerance_error(bad_parse, report.rows, max_bad_fraction)
 
 
-def dedupe_daily(
-    events: Iterable[CdrEvent],
-    *,
-    window: StudyWindow = DEFAULT_WINDOW,
-) -> ObservationColumns:
-    """Collapse events to at most one observation per (person, day).
-
-    The observation keeps the tower of the person's earliest event that
-    day; equal timestamps are broken by the smallest tower_id, so the
-    result does not depend on input order. Persons are the located
-    (customer) party of each event. Output is sorted by (person, day);
-    the dict-based oracle of ``daily_observations``.
-    """
-    best: dict[tuple[int, int], tuple[int, int, int]] = {}
-    for ev in events:
-        party = located_party(ev)
-        if party is None:
-            continue
-        pid, state = party
-        day = window.day_of(ev.timestamp)
-        key = (pid, day)
-        cand = (ev.timestamp, ev.tower_id, state)
-        prev = best.get(key)
-        if prev is None or cand[:2] < prev[:2]:
-            best[key] = cand
-    table = np.array([
-        (pid, state, day, tower)
-        for (pid, day), (_, tower, state) in sorted(best.items())
-    ], dtype=np.int64).reshape(-1, 4).T
-    return ObservationColumns(*table)
-
-
-def count_unique_handsets(
-    observations: ObservationColumns,
-) -> dict[tuple[int, int], int]:
-    """Distinct-person count per (state, day); oracle of ``unique_handsets``."""
-    return dict(Counter(zip(observations.state_code.tolist(),
-                            observations.day.tolist())))
-
-
 # ---------------------------------------------------------------------------
 # Columnar ingest
 
@@ -420,7 +367,7 @@ class CdrColumns:
     def located(self) -> tuple[np.ndarray, np.ndarray]:
         """Person id and state of each event's located party.
 
-        As ``located_party``: the caller when a customer, else the callee.
+        The caller when a customer, else the callee.
         """
         caller = self.caller_is_customer
         return (np.where(caller, self.caller_id, self.callee_id),
@@ -594,9 +541,11 @@ class ObservationColumns:
 def daily_observations(
     columns: CdrColumns, window: StudyWindow = DEFAULT_WINDOW
 ) -> ObservationColumns:
-    """``dedupe_daily`` over columns: one observation per (person, day).
+    """One observation per (person, day) of the located party.
 
-    One stable sort on (person, timestamp, tower) puts each (person,
+    The observation keeps the tower of the person's earliest event that
+    day; equal timestamps are broken by the smallest tower_id, so the
+    result does not depend on input order. One stable sort on (person, timestamp, tower) puts each (person,
     day)'s earliest event, ties to the smallest tower and then to input
     order, first in its group; the day grows with the timestamp, so it
     needs no sort key of its own.
@@ -696,10 +645,6 @@ def local_state(profiles: Mapping[int, StateProfile]) -> int:
     raise ConfigurationError("no local state in profiles")
 
 
-def towers_with_traffic(events: Iterable[CdrEvent]) -> set[int]:
-    return {ev.tower_id for ev in events}
-
-
 def mark_tower_activity(
     towers: Sequence[TowerSite], active_ids: set[int]
 ) -> list[TowerSite]:
@@ -718,36 +663,20 @@ def mark_tower_activity(
 # Canonical emission (round-trip stable)
 
 
-def format_event(event: CdrEvent) -> list[str]:
-    return [
-        str(event.timestamp),
-        str(event.caller_id),
-        str(event.callee_id),
-        event.event_kind,
-        str(event.duration),
-        str(event.tower_id),
-        str(event.caller_state),
-        str(event.callee_state),
-        "1" if event.caller_is_customer else "0",
-        "1" if event.callee_is_customer else "0",
-    ]
-
-
-def write_cdr(events: Iterable[CdrEvent], path, *, delimiter: str = ",") -> int:
-    """Write events in canonical form; re-parsing yields the same sequence."""
-    n = 0
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, delimiter=delimiter, lineterminator="\n")
-        writer.writerow(CDR_COLUMNS)
-        for ev in events:
-            writer.writerow(format_event(ev))
-            n += 1
-    return n
+def write_cdr(columns: CdrColumns, path, *, delimiter: str = ",") -> None:
+    """Write events in canonical form; re-parsing yields the same events."""
+    write_columns(path, CDR_COLUMNS, [
+        columns.timestamp, columns.caller_id, columns.callee_id,
+        np.where(columns.is_text, "text", "call"), columns.duration,
+        columns.tower_id, columns.caller_state, columns.callee_state,
+        columns.caller_is_customer.astype(np.int64),
+        columns.callee_is_customer.astype(np.int64),
+    ], delimiter=delimiter)
 
 
 def write_columns(path, header: Sequence[str], columns: Sequence[np.ndarray], *,
                   delimiter: str = ",") -> None:
-    """``write_table`` for integer columns, with the same bytes."""
+    """``write_table`` for integer and string columns, with the same bytes."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, delimiter=delimiter, lineterminator="\n")
         writer.writerow(header)

@@ -31,6 +31,15 @@ from .ingest import ObservationColumns, run_starts
 
 #: Fewest bootstrap replicates a percentile interval is computed from.
 MIN_BOOTSTRAP_REPLICATES = 200
+#: Most replicates: the resampling index is replicates x days in one piece.
+MAX_BOOTSTRAP_REPLICATES = 100_000
+
+
+def _check_replicates(replicates: int) -> None:
+    if not MIN_BOOTSTRAP_REPLICATES <= replicates <= MAX_BOOTSTRAP_REPLICATES:
+        raise EstimationError(
+            f"need between {MIN_BOOTSTRAP_REPLICATES} and "
+            f"{MAX_BOOTSTRAP_REPLICATES} bootstrap replicates, got {replicates}")
 
 
 def colocation_probability(
@@ -178,9 +187,7 @@ def bootstrap_mean_ci(
     vals = np.asarray(values, dtype=float)
     if vals.size < 2:
         raise EstimationError("need at least 2 defined days to bootstrap")
-    if replicates < MIN_BOOTSTRAP_REPLICATES:
-        raise EstimationError(
-            f"need at least {MIN_BOOTSTRAP_REPLICATES} bootstrap replicates")
+    _check_replicates(replicates)
     rng = np.random.default_rng(seed)
     idx = rng.integers(0, vals.size, size=(replicates, vals.size))
     stats = vals[idx].mean(axis=1)
@@ -205,9 +212,7 @@ def bootstrap_ratio_ci(
     lv = np.asarray(low_values, dtype=float)
     if hv.size < 2 or lv.size < 2:
         raise EstimationError("need at least 2 defined days in each stratum")
-    if replicates < MIN_BOOTSTRAP_REPLICATES:
-        raise EstimationError(
-            f"need at least {MIN_BOOTSTRAP_REPLICATES} bootstrap replicates")
+    _check_replicates(replicates)
     rng = np.random.default_rng(seed)
     hi_idx = rng.integers(0, hv.size, size=(replicates, hv.size))
     lo_idx = rng.integers(0, lv.size, size=(replicates, lv.size))

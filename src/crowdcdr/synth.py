@@ -32,27 +32,36 @@ Stays are geometric above a minimum, arrivals multinomial over the
 window with extra short-stay cohorts on peak days (day trippers), so
 attendance peaks on the configured days while off-peak days stay
 locally stationary -- the property the calibration days rely on.
+
+The generator is columnar: rosters, stays, activity slots, ties and the
+CDR rows are numpy arrays built by array arithmetic. Two loops stay
+scalar because their order is the output's: the floor-with-carry quota
+schedule over (cohort, interior day), and one ``rng.permutation`` per
+cohort, in (arrival, stay) order. Output is byte-deterministic given
+the config.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, asdict, replace
-from math import ceil, cos, exp, expm1, floor, log10, log1p, pi, radians
+from dataclasses import dataclass, field, fields, asdict, replace
+from itertools import chain
+from math import cos, exp, expm1, floor, log10, log1p, pi, radians
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import ConfigurationError
 from .geo import EARTH_RADIUS_KM
 from .ingest import (
-    CdrEvent,
+    CdrColumns,
     ObservationColumns,
     StudyWindow,
     DEFAULT_WINDOW,
     TowerSite,
     StateProfile,
+    run_starts,
     write_cdr,
     write_table,
 )
@@ -137,6 +146,8 @@ class ScenarioConfig:
     def validate(self) -> None:
         if not self.states:
             raise ConfigurationError("scenario has no states")
+        if self.seed < 0:
+            raise ConfigurationError(f"seed must be non-negative: {self.seed}")
         if len({s.code for s in self.states}) != len(self.states):
             raise ConfigurationError("duplicate state codes")
         if sum(s.is_local for s in self.states) != 1:
@@ -206,6 +217,9 @@ class ScenarioConfig:
     def from_json(cls, path) -> "ScenarioConfig":
         try:
             blob = json.loads(Path(path).read_text(encoding="utf-8"))
+            _check_kinds(cls, blob, path)
+            for s in blob["states"]:
+                _check_kinds(StateSpec, s, path)
             states = [StateSpec(**s) for s in blob.pop("states")]
             for key in ("peak_days", "projection_days"):
                 if key in blob:
@@ -216,6 +230,38 @@ class ScenarioConfig:
                 f"bad scenario config {path}: {exc!r}") from None
         cfg.validate()
         return cfg
+
+
+def is_int(value) -> bool:
+    """True for a JSON integer: an int that is not a bool."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+#: Field annotation -> (test, description) of the JSON values it takes.
+_KINDS = {
+    "int": (is_int, "an integer"),
+    "float": (lambda v: is_int(v) or isinstance(v, float), "a number"),
+    "bool": (lambda v: isinstance(v, bool), "true or false"),
+    "str": (lambda v: isinstance(v, str), "a string"),
+    "tuple[int, ...]": (lambda v: isinstance(v, list) and all(map(is_int, v)),
+                        "a list of integers"),
+    "list[StateSpec]": (lambda v: isinstance(v, list)
+                        and all(isinstance(s, dict) for s in v),
+                        "a list of objects"),
+}
+
+
+def _check_kinds(cls, blob, path) -> None:
+    """Raise ConfigurationError for a value of the wrong kind for its field."""
+    if not isinstance(blob, dict):
+        raise ConfigurationError(f"bad scenario config {path}: "
+                                 f"{cls.__name__} must be an object")
+    for f in fields(cls):
+        valid, kind = _KINDS[f.type]
+        if f.name in blob and not valid(blob[f.name]):
+            raise ConfigurationError(
+                f"bad scenario config {path}: {cls.__name__}.{f.name} must be "
+                f"{kind}, got {blob[f.name]!r:.40}")
 
 
 def _quotas(spec: StateSpec, config: ScenarioConfig) -> tuple[int, int, int]:
@@ -246,41 +292,51 @@ def _spread_counts(total: int, n_bins: int, offset: int = 0) -> np.ndarray:
     out = np.zeros(n_bins, dtype=int)
     if total <= 0 or n_bins == 0:
         return out
-    for i in range(n_bins):
-        out[(i + offset) % n_bins] = (
-            (i + 1) * total // n_bins - i * total // n_bins
-        )
+    i = np.arange(n_bins)
+    out[(i + offset) % n_bins] = (i + 1) * total // n_bins - i * total // n_bins
     return out
 
 
-def _stratified_stays(
-    k: int, config: ScenarioConfig, max_stay: int | None = None,
-    phase: float = 0.5,
-) -> list[int]:
-    """k stays from the geometric model at stratified quantiles.
+def _runs(counts: np.ndarray, first=0) -> np.ndarray:
+    """first[i], first[i] + 1, ..., first[i] + counts[i] - 1, concatenated."""
+    ends = np.cumsum(counts)
+    total = int(ends[-1]) if len(ends) else 0
+    return np.arange(total) + np.repeat(first - (ends - counts), counts)
 
-    The marginal is min_stay - 1 + Geometric(p) with mean ``mean_stay``,
-    truncated to ``max_stay`` so a stay never outlives the window; naive
-    clipping would instead pile every long stay's departure onto the
-    last day. Drawing at quantiles (j+phase)/k keeps each arrival
-    cohort's stay mix close to the distribution instead of leaving it
-    to sampling noise; varying the phase across cohorts stops their
-    departure days from landing on a common lattice.
+
+def _stratified_stays(
+    counts: Sequence[int], config: ScenarioConfig,
+    max_stays: Sequence[int], phases: Sequence[float],
+) -> np.ndarray:
+    """Stays of consecutive cohorts from the geometric model.
+
+    The marginal is min_stay - 1 + Geometric(p) with mean ``mean_stay``.
+    Cohort i has counts[i] members, truncated to max_stays[i] so a stay
+    never outlives the window; naive clipping would instead pile every
+    long stay's departure onto the last day. Drawing at quantiles
+    (j + phases[i]) / counts[i] keeps each arrival cohort's stay mix
+    close to the distribution instead of leaving it to sampling noise;
+    varying the phase across cohorts stops their departure days from
+    landing on a common lattice.
+
+    Every step is the scalar formula's, in its order. The logarithm
+    comes from ``math.log1p``: numpy's SIMD ``log1p`` can differ in the
+    last bit, which is enough to flip a ceil at a boundary.
     """
-    p = 1.0 / (config.mean_stay - config.min_stay + 1.0)
-    mass = 1.0
-    if max_stay is not None:
-        if max_stay < config.min_stay:
-            raise ConfigurationError(
-                f"max_stay {max_stay} below min_stay {config.min_stay}"
-            )
-        mass = -expm1(log1p(-p) * (max_stay - config.min_stay + 1))
-    stays = []
-    for j in range(k):
-        q = (j + phase) / k * mass
-        g = max(1, ceil(log1p(-q) / log1p(-p)))
-        stays.append(config.min_stay - 1 + g)
-    return stays
+    counts = np.asarray(counts, dtype=np.int64)
+    max_stays = np.asarray(max_stays, dtype=np.int64)
+    if (max_stays < config.min_stay).any():
+        raise ConfigurationError(
+            f"max_stay {max_stays.min()} below min_stay {config.min_stay}"
+        )
+    log_p = log1p(-1.0 / (config.mean_stay - config.min_stay + 1.0))
+    mass = [-expm1(log_p * (m - config.min_stay + 1)) for m in max_stays.tolist()]
+    j = _runs(counts)
+    q = (j + np.repeat(phases, counts)) / np.repeat(counts, counts) \
+        * np.repeat(mass, counts)
+    log_q = np.fromiter(map(log1p, (-q).tolist()), float, q.size)
+    g = np.maximum(1, np.ceil(log_q / log_p)).astype(np.int64)
+    return config.min_stay - 1 + g
 
 
 @dataclass
@@ -408,6 +464,40 @@ def tower_grid(config: ScenarioConfig) -> tuple[list[TowerSite], list[int]]:
     return towers, active_ids
 
 
+def _base_cohorts(
+    total: int, spec: StateSpec, config: ScenarioConfig,
+    offset: int, shift: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Arrival and stay of ``total`` units spread over the arrival days.
+
+    ``offset`` rotates the day spread and ``shift`` the stay phases, so
+    the unit kinds of one state do not share a rounding pattern.
+    """
+    days = np.arange(1, config.n_days - config.min_stay + 2)
+    per_day = _spread_counts(total, len(days), spec.code * 17 + offset)
+    phases = (GOLDEN * (spec.code * 131 + days) + shift) % 1.0
+    stays = _stratified_stays(per_day, config, config.n_days + 1 - days, phases)
+    return np.repeat(days, per_day), stays
+
+
+def _peak_halves(total: int, config: ScenarioConfig) -> list[tuple[int, int]]:
+    """(arrival, size) of the two half-cohorts per peak day.
+
+    One half departs on the peak day and the other arrives on it.
+    """
+    if not total:
+        return []
+    out = []
+    for t, k in zip(config.peak_days,
+                    _spread_counts(total, len(config.peak_days)).tolist()):
+        out += [(t - config.peak_stay + 1, k // 2), (t, k - k // 2)]
+    return out
+
+
+def _n_peak(count: int, config: ScenarioConfig) -> int:
+    return round(count * config.peak_fraction) if config.peak_days else 0
+
+
 def _roster(
     visible: int, spec: StateSpec, config: ScenarioConfig
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
@@ -417,136 +507,115 @@ def _roster(
     per peak day (groups first, then singletons within each). One half
     departs on the peak day and the other arrives on it, so the peak day
     alone collects both anchor bumps and stands out as the unique
-    activity maximum. Group members share arrival and stay; every
-    person's last present day falls inside the window.
+    activity maximum. Group members share arrival and stay, and are
+    consecutive; every person's last present day falls inside the window.
     """
     gs = config.group_size
-    n_peak = round(visible * config.peak_fraction) if config.peak_days else 0
-    n_base = visible - n_peak
-    arrival_span = config.n_days - config.min_stay + 1
-
-    arrivals: list[int] = []
-    stays: list[int] = []
-    groups: list[int] = []
-    next_group = 0
-
-    def add_unit(a: int, s: int, size: int, grouped: bool):
-        nonlocal next_group
-        s_eff = min(s, config.n_days + 1 - a)
-        gid = next_group if grouped else -1
-        if grouped:
-            next_group += 1
-        for _ in range(size):
-            arrivals.append(a)
-            stays.append(s_eff)
-            groups.append(gid)
-
-    n_groups_base, n_single_base = divmod(n_base, gs)
-    per_day = _spread_counts(n_groups_base, arrival_span, spec.code * 17)
-    for day_idx in range(arrival_span):
-        a = day_idx + 1
-        k = int(per_day[day_idx])
-        phase = (GOLDEN * (spec.code * 131 + a)) % 1.0
-        for s in _stratified_stays(k, config, config.n_days + 1 - a, phase):
-            add_unit(a, s, gs, grouped=True)
-    per_day = _spread_counts(n_single_base, arrival_span, spec.code * 17 + 7)
-    for day_idx in range(arrival_span):
-        a = day_idx + 1
-        k = int(per_day[day_idx])
-        phase = (GOLDEN * (spec.code * 131 + a) + 0.31) % 1.0
-        for s in _stratified_stays(k, config, config.n_days + 1 - a, phase):
-            add_unit(a, s, 1, grouped=False)
-
-    per_peak = _spread_counts(n_peak, len(config.peak_days)) if n_peak else []
-    for t, k in zip(config.peak_days, per_peak):
-        early = int(k) // 2
-        for part, a in ((early, t - config.peak_stay + 1), (int(k) - early, t)):
-            n_g, n_s = divmod(part, gs)
-            for _ in range(n_g):
-                add_unit(a, config.peak_stay, gs, grouped=True)
-            for _ in range(n_s):
-                add_unit(a, config.peak_stay, 1, grouped=False)
-
+    n_peak = _n_peak(visible, config)
+    n_groups, n_single = divmod(visible - n_peak, gs)
+    groups = _base_cohorts(n_groups, spec, config, 0, 0.0)
+    single = _base_cohorts(n_single, spec, config, 7, 0.31)
+    arrival, stay = [groups[0], single[0]], [groups[1], single[1]]
+    size = [np.full(n_groups, gs), np.ones(n_single, int)]
+    for a, part in _peak_halves(n_peak, config):
+        n_g, n_s = divmod(part, gs)
+        arrival.append(np.full(n_g + n_s, a))
+        stay.append(np.full(n_g + n_s, config.peak_stay))
+        size.append(np.repeat([gs, 1], [n_g, n_s]))
+    arrival, stay, size = (np.concatenate(x) for x in (arrival, stay, size))
+    stay = np.minimum(stay, config.n_days + 1 - arrival)
+    grouped = size == gs
+    group = np.where(grouped, np.cumsum(grouped) - 1, -1)
     return (
-        np.array(arrivals, dtype=np.int32),
-        np.array(stays, dtype=np.int32),
-        np.array(groups, dtype=np.int32),
-        next_group,
+        np.repeat(arrival, size).astype(np.int32),
+        np.repeat(stay, size).astype(np.int32),
+        np.repeat(group, size).astype(np.int32),
+        int(grouped.sum()),
     )
 
 
-def _invisible_presence(
-    count: int, spec: StateSpec, config: ScenarioConfig, delta: np.ndarray
-) -> None:
-    """Add presence of attendees who never appear in the CDRs."""
-    n_peak = round(count * config.peak_fraction) if config.peak_days else 0
-    n_base = count - n_peak
-    arrival_span = config.n_days - config.min_stay + 1
-    per_day = _spread_counts(n_base, arrival_span, spec.code * 17 + 13)
-    for day_idx in range(arrival_span):
-        a = day_idx + 1
-        max_stay = config.n_days + 1 - a
-        phase = (GOLDEN * (spec.code * 131 + a) + 0.62) % 1.0
-        for s in _stratified_stays(int(per_day[day_idx]), config,
-                                   max_stay, phase):
-            delta[a] += 1
-            delta[a + s] -= 1
-    per_peak = _spread_counts(n_peak, len(config.peak_days)) if n_peak else []
-    for t, k in zip(config.peak_days, per_peak):
-        early = int(k) // 2
-        for part, a in ((early, t - config.peak_stay + 1), (int(k) - early, t)):
-            delta[a] += part
-            delta[a + config.peak_stay] -= part
+def _invisible_roster(
+    count: int, spec: StateSpec, config: ScenarioConfig
+) -> tuple[np.ndarray, np.ndarray]:
+    """Arrival and stay of attendees who never appear in the CDRs."""
+    n_peak = _n_peak(count, config)
+    arrival, stay = _base_cohorts(count - n_peak, spec, config, 13, 0.62)
+    halves = _peak_halves(n_peak, config)
+    peak = np.repeat(np.array([a for a, _ in halves], dtype=np.int64),
+                     [k for _, k in halves])
+    return (np.concatenate([arrival, peak]),
+            np.concatenate([stay, np.full(peak.size, config.peak_stay)]))
+
+
+def _interior_quotas(
+    stays: Iterable[int], sizes: Iterable[int], u: float
+) -> list[list[int]]:
+    """Active members on each interior day of each cohort, in order.
+
+    A cohort of k members staying s days gets floor-with-carry of
+    k * interior_rate on each of its s - 2 interior days; one carry runs
+    through all cohorts in the given order, so rounding losses cancel. A
+    cohort without interior activity gets an empty list.
+    """
+    carry = 0.5
+    out = []
+    for s, k in zip(stays, sizes):
+        rate = _interior_rate(u, s)
+        quota = []
+        if rate > 0:
+            mu = k * rate
+            for _ in range(s - 2):
+                x = mu + carry
+                take = min(int(floor(x + 1e-9)), k)
+                carry = x - take
+                quota.append(take)
+        out.append(quota)
+    return out
+
+
+def _cohorts(
+    arrivals: np.ndarray, stays: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Persons sorted by (arrival, stay, index), and each cohort's start, size."""
+    order = np.lexsort((stays, arrivals))
+    starts = np.flatnonzero(run_starts(arrivals[order], stays[order]))
+    return order, starts, np.diff(starts, append=len(order))
 
 
 def _activity_slots(
     arrivals: np.ndarray, stays: np.ndarray, config: ScenarioConfig,
     rng: np.random.Generator,
-) -> tuple[list[int], list[int], np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(persons, days) of active person-days plus active-day counts.
 
     Everyone is active on arrival and departure. Interior activity is
-    allocated per (arrival, stay) cohort: each interior day gets
-    floor-with-carry of k * interior_rate slots, assigned to members in
-    rotation from a shuffled order. Totals match the planted daily-use
-    rate with only rounding error, at the day level and per person.
+    allocated per (arrival, stay) cohort: each interior day gets its
+    ``_interior_quotas`` slots, assigned to members in rotation from a
+    shuffled order. Totals match the planted daily-use rate with only
+    rounding error, at the day level and per person. Rows: each person's
+    two anchors, then the cohorts in (arrival, stay) order, day by day.
     """
-    u = config.daily_use
-    n = len(arrivals)
-    n_active = np.full(n, 2, dtype=np.int64)
-    persons: list[int] = []
-    days: list[int] = []
-    cohorts: dict[tuple[int, int], list[int]] = {}
-    for i in range(n):
-        cohorts.setdefault((int(arrivals[i]), int(stays[i])), []).append(i)
-        persons.append(i)
-        days.append(int(arrivals[i]))
-        persons.append(i)
-        days.append(int(arrivals[i]) + int(stays[i]) - 1)
-
-    carry = 0.5     # persists across cohorts so rounding losses cancel
-    for (a, s), members in sorted(cohorts.items()):
-        if s <= 2:
-            continue
-        rate = _interior_rate(u, s)
-        if rate <= 0:
-            continue
-        k = len(members)
-        order = [members[j] for j in rng.permutation(k)]
-        mu = k * rate
-        rot = 0
-        for d in range(a + 1, a + s - 1):
-            x = mu + carry
-            take = int(floor(x + 1e-9))
-            take = min(take, k)
-            carry = x - take
-            for t in range(take):
-                idx = order[(rot + t) % k]
-                persons.append(idx)
-                days.append(d)
-                n_active[idx] += 1
-            rot = (rot + take) % k
-    return persons, days, n_active
+    a = arrivals.astype(np.int64)
+    s = stays.astype(np.int64)
+    order, starts, sizes = _cohorts(a, s)
+    first, k = starts.tolist(), sizes.tolist()
+    quotas = _interior_quotas(s[order[starts]].tolist(), k, config.daily_use)
+    active = [c for c, quota in enumerate(quotas) if quota]
+    # One permutation per cohort with interior days, in cohort order.
+    shuffled = order[np.concatenate([np.zeros(0, np.int64), *(
+        first[c] + rng.permutation(k[c]) for c in active)])]
+    head = order[starts[active]]    # a member of each active cohort
+    take = np.fromiter(chain.from_iterable(quotas), np.int64)
+    day = np.repeat(_runs(s[head] - 2, a[head] + 1), take)
+    # Slot r of a cohort goes to its shuffled member r mod k: each day's
+    # rotation starts where the previous day's stopped.
+    slots = np.array([sum(quotas[c]) for c in active], dtype=np.int64)
+    size = sizes[active]
+    person = shuffled[np.repeat(np.cumsum(size) - size, slots)
+                      + _runs(slots) % np.repeat(size, slots)]
+    persons = np.concatenate([np.repeat(np.arange(len(a)), 2), person])
+    days = np.concatenate([np.column_stack([a, a + s - 1]).ravel(), day])
+    return persons, days, np.bincount(persons, minlength=len(a))
 
 
 def _expected_p(
@@ -562,6 +631,13 @@ def _expected_p(
     tp = n_act * (n_act - 1) / 2.0
     p_same = theta * theta + (1.0 - theta * theta) / n_cells
     return (sg * p_same + (tp - sg) / n_cells) / tp
+
+
+def _put_daily(table: dict, state: int, counts: np.ndarray) -> None:
+    """Add the non-zero days of a day-indexed count array to ``table``."""
+    days = np.flatnonzero(counts[1:]) + 1
+    table.update(zip(((state, d) for d in days.tolist()),
+                     counts[days].tolist()))
 
 
 def generate_tables(
@@ -622,29 +698,21 @@ def generate_tables(
 
         # presence of every attendee, visible or not
         if with_presence:
-            delta = np.zeros(config.n_days + config.peak_stay
-                             + int(stays.max(initial=config.min_stay)) + 2,
-                             dtype=np.int64)
-            np.add.at(delta, arrivals, 1)
-            np.add.at(delta, arrivals + stays, -1)
-            _invisible_presence(spec.attendees - visible, spec, config, delta)
-            present = np.cumsum(delta)[1:config.n_days + 1]
-            for d in range(1, config.n_days + 1):
-                if present[d - 1]:
-                    truth.true_daily[(spec.code, d)] = int(present[d - 1])
+            hidden = _invisible_roster(spec.attendees - visible, spec, config)
+            first = np.concatenate([arrivals, hidden[0]])
+            end = first + np.concatenate([stays, hidden[1]])
+            n = max(config.n_days + 2, int(end.max(initial=0)) + 1)
+            present = np.cumsum(np.bincount(first, minlength=n)
+                                - np.bincount(end, minlength=n))
+            _put_daily(truth.true_daily, spec.code, present[:config.n_days + 1])
 
         if visible == 0:
             continue
 
-        persons, days, n_active = _activity_slots(arrivals, stays, config, rng)
-        for i in range(visible):
-            truth.stay_pairs.append((int(n_active[i]), int(stays[i])))
-        p_arr = np.array(persons, dtype=np.int64)
-        d_arr = np.array(days, dtype=np.int64)
+        p_arr, d_arr, n_active = _activity_slots(arrivals, stays, config, rng)
+        truth.stay_pairs += zip(n_active.tolist(), stays.tolist())
         day_counts = np.bincount(d_arr, minlength=config.n_days + 1)
-        for d in range(1, config.n_days + 1):
-            if day_counts[d]:
-                truth.observed_counts[(spec.code, d)] = int(day_counts[d])
+        _put_daily(truth.observed_counts, spec.code, day_counts)
 
         if with_spatial:
             theta_by_day = np.full(config.n_days + 1, min(spec.theta, config.theta_cap))
@@ -687,41 +755,35 @@ def generate_tables(
 
         if with_social and n_groups:
             base = spec.code * PERSON_STRIDE + 1
-            for i in range(visible):
-                truth.node_state[base + i] = spec.code
+            truth.node_state.update(
+                dict.fromkeys(range(base, base + visible), spec.code))
             wired = rng.random(n_groups) < config.p_in
             closed = rng.random(n_groups) < q_r
-            member_of: dict[int, list[int]] = {}
-            for i in range(visible):
-                g = int(groups[i])
-                if g >= 0:
-                    member_of.setdefault(g, []).append(base + i)
-            for g in range(n_groups):
-                if not wired[g]:
-                    continue
-                m = member_of[g]
-                truth.edges.append((m[0], m[1]))
-                truth.edges.append((m[1], m[2]))
-                if closed[g]:
-                    truth.edges.append((m[0], m[2]))
-                truth.triples.append(
-                    Triple(spec.code, (m[0], m[1], m[2]), bool(closed[g]))
-                )
+            # Group g's members are the g-th run of consecutive roster rows.
+            members = np.flatnonzero(groups >= 0)
+            if wired.any():
+                triples = [
+                    Triple(spec.code, tuple(nodes), c) for nodes, c in zip(
+                        (members.reshape(n_groups, -1) + base)[wired].tolist(),
+                        closed[wired].tolist())
+                ]
+                truth.triples += triples
+                # Edges share the triples' node ints: a 2-path, then closure.
+                for t in triples:
+                    a, b, c = t.nodes
+                    truth.edges += [(a, b), (b, c), (a, c)][:2 + t.closed]
             if config.p_out > 0:
-                members = np.array(sorted(k for k, g in (
-                    (base + i, groups[i]) for i in range(visible)) if g >= 0))
                 n_m = members.size
                 n_pairs = n_m * (n_m - 1) // 2
                 picks = rng.binomial(n_pairs, config.p_out)
-                chosen = rng.choice(n_pairs, size=min(picks, n_pairs),
-                                    replace=False)
-                for flat in np.sort(chosen):
-                    i = int((2 * n_m - 1 - np.sqrt((2 * n_m - 1) ** 2
-                                                   - 8 * flat)) // 2)
-                    j = int(flat - i * (2 * n_m - i - 1) // 2 + i + 1)
-                    a, b = int(members[i]), int(members[j])
-                    if groups[a - base] != groups[b - base]:
-                        truth.edges.append((a, b))
+                flat = np.sort(rng.choice(n_pairs, size=min(picks, n_pairs),
+                                          replace=False))
+                i = ((2 * n_m - 1 - np.sqrt((2 * n_m - 1) ** 2 - 8 * flat))
+                     // 2).astype(np.int64)
+                j = flat - i * (2 * n_m - i - 1) // 2 + i + 1
+                cross = groups[members[i]] != groups[members[j]]
+                truth.edges += zip((members[i][cross] + base).tolist(),
+                                   (members[j][cross] + base).tolist())
 
     if with_spatial and all_person:
         truth.slot_person = np.concatenate(all_person)
@@ -763,63 +825,46 @@ def emit_projections(
 # Event materialization and file output
 
 
-def _anchor_ts(window: StudyWindow, day: int, person: int) -> int:
-    return window.start + (day - 1) * 86400 + (13 * person + 104729 * day) % 86400
-
-
-def build_events(truth: GroundTruth) -> list[CdrEvent]:
+def build_events(truth: GroundTruth) -> CdrColumns:
     """Materialize the CDR stream implied by the generated tables.
 
     One anchor event per active person-day (to a non-customer peer, so it
     creates no social tie) plus one event per social edge on the lower
     endpoint's arrival day. All events of a person-day share that day's
-    placement, so the first-tower observation is unambiguous.
+    placement, so the first-tower observation is unambiguous. Rows are
+    sorted by (timestamp, caller, callee), ties keeping anchors first.
     """
     if truth.slot_cell is None:
         raise ConfigurationError("scenario was generated without placements")
-    window = truth.config.window
-    cell_of: dict[tuple[int, int], int] = {}
-    first_day: dict[int, int] = {}
-    events: list[CdrEvent] = []
-    for p, s, d, c in zip(truth.slot_person, truth.slot_state,
-                          truth.slot_day, truth.slot_cell):
-        p, s, d, c = int(p), int(s), int(d), int(c)
-        cell_of[(p, d)] = c
-        if p not in first_day or d < first_day[p]:
-            first_day[p] = d
-        tower = truth.active_tower_ids[c]
-        text = (p + d) % 2 == 0
-        events.append(CdrEvent(
-            timestamp=_anchor_ts(window, d, p),
-            caller_id=p,
-            callee_id=PEER_BASE + p % 977,
-            event_kind="text" if text else "call",
-            duration=0 if text else 30 + (31 * p + d) % 600,
-            tower_id=tower,
-            caller_state=s,
-            callee_state=0,
-            caller_is_customer=True,
-            callee_is_customer=False,
-        ))
-    for u, v in truth.edges:
-        caller, callee = (u, v) if u <= v else (v, u)
-        d = first_day[caller]
-        tower = truth.active_tower_ids[cell_of[(caller, d)]]
-        events.append(CdrEvent(
-            timestamp=window.start + (d - 1) * 86400
-            + (13 * caller + 104729 * d + 7) % 86400,
-            caller_id=caller,
-            callee_id=callee,
-            event_kind="call",
-            duration=60 + (caller + callee) % 300,
-            tower_id=tower,
-            caller_state=truth.node_state[caller],
-            callee_state=truth.node_state[callee],
-            caller_is_customer=True,
-            callee_is_customer=True,
-        ))
-    events.sort(key=lambda e: (e.timestamp, e.caller_id, e.callee_id))
-    return events
+    start = truth.config.window.start
+    p, state, d = truth.slot_person, truth.slot_state, truth.slot_day
+    tower = np.array(truth.active_tower_ids, dtype=np.int64)[truth.slot_cell]
+    text = (p + d) % 2 == 0
+    n = len(p)
+    anchors = CdrColumns(
+        start + (d - 1) * 86400 + (13 * p + 104729 * d) % 86400,
+        p, PEER_BASE + p % 977, text, np.where(text, 0, 30 + (31 * p + d) % 600),
+        tower, state, np.zeros(n, np.int64), np.ones(n, bool), np.zeros(n, bool),
+    )
+    # Each person's first slot (the grouped minimum of its days) gives
+    # the day, tower and state of the person's tie events.
+    by_person = np.lexsort((d, p))
+    first = by_person[run_starts(p[by_person])]
+    edges = np.array(truth.edges, dtype=np.int64).reshape(-1, 2)
+    caller, callee = edges.min(axis=1), edges.max(axis=1)
+    row = first[np.searchsorted(p[first], caller)]
+    callee_row = first[np.searchsorted(p[first], callee)]
+    day = d[row]
+    m = len(edges)
+    ties = CdrColumns(
+        start + (day - 1) * 86400 + (13 * caller + 104729 * day + 7) % 86400,
+        caller, callee, np.zeros(m, bool), 60 + (caller + callee) % 300,
+        tower[row], state[row], state[callee_row], np.ones(m, bool),
+        np.ones(m, bool),
+    )
+    events = CdrColumns.concat([anchors, ties])
+    order = np.lexsort((events.callee_id, events.caller_id, events.timestamp))
+    return CdrColumns(*(getattr(events, f.name)[order] for f in fields(CdrColumns)))
 
 
 def generate(
@@ -834,7 +879,8 @@ def generate(
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     truth = generate_tables(config)
-    events = build_events(truth) if truth.slot_cell is not None else []
+    events = (build_events(truth) if truth.slot_cell is not None
+              else CdrColumns.from_events(()))
     paths = {
         "cdr": outdir / "cdr.csv",
         "towers": outdir / "towers.csv",
@@ -895,37 +941,22 @@ def predicted_pair_rate(spec: StateSpec, config: ScenarioConfig) -> float:
     n_act = np.zeros(nd + 2)
     sg = np.zeros(nd + 2)
 
-    cohorts: dict[tuple[int, int], list[int]] = {}
-    gid_sizes: dict[int, int] = {}
-    for a, s, g in zip(arrivals, stays, groups):
-        cohorts.setdefault((int(a), int(s)), []).append(int(g))
-        if g >= 0:
-            gid_sizes[int(g)] = gid_sizes.get(int(g), 0) + 1
-
-    u = config.daily_use
-    carry = 0.5     # must mirror _activity_slots exactly
-    for (a, s), gids in sorted(cohorts.items()):
-        k = len(gids)
-        wp = sum(
-            n * (n - 1) / 2.0
-            for n in (gid_sizes[g] for g in set(gids) if g >= 0)
-        )
-        for anchor in (a, a + s - 1):
-            n_act[anchor] += k
-            sg[anchor] += wp
-        if s <= 2:
-            continue
-        rate = _interior_rate(u, s)
-        if rate <= 0:
-            continue
-        mu = k * rate
-        for d in range(a + 1, a + s - 1):
-            x = mu + carry
-            take = min(int(floor(x + 1e-9)), k)
-            carry = x - take
+    order, starts, sizes = _cohorts(arrivals, stays)
+    a, s = arrivals[order[starts]].tolist(), stays[order[starts]].tolist()
+    k = sizes.tolist()
+    # A travel group lies inside one cohort, so a cohort's within-group
+    # pairs are its grouped members times (group_size - 1) / 2.
+    wp = (np.add.reduceat(groups[order] >= 0, starts)
+          * (config.group_size - 1) / 2.0).tolist()
+    quotas = _interior_quotas(s, k, config.daily_use)
+    for c, quota in enumerate(quotas):
+        for anchor in (a[c], a[c] + s[c] - 1):
+            n_act[anchor] += k[c]
+            sg[anchor] += wp[c]
+        for d, take in enumerate(quota, a[c] + 1):
             n_act[d] += take
-            if k >= 2:
-                sg[d] += wp * take * (take - 1) / (k * (k - 1))
+            if k[c] >= 2:
+                sg[d] += wp[c] * take * (take - 1) / (k[c] * (k[c] - 1))
     ratios = [
         sg[d] / (n_act[d] * (n_act[d] - 1) / 2.0)
         for d in range(1, nd + 1)

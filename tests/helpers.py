@@ -5,10 +5,13 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from fractions import Fraction
+from math import ceil, expm1, floor, log1p
 
 import numpy as np
 
-from crowdcdr.ingest import CdrEvent, DEFAULT_WINDOW, ObservationColumns
+from crowdcdr.errors import ConfigurationError
+from crowdcdr.ingest import (CdrColumns, CdrEvent, DEFAULT_WINDOW,
+                             ObservationColumns, StudyWindow)
 from crowdcdr.social import SocialNetwork
 from crowdcdr.spatial import colocation_probability
 
@@ -70,6 +73,18 @@ def event_row(ev: CdrEvent) -> str:
             int(ev.callee_is_customer),
         )
     )
+
+
+def columns_as_events(columns: CdrColumns) -> list[CdrEvent]:
+    """The events a CdrColumns holds, as CdrEvent records."""
+    return [
+        CdrEvent(ts, a, b, "text" if t else "call", dur, tower, sa, sb, ca, cb)
+        for ts, a, b, t, dur, tower, sa, sb, ca, cb in zip(
+            *(getattr(columns, f).tolist() for f in (
+                "timestamp", "caller_id", "callee_id", "is_text", "duration",
+                "tower_id", "caller_state", "callee_state",
+                "caller_is_customer", "callee_is_customer")))
+    ]
 
 
 def make_observations(rows) -> ObservationColumns:
@@ -172,3 +187,116 @@ def colocation_oracle(obs: ObservationColumns, cell_of_tower=None):
     totals = {key: sum(counts[key].values()) for key in sorted(counts)}
     p = {key: colocation_probability(counts[key]) for key in sorted(counts)}
     return totals, p
+
+
+def located_party(event: CdrEvent) -> tuple[int, int] | None:
+    """(person_id, state) of the party the serving tower locates.
+
+    The caller when the caller is a customer, else the callee; None if
+    neither party is a customer.
+    """
+    if event.caller_is_customer:
+        return event.caller_id, event.caller_state
+    if event.callee_is_customer:
+        return event.callee_id, event.callee_state
+    return None
+
+
+def dedupe_daily(
+    events, *, window: StudyWindow = DEFAULT_WINDOW
+) -> ObservationColumns:
+    """Collapse events to at most one observation per (person, day).
+
+    The dict-based oracle of ``ingest.daily_observations``: the earliest
+    event's tower, equal timestamps broken by the smallest tower_id,
+    output sorted by (person, day).
+    """
+    best: dict[tuple[int, int], tuple[int, int, int]] = {}
+    for ev in events:
+        party = located_party(ev)
+        if party is None:
+            continue
+        pid, state = party
+        day = window.day_of(ev.timestamp)
+        key = (pid, day)
+        cand = (ev.timestamp, ev.tower_id, state)
+        prev = best.get(key)
+        if prev is None or cand[:2] < prev[:2]:
+            best[key] = cand
+    table = np.array([
+        (pid, state, day, tower)
+        for (pid, day), (_, tower, state) in sorted(best.items())
+    ], dtype=np.int64).reshape(-1, 4).T
+    return ObservationColumns(*table)
+
+
+def count_unique_handsets(
+    observations: ObservationColumns,
+) -> dict[tuple[int, int], int]:
+    """Distinct-person count per (state, day); oracle of ``unique_handsets``."""
+    return dict(Counter(zip(observations.state_code.tolist(),
+                            observations.day.tolist())))
+
+
+def towers_with_traffic(events) -> set[int]:
+    return {ev.tower_id for ev in events}
+
+
+def stratified_stays(k, config, max_stay=None, phase=0.5) -> list[int]:
+    """k stays at quantiles (j + phase) / k, one at a time.
+
+    The scalar oracle of ``synth._stratified_stays`` for one cohort.
+    """
+    p = 1.0 / (config.mean_stay - config.min_stay + 1.0)
+    mass = 1.0
+    if max_stay is not None:
+        if max_stay < config.min_stay:
+            raise ConfigurationError(
+                f"max_stay {max_stay} below min_stay {config.min_stay}"
+            )
+        mass = -expm1(log1p(-p) * (max_stay - config.min_stay + 1))
+    stays = []
+    for j in range(k):
+        q = (j + phase) / k * mass
+        g = max(1, ceil(log1p(-q) / log1p(-p)))
+        stays.append(config.min_stay - 1 + g)
+    return stays
+
+
+def activity_slots(arrivals, stays, daily_use, rng):
+    """(persons, days, n_active) by per-cohort, per-slot loops.
+
+    The loop oracle of ``synth._activity_slots``: the same draws from
+    ``rng`` in the same order.
+    """
+    n = len(arrivals)
+    n_active = np.full(n, 2, dtype=np.int64)
+    persons: list[int] = []
+    days: list[int] = []
+    cohorts: dict[tuple[int, int], list[int]] = {}
+    for i in range(n):
+        cohorts.setdefault((int(arrivals[i]), int(stays[i])), []).append(i)
+        persons += [i, i]
+        days += [int(arrivals[i]), int(arrivals[i]) + int(stays[i]) - 1]
+    carry = 0.5
+    for (a, s), members in sorted(cohorts.items()):
+        if s <= 2:
+            continue
+        rate = (daily_use * s - 2.0) / (s - 2.0)
+        if rate <= 0:
+            continue
+        k = len(members)
+        order = [members[j] for j in rng.permutation(k)]
+        mu = k * rate
+        rot = 0
+        for d in range(a + 1, a + s - 1):
+            x = mu + carry
+            take = min(int(floor(x + 1e-9)), k)
+            carry = x - take
+            for t in range(take):
+                idx = order[(rot + t) % k]
+                persons.append(idx)
+                days.append(d)
+                n_active[idx] += 1
+            rot = (rot + take) % k
+    return persons, days, n_active

@@ -120,6 +120,22 @@ class TestGen:
         assert err.startswith("data error:") and "scenario.json" in err
 
 
+    @pytest.mark.parametrize("key, value", [
+        ("n_days", "x"), ("seed", -1), ("peak_days", [41.5])])
+    def test_scenario_config_value_of_the_wrong_kind_exits_3(
+            self, tmp_path, capsys, key, value):
+        cfg_path = tmp_path / "scenario.json"
+        synth.named_scenario("desk-small").to_json(cfg_path)
+        blob = read_json(cfg_path)
+        blob[key] = value
+        cfg_path.write_text(json.dumps(blob), encoding="utf-8")
+        assert run("gen", "--config", cfg_path,
+                   "--output-dir", tmp_path / "x") == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and err.count("\n") == 1
+        assert key in err
+
+
 class TestReport:
     def test_artifact_catalog(self, report_dir):
         expected = [
@@ -407,6 +423,18 @@ class TestFailureModes:
         assert blob["error"] == "ConfigurationError"
         assert blob["exit_code"] == 3
 
+    def test_config_bootstrap_replicates_above_maximum_exits_3(
+            self, gen_dir, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"bootstrap_replicates": 10 ** 15}),
+                            encoding="utf-8")
+        assert run("spatial", "--input-dir", gen_dir,
+                   "--output-dir", tmp_path / "out", "--config", cfg_path) == 3
+        assert "at most 100000" in capsys.readouterr().err
+        blob = read_json(tmp_path / "out" / "manifest_spatial.json")
+        assert (blob["failed_stage"], blob["error"], blob["exit_code"]) == (
+            "config", "ConfigurationError", 3)
+
     def test_silent_tower_out_of_projection_range_exits_3(
             self, gen_dir, tmp_path, capsys):
         cdr = read_rows(gen_dir / "cdr.csv")
@@ -490,6 +518,14 @@ class TestFailureModes:
                 "--bootstrap-replicates", replicates)
         assert exc.value.code == 2
         assert "at least 200" in capsys.readouterr().err
+
+    def test_too_many_bootstrap_replicates_exit_2(self, gen_dir, tmp_path,
+                                                  capsys):
+        with pytest.raises(SystemExit) as exc:
+            run("spatial", "--input-dir", gen_dir, "--output-dir", tmp_path,
+                "--bootstrap-replicates", 10 ** 15)
+        assert exc.value.code == 2
+        assert "at most 100000" in capsys.readouterr().err
 
     def test_non_numeric_tower_id_exits_3(self, gen_dir, tmp_path, capsys):
         broken = tmp_path / "badtower"

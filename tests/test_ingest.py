@@ -17,20 +17,19 @@ from crowdcdr.ingest import (
     CdrColumns,
     IngestReport,
     StudyWindow,
-    count_unique_handsets,
     daily_observations,
-    dedupe_daily,
     parse_cdr,
     read_cdr_columns,
-    towers_with_traffic,
     write_cdr,
 )
 from crowdcdr.attendance import first_day_counts, stays_from_observations
 from crowdcdr.social import build_network
 from crowdcdr.spatial import build_colocation_series
-from helpers import (cdr_text, colocation_oracle, first_day_counts_oracle,
-                     make_event, make_observations, observation_rows,
-                     stays_oracle, ts_on_day)
+from helpers import (cdr_text, colocation_oracle, columns_as_events,
+                     count_unique_handsets, dedupe_daily,
+                     first_day_counts_oracle, make_event, make_observations,
+                     observation_rows, stays_oracle, towers_with_traffic,
+                     ts_on_day)
 
 
 def parse_all(text, **kwargs):
@@ -168,10 +167,10 @@ class TestParse:
             make_event(day=90, caller=9, tower=44, duration=301),
         ]
         path = tmp_path / "events.csv"
-        write_cdr(events, path)
+        write_cdr(CdrColumns.from_events(events), path)
         assert list(parse_cdr(path)) == events
         path2 = tmp_path / "events2.csv"
-        write_cdr(parse_cdr(path), path2)
+        write_cdr(CdrColumns.from_events(parse_cdr(path)), path2)
         assert path2.read_bytes() == path.read_bytes()
 
 
@@ -278,7 +277,7 @@ class TestCounts:
         away = synth.StateSpec(2, "away", 1000, 0.25, theta=0.4)
         config = synth.ScenarioConfig(seed=6, states=[host, away])
         truth = synth.generate_tables(config)
-        events = synth.build_events(truth)
+        events = columns_as_events(synth.build_events(truth))
         counts = count_unique_handsets(dedupe_daily(events))
         assert counts == truth.observed_counts
 
@@ -296,7 +295,7 @@ class TestFullScenarioEquivalence:
     def test_reemitting_parsed_file_is_byte_stable(self, desk_small_files, tmp_path):
         paths, _ = desk_small_files
         out = tmp_path / "copy.csv"
-        write_cdr(parse_cdr(paths["cdr"]), out)
+        write_cdr(CdrColumns.from_events(parse_cdr(paths["cdr"])), out)
         assert out.read_bytes() == paths["cdr"].read_bytes()
 
 
@@ -367,7 +366,7 @@ class TestAuxiliaryLoaders:
             ingest.TowerSite(t, 25.0, 81.0, True) for t in (1, 2, 5)
         ]
         marked = ingest.mark_tower_activity(
-            towers, ingest.towers_with_traffic(events)
+            towers, towers_with_traffic(events)
         )
         assert [(t.tower_id, t.active) for t in marked] == [
             (1, False), (2, True), (5, True)
@@ -376,19 +375,6 @@ class TestAuxiliaryLoaders:
 
 # ---------------------------------------------------------------------------
 # The columnar fast path against the streaming oracle
-
-
-def columns_as_events(columns):
-    """The events a CdrColumns holds, as CdrEvent records."""
-    return [
-        ingest.CdrEvent(ts, a, b, "text" if t else "call", dur, tower,
-                        sa, sb, ca, cb)
-        for ts, a, b, t, dur, tower, sa, sb, ca, cb in zip(
-            *(getattr(columns, f).tolist() for f in (
-                "timestamp", "caller_id", "callee_id", "is_text", "duration",
-                "tower_id", "caller_state", "callee_state",
-                "caller_is_customer", "callee_is_customer")))
-    ]
 
 
 def _cells(fn):

@@ -221,6 +221,13 @@ class TestBootstrap:
         with pytest.raises(EstimationError, match="200"):
             bootstrap_ratio_ci([0.5, 0.6], [0.1, 0.2], replicates=10, seed=0)
 
+    def test_too_many_replicates_raise_before_allocating(self):
+        with pytest.raises(EstimationError, match="100000"):
+            bootstrap_mean_ci([0.5, 0.6], replicates=10 ** 15, seed=0)
+        with pytest.raises(EstimationError, match="100000"):
+            bootstrap_ratio_ci([0.5, 0.6], [0.1, 0.2], replicates=100_001,
+                               seed=0)
+
     def test_mean_interval_covers_truth_in_at_least_93_of_100(self):
         true_mean = 2.0 / 152.0
         covered = 0

@@ -1,7 +1,12 @@
 """Scenario generator: planted ground truth and its emitted tables."""
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from crowdcdr import attendance as att
 from crowdcdr import synth
@@ -9,6 +14,7 @@ from crowdcdr.errors import ConfigurationError
 from crowdcdr.ingest import parse_cdr
 from crowdcdr.spatial import colocation_probability
 from crowdcdr.synth import ScenarioConfig, StateSpec
+from helpers import activity_slots, stratified_stays
 
 
 def two_state_config(**overrides):
@@ -121,6 +127,28 @@ class TestValidation:
         path = tmp_path / "config.json"
         cfg.to_json(path)
         assert ScenarioConfig.from_json(path) == cfg
+
+    @pytest.mark.parametrize("edit", [
+        lambda b: b.update(n_days="x"),
+        lambda b: b.update(mean_stay="12"),
+        lambda b: b.update(seed=True),
+        lambda b: b.update(seed=-1),
+        lambda b: b.update(peak_days=[41.5]),
+        lambda b: b.update(states=5),
+        lambda b: b["states"][0].update(attendees="9"),
+        lambda b: b["states"][0].update(is_local="yes"),
+        lambda b: b["states"][1].update(name=2),
+    ], ids=["n_days", "mean_stay", "bool-seed", "negative-seed", "peak_days",
+            "states", "attendees", "is_local", "name"])
+    def test_config_json_value_of_the_wrong_kind_is_rejected(self, tmp_path,
+                                                             edit):
+        path = tmp_path / "config.json"
+        two_state_config().to_json(path)
+        blob = json.loads(path.read_text(encoding="utf-8"))
+        edit(blob)
+        path.write_text(json.dumps(blob), encoding="utf-8")
+        with pytest.raises(ConfigurationError, match="must be"):
+            ScenarioConfig.from_json(path)
 
     def test_unknown_scenario_name(self):
         with pytest.raises(ConfigurationError, match="unknown scenario"):
@@ -323,9 +351,88 @@ class TestEventMaterialization:
         truth = desk_small_truth
         events = synth.build_events(truth)
         assert len(events) == len(truth.slot_person) + len(truth.edges)
-        tie_events = [e for e in events if e.callee_is_customer]
-        assert len(tie_events) == len(truth.edges)
-        for ev in tie_events:
-            assert ev.caller_is_customer
-        anchor_events = [e for e in events if not e.callee_is_customer]
-        assert len(anchor_events) == len(truth.slot_person)
+        tie = events.callee_is_customer
+        assert tie.sum() == len(truth.edges)
+        assert events.caller_is_customer[tie].all()
+        assert (~tie).sum() == len(truth.slot_person)
+
+
+#: SHA-256 of every file ``generate`` writes for desk-small, per seed.
+DESK_SMALL_DIGESTS = {
+    1: {
+        "cdr": "71bb95549283919970621205c455f5f0d4e4c1145ec0f8cc4d34a456b727a87b",
+        "towers": "6cfe2a42683badd615eeef4f37a17fe69fa23b8305bdd07a5d6aad3caa9a871d",
+        "states": "6a9defb4a0b693324e29301bf31f065ddac48cce8c022b027287cce983b329da",
+        "projections":
+            "05b044caa97a7907a10a0573551ef00a72633d868268e34a7d95927436865a0f",
+        "truth": "b7bb57b97858deac35253cbf818c2245d234486a70e726f0d7cc6c05b33cbd06",
+    },
+    2: {
+        "cdr": "3fc63930a5ded1e20903b8db75caf0b110835b9ba63b7301ab18b8fd0f9befd5",
+        "towers": "6cfe2a42683badd615eeef4f37a17fe69fa23b8305bdd07a5d6aad3caa9a871d",
+        "states": "6a9defb4a0b693324e29301bf31f065ddac48cce8c022b027287cce983b329da",
+        "projections":
+            "9c8a196e3e05d8a0c60d5febd2c40954ae6eee8cebef4cd14b835c200095ca23",
+        "truth": "58a5b4e2ff407a56682a7ac3baa6a7ec1a706762df04993aa9fd32ca5600c094",
+    },
+}
+
+
+class TestColumnarGenerator:
+    @pytest.mark.parametrize("seed", sorted(DESK_SMALL_DIGESTS))
+    def test_generated_files_are_pinned(self, tmp_path, seed):
+        paths, _ = synth.generate(synth.named_scenario("desk-small", seed),
+                                  tmp_path)
+        digests = {name: hashlib.sha256(path.read_bytes()).hexdigest()
+                   for name, path in paths.items()}
+        assert digests == DESK_SMALL_DIGESTS[seed]
+
+    @settings(max_examples=300, deadline=None)
+    @given(k=st.integers(0, 300),
+           phase=st.floats(0.0, 1.0, exclude_max=True),
+           min_stay=st.integers(2, 12),
+           excess=st.floats(0.01, 40.0),
+           span=st.integers(0, 80))
+    @example(k=0, phase=0.5, min_stay=5, excess=7.0, span=10)
+    @example(k=1, phase=0.0, min_stay=5, excess=7.0, span=10)
+    @example(k=40, phase=0.3, min_stay=5, excess=7.0, span=0)
+    @example(k=2, phase=0.9999999999999999, min_stay=2, excess=1.0, span=53)
+    def test_stays_equal_the_scalar_oracle(self, k, phase, min_stay, excess,
+                                           span):
+        cfg = ScenarioConfig(min_stay=min_stay, mean_stay=min_stay + excess)
+        max_stay = min_stay + span
+        try:
+            want = stratified_stays(k, cfg, max_stay, phase)
+        except ValueError:
+            # A quantile that rounds to 1 takes log1p(-1); both fail alike.
+            with pytest.raises(ValueError):
+                synth._stratified_stays([k], cfg, [max_stay], [phase])
+        else:
+            got = synth._stratified_stays([k], cfg, [max_stay], [phase])
+            assert got.tolist() == want
+
+    def test_stays_of_several_cohorts_concatenate(self):
+        cfg = ScenarioConfig()
+        cohorts = [(3, 50, 0.1), (0, 40, 0.7), (1, 5, 0.0), (7, 5, 0.9)]
+        counts, max_stays, phases = zip(*cohorts)
+        got = synth._stratified_stays(counts, cfg, max_stays, phases)
+        assert got.tolist() == [s for k, m, ph in cohorts
+                                for s in stratified_stays(k, cfg, m, ph)]
+
+    def test_max_stay_below_min_stay_is_rejected(self):
+        with pytest.raises(ConfigurationError, match="below min_stay"):
+            synth._stratified_stays([2], ScenarioConfig(), [4], [0.5])
+
+    @pytest.mark.parametrize("daily_use", [0.404, 0.4, 1.0])
+    def test_activity_slots_equal_the_loop_oracle(self, daily_use):
+        cfg = two_state_config(daily_use=daily_use)
+        arrivals, stays, _, _ = synth._roster(300, cfg.states[1], cfg)
+        rng, rng_oracle = (np.random.default_rng(11) for _ in range(2))
+        persons, days, n_active = synth._activity_slots(arrivals, stays, cfg,
+                                                        rng)
+        want_p, want_d, want_n = activity_slots(arrivals, stays, daily_use,
+                                                rng_oracle)
+        assert persons.tolist() == want_p
+        assert days.tolist() == want_d
+        assert n_active.tolist() == want_n.tolist()
+        assert rng.bit_generator.state == rng_oracle.bit_generator.state
