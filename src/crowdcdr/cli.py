@@ -33,7 +33,6 @@ from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
-import scipy
 
 from . import __version__
 from . import attendance as att
@@ -170,7 +169,6 @@ class RunManifest:
         self.versions = {
             "crowdcdr": __version__,
             "numpy": np.__version__,
-            "scipy": scipy.__version__,
             "python": sys.version.split()[0],
         }
 
@@ -418,17 +416,22 @@ def stage_social(run: Run) -> tuple[dict[str, Path], social.LogisticFit]:
 
 
 def _cell_map(towers) -> dict[int, int]:
-    """tower_id -> serving active tower (itself, or nearest when silent)."""
+    """tower_id -> serving active tower (itself, or nearest when silent).
+
+    Each tower is projected once. A silent tower goes to the active tower
+    at the least squared distance, ties to the smallest id, which is what
+    ``geo.nearest_active_tower`` finds for it by a linear scan.
+    """
     origin = geo.tower_origin(towers)
     mapping: dict[int, int] = {
         t.tower_id: t.tower_id for t in towers if t.active
     }
+    active = sorted((t for t in towers if t.active), key=lambda t: t.tower_id)
+    pts = np.array([geo.project_tower(t, origin) for t in active])
     for t in towers:
         if not t.active:
-            point = geo.project_tower(t, origin)
-            mapping[t.tower_id] = geo.nearest_active_tower(
-                point, towers, origin=origin
-            )
+            d2 = ((pts - geo.project_tower(t, origin)) ** 2).sum(axis=1)
+            mapping[t.tower_id] = active[int(d2.argmin())].tower_id
     return mapping
 
 

@@ -8,6 +8,10 @@ active tower either way.
 Coordinates are projected onto a local planar frame (km) with an
 equirectangular projection about the centroid of the active towers; at
 venue scale (a few km) the distance distortion is far below 0.1%.
+
+Cells are clipped out of the bounding box by perpendicular bisectors,
+with numpy alone (Aurenhammer 1991, "Voronoi diagrams - a survey of a
+fundamental geometric data structure").
 """
 
 from __future__ import annotations
@@ -114,14 +118,10 @@ def build_tessellation(
     """Voronoi cells of the active towers, clipped to the bounding box.
 
     The bounding box defaults to the active-tower extent padded by 2 km.
-    Clipping is exact: the diagram is built over the towers plus their
-    reflections across each box side, which makes the box edges Voronoi
-    boundaries, so the clipped cell areas sum to the box area.
+    Each cell is the box clipped by its bisector with each other tower,
+    nearest first, until the next tower lies beyond twice the cell's
+    farthest vertex (the security radius), so the areas sum to the box's.
     """
-    # Imported here: scipy.spatial takes about 0.5 s to import, and only
-    # the spatial stage needs it.
-    from scipy.spatial import Voronoi
-
     active, pts, origin = _active_points(towers, origin)
     rounded = {(round(p[0], 9), round(p[1], 9)) for p in pts}
     if len(rounded) != len(pts):
@@ -135,24 +135,44 @@ def build_tessellation(
     if not (xmin < xmax and ymin < ymax):
         raise ConfigurationError(f"degenerate bounding box {bbox}")
 
-    left = pts.copy()
-    left[:, 0] = 2 * xmin - pts[:, 0]
-    right = pts.copy()
-    right[:, 0] = 2 * xmax - pts[:, 0]
-    low = pts.copy()
-    low[:, 1] = 2 * ymin - pts[:, 1]
-    high = pts.copy()
-    high[:, 1] = 2 * ymax - pts[:, 1]
-    vor = Voronoi(np.vstack([pts, left, right, low, high]))
+    n = len(pts)
+    box = [[xmin, ymin], [xmax, ymin], [xmax, ymax], [xmin, ymax]]
+    poly = np.tile(np.array(box, dtype=float), (n, 1, 1))   # count[i] rows used
+    count = np.full(n, 4)
+    d2 = ((pts[:, None] - pts[None]) ** 2).sum(axis=2)
+    order = np.argsort(d2, axis=1, kind="stable")   # column 0 is the tower
+    live = np.arange(n)
+    for k in range(1, n):   # one Sutherland-Hodgman pass over the live cells
+        slots = np.arange(poly.shape[1])
+        valid = slots < count[live, None]
+        reach2 = np.where(valid, ((poly[live] - pts[live, None]) ** 2).sum(axis=2), 0)
+        near = d2[live, order[live, k]] <= 4 * reach2.max(axis=1)
+        live, valid = live[near], valid[near]
+        if not live.size:
+            break
+        cell, own, other = poly[live], pts[live], pts[order[live, k]]
+        side = ((cell - (own + other)[:, None] / 2) * (other - own)[:, None]).sum(2)
+        succ = (slots + 1) % count[live, None]
+        side_next = np.take_along_axis(side, succ, axis=1)
+        inside, crossing = valid & (side <= 0), valid & (side * side_next < 0)
+        emitted = inside + crossing.astype(int)
+        slot = np.cumsum(emitted, axis=1) - emitted
+        count[live] = emitted.sum(axis=1)
+        if count.max() > poly.shape[1]:
+            poly = np.pad(poly, ((0, 0), (0, count.max() - poly.shape[1]), (0, 0)))
+        r, c = np.nonzero(inside)
+        poly[live[r], slot[r, c]] = cell[r, c]
+        r, c = np.nonzero(crossing)
+        t = (side[r, c] / (side[r, c] - side_next[r, c]))[:, None]
+        a, b = cell[r, c], cell[r, succ[r, c]]
+        poly[live[r], slot[r, c] + inside[r, c]] = a + t * (b - a)
 
     cells = []
     for i, tower in enumerate(active):
-        region = vor.regions[vor.point_region[i]]
-        if -1 in region:        # cannot happen with the mirrored points
-            raise ConfigurationError(
-                f"unbounded cell for tower {tower.tower_id}"
-            )
-        verts = vor.vertices[region]
+        verts = poly[i, : count[i]]
+        # Cocircular towers leave vertices that coincide up to rounding.
+        gap = np.abs(verts - np.roll(verts, 1, axis=0)).max(axis=1)
+        verts = verts[gap > 1e-9]
         angles = np.arctan2(verts[:, 1] - pts[i, 1], verts[:, 0] - pts[i, 0])
         verts = verts[np.argsort(angles)]   # convex, so angular order works
         x, y = verts[:, 0], verts[:, 1]

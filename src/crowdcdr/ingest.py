@@ -676,11 +676,20 @@ def write_cdr(columns: CdrColumns, path, *, delimiter: str = ",") -> None:
 
 def write_columns(path, header: Sequence[str], columns: Sequence[np.ndarray], *,
                   delimiter: str = ",") -> None:
-    """``write_table`` for integer and string columns, with the same bytes."""
+    """``write_table`` for integer and string columns, with the same bytes.
+
+    Each row is one %-format, so a text cell that ``csv`` would quote (one
+    holding the delimiter, a quote or a line break) is refused instead.
+    """
+    texts = [*header, *(v for c in columns if c.dtype.kind not in "biu"
+                        for v in np.unique(c).tolist())]
+    for text in texts:
+        if any(ch in text for ch in (delimiter, '"', "\n", "\r")):
+            raise ValueError(f"cell {text!r} would need CSV quoting")
+    row = delimiter.join(["%s"] * len(columns)) + "\n"
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, delimiter=delimiter, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(zip(*(c.tolist() for c in columns)))
+        fh.write(delimiter.join(header) + "\n")
+        fh.writelines(row % cells for cells in zip(*(c.tolist() for c in columns)))
 
 
 def write_table(path, header: Sequence[str], rows: Iterable[Sequence], *,

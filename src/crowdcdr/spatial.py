@@ -31,8 +31,10 @@ from .ingest import ObservationColumns, run_starts
 
 #: Fewest bootstrap replicates a percentile interval is computed from.
 MIN_BOOTSTRAP_REPLICATES = 200
-#: Most replicates: the resampling index is replicates x days in one piece.
+#: Most replicates: bounds the run time and the per-replicate statistics.
 MAX_BOOTSTRAP_REPLICATES = 100_000
+#: Replicates drawn and gathered at a time, so memory is block x days.
+BOOTSTRAP_BLOCK_ROWS = 1024
 
 
 def _check_replicates(replicates: int) -> None:
@@ -40,6 +42,22 @@ def _check_replicates(replicates: int) -> None:
         raise EstimationError(
             f"need between {MIN_BOOTSTRAP_REPLICATES} and "
             f"{MAX_BOOTSTRAP_REPLICATES} bootstrap replicates, got {replicates}")
+
+
+def _resampled_means(
+    rng: np.random.Generator, vals: np.ndarray, replicates: int
+) -> np.ndarray:
+    """Means of ``replicates`` resamples of ``vals``, drawn in row blocks.
+
+    Drawing the blocks in order takes the generator stream that one draw
+    of the whole (replicates, days) index would, so the means are the same.
+    """
+    means = []
+    for start in range(0, replicates, BOOTSTRAP_BLOCK_ROWS):
+        rows = min(BOOTSTRAP_BLOCK_ROWS, replicates - start)
+        idx = rng.integers(0, vals.size, size=(rows, vals.size))
+        means.append(vals[idx].mean(axis=1))
+    return np.concatenate(means)
 
 
 def colocation_probability(
@@ -188,9 +206,7 @@ def bootstrap_mean_ci(
     if vals.size < 2:
         raise EstimationError("need at least 2 defined days to bootstrap")
     _check_replicates(replicates)
-    rng = np.random.default_rng(seed)
-    idx = rng.integers(0, vals.size, size=(replicates, vals.size))
-    stats = vals[idx].mean(axis=1)
+    stats = _resampled_means(np.random.default_rng(seed), vals, replicates)
     lo, hi = np.percentile(stats, [100 * alpha / 2, 100 * (1 - alpha / 2)])
     return float(lo), float(hi)
 
@@ -214,10 +230,8 @@ def bootstrap_ratio_ci(
         raise EstimationError("need at least 2 defined days in each stratum")
     _check_replicates(replicates)
     rng = np.random.default_rng(seed)
-    hi_idx = rng.integers(0, hv.size, size=(replicates, hv.size))
-    lo_idx = rng.integers(0, lv.size, size=(replicates, lv.size))
-    num = hv[hi_idx].mean(axis=1)
-    den = lv[lo_idx].mean(axis=1)
+    num = _resampled_means(rng, hv, replicates)    # every high-day block first
+    den = _resampled_means(rng, lv, replicates)
     ok = den > 0
     if not ok.any():
         raise EstimationError("all bootstrap denominators are zero")

@@ -172,8 +172,8 @@ class ScenarioConfig:
             raise ConfigurationError("stays must span at least 2 days")
         if self.peak_stay < self.min_stay:
             raise ConfigurationError("peak_stay shorter than min_stay")
-        if self.mean_stay < self.min_stay:
-            raise ConfigurationError("mean_stay below min_stay")
+        if self.mean_stay <= self.min_stay:
+            raise ConfigurationError("mean_stay below or at min_stay")
         # Anchored activity needs u*s >= 2 for every possible stay, else
         # the interior rate (u*s-2)/(s-2) would be negative.
         if self.daily_use * self.min_stay < 2:

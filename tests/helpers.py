@@ -8,7 +8,9 @@ from fractions import Fraction
 from math import ceil, expm1, floor, log1p
 
 import numpy as np
+import pytest
 
+from crowdcdr import geo
 from crowdcdr.errors import ConfigurationError
 from crowdcdr.ingest import (CdrColumns, CdrEvent, DEFAULT_WINDOW,
                              ObservationColumns, StudyWindow)
@@ -300,3 +302,42 @@ def activity_slots(arrivals, stays, daily_use, rng):
                 n_active[idx] += 1
             rot = (rot + take) % k
     return persons, days, n_active
+
+
+def mirrored_voronoi_cells(
+    towers, *, pad_km=geo.DEFAULT_PAD_KM, bbox=None, origin=None
+) -> dict[int, tuple[np.ndarray, float]]:
+    """tower_id -> (vertices in angular order, area) from scipy's Voronoi.
+
+    The oracle of ``geo.build_tessellation``: the diagram is built over the
+    towers plus their reflections across each box side, which makes the
+    box edges Voronoi boundaries. Skips the calling test without scipy.
+    """
+    spatial = pytest.importorskip("scipy.spatial")
+    active = sorted((t for t in towers if t.active), key=lambda t: t.tower_id)
+    if origin is None:
+        origin = geo.tower_origin(towers)
+    pts = np.array([geo.project_tower(t, origin) for t in active])
+    if bbox is None:
+        xmin, ymin = pts.min(axis=0) - pad_km
+        xmax, ymax = pts.max(axis=0) + pad_km
+    else:
+        xmin, ymin, xmax, ymax = bbox
+    left = pts.copy()
+    left[:, 0] = 2 * xmin - pts[:, 0]
+    right = pts.copy()
+    right[:, 0] = 2 * xmax - pts[:, 0]
+    low = pts.copy()
+    low[:, 1] = 2 * ymin - pts[:, 1]
+    high = pts.copy()
+    high[:, 1] = 2 * ymax - pts[:, 1]
+    vor = spatial.Voronoi(np.vstack([pts, left, right, low, high]))
+    cells = {}
+    for i, tower in enumerate(active):
+        verts = vor.vertices[vor.regions[vor.point_region[i]]]
+        angles = np.arctan2(verts[:, 1] - pts[i, 1], verts[:, 0] - pts[i, 0])
+        verts = verts[np.argsort(angles)]
+        x, y = verts[:, 0], verts[:, 1]
+        area = 0.5 * abs(np.dot(x, np.roll(y, 1)) - np.dot(y, np.roll(x, 1)))
+        cells[tower.tower_id] = (verts, float(area))
+    return cells

@@ -4,7 +4,11 @@ import codecs
 import csv
 import hashlib
 import json
+import os
+import random
 import shutil
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -12,7 +16,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crowdcdr import attendance, cli, social, synth
+from crowdcdr import attendance, cli, geo, social, synth
+from crowdcdr.ingest import TowerSite
 from helpers import CDR_HEADER
 
 PLANTED_PEAKS = {41, 46, 69}
@@ -134,6 +139,17 @@ class TestGen:
         err = capsys.readouterr().err
         assert err.startswith("data error:") and err.count("\n") == 1
         assert key in err
+
+    def test_scenario_mean_stay_at_min_stay_exits_3(self, tmp_path, capsys):
+        cfg_path = tmp_path / "scenario.json"
+        synth.named_scenario("desk-small").to_json(cfg_path)
+        blob = read_json(cfg_path)
+        blob["mean_stay"] = float(blob["min_stay"])
+        cfg_path.write_text(json.dumps(blob), encoding="utf-8")
+        assert run("gen", "--config", cfg_path,
+                   "--output-dir", tmp_path / "x") == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and "mean_stay" in err
 
 
 class TestReport:
@@ -261,6 +277,41 @@ class TestReport:
         assert spa["peak_mode"] == "calendar"
         expected = sorted(set(range(39, 49)) | set(range(67, 72)))
         assert spa["high_days"] == expected
+
+    def test_report_never_imports_scipy(self, gen_dir, tmp_path):
+        script = ("import sys\n"
+                  "from crowdcdr import cli\n"
+                  "rc = cli.main(sys.argv[1:])\n"
+                  "print('scipy imported:', 'scipy' in sys.modules, "
+                  "file=sys.stderr)\n"
+                  "sys.exit(rc)\n")
+        src = str(Path(cli.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-c", script, "report", "--input-dir",
+             str(gen_dir), "--output-dir", str(tmp_path / "out")],
+            capture_output=True, text=True, env=env, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "scipy imported: False" in proc.stderr
+
+
+class TestCellMap:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_silent_towers_go_where_the_linear_scan_sends_them(self, seed):
+        rng = random.Random(seed)
+        share = rng.uniform(0.05, 0.95)
+        grid = synth.tower_grid(synth.named_scenario("desk-small"))[0]
+        towers = [TowerSite(t.tower_id, t.latitude, t.longitude,
+                            rng.random() < share) for t in grid]
+        origin = geo.tower_origin(towers)
+        want = {
+            t.tower_id: t.tower_id if t.active else geo.nearest_active_tower(
+                geo.project_tower(t, origin), towers, origin=origin)
+            for t in towers
+        }
+        assert cli._cell_map(towers) == want
 
 
 class TestSubcommands:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crowdcdr import geo
+from crowdcdr import geo, synth
 from crowdcdr.errors import ConfigurationError
 from crowdcdr.geo import (
     build_tessellation,
@@ -19,8 +19,10 @@ from crowdcdr.geo import (
     unproject_local,
 )
 from crowdcdr.ingest import TowerSite
+from helpers import mirrored_voronoi_cells
 
 ORIGIN = (25.45, 81.85)
+DESK_GRID = synth.tower_grid(synth.named_scenario("desk-small"))[0]
 
 
 def tower(tid, dlat, dlon, active=True):
@@ -38,6 +40,45 @@ def contains(polygon: np.ndarray, point, slack=1e-9) -> bool:
         if (bx - ax) * (y - ay) - (by - ay) * (x - ax) < -slack:
             return False
     return True
+
+
+def lattice_towers(offsets):
+    """Towers at integer offsets in thousandths of a degree from ORIGIN."""
+    return [tower(i, dlat / 1000, dlon / 1000)
+            for i, (dlat, dlon) in enumerate(offsets, start=1)]
+
+
+def grid_subset(seed, share):
+    """The desk-small tower grid with a random share of it active.
+
+    The first tower stays active, so the active set is never empty.
+    """
+    rng = random.Random(seed)
+    return [TowerSite(t.tower_id, t.latitude, t.longitude,
+                      i == 0 or rng.random() < share)
+            for i, t in enumerate(DESK_GRID)]
+
+
+# Every layout sits on a lattice of towers at least ~100 m apart, so the
+# Voronoi vertices are well conditioned and both constructions agree to
+# rounding; the lattice also makes many of them cocircular.
+RANDOM_LAYOUTS = st.lists(
+    st.tuples(st.integers(-40, 40), st.integers(-40, 40)),
+    min_size=1, max_size=40, unique=True,
+).map(lattice_towers)
+COLLINEAR_LAYOUTS = st.builds(
+    lambda n, step, direction: lattice_towers(
+        [(i * step * direction[0], i * step * direction[1]) for i in range(n)]),
+    st.integers(2, 12), st.integers(1, 8),
+    st.sampled_from([(1, 0), (0, 1), (1, 1), (2, -1)]),
+)
+GRID_LAYOUTS = st.builds(
+    lambda rows, cols, step: lattice_towers(
+        [(r * step, c * step) for r in range(rows) for c in range(cols)]),
+    st.integers(1, 8), st.integers(1, 8), st.integers(1, 10),
+)
+TOWER_GRID_SUBSETS = st.builds(grid_subset, st.integers(0, 2 ** 32),
+                               st.floats(0.02, 1.0))
 
 
 class TestProjection:
@@ -187,6 +228,27 @@ class TestTessellation:
         towers = [tower(1, 0, 0), tower(2, 0.02, 0, active=False)]
         cells = build_tessellation(towers, pad_km=1.0)
         assert [c.tower_id for c in cells] == [1]
+
+    @given(st.one_of(RANDOM_LAYOUTS, COLLINEAR_LAYOUTS, GRID_LAYOUTS,
+                     TOWER_GRID_SUBSETS))
+    @settings(max_examples=60, deadline=None)
+    def test_cells_equal_the_mirrored_voronoi_oracle(self, towers):
+        want = mirrored_voronoi_cells(towers)
+        cells = build_tessellation(towers)
+        assert [c.tower_id for c in cells] == sorted(want)
+        for cell in cells:
+            verts, area = want[cell.tower_id]
+            gap = np.abs(cell.polygon[:, None] - verts[None]).max(axis=2)
+            assert gap.min(axis=1).max() <= 1e-9     # ours among scipy's
+            assert gap.min(axis=0).max() <= 1e-9     # scipy's among ours
+            own = np.abs(cell.polygon[:, None] - cell.polygon[None]).max(axis=2)
+            assert (own + np.eye(len(own)) > 1e-9).all()    # no duplicates
+            assert cell.area == pytest.approx(area, rel=1e-9)
+        origin = tower_origin(towers)
+        pts = np.array([geo.project_tower(t, origin) for t in towers if t.active])
+        width, height = pts.max(axis=0) - pts.min(axis=0) + 2 * geo.DEFAULT_PAD_KM
+        total = sum(c.area for c in cells)
+        assert total == pytest.approx(width * height, rel=1e-9)
 
     def test_polygon_rows_for_export(self):
         cells = build_tessellation([tower(1, 0, 0)], pad_km=2.0)

@@ -1,5 +1,6 @@
 """Parsing, validation, daily deduplication, and distinct counting."""
 
+import csv
 import io
 import itertools
 import random
@@ -172,6 +173,27 @@ class TestParse:
         path2 = tmp_path / "events2.csv"
         write_cdr(CdrColumns.from_events(parse_cdr(path)), path2)
         assert path2.read_bytes() == path.read_bytes()
+
+    def test_columns_written_as_csv_module_writes_them(self, tmp_path):
+        cols = [np.array([3, -1, 0]), np.array(["call", "text", ""]),
+                np.array([True, False, True])]
+        path = tmp_path / "cols.tsv"
+        ingest.write_columns(path, ("a", "b", "c"), cols, delimiter="\t")
+        want = io.StringIO(newline="")
+        writer = csv.writer(want, delimiter="\t", lineterminator="\n")
+        writer.writerow(("a", "b", "c"))
+        writer.writerows(zip(*(c.tolist() for c in cols)))
+        assert path.read_text(encoding="utf-8") == want.getvalue()
+
+    @pytest.mark.parametrize("text", ["a,b", 'say "x"', "two\nlines", "cr\r"])
+    def test_write_columns_refuses_a_cell_that_needs_quoting(self, tmp_path,
+                                                             text):
+        with pytest.raises(ValueError, match="quoting"):
+            ingest.write_columns(tmp_path / "x.csv", ("id", "kind"),
+                                 [np.array([1, 2]), np.array(["call", text])])
+        with pytest.raises(ValueError, match="quoting"):
+            ingest.write_columns(tmp_path / "x.csv", ("id", text),
+                                 [np.array([1]), np.array([2])])
 
 
 class TestDedupe:

@@ -5,7 +5,7 @@ import random
 import numpy as np
 import pytest
 
-from crowdcdr import synth
+from crowdcdr import spatial, synth
 from crowdcdr.errors import EstimationError
 from crowdcdr.spatial import (
     aggregate_q,
@@ -202,6 +202,23 @@ class TestAggregate:
 
 
 class TestBootstrap:
+    @pytest.mark.parametrize("block", [1, 7, 1000])
+    def test_block_size_leaves_intervals_bit_identical(self, monkeypatch,
+                                                        block):
+        # The reference draws the whole (replicates, days) index at once.
+        rng = np.random.default_rng(11)
+        vals, high, low = rng.random(41), rng.random(9), rng.random(23) + 0.1
+        ref = np.random.default_rng(5)
+        mean_stats = vals[ref.integers(0, 41, size=(1000, 41))].mean(axis=1)
+        ref = np.random.default_rng(5)
+        num = high[ref.integers(0, 9, size=(1000, 9))].mean(axis=1)
+        den = low[ref.integers(0, 23, size=(1000, 23))].mean(axis=1)
+        want = [tuple(np.percentile(stats, [2.5, 97.5]).tolist())
+                for stats in (mean_stats, num / den)]
+        monkeypatch.setattr(spatial, "BOOTSTRAP_BLOCK_ROWS", block)
+        assert bootstrap_mean_ci(vals, replicates=1000, seed=5) == want[0]
+        assert bootstrap_ratio_ci(high, low, replicates=1000, seed=5) == want[1]
+
     def test_constant_series_gives_zero_width_interval(self):
         lo, hi = bootstrap_mean_ci([0.013] * 30, replicates=1000, seed=1)
         assert lo == hi == pytest.approx(0.013)

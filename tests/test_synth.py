@@ -66,6 +66,8 @@ class TestValidation:
              "at least 2 active towers"),
             ({"non_use": 1.5}, "non_use outside"),
             ({"peak_fraction": -0.1}, "outside \\[0, 1\\]"),
+            # p = 1 in the stay geometric: generation would take log1p(-1).
+            ({"mean_stay": 5.0}, "mean_stay below or at min_stay"),
         ],
     )
     def test_rejects_impossible_shapes(self, overrides, message):
