@@ -6,7 +6,7 @@ socialise in small groups (dense inside, sparse across), that average
 mixes two regimes and shrinks as the number of groups grows, even
 though nothing about the groups themselves changed. The helpers here
 make that concrete: the analytic average a block model would report,
-a planted-partition sampler to cross-check it, and a demonstration
+its sampling error, and a demonstration
 that two states with identical group-level wiring but different group
 counts get block estimates >4x apart while their within-group
 transitivity is statistically the same.
@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import comb, sqrt
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -41,25 +41,20 @@ def estimate_block_probs(net: SocialNetwork) -> BlockEstimates:
     out. The baseline treats all nodes as one block.
     """
     est = BlockEstimates()
-    counts: dict[int, int] = {}
-    for node in net.nodes():
-        s = net.state_of[node]
-        counts[s] = counts.get(s, 0) + 1
-    edges_within: dict[int, int] = {s: 0 for s in counts}
-    total_edges = 0
-    for u, v in net.edges():
-        total_edges += 1
-        su, sv = net.state_of[u], net.state_of[v]
-        if su == sv:
-            edges_within[su] += 1
-    n = sum(counts.values())
-    est.baseline = total_edges / comb(n, 2) if n >= 2 else 0.0
-    for s in sorted(counts):
-        if counts[s] < 2:
+    states, counts = np.unique(net.state, return_counts=True)
+    a, b = net.edge_positions()
+    within = net.state[a][net.state[a] == net.state[b]]
+    edges_within = np.bincount(np.searchsorted(states, within),
+                               minlength=states.size)
+    n = net.n_nodes
+    est.baseline = a.size / comb(n, 2) if n >= 2 else 0.0
+    for s, n_k, e_kk in zip(states.tolist(), counts.tolist(),
+                            edges_within.tolist()):
+        if n_k < 2:
             continue
-        est.n_k[s] = counts[s]
-        est.e_kk[s] = edges_within[s]
-        est.p_kk[s] = edges_within[s] / comb(counts[s], 2)
+        est.n_k[s] = n_k
+        est.e_kk[s] = e_kk
+        est.p_kk[s] = e_kk / comb(n_k, 2)
     return est
 
 
@@ -91,51 +86,6 @@ def bias_curve(
     g_values: Iterable[int], m: int, p_in: float, p_out: float
 ) -> list[tuple[int, float]]:
     return [(g, group_structure_bias(g, m, p_in, p_out)) for g in g_values]
-
-
-def sample_grouped_state(
-    rng: np.random.Generator,
-    *,
-    state: int,
-    g: int,
-    m: int,
-    p_in: float,
-    p_out: float,
-    first_node: int = 0,
-) -> tuple[SocialNetwork, dict[int, int]]:
-    """One state's planted-partition graph; returns (network, group map).
-
-    Nodes are consecutive integers starting at ``first_node``, group
-    index is node order // m. Within-group pairs are independent
-    Bernoulli(p_in); cross-group edges are drawn per group pair by a
-    Binomial(m*m, p_out) count followed by a uniform choice of that
-    many distinct pairs, which matches independent sampling in
-    distribution without touching all m*m slots when p_out is small.
-    """
-    net = SocialNetwork()
-    group_of: dict[int, int] = {}
-    for i in range(g * m):
-        node = first_node + i
-        net.add_node(node, state)
-        group_of[node] = i // m
-    pair_u, pair_v = np.triu_indices(m, k=1)
-    for gi in range(g):
-        base = first_node + gi * m
-        keep = rng.random(pair_u.size) < p_in
-        for a, b in zip(pair_u[keep], pair_v[keep]):
-            net.add_edge(base + int(a), base + int(b))
-    if p_out > 0:
-        for gi in range(g):
-            for gj in range(gi + 1, g):
-                n_edges = rng.binomial(m * m, p_out)
-                if n_edges == 0:
-                    continue
-                slots = rng.choice(m * m, size=n_edges, replace=False)
-                for slot in np.sort(slots):
-                    a = first_node + gi * m + int(slot) // m
-                    b = first_node + gj * m + int(slot) % m
-                    net.add_edge(a, b)
-    return net, group_of
 
 
 @dataclass
@@ -179,17 +129,23 @@ def joint_bias_demo(
     estimated: dict[int, float] = {}
     groups = ((state_a, g_a), (state_b, g_b))
     for state, g in groups:
-        # Within-group draws in sample_grouped_state's order, its oracle.
-        adj = np.zeros((g, m, m), dtype=np.int64)
-        for block in adj:
+        # Within-group draws in the order of the planted-partition
+        # sampler in tests/helpers.py, its oracle. One block at a time
+        # keeps the demo's memory independent of g.
+        trace = paths = edges = 0
+        for _ in range(g):
+            block = np.zeros((m, m), dtype=np.int64)
             block[pair_u, pair_v] = rng.random(pair_u.size) < p_in
-        adj += adj.transpose(0, 2, 1)
-        deg = adj.sum(axis=2)
-        closed = int(np.einsum("gii->", adj @ adj @ adj)) // 6
+            block += block.T
+            deg = block.sum(axis=1)
+            trace += int(np.trace(block @ block @ block))
+            paths += int((deg * (deg - 1) // 2).sum())
+            edges += int(deg.sum()) // 2
+        closed = trace // 6
         census.closed[state] = closed
-        census.open[state] = int((deg * (deg - 1) // 2).sum()) - 3 * closed
+        census.open[state] = paths - 3 * closed
         cross = rng.binomial(comb(g, 2) * m * m, p_out) if g >= 2 else 0
-        estimated[state] = (int(deg.sum()) // 2 + int(cross)) / comb(g * m, 2)
+        estimated[state] = (edges + int(cross)) / comb(g * m, 2)
     analytic = {s: group_structure_bias(g, m, p_in, p_out) for s, g in groups}
     return GroupBiasDemo(
         analytic=analytic,

@@ -16,7 +16,6 @@ on a random subset of triples with pairwise-disjoint node sets.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
 from math import erfc, exp, log10, sqrt
 from typing import Iterable, Mapping, Sequence
 
@@ -29,42 +28,108 @@ Z_95 = 1.96
 
 
 class SocialNetwork:
-    """Simple undirected graph over customers with known state."""
+    """Simple undirected graph over customers with known state, as CSR.
 
-    def __init__(self):
-        self.state_of: dict[int, int] = {}
-        self.adj: dict[int, set[int]] = {}
+    Node positions follow ``node_id`` (sorted); ``state[i]`` is node i's
+    state, and its neighbours are the positions ``indices[indptr[i]:
+    indptr[i + 1]]``, ascending. The constructor takes node ids with
+    their states (repeats allowed, the first state of an id wins) and
+    ``(a, b)`` id pairs (self-pairs and repeats dropped). ``add_node``
+    and ``add_edge`` append to that input; the graph is rebuilt with
+    them on the next read.
+    """
+
+    def __init__(self, node_id=(), state=(), edges=()):
+        self._csr = _csr(np.asarray(node_id, np.int64),
+                         np.asarray(state, np.int64),
+                         np.asarray(edges, np.int64).reshape(-1, 2))
+        self._added_nodes: list[tuple[int, int]] = []
+        self._added_edges: list[tuple[int, int]] = []
+        self._triples: Triples | None = None
 
     def add_node(self, person: int, state: int) -> None:
-        if person not in self.state_of:
-            self.state_of[person] = state
-            self.adj[person] = set()
+        self._added_nodes.append((person, state))
+        self._triples = None
 
     def add_edge(self, a: int, b: int) -> None:
-        if a == b:
-            return
-        self.adj[a].add(b)
-        self.adj[b].add(a)
+        self._added_edges.append((a, b))
+        self._triples = None
+
+    def _built(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        if self._added_nodes or self._added_edges:
+            ids, state, indptr, indices = self._csr
+            a, b = _upper_edges(indptr, indices)
+            nodes = np.array(self._added_nodes, np.int64).reshape(-1, 2)
+            edges = np.array(self._added_edges, np.int64).reshape(-1, 2)
+            self._csr = _csr(
+                np.concatenate([ids, nodes[:, 0]]),
+                np.concatenate([state, nodes[:, 1]]),
+                np.concatenate([np.stack([ids[a], ids[b]], axis=1), edges]),
+            )
+            self._added_nodes, self._added_edges = [], []
+        return self._csr
+
+    @property
+    def node_id(self) -> np.ndarray:
+        return self._built()[0]
+
+    @property
+    def state(self) -> np.ndarray:
+        return self._built()[1]
+
+    @property
+    def indptr(self) -> np.ndarray:
+        return self._built()[2]
+
+    @property
+    def indices(self) -> np.ndarray:
+        return self._built()[3]
 
     @property
     def n_nodes(self) -> int:
-        return len(self.state_of)
+        return self.node_id.size
 
     @property
     def n_edges(self) -> int:
-        return sum(len(nbrs) for nbrs in self.adj.values()) // 2
+        return self.indices.size // 2
 
-    def nodes(self) -> Iterable[int]:
-        return self.state_of.keys()
+    def nodes(self) -> list[int]:
+        return self.node_id.tolist()
+
+    def edge_positions(self) -> tuple[np.ndarray, np.ndarray]:
+        """(a, b) node positions of every edge, a < b, sorted."""
+        return _upper_edges(self.indptr, self.indices)
 
     def edges(self) -> Iterable[tuple[int, int]]:
-        for a, nbrs in self.adj.items():
-            for b in nbrs:
-                if a < b:
-                    yield a, b
+        a, b = self.edge_positions()
+        return zip(self.node_id[a].tolist(), self.node_id[b].tolist())
 
     def states(self) -> list[int]:
-        return sorted(set(self.state_of.values()))
+        return np.unique(self.state).tolist()
+
+
+def _upper_edges(indptr: np.ndarray, indices: np.ndarray):
+    row = np.repeat(np.arange(indptr.size - 1), np.diff(indptr))
+    upper = row < indices
+    return row[upper], indices[upper]
+
+
+def _csr(node_id, state, edges):
+    """(node_id, state, indptr, indices) of the graph on those inputs."""
+    ids, first = np.unique(node_id, return_index=True)
+    n = ids.size
+    edges = edges[edges[:, 0] != edges[:, 1]]
+    pos = np.searchsorted(ids, edges)
+    known = pos < n
+    known[known] = ids[pos[known]] == edges[known]
+    if not known.all():
+        raise KeyError(f"edge endpoint {edges[~known][0]} is not a node")
+    # Both directions of every distinct pair as sorted row * n + col keys.
+    keys = np.unique(pos.min(axis=1) * n + pos.max(axis=1))
+    keys = np.sort(np.concatenate([keys, keys % n * n + keys // n]))
+    indptr = np.zeros(n + 1, np.int64)
+    np.cumsum(np.bincount(keys // n, minlength=n), out=indptr[1:])
+    return ids, state[first], indptr, keys % n
 
 
 def build_network(
@@ -80,9 +145,8 @@ def build_network(
     unobservable). Multiple contacts collapse to one edge. When
     ``exclude_local`` is set and ``local_state`` is given, residents of
     the venue's host state are dropped: their phone use is not comparable
-    to visitors'. Nodes are added in order of first appearance, caller
-    before callee, each with the state of that appearance. ``CdrEvent``
-    records are converted to columns first.
+    to visitors'. A node takes the state of its first appearance, caller
+    before callee. ``CdrEvent`` records are converted to columns first.
     """
     if not isinstance(events, CdrColumns):
         events = CdrColumns.from_events(events)
@@ -92,17 +156,8 @@ def build_network(
     ok &= states != UNKNOWN_STATE
     if exclude_local and local_state is not None:
         ok &= states != local_state
-    net = SocialNetwork()
-    party_ids, party_states = ids[ok], states[ok]     # caller, callee, caller, ...
-    _, first = np.unique(party_ids, return_index=True)
-    first.sort()
-    for person, state in zip(party_ids[first].tolist(),
-                             party_states[first].tolist()):
-        net.add_node(person, state)
-    pairs = np.sort(ids[ok.all(axis=1) & (ids[:, 0] != ids[:, 1])], axis=1)
-    for a, b in np.unique(pairs, axis=0).tolist():
-        net.add_edge(a, b)
-    return net
+    # Row-major masking keeps the parties in order: caller, callee, ...
+    return SocialNetwork(ids[ok], states[ok], ids[ok.all(axis=1)])
 
 
 @dataclass
@@ -126,49 +181,21 @@ class TripleCensus:
         return 3 * sum(self.closed.values()) + sum(self.open.values())
 
 
-def _same_state_adjacency(net: SocialNetwork) -> dict[int, dict[int, list[int]]]:
-    """state -> node -> sorted same-state neighbor list."""
-    per_state: dict[int, dict[int, list[int]]] = {}
-    for node, state in net.state_of.items():
-        nbrs = sorted(u for u in net.adj[node] if net.state_of[u] == state)
-        per_state.setdefault(state, {})[node] = nbrs
-    return per_state
-
-
-def _count_state_triples(adj: Mapping[int, list[int]]) -> tuple[int, int]:
-    """(closed, open) node-set counts for one state's induced subgraph.
-
-    Triangles by neighbor intersection with a degree ordering, so each is
-    seen exactly once; open triples are length-2 paths minus the three
-    paths inside each triangle.
-    """
-    rank = {
-        v: i
-        for i, v in enumerate(sorted(adj, key=lambda v: (len(adj[v]), v)))
-    }
-    nbr_sets = {v: set(ns) for v, ns in adj.items()}
-    triangles = 0
-    paths = 0
-    for v, nbrs in adj.items():
-        d = len(nbrs)
-        paths += d * (d - 1) // 2
-        higher = [u for u in nbrs if rank[u] > rank[v]]
-        for i, u in enumerate(higher):
-            u_set = nbr_sets[u]
-            for w in higher[i + 1:]:
-                if w in u_set:
-                    triangles += 1
-    return triangles, paths - 3 * triangles
-
-
 def census_triples(net: SocialNetwork) -> TripleCensus:
-    """Count open and closed same-state triples for every state."""
-    census = TripleCensus()
-    for state, adj in sorted(_same_state_adjacency(net).items()):
-        closed, open_ = _count_state_triples(adj)
-        census.closed[state] = closed
-        census.open[state] = open_
-    return census
+    """Count open and closed same-state triples for every state.
+
+    Per-state counts of ``enumerate_connected_triples``; a state with
+    nodes but no triples gets zeros.
+    """
+    triples = enumerate_connected_triples(net)
+    states = np.array(net.states(), np.int64)
+    row = np.searchsorted(states, triples.state)
+    closed = np.bincount(row[triples.closed], minlength=states.size)
+    open_ = np.bincount(row[~triples.closed], minlength=states.size)
+    return TripleCensus(
+        closed=dict(zip(states.tolist(), closed.tolist())),
+        open=dict(zip(states.tolist(), open_.tolist())),
+    )
 
 
 def transitivity(census: TripleCensus, state: int) -> float | None:
@@ -193,53 +220,117 @@ def closed_fraction(census: TripleCensus, state: int) -> float | None:
     return closed / (closed + open_)
 
 
-@dataclass(frozen=True, slots=True)
-class Triple:
-    state: int
-    nodes: tuple[int, int, int]     # sorted
-    closed: bool
+@dataclass(eq=False)
+class Triples:
+    """Same-state connected triples, one row each.
+
+    ``nodes`` holds each triple's node ids in ascending order, ``state``
+    their common state and ``closed`` whether all three are linked.
+    """
+
+    nodes: np.ndarray = ()
+    state: np.ndarray = ()
+    closed: np.ndarray = ()
+
+    def __post_init__(self):
+        self.nodes = np.asarray(self.nodes, np.int64).reshape(-1, 3)
+        self.state = np.asarray(self.state, np.int64)
+        self.closed = np.asarray(self.closed, bool)
+        if not len(self.nodes) == len(self.state) == len(self.closed):
+            raise ValueError("nodes, state and closed differ in length")
+
+    def __len__(self) -> int:
+        return len(self.state)
+
+    def take(self, rows) -> Triples:
+        return Triples(self.nodes[rows], self.state[rows], self.closed[rows])
+
+    @classmethod
+    def concat(cls, parts: Iterable[Triples]) -> Triples:
+        parts = [cls(), *parts]
+        return cls(np.concatenate([t.nodes for t in parts]),
+                   np.concatenate([t.state for t in parts]),
+                   np.concatenate([t.closed for t in parts]))
 
 
-def enumerate_connected_triples(net: SocialNetwork) -> list[Triple]:
+#: Centre pairs handled per block of the wedge pass.
+WEDGE_BLOCK = 1 << 20
+
+
+def enumerate_connected_triples(net: SocialNetwork) -> Triples:
     """All same-state connected triples, in a deterministic order.
 
-    Open triples are generated from their unique center node; triangles
-    from their sorted node tuple. Deterministic so seeded subsampling is
-    reproducible.
+    Every pair of same-state neighbours of a centre is a wedge, taken
+    by state, then centre id, then the pair's ``combinations`` order. An
+    open wedge is its triple's only one; a closed triple (the wedge's
+    ends are linked) is kept at its least node. Deterministic so seeded
+    subsampling is reproducible; computed once per network.
     """
-    triples: list[Triple] = []
-    for state, adj in sorted(_same_state_adjacency(net).items()):
-        nbr_sets = {v: set(ns) for v, ns in adj.items()}
-        for v in sorted(adj):
-            for u, w in combinations(adj[v], 2):
-                if w in nbr_sets[u]:
-                    if v < u:    # count each triangle once, at its least node
-                        triples.append(Triple(state, (v, u, w), True))
-                else:
-                    triples.append(Triple(state, tuple(sorted((u, v, w))), False))
-    return triples
+    if net._triples is None:
+        net._triples = _wedge_pass(net)
+        # Every caller gets this one value.
+        for column in vars(net._triples).values():
+            column.flags.writeable = False
+    return net._triples
 
 
-def subsample_independent(
-    triples: Sequence[Triple], seed: int
-) -> list[Triple]:
+def _wedge_pass(net: SocialNetwork) -> Triples:
+    n = net.n_nodes
+    state, indices = net.state, net.indices
+    # The same-state sub-CSR as sorted row * n + col keys.
+    row = np.repeat(np.arange(n), np.diff(net.indptr))
+    same = state[row] == state[indices]
+    row, col = row[same], indices[same]
+    keys = row * n + col
+    deg = np.bincount(row, minlength=n)
+    start = np.cumsum(deg) - deg
+    centres = np.argsort(state, kind="stable")
+    centres = centres[deg[centres] >= 2]
+    cum = np.cumsum(deg[centres] * (deg[centres] - 1) // 2)
+    parts = []
+    lo = 0
+    while lo < centres.size:
+        done = cum[lo - 1] if lo else 0
+        hi = max(lo + 1, int(np.searchsorted(cum, done + WEDGE_BLOCK, "right")))
+        v, i, j = _centre_pairs(centres[lo:hi], deg)
+        u, w = col[start[v] + i], col[start[v] + j]
+        key = u * n + w
+        closed = keys[np.minimum(np.searchsorted(keys, key), keys.size - 1)] == key
+        keep = ~closed | (v < u)
+        nodes = np.sort(np.stack([v, u, w], axis=1)[keep], axis=1)
+        parts.append(Triples(net.node_id[nodes], state[v[keep]], closed[keep]))
+        lo = hi
+    return Triples.concat(parts)
+
+
+def _centre_pairs(centres: np.ndarray, deg: np.ndarray):
+    """(centre, i, j) for each i < j < deg[centre], in that order."""
+    d = deg[centres]
+    # One row per (centre, i), then one per j in (i, d).
+    c = np.repeat(centres, d - 1)
+    i = np.arange(c.size) - np.repeat(np.cumsum(d - 1) - (d - 1), d - 1)
+    n_j = deg[c] - 1 - i
+    i = np.repeat(i, n_j)
+    j = i + 1 + np.arange(i.size) - np.repeat(np.cumsum(n_j) - n_j, n_j)
+    return np.repeat(c, n_j), i, j
+
+
+def subsample_independent(triples: Triples, seed: int) -> Triples:
     """Random subset of triples in which no individual appears twice.
 
     A greedy pass over a seeded random permutation, accepting a triple
     iff none of its nodes has been used. Maximal for the permutation,
-    deterministic given the seed.
+    deterministic given the seed; rows come in acceptance order.
     """
-    rng = np.random.default_rng(seed)
+    order = np.random.default_rng(seed).permutation(len(triples))
     used: set[int] = set()
-    selected: list[Triple] = []
-    for idx in rng.permutation(len(triples)):
-        t = triples[idx]
-        a, b, c = t.nodes
+    selected: list[int] = []
+    for row, (a, b, c) in zip(order.tolist(), triples.nodes[order].tolist()):
         if a in used or b in used or c in used:
             continue
-        used.update(t.nodes)
-        selected.append(t)
-    return selected
+        used.update((a, b, c))
+        selected.append(row)
+    return triples.take(np.array(selected, np.intp))
 
 
 @dataclass(frozen=True)
@@ -366,7 +457,7 @@ def fit_logistic(
 
 
 def fit_closure_model(
-    triples: Sequence[Triple],
+    triples: Triples,
     representation: Mapping[int, float],
     *,
     seed: int = 0,
@@ -378,9 +469,9 @@ def fit_closure_model(
     the fit's ``n_triples`` is its size.
     """
     pool = subsample_independent(triples, seed)
-    missing = sorted({t.state for t in pool} - set(representation))
+    states, row = np.unique(pool.state, return_inverse=True)
+    missing = sorted(set(states.tolist()) - set(representation))
     if missing:
         raise AnalysisError(f"no representation share for states {missing}")
-    closed = [1 if t.closed else 0 for t in pool]
-    w = [representation[t.state] for t in pool]
-    return fit_logistic(closed, w)
+    w = np.array([representation[s] for s in states.tolist()], float)
+    return fit_logistic(pool.closed.astype(int), w[row])

@@ -99,7 +99,16 @@ def build_colocation_series(
     """
     cell = observations.first_tower
     if cell_of_tower is not None:
-        cell = np.array([cell_of_tower[t] for t in cell.tolist()], np.int64)
+        towers = np.fromiter(cell_of_tower, np.int64, len(cell_of_tower))
+        owner = np.fromiter(cell_of_tower.values(), np.int64, len(cell_of_tower))
+        order = np.argsort(towers)
+        towers, owner = towers[order], owner[order]
+        at = np.searchsorted(towers, cell)
+        known = at < towers.size
+        known[known] = towers[at[known]] == cell[known]
+        if not known.all():
+            raise KeyError(int(cell[~known][0]))
+        cell = owner[at]
     # One run per occupied (state, day, cell), its length the occupancy;
     # each (state, day) group is a block of consecutive runs.
     order = np.lexsort((cell, observations.day, observations.state_code))

@@ -65,7 +65,7 @@ from .ingest import (
     write_cdr,
     write_table,
 )
-from .social import Triple
+from .social import Triples
 
 #: person ids are state*stride + 1-based index; peers for filler traffic
 #: live above PEER_BASE and are never customers.
@@ -355,7 +355,7 @@ class GroundTruth:
     stay_pairs: list[tuple[int, int]]
     closed_prob: dict[int, float]
     edges: list[tuple[int, int]]
-    triples: list[Triple]
+    triples: Triples
     node_state: dict[int, int]
     towers: list[TowerSite]
     active_tower_ids: list[int]
@@ -670,7 +670,7 @@ def generate_tables(
         stay_pairs=[],
         closed_prob={},
         edges=[],
-        triples=[],
+        triples=Triples(),
         node_state={},
         towers=towers,
         active_tower_ids=active_ids,
@@ -683,6 +683,7 @@ def generate_tables(
     all_day: list[np.ndarray] = []
     all_cell: list[np.ndarray] = []
     crowded = config.crowding_days
+    planted: list[Triples] = []
 
     for spec, stream in zip(states, streams):
         rng = np.random.default_rng(stream)
@@ -762,16 +763,13 @@ def generate_tables(
             # Group g's members are the g-th run of consecutive roster rows.
             members = np.flatnonzero(groups >= 0)
             if wired.any():
-                triples = [
-                    Triple(spec.code, tuple(nodes), c) for nodes, c in zip(
-                        (members.reshape(n_groups, -1) + base)[wired].tolist(),
-                        closed[wired].tolist())
-                ]
-                truth.triples += triples
-                # Edges share the triples' node ints: a 2-path, then closure.
-                for t in triples:
-                    a, b, c = t.nodes
-                    truth.edges += [(a, b), (b, c), (a, c)][:2 + t.closed]
+                nodes = (members.reshape(n_groups, -1) + base)[wired]
+                planted.append(Triples(nodes, np.full(len(nodes), spec.code),
+                                       closed[wired]))
+                # Per triple a 2-path, then its closure.
+                tie = nodes[:, [[0, 1], [1, 2], [0, 2]]]
+                tie = tie[np.arange(3) < 2 + closed[wired][:, None]]
+                truth.edges += zip(tie[:, 0].tolist(), tie[:, 1].tolist())
             if config.p_out > 0:
                 n_m = members.size
                 n_pairs = n_m * (n_m - 1) // 2
@@ -785,6 +783,7 @@ def generate_tables(
                 truth.edges += zip((members[i][cross] + base).tolist(),
                                    (members[j][cross] + base).tolist())
 
+    truth.triples = Triples.concat(planted)
     if with_spatial and all_person:
         truth.slot_person = np.concatenate(all_person)
         truth.slot_state = np.concatenate(all_state)

@@ -14,7 +14,7 @@ from crowdcdr import geo
 from crowdcdr.errors import ConfigurationError
 from crowdcdr.ingest import (CdrColumns, CdrEvent, DEFAULT_WINDOW,
                              ObservationColumns, StudyWindow)
-from crowdcdr.social import SocialNetwork
+from crowdcdr.social import SocialNetwork, TripleCensus, Triples
 from crowdcdr.spatial import colocation_probability
 
 BASE_TS = DEFAULT_WINDOW.start
@@ -129,15 +129,26 @@ def pair_enumeration_probability(counts) -> Fraction | None:
     return Fraction(sum(1 for a, b in pairs if a == b), len(pairs))
 
 
+def dict_graph(net: SocialNetwork) -> tuple[dict[int, int], dict[int, set[int]]]:
+    """(node -> state, node -> neighbour set) of a network, by plain dicts."""
+    state_of = dict(zip(net.nodes(), net.state.tolist()))
+    adj: dict[int, set[int]] = {v: set() for v in state_of}
+    for a, b in net.edges():
+        adj[a].add(b)
+        adj[b].add(a)
+    return state_of, adj
+
+
 def brute_force_triples(net: SocialNetwork) -> tuple[dict, dict]:
     """(closed, open) same-state node-set counts via O(n^3) enumeration."""
+    state_of, adj = dict_graph(net)
     closed: dict[int, int] = {}
     open_: dict[int, int] = {}
-    for a, b, c in itertools.combinations(sorted(net.state_of), 3):
-        state = net.state_of[a]
-        if net.state_of[b] != state or net.state_of[c] != state:
+    for a, b, c in itertools.combinations(sorted(state_of), 3):
+        state = state_of[a]
+        if state_of[b] != state or state_of[c] != state:
             continue
-        n_edges = (b in net.adj[a]) + (c in net.adj[a]) + (c in net.adj[b])
+        n_edges = (b in adj[a]) + (c in adj[a]) + (c in adj[b])
         if n_edges == 3:
             closed[state] = closed.get(state, 0) + 1
         elif n_edges == 2:
@@ -145,16 +156,137 @@ def brute_force_triples(net: SocialNetwork) -> tuple[dict, dict]:
     return closed, open_
 
 
+def _same_state_adjacency(net: SocialNetwork) -> dict[int, dict[int, list[int]]]:
+    """state -> node -> sorted same-state neighbor list."""
+    state_of, adj = dict_graph(net)
+    per_state: dict[int, dict[int, list[int]]] = {}
+    for node, state in state_of.items():
+        nbrs = sorted(u for u in adj[node] if state_of[u] == state)
+        per_state.setdefault(state, {})[node] = nbrs
+    return per_state
+
+
+def _count_state_triples(adj) -> tuple[int, int]:
+    """(closed, open) node-set counts for one state's induced subgraph.
+
+    Triangles by neighbor intersection with a degree ordering, so each is
+    seen exactly once; open triples are length-2 paths minus the three
+    paths inside each triangle.
+    """
+    rank = {
+        v: i
+        for i, v in enumerate(sorted(adj, key=lambda v: (len(adj[v]), v)))
+    }
+    nbr_sets = {v: set(ns) for v, ns in adj.items()}
+    triangles = 0
+    paths = 0
+    for v, nbrs in adj.items():
+        d = len(nbrs)
+        paths += d * (d - 1) // 2
+        higher = [u for u in nbrs if rank[u] > rank[v]]
+        for i, u in enumerate(higher):
+            u_set = nbr_sets[u]
+            for w in higher[i + 1:]:
+                if w in u_set:
+                    triangles += 1
+    return triangles, paths - 3 * triangles
+
+
+def census_oracle(net: SocialNetwork) -> TripleCensus:
+    """Per-state census by degree-ordered triangle counting over dicts."""
+    census = TripleCensus()
+    for state, adj in sorted(_same_state_adjacency(net).items()):
+        census.closed[state], census.open[state] = _count_state_triples(adj)
+    return census
+
+
+def enumerate_connected_triples(net: SocialNetwork) -> list[tuple]:
+    """(state, sorted nodes, closed) rows in the library's order, by loops."""
+    triples = []
+    for state, adj in sorted(_same_state_adjacency(net).items()):
+        nbr_sets = {v: set(ns) for v, ns in adj.items()}
+        for v in sorted(adj):
+            for u, w in itertools.combinations(adj[v], 2):
+                if w in nbr_sets[u]:
+                    if v < u:    # count each triangle once, at its least node
+                        triples.append((state, (v, u, w), True))
+                else:
+                    triples.append((state, tuple(sorted((u, v, w))), False))
+    return triples
+
+
+def triple_rows(triples: Triples) -> list[tuple]:
+    """(state, nodes, closed) rows of a Triples value, in order."""
+    return list(zip(triples.state.tolist(),
+                    map(tuple, triples.nodes.tolist()),
+                    triples.closed.tolist()))
+
+
+def subsample_oracle(rows, seed: int) -> list[tuple]:
+    """Greedy node-disjoint pass over a seeded permutation, by a set."""
+    rng = np.random.default_rng(seed)
+    used: set[int] = set()
+    selected = []
+    for idx in rng.permutation(len(rows)):
+        row = rows[idx]
+        a, b, c = row[1]
+        if a in used or b in used or c in used:
+            continue
+        used.update(row[1])
+        selected.append(row)
+    return selected
+
+
 def network_from_truth(truth, *, exclude: int | None = None) -> SocialNetwork:
     """Planted social graph as a SocialNetwork, optionally dropping a state."""
-    net = SocialNetwork()
-    for node, state in truth.node_state.items():
-        if state != exclude:
-            net.add_node(node, state)
-    for u, v in truth.edges:
-        if truth.node_state[u] != exclude and truth.node_state[v] != exclude:
-            net.add_edge(u, v)
-    return net
+    keep = {v: s for v, s in truth.node_state.items() if s != exclude}
+    return SocialNetwork(
+        list(keep), list(keep.values()),
+        [(u, v) for u, v in truth.edges if u in keep and v in keep],
+    )
+
+
+def sample_grouped_state(
+    rng: np.random.Generator,
+    *,
+    state: int,
+    g: int,
+    m: int,
+    p_in: float,
+    p_out: float,
+    first_node: int = 0,
+) -> tuple[SocialNetwork, dict[int, int]]:
+    """One state's planted-partition graph; returns (network, group map).
+
+    Nodes are consecutive integers starting at ``first_node``, group
+    index is node order // m. Within-group pairs are independent
+    Bernoulli(p_in); cross-group edges are drawn per group pair by a
+    Binomial(m*m, p_out) count followed by a uniform choice of that
+    many distinct pairs, which matches independent sampling in
+    distribution without touching all m*m slots when p_out is small.
+    ``sbm.joint_bias_demo`` draws its within-group edges in this order.
+    """
+    nodes = np.arange(first_node, first_node + g * m)
+    pair_u, pair_v = np.triu_indices(m, k=1)
+    edges = []
+    for gi in range(g):
+        keep = rng.random(pair_u.size) < p_in
+        base = first_node + gi * m
+        edges.append(np.stack([pair_u[keep], pair_v[keep]], axis=1) + base)
+    if p_out > 0:
+        for gi in range(g):
+            for gj in range(gi + 1, g):
+                n_edges = rng.binomial(m * m, p_out)
+                if n_edges == 0:
+                    continue
+                slots = rng.choice(m * m, size=n_edges, replace=False)
+                edges.append(np.stack([
+                    first_node + gi * m + slots // m,
+                    first_node + gj * m + slots % m,
+                ], axis=1))
+    net = SocialNetwork(nodes, np.full(nodes.size, state),
+                        np.concatenate(edges) if edges else ())
+    return net, dict(zip(nodes.tolist(), ((nodes - first_node) // m).tolist()))
 
 
 def stays_oracle(obs: ObservationColumns) -> list[tuple[int, int]]:

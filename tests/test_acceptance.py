@@ -17,6 +17,7 @@ from helpers import (
     brute_force_triples,
     network_from_truth,
     pair_enumeration_probability,
+    sample_grouped_state,
 )
 
 
@@ -227,7 +228,7 @@ def test_7_group_structure_inflates_within_state_density():
     analytic_ok = (math.isclose(val, expected, rel_tol=1e-12)
                    and abs(val - 0.0413) < 5e-5)
     rng = np.random.default_rng(7)
-    net, _ = sbm.sample_grouped_state(
+    net, _ = sample_grouped_state(
         rng, state=1, g=100, m=5, p_in=0.20, p_out=0.04,
     )
     est = sbm.estimate_block_probs(net)

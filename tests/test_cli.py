@@ -296,6 +296,24 @@ class TestReport:
         assert proc.returncode == 0, proc.stderr
         assert "scipy imported: False" in proc.stderr
 
+    def test_social_and_sbm_artifacts_keep_their_bytes(self, desk_small_files,
+                                                       tmp_path, capsys):
+        # desk-small seed 1; digests of the dict-of-sets implementation.
+        paths, _ = desk_small_files
+        out = tmp_path / "out"
+        assert run("report", "--input-dir", paths["cdr"].parent,
+                   "--output-dir", out) == 0
+        capsys.readouterr()
+        pinned = {
+            "social_census.csv": "bedd96a83d6a75b6732543766b719914"
+                                 "e263202146e01c00d07410c6d0e3365a",
+            "social_fit.json": "097bdf91759305f93b78db49db4e2f86"
+                               "96afbf45e3292b2ffaa73eea8ec698ea",
+            "sbm_blocks.csv": "6f47962170717bdd7f641f4d3ab78378"
+                              "e56475ff297ada543282d2cee1191541",
+        }
+        assert {name: sha(out / name) for name in pinned} == pinned
+
 
 class TestCellMap:
     @pytest.mark.parametrize("seed", range(4))

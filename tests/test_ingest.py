@@ -497,7 +497,8 @@ def assert_paths_agree(data, known):
     assert observation_rows(obs2) == observation_rows(obs)
     assert counts2 == counts
     assert towers2 == towers
-    assert list(net2.state_of.items()) == list(net.state_of.items())
+    assert net2.nodes() == net.nodes()
+    assert net2.state.tolist() == net.state.tolist()
     assert net2.states() == net.states()
     assert sorted(net2.edges()) == sorted(net.edges())
 

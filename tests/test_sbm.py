@@ -14,9 +14,9 @@ from crowdcdr.sbm import (
     group_structure_bias,
     group_structure_bias_se,
     joint_bias_demo,
-    sample_grouped_state,
 )
 from crowdcdr.social import SocialNetwork, census_triples, transitivity
+from helpers import sample_grouped_state
 
 
 def network(state_of, edges):

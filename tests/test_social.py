@@ -1,17 +1,23 @@
 """Tie network, same-state triple census, and the closure regression."""
 
+import hashlib
+import importlib.util
+import json
 import math
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crowdcdr import social
 from crowdcdr.errors import AnalysisError, SeparationError
 from crowdcdr.ingest import UNKNOWN_STATE
 from crowdcdr.social import (
     SocialNetwork,
-    Triple,
+    Triples,
     build_network,
     census_triples,
     closed_fraction,
@@ -21,7 +27,10 @@ from crowdcdr.social import (
     subsample_independent,
     transitivity,
 )
-from helpers import brute_force_triples, make_event, network_from_truth
+from helpers import (brute_force_triples, census_oracle, dict_graph,
+                     make_event, network_from_truth, subsample_oracle,
+                     triple_rows)
+from helpers import enumerate_connected_triples as triples_oracle
 
 LN_3_OVER_7 = math.log(3.0 / 7.0)
 
@@ -93,12 +102,148 @@ class TestBuildNetwork:
         events = list(parse_cdr(paths["cdr"]))
         net = build_network(events, exclude_local=False)
         ref = network_from_truth(truth)
-        assert dict(net.state_of) == dict(ref.state_of)
-        assert set(net.edges()) == set(ref.edges())
+        assert dict_graph(net) == dict_graph(ref)
         net_x = build_network(events, exclude_local=True, local_state=1)
         ref_x = network_from_truth(truth, exclude=1)
-        assert dict(net_x.state_of) == dict(ref_x.state_of)
-        assert set(net_x.edges()) == set(ref_x.edges())
+        assert dict_graph(net_x) == dict_graph(ref_x)
+
+
+class TestNetworkArrays:
+    def test_csr_is_sorted_and_symmetric(self):
+        net = network({5: 2, 1: 3, 9: 2, 4: 2}, [(9, 5), (1, 4), (5, 4), (4, 9)])
+        assert net.nodes() == [1, 4, 5, 9]
+        assert net.state.tolist() == [3, 2, 2, 2]
+        assert net.indptr.tolist() == [0, 1, 4, 6, 8]
+        assert net.indices.tolist() == [1, 0, 2, 3, 1, 3, 1, 2]
+        assert sorted(net.edges()) == [(1, 4), (4, 5), (4, 9), (5, 9)]
+
+    def test_first_state_wins_and_repeats_collapse(self):
+        net = SocialNetwork([7, 3, 7], [2, 4, 5], [(3, 7), (7, 3), (7, 7)])
+        assert dict_graph(net) == ({3: 4, 7: 2}, {3: {7}, 7: {3}})
+        assert net.n_edges == 1
+
+    def test_appends_after_a_read_are_built_in(self):
+        net = network({1: 2, 2: 2}, [(1, 2)])
+        assert net.n_edges == 1
+        assert len(enumerate_connected_triples(net)) == 0
+        net.add_node(3, 2)
+        net.add_node(1, 9)
+        net.add_edge(2, 3)
+        assert dict_graph(net) == ({1: 2, 2: 2, 3: 2},
+                                   {1: {2}, 2: {1, 3}, 3: {2}})
+        assert triple_rows(enumerate_connected_triples(net)) == [
+            (2, (1, 2, 3), False)]
+
+    def test_edge_to_an_unknown_node_is_refused(self):
+        net = network({1: 2}, [(1, 8)])
+        with pytest.raises(KeyError, match="8"):
+            net.n_edges
+
+    def test_empty_network(self):
+        net = SocialNetwork()
+        assert (net.n_nodes, net.n_edges, net.states()) == (0, 0, [])
+        assert census_triples(net) == social.TripleCensus()
+        assert len(enumerate_connected_triples(net)) == 0
+
+
+@st.composite
+def hub_graphs(draw, max_nodes=320):
+    """Graphs over 2-4 states with a few hubs and overlapping triangles.
+
+    Each hub links to up to ~300 nodes, mostly of its own state; extra
+    chords between a hub's neighbours close triangles that share the
+    hub, and a sparse background adds the remaining structure. Edges
+    come in any order and direction, with repeats and self-pairs.
+    """
+    n = draw(st.integers(3, max_nodes))
+    n_states = draw(st.integers(2, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    node_id = rng.choice(10 * n, size=n, replace=False)
+    state = rng.integers(1, n_states + 1, size=n)
+    edges = []
+    for hub in rng.choice(n, size=draw(st.integers(1, 3)), replace=False):
+        own = np.flatnonzero(state == state[hub])
+        others = np.flatnonzero(state != state[hub])
+        nbrs = np.concatenate([
+            rng.choice(own, size=draw(st.integers(0, min(250, own.size))),
+                       replace=False),
+            rng.choice(others, size=draw(st.integers(0, min(50, others.size))),
+                       replace=False),
+        ])
+        edges += [(hub, v) for v in nbrs.tolist()]
+        if nbrs.size >= 2:
+            chords = rng.choice(nbrs, size=(draw(st.integers(0, 60)), 2))
+            edges += chords.tolist()
+    background = rng.integers(0, n, size=(draw(st.integers(0, 3 * n)), 2))
+    edges += background.tolist()
+    edges = node_id[np.array(edges, np.int64).reshape(-1, 2)]
+    return node_id, state, edges[rng.permutation(len(edges))]
+
+
+def sets_from_inputs(node_id, state, edges):
+    """(node -> state, node -> neighbour set) built from the raw inputs."""
+    state_of: dict[int, int] = {}
+    for v, s in zip(node_id.tolist(), state.tolist()):
+        state_of.setdefault(v, s)
+    adj: dict[int, set[int]] = {v: set() for v in state_of}
+    for a, b in edges.tolist():
+        if a != b:
+            adj[a].add(b)
+            adj[b].add(a)
+    return state_of, adj
+
+
+class TestHubGraphs:
+    @settings(max_examples=40, deadline=None)
+    @given(graph=hub_graphs())
+    def test_arrays_equal_the_dict_oracle(self, graph):
+        net = SocialNetwork(*graph)
+        assert dict_graph(net) == sets_from_inputs(*graph)
+        triples = enumerate_connected_triples(net)
+        oracle = triples_oracle(net)
+        assert triple_rows(triples) == oracle
+        assert census_triples(net) == census_oracle(net)
+        for seed in range(5):
+            assert (triple_rows(subsample_independent(triples, seed))
+                    == subsample_oracle(oracle, seed))
+
+    @settings(max_examples=40, deadline=None)
+    @given(graph=hub_graphs(max_nodes=40))
+    def test_census_equals_brute_force(self, graph):
+        net = SocialNetwork(*graph)
+        census = census_triples(net)
+        closed, open_ = brute_force_triples(net)
+        for state in net.states():
+            assert census.closed[state] == closed.get(state, 0)
+            assert census.open[state] == open_.get(state, 0)
+
+    @settings(max_examples=25, deadline=None)
+    @given(graph=hub_graphs())
+    def test_census_equals_networkx_triangles(self, graph):
+        nx = pytest.importorskip("networkx")
+        net = SocialNetwork(*graph)
+        state_of, _ = dict_graph(net)
+        graph = nx.Graph()
+        graph.add_nodes_from(state_of)
+        graph.add_edges_from((a, b) for a, b in net.edges()
+                             if state_of[a] == state_of[b])
+        triangles = nx.triangles(graph)
+        census = census_triples(net)
+        for state in net.states():
+            members = [v for v, s in state_of.items() if s == state]
+            closed = sum(triangles[v] for v in members) // 3
+            paths = sum(d * (d - 1) // 2 for _, d in graph.degree(members))
+            assert census.closed[state] == closed
+            assert census.open[state] == paths - 3 * closed
+
+    @settings(max_examples=20, deadline=None)
+    @given(graph=hub_graphs(), block=st.integers(1, 500))
+    def test_blocks_of_centres_change_nothing(self, graph, block):
+        whole = triple_rows(enumerate_connected_triples(SocialNetwork(*graph)))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(social, "WEDGE_BLOCK", block)
+            blocked = enumerate_connected_triples(SocialNetwork(*graph))
+        assert triple_rows(blocked) == whole
 
 
 class TestTripleCensus:
@@ -157,8 +302,9 @@ class TestTripleCensus:
         net = random_mixed_network(rng, n=25, p=0.25)
         perm = list(range(25))
         rng.shuffle(perm)
+        state_of, _ = dict_graph(net)
         relabeled = network(
-            {perm[v]: s for v, s in net.state_of.items()},
+            {perm[v]: s for v, s in state_of.items()},
             [(perm[a], perm[b]) for a, b in net.edges()],
         )
         assert census_triples(relabeled) == census_triples(net)
@@ -179,39 +325,39 @@ class TestTripleEnumeration:
             triples = enumerate_connected_triples(net)
             census = census_triples(net)
             for state in net.states():
-                both = [t for t in triples if t.state == state]
-                assert sum(t.closed for t in both) == census.closed[state]
-                assert sum(not t.closed for t in both) == census.open[state]
+                closed = triples.closed[triples.state == state]
+                assert closed.sum() == census.closed[state]
+                assert (~closed).sum() == census.open[state]
 
     def test_order_is_deterministic(self):
         rng = random.Random(23)
         net = random_mixed_network(rng, n=30, p=0.2)
-        assert enumerate_connected_triples(net) == enumerate_connected_triples(net)
+        state_of, _ = dict_graph(net)
+        edges = list(net.edges())
+        rng.shuffle(edges)
+        rebuilt = network(state_of, [(b, a) for a, b in edges])
+        assert (triple_rows(enumerate_connected_triples(rebuilt))
+                == triple_rows(enumerate_connected_triples(net)))
 
     def test_nodes_are_sorted_and_distinct(self):
         rng = random.Random(29)
         net = random_mixed_network(rng, n=20, p=0.3)
-        for t in enumerate_connected_triples(net):
-            assert list(t.nodes) == sorted(t.nodes)
-            assert len(set(t.nodes)) == 3
+        for nodes in enumerate_connected_triples(net).nodes.tolist():
+            assert nodes == sorted(nodes)
+            assert len(set(nodes)) == 3
 
 
 class TestSubsample:
     def test_shared_node_keeps_exactly_one(self):
-        triples = [
-            Triple(2, (1, 2, 3), True),
-            Triple(2, (3, 4, 5), False),
-        ]
+        triples = Triples([(1, 2, 3), (3, 4, 5)], [2, 2], [True, False])
         for seed in range(5):
             assert len(subsample_independent(triples, seed)) == 1
 
     def test_disjoint_triples_all_kept(self):
-        triples = [
-            Triple(2, (3 * i, 3 * i + 1, 3 * i + 2), bool(i % 2))
-            for i in range(40)
-        ]
+        triples = Triples(np.arange(120).reshape(40, 3), np.full(40, 2),
+                          np.arange(40) % 2 == 1)
         out = subsample_independent(triples, seed=0)
-        assert sorted(out, key=lambda t: t.nodes) == triples
+        assert sorted(triple_rows(out)) == triple_rows(triples)
 
     def test_no_node_is_reused(self):
         rng = random.Random(31)
@@ -219,25 +365,25 @@ class TestSubsample:
         triples = enumerate_connected_triples(net)
         for seed in range(5):
             seen: set[int] = set()
-            for t in subsample_independent(triples, seed):
-                assert not seen & set(t.nodes)
-                seen.update(t.nodes)
+            for nodes in subsample_independent(triples, seed).nodes.tolist():
+                assert not seen & set(nodes)
+                seen.update(nodes)
 
     def test_deterministic_given_seed(self):
         rng = random.Random(37)
         net = random_mixed_network(rng, n=40, p=0.25)
         triples = enumerate_connected_triples(net)
-        assert subsample_independent(triples, 7) == subsample_independent(triples, 7)
-        assert subsample_independent(triples, 7) != subsample_independent(triples, 8)
+        def rows(seed):
+            return triple_rows(subsample_independent(triples, seed))
+        assert rows(7) == rows(7)
+        assert rows(7) != rows(8)
 
 
 def chained_triples(n, state, closed_in_20, offset=0):
     """Overlapping triples with a fixed closure rate of closed_in_20/20."""
-    return [
-        Triple(state, (offset + i, offset + i + 1, offset + i + 2),
-               (i % 20) < closed_in_20)
-        for i in range(n)
-    ]
+    i = np.arange(n)
+    return Triples(offset + i[:, None] + np.arange(3), np.full(n, state),
+                   i % 20 < closed_in_20)
 
 
 class TestLogisticFit:
@@ -310,10 +456,10 @@ class TestLogisticFit:
 
 @pytest.fixture(scope="module")
 def planted_triples():
-    return (
-        chained_triples(900, state=2, closed_in_20=11)
-        + chained_triples(900, state=3, closed_in_20=6, offset=10_000)
-    )
+    return Triples.concat([
+        chained_triples(900, state=2, closed_in_20=11),
+        chained_triples(900, state=3, closed_in_20=6, offset=10_000),
+    ])
 
 
 class TestClosureModel:
@@ -345,3 +491,16 @@ class TestClosureModel:
         assert fit.n_triples <= len(triples)
         assert math.isfinite(fit.beta1)
         assert math.isfinite(fit.se1)
+
+
+class TestSweepBuilder:
+    def test_benchmark_sweep_output_is_unchanged(self):
+        # perfbench/sweep.py builds its network node by node through
+        # add_node/add_edge; its output must not move.
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "sweep.py"
+        spec = importlib.util.spec_from_file_location("perfbench_sweep", path)
+        sweep = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(sweep)
+        blob = json.dumps(sweep.run_sweep(range(1, 6))).encode()
+        assert hashlib.sha256(blob).hexdigest() == (
+            "9b007b8bc4916c63309ff4666730eb38d873665782d0e4c20960a95a9b8576cc")

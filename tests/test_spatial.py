@@ -119,6 +119,11 @@ class TestSeries:
         assert apart.p[(2, 1)] == 0.0
         assert merged.p[(2, 1)] == 1.0
 
+    def test_tower_missing_from_the_mapping_is_refused(self):
+        obs = make_observations([(1, 2, 1, 10), (2, 2, 1, 99), (3, 2, 1, 4)])
+        with pytest.raises(KeyError, match="99"):
+            build_colocation_series(obs, n_days=90, cell_of_tower={4: 4, 10: 4})
+
 
 class TestPartition:
     def test_three_interior_peaks_give_fifteen_high_days(self):
