@@ -70,6 +70,19 @@ class AttendanceSeries:
     factors: AdjustmentFactors = field(default_factory=AdjustmentFactors)
 
 
+def _pooled_daily_use(active: np.ndarray, length: np.ndarray) -> float:
+    """Summed days active over summed stay lengths, by integer sums."""
+    bad = np.flatnonzero((active < 1) | (active > length))
+    if bad.size:
+        raise EstimationError(
+            f"invalid stay pair ({active[bad[0]]}, {length[bad[0]]})"
+        )
+    stay_total = int(length.sum())
+    if stay_total == 0:
+        raise EstimationError("no stays to estimate daily use from")
+    return int(active.sum()) / stay_total
+
+
 def estimate_daily_use(stays: Iterable[tuple[int, int]]) -> float:
     """Pooled daily-use probability from (days_active, stay_length) pairs.
 
@@ -77,24 +90,27 @@ def estimate_daily_use(stays: Iterable[tuple[int, int]]) -> float:
     total length of stay across all customers, where a stay runs from the
     first to the last active day inclusive.
     """
-    active_total = 0
-    stay_total = 0
-    for days_active, stay_length in stays:
-        if not 1 <= days_active <= stay_length:
-            raise EstimationError(
-                f"invalid stay pair ({days_active}, {stay_length})"
-            )
-        active_total += days_active
-        stay_total += stay_length
-    if stay_total == 0:
-        raise EstimationError("no stays to estimate daily use from")
-    return active_total / stay_total
+    active, length = np.array(list(stays), dtype=np.int64).reshape(-1, 2).T
+    return _pooled_daily_use(active, length)
 
 
-def _by_person(observations: ObservationColumns) -> tuple[np.ndarray, np.ndarray]:
-    """(row order by person then day, start of each person's run in it)."""
-    order = np.lexsort((observations.day, observations.person_id))
-    return order, np.flatnonzero(run_starts(observations.person_id[order]))
+def _stays(
+    observations: ObservationColumns,
+) -> tuple[np.ndarray, np.ndarray, ObservationColumns]:
+    """Per person, in person order: days active, stay length, first observation.
+
+    Rows already in (person, day) order, as both producers give them,
+    are not sorted again; other rows are sorted once.
+    """
+    obs = observations
+    person, day = obs.person_id, obs.day
+    if not ((person[1:] > person[:-1])
+            | ((person[1:] == person[:-1]) & (day[1:] >= day[:-1]))).all():
+        obs = obs.take(np.lexsort((day, person)))
+    starts = np.flatnonzero(run_starts(obs.person_id))
+    active = np.diff(starts, append=len(obs))
+    length = obs.day[starts + active - 1] - obs.day[starts] + 1
+    return active, length, obs.take(starts)
 
 
 def stays_from_observations(
@@ -105,10 +121,7 @@ def stays_from_observations(
     Stay length is last minus first active day plus one; a person seen
     on multiple visits is treated as one stay.
     """
-    order, starts = _by_person(observations)
-    active = np.diff(starts, append=len(order))
-    day = observations.day[order]
-    length = day[starts + active - 1] - day[starts] + 1
+    active, length, _ = _stays(observations)
     return list(zip(active.tolist(), length.tolist()))
 
 
@@ -172,12 +185,7 @@ def first_day_counts(
     observations: ObservationColumns,
 ) -> dict[tuple[int, int], int]:
     """Number of persons whose first observation falls on each (state, day)."""
-    order, starts = _by_person(observations)
-    first = order[starts]
-    return ObservationColumns(
-        observations.person_id[first], observations.state_code[first],
-        observations.day[first], observations.first_tower[first],
-    ).unique_handsets()
+    return _stays(observations)[2].unique_handsets()
 
 
 def cumulative_attendance_by_state(
@@ -332,7 +340,8 @@ def build_series(
     documented defaults inside ``factors``.
     """
     base = factors or AdjustmentFactors()
-    daily_use = estimate_daily_use(stays_from_observations(observations))
+    active, length, first = _stays(observations)
+    daily_use = _pooled_daily_use(active, length)
 
     non_use = base.non_use
     non_use_est = None
@@ -347,7 +356,7 @@ def build_series(
     eff = AdjustmentFactors(base.prevalence, daily_use, non_use)
     by_state_daily = daily_attendance_by_state(counts, profiles, eff)
     by_state_cum = cumulative_attendance_by_state(
-        first_day_counts(observations), profiles, eff, total_days=total_days
+        first.unique_handsets(), profiles, eff, total_days=total_days
     )
     representation = state_representation(
         final_cumulative_by_state(by_state_cum, total_days=total_days)

@@ -25,6 +25,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import resource
 import sys
 import time
 from dataclasses import asdict, dataclass, field
@@ -150,10 +151,12 @@ def sha256_of(path: Path) -> str:
 
 @dataclass
 class RunManifest:
-    """Inputs, outputs (with digests), versions, and timings of one run.
+    """Inputs, outputs (with digests), versions, timings and memory of one run.
 
-    ``failure`` holds ``failed_stage``, ``error`` and ``exit_code`` when
-    the run stopped on a data or analysis error, and is empty otherwise.
+    ``peak_rss_mb`` holds the process's peak resident set size after each
+    stage, as ``getrusage`` reports it. ``failure`` holds
+    ``failed_stage``, ``error`` and ``exit_code`` when the run stopped on
+    a data or analysis error, and is empty otherwise.
     """
 
     command: str
@@ -162,6 +165,7 @@ class RunManifest:
     inputs: dict[str, str] = field(default_factory=dict)
     outputs: dict[str, dict] = field(default_factory=dict)
     timings_s: dict[str, float] = field(default_factory=dict)
+    peak_rss_mb: dict[str, float] = field(default_factory=dict)
     versions: dict[str, str] = field(default_factory=dict)
     failure: dict = field(default_factory=dict)
 
@@ -584,12 +588,16 @@ COMMANDS: dict[str, tuple[tuple[str, ...], Callable[[Run], str]]] = {
 }
 
 def _timed(manifest: RunManifest, name: str, fn: Callable, *args):
-    """``fn(*args)``, its wall time recorded as ``manifest.timings_s[name]``."""
+    """``fn(*args)``, its wall time recorded as ``manifest.timings_s[name]``
+    and the peak RSS after it as ``manifest.peak_rss_mb[name]``."""
     start = time.monotonic()
     try:
         return fn(*args)
     finally:
         manifest.timings_s[name] = round(time.monotonic() - start, 3)
+        # ru_maxrss is in kilobytes on Linux.
+        manifest.peak_rss_mb[name] = round(
+            resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)
 
 
 def run_command(args) -> int:

@@ -20,13 +20,15 @@ usable location or state and are rejected at parse time.
 
 from __future__ import annotations
 
+import codecs
 import csv
 import io
+import itertools
+import math
 import warnings
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
-from itertools import islice
 from pathlib import Path
 from typing import IO, Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -38,8 +40,10 @@ UNKNOWN_STATE = 0
 N_STATES = 23
 INT64_MIN, INT64_MAX = -(2 ** 63), 2 ** 63 - 1
 
-#: Lines per chunk of ``read_cdr_columns``.
-CHUNK_LINES = 100_000
+#: Bytes per block of ``read_cdr_columns``.
+BLOCK_BYTES = 1 << 20
+#: Rows per block of ``write_columns``.
+WRITE_BLOCK_ROWS = 1 << 14
 
 #: Canonical CDR column order; also the default schema (field -> column name).
 CDR_COLUMNS = (
@@ -376,50 +380,83 @@ class CdrColumns:
 
 _BOOL_FIELDS = ("is_text", "caller_is_customer", "callee_is_customer")
 
-#: One parsed chunk: the numeric fields as int64; ``kind`` and the
-#: customer flags as text, so that only their canonical spellings pass
-#: (as integers, "01" or "+1" would read as a valid flag).
-_CHUNK_DTYPE = np.dtype([
-    (f, "U5" if f == "kind" else "U2" if f.endswith("_is_customer") else np.int64)
+#: One parsed block: the numeric fields as int64; ``kind`` and the
+#: customer flags as ASCII bytes, so that only their canonical spellings
+#: pass (as integers, "01" or "+1" would read as a valid flag).
+_BLOCK_DTYPE = np.dtype([
+    (f, "S5" if f == "kind" else "S2" if f.endswith("_is_customer") else np.int64)
     for f in CDR_COLUMNS
 ])
 
-#: Bytes a chunk may hold for the fast path: printable ASCII without the
+#: Bytes a block may hold for the fast path: printable ASCII without the
 #: quote character, tab and line ends. Outside that set numpy's and
 #: Python's integer parsing can disagree, a NUL ends a numpy string
 #: early, and a quote changes what the csv module reads as a row.
 _FAST_BYTES = bytes(range(0x20, 0x7F)).replace(b'"', b"") + b"\t\r\n"
 
 
-def _load_chunk(lines: list[str], usecols: list[int]) -> np.ndarray | None:
-    """The lines as one structured array, or None unless all are canonical.
+def _line_blocks(fh: IO[bytes], size: int) -> Iterator[bytes]:
+    """The bytes of ``fh``, read ``size`` at a time and cut after line ends.
 
-    Canonical: one row per line, every integer within int64, ``kind``
-    exactly ``call`` or ``text``, customer flags exactly 0 or 1 and
-    states in 0..23. Such a chunk reads the same as the row validator
-    reads it.
+    Each block ends at the last ``\\n`` read so far, except the final one
+    and one holding a line longer than the csv field size limit: such a
+    line cannot be read in canonical form, so it ends the blocks early.
     """
-    text = "".join(lines)
-    if not text.isascii() or text.encode("ascii").translate(None, _FAST_BYTES):
+    carry = b""
+    while data := fh.read(size):
+        cut = data.rfind(b"\n") + 1
+        if cut:
+            yield carry + data[:cut]
+            carry = data[cut:]
+        else:
+            carry += data
+        if len(carry) > csv.field_size_limit():
+            break
+    if carry:
+        yield carry
+
+
+def _plain_header(line: bytes) -> list[str] | None:
+    """The cells of a header line in the fast byte set, else None."""
+    line = line.removesuffix(b"\r")
+    if line.translate(None, _FAST_BYTES) or b"\r" in line:
         return None
-    if max(map(len, lines)) > csv.field_size_limit():
+    return next(csv.reader([line.decode("ascii")]))
+
+
+def _load_block(block: bytes, usecols: list[int]) -> np.ndarray | None:
+    """The lines of a block as one structured array, or None unless all
+    are canonical.
+
+    Canonical: only ``_FAST_BYTES``, no line longer than the csv field
+    size limit, one row per line, every integer within int64, ``kind``
+    exactly ``call`` or ``text``, customer flags exactly 0 or 1 and states
+    in 0..23. Such a block reads the same as the row validator reads it.
+    """
+    if block.translate(None, _FAST_BYTES):
+        return None
+    # One past each line end; the last line may have none.
+    ends = np.flatnonzero(np.frombuffer(block, np.uint8) == ord("\n")) + 1
+    lengths = np.diff(ends, prepend=0, append=len(block))
+    if lengths.max() > csv.field_size_limit():
         return None
     try:
         with warnings.catch_warnings():
             # Any warning means a cell numpy had to guess at: an all-blank
-            # chunk, or (numpy 1.x) an integer read through a float, "1.0".
+            # block, or (numpy 1.x) an integer read through a float, "1.0".
             warnings.simplefilter("error")
-            table = np.loadtxt(lines, dtype=_CHUNK_DTYPE, delimiter=",",
-                               comments=None, usecols=usecols, ndmin=1)
+            table = np.loadtxt(io.StringIO(block.decode("ascii")),
+                               dtype=_BLOCK_DTYPE, delimiter=",", comments=None,
+                               usecols=usecols, ndmin=1)
     except (ValueError, Warning):
         return None
-    if len(table) != len(lines):
+    if len(table) != len(ends) + bool(lengths[-1]):
         return None
     kind = table["kind"]
-    if not ((kind == "call") | (kind == "text")).all():
+    if not ((kind == b"call") | (kind == b"text")).all():
         return None
     for f in ("caller_is_customer", "callee_is_customer"):
-        if not ((table[f] == "0") | (table[f] == "1")).all():
+        if not ((table[f] == b"0") | (table[f] == b"1")).all():
             return None
     for f in ("caller_state", "callee_state"):
         if not ((table[f] >= 0) & (table[f] <= N_STATES)).all():
@@ -427,18 +464,18 @@ def _load_chunk(lines: list[str], usecols: list[int]) -> np.ndarray | None:
     return table
 
 
-def _screen_chunk(
+def _screen_block(
     table: np.ndarray,
     window: StudyWindow,
     known_towers: np.ndarray | None,
     report: IngestReport,
 ) -> CdrColumns:
-    """The accepted rows of a canonical chunk; the rest counted by reason."""
+    """The accepted rows of a canonical block; the rest counted by reason."""
     ts, duration, tower = table["timestamp"], table["duration"], table["tower_id"]
     caller_state, callee_state = table["caller_state"], table["callee_state"]
-    is_text = table["kind"] == "text"
-    caller_cust = table["caller_is_customer"] == "1"
-    callee_cust = table["callee_is_customer"] == "1"
+    is_text = table["kind"] == b"text"
+    caller_cust = table["caller_is_customer"] == b"1"
+    callee_cust = table["callee_is_customer"] == b"1"
     unknown = (np.zeros(len(table), bool) if known_towers is None
                else ~np.isin(tower, known_towers))
     codes = np.select([
@@ -476,32 +513,52 @@ def read_cdr_columns(
 
     ``source`` is a path or bytes; the file has a header row with the
     canonical column names (extra columns are ignored). It is read in
-    chunks of ``CHUNK_LINES`` lines, each parsed by one ``numpy.loadtxt``
-    call and screened with array masks. At the first chunk that is not in
-    canonical form (see ``_load_chunk``) the report is cleared and the
-    whole file is read again by ``parse_cdr``. Either way the accepted
-    events, the report and the tolerance IngestError are those
-    ``parse_cdr`` gives for the same file and arguments; canonical rows
-    always parse, so the tolerance can only fail on the second read.
+    binary blocks of ``BLOCK_BYTES``, each cut after its last line end, so
+    the whole file is never held in memory. A block is checked against
+    the canonical byte set with one ``bytes.translate``, its line ends
+    found with one byte scan (which also bounds the line length and
+    counts the lines), then parsed by one ``numpy.loadtxt`` call and
+    screened with array masks. At the first header or block that is not
+    in canonical form (see ``_plain_header`` and ``_load_block``) the
+    report is cleared and the whole file is read again by ``parse_cdr``.
+    Either way the accepted events, the report and the tolerance
+    IngestError are those ``parse_cdr`` gives for the same file and
+    arguments; canonical rows always parse, so the tolerance can only
+    fail on the second read.
     """
-    if hasattr(source, "read"):
+    is_path = isinstance(source, (str, Path))
+    if is_path:
+        opened = open(source, "rb")
+    elif isinstance(source, (bytes, bytearray)):
+        opened = io.BytesIO(source)
+    else:
         raise IngestError(f"unsupported CDR source: {type(source)!r}")
     if report is None:
         report = IngestReport()
     # An id outside int64 matches no parsed row, so it can be left out.
     known = (None if known_towers is None else np.fromiter(
         (t for t in known_towers if INT64_MIN <= t <= INT64_MAX), np.int64))
-    with _text_stream(source) as stream:
-        index = _header_index(csv.reader(stream), None)
-        usecols = [index[f] for f in CDR_COLUMNS]
-        parts = []
-        while lines := list(islice(stream, CHUNK_LINES)):
-            table = _load_chunk(lines, usecols)
-            if table is None:
-                break
-            parts.append(_screen_chunk(table, window, known, report))
-        else:
-            return CdrColumns.concat(parts)
+    with opened as fh:
+        blocks = _line_blocks(fh, BLOCK_BYTES)
+        header, newline, rest = next(blocks, b"").partition(b"\n")
+        if is_path:
+            header = header.removeprefix(codecs.BOM_UTF8)
+        # A file without a line end after its header goes to parse_cdr,
+        # which tells an empty source from a header-only one.
+        cells = _plain_header(header) if newline else None
+        if cells is not None:
+            index = _header_index(iter([cells]), None)
+            usecols = [index[f] for f in CDR_COLUMNS]
+            parts = []
+            for block in itertools.chain([rest], blocks):
+                if not block:
+                    continue
+                table = _load_block(block, usecols)
+                if table is None:
+                    break
+                parts.append(_screen_block(table, window, known, report))
+            else:
+                return CdrColumns.concat(parts)
     report.rows = report.accepted = 0
     report.rejects.clear()
     return CdrColumns.from_events(parse_cdr(
@@ -516,9 +573,45 @@ def run_starts(*keys: np.ndarray) -> np.ndarray:
     return starts
 
 
+def pack_keys(*columns: np.ndarray) -> tuple[np.ndarray, list[tuple[int, int]]]:
+    """One int64 key per row that orders rows as the column tuples do.
+
+    The first column is the most significant; each enters as its offset
+    from its minimum. Returns the key and each column's (minimum, span),
+    which ``unpack_keys`` takes. The spans are multiplied in Python ints,
+    and ValueError is raised when their product is beyond int64, so a
+    key never wraps around.
+    """
+    bounds = [(int(c.min()), int(c.max()) - int(c.min()) + 1) if len(c) else (0, 1)
+              for c in columns]
+    if math.prod(span for _, span in bounds) > INT64_MAX:
+        raise ValueError(f"packed key of spans {[s for _, s in bounds]} "
+                         "overflows int64")
+    key = np.zeros(len(columns[0]), np.int64)
+    for col, (low, span) in zip(columns, bounds):
+        key *= span
+        key += col - low
+    return key, bounds
+
+
+def unpack_keys(key: np.ndarray, bounds: Sequence[tuple[int, int]]) -> list[np.ndarray]:
+    """The columns ``pack_keys`` packed into ``key``, given its bounds."""
+    columns = []
+    for low, span in reversed(bounds):
+        key, offset = np.divmod(key, span)
+        columns.append(offset + low)
+    return columns[::-1]
+
+
 @dataclass(frozen=True, eq=False)
 class ObservationColumns:
-    """Daily observations as one int64 array per field, rows in any order."""
+    """Daily observations as one int64 array per field.
+
+    Both producers, ``daily_observations`` and
+    ``synth.GroundTruth.observations``, give one row per (person, day) in
+    (person, day) order. The consumers accept rows in any order and sort
+    only rows that are not in that order.
+    """
 
     person_id: np.ndarray
     state_code: np.ndarray
@@ -528,14 +621,17 @@ class ObservationColumns:
     def __len__(self) -> int:
         return len(self.person_id)
 
+    def take(self, rows: np.ndarray) -> ObservationColumns:
+        """The observations at ``rows`` (indices or a mask), in that order."""
+        return ObservationColumns(self.person_id[rows], self.state_code[rows],
+                                  self.day[rows], self.first_tower[rows])
+
     def unique_handsets(self) -> dict[tuple[int, int], int]:
         """Distinct-person count per (state, day), in (state, day) order."""
-        order = np.lexsort((self.day, self.state_code))
-        state, day = self.state_code[order], self.day[order]
-        starts = np.flatnonzero(run_starts(state, day))
-        sizes = np.diff(starts, append=len(order))
-        return dict(zip(zip(state[starts].tolist(), day[starts].tolist()),
-                        sizes.tolist()))
+        key, bounds = pack_keys(self.state_code, self.day)
+        key, sizes = np.unique(key, return_counts=True)
+        state, day = unpack_keys(key, bounds)
+        return dict(zip(zip(state.tolist(), day.tolist()), sizes.tolist()))
 
 
 def daily_observations(
@@ -545,18 +641,25 @@ def daily_observations(
 
     The observation keeps the tower of the person's earliest event that
     day; equal timestamps are broken by the smallest tower_id, so the
-    result does not depend on input order. One stable sort on (person, timestamp, tower) puts each (person,
-    day)'s earliest event, ties to the smallest tower and then to input
-    order, first in its group; the day grows with the timestamp, so it
-    needs no sort key of its own.
+    result does not depend on input order. Rows come out in (person, day)
+    order. One stable sort on the person and a key packing (timestamp,
+    tower rank) puts each (person, day)'s earliest event, ties to the
+    smallest tower and then to input order, first in its group; the day
+    grows with the timestamp, so it needs no sort key of its own.
+    ValueError when the timestamp span times the tower count overflows
+    int64, which window-screened events never do.
     """
     person, state = columns.located()
-    day = (columns.timestamp - window.start) // 86400 + 1
-    order = np.lexsort((columns.tower_id, columns.timestamp, person))
+    tower = columns.tower_id
+    order = np.lexsort((
+        pack_keys(columns.timestamp, np.unique(tower, return_inverse=True)[1])[0],
+        person))
     order = order[(columns.caller_is_customer | columns.callee_is_customer)[order]]
-    rows = order[run_starts(person[order], day[order])]
-    return ObservationColumns(person[rows], state[rows], day[rows],
-                              columns.tower_id[rows])
+    day = (columns.timestamp[order] - window.start) // 86400 + 1
+    starts = run_starts(person[order], day)
+    first = order[starts]
+    return ObservationColumns(person[first], state[first], day[starts],
+                              tower[first])
 
 
 # ---------------------------------------------------------------------------
@@ -678,7 +781,8 @@ def write_columns(path, header: Sequence[str], columns: Sequence[np.ndarray], *,
                   delimiter: str = ",") -> None:
     """``write_table`` for integer and string columns, with the same bytes.
 
-    Each row is one %-format, so a text cell that ``csv`` would quote (one
+    Rows are written ``WRITE_BLOCK_ROWS`` at a time, each block as one
+    %-format of its cells, so a text cell that ``csv`` would quote (one
     holding the delimiter, a quote or a line break) is refused instead.
     """
     texts = [*header, *(v for c in columns if c.dtype.kind not in "biu"
@@ -687,9 +791,16 @@ def write_columns(path, header: Sequence[str], columns: Sequence[np.ndarray], *,
         if any(ch in text for ch in (delimiter, '"', "\n", "\r")):
             raise ValueError(f"cell {text!r} would need CSV quoting")
     row = delimiter.join(["%s"] * len(columns)) + "\n"
+    # Columns of one dtype stack as that dtype; mixed ones as Python
+    # objects, so that no cell takes another column's type.
+    dtype = None if len({c.dtype for c in columns}) == 1 else object
+    n_rows = len(columns[0]) if len(columns) else 0
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(delimiter.join(header) + "\n")
-        fh.writelines(row % cells for cells in zip(*(c.tolist() for c in columns)))
+        for start in range(0, n_rows, WRITE_BLOCK_ROWS):
+            block = np.stack([c[start:start + WRITE_BLOCK_ROWS] for c in columns],
+                             axis=1, dtype=dtype)
+            fh.write(row * len(block) % tuple(block.ravel().tolist()))
 
 
 def write_table(path, header: Sequence[str], rows: Iterable[Sequence], *,

@@ -27,7 +27,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import EstimationError
-from .ingest import ObservationColumns, run_starts
+from .ingest import ObservationColumns, pack_keys, run_starts, unpack_keys
 
 #: Fewest bootstrap replicates a percentile interval is computed from.
 MIN_BOOTSTRAP_REPLICATES = 200
@@ -97,31 +97,23 @@ def build_colocation_series(
     ``cell_of_tower`` maps towers onto their owning cell (identity when
     every observed tower is active and owns its own cell).
     """
-    cell = observations.first_tower
+    towers, cell = np.unique(observations.first_tower, return_inverse=True)
     if cell_of_tower is not None:
-        towers = np.fromiter(cell_of_tower, np.int64, len(cell_of_tower))
-        owner = np.fromiter(cell_of_tower.values(), np.int64, len(cell_of_tower))
-        order = np.argsort(towers)
-        towers, owner = towers[order], owner[order]
-        at = np.searchsorted(towers, cell)
-        known = at < towers.size
-        known[known] = towers[at[known]] == cell[known]
-        if not known.all():
-            raise KeyError(int(cell[~known][0]))
-        cell = owner[at]
-    # One run per occupied (state, day, cell), its length the occupancy;
-    # each (state, day) group is a block of consecutive runs.
-    order = np.lexsort((cell, observations.day, observations.state_code))
-    state, day = observations.state_code[order], observations.day[order]
-    runs = np.flatnonzero(run_starts(state, day, cell[order]))
-    occupancy = np.diff(runs, append=len(order))
-    groups = np.flatnonzero(run_starts(state[runs], day[runs]))
-    keys = zip(state[runs[groups]].tolist(), day[runs[groups]].tolist())
+        # Each observed tower's owning cell, as the cell's rank.
+        owner = np.array([cell_of_tower[t] for t in towers.tolist()], np.int64)
+        cell = np.unique(owner, return_inverse=True)[1][cell]
+    # One count per occupied (state, day, cell), the occupancy; each
+    # (state, day) group is a block of consecutive keys.
+    key, bounds = pack_keys(observations.state_code, observations.day, cell)
+    key, occupancy = np.unique(key, return_counts=True)
+    groups = np.flatnonzero(run_starts(key // bounds[-1][1]))
+    state, day, _ = unpack_keys(key[groups], bounds)
     series = CoLocationSeries(n_days=n_days)
-    for key, counts in zip(keys, np.split(occupancy, groups[1:])):
+    for group, counts in zip(zip(state.tolist(), day.tolist()),
+                             np.split(occupancy, groups[1:])):
         counts = counts.tolist()
-        series.totals[key] = sum(counts)
-        series.p[key] = colocation_probability(counts)
+        series.totals[group] = sum(counts)
+        series.p[group] = colocation_probability(counts)
     series.states = sorted({s for s, _ in series.p})
     return series
 

@@ -300,3 +300,18 @@ class TestBuildSeries:
         )
         assert series.non_use_estimate is None
         assert series.factors.non_use == AdjustmentFactors().non_use
+
+    def test_row_order_of_the_observations_does_not_matter(self,
+                                                           desk_small_truth):
+        # The producers give (person, day) order, which is not sorted
+        # again; shuffled rows are sorted once and give the same series.
+        truth = desk_small_truth
+        ordered = truth.observations()
+        shuffled = ordered.take(np.random.default_rng(0).permutation(
+            len(ordered)))
+        series = [
+            build_series(obs, truth.observed_counts, truth.profiles(),
+                         total_days=truth.n_days)
+            for obs in (ordered, shuffled)
+        ]
+        assert series[0] == series[1]

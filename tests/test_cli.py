@@ -229,6 +229,10 @@ class TestReport:
         }
         assert "failed_stage" not in blob
         assert "crowdcdr" in blob["versions"]
+        assert list(blob["peak_rss_mb"]) == [
+            "load", "ingest", "attendance", "social", "spatial", "sbm",
+            "summary"]
+        assert all(v > 0 for v in blob["peak_rss_mb"].values())
 
     def test_spatial_summary_reports_permutation_p_values(self, report_dir):
         spa = read_json(report_dir / "spatial_summary.json")
@@ -539,6 +543,20 @@ class TestFailureModes:
         assert blob["error"] == "RuntimeError"
         assert blob["exit_code"] == 1
         assert set(blob["timings_s"]) == {"load", "ingest", "total"}
+
+    def test_peak_rss_is_recorded_up_to_the_failed_stage(
+            self, gen_dir, tmp_path, monkeypatch):
+        def broken(run):
+            raise RuntimeError("stage bug")
+        monkeypatch.setattr(cli, "stage_attendance", broken)
+        with pytest.raises(RuntimeError, match="stage bug"):
+            run("report", "--input-dir", gen_dir, "--output-dir", tmp_path)
+        blob = read_json(tmp_path / "manifest_report.json")
+        assert blob["failed_stage"] == "attendance"
+        rss = blob["peak_rss_mb"]
+        assert list(rss) == ["load", "ingest", "attendance"]
+        # The process's peak so far: positive and never falling.
+        assert 0 < rss["load"] <= rss["ingest"] <= rss["attendance"]
 
     @pytest.mark.parametrize("text", [
         '{"prevalence": "x"}',

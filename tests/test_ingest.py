@@ -1,5 +1,6 @@
 """Parsing, validation, daily deduplication, and distinct counting."""
 
+import codecs
 import csv
 import io
 import itertools
@@ -15,10 +16,13 @@ from crowdcdr import ingest, synth
 from crowdcdr.errors import IngestError, SchemaError
 from crowdcdr.ingest import (
     DEFAULT_WINDOW,
+    INT64_MAX,
+    INT64_MIN,
     CdrColumns,
     IngestReport,
     StudyWindow,
     daily_observations,
+    pack_keys,
     parse_cdr,
     read_cdr_columns,
     write_cdr,
@@ -182,6 +186,29 @@ class TestParse:
         want = io.StringIO(newline="")
         writer = csv.writer(want, delimiter="\t", lineterminator="\n")
         writer.writerow(("a", "b", "c"))
+        writer.writerows(zip(*(c.tolist() for c in cols)))
+        assert path.read_text(encoding="utf-8") == want.getvalue()
+
+    @pytest.mark.parametrize("kinds", ["int", "int_bool", "int_str_bool"])
+    @pytest.mark.parametrize("block", [1, 7, 20])
+    def test_blocks_write_what_the_csv_module_writes(self, tmp_path,
+                                                     monkeypatch, block, kinds):
+        rng = np.random.default_rng(block)
+        ints = rng.integers(INT64_MIN, INT64_MAX, 20, endpoint=True)
+        ints[:2] = INT64_MIN, INT64_MAX
+        cols = {
+            "int": [ints, rng.integers(-5, 5, 20)],
+            "int_bool": [ints, ints % 3 == 0],
+            "int_str_bool": [ints, np.where(ints % 2 == 0, "call", "text"),
+                             ints % 3 == 0],
+        }[kinds]
+        monkeypatch.setattr(ingest, "WRITE_BLOCK_ROWS", block)
+        path = tmp_path / "cols.csv"
+        header = [f"c{i}" for i in range(len(cols))]
+        ingest.write_columns(path, header, cols)
+        want = io.StringIO(newline="")
+        writer = csv.writer(want, lineterminator="\n")
+        writer.writerow(header)
         writer.writerows(zip(*(c.tolist() for c in cols)))
         assert path.read_text(encoding="utf-8") == want.getvalue()
 
@@ -516,12 +543,14 @@ class TestColumnarIngest:
         edits=st.lists(st.tuples(st.integers(0, 10 ** 6),
                                  st.sampled_from(sorted(MUTATIONS))),
                        max_size=80),
-        chunk=st.sampled_from([7, 37, 250, 100_000]),
+        # About 7, 37 and 250 lines of desk-small (52 bytes a line), and
+        # more than the whole file.
+        block=st.sampled_from([364, 1924, 13_000, 1 << 20]),
     )
     def test_mutated_file_matches_the_oracle(self, desk, monkeypatch,
-                                             edits, chunk):
+                                             edits, block):
         text, known = desk
-        monkeypatch.setattr(ingest, "CHUNK_LINES", chunk)
+        monkeypatch.setattr(ingest, "BLOCK_BYTES", block)
         assert_paths_agree(mutated_cdr(text, edits), known)
 
     @pytest.mark.parametrize("name", sorted(MUTATIONS))
@@ -530,7 +559,7 @@ class TestColumnarIngest:
         # Alone, a mutation either leaves the file canonical, so the fast
         # path must screen it, or must send the file to the second read.
         text, known = desk
-        monkeypatch.setattr(ingest, "CHUNK_LINES", 250)
+        monkeypatch.setattr(ingest, "BLOCK_BYTES", 13_000)  # about 250 lines
         short = "\n".join(text.splitlines()[:3000])
         assert_paths_agree(mutated_cdr(short, [(1500, name), (2900, name)]),
                            known)
@@ -563,15 +592,15 @@ class TestColumnarIngest:
 
     def test_tolerance_error_after_fast_chunks_matches_the_oracle(
             self, desk, monkeypatch):
-        # Ten canonical chunks are screened and counted before the first
-        # bad row; the second read must start from a clear report.
+        # About ten canonical blocks are screened and counted before the
+        # first bad row; the second read must start from a clear report.
         text, known = desk
         header, *lines = text.splitlines()
         lines = (lines * 2)[:12_000]
         for i in range(9900, 10050):
             lines[i] = "garbage,row"
         data = ("\n".join([header, *lines]) + "\n").encode()
-        monkeypatch.setattr(ingest, "CHUNK_LINES", 1000)
+        monkeypatch.setattr(ingest, "BLOCK_BYTES", 52_000)  # about 1000 lines
         reports = []
         messages = []
         for parse in (lambda **kw: list(parse_cdr(data, **kw)),
@@ -625,6 +654,118 @@ class TestColumnarIngest:
             read_cdr_columns(io.BytesIO(cdr_text([]).encode()))
 
 
+def reader_events():
+    """A few accepted rows and one of several reject reasons."""
+    events = [make_event(day=d, offset=d * 61, caller=100 + d, tower=1 + d % 3,
+                         kind="text" if d % 4 == 0 else "call")
+              for d in range(1, 13)]
+    return events + [
+        make_event(day=100),
+        make_event(day=2, caller_customer=False, callee_customer=False),
+        make_event(day=3, caller_state=0),
+        make_event(day=4, tower=9),
+    ]
+
+
+def _blank_line(data):
+    lines = data.split(b"\n")
+    return b"\n".join([*lines[:5], b"", *lines[5:]])
+
+
+#: Byte-level edits of a canonical cdr.csv, by name; the first three keep
+#: it canonical.
+READER_CASES = {
+    "canonical": lambda data: data,
+    "no_trailing_newline": lambda data: data.removesuffix(b"\n"),
+    "crlf": lambda data: data.replace(b"\n", b"\r\n"),
+    "bom": lambda data: codecs.BOM_UTF8 + data,
+    "blank_line": _blank_line,
+    "nul": lambda data: data.replace(b",call,", b",ca\x00ll,", 1),
+    "non_ascii": lambda data: data.replace(b",call,", ",c\u00e1ll,".encode(),
+                                           1),
+    "invalid_utf8": lambda data: data.replace(b",call,", b",c\xffll,", 1),
+    "non_ascii_header": lambda data: data.replace(b"\n", ",\u00e9\n".encode(),
+                                                  1),
+    "lone_cr": lambda data: data.replace(b"\n", b"\r", 3),
+    "empty": lambda data: b"",
+    "bom_only": lambda data: codecs.BOM_UTF8,
+    "header_only": lambda data: data.split(b"\n")[0],
+}
+CANONICAL_CASES = ("canonical", "no_trailing_newline", "crlf")
+
+
+def read_both_ways(source, monkeypatch, *, fast: bool):
+    """(read_cdr_columns result, parse_cdr result) for the same source.
+
+    A result is (events, report counts), or the error class and message.
+    With ``fast``, the columnar read must not fall back to ``parse_cdr``.
+    """
+    def read(fn):
+        report = IngestReport()
+        try:
+            events = fn(source, known_towers={1, 2, 3}, report=report)
+        except (IngestError, SchemaError) as exc:
+            return type(exc), str(exc)
+        return events, (report.rows, report.accepted, dict(report.rejects))
+
+    expected = read(lambda *a, **kw: list(parse_cdr(*a, **kw)))
+    if fast:
+        def no_fallback(*args, **kwargs):
+            raise AssertionError("row validator used on a canonical file")
+        monkeypatch.setattr(ingest, "parse_cdr", no_fallback)
+    got = read(lambda *a, **kw: columns_as_events(read_cdr_columns(*a, **kw)))
+    return got, expected
+
+
+class TestByteBlockReader:
+    @pytest.mark.parametrize("block", [1, 7, 64, None])
+    @pytest.mark.parametrize("case", sorted(READER_CASES))
+    def test_bytes_read_as_parse_cdr_reads_them(self, monkeypatch, tmp_path,
+                                                case, block):
+        if block is not None:
+            monkeypatch.setattr(ingest, "BLOCK_BYTES", block)
+        data = READER_CASES[case](cdr_text(reader_events()).encode())
+        got, expected = read_both_ways(data, monkeypatch,
+                                       fast=case in CANONICAL_CASES)
+        assert got == expected
+        monkeypatch.undo()
+        if block is not None:
+            monkeypatch.setattr(ingest, "BLOCK_BYTES", block)
+        # A path is decoded as utf-8-sig, so a leading BOM is skipped.
+        path = tmp_path / "cdr.csv"
+        path.write_bytes(data)
+        got, expected = read_both_ways(
+            path, monkeypatch, fast=case in (*CANONICAL_CASES, "bom"))
+        assert got == expected
+
+    def test_line_straddling_a_block_boundary(self, monkeypatch):
+        data = cdr_text(reader_events()).encode()
+        first_row_end = data.index(b"\n", data.index(b"\n") + 1)
+        monkeypatch.setattr(ingest, "BLOCK_BYTES", first_row_end - 20)
+        got, expected = read_both_ways(data, monkeypatch, fast=True)
+        assert got == expected
+        assert len(got[0]) == 12
+
+    @pytest.mark.parametrize("block", [64, None])
+    def test_line_over_the_field_limit_reads_as_parse_cdr_reads_it(
+            self, monkeypatch, block):
+        if block is not None:
+            monkeypatch.setattr(ingest, "BLOCK_BYTES", block)
+        header, *rows = cdr_text(reader_events()).splitlines()
+        cells = ["y"] * len(rows)
+        cells[3] = "x" * 300
+        data = "\n".join([header + ",extra",
+                          *(f"{r},{c}" for r, c in zip(rows, cells))]) + "\n"
+        old = csv.field_size_limit(200)
+        try:
+            got, expected = read_both_ways(data.encode(), monkeypatch,
+                                           fast=False)
+        finally:
+            csv.field_size_limit(old)
+        assert got == expected
+        assert got[0] is IngestError    # the csv module's field limit
+
+
 @st.composite
 def observation_sets(draw):
     """Unsorted rows, unique per (person, day), over few states and towers."""
@@ -659,3 +800,100 @@ class TestObservationGrouping:
         assert first_day_counts(obs) == {}
         series = build_colocation_series(obs, n_days=3, cell_of_tower={})
         assert (series.totals, series.p, series.states) == ({}, {}, [])
+
+
+#: Ids near zero, at the int64 extremes, and anywhere between.
+EXTREME_IDS = st.one_of(
+    st.integers(-3, 3),
+    st.sampled_from([INT64_MIN, INT64_MIN + 1, INT64_MAX - 1, INT64_MAX]),
+    st.integers(INT64_MIN, INT64_MAX),
+)
+
+
+@st.composite
+def extreme_events(draw):
+    """Events in any order over few persons, towers and timestamps.
+
+    Timestamps come from a pool of at most four, so equal timestamps at
+    different towers are common; person and tower ids reach int64's ends.
+    """
+    persons = draw(st.lists(EXTREME_IDS, min_size=1, max_size=5, unique=True))
+    towers = draw(st.lists(EXTREME_IDS, min_size=1, max_size=4, unique=True))
+    stamps = draw(st.lists(st.integers(0, 3 * 86400 - 1).map(ts_on_day),
+                           min_size=1, max_size=4))
+    return [
+        make_event(timestamp=draw(st.sampled_from(stamps)),
+                   caller=draw(st.sampled_from(persons)),
+                   callee=draw(st.sampled_from(persons)),
+                   tower=draw(st.sampled_from(towers)),
+                   caller_state=draw(st.integers(0, 23)),
+                   callee_state=draw(st.integers(0, 23)),
+                   caller_customer=draw(st.booleans()),
+                   callee_customer=draw(st.booleans()))
+        for _ in range(draw(st.integers(0, 40)))
+    ]
+
+
+@st.composite
+def extreme_observations(draw):
+    """(observations, cell_of_tower or None): unsorted rows, one per
+    (person, day), with int64-extreme person, tower and cell ids; the
+    cells, when given, are shared by several towers."""
+    persons = draw(st.lists(EXTREME_IDS, min_size=1, max_size=6, unique=True))
+    towers = draw(st.lists(EXTREME_IDS, min_size=1, max_size=6, unique=True))
+    keys = draw(st.lists(st.tuples(st.sampled_from(persons), st.integers(1, 6)),
+                         unique=True, max_size=60))
+    obs = make_observations(
+        (person, draw(st.integers(0, 23)), day, draw(st.sampled_from(towers)))
+        for person, day in keys
+    )
+    cells = draw(st.lists(EXTREME_IDS, min_size=1, max_size=3, unique=True))
+    if not draw(st.booleans()):
+        return obs, None
+    return obs, {t: draw(st.sampled_from(cells)) for t in towers}
+
+
+class TestPackedKeys:
+    @settings(max_examples=200, deadline=None)
+    @given(events=extreme_events())
+    def test_daily_observations_match_the_dict_oracle(self, events):
+        assert observation_rows(daily_observations(
+            CdrColumns.from_events(events))) == observation_rows(
+                dedupe_daily(events))
+
+    @settings(max_examples=200, deadline=None)
+    @given(drawn=extreme_observations())
+    def test_counts_stays_and_first_days_match_the_dict_oracles(self, drawn):
+        obs, _ = drawn
+        counts = obs.unique_handsets()
+        assert counts == count_unique_handsets(obs)
+        assert list(counts) == sorted(counts)
+        assert sorted(stays_from_observations(obs)) == sorted(stays_oracle(obs))
+        assert first_day_counts(obs) == first_day_counts_oracle(obs)
+
+    @settings(max_examples=200, deadline=None)
+    @given(drawn=extreme_observations())
+    def test_colocation_matches_the_counter_oracle(self, drawn):
+        obs, cell_of_tower = drawn
+        series = build_colocation_series(obs, n_days=6,
+                                         cell_of_tower=cell_of_tower)
+        totals, p = colocation_oracle(obs, cell_of_tower)
+        assert list(series.totals.items()) == list(totals.items())
+        assert list(series.p.items()) == list(p.items())
+
+    def test_keys_past_the_int64_range_raise(self):
+        assert pack_keys(np.array([INT64_MAX, 1]))[0].tolist() == [
+            INT64_MAX - 1, 0]
+        with pytest.raises(ValueError, match="overflows int64"):
+            pack_keys(np.array([INT64_MAX, 0]))
+        with pytest.raises(ValueError, match="overflows int64"):
+            pack_keys(np.array([0, 1]), np.array([INT64_MIN, 0]))
+        with pytest.raises(ValueError, match="overflows int64"):
+            daily_observations(CdrColumns.from_events([
+                make_event(timestamp=INT64_MIN, tower=1),
+                make_event(timestamp=INT64_MAX, tower=2)]))
+        wide = make_observations([(1, 0, INT64_MIN, 1), (2, 1, INT64_MAX, 1)])
+        with pytest.raises(ValueError, match="overflows int64"):
+            wide.unique_handsets()
+        with pytest.raises(ValueError, match="overflows int64"):
+            build_colocation_series(wide, n_days=3)
