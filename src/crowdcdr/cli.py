@@ -37,7 +37,7 @@ import numpy as np
 
 from . import __version__
 from . import attendance as att
-from . import geo, sbm, social, spatial, synth
+from . import geo, sbm, social, spatial
 from .errors import (
     AnalysisError,
     ConfigurationError,
@@ -54,6 +54,7 @@ from .ingest import (
     ObservationColumns,
     StudyWindow,
     daily_observations,
+    is_int,
     load_projections,
     load_state_profiles,
     load_towers,
@@ -119,9 +120,9 @@ def load_config(path: str | None) -> dict:
 def check_config(cfg: Mapping) -> None:
     """Raise ConfigurationError for a config value no stage can run with."""
     low, high = spatial.MIN_BOOTSTRAP_REPLICATES, spatial.MAX_BOOTSTRAP_REPLICATES
-    number = (lambda v: synth.is_int(v) or isinstance(v, float), "a number")
+    number = (lambda v: is_int(v) or isinstance(v, float), "a number")
     flag = (lambda v: isinstance(v, bool), "true or false")
-    seed = (lambda v: synth.is_int(v) and v >= 0, "a non-negative integer")
+    seed = (lambda v: is_int(v) and v >= 0, "a non-negative integer")
     kinds = {
         "prevalence": number, "daily_use": number, "non_use": number,
         "sensitivity_numerator": number,
@@ -129,12 +130,12 @@ def check_config(cfg: Mapping) -> None:
                              and all(map(number[0], v)), "a list of numbers"),
         "calibrate_non_use": flag, "exclude_local": flag,
         "subsample_seed": seed, "bootstrap_seed": seed,
-        "bootstrap_replicates": (lambda v: synth.is_int(v) and low <= v <= high,
+        "bootstrap_replicates": (lambda v: is_int(v) and low <= v <= high,
                                  f"an integer of at least {low} and at most "
                                  f"{high}"),
         "peak_mode": (lambda v: v in ("data", "calendar"), "'data' or 'calendar'"),
         "calendar_peaks": (lambda v: isinstance(v, list)
-                           and all(map(synth.is_int, v)), "a list of integers"),
+                           and all(map(is_int, v)), "a list of integers"),
     }
     for key, (valid, kind) in kinds.items():
         if not valid(cfg[key]):
@@ -647,6 +648,8 @@ def run_command(args) -> int:
 
 
 def cmd_gen(args) -> int:
+    from . import synth   # only gen needs it; analysis commands start faster
+
     t0 = time.monotonic()
     if args.config:
         config = synth.ScenarioConfig.from_json(args.config)

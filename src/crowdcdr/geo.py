@@ -134,7 +134,52 @@ def build_tessellation(
         xmin, ymin, xmax, ymax = bbox
     if not (xmin < xmax and ymin < ymax):
         raise ConfigurationError(f"degenerate bounding box {bbox}")
+    poly, count = _clip_cells(pts, (xmin, ymin, xmax, ymax))
 
+    # Finish every cell at once. Cocircular towers leave vertices that
+    # coincide up to rounding with their predecessor: those are dropped,
+    # and the rest sorted by angle about the tower (the cells are convex),
+    # dropped and unused slots last.
+    slots = np.arange(poly.shape[1])
+
+    def previous(count):   # each slot's predecessor in its cell's ring
+        return (slots - 1) % np.maximum(count, 1)[:, None]
+
+    gap = np.abs(poly - np.take_along_axis(poly, previous(count)[..., None], 1))
+    keep = (slots < count[:, None]) & (gap.max(axis=2) > 1e-9)
+    rel = poly - pts[:, None]
+    angles = np.where(keep, np.arctan2(rel[..., 1], rel[..., 0]), np.inf)
+    order = np.argsort(angles, axis=1, kind="stable")
+    poly = np.take_along_axis(poly, order[..., None], axis=1)
+    count = keep.sum(axis=1)
+    x, y = poly[..., 0], poly[..., 1]
+    x_prev = np.take_along_axis(x, previous(count), axis=1)
+    y_prev = np.take_along_axis(y, previous(count), axis=1)
+    cells = []
+    for i, tower in enumerate(active):
+        k = count[i]
+        # Shoelace area with one np.dot per term and cell: a row sum over
+        # the padded arrays would round some areas differently.
+        area = 0.5 * abs(np.dot(x[i, :k], y_prev[i, :k])
+                         - np.dot(y[i, :k], x_prev[i, :k]))
+        if area <= 0:
+            raise ConfigurationError(f"empty cell for tower {tower.tower_id}")
+        cells.append(VoronoiCell(tower.tower_id, poly[i, :k], float(area)))
+    return cells
+
+
+def _clip_cells(
+    pts: np.ndarray, bbox: tuple[float, float, float, float]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each tower's cell as (cells, M, 2) padded vertices and their counts.
+
+    Every cell starts as the box and is clipped by its bisector with each
+    other tower, nearest first, in one array-wide Sutherland-Hodgman pass
+    per step; a cell closes once its next tower is beyond twice its
+    farthest vertex. Vertices are in clipping order, and cocircular
+    towers can leave some of them doubled up to rounding.
+    """
+    xmin, ymin, xmax, ymax = bbox
     n = len(pts)
     box = [[xmin, ymin], [xmax, ymin], [xmax, ymax], [xmin, ymax]]
     poly = np.tile(np.array(box, dtype=float), (n, 1, 1))   # count[i] rows used
@@ -166,21 +211,7 @@ def build_tessellation(
         t = (side[r, c] / (side[r, c] - side_next[r, c]))[:, None]
         a, b = cell[r, c], cell[r, succ[r, c]]
         poly[live[r], slot[r, c] + inside[r, c]] = a + t * (b - a)
-
-    cells = []
-    for i, tower in enumerate(active):
-        verts = poly[i, : count[i]]
-        # Cocircular towers leave vertices that coincide up to rounding.
-        gap = np.abs(verts - np.roll(verts, 1, axis=0)).max(axis=1)
-        verts = verts[gap > 1e-9]
-        angles = np.arctan2(verts[:, 1] - pts[i, 1], verts[:, 0] - pts[i, 0])
-        verts = verts[np.argsort(angles)]   # convex, so angular order works
-        x, y = verts[:, 0], verts[:, 1]
-        area = 0.5 * abs(np.dot(x, np.roll(y, 1)) - np.dot(y, np.roll(x, 1)))
-        if area <= 0:
-            raise ConfigurationError(f"empty cell for tower {tower.tower_id}")
-        cells.append(VoronoiCell(tower.tower_id, verts, float(area)))
-    return cells
+    return poly, count
 
 
 def nearest_active_tower(

@@ -60,6 +60,11 @@ CDR_COLUMNS = (
 )
 
 
+def is_int(value) -> bool:
+    """True for a JSON integer: an int that is not a bool."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True, slots=True)
 class CdrEvent:
     """A single communication event served by a venue tower."""
@@ -360,13 +365,17 @@ class CdrColumns:
         ))
 
     @classmethod
-    def concat(cls, parts: Sequence[CdrColumns]) -> CdrColumns:
+    def concat(cls, parts: list[CdrColumns]) -> CdrColumns:
+        """The parts end to end; empties ``parts``.
+
+        One field is joined at a time, and its pieces are let go once its
+        column is built, so the peak stays near the output's size.
+        """
         if not parts:
             return cls.from_events(())
-        return cls(*(
-            np.concatenate([getattr(p, f.name) for p in parts])
-            for f in fields(cls)
-        ))
+        pieces = {f.name: [getattr(p, f.name) for p in parts] for f in fields(cls)}
+        parts.clear()
+        return cls(**{name: np.concatenate(pieces.pop(name)) for name in list(pieces)})
 
     def located(self) -> tuple[np.ndarray, np.ndarray]:
         """Person id and state of each event's located party.

@@ -150,14 +150,41 @@ def build_network(
     """
     if not isinstance(events, CdrColumns):
         events = CdrColumns.from_events(events)
-    ids = np.stack([events.caller_id, events.callee_id], axis=1)
-    states = np.stack([events.caller_state, events.callee_state], axis=1)
-    ok = np.stack([events.caller_is_customer, events.callee_is_customer], axis=1)
-    ok &= states != UNKNOWN_STATE
-    if exclude_local and local_state is not None:
-        ok &= states != local_state
-    # Row-major masking keeps the parties in order: caller, callee, ...
-    return SocialNetwork(ids[ok], states[ok], ids[ok.all(axis=1)])
+
+    def kept(is_customer: np.ndarray, state: np.ndarray) -> np.ndarray:
+        ok = is_customer & (state != UNKNOWN_STATE)
+        if exclude_local and local_state is not None:
+            ok &= state != local_state
+        return ok
+
+    caller_ok = kept(events.caller_is_customer, events.caller_state)
+    callee_ok = kept(events.callee_is_customer, events.callee_state)
+    ids, states = _interleave(
+        caller_ok, callee_ok,
+        (events.caller_id, events.callee_id),
+        (events.caller_state, events.callee_state),
+    )
+    both = np.flatnonzero(caller_ok & callee_ok)
+    edges = np.stack([events.caller_id[both], events.callee_id[both]], axis=1)
+    return SocialNetwork(ids, states, edges)
+
+
+def _interleave(ok_a: np.ndarray, ok_b: np.ndarray, *pairs) -> list[np.ndarray]:
+    """Kept values of each (column_a, column_b) pair, in row order, a first.
+
+    Only the kept entries are gathered: each one's slot is its rank on
+    its own side plus the number of kept entries of the other side that
+    come before it.
+    """
+    a, b = np.flatnonzero(ok_a), np.flatnonzero(ok_b)
+    slot_a = np.arange(a.size) + np.searchsorted(b, a)
+    slot_b = np.arange(b.size) + np.searchsorted(a, b, side="right")
+    merged = []
+    for col_a, col_b in pairs:
+        out = np.empty(a.size + b.size, np.result_type(col_a, col_b))
+        out[slot_a], out[slot_b] = col_a[a], col_b[b]
+        merged.append(out)
+    return merged
 
 
 @dataclass

@@ -333,7 +333,10 @@ def correlation_p_value(
     The state pairing is shuffled ``n_permutations`` times; p is the
     add-one-smoothed share of shuffles whose |rho| reaches the observed
     |rho|, so the smallest attainable p is 1/(n_permutations + 1).
-    None whenever the observed correlation is undefined.
+    None whenever the observed correlation is undefined. The shuffles
+    are drawn in order into one (n_permutations, n) index array, and all
+    their correlations come from one matrix-vector product of the
+    centred values.
     """
     observed = correlate(values, mean_log_rep)
     if observed is None:
@@ -346,9 +349,9 @@ def correlation_p_value(
     a = np.array([values[s] for s in states], dtype=float)
     b = np.array([mean_log_rep[s] for s in states], dtype=float)
     rng = np.random.default_rng(seed)
-    hits = 0
-    for _ in range(n_permutations):
-        rho = float(np.corrcoef(a, b[rng.permutation(b.size)])[0, 1])
-        if abs(rho) >= abs(observed) - 1e-12:
-            hits += 1
+    shuffles = np.array([rng.permutation(b.size) for _ in range(n_permutations)],
+                        np.intp).reshape(-1, b.size)
+    a, b = a - a.mean(), b - b.mean()
+    rho = b[shuffles] @ a / np.sqrt((a @ a) * (b @ b))
+    hits = int((np.abs(rho) >= abs(observed) - 1e-12).sum())
     return (1 + hits) / (n_permutations + 1)

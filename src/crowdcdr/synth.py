@@ -61,6 +61,7 @@ from .ingest import (
     DEFAULT_WINDOW,
     TowerSite,
     StateProfile,
+    is_int,
     run_starts,
     write_cdr,
     write_table,
@@ -230,11 +231,6 @@ class ScenarioConfig:
                 f"bad scenario config {path}: {exc!r}") from None
         cfg.validate()
         return cfg
-
-
-def is_int(value) -> bool:
-    """True for a JSON integer: an int that is not a bool."""
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 #: Field annotation -> (test, description) of the JSON values it takes.

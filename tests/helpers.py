@@ -5,7 +5,7 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from fractions import Fraction
-from math import ceil, expm1, floor, log1p
+from math import ceil, comb, expm1, floor, log1p
 
 import numpy as np
 import pytest
@@ -14,8 +14,9 @@ from crowdcdr import geo
 from crowdcdr.errors import ConfigurationError
 from crowdcdr.ingest import (CdrColumns, CdrEvent, DEFAULT_WINDOW,
                              ObservationColumns, StudyWindow)
-from crowdcdr.social import SocialNetwork, TripleCensus, Triples
-from crowdcdr.spatial import colocation_probability
+from crowdcdr.sbm import GroupBiasDemo, group_structure_bias
+from crowdcdr.social import SocialNetwork, TripleCensus, Triples, transitivity
+from crowdcdr.spatial import colocation_probability, correlate
 
 BASE_TS = DEFAULT_WINDOW.start
 
@@ -473,3 +474,79 @@ def mirrored_voronoi_cells(
         area = 0.5 * abs(np.dot(x, np.roll(y, 1)) - np.dot(y, np.roll(x, 1)))
         cells[tower.tower_id] = (verts, float(area))
     return cells
+
+
+def finish_cells_loop(poly, count, pts) -> list[tuple[np.ndarray, float]]:
+    """(vertices, area) of each clipped cell, finished one cell at a time.
+
+    The oracle of ``geo.build_tessellation``'s array-wide finishing of
+    the padded cells ``geo._clip_cells`` returns: drop each vertex within
+    1e-9 of its predecessor, sort by angle about the tower, shoelace area.
+    """
+    cells = []
+    for i in range(len(pts)):
+        verts = poly[i, : count[i]]
+        gap = np.abs(verts - np.roll(verts, 1, axis=0)).max(axis=1)
+        verts = verts[gap > 1e-9]
+        angles = np.arctan2(verts[:, 1] - pts[i, 1], verts[:, 0] - pts[i, 0])
+        verts = verts[np.argsort(angles)]
+        x, y = verts[:, 0], verts[:, 1]
+        area = 0.5 * abs(np.dot(x, np.roll(y, 1)) - np.dot(y, np.roll(x, 1)))
+        cells.append((verts, float(area)))
+    return cells
+
+
+def joint_bias_demo_oracle(*, m=100, p_in=0.2, p_out=0.04, g_a=1, g_b=50,
+                           state_a=1, state_b=2, seed=0) -> GroupBiasDemo:
+    """``sbm.joint_bias_demo`` with triangles as int64 trace(A @ A @ A) / 6.
+
+    Draws in the same order as the demo, so the results are equal.
+    """
+    rng = np.random.default_rng(seed)
+    pair_u, pair_v = np.triu_indices(m, k=1)
+    census = TripleCensus()
+    estimated = {}
+    groups = ((state_a, g_a), (state_b, g_b))
+    for state, g in groups:
+        trace = paths = edges = 0
+        for _ in range(g):
+            block = np.zeros((m, m), dtype=np.int64)
+            block[pair_u, pair_v] = rng.random(pair_u.size) < p_in
+            block += block.T
+            deg = block.sum(axis=1)
+            trace += int(np.trace(block @ block @ block))
+            paths += int((deg * (deg - 1) // 2).sum())
+            edges += int(deg.sum()) // 2
+        closed = trace // 6
+        census.closed[state] = closed
+        census.open[state] = paths - 3 * closed
+        cross = rng.binomial(comb(g, 2) * m * m, p_out) if g >= 2 else 0
+        estimated[state] = (edges + int(cross)) / comb(g * m, 2)
+    analytic = {s: group_structure_bias(g, m, p_in, p_out) for s, g in groups}
+    return GroupBiasDemo(
+        analytic=analytic,
+        estimated=estimated,
+        ratio_estimated=estimated[state_a] / estimated[state_b],
+        ratio_analytic=analytic[state_a] / analytic[state_b],
+        within_transitivity={s: transitivity(census, s) for s, _ in groups},
+        triples={s: (census.closed[s], census.open[s]) for s, _ in groups},
+    )
+
+
+def correlation_p_value_oracle(values, mean_log_rep, *, n_permutations=199,
+                               seed=0) -> float | None:
+    """``spatial.correlation_p_value`` with one ``np.corrcoef`` per shuffle."""
+    observed = correlate(values, mean_log_rep)
+    if observed is None:
+        return None
+    states = [s for s in sorted(values)
+              if values[s] is not None and s in mean_log_rep]
+    a = np.array([values[s] for s in states], dtype=float)
+    b = np.array([mean_log_rep[s] for s in states], dtype=float)
+    rng = np.random.default_rng(seed)
+    hits = 0
+    for _ in range(n_permutations):
+        rho = float(np.corrcoef(a, b[rng.permutation(b.size)])[0, 1])
+        if abs(rho) >= abs(observed) - 1e-12:
+            hits += 1
+    return (1 + hits) / (n_permutations + 1)

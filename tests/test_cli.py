@@ -152,6 +152,29 @@ class TestGen:
         assert err.startswith("data error:") and "mean_stay" in err
 
 
+def modules_imported_by_report(gen_dir, tmp_path, module: str) -> dict:
+    """Whether a fresh interpreter holds ``module`` after importing
+    ``crowdcdr.cli`` and after a ``report`` run on ``gen_dir``."""
+    script = ("import sys\n"
+              "from crowdcdr import cli\n"
+              f"print('cli', {module!r} in sys.modules)\n"
+              "rc = cli.main(sys.argv[1:])\n"
+              f"print('report', {module!r} in sys.modules)\n"
+              "sys.exit(rc)\n")
+    src = str(Path(cli.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", script, "report", "--input-dir",
+         str(gen_dir), "--output-dir", str(tmp_path / "out")],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    return {stage: flag == "True" for stage, flag in
+            (line.split() for line in (lines[0], lines[-1]))}
+
+
 class TestReport:
     def test_artifact_catalog(self, report_dir):
         expected = [
@@ -283,22 +306,15 @@ class TestReport:
         assert spa["high_days"] == expected
 
     def test_report_never_imports_scipy(self, gen_dir, tmp_path):
-        script = ("import sys\n"
-                  "from crowdcdr import cli\n"
-                  "rc = cli.main(sys.argv[1:])\n"
-                  "print('scipy imported:', 'scipy' in sys.modules, "
-                  "file=sys.stderr)\n"
-                  "sys.exit(rc)\n")
-        src = str(Path(cli.__file__).parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
-        proc = subprocess.run(
-            [sys.executable, "-c", script, "report", "--input-dir",
-             str(gen_dir), "--output-dir", str(tmp_path / "out")],
-            capture_output=True, text=True, env=env, timeout=300,
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert "scipy imported: False" in proc.stderr
+        imported = modules_imported_by_report(gen_dir, tmp_path, "scipy")
+        assert imported == {"cli": False, "report": False}
+
+    def test_analysis_commands_never_import_synth(self, gen_dir, tmp_path):
+        # Only gen needs the generator; every other command skips its
+        # import (and, without bytecode caches, its compilation).
+        imported = modules_imported_by_report(gen_dir, tmp_path,
+                                              "crowdcdr.synth")
+        assert imported == {"cli": False, "report": False}
 
     def test_social_and_sbm_artifacts_keep_their_bytes(self, desk_small_files,
                                                        tmp_path, capsys):

@@ -19,7 +19,7 @@ from crowdcdr.geo import (
     unproject_local,
 )
 from crowdcdr.ingest import TowerSite
-from helpers import mirrored_voronoi_cells
+from helpers import finish_cells_loop, mirrored_voronoi_cells
 
 ORIGIN = (25.45, 81.85)
 DESK_GRID = synth.tower_grid(synth.named_scenario("desk-small"))[0]
@@ -79,6 +79,32 @@ GRID_LAYOUTS = st.builds(
 )
 TOWER_GRID_SUBSETS = st.builds(grid_subset, st.integers(0, 2 ** 32),
                                st.floats(0.02, 1.0))
+
+
+def scattered_towers(seed, n):
+    """n towers at uniform random offsets of up to 0.05 degrees."""
+    offsets = np.random.default_rng(seed).uniform(-0.05, 0.05, size=(n, 2))
+    return [tower(i, dlat, dlon)
+            for i, (dlat, dlon) in enumerate(offsets.tolist(), start=1)]
+
+
+SCATTERED_LAYOUTS = st.builds(scattered_towers, st.integers(0, 2 ** 32),
+                              st.integers(1, 80))
+
+
+def dropped_as_the_loop_drops(towers) -> int:
+    """Assert the cells are the per-cell loop's, bit for bit; count drops."""
+    _, pts, _ = geo._active_points(towers, None)
+    pad = geo.DEFAULT_PAD_KM
+    poly, count = geo._clip_cells(
+        pts, (*(pts.min(axis=0) - pad), *(pts.max(axis=0) + pad)))
+    want = finish_cells_loop(poly, count, pts)
+    cells = build_tessellation(towers)
+    assert len(cells) == len(want)
+    for cell, (verts, area) in zip(cells, want):
+        assert np.array_equal(cell.polygon, verts)
+        assert cell.area == area
+    return int(count.sum()) - sum(len(c.polygon) for c in cells)
 
 
 class TestProjection:
@@ -249,6 +275,14 @@ class TestTessellation:
         width, height = pts.max(axis=0) - pts.min(axis=0) + 2 * geo.DEFAULT_PAD_KM
         total = sum(c.area for c in cells)
         assert total == pytest.approx(width * height, rel=1e-9)
+
+    @given(st.one_of(SCATTERED_LAYOUTS, GRID_LAYOUTS, TOWER_GRID_SUBSETS))
+    @settings(max_examples=80, deadline=None)
+    def test_finishing_equals_the_per_cell_loop(self, towers):
+        dropped_as_the_loop_drops(towers)
+
+    def test_cocircular_grid_vertices_are_dropped_as_the_loop_drops(self):
+        assert dropped_as_the_loop_drops(DESK_GRID) > 0
 
     def test_polygon_rows_for_export(self):
         cells = build_tessellation([tower(1, 0, 0)], pad_km=2.0)

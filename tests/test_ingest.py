@@ -5,6 +5,7 @@ import csv
 import io
 import itertools
 import random
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -764,6 +765,24 @@ class TestByteBlockReader:
             csv.field_size_limit(old)
         assert got == expected
         assert got[0] is IngestError    # the csv module's field limit
+
+    def test_peak_stays_near_the_columns_it_returns(self, desk_small_files,
+                                                   monkeypatch):
+        # Each field is joined, and its block pieces let go, before the
+        # next: all pieces of every field at once would make about 2x.
+        header, *rows = desk_small_files[0]["cdr"].read_text().splitlines()
+        data = ("\n".join([header, *rows * 8]) + "\n").encode()
+        monkeypatch.setattr(ingest, "BLOCK_BYTES", 32_768)   # about 600 lines
+        read_cdr_columns(data[:100_000])     # first-call allocations
+        tracemalloc.start()
+        try:
+            columns = read_cdr_columns(data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        size = sum(getattr(columns, f).nbytes for f in columns.__dataclass_fields__)
+        assert len(columns) == 8 * len(rows)
+        assert peak <= 1.3 * size
 
 
 @st.composite

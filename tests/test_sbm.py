@@ -5,6 +5,8 @@ from math import comb
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crowdcdr.errors import AnalysisError
 from crowdcdr.sbm import (
@@ -16,7 +18,7 @@ from crowdcdr.sbm import (
     joint_bias_demo,
 )
 from crowdcdr.social import SocialNetwork, census_triples, transitivity
-from helpers import sample_grouped_state
+from helpers import joint_bias_demo_oracle, sample_grouped_state
 
 
 def network(state_of, edges):
@@ -185,3 +187,19 @@ class TestJointDemo:
             )
             assert demo.within_transitivity[state] == transitivity(census, state)
         assert demo.estimated[1] == estimate_block_probs(net_a).p_kk[1]
+
+    @given(m=st.integers(2, 130), g_b=st.integers(1, 6),
+           p_in=st.sampled_from([0.0, 0.2, 0.7, 1.0]),
+           seed=st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_equals_the_int64_trace_oracle(self, m, g_b, p_in, seed):
+        # Complete blocks (p_in = 1) give the largest counts, C(m, 3).
+        def outcome(demo):
+            try:
+                return demo(m=m, p_in=p_in, g_b=g_b, seed=seed)
+            except ZeroDivisionError:   # state B drew no edge at all
+                return ZeroDivisionError
+        assert outcome(joint_bias_demo) == outcome(joint_bias_demo_oracle)
+
+    def test_default_demo_equals_the_oracle(self, demo):
+        assert demo == joint_bias_demo_oracle(seed=0)

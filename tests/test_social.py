@@ -5,6 +5,7 @@ import importlib.util
 import json
 import math
 import random
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 
 from crowdcdr import social
 from crowdcdr.errors import AnalysisError, SeparationError
-from crowdcdr.ingest import UNKNOWN_STATE
+from crowdcdr.ingest import UNKNOWN_STATE, CdrColumns
 from crowdcdr.social import (
     SocialNetwork,
     Triples,
@@ -106,6 +107,58 @@ class TestBuildNetwork:
         net_x = build_network(events, exclude_local=True, local_state=1)
         ref_x = network_from_truth(truth, exclude=1)
         assert dict_graph(net_x) == dict_graph(ref_x)
+
+    @given(
+        rows=st.lists(st.tuples(
+            st.integers(1, 6), st.integers(1, 6),        # caller, callee
+            st.integers(0, 3), st.integers(0, 3),        # their states
+            st.booleans(), st.booleans(),                # customer flags
+        ), max_size=40),
+        exclude_local=st.booleans(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_network_equals_the_row_loop(self, rows, exclude_local):
+        # Ids repeat with other states, so the first party must win:
+        # row order, the caller before the callee.
+        events = [make_event(caller=a, callee=b, caller_state=sa,
+                             callee_state=sb, caller_customer=ca,
+                             callee_customer=cb)
+                  for a, b, sa, sb, ca, cb in rows]
+        node_id, state, edges = [], [], []
+        for a, b, sa, sb, ca, cb in rows:
+            kept = [(v, s) for v, s, c in ((a, sa, ca), (b, sb, cb))
+                    if c and s != UNKNOWN_STATE
+                    and not (exclude_local and s == 1)]
+            node_id += [v for v, _ in kept]
+            state += [s for _, s in kept]
+            if len(kept) == 2:
+                edges.append((a, b))
+        want = sets_from_inputs(np.array(node_id, np.int64),
+                                np.array(state, np.int64),
+                                np.array(edges, np.int64).reshape(-1, 2))
+        net = build_network(events, exclude_local=exclude_local, local_state=1)
+        assert dict_graph(net) == want
+
+    def test_only_kept_parties_are_materialised(self):
+        # One row in 100 has kept parties; the rest are host-state
+        # residents. Stacking both parties of every row would take 16
+        # bytes a row for the ids alone.
+        n = 200_000
+        row = np.arange(n)
+        zero = np.zeros(n, np.int64)
+        kept = row % 100 == 0
+        events = CdrColumns(zero, row, row + n, zero.astype(bool), zero, zero,
+                            np.where(kept, 2, 1), np.where(kept, 3, 1),
+                            np.ones(n, bool), np.ones(n, bool))
+        build_network([make_event()])     # first-call allocations
+        tracemalloc.start()
+        try:
+            net = build_network(events, exclude_local=True, local_state=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (net.n_nodes, net.n_edges) == (2 * kept.sum(), kept.sum())
+        assert peak < 8 * n
 
 
 class TestNetworkArrays:

@@ -4,6 +4,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from crowdcdr import spatial, synth
 from crowdcdr.errors import EstimationError
@@ -20,7 +22,8 @@ from crowdcdr.spatial import (
     mean_log_representation,
     partition_days,
 )
-from helpers import make_observations, pair_enumeration_probability
+from helpers import (correlation_p_value_oracle, make_observations,
+                     pair_enumeration_probability)
 
 
 def series_from_p(p_by_state_day, n_days):
@@ -343,6 +346,30 @@ class TestCorrelate:
         assert 0.01 <= small <= 0.10
         ks = float(np.max(np.abs(ps - np.arange(1, 201) / 200.0)))
         assert ks < 0.12
+
+    # Values on coarse dyadic grids: many ties, and every mean is exact, so
+    # shuffles whose |rho| equals the observed one are common.
+    @given(
+        values=st.lists(st.one_of(st.none(), st.integers(0, 8).map(lambda k: k / 8)),
+                        min_size=3, max_size=12),
+        mlr=st.lists(st.integers(-12, 0).map(lambda k: k / 4),
+                     min_size=3, max_size=12),
+        n_permutations=st.sampled_from([0, 1, 19, 199]),
+        seed=st.integers(0, 2 ** 32 - 1),
+    )
+    @example(values=[0.0, 0.5, 1.0], mlr=[-1.0, -0.5, 0.0],
+             n_permutations=199, seed=0)
+    @example(values=[0.5, 0.5, 1.0], mlr=[-1.0, -1.0, 0.0],
+             n_permutations=199, seed=3)
+    @settings(max_examples=150, deadline=None)
+    def test_permutation_p_equals_the_corrcoef_loop(self, values, mlr,
+                                                    n_permutations, seed):
+        values = dict(enumerate(values))
+        mlr = dict(enumerate(mlr))
+        want = correlation_p_value_oracle(values, mlr, seed=seed,
+                                          n_permutations=n_permutations)
+        assert correlation_p_value(values, mlr, seed=seed,
+                                   n_permutations=n_permutations) == want
 
     def test_permutation_p_is_none_when_correlation_is(self):
         assert correlation_p_value({2: 1.0}, {2: -1.0}) is None
