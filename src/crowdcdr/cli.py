@@ -28,10 +28,11 @@ import json
 import resource
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from functools import cached_property
 from pathlib import Path
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -601,15 +602,38 @@ def _timed(manifest: RunManifest, name: str, fn: Callable, *args):
             resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)
 
 
+@contextmanager
+def _recorded(manifest: RunManifest, path: Path) -> Iterator[None]:
+    """Write ``manifest`` to ``path`` when the block ends, also on failure.
+
+    An exception is recorded in ``manifest.failure`` and raised again. The
+    stage that failed is the last one ``_timed`` recorded, or ``config``
+    when none was.
+    """
+    t0 = time.monotonic()
+    try:
+        yield
+    except Exception as exc:
+        # The exit code main() gives; any other error ends in a traceback.
+        manifest.failure = {
+            "failed_stage": next(reversed(manifest.timings_s), "config"),
+            "error": type(exc).__name__,
+            "exit_code": (3 if isinstance(exc, DATA_ERRORS)
+                          else 4 if isinstance(exc, ANALYSIS_ERRORS) else 1),
+        }
+        raise
+    finally:
+        manifest.timings_s["total"] = round(time.monotonic() - t0, 3)
+        manifest.write(path)
+
+
 def run_command(args) -> int:
     """Run one analysis command and write its manifest, also on failure."""
-    t0 = time.monotonic()
     stages, line = COMMANDS[args.command]
     outdir = Path(args.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     manifest = RunManifest(args.command, seed=getattr(args, "seed", None))
-    stage = "config"  # the step running, for the failure record
-    try:
+    with _recorded(manifest, outdir / f"manifest_{args.command}.json"):
         cfg = load_config(args.config)
         # Flags given on the command line override their config key.
         for key in ("exclude_local", "peak_mode", "bootstrap_replicates"):
@@ -624,51 +648,39 @@ def run_command(args) -> int:
                 name: str(input_dir / f"{name}.csv")
                 for name in ("cdr", "towers", "states")
             }
-            stage = "load"
-            run.data = _timed(manifest, stage, load_pipeline_data, input_dir)
+            run.data = _timed(manifest, "load", load_pipeline_data, input_dir)
         for stage in stages:
             outputs, run.results[stage] = _timed(
                 manifest, stage, globals()[f"stage_{stage}"], run)
             for name, path in outputs.items():
                 manifest.add_output(name, path)
         print(line(run))
-    except Exception as exc:
-        # The exit code main() gives; any other error ends in a traceback.
-        manifest.failure = {
-            "failed_stage": stage,
-            "error": type(exc).__name__,
-            "exit_code": (3 if isinstance(exc, DATA_ERRORS)
-                          else 4 if isinstance(exc, ANALYSIS_ERRORS) else 1),
-        }
-        raise
-    finally:
-        manifest.timings_s["total"] = round(time.monotonic() - t0, 3)
-        manifest.write(outdir / f"manifest_{args.command}.json")
     return 0
 
 
 def cmd_gen(args) -> int:
+    """Write a scenario's input files and their manifest, also on failure."""
     from . import synth   # only gen needs it; analysis commands start faster
 
-    t0 = time.monotonic()
-    if args.config:
-        config = synth.ScenarioConfig.from_json(args.config)
-        if args.seed is not None:
-            config.seed = args.seed
-    else:
-        config = synth.named_scenario(args.scenario, 1 if args.seed is None else args.seed)
     outdir = Path(args.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
-    paths, truth = synth.generate(config, outdir)
-    manifest = RunManifest("gen", seed=config.seed,
-                           config_digest=config_digest(truth.summary()["planted"]))
-    print(f"gen: {len(truth.true_total)} states, "
-          f"{sum(truth.visible.values())} visible customers, "
-          f"{len(truth.edges)} ties -> {outdir}")
-    for name, path in paths.items():
-        manifest.add_output(name, path)
-    manifest.timings_s["total"] = round(time.monotonic() - t0, 3)
-    manifest.write(outdir / "manifest_gen.json")
+    manifest = RunManifest("gen", seed=args.seed)
+    with _recorded(manifest, outdir / "manifest_gen.json"):
+        if args.config:
+            config = synth.ScenarioConfig.from_json(args.config)
+            if args.seed is not None:
+                config.seed = args.seed
+        else:
+            config = synth.named_scenario(args.scenario,
+                                          1 if args.seed is None else args.seed)
+        manifest.seed = config.seed
+        paths, truth = _timed(manifest, "generate", synth.generate, config, outdir)
+        manifest.config_digest = config_digest(truth.summary()["planted"])
+        print(f"gen: {len(truth.true_total)} states, "
+              f"{sum(truth.visible.values())} visible customers, "
+              f"{len(truth.edges)} ties -> {outdir}")
+        for name, path in paths.items():
+            manifest.add_output(name, path)
     return 0
 
 

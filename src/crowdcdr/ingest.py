@@ -2,9 +2,9 @@
 
 The data model is shared by every downstream module:
 
-- ``CdrEvent``: one communication record (call or text).
-- ``CdrColumns``: accepted events as one numpy array per field; what
-  ``read_cdr_columns`` returns and the analysis stages consume.
+- ``CdrColumns``: accepted events (calls and texts) as one numpy array
+  per field; what ``read_cdr_columns`` returns and the analysis stages
+  consume.
 - ``TowerSite``: tower coordinates plus an activity flag.
 - ``StateProfile``: per-state market share and the local-state marker.
 - ``ObservationColumns``: one row per (person, day) carrying the first
@@ -63,22 +63,6 @@ CDR_COLUMNS = (
 def is_int(value) -> bool:
     """True for a JSON integer: an int that is not a bool."""
     return isinstance(value, int) and not isinstance(value, bool)
-
-
-@dataclass(frozen=True, slots=True)
-class CdrEvent:
-    """A single communication event served by a venue tower."""
-
-    timestamp: int          # seconds since epoch, UTC
-    caller_id: int
-    callee_id: int
-    event_kind: str         # "call" or "text"
-    duration: int           # seconds, 0 for texts
-    tower_id: int
-    caller_state: int       # 1..23, 0 = unknown
-    callee_state: int
-    caller_is_customer: bool
-    callee_is_customer: bool
 
 
 @dataclass(frozen=True, slots=True)
@@ -163,43 +147,35 @@ def _reading(name: str, error: type[Exception]) -> Iterator[None]:
 
 
 @contextmanager
-def _text_stream(source) -> Iterator[IO[str]]:
-    """A text stream over a path, byte stream, text stream, or bytes.
+def _text_stream(source, offset: int) -> Iterator[IO[str]]:
+    """A text stream over a path or bytes, from byte ``offset`` on.
 
-    A path is opened here and closed on exit. A read that fails on the
-    encoding or the CSV syntax raises IngestError naming the source.
+    A path is opened here and closed on exit; read from its start, it
+    skips a byte-order mark. A read that fails on the encoding or the CSV
+    syntax raises IngestError naming the source.
     """
-    name = str(source) if isinstance(source, (str, Path)) else "CDR source"
-    with _reading(name, IngestError):
-        if isinstance(source, (str, Path)):
-            with open(source, "r", newline="", encoding="utf-8-sig") as fh:
-                yield fh
-        elif isinstance(source, (bytes, bytearray)):
-            yield io.StringIO(source.decode("utf-8"))
-        elif hasattr(source, "read"):
-            if isinstance(source.read(0), bytes):
-                source = io.TextIOWrapper(source, encoding="utf-8", newline="")
-            yield source
+    is_path = isinstance(source, (str, Path))
+    with _reading(str(source) if is_path else "CDR source", IngestError):
+        if is_path:
+            with open(source, "rb") as fh:
+                fh.seek(offset)
+                yield io.TextIOWrapper(fh, "utf-8-sig" if offset == 0 else "utf-8",
+                                       newline="")
         else:
-            raise IngestError(f"unsupported CDR source: {type(source)!r}")
+            yield io.StringIO(source[offset:].decode("utf-8"))
 
 
-def _header_index(reader, schema: Mapping[str, str] | None) -> dict[str, int]:
-    """Field name -> column position, from the header row of a CDR source."""
-    schema = dict(schema) if schema else {f: f for f in CDR_COLUMNS}
-    schema.setdefault("kind", schema.pop("event_kind", "kind"))
-    missing = [f for f in CDR_COLUMNS if f not in schema]
-    if missing:
-        raise SchemaError(f"schema missing fields: {missing}")
+def _header_index(reader) -> list[int]:
+    """Column position of each ``CDR_COLUMNS`` field, from the header row."""
     try:
         header = next(reader)
     except StopIteration:
         raise SchemaError("empty CDR source: no header row") from None
     positions = {name.strip(): i for i, name in enumerate(header)}
-    absent = [schema[f] for f in CDR_COLUMNS if schema[f] not in positions]
+    absent = [f for f in CDR_COLUMNS if f not in positions]
     if absent:
         raise SchemaError(f"CDR header missing required columns: {absent}")
-    return {f: positions[schema[f]] for f in CDR_COLUMNS}
+    return [positions[f] for f in CDR_COLUMNS]
 
 
 def _parse_int(text: str) -> int:
@@ -210,48 +186,24 @@ def _parse_int(text: str) -> int:
     return value
 
 
-def _validate_row(
-    row: Sequence[str],
-    index: Mapping[str, int],
-    window: StudyWindow,
-    known_towers: set[int] | None,
-) -> CdrEvent | str:
-    """The event a CDR row holds, or the reason the row is rejected."""
-    try:
-        ts = _parse_int(row[index["timestamp"]])
-        caller = _parse_int(row[index["caller_id"]])
-        callee = _parse_int(row[index["callee_id"]])
-        kind = row[index["kind"]].strip().lower()
-        duration = _parse_int(row[index["duration"]])
-        tower = _parse_int(row[index["tower_id"]])
-        caller_state = _parse_state(row[index["caller_state"]])
-        callee_state = _parse_state(row[index["callee_state"]])
-        caller_cust = _parse_bool(row[index["caller_is_customer"]])
-        callee_cust = _parse_bool(row[index["callee_is_customer"]])
-    except (ValueError, IndexError):
-        return "unparseable"
-
+def _parse_kind(text: str) -> bytes:
+    kind = text.strip().lower()
     if kind not in ("call", "text"):
-        return "unparseable"
-    if duration < 0:
-        return "negative_duration"
-    if kind == "text" and duration != 0:
-        return "text_with_duration"
-    if not window.contains(ts):
-        return "outside_window"
-    if known_towers is not None and tower not in known_towers:
-        return "unknown_tower"
-    if not (caller_cust or callee_cust):
-        return "no_customer_party"
-    if (caller_cust and caller_state == UNKNOWN_STATE) or (
-        callee_cust and callee_state == UNKNOWN_STATE
-    ):
-        return "customer_without_state"
-    return CdrEvent(ts, caller, callee, kind, duration, tower,
-                    caller_state, callee_state, caller_cust, callee_cust)
+        raise ValueError(f"not an event kind: {text!r}")
+    return kind.encode()
 
 
-#: Reject reasons of a parsed row, in the order ``_validate_row`` tests them.
+def _parse_flag(text: str) -> bytes:
+    return b"1" if _parse_bool(text) else b"0"
+
+
+#: The parser of each ``CDR_COLUMNS`` cell in the row reader; each gives
+#: the value ``_BLOCK_DTYPE`` holds for that field.
+_CELL_PARSERS = (_parse_int, _parse_int, _parse_int, _parse_kind, _parse_int,
+                 _parse_int, _parse_state, _parse_state, _parse_flag, _parse_flag)
+
+
+#: Reject reasons of a parsed row, in the order ``_screen_block`` tests them.
 _ROW_REJECTS = ("negative_duration", "text_with_duration", "outside_window",
                 "unknown_tower", "no_customer_party", "customer_without_state")
 
@@ -262,68 +214,6 @@ def _tolerance_error(
     return IngestError(
         f"{bad_parse}/{rows} rows unparseable (tolerance {max_bad_fraction:g})"
     )
-
-
-def parse_cdr(
-    source,
-    schema: Mapping[str, str] | None = None,
-    *,
-    delimiter: str = ",",
-    window: StudyWindow = DEFAULT_WINDOW,
-    known_towers: set[int] | None = None,
-    max_bad_fraction: float = 0.01,
-    report: IngestReport | None = None,
-) -> Iterator[CdrEvent]:
-    """Stream events out of a delimiter-separated CDR file.
-
-    Parameters
-    ----------
-    source: path, byte stream, text stream, or bytes
-        Delimiter-separated text with a header row.
-    schema: mapping field name -> column name
-        Defaults to the canonical column names. Extra file columns are
-        ignored.
-    window: StudyWindow
-        Events outside the window are rejected.
-    known_towers: set of tower ids or None
-        When given, events referencing other towers are rejected; silent
-        acceptance would corrupt the spatial statistics.
-    max_bad_fraction: float
-        Tolerated fraction of rows with unparseable fields (including
-        integers outside int64). Exceeding it raises IngestError once the
-        stream is exhausted (checked against the running total every 10000
-        rows as well, so a corrupt 400M-row file fails early instead of at
-        the end).
-    report: IngestReport or None
-        Filled in as a side channel: total rows, accepted rows, and a
-        per-reason reject counter. Nothing is silently dropped.
-
-    Yields events lazily in file order; the input is never materialized,
-    so a caller that consumes the stream as it goes runs in constant
-    memory. That promise covers this streaming API only: ``crowdcdr
-    report`` reads the file with ``read_cdr_columns`` and holds every
-    accepted event in memory as columns.
-    """
-    if report is None:
-        report = IngestReport()
-    with _text_stream(source) as stream:
-        reader = csv.reader(stream, delimiter=delimiter)
-        index = _header_index(reader, schema)
-        bad_parse = 0
-        for row in reader:
-            report.rows += 1
-            if report.rows % 10000 == 0 and bad_parse > max_bad_fraction * report.rows:
-                raise _tolerance_error(bad_parse, report.rows, max_bad_fraction)
-            result = _validate_row(row, index, window, known_towers)
-            if isinstance(result, str):
-                if result == "unparseable":
-                    bad_parse += 1
-                report.rejects[result] += 1
-                continue
-            report.accepted += 1
-            yield result
-        if report.rows and bad_parse / report.rows > max_bad_fraction:
-            raise _tolerance_error(bad_parse, report.rows, max_bad_fraction)
 
 
 # ---------------------------------------------------------------------------
@@ -352,19 +242,6 @@ class CdrColumns:
         return len(self.timestamp)
 
     @classmethod
-    def from_events(cls, events: Iterable[CdrEvent]) -> CdrColumns:
-        table = np.array([
-            (e.timestamp, e.caller_id, e.callee_id, e.event_kind == "text",
-             e.duration, e.tower_id, e.caller_state, e.callee_state,
-             e.caller_is_customer, e.callee_is_customer)
-            for e in events
-        ], dtype=np.int64).reshape(-1, len(CDR_COLUMNS)).T.copy()
-        return cls(*(
-            col.astype(bool) if f.name in _BOOL_FIELDS else col
-            for f, col in zip(fields(cls), table)
-        ))
-
-    @classmethod
     def concat(cls, parts: list[CdrColumns]) -> CdrColumns:
         """The parts end to end; empties ``parts``.
 
@@ -372,7 +249,8 @@ class CdrColumns:
         column is built, so the peak stays near the output's size.
         """
         if not parts:
-            return cls.from_events(())
+            return cls(*(np.zeros(0, bool if f.name in _BOOL_FIELDS else np.int64)
+                         for f in fields(cls)))
         pieces = {f.name: [getattr(p, f.name) for p in parts] for f in fields(cls)}
         parts.clear()
         return cls(**{name: np.concatenate(pieces.pop(name)) for name in list(pieces)})
@@ -389,9 +267,10 @@ class CdrColumns:
 
 _BOOL_FIELDS = ("is_text", "caller_is_customer", "callee_is_customer")
 
-#: One parsed block: the numeric fields as int64; ``kind`` and the
-#: customer flags as ASCII bytes, so that only their canonical spellings
-#: pass (as integers, "01" or "+1" would read as a valid flag).
+#: One parsed block or batch of rows: the numeric fields as int64;
+#: ``kind`` and the customer flags as ASCII bytes, so that only their
+#: canonical spellings pass a block (as integers, "01" or "+1" would read
+#: as a valid flag).
 _BLOCK_DTYPE = np.dtype([
     (f, "S5" if f == "kind" else "S2" if f.endswith("_is_customer") else np.int64)
     for f in CDR_COLUMNS
@@ -440,7 +319,7 @@ def _load_block(block: bytes, usecols: list[int]) -> np.ndarray | None:
     Canonical: only ``_FAST_BYTES``, no line longer than the csv field
     size limit, one row per line, every integer within int64, ``kind``
     exactly ``call`` or ``text``, customer flags exactly 0 or 1 and states
-    in 0..23. Such a block reads the same as the row validator reads it.
+    in 0..23. Such a block reads the same as ``_read_rows`` reads it.
     """
     if block.translate(None, _FAST_BYTES):
         return None
@@ -527,13 +406,19 @@ def read_cdr_columns(
     the canonical byte set with one ``bytes.translate``, its line ends
     found with one byte scan (which also bounds the line length and
     counts the lines), then parsed by one ``numpy.loadtxt`` call and
-    screened with array masks. At the first header or block that is not
-    in canonical form (see ``_plain_header`` and ``_load_block``) the
-    report is cleared and the whole file is read again by ``parse_cdr``.
-    Either way the accepted events, the report and the tolerance
-    IngestError are those ``parse_cdr`` gives for the same file and
-    arguments; canonical rows always parse, so the tolerance can only
-    fail on the second read.
+    screened by ``_screen_block``. From the first header or block that is
+    not in canonical form (see ``_plain_header`` and ``_load_block``) on,
+    the file is read by ``_read_rows``, which screens its rows with the
+    same ``_screen_block``; the blocks before it stay as they were read.
+    Canonical blocks hold no quote, so no CSV field spans that cut.
+
+    ``window`` and ``known_towers`` (when given) reject events outside
+    them; ``report`` is filled with the row count, the accepted count and
+    the rejects by reason. More unparseable rows than ``max_bad_fraction``
+    of the rows read raises IngestError, checked at every row number
+    divisible by 10,000 and at the end; canonical rows always parse. Text
+    that is not UTF-8 or not CSV raises IngestError too, with ``report``
+    holding the rows counted before it.
     """
     is_path = isinstance(source, (str, Path))
     if is_path:
@@ -547,18 +432,21 @@ def read_cdr_columns(
     # An id outside int64 matches no parsed row, so it can be left out.
     known = (None if known_towers is None else np.fromiter(
         (t for t in known_towers if INT64_MIN <= t <= INT64_MAX), np.int64))
+    parts: list[CdrColumns] = []
+    usecols, rows = None, 0
     with opened as fh:
         blocks = _line_blocks(fh, BLOCK_BYTES)
         header, newline, rest = next(blocks, b"").partition(b"\n")
+        offset = len(header) + len(newline)     # where ``rest`` starts
         if is_path:
             header = header.removeprefix(codecs.BOM_UTF8)
-        # A file without a line end after its header goes to parse_cdr,
-        # which tells an empty source from a header-only one.
+        # A file without a line end after its header goes to the row
+        # reader, which tells an empty source from a header-only one.
         cells = _plain_header(header) if newline else None
-        if cells is not None:
-            index = _header_index(iter([cells]), None)
-            usecols = [index[f] for f in CDR_COLUMNS]
-            parts = []
+        if cells is None:
+            offset = 0
+        else:
+            usecols = _header_index(iter([cells]))
             for block in itertools.chain([rest], blocks):
                 if not block:
                     continue
@@ -566,13 +454,68 @@ def read_cdr_columns(
                 if table is None:
                     break
                 parts.append(_screen_block(table, window, known, report))
+                rows += len(table)
+                offset += len(block)
             else:
                 return CdrColumns.concat(parts)
-    report.rows = report.accepted = 0
-    report.rejects.clear()
-    return CdrColumns.from_events(parse_cdr(
-        source, window=window, known_towers=known_towers,
-        max_bad_fraction=max_bad_fraction, report=report))
+    parts += _read_rows(source, offset, usecols, rows, window=window,
+                        known_towers=known, max_bad_fraction=max_bad_fraction,
+                        report=report)
+    return CdrColumns.concat(parts)
+
+
+def _read_rows(
+    source,
+    offset: int,
+    usecols: list[int] | None,
+    rows: int,
+    *,
+    window: StudyWindow,
+    known_towers: np.ndarray | None,
+    max_bad_fraction: float,
+    report: IngestReport,
+) -> list[CdrColumns]:
+    """The accepted rows of ``source`` from byte ``offset`` on, read by rows.
+
+    The ``csv`` module splits the rows, and each row's cells are parsed by
+    ``_CELL_PARSERS``. A row with a cell they refuse, or too few cells, is
+    counted unparseable; the others are screened by ``_screen_block`` in
+    batches that end before each row number divisible by 10,000, where the
+    tolerance is checked. ``usecols`` is None when the header is read
+    here too, and ``rows`` counts the rows before ``offset``.
+    """
+    parts = []
+    batch: list[tuple] = []
+    bad = 0
+
+    def flush() -> None:
+        if batch:
+            parts.append(_screen_block(np.array(batch, _BLOCK_DTYPE), window,
+                                       known_towers, report))
+            batch.clear()
+
+    with _text_stream(source, offset) as stream:
+        reader = csv.reader(stream)
+        if usecols is None:
+            usecols = _header_index(reader)
+        cells = list(zip(_CELL_PARSERS, usecols))
+        for row in reader:
+            rows += 1
+            if rows % 10_000 == 0:
+                flush()
+                if bad > max_bad_fraction * rows:
+                    report.rows += 1    # the row the check stops at is read
+                    raise _tolerance_error(bad, rows, max_bad_fraction)
+            try:
+                batch.append(tuple([parse(row[i]) for parse, i in cells]))
+            except (ValueError, IndexError):
+                bad += 1
+                report.rows += 1
+                report.rejects["unparseable"] += 1
+    flush()
+    if rows and bad / rows > max_bad_fraction:
+        raise _tolerance_error(bad, rows, max_bad_fraction)
+    return parts
 
 
 def run_starts(*keys: np.ndarray) -> np.ndarray:

@@ -22,7 +22,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import AnalysisError, ConvergenceError, SeparationError
-from .ingest import CdrColumns, CdrEvent, UNKNOWN_STATE
+from .ingest import CdrColumns, UNKNOWN_STATE
 
 Z_95 = 1.96
 
@@ -133,7 +133,7 @@ def _csr(node_id, state, edges):
 
 
 def build_network(
-    events: CdrColumns | Iterable[CdrEvent],
+    events: CdrColumns,
     *,
     exclude_local: bool = True,
     local_state: int | None = None,
@@ -146,11 +146,8 @@ def build_network(
     ``exclude_local`` is set and ``local_state`` is given, residents of
     the venue's host state are dropped: their phone use is not comparable
     to visitors'. A node takes the state of its first appearance, caller
-    before callee. ``CdrEvent`` records are converted to columns first.
+    before callee.
     """
-    if not isinstance(events, CdrColumns):
-        events = CdrColumns.from_events(events)
-
     def kept(is_customer: np.ndarray, state: np.ndarray) -> np.ndarray:
         ok = is_customer & (state != UNKNOWN_STATE)
         if exclude_local and local_state is not None:
@@ -193,19 +190,6 @@ class TripleCensus:
 
     closed: dict[int, int] = field(default_factory=dict)
     open: dict[int, int] = field(default_factory=dict)
-
-    def connected(self, state: int) -> int:
-        return self.closed.get(state, 0) + self.open.get(state, 0)
-
-    @property
-    def total_nodesets(self) -> int:
-        """Connected triples counted once per node-set."""
-        return sum(self.closed.values()) + sum(self.open.values())
-
-    @property
-    def total_paths(self) -> int:
-        """Length-2 paths: each triangle contributes three, each open one."""
-        return 3 * sum(self.closed.values()) + sum(self.open.values())
 
 
 def census_triples(net: SocialNetwork) -> TripleCensus:

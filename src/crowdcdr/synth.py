@@ -875,7 +875,7 @@ def generate(
     outdir.mkdir(parents=True, exist_ok=True)
     truth = generate_tables(config)
     events = (build_events(truth) if truth.slot_cell is not None
-              else CdrColumns.from_events(()))
+              else CdrColumns.concat([]))
     paths = {
         "cdr": outdir / "cdr.csv",
         "towers": outdir / "towers.csv",

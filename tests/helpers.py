@@ -2,23 +2,210 @@
 
 from __future__ import annotations
 
+import csv
+import io
 import itertools
 from collections import Counter
+from contextlib import contextmanager
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from math import ceil, comb, expm1, floor, log1p
+from pathlib import Path
+from typing import IO, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 import pytest
 
 from crowdcdr import geo
-from crowdcdr.errors import ConfigurationError
-from crowdcdr.ingest import (CdrColumns, CdrEvent, DEFAULT_WINDOW,
-                             ObservationColumns, StudyWindow)
+from crowdcdr.errors import ConfigurationError, IngestError, SchemaError
+from crowdcdr.ingest import (_BOOL_FIELDS, CDR_COLUMNS, DEFAULT_WINDOW,
+                             UNKNOWN_STATE, CdrColumns, IngestReport,
+                             ObservationColumns, StudyWindow, _parse_bool,
+                             _parse_int, _parse_state, _reading,
+                             _tolerance_error)
 from crowdcdr.sbm import GroupBiasDemo, group_structure_bias
 from crowdcdr.social import SocialNetwork, TripleCensus, Triples, transitivity
 from crowdcdr.spatial import colocation_probability, correlate
 
 BASE_TS = DEFAULT_WINDOW.start
+
+
+# ---------------------------------------------------------------------------
+# The row-at-a-time CDR reader, the oracle of ``ingest.read_cdr_columns``:
+# one ``CdrEvent`` per accepted row, each row validated on its own.
+
+
+@dataclass(frozen=True, slots=True)
+class CdrEvent:
+    """A single communication event served by a venue tower."""
+
+    timestamp: int          # seconds since epoch, UTC
+    caller_id: int
+    callee_id: int
+    event_kind: str         # "call" or "text"
+    duration: int           # seconds, 0 for texts
+    tower_id: int
+    caller_state: int       # 1..23, 0 = unknown
+    callee_state: int
+    caller_is_customer: bool
+    callee_is_customer: bool
+
+
+@contextmanager
+def _text_stream(source) -> Iterator[IO[str]]:
+    """A text stream over a path, byte stream, text stream, or bytes.
+
+    A path is opened here and closed on exit. A read that fails on the
+    encoding or the CSV syntax raises IngestError naming the source.
+    """
+    name = str(source) if isinstance(source, (str, Path)) else "CDR source"
+    with _reading(name, IngestError):
+        if isinstance(source, (str, Path)):
+            with open(source, "r", newline="", encoding="utf-8-sig") as fh:
+                yield fh
+        elif isinstance(source, (bytes, bytearray)):
+            yield io.StringIO(source.decode("utf-8"))
+        elif hasattr(source, "read"):
+            if isinstance(source.read(0), bytes):
+                source = io.TextIOWrapper(source, encoding="utf-8", newline="")
+            yield source
+        else:
+            raise IngestError(f"unsupported CDR source: {type(source)!r}")
+
+
+def _header_index(reader, schema: Mapping[str, str] | None) -> dict[str, int]:
+    """Field name -> column position, from the header row of a CDR source."""
+    schema = dict(schema) if schema else {f: f for f in CDR_COLUMNS}
+    schema.setdefault("kind", schema.pop("event_kind", "kind"))
+    missing = [f for f in CDR_COLUMNS if f not in schema]
+    if missing:
+        raise SchemaError(f"schema missing fields: {missing}")
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise SchemaError("empty CDR source: no header row") from None
+    positions = {name.strip(): i for i, name in enumerate(header)}
+    absent = [schema[f] for f in CDR_COLUMNS if schema[f] not in positions]
+    if absent:
+        raise SchemaError(f"CDR header missing required columns: {absent}")
+    return {f: positions[schema[f]] for f in CDR_COLUMNS}
+
+
+def _validate_row(
+    row: Sequence[str],
+    index: Mapping[str, int],
+    window: StudyWindow,
+    known_towers: set[int] | None,
+) -> CdrEvent | str:
+    """The event a CDR row holds, or the reason the row is rejected."""
+    try:
+        ts = _parse_int(row[index["timestamp"]])
+        caller = _parse_int(row[index["caller_id"]])
+        callee = _parse_int(row[index["callee_id"]])
+        kind = row[index["kind"]].strip().lower()
+        duration = _parse_int(row[index["duration"]])
+        tower = _parse_int(row[index["tower_id"]])
+        caller_state = _parse_state(row[index["caller_state"]])
+        callee_state = _parse_state(row[index["callee_state"]])
+        caller_cust = _parse_bool(row[index["caller_is_customer"]])
+        callee_cust = _parse_bool(row[index["callee_is_customer"]])
+    except (ValueError, IndexError):
+        return "unparseable"
+
+    if kind not in ("call", "text"):
+        return "unparseable"
+    if duration < 0:
+        return "negative_duration"
+    if kind == "text" and duration != 0:
+        return "text_with_duration"
+    if not window.contains(ts):
+        return "outside_window"
+    if known_towers is not None and tower not in known_towers:
+        return "unknown_tower"
+    if not (caller_cust or callee_cust):
+        return "no_customer_party"
+    if (caller_cust and caller_state == UNKNOWN_STATE) or (
+        callee_cust and callee_state == UNKNOWN_STATE
+    ):
+        return "customer_without_state"
+    return CdrEvent(ts, caller, callee, kind, duration, tower,
+                    caller_state, callee_state, caller_cust, callee_cust)
+
+
+def parse_cdr(
+    source,
+    schema: Mapping[str, str] | None = None,
+    *,
+    delimiter: str = ",",
+    window: StudyWindow = DEFAULT_WINDOW,
+    known_towers: set[int] | None = None,
+    max_bad_fraction: float = 0.01,
+    report: IngestReport | None = None,
+) -> Iterator[CdrEvent]:
+    """Stream events out of a delimiter-separated CDR file.
+
+    Parameters
+    ----------
+    source: path, byte stream, text stream, or bytes
+        Delimiter-separated text with a header row.
+    schema: mapping field name -> column name
+        Defaults to the canonical column names. Extra file columns are
+        ignored.
+    window: StudyWindow
+        Events outside the window are rejected.
+    known_towers: set of tower ids or None
+        When given, events referencing other towers are rejected; silent
+        acceptance would corrupt the spatial statistics.
+    max_bad_fraction: float
+        Tolerated fraction of rows with unparseable fields (including
+        integers outside int64). Exceeding it raises IngestError once the
+        stream is exhausted (checked against the running total every 10000
+        rows as well, so a corrupt 400M-row file fails early instead of at
+        the end).
+    report: IngestReport or None
+        Filled in as a side channel: total rows, accepted rows, and a
+        per-reason reject counter. Nothing is silently dropped.
+
+    Yields events lazily in file order; the input is never materialized,
+    so a caller that consumes the stream as it goes runs in constant
+    memory. That promise covers this streaming API only: ``crowdcdr
+    report`` reads the file with ``read_cdr_columns`` and holds every
+    accepted event in memory as columns.
+    """
+    if report is None:
+        report = IngestReport()
+    with _text_stream(source) as stream:
+        reader = csv.reader(stream, delimiter=delimiter)
+        index = _header_index(reader, schema)
+        bad_parse = 0
+        for row in reader:
+            report.rows += 1
+            if report.rows % 10000 == 0 and bad_parse > max_bad_fraction * report.rows:
+                raise _tolerance_error(bad_parse, report.rows, max_bad_fraction)
+            result = _validate_row(row, index, window, known_towers)
+            if isinstance(result, str):
+                if result == "unparseable":
+                    bad_parse += 1
+                report.rejects[result] += 1
+                continue
+            report.accepted += 1
+            yield result
+        if report.rows and bad_parse / report.rows > max_bad_fraction:
+            raise _tolerance_error(bad_parse, report.rows, max_bad_fraction)
+
+
+def from_events(events: Iterable[CdrEvent]) -> CdrColumns:
+    """``CdrColumns`` of event records, in order."""
+    table = np.array([
+        (e.timestamp, e.caller_id, e.callee_id, e.event_kind == "text",
+         e.duration, e.tower_id, e.caller_state, e.callee_state,
+         e.caller_is_customer, e.callee_is_customer)
+        for e in events
+    ], dtype=np.int64).reshape(-1, len(CDR_COLUMNS)).T.copy()
+    return CdrColumns(*(
+        col.astype(bool) if f.name in _BOOL_FIELDS else col
+        for f, col in zip(fields(CdrColumns), table)
+    ))
 
 
 def ts_on_day(day: int, offset: int = 0) -> int:

@@ -140,6 +140,30 @@ class TestGen:
         assert err.startswith("data error:") and err.count("\n") == 1
         assert key in err
 
+    def test_failed_gen_leaves_a_manifest(self, tmp_path, monkeypatch):
+        cfg_path = tmp_path / "scenario.json"
+        synth.named_scenario("desk-small").to_json(cfg_path)
+        blob = read_json(cfg_path)
+        blob["n_days"] = "x"
+        cfg_path.write_text(json.dumps(blob), encoding="utf-8")
+        out = tmp_path / "x"
+        assert run("gen", "--config", cfg_path, "--output-dir", out) == 3
+        blob = read_json(out / "manifest_gen.json")
+        assert (blob["failed_stage"], blob["error"], blob["exit_code"]) == (
+            "config", "ConfigurationError", 3)
+        assert blob["outputs"] == {} and set(blob["timings_s"]) == {"total"}
+
+        def broken(config, outdir):
+            raise RuntimeError("generator bug")
+        monkeypatch.setattr(synth, "generate", broken)
+        with pytest.raises(RuntimeError, match="generator bug"):
+            run("gen", "--seed", 4, "--output-dir", out)
+        blob = read_json(out / "manifest_gen.json")
+        assert (blob["failed_stage"], blob["error"], blob["exit_code"]) == (
+            "generate", "RuntimeError", 1)
+        assert blob["seed"] == 4
+        assert set(blob["timings_s"]) == {"generate", "total"}
+
     def test_scenario_mean_stay_at_min_stay_exits_3(self, tmp_path, capsys):
         cfg_path = tmp_path / "scenario.json"
         synth.named_scenario("desk-small").to_json(cfg_path)

@@ -3,7 +3,6 @@
 import codecs
 import csv
 import io
-import itertools
 import random
 import tracemalloc
 import warnings
@@ -19,12 +18,10 @@ from crowdcdr.ingest import (
     DEFAULT_WINDOW,
     INT64_MAX,
     INT64_MIN,
-    CdrColumns,
     IngestReport,
     StudyWindow,
     daily_observations,
     pack_keys,
-    parse_cdr,
     read_cdr_columns,
     write_cdr,
 )
@@ -33,13 +30,13 @@ from crowdcdr.social import build_network
 from crowdcdr.spatial import build_colocation_series
 from helpers import (cdr_text, colocation_oracle, columns_as_events,
                      count_unique_handsets, dedupe_daily,
-                     first_day_counts_oracle, make_event, make_observations,
-                     observation_rows, stays_oracle, towers_with_traffic,
-                     ts_on_day)
+                     first_day_counts_oracle, from_events, make_event,
+                     make_observations, observation_rows, parse_cdr,
+                     stays_oracle, towers_with_traffic, ts_on_day)
 
 
 def parse_all(text, **kwargs):
-    return list(parse_cdr(text.encode(), **kwargs))
+    return columns_as_events(read_cdr_columns(text.encode(), **kwargs))
 
 
 class TestParse:
@@ -73,13 +70,6 @@ class TestParse:
     def test_empty_source_raises_schema_error(self):
         with pytest.raises(SchemaError, match="header"):
             parse_all("")
-
-    def test_column_map_allows_renamed_headers(self):
-        ev = make_event()
-        text = cdr_text([ev]).replace("timestamp", "ts_epoch")
-        schema = {f: f for f in ingest.CDR_COLUMNS}
-        schema["timestamp"] = "ts_epoch"
-        assert parse_all(text, schema=schema) == [ev]
 
     def test_extra_columns_ignored(self):
         ev = make_event()
@@ -135,36 +125,12 @@ class TestParse:
         events = [make_event(day=d % 80 + 1, caller=d) for d in range(200)]
         odd = make_event(day=5, caller=value)
         text = cdr_text(events + [odd])
-        for parse in (parse_all, lambda t, **kw: columns_as_events(
-                read_cdr_columns(t.encode(), **kw))):
+        for parse in (lambda t, **kw: list(parse_cdr(t.encode(), **kw)),
+                      parse_all):
             report = IngestReport()
             out = parse(text, report=report)
             assert (odd in out) is accepted
             assert report.rejects["unparseable"] == (0 if accepted else 1)
-
-    def test_long_stream_is_consumed_lazily(self):
-        """A million-row source yields early events after a handful of reads."""
-
-        class CountingSource:
-            def __init__(self, n_rows):
-                self.n_rows = n_rows
-                self.lines_served = 0
-
-            def read(self, n=-1):
-                return ""
-
-            def __iter__(self):
-                yield cdr_text([]).strip() + "\n"
-                for i in range(self.n_rows):
-                    self.lines_served += 1
-                    yield (
-                        f"{ts_on_day(i % 90 + 1)},{i},200,call,30,1,2,3,1,1\n"
-                    )
-
-        source = CountingSource(1_000_000)
-        first_five = list(itertools.islice(parse_cdr(source), 5))
-        assert len(first_five) == 5
-        assert source.lines_served < 100
 
     def test_roundtrip_through_canonical_form(self, tmp_path):
         events = [
@@ -173,10 +139,10 @@ class TestParse:
             make_event(day=90, caller=9, tower=44, duration=301),
         ]
         path = tmp_path / "events.csv"
-        write_cdr(CdrColumns.from_events(events), path)
-        assert list(parse_cdr(path)) == events
+        write_cdr(from_events(events), path)
+        assert columns_as_events(read_cdr_columns(path)) == events
         path2 = tmp_path / "events2.csv"
-        write_cdr(CdrColumns.from_events(parse_cdr(path)), path2)
+        write_cdr(read_cdr_columns(path), path2)
         assert path2.read_bytes() == path.read_bytes()
 
     def test_columns_written_as_csv_module_writes_them(self, tmp_path):
@@ -336,7 +302,7 @@ class TestFullScenarioEquivalence:
     def test_parse_dedupe_count_reconstruct_ground_truth(self, desk_small_files):
         paths, truth = desk_small_files
         report = IngestReport()
-        events = list(parse_cdr(paths["cdr"], report=report))
+        events = columns_as_events(read_cdr_columns(paths["cdr"], report=report))
         assert report.rejected == 0
         obs = dedupe_daily(events)
         assert observation_rows(obs) == observation_rows(truth.observations())
@@ -345,7 +311,7 @@ class TestFullScenarioEquivalence:
     def test_reemitting_parsed_file_is_byte_stable(self, desk_small_files, tmp_path):
         paths, _ = desk_small_files
         out = tmp_path / "copy.csv"
-        write_cdr(CdrColumns.from_events(parse_cdr(paths["cdr"])), out)
+        write_cdr(read_cdr_columns(paths["cdr"]), out)
         assert out.read_bytes() == paths["cdr"].read_bytes()
 
 
@@ -408,7 +374,8 @@ class TestAuxiliaryLoaders:
         paths, _ = desk_small_files
         bom = tmp_path / "cdr.csv"
         bom.write_bytes(b"\xef\xbb\xbf" + paths["cdr"].read_bytes())
-        assert list(parse_cdr(bom)) == list(parse_cdr(paths["cdr"]))
+        assert columns_as_events(read_cdr_columns(bom)) == columns_as_events(
+            read_cdr_columns(paths["cdr"]))
 
     def test_tower_activity_marking(self):
         events = [make_event(tower=2), make_event(tower=5)]
@@ -424,7 +391,7 @@ class TestAuxiliaryLoaders:
 
 
 # ---------------------------------------------------------------------------
-# The columnar fast path against the streaming oracle
+# The block reader and its row fallback against the row-at-a-time oracle
 
 
 def _cells(fn):
@@ -496,7 +463,8 @@ def oracle_path(data, known):
     events = list(parse_cdr(data, known_towers=known, report=report))
     obs = dedupe_daily(events)
     return (report, events, obs, count_unique_handsets(obs),
-            towers_with_traffic(events), build_network(events, local_state=1))
+            towers_with_traffic(events),
+            build_network(from_events(events), local_state=1))
 
 
 def columnar_path(data, known):
@@ -531,13 +499,15 @@ def assert_paths_agree(data, known):
     assert sorted(net2.edges()) == sorted(net.edges())
 
 
-class TestColumnarIngest:
-    @pytest.fixture(scope="class")
-    def desk(self, desk_small_files):
-        paths, _ = desk_small_files
-        known = {t.tower_id for t in ingest.load_towers(paths["towers"])}
-        return paths["cdr"].read_text(encoding="utf-8"), known
+@pytest.fixture(scope="module")
+def desk(desk_small_files):
+    """(desk-small cdr.csv text, its tower ids)."""
+    paths, _ = desk_small_files
+    known = {t.tower_id for t in ingest.load_towers(paths["towers"])}
+    return paths["cdr"].read_text(encoding="utf-8"), known
 
+
+class TestColumnarIngest:
     @settings(max_examples=25, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(
@@ -569,32 +539,43 @@ class TestColumnarIngest:
         text, known = desk
 
         def no_fallback(*args, **kwargs):
-            raise AssertionError("row validator used on a canonical file")
-        monkeypatch.setattr(ingest, "parse_cdr", no_fallback)
+            raise AssertionError("row reader used on a canonical file")
+        monkeypatch.setattr(ingest, "_read_rows", no_fallback)
         assert len(read_cdr_columns(text.encode(), known_towers=known)) == (
             text.count("\n") - 1)
 
     def test_a_loadtxt_warning_sends_the_file_to_the_second_read(
             self, desk, monkeypatch):
         # numpy 1.x reads an integer cell such as "1.0" through a float
-        # and only warns; the row validator calls that cell unparseable.
+        # and only warns; the row reader calls that cell unparseable.
         text, known = desk
+        data = text.encode()
         loadtxt = np.loadtxt
+        blocks = []
 
-        def warning_loadtxt(*args, **kwargs):
-            warnings.warn("parsing an integer via a float", DeprecationWarning)
-            return loadtxt(*args, **kwargs)
+        def warning_loadtxt(fh, *args, **kwargs):
+            blocks.append(fh.getvalue().encode())
+            if len(blocks) == 3:
+                warnings.warn("parsing an integer via a float",
+                              DeprecationWarning)
+            return loadtxt(fh, *args, **kwargs)
         monkeypatch.setattr(ingest.np, "loadtxt", warning_loadtxt)
-        second_reads = []
-        monkeypatch.setattr(ingest, "parse_cdr",
-                            lambda *a, **kw: second_reads.append(a) or [])
-        read_cdr_columns(text.encode(), known_towers=known)
-        assert len(second_reads) == 1
+        monkeypatch.setattr(ingest, "BLOCK_BYTES", 13_000)  # about 250 lines
+        offsets = []
+        monkeypatch.setattr(ingest, "_read_rows",
+                            lambda source, offset, *a, **kw:
+                            offsets.append(offset) or [])
+        read_cdr_columns(data, known_towers=known)
+        assert len(blocks) == 3
+        # The row reader starts at the block that warned.
+        assert offsets == [data.index(b"\n") + 1 + len(blocks[0])
+                           + len(blocks[1])]
+        assert data[offsets[0]:].startswith(blocks[2])
 
     def test_tolerance_error_after_fast_chunks_matches_the_oracle(
             self, desk, monkeypatch):
         # About ten canonical blocks are screened and counted before the
-        # first bad row; the second read must start from a clear report.
+        # first bad row; the row reader must go on with their report.
         text, known = desk
         header, *lines = text.splitlines()
         lines = (lines * 2)[:12_000]
@@ -621,15 +602,6 @@ class TestColumnarIngest:
         assert columns_as_events(read_cdr_columns(data, known_towers=known)) \
             == list(parse_cdr(data, known_towers=known)) == events[:1]
 
-    def test_from_events_round_trips(self):
-        events = [make_event(day=2, caller=7, kind="text"),
-                  make_event(day=1, callee_customer=False, callee_state=0)]
-        columns = CdrColumns.from_events(events)
-        assert columns.caller_id.dtype == np.int64
-        assert columns.is_text.dtype == bool
-        assert columns_as_events(columns) == events
-        assert len(CdrColumns.from_events([])) == 0
-
     def test_empty_and_header_only_sources(self):
         report = IngestReport()
         assert len(read_cdr_columns(cdr_text([]).encode(), report=report)) == 0
@@ -653,6 +625,126 @@ class TestColumnarIngest:
         # The fallback reads the source a second time.
         with pytest.raises(IngestError, match="unsupported CDR source"):
             read_cdr_columns(io.BytesIO(cdr_text([]).encode()))
+
+
+def read_outcome(read, source, known):
+    """(events, report counts) of one read; the error class and message
+    stand in for the events when it raises."""
+    report = IngestReport()
+    try:
+        events = read(source, known_towers=known, report=report)
+    except (IngestError, SchemaError) as exc:
+        events = (type(exc), str(exc))
+    return events, (report.rows, report.accepted, dict(report.rejects))
+
+
+def oracle_read(*args, **kwargs):
+    return list(parse_cdr(*args, **kwargs))
+
+
+def columnar_read(*args, **kwargs):
+    return columns_as_events(read_cdr_columns(*args, **kwargs))
+
+
+def spy_row_reader(monkeypatch) -> list[tuple[int, int]]:
+    """(byte offset, rows before it) of each call to the row reader."""
+    calls = []
+    read_rows = ingest._read_rows
+
+    def spy(source, offset, usecols, rows, **kwargs):
+        calls.append((offset, rows))
+        return read_rows(source, offset, usecols, rows, **kwargs)
+    monkeypatch.setattr(ingest, "_read_rows", spy)
+    return calls
+
+
+def block_start(data: bytes, pos: int, size: int) -> int:
+    """Byte offset of the block of ``size`` that holds byte ``pos``; the
+    first block starts after the header line."""
+    start = 0
+    for block in ingest._line_blocks(io.BytesIO(data), size):
+        if pos < start + len(block):
+            return start or data.index(b"\n") + 1
+        start += len(block)
+    raise ValueError(f"byte {pos} is past the end")
+
+
+#: Mutations that make a line non-canonical in any block.
+NON_CANONICAL = ("arabic_indic", "blank_line", "flag_true", "hash",
+                 "int_decimal_point", "kind_nul", "kind_upper", "quoted",
+                 "short_row", "state_question")
+
+
+class TestRowFallback:
+    """The row reader takes over at the first non-canonical block."""
+
+    @pytest.mark.parametrize("bad", ["one_quoted_cell",
+                                     "garbage_over_tolerance"])
+    @pytest.mark.parametrize("source", ["bytes", "bom_path"])
+    def test_bad_cell_in_the_last_block_reads_only_that_block_by_rows(
+            self, desk, monkeypatch, tmp_path, source, bad):
+        text, known = desk
+        header, *lines = text.splitlines()[:2001]
+        if bad == "one_quoted_cell":
+            lines[-1] = MUTATIONS["quoted"](lines[-1])
+        else:
+            lines[-30:] = ["garbage,row"] * 30      # 1.5% of the rows
+        data = ("\n".join([header, *lines]) + "\n").encode()
+        src = data
+        if source == "bom_path":
+            data = codecs.BOM_UTF8 + data
+            src = tmp_path / "cdr.csv"
+            src.write_bytes(data)
+        monkeypatch.setattr(ingest, "BLOCK_BYTES", 13_000)  # about 250 lines
+        blocks = list(ingest._line_blocks(io.BytesIO(data), 13_000))
+        assert len(blocks) > 5
+        expected = read_outcome(oracle_read, src, known)
+        calls = spy_row_reader(monkeypatch)
+        assert read_outcome(columnar_read, src, known) == expected
+        offset = len(data) - len(blocks[-1])
+        assert calls == [(offset, data[:offset].count(b"\n") - 1)]
+        raised = expected[0][0] is IngestError
+        assert raised is (bad == "garbage_over_tolerance")
+
+    @settings(max_examples=20, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(row=st.integers(1000, 1999), name=st.sampled_from(NON_CANONICAL),
+           block=st.sampled_from([364, 1924, 13_000]))
+    def test_non_canonical_block_in_the_middle_matches_the_oracle(
+            self, desk, monkeypatch, row, name, block):
+        text, known = desk
+        header, *lines = text.splitlines()[:3001]
+        lines[row] = MUTATIONS[name](lines[row])
+        data = ("\n".join([header, *lines]) + "\n").encode()
+        pos = len(("\n".join([header, *lines[:row]]) + "\n").encode())
+        monkeypatch.setattr(ingest, "BLOCK_BYTES", block)
+        expected = read_outcome(oracle_read, data, known)
+        calls = spy_row_reader(monkeypatch)
+        assert read_outcome(columnar_read, data, known) == expected
+        offset = block_start(data, pos, block)
+        assert calls == [(offset, data[:offset].count(b"\n") - 1)]
+
+    @settings(max_examples=10, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(first=st.integers(2_000, 9_850), count=st.integers(121, 400),
+           block=st.sampled_from([13_000, 52_000, 200_000]))
+    def test_tolerance_raise_after_the_resume_point_matches_the_oracle(
+            self, desk, monkeypatch, first, count, block):
+        # Over 1% of 12,000 rows are garbage, so the read raises: at row
+        # 10,000 when over 100 of them come before it, else at the end.
+        text, known = desk
+        header, *lines = text.splitlines()
+        lines = (lines * 2)[:12_000]
+        lines[first:first + count] = ["garbage,row"] * count
+        data = ("\n".join([header, *lines]) + "\n").encode()
+        pos = len(("\n".join([header, *lines[:first]]) + "\n").encode())
+        monkeypatch.setattr(ingest, "BLOCK_BYTES", block)
+        expected = read_outcome(oracle_read, data, known)
+        assert expected[0][0] is IngestError
+        calls = spy_row_reader(monkeypatch)
+        assert read_outcome(columnar_read, data, known) == expected
+        offset = block_start(data, pos, block)
+        assert calls == [(offset, data[:offset].count(b"\n") - 1)]
 
 
 def reader_events():
@@ -699,7 +791,7 @@ def read_both_ways(source, monkeypatch, *, fast: bool):
     """(read_cdr_columns result, parse_cdr result) for the same source.
 
     A result is (events, report counts), or the error class and message.
-    With ``fast``, the columnar read must not fall back to ``parse_cdr``.
+    With ``fast``, the columnar read must not fall back to the row reader.
     """
     def read(fn):
         report = IngestReport()
@@ -712,8 +804,8 @@ def read_both_ways(source, monkeypatch, *, fast: bool):
     expected = read(lambda *a, **kw: list(parse_cdr(*a, **kw)))
     if fast:
         def no_fallback(*args, **kwargs):
-            raise AssertionError("row validator used on a canonical file")
-        monkeypatch.setattr(ingest, "parse_cdr", no_fallback)
+            raise AssertionError("row reader used on a canonical file")
+        monkeypatch.setattr(ingest, "_read_rows", no_fallback)
     got = read(lambda *a, **kw: columns_as_events(read_cdr_columns(*a, **kw)))
     return got, expected
 
@@ -877,7 +969,7 @@ class TestPackedKeys:
     @given(events=extreme_events())
     def test_daily_observations_match_the_dict_oracle(self, events):
         assert observation_rows(daily_observations(
-            CdrColumns.from_events(events))) == observation_rows(
+            from_events(events))) == observation_rows(
                 dedupe_daily(events))
 
     @settings(max_examples=200, deadline=None)
@@ -908,7 +1000,7 @@ class TestPackedKeys:
         with pytest.raises(ValueError, match="overflows int64"):
             pack_keys(np.array([0, 1]), np.array([INT64_MIN, 0]))
         with pytest.raises(ValueError, match="overflows int64"):
-            daily_observations(CdrColumns.from_events([
+            daily_observations(from_events([
                 make_event(timestamp=INT64_MIN, tower=1),
                 make_event(timestamp=INT64_MAX, tower=2)]))
         wide = make_observations([(1, 0, INT64_MIN, 1), (2, 1, INT64_MAX, 1)])

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from crowdcdr import social
 from crowdcdr.errors import AnalysisError, SeparationError
-from crowdcdr.ingest import UNKNOWN_STATE, CdrColumns
+from crowdcdr.ingest import UNKNOWN_STATE, CdrColumns, read_cdr_columns
 from crowdcdr.social import (
     SocialNetwork,
     Triples,
@@ -29,8 +29,8 @@ from crowdcdr.social import (
     transitivity,
 )
 from helpers import (brute_force_triples, census_oracle, dict_graph,
-                     make_event, network_from_truth, subsample_oracle,
-                     triple_rows)
+                     from_events, make_event, network_from_truth,
+                     subsample_oracle, triple_rows)
 from helpers import enumerate_connected_triples as triples_oracle
 
 LN_3_OVER_7 = math.log(3.0 / 7.0)
@@ -68,7 +68,7 @@ class TestBuildNetwork:
             make_event(day=2, caller=20, callee=10),
             make_event(day=2, caller=10, callee=20, kind="text"),
         ]
-        net = build_network(events)
+        net = build_network(from_events(events))
         assert net.n_nodes == 2
         assert net.n_edges == 1
 
@@ -76,13 +76,13 @@ class TestBuildNetwork:
         ev = make_event(
             caller=10, callee=20, callee_customer=False, callee_state=0
         )
-        net = build_network([ev])
+        net = build_network(from_events([ev]))
         assert net.n_nodes == 1
         assert net.n_edges == 0
 
     def test_unknown_state_party_is_dropped(self):
         ev = make_event(caller_state=UNKNOWN_STATE, callee_state=3)
-        net = build_network([ev])
+        net = build_network(from_events([ev]))
         assert list(net.nodes()) == [ev.callee_id]
 
     def test_host_state_residents_excluded_on_request(self):
@@ -90,6 +90,7 @@ class TestBuildNetwork:
             make_event(caller=1, callee=2, caller_state=7, callee_state=7),
             make_event(caller=3, callee=4, caller_state=2, callee_state=2),
         ]
+        events = from_events(events)
         net = build_network(events, exclude_local=True, local_state=7)
         assert sorted(net.nodes()) == [3, 4]
         assert net.n_edges == 1
@@ -98,9 +99,7 @@ class TestBuildNetwork:
 
     def test_reconstructs_generated_tie_graph(self, desk_small_files):
         paths, truth = desk_small_files
-        from crowdcdr.ingest import parse_cdr
-
-        events = list(parse_cdr(paths["cdr"]))
+        events = read_cdr_columns(paths["cdr"])
         net = build_network(events, exclude_local=False)
         ref = network_from_truth(truth)
         assert dict_graph(net) == dict_graph(ref)
@@ -136,7 +135,8 @@ class TestBuildNetwork:
         want = sets_from_inputs(np.array(node_id, np.int64),
                                 np.array(state, np.int64),
                                 np.array(edges, np.int64).reshape(-1, 2))
-        net = build_network(events, exclude_local=exclude_local, local_state=1)
+        net = build_network(from_events(events), exclude_local=exclude_local,
+                            local_state=1)
         assert dict_graph(net) == want
 
     def test_only_kept_parties_are_materialised(self):
@@ -150,7 +150,7 @@ class TestBuildNetwork:
         events = CdrColumns(zero, row, row + n, zero.astype(bool), zero, zero,
                             np.where(kept, 2, 1), np.where(kept, 3, 1),
                             np.ones(n, bool), np.ones(n, bool))
-        build_network([make_event()])     # first-call allocations
+        build_network(from_events([make_event()]))    # first-call allocations
         tracemalloc.start()
         try:
             net = build_network(events, exclude_local=True, local_state=1)
@@ -338,7 +338,7 @@ class TestTripleCensus:
     def test_cross_state_triangle_counts_nothing(self):
         net = network({1: 2, 2: 2, 3: 3}, [(1, 2), (2, 3), (1, 3)])
         census = census_triples(net)
-        assert census.total_nodesets == 0
+        assert (census.closed, census.open) == ({2: 0, 3: 0}, {2: 0, 3: 0})
 
     def test_matches_exhaustive_enumeration_on_random_graphs(self):
         rng = random.Random(13)
@@ -365,9 +365,10 @@ class TestTripleCensus:
     def test_nodeset_and_path_totals(self):
         net = same_state_network([(1, 2), (2, 3), (3, 4), (4, 1), (1, 3)])
         census = census_triples(net)
-        assert census.total_nodesets == 4
-        assert census.total_paths == 8
-        assert census.connected(2) == 4
+        # Two triangles and two open node-sets: 4 node-sets, 8 paths.
+        assert (census.closed, census.open) == ({2: 2}, {2: 2})
+        assert closed_fraction(census, 2) == 2 / 4
+        assert transitivity(census, 2) == 3 * 2 / 8
 
 
 class TestTripleEnumeration:
