@@ -50,7 +50,6 @@ from .errors import (
 )
 from .ingest import (
     DEFAULT_WINDOW,
-    CdrColumns,
     IngestReport,
     ObservationColumns,
     StudyWindow,
@@ -156,7 +155,10 @@ class RunManifest:
     """Inputs, outputs (with digests), versions, timings and memory of one run.
 
     ``peak_rss_mb`` holds the process's peak resident set size after each
-    stage, as ``getrusage`` reports it. ``failure`` holds
+    stage, as ``getrusage`` reports it. ``stages`` holds what a stage
+    tells about its input: for ``load``, ``row_reader_from``, the 1-based
+    CDR data row from which the file was read by rows (None when it was
+    read wholly in blocks). ``failure`` holds
     ``failed_stage``, ``error`` and ``exit_code`` when the run stopped on
     a data or analysis error, and is empty otherwise.
     """
@@ -168,6 +170,7 @@ class RunManifest:
     outputs: dict[str, dict] = field(default_factory=dict)
     timings_s: dict[str, float] = field(default_factory=dict)
     peak_rss_mb: dict[str, float] = field(default_factory=dict)
+    stages: dict[str, dict] = field(default_factory=dict)
     versions: dict[str, str] = field(default_factory=dict)
     failure: dict = field(default_factory=dict)
 
@@ -201,12 +204,13 @@ def config_digest(cfg: Mapping) -> str:
 class PipelineData:
     """Everything the analysis stages consume, loaded once.
 
-    ``events`` holds the accepted CDR rows and ``observations`` one row
-    per (person, day) derived from them, both as columns.
+    The accepted CDR rows are not kept: ``observations`` holds one row
+    per (person, day) derived from them, ``contacts`` the parties and
+    pairs the network is built from, and ``towers`` their activity.
     """
 
-    events: CdrColumns
     observations: ObservationColumns
+    contacts: social.ContactTable
     counts: dict
     towers: list
     profiles: dict
@@ -228,7 +232,7 @@ def load_pipeline_data(
     towers = load_towers(towers_path)
     profiles = load_state_profiles(states_path)
     report = IngestReport()
-    events = read_cdr_columns(
+    columns = read_cdr_columns(
         cdr,
         window=window,
         known_towers={t.tower_id for t in towers},
@@ -239,13 +243,15 @@ def load_pipeline_data(
             f"no accepted rows in {cdr}: {report.rows} rows, rejected "
             f"{dict(sorted(report.rejects.items()))}"
         )
-    towers = mark_tower_activity(towers, set(np.unique(events.tower_id).tolist()))
-    daily = daily_observations(events, window)
+    towers = mark_tower_activity(towers, set(np.unique(columns.tower_id).tolist()))
+    contacts = social.contact_table(columns)
+    daily = daily_observations(columns, window)
+    del columns     # the stages read only what was taken from it
     proj_path = input_dir / "projections.csv"
     projections = load_projections(proj_path) if proj_path.exists() else None
     return PipelineData(
-        events=events,
         observations=daily,
+        contacts=contacts,
         counts=daily.unique_handsets(),
         towers=towers,
         profiles=profiles,
@@ -288,7 +294,7 @@ class Run:
     @cached_property
     def network(self) -> social.SocialNetwork:
         return social.build_network(
-            self.data.events,
+            self.data.contacts,
             exclude_local=self.cfg["exclude_local"],
             local_state=self.data.local,
         )
@@ -649,6 +655,8 @@ def run_command(args) -> int:
                 for name in ("cdr", "towers", "states")
             }
             run.data = _timed(manifest, "load", load_pipeline_data, input_dir)
+            manifest.stages["load"] = {
+                "row_reader_from": run.data.report.row_reader_from}
         for stage in stages:
             outputs, run.results[stage] = _timed(
                 manifest, stage, globals()[f"stage_{stage}"], run)

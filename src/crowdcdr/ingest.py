@@ -3,8 +3,9 @@
 The data model is shared by every downstream module:
 
 - ``CdrColumns``: accepted events (calls and texts) as one numpy array
-  per field; what ``read_cdr_columns`` returns and the analysis stages
-  consume.
+  per field; what ``read_cdr_columns`` returns. The analysis stages read
+  only what is taken from it: the daily observations, the towers with
+  traffic and ``social.ContactTable``.
 - ``TowerSite``: tower coordinates plus an activity flag.
 - ``StateProfile``: per-state market share and the local-state marker.
 - ``ObservationColumns``: one row per (person, day) carrying the first
@@ -25,6 +26,7 @@ import csv
 import io
 import itertools
 import math
+import os
 import warnings
 from collections import Counter
 from contextlib import contextmanager
@@ -42,6 +44,9 @@ INT64_MIN, INT64_MAX = -(2 ** 63), 2 ** 63 - 1
 
 #: Bytes per block of ``read_cdr_columns``.
 BLOCK_BYTES = 1 << 20
+#: Rows per batch of the row reader; its tolerance check runs at every
+#: row number divisible by this.
+ROW_BATCH = 10_000
 #: Rows per block of ``write_columns``.
 WRITE_BLOCK_ROWS = 1 << 14
 
@@ -105,11 +110,16 @@ DEFAULT_WINDOW = StudyWindow()
 
 @dataclass
 class IngestReport:
-    """Row accounting for one parse pass; rejects are counted by reason."""
+    """Row accounting for one parse pass; rejects are counted by reason.
+
+    ``row_reader_from`` is the 1-based data row at which ``_read_rows``
+    took over, or None when every block was canonical.
+    """
 
     rows: int = 0
     accepted: int = 0
     rejects: Counter = field(default_factory=Counter)
+    row_reader_from: int | None = None
 
     @property
     def rejected(self) -> int:
@@ -255,15 +265,6 @@ class CdrColumns:
         parts.clear()
         return cls(**{name: np.concatenate(pieces.pop(name)) for name in list(pieces)})
 
-    def located(self) -> tuple[np.ndarray, np.ndarray]:
-        """Person id and state of each event's located party.
-
-        The caller when a customer, else the callee.
-        """
-        caller = self.caller_is_customer
-        return (np.where(caller, self.caller_id, self.callee_id),
-                np.where(caller, self.caller_state, self.callee_state))
-
 
 _BOOL_FIELDS = ("is_text", "caller_is_customer", "callee_is_customer")
 
@@ -389,6 +390,45 @@ def _screen_block(
     )
 
 
+class _ColumnSink:
+    """``CdrColumns`` fields allocated once and filled part by part.
+
+    A part that overflows them grows every field by at least half, in
+    place where the allocator can (``ndarray.resize`` reallocates), so
+    no list of parts is kept and nothing is joined at the end.
+    """
+
+    def __init__(self) -> None:
+        self._fields = [np.empty(0, bool if f.name in _BOOL_FIELDS else np.int64)
+                        for f in fields(CdrColumns)]
+        self._rows = 0
+
+    def _resize(self, capacity: int) -> None:
+        # The fields are never handed out before ``columns``, so no view
+        # of the old buffers can outlive the reallocation.
+        for column in self._fields:
+            column.resize(capacity, refcheck=False)
+
+    def reserve(self, capacity: int) -> None:
+        """Room for ``capacity`` rows in all, unless there is more."""
+        if capacity > len(self._fields[0]):
+            self._resize(capacity)
+
+    def add(self, part: CdrColumns) -> None:
+        start, end = self._rows, self._rows + len(part)
+        capacity = len(self._fields[0])
+        if end > capacity:
+            self._resize(max(end, capacity + capacity // 2))
+        for column, f in zip(self._fields, fields(CdrColumns)):
+            column[start:end] = getattr(part, f.name)
+        self._rows = end
+
+    def columns(self) -> CdrColumns:
+        """The rows added, trimmed to their number."""
+        self._resize(self._rows)
+        return CdrColumns(*self._fields)
+
+
 def read_cdr_columns(
     source,
     *,
@@ -409,16 +449,22 @@ def read_cdr_columns(
     screened by ``_screen_block``. From the first header or block that is
     not in canonical form (see ``_plain_header`` and ``_load_block``) on,
     the file is read by ``_read_rows``, which screens its rows with the
-    same ``_screen_block``; the blocks before it stay as they were read.
+    same ``_screen_block``, and ``report.row_reader_from`` says where.
     Canonical blocks hold no quote, so no CSV field spans that cut.
+
+    The accepted rows are copied into columns allocated once, before the
+    first block is parsed, for the source's byte size at that block's
+    bytes per line; a later block or batch that overflows them grows
+    them geometrically. So the block transients are freed into a heap
+    that holds nothing else, and no list of parts is joined at the end.
 
     ``window`` and ``known_towers`` (when given) reject events outside
     them; ``report`` is filled with the row count, the accepted count and
     the rejects by reason. More unparseable rows than ``max_bad_fraction``
     of the rows read raises IngestError, checked at every row number
-    divisible by 10,000 and at the end; canonical rows always parse. Text
-    that is not UTF-8 or not CSV raises IngestError too, with ``report``
-    holding the rows counted before it.
+    divisible by ``ROW_BATCH`` and at the end; canonical rows always
+    parse. Text that is not UTF-8 or not CSV raises IngestError too, with
+    ``report`` holding the rows counted before it.
     """
     is_path = isinstance(source, (str, Path))
     if is_path:
@@ -432,36 +478,61 @@ def read_cdr_columns(
     # An id outside int64 matches no parsed row, so it can be left out.
     known = (None if known_towers is None else np.fromiter(
         (t for t in known_towers if INT64_MIN <= t <= INT64_MAX), np.int64))
-    parts: list[CdrColumns] = []
-    usecols, rows = None, 0
+    out = _ColumnSink()
     with opened as fh:
-        blocks = _line_blocks(fh, BLOCK_BYTES)
-        header, newline, rest = next(blocks, b"").partition(b"\n")
-        offset = len(header) + len(newline)     # where ``rest`` starts
-        if is_path:
-            header = header.removeprefix(codecs.BOM_UTF8)
-        # A file without a line end after its header goes to the row
-        # reader, which tells an empty source from a header-only one.
-        cells = _plain_header(header) if newline else None
-        if cells is None:
-            offset = 0
-        else:
-            usecols = _header_index(iter([cells]))
-            for block in itertools.chain([rest], blocks):
-                if not block:
-                    continue
-                table = _load_block(block, usecols)
-                if table is None:
-                    break
-                parts.append(_screen_block(table, window, known, report))
-                rows += len(table)
-                offset += len(block)
-            else:
-                return CdrColumns.concat(parts)
-    parts += _read_rows(source, offset, usecols, rows, window=window,
-                        known_towers=known, max_bad_fraction=max_bad_fraction,
-                        report=report)
-    return CdrColumns.concat(parts)
+        size = os.fstat(fh.fileno()).st_size if is_path else len(source)
+        resume = _read_blocks(fh, size, is_path, window, known, report, out)
+    if resume is not None:
+        offset, usecols, rows = resume
+        report.row_reader_from = rows + 1
+        _read_rows(source, offset, usecols, rows, window=window,
+                   known_towers=known, max_bad_fraction=max_bad_fraction,
+                   report=report, out=out)
+    return out.columns()
+
+
+def _read_blocks(
+    fh: IO[bytes],
+    size: int,
+    strip_bom: bool,
+    window: StudyWindow,
+    known_towers: np.ndarray | None,
+    report: IngestReport,
+    out: _ColumnSink,
+) -> tuple[int, list[int] | None, int] | None:
+    """Screen the canonical blocks of ``fh`` (``size`` bytes) into ``out``.
+
+    Returns None when every block was canonical, else where the row
+    reader resumes: the byte offset, the header's column positions (None
+    when the header is not canonical) and the rows screened before it.
+    The first block, before it is parsed, reserves ``out``'s rows for
+    every byte left at its own bytes per line.
+    """
+    blocks = _line_blocks(fh, BLOCK_BYTES)
+    header, newline, rest = next(blocks, b"").partition(b"\n")
+    offset = len(header) + len(newline)     # where ``rest`` starts
+    if strip_bom:
+        header = header.removeprefix(codecs.BOM_UTF8)
+    # A file without a line end after its header goes to the row reader,
+    # which tells an empty source from a header-only one.
+    cells = _plain_header(header) if newline else None
+    if cells is None:
+        return 0, None, 0
+    usecols = _header_index(iter([cells]))
+    rows = 0
+    for block in itertools.chain([rest], blocks):
+        if not block:
+            continue
+        if not rows:
+            lines = max(block.count(b"\n"), 1)
+            out.reserve(-(-(size - offset) * lines // len(block)))
+        table = _load_block(block, usecols)
+        if table is None:
+            return offset, usecols, rows
+        out.add(_screen_block(table, window, known_towers, report))
+        rows += len(table)
+        offset += len(block)
+    return None
 
 
 def _read_rows(
@@ -474,26 +545,21 @@ def _read_rows(
     known_towers: np.ndarray | None,
     max_bad_fraction: float,
     report: IngestReport,
-) -> list[CdrColumns]:
-    """The accepted rows of ``source`` from byte ``offset`` on, read by rows.
+    out: _ColumnSink,
+) -> None:
+    """The accepted rows of ``source`` from byte ``offset`` on, read by rows
+    and added to ``out``.
 
     The ``csv`` module splits the rows, and each row's cells are parsed by
-    ``_CELL_PARSERS``. A row with a cell they refuse, or too few cells, is
-    counted unparseable; the others are screened by ``_screen_block`` in
-    batches that end before each row number divisible by 10,000, where the
-    tolerance is checked. ``usecols`` is None when the header is read
-    here too, and ``rows`` counts the rows before ``offset``.
+    ``_CELL_PARSERS`` into one preallocated ``_BLOCK_DTYPE`` batch. A row
+    with a cell they refuse, or too few cells, is counted unparseable; the
+    batch is screened by ``_screen_block`` before each row number
+    divisible by ``ROW_BATCH``, where the tolerance is checked, and at the
+    end. ``usecols`` is None when the header is read here too, and
+    ``rows`` counts the rows before ``offset``.
     """
-    parts = []
-    batch: list[tuple] = []
-    bad = 0
-
-    def flush() -> None:
-        if batch:
-            parts.append(_screen_block(np.array(batch, _BLOCK_DTYPE), window,
-                                       known_towers, report))
-            batch.clear()
-
+    batch = np.empty(ROW_BATCH, _BLOCK_DTYPE)
+    held = bad = 0
     with _text_stream(source, offset) as stream:
         reader = csv.reader(stream)
         if usecols is None:
@@ -501,21 +567,23 @@ def _read_rows(
         cells = list(zip(_CELL_PARSERS, usecols))
         for row in reader:
             rows += 1
-            if rows % 10_000 == 0:
-                flush()
+            if rows % ROW_BATCH == 0:
+                out.add(_screen_block(batch[:held], window, known_towers, report))
+                held = 0
                 if bad > max_bad_fraction * rows:
                     report.rows += 1    # the row the check stops at is read
                     raise _tolerance_error(bad, rows, max_bad_fraction)
             try:
-                batch.append(tuple([parse(row[i]) for parse, i in cells]))
+                batch[held] = tuple([parse(row[i]) for parse, i in cells])
             except (ValueError, IndexError):
                 bad += 1
                 report.rows += 1
                 report.rejects["unparseable"] += 1
-    flush()
+            else:
+                held += 1
+    out.add(_screen_block(batch[:held], window, known_towers, report))
     if rows and bad / rows > max_bad_fraction:
         raise _tolerance_error(bad, rows, max_bad_fraction)
-    return parts
 
 
 def run_starts(*keys: np.ndarray) -> np.ndarray:
@@ -541,8 +609,11 @@ def pack_keys(*columns: np.ndarray) -> tuple[np.ndarray, list[tuple[int, int]]]:
                          "overflows int64")
     key = np.zeros(len(columns[0]), np.int64)
     for col, (low, span) in zip(columns, bounds):
+        # In place, with no temporary column; a sum past int64 wraps and
+        # subtracting ``low`` wraps it back.
         key *= span
-        key += col - low
+        key += col
+        key -= low
     return key, bounds
 
 
@@ -589,7 +660,8 @@ class ObservationColumns:
 def daily_observations(
     columns: CdrColumns, window: StudyWindow = DEFAULT_WINDOW
 ) -> ObservationColumns:
-    """One observation per (person, day) of the located party.
+    """One observation per (person, day) of the located party: the caller
+    when a customer, else the callee.
 
     The observation keeps the tower of the person's earliest event that
     day; equal timestamps are broken by the smallest tower_id, so the
@@ -601,17 +673,20 @@ def daily_observations(
     ValueError when the timestamp span times the tower count overflows
     int64, which window-screened events never do.
     """
-    person, state = columns.located()
-    tower = columns.tower_id
+    caller, tower = columns.caller_is_customer, columns.tower_id
+    person = np.where(caller, columns.caller_id, columns.callee_id)
     order = np.lexsort((
         pack_keys(columns.timestamp, np.unique(tower, return_inverse=True)[1])[0],
         person))
-    order = order[(columns.caller_is_customer | columns.callee_is_customer)[order]]
+    order = order[(caller | columns.callee_is_customer)[order]]
     day = (columns.timestamp[order] - window.start) // 86400 + 1
     starts = run_starts(person[order], day)
     first = order[starts]
-    return ObservationColumns(person[first], state[first], day[starts],
-                              tower[first])
+    # Each full-length array goes before the next is made.
+    del order
+    day, person = day[starts], person[first]
+    state = np.where(caller, columns.caller_state, columns.callee_state)[first]
+    return ObservationColumns(person, state, day, tower[first])
 
 
 # ---------------------------------------------------------------------------

@@ -132,13 +132,87 @@ def _csr(node_id, state, edges):
     return ids, state[first], indptr, keys % n
 
 
+@dataclass(frozen=True, eq=False)
+class ContactTable:
+    """What the network is built from, as columns, without the CDR rows.
+
+    ``party_id`` and ``party_state`` hold each distinct (id, state) of a
+    customer party with a known state, in the order of its first
+    appearance (row order, the caller before the callee). The
+    ``caller_*`` and ``callee_*`` columns hold the distinct (caller_id,
+    callee_id, caller_state, callee_state) rows whose parties are both
+    such customers, in the same order.
+    """
+
+    party_id: np.ndarray
+    party_state: np.ndarray
+    caller_id: np.ndarray
+    callee_id: np.ndarray
+    caller_state: np.ndarray
+    callee_state: np.ndarray
+
+
+def contact_table(columns: CdrColumns, *, drop_state: int | None = None
+                  ) -> ContactTable:
+    """The contact table of CDR columns; parties of ``drop_state`` are
+    left out, as if they were not customers.
+
+    Each side's parties are made distinct on their own, and the two
+    short lists are then merged by position, the callee of a row just
+    after its caller, so no array holds both parties of every row.
+    """
+    def kept(is_customer: np.ndarray, state: np.ndarray) -> np.ndarray:
+        ok = is_customer & (state != UNKNOWN_STATE)
+        if drop_state is not None:
+            ok &= state != drop_state
+        return ok
+
+    caller_ok = kept(columns.caller_is_customer, columns.caller_state)
+    callee_ok = kept(columns.callee_is_customer, columns.callee_state)
+    callers = _distinct(caller_ok, [columns.caller_id], [columns.caller_state])
+    callees = _distinct(callee_ok, [columns.callee_id], [columns.callee_state])
+    # Position 2 * row for a caller, 2 * row + 1 for a callee.
+    by_position = np.argsort(np.concatenate([2 * callers[0], 2 * callees[0] + 1]))
+    party_id, party_state = (np.concatenate(side)[by_position]
+                             for side in zip(callers[1], callees[1]))
+    first = _first_rows(party_id, party_state)
+    _, pairs = _distinct(caller_ok & callee_ok,
+                         [columns.caller_id, columns.callee_id],
+                         [columns.caller_state, columns.callee_state])
+    return ContactTable(party_id[first], party_state[first], *pairs)
+
+
+def _distinct(ok: np.ndarray, ids: list[np.ndarray], states: list[np.ndarray]
+              ) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Of the rows where ``ok`` is set, the first of each distinct tuple of
+    id and state values: their positions, and those values.
+
+    States (0..23) are sorted as int8, which keeps the sort's copies small.
+    """
+    values = [c[ok] for c in ids] + [c[ok].astype(np.int8) for c in states]
+    first = _first_rows(*values)
+    return (np.flatnonzero(ok)[first],
+            [v[first].astype(np.int64) for v in values])
+
+
+def _first_rows(*keys: np.ndarray) -> np.ndarray:
+    """Ascending positions of the first row of each distinct key tuple."""
+    order = np.lexsort(keys[::-1])      # stable: ties keep row order
+    starts = np.ones(order.size, bool)
+    for key in keys:                    # one sorted key at a time
+        key = key[order]
+        starts[1:] &= key[1:] == key[:-1]
+    starts[1:] = ~starts[1:]
+    return np.sort(order[starts])
+
+
 def build_network(
-    events: CdrColumns,
+    source: CdrColumns | ContactTable,
     *,
     exclude_local: bool = True,
     local_state: int | None = None,
 ) -> SocialNetwork:
-    """Network over customers appearing in any venue event.
+    """Network over the customers of CDR columns or of their contact table.
 
     Nodes are customer parties with a known state; an edge requires both
     parties to be customers (otherwise the counterpart's state is
@@ -146,42 +220,19 @@ def build_network(
     ``exclude_local`` is set and ``local_state`` is given, residents of
     the venue's host state are dropped: their phone use is not comparable
     to visitors'. A node takes the state of its first appearance, caller
-    before callee.
+    before callee. Columns are turned into their contact table first,
+    with the host state already dropped.
     """
-    def kept(is_customer: np.ndarray, state: np.ndarray) -> np.ndarray:
-        ok = is_customer & (state != UNKNOWN_STATE)
-        if exclude_local and local_state is not None:
-            ok &= state != local_state
-        return ok
-
-    caller_ok = kept(events.caller_is_customer, events.caller_state)
-    callee_ok = kept(events.callee_is_customer, events.callee_state)
-    ids, states = _interleave(
-        caller_ok, callee_ok,
-        (events.caller_id, events.callee_id),
-        (events.caller_state, events.callee_state),
-    )
-    both = np.flatnonzero(caller_ok & callee_ok)
-    edges = np.stack([events.caller_id[both], events.callee_id[both]], axis=1)
-    return SocialNetwork(ids, states, edges)
-
-
-def _interleave(ok_a: np.ndarray, ok_b: np.ndarray, *pairs) -> list[np.ndarray]:
-    """Kept values of each (column_a, column_b) pair, in row order, a first.
-
-    Only the kept entries are gathered: each one's slot is its rank on
-    its own side plus the number of kept entries of the other side that
-    come before it.
-    """
-    a, b = np.flatnonzero(ok_a), np.flatnonzero(ok_b)
-    slot_a = np.arange(a.size) + np.searchsorted(b, a)
-    slot_b = np.arange(b.size) + np.searchsorted(a, b, side="right")
-    merged = []
-    for col_a, col_b in pairs:
-        out = np.empty(a.size + b.size, np.result_type(col_a, col_b))
-        out[slot_a], out[slot_b] = col_a[a], col_b[b]
-        merged.append(out)
-    return merged
+    local = local_state if exclude_local else None
+    if isinstance(source, CdrColumns):
+        source = contact_table(source, drop_state=local)
+    node, edge = slice(None), slice(None)
+    if local is not None:
+        node = source.party_state != local
+        edge = (source.caller_state != local) & (source.callee_state != local)
+    return SocialNetwork(
+        source.party_id[node], source.party_state[node],
+        np.stack([source.caller_id[edge], source.callee_id[edge]], axis=1))
 
 
 @dataclass

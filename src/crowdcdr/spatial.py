@@ -95,25 +95,46 @@ def build_colocation_series(
     """Daily cell occupancies per state from first-tower observations.
 
     ``cell_of_tower`` maps towers onto their owning cell (identity when
-    every observed tower is active and owns its own cell).
+    every observed tower is active and owns its own cell); an observed
+    tower it lacks raises KeyError. Each observation's cell is found by
+    ``searchsorted`` in the small tower table, the packed (state, day,
+    cell) keys are sorted in place, and each (state, day)'s total and
+    sum of n(n - 1) over its cells come from one ``np.add.reduceat``.
     """
-    towers, cell = np.unique(observations.first_tower, return_inverse=True)
-    if cell_of_tower is not None:
-        # Each observed tower's owning cell, as the cell's rank.
+    first_tower = observations.first_tower
+    if cell_of_tower is None:
+        towers = np.unique(first_tower)
+        cell_rank = np.arange(towers.size)
+    else:
+        towers = np.array(sorted(cell_of_tower), np.int64)
         owner = np.array([cell_of_tower[t] for t in towers.tolist()], np.int64)
-        cell = np.unique(owner, return_inverse=True)[1][cell]
-    # One count per occupied (state, day, cell), the occupancy; each
-    # (state, day) group is a block of consecutive keys.
+        cell_rank = np.unique(owner, return_inverse=True)[1]
+    row = np.searchsorted(towers, first_tower)
+    # A tower past the last one is checked against the last one.
+    np.minimum(row, towers.size - 1, out=row)
+    unknown = (towers[row] != first_tower if towers.size
+               else np.ones(row.size, bool))
+    if unknown.any():
+        raise KeyError(first_tower[unknown][0].item())
+    # Each observation-length array goes before the next is made.
+    cell = cell_rank[row]
+    del row
     key, bounds = pack_keys(observations.state_code, observations.day, cell)
-    key, occupancy = np.unique(key, return_counts=True)
+    del cell
+    key.sort()
+    # One run per occupied (state, day, cell), its length the occupancy;
+    # each (state, day) group is a run of consecutive cells.
+    runs = np.flatnonzero(run_starts(key))
+    occupancy = np.diff(runs, append=key.size)
+    key = key[runs]
     groups = np.flatnonzero(run_starts(key // bounds[-1][1]))
+    totals = np.add.reduceat(occupancy, groups).tolist()
+    pairs = np.add.reduceat(occupancy * (occupancy - 1), groups).tolist()
     state, day, _ = unpack_keys(key[groups], bounds)
     series = CoLocationSeries(n_days=n_days)
-    for group, counts in zip(zip(state.tolist(), day.tolist()),
-                             np.split(occupancy, groups[1:])):
-        counts = counts.tolist()
-        series.totals[group] = sum(counts)
-        series.p[group] = colocation_probability(counts)
+    for group, n, same in zip(zip(state.tolist(), day.tolist()), totals, pairs):
+        series.totals[group] = n
+        series.p[group] = same / (n * (n - 1)) if n >= 2 else None
     series.states = sorted({s for s, _ in series.p})
     return series
 

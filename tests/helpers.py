@@ -22,10 +22,12 @@ from crowdcdr.ingest import (_BOOL_FIELDS, CDR_COLUMNS, DEFAULT_WINDOW,
                              UNKNOWN_STATE, CdrColumns, IngestReport,
                              ObservationColumns, StudyWindow, _parse_bool,
                              _parse_int, _parse_state, _reading,
-                             _tolerance_error)
+                             _tolerance_error, pack_keys, run_starts,
+                             unpack_keys)
 from crowdcdr.sbm import GroupBiasDemo, group_structure_bias
 from crowdcdr.social import SocialNetwork, TripleCensus, Triples, transitivity
-from crowdcdr.spatial import colocation_probability, correlate
+from crowdcdr.spatial import (CoLocationSeries, colocation_probability,
+                              correlate)
 
 BASE_TS = DEFAULT_WINDOW.start
 
@@ -425,6 +427,51 @@ def subsample_oracle(rows, seed: int) -> list[tuple]:
     return selected
 
 
+def _interleave(ok_a: np.ndarray, ok_b: np.ndarray, *pairs) -> list[np.ndarray]:
+    """Kept values of each (column_a, column_b) pair, in row order, a first.
+
+    Only the kept entries are gathered: each one's slot is its rank on
+    its own side plus the number of kept entries of the other side that
+    come before it.
+    """
+    a, b = np.flatnonzero(ok_a), np.flatnonzero(ok_b)
+    slot_a = np.arange(a.size) + np.searchsorted(b, a)
+    slot_b = np.arange(b.size) + np.searchsorted(a, b, side="right")
+    merged = []
+    for col_a, col_b in pairs:
+        out = np.empty(a.size + b.size, np.result_type(col_a, col_b))
+        out[slot_a], out[slot_b] = col_a[a], col_b[b]
+        merged.append(out)
+    return merged
+
+
+def build_network_oracle(
+    events: CdrColumns,
+    *,
+    exclude_local: bool = True,
+    local_state: int | None = None,
+) -> SocialNetwork:
+    """``social.build_network`` as it was before the contact table: the
+    kept parties of every row interleaved, and every row whose two
+    parties are kept as an edge."""
+    def kept(is_customer: np.ndarray, state: np.ndarray) -> np.ndarray:
+        ok = is_customer & (state != UNKNOWN_STATE)
+        if exclude_local and local_state is not None:
+            ok &= state != local_state
+        return ok
+
+    caller_ok = kept(events.caller_is_customer, events.caller_state)
+    callee_ok = kept(events.callee_is_customer, events.callee_state)
+    ids, states = _interleave(
+        caller_ok, callee_ok,
+        (events.caller_id, events.callee_id),
+        (events.caller_state, events.callee_state),
+    )
+    both = np.flatnonzero(caller_ok & callee_ok)
+    edges = np.stack([events.caller_id[both], events.callee_id[both]], axis=1)
+    return SocialNetwork(ids, states, edges)
+
+
 def network_from_truth(truth, *, exclude: int | None = None) -> SocialNetwork:
     """Planted social graph as a SocialNetwork, optionally dropping a state."""
     keep = {v: s for v, s in truth.node_state.items() if s != exclude}
@@ -498,6 +545,34 @@ def first_day_counts_oracle(obs: ObservationColumns) -> dict[tuple[int, int], in
         if prev is None or day < prev[1]:
             first[person] = (state, day)
     return dict(Counter(first.values()))
+
+
+def colocation_series_loop(
+    observations: ObservationColumns,
+    *,
+    n_days: int,
+    cell_of_tower: Mapping[int, int] | None = None,
+) -> CoLocationSeries:
+    """``spatial.build_colocation_series`` as it was before it took each
+    group's sums with ``np.add.reduceat``: cells by ``np.unique`` over
+    every observation, and one ``colocation_probability`` call per
+    (state, day) group."""
+    towers, cell = np.unique(observations.first_tower, return_inverse=True)
+    if cell_of_tower is not None:
+        owner = np.array([cell_of_tower[t] for t in towers.tolist()], np.int64)
+        cell = np.unique(owner, return_inverse=True)[1][cell]
+    key, bounds = pack_keys(observations.state_code, observations.day, cell)
+    key, occupancy = np.unique(key, return_counts=True)
+    groups = np.flatnonzero(run_starts(key // bounds[-1][1]))
+    state, day, _ = unpack_keys(key[groups], bounds)
+    series = CoLocationSeries(n_days=n_days)
+    for group, counts in zip(zip(state.tolist(), day.tolist()),
+                             np.split(occupancy, groups[1:])):
+        counts = counts.tolist()
+        series.totals[group] = sum(counts)
+        series.p[group] = colocation_probability(counts)
+    series.states = sorted({s for s, _ in series.p})
+    return series
 
 
 def colocation_oracle(obs: ObservationColumns, cell_of_tower=None):

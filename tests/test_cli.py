@@ -2,6 +2,7 @@
 
 import codecs
 import csv
+import gc
 import hashlib
 import json
 import os
@@ -17,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crowdcdr import attendance, cli, geo, social, synth
-from crowdcdr.ingest import TowerSite
+from crowdcdr.ingest import CdrColumns, TowerSite
 from helpers import CDR_HEADER
 
 PLANTED_PEAKS = {41, 46, 69}
@@ -319,6 +320,39 @@ class TestReport:
         first = manifest_digests(report_dir / "manifest_report.json")
         second = manifest_digests(again / "manifest_report.json")
         assert first == second
+
+    def test_quoted_first_row_is_read_by_rows_with_the_same_artifacts(
+            self, gen_dir, report_dir, tmp_path, capsys):
+        # The row reader takes the whole file; only the manifest differs,
+        # and it says where the row reader started.
+        quoted = tmp_path / "quoted"
+        shutil.copytree(gen_dir, quoted)
+        header, first, rest = (quoted / "cdr.csv").read_text().split("\n", 2)
+        (quoted / "cdr.csv").write_text(
+            "\n".join([header, '"{}",{}'.format(*first.split(",", 1)), rest]))
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert run("report", "--input-dir", quoted, "--output-dir", out) == 0
+        assert json.loads(capsys.readouterr().out) == read_json(
+            report_dir / "summary.json")
+        assert manifest_digests(out / "manifest_report.json") == \
+            manifest_digests(report_dir / "manifest_report.json")
+        assert read_json(report_dir / "manifest_report.json")["stages"] == {
+            "load": {"row_reader_from": None}}
+        assert read_json(out / "manifest_report.json")["stages"] == {
+            "load": {"row_reader_from": 1}}
+
+    def test_load_keeps_no_cdr_columns(self, gen_dir):
+        def live_columns() -> int:
+            gc.collect()
+            return sum(isinstance(o, CdrColumns) for o in gc.get_objects())
+
+        before = live_columns()
+        data = cli.load_pipeline_data(gen_dir)
+        assert not any(isinstance(v, CdrColumns) for v in vars(data).values())
+        assert isinstance(data.contacts, social.ContactTable)
+        # Nothing else holds the columns once load has returned.
+        assert live_columns() == before
 
     def test_calendar_peak_mode_pins_high_days(self, gen_dir, tmp_path):
         out = tmp_path / "cal"

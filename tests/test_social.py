@@ -17,10 +17,12 @@ from crowdcdr import social
 from crowdcdr.errors import AnalysisError, SeparationError
 from crowdcdr.ingest import UNKNOWN_STATE, CdrColumns, read_cdr_columns
 from crowdcdr.social import (
+    ContactTable,
     SocialNetwork,
     Triples,
     build_network,
     census_triples,
+    contact_table,
     closed_fraction,
     enumerate_connected_triples,
     fit_closure_model,
@@ -28,9 +30,9 @@ from crowdcdr.social import (
     subsample_independent,
     transitivity,
 )
-from helpers import (brute_force_triples, census_oracle, dict_graph,
-                     from_events, make_event, network_from_truth,
-                     subsample_oracle, triple_rows)
+from helpers import (brute_force_triples, build_network_oracle,
+                     census_oracle, dict_graph, from_events, make_event,
+                     network_from_truth, subsample_oracle, triple_rows)
 from helpers import enumerate_connected_triples as triples_oracle
 
 LN_3_OVER_7 = math.log(3.0 / 7.0)
@@ -159,6 +161,58 @@ class TestBuildNetwork:
             tracemalloc.stop()
         assert (net.n_nodes, net.n_edges) == (2 * kept.sum(), kept.sum())
         assert peak < 8 * n
+
+
+def network_arrays(net: SocialNetwork) -> list[list[int]]:
+    return [net.node_id.tolist(), net.state.tolist(), net.indptr.tolist(),
+            net.indices.tolist()]
+
+
+class TestContactTable:
+    @given(
+        rows=st.lists(st.tuples(
+            st.integers(1, 6), st.integers(1, 6),        # caller, callee
+            st.integers(0, 3), st.integers(0, 3),        # their states
+            st.booleans(), st.booleans(),                # customer flags
+        ), max_size=40),
+        exclude_local=st.booleans(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_network_from_the_table_equals_the_oracle(self, rows,
+                                                      exclude_local):
+        # Ids repeat with other states, and state 1 is the host state, on
+        # either side of a row: the first kept appearance must still win.
+        columns = from_events([
+            make_event(caller=a, callee=b, caller_state=sa, callee_state=sb,
+                       caller_customer=ca, callee_customer=cb)
+            for a, b, sa, sb, ca, cb in rows])
+        want = network_arrays(build_network_oracle(
+            columns, exclude_local=exclude_local, local_state=1))
+        table = contact_table(columns)
+        assert network_arrays(build_network(
+            table, exclude_local=exclude_local, local_state=1)) == want
+        assert network_arrays(build_network(
+            columns, exclude_local=exclude_local, local_state=1)) == want
+
+    def test_table_holds_distinct_parties_and_pairs_in_first_order(self):
+        columns = from_events([
+            make_event(caller=5, callee=7, caller_state=2, callee_state=3),
+            make_event(caller=7, callee=5, caller_state=4, callee_state=2),
+            make_event(caller=5, callee=7, caller_state=2, callee_state=3),
+            make_event(caller=9, callee=5, caller_state=0, callee_state=2),
+            make_event(caller=8, callee=6, callee_customer=False),
+        ])
+        table = contact_table(columns)
+        assert isinstance(table, ContactTable)
+        assert list(zip(table.party_id.tolist(), table.party_state.tolist())) \
+            == [(5, 2), (7, 3), (7, 4), (8, 2)]
+        assert list(zip(table.caller_id.tolist(), table.callee_id.tolist(),
+                        table.caller_state.tolist(),
+                        table.callee_state.tolist())) \
+            == [(5, 7, 2, 3), (7, 5, 4, 2)]
+        dropped = contact_table(columns, drop_state=2)
+        assert dropped.party_id.tolist() == [7, 7]
+        assert dropped.caller_id.size == 0
 
 
 class TestNetworkArrays:

@@ -22,8 +22,8 @@ from crowdcdr.spatial import (
     mean_log_representation,
     partition_days,
 )
-from helpers import (correlation_p_value_oracle, make_observations,
-                     pair_enumeration_probability)
+from helpers import (colocation_series_loop, correlation_p_value_oracle,
+                     make_observations, pair_enumeration_probability)
 
 
 def series_from_p(p_by_state_day, n_days):
@@ -126,6 +126,32 @@ class TestSeries:
         obs = make_observations([(1, 2, 1, 10), (2, 2, 1, 99), (3, 2, 1, 4)])
         with pytest.raises(KeyError, match="99"):
             build_colocation_series(obs, n_days=90, cell_of_tower={4: 4, 10: 4})
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        rows=st.lists(st.tuples(st.integers(1, 3), st.integers(1, 4),
+                                st.integers(1, 6)), max_size=60),
+        silent=st.lists(st.integers(1, 6), max_size=4),
+        mapped=st.booleans(),
+    )
+    @example(rows=[(1, 1, 1)], silent=[], mapped=False)     # one person
+    @example(rows=[(1, 1, 1), (1, 1, 2)], silent=[2], mapped=True)
+    def test_sums_equal_the_per_group_loop(self, rows, silent, mapped):
+        # Rows are (state, day, tower); each observation is its own
+        # person. A silent tower's cell is the next active tower's, and
+        # the map also holds towers no one was observed at.
+        obs = make_observations((i, s, d, t) for i, (s, d, t)
+                                in enumerate(rows))
+        cell_of = None
+        if mapped:
+            active = [t for t in range(1, 8) if t not in silent] or [7]
+            cell_of = {t: t if t in active else min(
+                active, key=lambda a: (abs(a - t), a)) for t in range(1, 8)}
+        got = build_colocation_series(obs, n_days=4, cell_of_tower=cell_of)
+        want = colocation_series_loop(obs, n_days=4, cell_of_tower=cell_of)
+        assert list(got.totals.items()) == list(want.totals.items())
+        assert list(got.p.items()) == list(want.p.items())
+        assert got.states == want.states
 
 
 class TestPartition:
