@@ -83,17 +83,6 @@ def _pooled_daily_use(active: np.ndarray, length: np.ndarray) -> float:
     return int(active.sum()) / stay_total
 
 
-def estimate_daily_use(stays: Iterable[tuple[int, int]]) -> float:
-    """Pooled daily-use probability from (days_active, stay_length) pairs.
-
-    Total days the phone was used across all customers divided by the
-    total length of stay across all customers, where a stay runs from the
-    first to the last active day inclusive.
-    """
-    active, length = np.array(list(stays), dtype=np.int64).reshape(-1, 2).T
-    return _pooled_daily_use(active, length)
-
-
 def _stays(
     observations: ObservationColumns,
 ) -> tuple[np.ndarray, np.ndarray, ObservationColumns]:
@@ -111,18 +100,6 @@ def _stays(
     active = np.diff(starts, append=len(obs))
     length = obs.day[starts + active - 1] - obs.day[starts] + 1
     return active, length, obs.take(starts)
-
-
-def stays_from_observations(
-    observations: ObservationColumns,
-) -> list[tuple[int, int]]:
-    """Per-person (days_active, stay_length) pairs, in person order.
-
-    Stay length is last minus first active day plus one; a person seen
-    on multiple visits is treated as one stay.
-    """
-    active, length, _ = _stays(observations)
-    return list(zip(active.tolist(), length.tolist()))
 
 
 def _share(profiles: Mapping[int, StateProfile], state: int) -> float:
@@ -169,25 +146,6 @@ def daily_attendance_by_state(
     )
 
 
-def daily_attendance(
-    counts: Mapping[tuple[int, int], int],
-    profiles: Mapping[int, StateProfile],
-    factors: AdjustmentFactors,
-) -> dict[int, float]:
-    """Daily attendance estimate per day, summed over states.
-
-    State-specific market shares are applied before summation.
-    """
-    return _sum_by_day(daily_attendance_by_state(counts, profiles, factors))
-
-
-def first_day_counts(
-    observations: ObservationColumns,
-) -> dict[tuple[int, int], int]:
-    """Number of persons whose first observation falls on each (state, day)."""
-    return _stays(observations)[2].unique_handsets()
-
-
 def cumulative_attendance_by_state(
     new_by_state_day: Mapping[tuple[int, int], int],
     profiles: Mapping[int, StateProfile],
@@ -211,19 +169,6 @@ def cumulative_attendance_by_state(
             running += new_by_state_day.get((state, day), 0)
             out[(state, day)] = running / share / divisor
     return out
-
-
-def cumulative_attendance(
-    observations: ObservationColumns,
-    profiles: Mapping[int, StateProfile],
-    factors: AdjustmentFactors,
-    *,
-    total_days: int,
-) -> dict[int, float]:
-    """Cumulative attendance per day (nondecreasing), summed over states."""
-    return _sum_by_day(cumulative_attendance_by_state(
-        first_day_counts(observations), profiles, factors, total_days=total_days
-    ), range(1, total_days + 1))
 
 
 def uncorrected_daily(

@@ -1,6 +1,6 @@
 """Command-line front end: generate, ingest, analyze, report.
 
-Subcommands wire the pipeline end to end over delimiter-separated
+Subcommands wire the pipeline end to end over comma-separated
 files in an input directory (cdr.csv, towers.csv, states.csv, and
 optionally projections.csv):
 
@@ -23,6 +23,7 @@ records the stage that failed instead of the outputs it did not reach.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import hashlib
 import json
 import resource
@@ -30,7 +31,7 @@ import sys
 import time
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 from pathlib import Path
 from typing import Callable, Iterator, Mapping, Sequence
 
@@ -220,6 +221,70 @@ class PipelineData:
     report: IngestReport
 
 
+# ---------------------------------------------------------------------------
+# The C allocator. ``report``'s peak resident size is reached in
+# ``load_pipeline_data``, while the CDR columns are still held. By default
+# glibc's malloc gives a block of 128 KiB or more its own mapping, but
+# raises that threshold to the size of each such block freed, up to
+# 32 MiB. Which arrays came from the heap then depended on the order of
+# earlier frees, and so did the peak: 96 to 104 MB on the 514k-row x10
+# desk cities, moving with the seed, the output path or an unrelated
+# import. Fixed thresholds, and a trimmed heap while the columns are
+# held, make it depend on the data. Under another C library nothing
+# changes.
+
+#: ``M_MMAP_THRESHOLD`` of glibc's malloc.h.
+_M_MMAP_THRESHOLD = -3
+
+#: The threshold outside ``_own_mappings``: the ceiling of glibc's own
+#: adjustment, so that large transients reuse heap pages from the start.
+_MMAP_THRESHOLD = 32 << 20
+
+#: The threshold while the CDR columns are held: glibc's initial one.
+_PEAK_MMAP_THRESHOLD = 128 << 10
+
+
+@cache
+def _glibc() -> ctypes.CDLL | None:
+    """The C library when it has glibc's ``mallopt`` and ``malloc_trim``."""
+    if not sys.platform.startswith("linux"):
+        return None
+    try:
+        libc = ctypes.CDLL(None)
+    except OSError:
+        return None
+    if not (hasattr(libc, "mallopt") and hasattr(libc, "malloc_trim")):
+        return None
+    libc.mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    libc.mallopt.restype = ctypes.c_int
+    libc.malloc_trim.argtypes = (ctypes.c_size_t,)
+    libc.malloc_trim.restype = ctypes.c_int
+    return libc
+
+
+def _set_mmap_threshold(size: int) -> None:
+    """Fix glibc's mmap threshold at ``size`` bytes."""
+    libc = _glibc()
+    if libc is not None:
+        libc.mallopt(_M_MMAP_THRESHOLD, size)
+
+
+@contextmanager
+def _own_mappings() -> Iterator[None]:
+    """Return the heap's free pages to the system, then give every block
+    of ``_PEAK_MMAP_THRESHOLD`` or more its own mapping until the end, so
+    that each large array counts in the resident size only while it lives.
+    """
+    libc = _glibc()
+    if libc is not None:
+        libc.malloc_trim(0)
+    _set_mmap_threshold(_PEAK_MMAP_THRESHOLD)
+    try:
+        yield
+    finally:
+        _set_mmap_threshold(_MMAP_THRESHOLD)
+
+
 def load_pipeline_data(
     input_dir: Path, *, window: StudyWindow = DEFAULT_WINDOW
 ) -> PipelineData:
@@ -243,10 +308,12 @@ def load_pipeline_data(
             f"no accepted rows in {cdr}: {report.rows} rows, rejected "
             f"{dict(sorted(report.rejects.items()))}"
         )
-    towers = mark_tower_activity(towers, set(np.unique(columns.tower_id).tolist()))
-    contacts = social.contact_table(columns)
-    daily = daily_observations(columns, window)
-    del columns     # the stages read only what was taken from it
+    with _own_mappings():
+        towers = mark_tower_activity(
+            towers, set(np.unique(columns.tower_id).tolist()))
+        contacts = social.contact_table(columns)
+        daily = daily_observations(columns, window)
+        del columns     # the stages read only what was taken from it
     proj_path = input_dir / "projections.csv"
     projections = load_projections(proj_path) if proj_path.exists() else None
     return PipelineData(
@@ -427,29 +494,9 @@ def stage_social(run: Run) -> tuple[dict[str, Path], social.LogisticFit]:
     return out, fit
 
 
-def _cell_map(towers) -> dict[int, int]:
-    """tower_id -> serving active tower (itself, or nearest when silent).
-
-    Each tower is projected once. A silent tower goes to the active tower
-    at the least squared distance, ties to the smallest id, which is what
-    ``geo.nearest_active_tower`` finds for it by a linear scan.
-    """
-    origin = geo.tower_origin(towers)
-    mapping: dict[int, int] = {
-        t.tower_id: t.tower_id for t in towers if t.active
-    }
-    active = sorted((t for t in towers if t.active), key=lambda t: t.tower_id)
-    pts = np.array([geo.project_tower(t, origin) for t in active])
-    for t in towers:
-        if not t.active:
-            d2 = ((pts - geo.project_tower(t, origin)) ** 2).sum(axis=1)
-            mapping[t.tower_id] = active[int(d2.argmin())].tower_id
-    return mapping
-
-
 def stage_spatial(run: Run) -> tuple[dict[str, Path], dict]:
     data, series, cfg, outdir = run.data, run.series, run.cfg, run.outdir
-    cell_of = _cell_map(data.towers)
+    cell_of = geo.serving_towers(data.towers)
     # Unlike the social stage, the host state stays in: its (weak)
     # co-location is part of the per-state spatial report.
     col = spatial.build_colocation_series(
@@ -761,6 +808,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    _set_mmap_threshold(_MMAP_THRESHOLD)
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -1,9 +1,10 @@
-"""Voronoi tessellation over active towers and nearest-tower queries.
+"""Voronoi tessellation over active towers and the serving-tower map.
 
 Towers with no traffic are dropped before tessellating, which is
 geometrically equivalent to merging their former regions into the
 neighboring active cells: every point ends up owned by its nearest
-active tower either way.
+active tower either way. ``serving_towers`` sends each silent tower to
+that nearest active tower.
 
 Coordinates are projected onto a local planar frame (km) with an
 equirectangular projection about the centroid of the active towers; at
@@ -17,7 +18,7 @@ fundamental geometric data structure").
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import asin, cos, radians, sin, sqrt
+from math import cos, radians, sqrt
 from typing import Sequence
 
 import numpy as np
@@ -67,24 +68,6 @@ def project_tower(
         raise ConfigurationError(f"tower {tower.tower_id}: {exc}") from None
 
 
-def unproject_local(
-    x: float, y: float, origin_lat: float, origin_lon: float
-) -> tuple[float, float]:
-    """Inverse of project_local: planar km back to (lat, lon)."""
-    lat = origin_lat + np.degrees(y / EARTH_RADIUS_KM)
-    lon = origin_lon + np.degrees(x / (EARTH_RADIUS_KM * cos(radians(origin_lat))))
-    return lat, lon
-
-
-def haversine_km(lat1: float, lon1: float, lat2: float, lon2: float) -> float:
-    """Great-circle distance; the oracle the planar projection is checked against."""
-    p1, p2 = radians(lat1), radians(lat2)
-    dp = p2 - p1
-    dl = radians(lon2 - lon1)
-    a = sin(dp / 2) ** 2 + cos(p1) * cos(p2) * sin(dl / 2) ** 2
-    return 2 * EARTH_RADIUS_KM * asin(sqrt(a))
-
-
 def tower_origin(towers: Sequence[TowerSite]) -> tuple[float, float]:
     """Projection origin: centroid of the active tower coordinates."""
     active = [t for t in towers if t.active]
@@ -106,6 +89,22 @@ def _active_points(
         origin = tower_origin(towers)
     pts = np.array([project_tower(t, origin) for t in active])
     return active, pts, origin
+
+
+def serving_towers(towers: Sequence[TowerSite]) -> dict[int, int]:
+    """tower_id -> the active tower serving it: itself, or the nearest one
+    when the tower is silent.
+
+    Each tower is projected once. A silent tower goes to the active tower
+    at the least squared distance, ties to the smallest id.
+    """
+    active, pts, origin = _active_points(towers, None)
+    mapping = {t.tower_id: t.tower_id for t in active}
+    for t in towers:
+        if not t.active:
+            d2 = ((pts - project_tower(t, origin)) ** 2).sum(axis=1)
+            mapping[t.tower_id] = active[int(d2.argmin())].tower_id
+    return mapping
 
 
 def build_tessellation(
@@ -212,23 +211,6 @@ def _clip_cells(
         a, b = cell[r, c], cell[r, succ[r, c]]
         poly[live[r], slot[r, c] + inside[r, c]] = a + t * (b - a)
     return poly, count
-
-
-def nearest_active_tower(
-    point: tuple[float, float],
-    towers: Sequence[TowerSite],
-    *,
-    origin: tuple[float, float] | None = None,
-) -> int:
-    """Active tower nearest to a planar point; ties go to the smallest id.
-
-    A plain linear scan, exact by construction; it doubles as the oracle
-    for the tessellation's ownership relation.
-    """
-    active, pts, _ = _active_points(towers, origin)
-    d2 = ((pts - np.asarray(point, dtype=float)) ** 2).sum(axis=1)
-    best = min(range(len(active)), key=lambda i: (d2[i], active[i].tower_id))
-    return active[best].tower_id
 
 
 def polygon_wkt(polygon: np.ndarray) -> str:

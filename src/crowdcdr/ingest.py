@@ -97,13 +97,6 @@ class StudyWindow:
     def end(self) -> int:
         return self.start + self.days * 86400
 
-    def contains(self, timestamp: int) -> bool:
-        return self.start <= timestamp < self.end
-
-    def day_of(self, timestamp: int) -> int:
-        """1-based day index of a timestamp inside the window."""
-        return (timestamp - self.start) // 86400 + 1
-
 
 DEFAULT_WINDOW = StudyWindow()
 
@@ -120,10 +113,6 @@ class IngestReport:
     accepted: int = 0
     rejects: Counter = field(default_factory=Counter)
     row_reader_from: int | None = None
-
-    @property
-    def rejected(self) -> int:
-        return sum(self.rejects.values())
 
 
 def _parse_bool(text: str) -> bool:
@@ -252,18 +241,10 @@ class CdrColumns:
         return len(self.timestamp)
 
     @classmethod
-    def concat(cls, parts: list[CdrColumns]) -> CdrColumns:
-        """The parts end to end; empties ``parts``.
-
-        One field is joined at a time, and its pieces are let go once its
-        column is built, so the peak stays near the output's size.
-        """
-        if not parts:
-            return cls(*(np.zeros(0, bool if f.name in _BOOL_FIELDS else np.int64)
-                         for f in fields(cls)))
-        pieces = {f.name: [getattr(p, f.name) for p in parts] for f in fields(cls)}
-        parts.clear()
-        return cls(**{name: np.concatenate(pieces.pop(name)) for name in list(pieces)})
+    def concat(cls, parts: Sequence[CdrColumns]) -> CdrColumns:
+        """The parts end to end."""
+        return cls(*(np.concatenate([getattr(p, f.name) for p in parts])
+                     for f in fields(cls)))
 
 
 _BOOL_FIELDS = ("is_text", "caller_is_customer", "callee_is_customer")
@@ -334,9 +315,11 @@ def _load_block(block: bytes, usecols: list[int]) -> np.ndarray | None:
             # Any warning means a cell numpy had to guess at: an all-blank
             # block, or (numpy 1.x) an integer read through a float, "1.0".
             warnings.simplefilter("error")
-            table = np.loadtxt(io.StringIO(block.decode("ascii")),
-                               dtype=_BLOCK_DTYPE, delimiter=",", comments=None,
-                               usecols=usecols, ndmin=1)
+            # Decoded as numpy reads it, a few KB at a time: a str of the
+            # block and StringIO's copy at 4 bytes a char would be 5 MB.
+            lines = io.TextIOWrapper(io.BytesIO(block), "ascii", newline="\n")
+            table = np.loadtxt(lines, dtype=_BLOCK_DTYPE, delimiter=",",
+                               comments=None, usecols=usecols, ndmin=1)
     except (ValueError, Warning):
         return None
     if len(table) != len(ends) + bool(lengths[-1]):
@@ -694,7 +677,7 @@ def daily_observations(
 
 
 def _read_table(
-    path, delimiter: str, what: str, columns: Mapping[str, Callable]
+    path, what: str, columns: Mapping[str, Callable]
 ) -> list[tuple]:
     """Rows of an auxiliary file, each cell converted by its column's type.
 
@@ -706,7 +689,7 @@ def _read_table(
     with (_reading(f"{what} file {path}", SchemaError),
           open(path, "r", newline="", encoding="utf-8-sig") as fh):
         # A short row's missing cells read as "", which the types reject.
-        reader = csv.DictReader(fh, delimiter=delimiter, restval="")
+        reader = csv.DictReader(fh, restval="")
         if reader.fieldnames is None or not set(columns) <= set(reader.fieldnames):
             raise SchemaError(f"{what} file must have columns {sorted(columns)}")
         for row in reader:
@@ -719,12 +702,12 @@ def _read_table(
     return rows
 
 
-def load_towers(path, *, delimiter: str = ",") -> list[TowerSite]:
+def load_towers(path) -> list[TowerSite]:
     """Read the tower file (tower_id, latitude, longitude)."""
     towers: list[TowerSite] = []
     seen: set[int] = set()
     for tid, lat, lon in _read_table(
-        path, delimiter, "tower",
+        path, "tower",
         {"tower_id": int, "latitude": float, "longitude": float},
     ):
         if tid in seen:
@@ -734,11 +717,11 @@ def load_towers(path, *, delimiter: str = ",") -> list[TowerSite]:
     return towers
 
 
-def load_state_profiles(path, *, delimiter: str = ",") -> dict[int, StateProfile]:
+def load_state_profiles(path) -> dict[int, StateProfile]:
     """Read the market-share file (state_code, name, market_share, is_local)."""
     profiles: dict[int, StateProfile] = {}
     for code, name, share, is_local in _read_table(
-        path, delimiter, "market-share",
+        path, "market-share",
         {"state_code": int, "name": str, "market_share": float,
          "is_local": _parse_bool},
     ):
@@ -759,10 +742,10 @@ def load_state_profiles(path, *, delimiter: str = ",") -> dict[int, StateProfile
     return profiles
 
 
-def load_projections(path, *, delimiter: str = ",") -> dict[int, float]:
+def load_projections(path) -> dict[int, float]:
     """Read the external projections file (day, projected_attendance)."""
     return dict(_read_table(
-        path, delimiter, "projections",
+        path, "projections",
         {"day": int, "projected_attendance": float},
     ))
 
@@ -793,7 +776,7 @@ def mark_tower_activity(
 # Canonical emission (round-trip stable)
 
 
-def write_cdr(columns: CdrColumns, path, *, delimiter: str = ",") -> None:
+def write_cdr(columns: CdrColumns, path) -> None:
     """Write events in canonical form; re-parsing yields the same events."""
     write_columns(path, CDR_COLUMNS, [
         columns.timestamp, columns.caller_id, columns.callee_id,
@@ -801,40 +784,40 @@ def write_cdr(columns: CdrColumns, path, *, delimiter: str = ",") -> None:
         columns.tower_id, columns.caller_state, columns.callee_state,
         columns.caller_is_customer.astype(np.int64),
         columns.callee_is_customer.astype(np.int64),
-    ], delimiter=delimiter)
+    ])
 
 
-def write_columns(path, header: Sequence[str], columns: Sequence[np.ndarray], *,
-                  delimiter: str = ",") -> None:
+def write_columns(
+    path, header: Sequence[str], columns: Sequence[np.ndarray]
+) -> None:
     """``write_table`` for integer and string columns, with the same bytes.
 
     Rows are written ``WRITE_BLOCK_ROWS`` at a time, each block as one
     %-format of its cells, so a text cell that ``csv`` would quote (one
-    holding the delimiter, a quote or a line break) is refused instead.
+    holding a comma, a quote or a line break) is refused instead.
     """
     texts = [*header, *(v for c in columns if c.dtype.kind not in "biu"
                         for v in np.unique(c).tolist())]
     for text in texts:
-        if any(ch in text for ch in (delimiter, '"', "\n", "\r")):
+        if any(ch in text for ch in (",", '"', "\n", "\r")):
             raise ValueError(f"cell {text!r} would need CSV quoting")
-    row = delimiter.join(["%s"] * len(columns)) + "\n"
+    row = ",".join(["%s"] * len(columns)) + "\n"
     # Columns of one dtype stack as that dtype; mixed ones as Python
     # objects, so that no cell takes another column's type.
     dtype = None if len({c.dtype for c in columns}) == 1 else object
     n_rows = len(columns[0]) if len(columns) else 0
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(delimiter.join(header) + "\n")
+        fh.write(",".join(header) + "\n")
         for start in range(0, n_rows, WRITE_BLOCK_ROWS):
             block = np.stack([c[start:start + WRITE_BLOCK_ROWS] for c in columns],
                              axis=1, dtype=dtype)
             fh.write(row * len(block) % tuple(block.ravel().tolist()))
 
 
-def write_table(path, header: Sequence[str], rows: Iterable[Sequence], *,
-                delimiter: str = ",") -> None:
-    """Write a delimiter-separated table; floats use repr for byte stability."""
+def write_table(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """Write a comma-separated table; floats as ``.12g``, for byte stability."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, delimiter=delimiter, lineterminator="\n")
+        writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         for row in rows:
             writer.writerow([

@@ -6,16 +6,15 @@ socialise in small groups (dense inside, sparse across), that average
 mixes two regimes and shrinks as the number of groups grows, even
 though nothing about the groups themselves changed. The helpers here
 make that concrete: the analytic average a block model would report,
-its sampling error, and a demonstration
-that two states with identical group-level wiring but different group
-counts get block estimates >4x apart while their within-group
-transitivity is statistically the same.
+and a demonstration that two states with identical group-level wiring
+but different group counts get block estimates >4x apart while their
+within-group transitivity is statistically the same.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import comb, sqrt
+from math import comb
 from typing import Iterable
 
 import numpy as np
@@ -72,14 +71,6 @@ def group_structure_bias(g: int, m: int, p_in: float, p_out: float) -> float:
     # Convex-mixture form: exact (p_in) when every pair is within-group.
     ratio = within / total
     return p_out * (1.0 - ratio) + p_in * ratio
-
-
-def group_structure_bias_se(g: int, m: int, p_in: float, p_out: float) -> float:
-    """Sampling SE of the estimated average under independent edges."""
-    within = g * comb(m, 2)
-    total = comb(g * m, 2)
-    var = within * p_in * (1 - p_in) + (total - within) * p_out * (1 - p_out)
-    return sqrt(var) / total
 
 
 def bias_curve(

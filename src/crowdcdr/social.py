@@ -16,7 +16,7 @@ on a random subset of triples with pairwise-disjoint node sets.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import erfc, exp, log10, sqrt
+from math import erfc, exp, sqrt
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np

@@ -60,19 +60,6 @@ def _resampled_means(
     return np.concatenate(means)
 
 
-def colocation_probability(
-    counts: Mapping[int, int] | Sequence[int], n_total: int | None = None
-) -> float | None:
-    """Same-cell probability for a random pair; None when fewer than 2 persons."""
-    values = list(counts.values()) if isinstance(counts, Mapping) else list(counts)
-    total = sum(values)
-    if n_total is not None and n_total != total:
-        raise EstimationError(f"cell counts sum to {total}, expected {n_total}")
-    if total < 2:
-        return None
-    return sum(n * (n - 1) for n in values) / (total * (total - 1))
-
-
 @dataclass
 class CoLocationSeries:
     """Per (state, day) person totals and p values, in (state, day) order."""
@@ -143,25 +130,21 @@ def partition_days(
     daily_attendance: Mapping[int, float],
     *,
     n_days: int,
-    n_peaks: int = 3,
-    halfwidth: int = 2,
     peak_days: Sequence[int] | None = None,
 ) -> tuple[set[int], set[int]]:
     """(high, low) day sets around the peak-attendance days.
 
-    The top ``n_peaks`` days (ties to the earlier day) are each expanded
-    by ``halfwidth`` days on both sides, clipped to the window; the union
-    is the high-volume set and everything else is low-volume. Pass
-    ``peak_days`` to pin the peaks from the calendar instead of the data.
+    The three top days (ties to the earlier day) are each expanded by two
+    days on both sides, clipped to the window; the union is the
+    high-volume set and everything else is low-volume. Pass ``peak_days``
+    to pin the peaks from the calendar instead of the data.
     """
     if peak_days is None:
         ranked = sorted(daily_attendance, key=lambda d: (-daily_attendance[d], d))
-        peak_days = ranked[:n_peaks]
+        peak_days = ranked[:3]
     high: set[int] = set()
     for peak in peak_days:
-        lo = max(1, peak - halfwidth)
-        hi = min(n_days, peak + halfwidth)
-        high.update(range(lo, hi + 1))
+        high.update(range(max(1, peak - 2), min(n_days, peak + 2) + 1))
     low = set(range(1, n_days + 1)) - high
     return high, low
 
@@ -221,15 +204,14 @@ def bootstrap_mean_ci(
     *,
     replicates: int = 1000,
     seed: int = 0,
-    alpha: float = 0.05,
 ) -> tuple[float, float]:
-    """Percentile bootstrap interval for a mean, resampling days."""
+    """Percentile bootstrap 95% interval for a mean, resampling days."""
     vals = np.asarray(values, dtype=float)
     if vals.size < 2:
         raise EstimationError("need at least 2 defined days to bootstrap")
     _check_replicates(replicates)
     stats = _resampled_means(np.random.default_rng(seed), vals, replicates)
-    lo, hi = np.percentile(stats, [100 * alpha / 2, 100 * (1 - alpha / 2)])
+    lo, hi = np.percentile(stats, [2.5, 97.5])
     return float(lo), float(hi)
 
 
@@ -239,9 +221,8 @@ def bootstrap_ratio_ci(
     *,
     replicates: int = 1000,
     seed: int = 0,
-    alpha: float = 0.05,
 ) -> tuple[float, float]:
-    """Percentile bootstrap interval for mean(high)/mean(low).
+    """Percentile bootstrap 95% interval for mean(high)/mean(low).
 
     High and low days are resampled separately (stratified), keeping the
     two regimes' day counts fixed.
@@ -258,7 +239,7 @@ def bootstrap_ratio_ci(
     if not ok.any():
         raise EstimationError("all bootstrap denominators are zero")
     stats = num[ok] / den[ok]
-    lo, hi = np.percentile(stats, [100 * alpha / 2, 100 * (1 - alpha / 2)])
+    lo, hi = np.percentile(stats, [2.5, 97.5])
     return float(lo), float(hi)
 
 

@@ -44,7 +44,7 @@ the config.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields, asdict, replace
+from dataclasses import dataclass, field, fields, replace
 from itertools import chain
 from math import cos, exp, expm1, floor, log10, log1p, pi, radians
 from pathlib import Path
@@ -209,11 +209,6 @@ class ScenarioConfig:
                 "group size exceeds every state's visible customer count"
             )
 
-    def to_json(self, path) -> None:
-        blob = asdict(self)
-        blob["states"] = [asdict(s) for s in self.states]
-        Path(path).write_text(json.dumps(blob, indent=2) + "\n", encoding="utf-8")
-
     @classmethod
     def from_json(cls, path) -> "ScenarioConfig":
         try:
@@ -348,17 +343,18 @@ class GroundTruth:
     visible: dict[int, int]
     true_daily: dict[tuple[int, int], int]
     observed_counts: dict[tuple[int, int], int]
-    stay_pairs: list[tuple[int, int]]
     closed_prob: dict[int, float]
     edges: list[tuple[int, int]]
     triples: Triples
     node_state: dict[int, int]
     towers: list[TowerSite]
     active_tower_ids: list[int]
-    slot_person: np.ndarray | None = None
-    slot_state: np.ndarray | None = None
-    slot_day: np.ndarray | None = None
-    slot_cell: np.ndarray | None = None
+    # One row per active person-day: the person, state, day and the index
+    # of its cell in ``active_tower_ids``.
+    slot_person: np.ndarray
+    slot_state: np.ndarray
+    slot_day: np.ndarray
+    slot_cell: np.ndarray
     planted_p: dict[tuple[int, int], float] = field(default_factory=dict)
     planted_qa: dict[int, float] = field(default_factory=dict)
 
@@ -380,24 +376,12 @@ class GroundTruth:
 
     def observations(self) -> ObservationColumns:
         """What ingest + dedupe should reconstruct from the emitted files."""
-        if self.slot_cell is None:
-            raise ConfigurationError("scenario was generated without placements")
         order = np.lexsort((self.slot_day, self.slot_person))
         towers = np.array(self.active_tower_ids, dtype=np.int64)
         return ObservationColumns(
             self.slot_person[order], self.slot_state[order],
             self.slot_day[order], towers[self.slot_cell[order]],
         )
-
-    def cell_counts(self) -> dict[tuple[int, int], dict[int, int]]:
-        """(state, day) -> {cell index: active persons placed there}."""
-        if self.slot_cell is None:
-            raise ConfigurationError("scenario was generated without placements")
-        out: dict[tuple[int, int], dict[int, int]] = {}
-        for s, d, c in zip(self.slot_state, self.slot_day, self.slot_cell):
-            cell = out.setdefault((int(s), int(d)), {})
-            cell[int(c)] = cell.get(int(c), 0) + 1
-        return out
 
     def summary(self) -> dict:
         return {
@@ -636,23 +620,17 @@ def _put_daily(table: dict, state: int, counts: np.ndarray) -> None:
                      counts[days].tolist()))
 
 
-def generate_tables(
-    config: ScenarioConfig,
-    *,
-    with_social: bool = True,
-    with_spatial: bool = True,
-    with_presence: bool = True,
-) -> GroundTruth:
+def generate_tables(config: ScenarioConfig) -> GroundTruth:
     """Simulate a scenario and return ground truth plus observed tables.
 
-    The flags skip work the caller does not need (e.g. representation
-    recovery at large scale needs neither placements nor presence of
-    invisible attendees); emitted quantities are unaffected.
+    The slot arrays hold every active person-day; they are empty when no
+    state has visible customers.
     """
     config.validate()
     towers, active_ids = tower_grid(config)
     n_cells = len(active_ids)
     total_attendees = sum(s.attendees for s in config.states)
+    no_slots = np.zeros(0, np.int64)
     truth = GroundTruth(
         config=config,
         n_days=config.n_days,
@@ -663,13 +641,16 @@ def generate_tables(
         visible={},
         true_daily={},
         observed_counts={},
-        stay_pairs=[],
         closed_prob={},
         edges=[],
         triples=Triples(),
         node_state={},
         towers=towers,
         active_tower_ids=active_ids,
+        slot_person=no_slots,
+        slot_state=no_slots,
+        slot_day=no_slots,
+        slot_cell=no_slots,
     )
 
     states = sorted(config.states, key=lambda s: s.code)
@@ -694,63 +675,60 @@ def generate_tables(
         arrivals, stays, groups, n_groups = _roster(visible, spec, config)
 
         # presence of every attendee, visible or not
-        if with_presence:
-            hidden = _invisible_roster(spec.attendees - visible, spec, config)
-            first = np.concatenate([arrivals, hidden[0]])
-            end = first + np.concatenate([stays, hidden[1]])
-            n = max(config.n_days + 2, int(end.max(initial=0)) + 1)
-            present = np.cumsum(np.bincount(first, minlength=n)
-                                - np.bincount(end, minlength=n))
-            _put_daily(truth.true_daily, spec.code, present[:config.n_days + 1])
+        hidden = _invisible_roster(spec.attendees - visible, spec, config)
+        first = np.concatenate([arrivals, hidden[0]])
+        end = first + np.concatenate([stays, hidden[1]])
+        n = max(config.n_days + 2, int(end.max(initial=0)) + 1)
+        present = np.cumsum(np.bincount(first, minlength=n)
+                            - np.bincount(end, minlength=n))
+        _put_daily(truth.true_daily, spec.code, present[:config.n_days + 1])
 
         if visible == 0:
             continue
 
-        p_arr, d_arr, n_active = _activity_slots(arrivals, stays, config, rng)
-        truth.stay_pairs += zip(n_active.tolist(), stays.tolist())
+        p_arr, d_arr, _ = _activity_slots(arrivals, stays, config, rng)
         day_counts = np.bincount(d_arr, minlength=config.n_days + 1)
         _put_daily(truth.observed_counts, spec.code, day_counts)
 
-        if with_spatial:
-            theta_by_day = np.full(config.n_days + 1, min(spec.theta, config.theta_cap))
-            for d in crowded:
-                theta_by_day[d] = min(config.theta_cap,
-                                      spec.theta * config.theta_peak_boost)
-            g_arr = groups[p_arr]
-            cells = rng.integers(0, n_cells, size=p_arr.size)
-            grouped = g_arr >= 0
-            if grouped.any():
-                gd_key = g_arr[grouped].astype(np.int64) * (config.n_days + 1) \
-                    + d_arr[grouped]
-                uniq, inverse, counts = np.unique(
-                    gd_key, return_inverse=True, return_counts=True
-                )
-                group_cell = rng.integers(0, n_cells, size=uniq.size)
-                coin = rng.random(gd_key.size) < theta_by_day[d_arr[grouped]]
-                member_cells = np.where(coin, group_cell[inverse], cells[grouped])
-                cells[grouped] = member_cells
-                # realized same-group simultaneously-active pairs per day
-                sg_by_day = np.zeros(config.n_days + 1)
-                np.add.at(sg_by_day, uniq % (config.n_days + 1),
-                          counts * (counts - 1) / 2.0)
-            else:
-                sg_by_day = np.zeros(config.n_days + 1)
-            p_vals = []
-            for d in range(1, config.n_days + 1):
-                n_act = int(day_counts[d])
-                p = _expected_p(float(sg_by_day[d]), n_act,
-                                float(theta_by_day[d]), n_cells)
-                if p is not None:
-                    truth.planted_p[(spec.code, d)] = p
-                    p_vals.append(p)
-            if p_vals:
-                truth.planted_qa[spec.code] = float(np.mean(p_vals))
-            all_person.append(spec.code * PERSON_STRIDE + 1 + p_arr)
-            all_state.append(np.full(p_arr.size, spec.code, dtype=np.int64))
-            all_day.append(d_arr)
-            all_cell.append(cells)
+        theta_by_day = np.full(config.n_days + 1, min(spec.theta, config.theta_cap))
+        for d in crowded:
+            theta_by_day[d] = min(config.theta_cap,
+                                  spec.theta * config.theta_peak_boost)
+        g_arr = groups[p_arr]
+        cells = rng.integers(0, n_cells, size=p_arr.size)
+        grouped = g_arr >= 0
+        if grouped.any():
+            gd_key = g_arr[grouped].astype(np.int64) * (config.n_days + 1) \
+                + d_arr[grouped]
+            uniq, inverse, counts = np.unique(
+                gd_key, return_inverse=True, return_counts=True
+            )
+            group_cell = rng.integers(0, n_cells, size=uniq.size)
+            coin = rng.random(gd_key.size) < theta_by_day[d_arr[grouped]]
+            member_cells = np.where(coin, group_cell[inverse], cells[grouped])
+            cells[grouped] = member_cells
+            # realized same-group simultaneously-active pairs per day
+            sg_by_day = np.zeros(config.n_days + 1)
+            np.add.at(sg_by_day, uniq % (config.n_days + 1),
+                      counts * (counts - 1) / 2.0)
+        else:
+            sg_by_day = np.zeros(config.n_days + 1)
+        p_vals = []
+        for d in range(1, config.n_days + 1):
+            n_act = int(day_counts[d])
+            p = _expected_p(float(sg_by_day[d]), n_act,
+                            float(theta_by_day[d]), n_cells)
+            if p is not None:
+                truth.planted_p[(spec.code, d)] = p
+                p_vals.append(p)
+        if p_vals:
+            truth.planted_qa[spec.code] = float(np.mean(p_vals))
+        all_person.append(spec.code * PERSON_STRIDE + 1 + p_arr)
+        all_state.append(np.full(p_arr.size, spec.code, dtype=np.int64))
+        all_day.append(d_arr)
+        all_cell.append(cells)
 
-        if with_social and n_groups:
+        if n_groups:
             base = spec.code * PERSON_STRIDE + 1
             truth.node_state.update(
                 dict.fromkeys(range(base, base + visible), spec.code))
@@ -780,37 +758,32 @@ def generate_tables(
                                    (members[j][cross] + base).tolist())
 
     truth.triples = Triples.concat(planted)
-    if with_spatial and all_person:
-        truth.slot_person = np.concatenate(all_person)
-        truth.slot_state = np.concatenate(all_state)
-        truth.slot_day = np.concatenate(all_day)
-        truth.slot_cell = np.concatenate(all_cell)
+    truth.slot_person, truth.slot_state, truth.slot_day, truth.slot_cell = (
+        np.concatenate([no_slots, *parts])
+        for parts in (all_person, all_state, all_day, all_cell))
     return truth
 
 
 def emit_projections(
     truth: GroundTruth,
-    days: Sequence[int] | None = None,
     noise: float | None = None,
     *,
     seed_offset: int = 104729,
 ) -> dict[int, float]:
-    """Externally projected attendance: truth times (1 + noise draw).
+    """Externally projected attendance on the config's projection days:
+    truth times (1 + noise draw).
 
     With noise 0 the projections equal the true daily totals exactly.
+    ``ScenarioConfig.validate`` keeps the days inside the window.
     """
     cfg = truth.config
-    days = tuple(days) if days is not None else cfg.projection_days
     noise = cfg.projection_noise if noise is None else noise
     totals = truth.true_daily_total()
-    for d in days:
-        if not 1 <= d <= truth.n_days:
-            raise ConfigurationError(f"projection day {d} outside the window")
     rng = np.random.default_rng(
         np.random.SeedSequence((cfg.seed, seed_offset))
     )
     out: dict[int, float] = {}
-    for d in days:
+    for d in cfg.projection_days:
         factor = max(0.05, 1.0 + noise * rng.standard_normal()) if noise else 1.0
         out[int(d)] = totals[int(d)] * factor
     return out
@@ -829,8 +802,6 @@ def build_events(truth: GroundTruth) -> CdrColumns:
     placement, so the first-tower observation is unambiguous. Rows are
     sorted by (timestamp, caller, callee), ties keeping anchors first.
     """
-    if truth.slot_cell is None:
-        raise ConfigurationError("scenario was generated without placements")
     start = truth.config.window.start
     p, state, d = truth.slot_person, truth.slot_state, truth.slot_day
     tower = np.array(truth.active_tower_ids, dtype=np.int64)[truth.slot_cell]
@@ -862,9 +833,7 @@ def build_events(truth: GroundTruth) -> CdrColumns:
     return CdrColumns(*(getattr(events, f.name)[order] for f in fields(CdrColumns)))
 
 
-def generate(
-    config: ScenarioConfig, outdir, *, projections: bool = True
-) -> tuple[dict[str, Path], GroundTruth]:
+def generate(config: ScenarioConfig, outdir) -> tuple[dict[str, Path], GroundTruth]:
     """Run the full generator and write the pipeline's input files.
 
     Writes cdr.csv, towers.csv, states.csv, projections.csv and a
@@ -874,8 +843,6 @@ def generate(
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     truth = generate_tables(config)
-    events = (build_events(truth) if truth.slot_cell is not None
-              else CdrColumns.concat([]))
     paths = {
         "cdr": outdir / "cdr.csv",
         "towers": outdir / "towers.csv",
@@ -883,7 +850,7 @@ def generate(
         "projections": outdir / "projections.csv",
         "truth": outdir / "ground_truth.json",
     }
-    write_cdr(events, paths["cdr"])
+    write_cdr(build_events(truth), paths["cdr"])
     write_table(
         paths["towers"],
         ("tower_id", "latitude", "longitude"),
@@ -897,15 +864,12 @@ def generate(
             for s in sorted(config.states, key=lambda s: s.code)
         ],
     )
-    if projections:
-        proj = emit_projections(truth)
-        write_table(
-            paths["projections"],
-            ("day", "projected_attendance"),
-            [(d, proj[d]) for d in sorted(proj)],
-        )
-    else:
-        paths.pop("projections")
+    proj = emit_projections(truth)
+    write_table(
+        paths["projections"],
+        ("day", "projected_attendance"),
+        [(d, proj[d]) for d in sorted(proj)],
+    )
     paths["truth"].write_text(
         json.dumps(truth.summary(), indent=2) + "\n", encoding="utf-8"
     )
@@ -1045,7 +1009,6 @@ def representation_range_scenario(seed: int = 1) -> ScenarioConfig:
 
     Sized so the smallest state still has ~46 visible customers, keeping
     quota rounding below a 10% relative error on every recovered share.
-    Meant for table-only generation (skip placements and presence).
     """
     total = 2_000_000
     w_low, w_high = 1.8e-4, 7.45e-2

@@ -5,11 +5,12 @@ from __future__ import annotations
 import csv
 import io
 import itertools
+import json
 from collections import Counter
 from contextlib import contextmanager
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from fractions import Fraction
-from math import ceil, comb, expm1, floor, log1p
+from math import asin, ceil, comb, cos, expm1, floor, log1p, radians, sin, sqrt
 from pathlib import Path
 from typing import IO, Iterable, Iterator, Mapping, Sequence
 
@@ -17,17 +18,22 @@ import numpy as np
 import pytest
 
 from crowdcdr import geo
-from crowdcdr.errors import ConfigurationError, IngestError, SchemaError
+from crowdcdr.attendance import (AdjustmentFactors, _pooled_daily_use,
+                                 _stays, _sum_by_day,
+                                 cumulative_attendance_by_state,
+                                 daily_attendance_by_state)
+from crowdcdr.errors import (ConfigurationError, EstimationError, IngestError,
+                             SchemaError)
 from crowdcdr.ingest import (_BOOL_FIELDS, CDR_COLUMNS, DEFAULT_WINDOW,
                              UNKNOWN_STATE, CdrColumns, IngestReport,
-                             ObservationColumns, StudyWindow, _parse_bool,
+                             ObservationColumns, StateProfile, StudyWindow,
+                             TowerSite, _parse_bool,
                              _parse_int, _parse_state, _reading,
                              _tolerance_error, pack_keys, run_starts,
                              unpack_keys)
 from crowdcdr.sbm import GroupBiasDemo, group_structure_bias
 from crowdcdr.social import SocialNetwork, TripleCensus, Triples, transitivity
-from crowdcdr.spatial import (CoLocationSeries, colocation_probability,
-                              correlate)
+from crowdcdr.spatial import CoLocationSeries, correlate
 
 BASE_TS = DEFAULT_WINDOW.start
 
@@ -120,7 +126,7 @@ def _validate_row(
         return "negative_duration"
     if kind == "text" and duration != 0:
         return "text_with_duration"
-    if not window.contains(ts):
+    if not window.start <= ts < window.end:
         return "outside_window"
     if known_towers is not None and tower not in known_towers:
         return "unknown_tower"
@@ -614,7 +620,7 @@ def dedupe_daily(
         if party is None:
             continue
         pid, state = party
-        day = window.day_of(ev.timestamp)
+        day = (ev.timestamp - window.start) // 86400 + 1
         key = (pid, day)
         cand = (ev.timestamp, ev.tower_id, state)
         prev = best.get(key)
@@ -812,3 +818,126 @@ def correlation_p_value_oracle(values, mean_log_rep, *, n_permutations=199,
         if abs(rho) >= abs(observed) - 1e-12:
             hits += 1
     return (1 + hits) / (n_permutations + 1)
+
+
+# ---------------------------------------------------------------------------
+# Public functions no pipeline stage calls, kept as oracles and as the
+# compositions the tests call. The attendance and tower ones wrap the
+# private code that ``report`` runs.
+
+
+def estimate_daily_use(stays: Iterable[tuple[int, int]]) -> float:
+    """Pooled daily-use probability from (days_active, stay_length) pairs.
+
+    Total days the phone was used across all customers divided by the
+    total length of stay across all customers, where a stay runs from the
+    first to the last active day inclusive.
+    """
+    active, length = np.array(list(stays), dtype=np.int64).reshape(-1, 2).T
+    return _pooled_daily_use(active, length)
+
+
+def stays_from_observations(
+    observations: ObservationColumns,
+) -> list[tuple[int, int]]:
+    """Per-person (days_active, stay_length) pairs, in person order.
+
+    Stay length is last minus first active day plus one; a person seen
+    on multiple visits is treated as one stay.
+    """
+    active, length, _ = _stays(observations)
+    return list(zip(active.tolist(), length.tolist()))
+
+
+def daily_attendance(
+    counts: Mapping[tuple[int, int], int],
+    profiles: Mapping[int, StateProfile],
+    factors: AdjustmentFactors,
+) -> dict[int, float]:
+    """Daily attendance estimate per day, summed over states.
+
+    State-specific market shares are applied before summation.
+    """
+    return _sum_by_day(daily_attendance_by_state(counts, profiles, factors))
+
+
+def first_day_counts(
+    observations: ObservationColumns,
+) -> dict[tuple[int, int], int]:
+    """Number of persons whose first observation falls on each (state, day)."""
+    return _stays(observations)[2].unique_handsets()
+
+
+def cumulative_attendance(
+    observations: ObservationColumns,
+    profiles: Mapping[int, StateProfile],
+    factors: AdjustmentFactors,
+    *,
+    total_days: int,
+) -> dict[int, float]:
+    """Cumulative attendance per day (nondecreasing), summed over states."""
+    return _sum_by_day(cumulative_attendance_by_state(
+        first_day_counts(observations), profiles, factors, total_days=total_days
+    ), range(1, total_days + 1))
+
+
+def haversine_km(lat1: float, lon1: float, lat2: float, lon2: float) -> float:
+    """Great-circle distance; the oracle the planar projection is checked against."""
+    p1, p2 = radians(lat1), radians(lat2)
+    dp = p2 - p1
+    dl = radians(lon2 - lon1)
+    a = sin(dp / 2) ** 2 + cos(p1) * cos(p2) * sin(dl / 2) ** 2
+    return 2 * geo.EARTH_RADIUS_KM * asin(sqrt(a))
+
+
+def nearest_active_tower(
+    point: tuple[float, float],
+    towers: Sequence[TowerSite],
+    *,
+    origin: tuple[float, float] | None = None,
+) -> int:
+    """Active tower nearest to a planar point; ties go to the smallest id.
+
+    A plain linear scan, exact by construction; it doubles as the oracle
+    for the tessellation's ownership relation.
+    """
+    active, pts, _ = geo._active_points(towers, origin)
+    d2 = ((pts - np.asarray(point, dtype=float)) ** 2).sum(axis=1)
+    best = min(range(len(active)), key=lambda i: (d2[i], active[i].tower_id))
+    return active[best].tower_id
+
+
+def group_structure_bias_se(g: int, m: int, p_in: float, p_out: float) -> float:
+    """Sampling SE of the estimated average under independent edges."""
+    within = g * comb(m, 2)
+    total = comb(g * m, 2)
+    var = within * p_in * (1 - p_in) + (total - within) * p_out * (1 - p_out)
+    return sqrt(var) / total
+
+
+def colocation_probability(
+    counts: Mapping[int, int] | Sequence[int], n_total: int | None = None
+) -> float | None:
+    """Same-cell probability for a random pair; None when fewer than 2 persons."""
+    values = list(counts.values()) if isinstance(counts, Mapping) else list(counts)
+    total = sum(values)
+    if n_total is not None and n_total != total:
+        raise EstimationError(f"cell counts sum to {total}, expected {n_total}")
+    if total < 2:
+        return None
+    return sum(n * (n - 1) for n in values) / (total * (total - 1))
+
+
+def scenario_to_json(config, path) -> None:
+    blob = asdict(config)
+    blob["states"] = [asdict(s) for s in config.states]
+    Path(path).write_text(json.dumps(blob, indent=2) + "\n", encoding="utf-8")
+
+
+def cell_counts(truth) -> dict[tuple[int, int], dict[int, int]]:
+    """(state, day) -> {cell index: active persons placed there}."""
+    out: dict[tuple[int, int], dict[int, int]] = {}
+    for s, d, c in zip(truth.slot_state, truth.slot_day, truth.slot_cell):
+        cell = out.setdefault((int(s), int(d)), {})
+        cell[int(c)] = cell.get(int(c), 0) + 1
+    return out

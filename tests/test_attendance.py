@@ -9,19 +9,17 @@ from crowdcdr.attendance import (
     AdjustmentFactors,
     build_series,
     calibrate_non_use,
-    cumulative_attendance,
-    daily_attendance,
     daily_attendance_by_state,
-    estimate_daily_use,
     nonuse_adjusted_totals,
     sensitivity_curve,
     state_representation,
-    stays_from_observations,
     uncorrected_daily,
 )
 from crowdcdr.errors import ConfigurationError, EstimationError
 from crowdcdr.ingest import StateProfile
-from helpers import make_observations
+from helpers import (cumulative_attendance, daily_attendance,
+                     estimate_daily_use, make_observations,
+                     stays_from_observations)
 
 PROFILES = {
     2: StateProfile(2, "a", 0.25),

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from crowdcdr import attendance, cli, geo, social, synth
 from crowdcdr.ingest import CdrColumns, TowerSite
-from helpers import CDR_HEADER
+from helpers import CDR_HEADER, nearest_active_tower, scenario_to_json
 
 PLANTED_PEAKS = {41, 46, 69}
 
@@ -96,7 +96,7 @@ class TestGen:
     def test_config_file_equivalent_to_named_scenario(self, gen_dir, tmp_path,
                                                       capsys):
         cfg_path = tmp_path / "scenario.json"
-        synth.named_scenario("desk-small", seed=2).to_json(cfg_path)
+        scenario_to_json(synth.named_scenario("desk-small", seed=2), cfg_path)
         out = tmp_path / "fromcfg"
         assert run("gen", "--config", cfg_path, "--output-dir", out) == 0
         assert "visible customers" in capsys.readouterr().out
@@ -131,7 +131,7 @@ class TestGen:
     def test_scenario_config_value_of_the_wrong_kind_exits_3(
             self, tmp_path, capsys, key, value):
         cfg_path = tmp_path / "scenario.json"
-        synth.named_scenario("desk-small").to_json(cfg_path)
+        scenario_to_json(synth.named_scenario("desk-small"), cfg_path)
         blob = read_json(cfg_path)
         blob[key] = value
         cfg_path.write_text(json.dumps(blob), encoding="utf-8")
@@ -143,7 +143,7 @@ class TestGen:
 
     def test_failed_gen_leaves_a_manifest(self, tmp_path, monkeypatch):
         cfg_path = tmp_path / "scenario.json"
-        synth.named_scenario("desk-small").to_json(cfg_path)
+        scenario_to_json(synth.named_scenario("desk-small"), cfg_path)
         blob = read_json(cfg_path)
         blob["n_days"] = "x"
         cfg_path.write_text(json.dumps(blob), encoding="utf-8")
@@ -167,7 +167,7 @@ class TestGen:
 
     def test_scenario_mean_stay_at_min_stay_exits_3(self, tmp_path, capsys):
         cfg_path = tmp_path / "scenario.json"
-        synth.named_scenario("desk-small").to_json(cfg_path)
+        scenario_to_json(synth.named_scenario("desk-small"), cfg_path)
         blob = read_json(cfg_path)
         blob["mean_stay"] = float(blob["min_stay"])
         cfg_path.write_text(json.dumps(blob), encoding="utf-8")
@@ -354,6 +354,15 @@ class TestReport:
         # Nothing else holds the columns once load has returned.
         assert live_columns() == before
 
+    def test_report_is_the_same_without_glibc_malloc(
+            self, gen_dir, report_dir, tmp_path, monkeypatch):
+        # Under another C library the allocator is left as it is.
+        monkeypatch.setattr(cli, "_glibc", lambda: None)
+        out = tmp_path / "other-libc"
+        assert run("report", "--input-dir", gen_dir, "--output-dir", out) == 0
+        assert manifest_digests(out / "manifest_report.json") == \
+            manifest_digests(report_dir / "manifest_report.json")
+
     def test_calendar_peak_mode_pins_high_days(self, gen_dir, tmp_path):
         out = tmp_path / "cal"
         assert run("report", "--input-dir", gen_dir, "--output-dir", out,
@@ -403,11 +412,11 @@ class TestCellMap:
                             rng.random() < share) for t in grid]
         origin = geo.tower_origin(towers)
         want = {
-            t.tower_id: t.tower_id if t.active else geo.nearest_active_tower(
+            t.tower_id: t.tower_id if t.active else nearest_active_tower(
                 geo.project_tower(t, origin), towers, origin=origin)
             for t in towers
         }
-        assert cli._cell_map(towers) == want
+        assert geo.serving_towers(towers) == want
 
 
 class TestSubcommands:

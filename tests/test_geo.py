@@ -10,16 +10,10 @@ from hypothesis import strategies as st
 
 from crowdcdr import geo, synth
 from crowdcdr.errors import ConfigurationError
-from crowdcdr.geo import (
-    build_tessellation,
-    haversine_km,
-    nearest_active_tower,
-    project_local,
-    tower_origin,
-    unproject_local,
-)
+from crowdcdr.geo import build_tessellation, project_local, tower_origin
 from crowdcdr.ingest import TowerSite
-from helpers import finish_cells_loop, mirrored_voronoi_cells
+from helpers import (finish_cells_loop, haversine_km, mirrored_voronoi_cells,
+                     nearest_active_tower)
 
 ORIGIN = (25.45, 81.85)
 DESK_GRID = synth.tower_grid(synth.named_scenario("desk-small"))[0]
@@ -133,18 +127,6 @@ class TestProjection:
     def test_far_point_rejected(self):
         with pytest.raises(ValueError, match="outside supported range"):
             project_local(ORIGIN[0] + 1.0, ORIGIN[1], *ORIGIN)
-
-    @given(
-        st.floats(-0.2, 0.2),
-        st.floats(-0.2, 0.2),
-    )
-    @settings(max_examples=50, deadline=None)
-    def test_unproject_inverts_project(self, dlat, dlon):
-        lat, lon = ORIGIN[0] + dlat, ORIGIN[1] + dlon
-        x, y = project_local(lat, lon, *ORIGIN)
-        lat2, lon2 = unproject_local(x, y, *ORIGIN)
-        assert lat2 == pytest.approx(lat, abs=1e-9)
-        assert lon2 == pytest.approx(lon, abs=1e-9)
 
     def test_origin_is_active_tower_centroid(self):
         towers = [

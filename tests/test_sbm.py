@@ -14,11 +14,11 @@ from crowdcdr.sbm import (
     block_table,
     estimate_block_probs,
     group_structure_bias,
-    group_structure_bias_se,
     joint_bias_demo,
 )
 from crowdcdr.social import SocialNetwork, census_triples, transitivity
-from helpers import joint_bias_demo_oracle, sample_grouped_state
+from helpers import (group_structure_bias_se, joint_bias_demo_oracle,
+                     sample_grouped_state)
 
 
 def network(state_of, edges):

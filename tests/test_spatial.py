@@ -15,15 +15,15 @@ from crowdcdr.spatial import (
     bootstrap_mean_ci,
     bootstrap_ratio_ci,
     build_colocation_series,
-    colocation_probability,
     correlate,
     correlation_p_value,
     daily_representation,
     mean_log_representation,
     partition_days,
 )
-from helpers import (colocation_series_loop, correlation_p_value_oracle,
-                     make_observations, pair_enumeration_probability)
+from helpers import (colocation_probability, colocation_series_loop,
+                     correlation_p_value_oracle, make_observations,
+                     pair_enumeration_probability)
 
 
 def series_from_p(p_by_state_day, n_days):
@@ -172,9 +172,10 @@ class TestPartition:
         assert len(high) == 14
 
     def test_attendance_ties_resolve_to_the_earlier_day(self):
-        daily = {1: 5.0, 2: 5.0, 3: 1.0, 4: 5.0}
-        high, _ = partition_days(daily, n_days=4, n_peaks=1, halfwidth=0)
-        assert high == {1}
+        daily = {d: 0.0 for d in range(1, 91)}
+        daily[10] = daily[30] = daily[50] = daily[70] = 100.0
+        high, _ = partition_days(daily, n_days=90)
+        assert high == set(range(8, 13)) | set(range(28, 33)) | set(range(48, 53))
 
     def test_pinned_calendar_peaks_override_the_data(self):
         daily = {d: float(d) for d in range(1, 91)}

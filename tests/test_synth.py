@@ -12,9 +12,10 @@ from crowdcdr import attendance as att
 from crowdcdr import synth
 from crowdcdr.errors import ConfigurationError
 from crowdcdr.ingest import read_cdr_columns
-from crowdcdr.spatial import colocation_probability
 from crowdcdr.synth import ScenarioConfig, StateSpec
-from helpers import activity_slots, stratified_stays
+from helpers import (activity_slots, cell_counts, colocation_probability,
+                     estimate_daily_use, scenario_to_json,
+                     stays_from_observations, stratified_stays)
 
 
 def two_state_config(**overrides):
@@ -127,7 +128,7 @@ class TestValidation:
     def test_config_json_roundtrip(self, tmp_path):
         cfg = two_state_config(peak_days=(30, 60), projection_noise=0.02)
         path = tmp_path / "config.json"
-        cfg.to_json(path)
+        scenario_to_json(cfg, path)
         assert ScenarioConfig.from_json(path) == cfg
 
     @pytest.mark.parametrize("edit", [
@@ -145,7 +146,7 @@ class TestValidation:
     def test_config_json_value_of_the_wrong_kind_is_rejected(self, tmp_path,
                                                              edit):
         path = tmp_path / "config.json"
-        two_state_config().to_json(path)
+        scenario_to_json(two_state_config(), path)
         blob = json.loads(path.read_text(encoding="utf-8"))
         edit(blob)
         path.write_text(json.dumps(blob), encoding="utf-8")
@@ -181,15 +182,6 @@ class TestProjections:
         assert proj == {
             d: float(totals[d]) for d in truth.config.projection_days
         }
-
-    def test_requested_days_are_honored(self, desk_small_truth):
-        proj = synth.emit_projections(desk_small_truth, days=[10, 20], noise=0.0)
-        assert sorted(proj) == [10, 20]
-
-    def test_days_outside_the_window_raise(self, desk_small_truth):
-        for bad in (0, 91):
-            with pytest.raises(ConfigurationError, match="outside the window"):
-                synth.emit_projections(desk_small_truth, days=[bad])
 
     def test_noisy_projections_still_calibrate_non_use(self, desk_small_truth):
         """5% projection noise: the calibrated fraction stays near truth."""
@@ -231,9 +223,10 @@ class TestGroundTruthTables:
 
     def test_stay_pairs_reproduce_planted_daily_use(self, desk_small_truth):
         truth = desk_small_truth
-        for n, s in truth.stay_pairs:
+        stays = stays_from_observations(truth.observations())
+        for n, s in stays:
             assert 1 <= n <= s
-        est = att.estimate_daily_use(truth.stay_pairs)
+        est = estimate_daily_use(stays)
         assert est == pytest.approx(truth.config.daily_use, abs=0.01)
 
     def test_presence_is_elevated_around_the_planted_days(self, desk_small_truth):
@@ -304,10 +297,10 @@ class TestPlantedCoLocation:
 
     def test_realized_mean_tracks_the_planted_level(self, cohesive):
         truth, _ = cohesive
-        cell_counts = truth.cell_counts()
+        by_state_day = cell_counts(truth)
         values = []
         for d in range(1, truth.n_days + 1):
-            counts = cell_counts.get((2, d))
+            counts = by_state_day.get((2, d))
             if counts:
                 p = colocation_probability(counts)
                 if p is not None:
@@ -330,9 +323,7 @@ class TestPlantedCoLocation:
 class TestRepresentationRange:
     def test_recovered_shares_span_the_range_within_ten_percent(self):
         cfg = synth.representation_range_scenario(seed=1)
-        truth = synth.generate_tables(
-            cfg, with_social=False, with_spatial=False, with_presence=False
-        )
+        truth = synth.generate_tables(cfg)
         profiles = truth.profiles()
         factor = cfg.prevalence * (1 - cfg.non_use)
         est_totals = {
