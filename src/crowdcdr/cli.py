@@ -26,12 +26,13 @@ import argparse
 import ctypes
 import hashlib
 import json
+import pickle
 import resource
 import sys
 import time
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
-from functools import cache, cached_property
+from functools import cache, cached_property, partial
 from pathlib import Path
 from typing import Callable, Iterator, Mapping, Sequence
 
@@ -39,7 +40,7 @@ import numpy as np
 
 from . import __version__
 from . import attendance as att
-from . import geo, sbm, social, spatial
+from . import geo, ingest, sbm, social, spatial
 from .errors import (
     AnalysisError,
     ConfigurationError,
@@ -65,6 +66,7 @@ from .ingest import (
     write_columns,
     write_table,
 )
+from .worker import forked
 
 DATA_ERRORS = (SchemaError, IngestError, ConfigurationError)
 ANALYSIS_ERRORS = (EstimationError, AnalysisError, SeparationError,
@@ -155,13 +157,17 @@ def sha256_of(path: Path) -> str:
 class RunManifest:
     """Inputs, outputs (with digests), versions, timings and memory of one run.
 
-    ``peak_rss_mb`` holds the process's peak resident set size after each
-    stage, as ``getrusage`` reports it. ``stages`` holds what a stage
-    tells about its input: for ``load``, ``row_reader_from``, the 1-based
-    CDR data row from which the file was read by rows (None when it was
-    read wholly in blocks). ``failure`` holds
-    ``failed_stage``, ``error`` and ``exit_code`` when the run stopped on
-    a data or analysis error, and is empty otherwise.
+    ``peak_rss_mb`` holds the peak resident set size, as ``getrusage``
+    reports it, of the process that ran each stage, after it; when a
+    worker ran, ``workers`` holds the largest peak of the run's children.
+    ``stages`` holds what a stage tells about its input: for ``load``,
+    ``row_reader_from``, the 1-based CDR data row from which the file was
+    read by rows (None when it was read wholly in blocks), and
+    ``split_row``, the one from which a worker's read was used (None when
+    one process read it); for ``ingest``, ``worker``, whether a worker
+    wrote its artifacts. ``failure`` holds ``failed_stage``, ``error`` and
+    ``exit_code`` when the run stopped on a data or analysis error, and is
+    empty otherwise.
     """
 
     command: str
@@ -184,6 +190,12 @@ class RunManifest:
 
     def add_output(self, name: str, path: Path) -> None:
         self.outputs[name] = {"path": str(path), "sha256": sha256_of(path)}
+
+    def absorb(self, part: RunManifest) -> None:
+        """Add the timings, peaks and outputs of ``part`` after these."""
+        self.timings_s.update(part.timings_s)
+        self.peak_rss_mb.update(part.peak_rss_mb)
+        self.outputs.update(part.outputs)
 
     def write(self, path: Path) -> None:
         blob = asdict(self)
@@ -650,9 +662,12 @@ def _timed(manifest: RunManifest, name: str, fn: Callable, *args):
         return fn(*args)
     finally:
         manifest.timings_s[name] = round(time.monotonic() - start, 3)
-        # ru_maxrss is in kilobytes on Linux.
-        manifest.peak_rss_mb[name] = round(
-            resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)
+        manifest.peak_rss_mb[name] = _peak_rss_mb(resource.RUSAGE_SELF)
+
+
+def _peak_rss_mb(who: int) -> float:
+    # ru_maxrss is in kilobytes on Linux.
+    return round(resource.getrusage(who).ru_maxrss / 1024, 1)
 
 
 @contextmanager
@@ -680,6 +695,58 @@ def _recorded(manifest: RunManifest, path: Path) -> Iterator[None]:
         manifest.write(path)
 
 
+def _run_stage(run: Run, manifest: RunManifest, stage: str) -> None:
+    """Run ``stage_<stage>``, found by name, and record it in ``manifest``."""
+    outputs, run.results[stage] = _timed(
+        manifest, stage, globals()[f"stage_{stage}"], run)
+    for name, path in outputs.items():
+        manifest.add_output(name, path)
+
+
+def _write_ingest(run: Run, pipe) -> None:
+    """The ingest stage, as the writer worker runs it: the manifest of its
+    timing, peak and outputs goes back through ``pipe``."""
+    part = RunManifest("ingest")
+    _run_stage(run, part, "ingest")
+    pickle.dump(part, pipe)
+
+
+def _run_stages(run: Run, manifest: RunManifest, stages: Sequence[str],
+                overlap: bool) -> None:
+    """Run ``stages`` in order and record them in ``manifest``.
+
+    With ``overlap``, a forked worker runs the first, ``ingest``, while
+    this process runs the rest; they only read ``run.data``. The worker
+    is joined once they have ended, also on an error, and its stage is
+    recorded before theirs, as a run in one process records it. A worker
+    that failed is replaced by the stage run here, so that it fails, or
+    not, as it would have in one process.
+    """
+    if not overlap:
+        for stage in stages:
+            _run_stage(run, manifest, stage)
+            if stage == "ingest":
+                manifest.stages["ingest"] = {"worker": False}
+        return
+    later = RunManifest(manifest.command)
+    with forked(partial(_write_ingest, run)) as pipe:
+        try:
+            for stage in stages[1:]:
+                _run_stage(run, later, stage)
+        finally:
+            try:
+                part = pickle.load(pipe) if pipe else None
+            except (EOFError, pickle.UnpicklingError):
+                part = None
+            if part is None:
+                _run_stage(run, manifest, "ingest")
+            else:
+                manifest.absorb(part)
+                run.results["ingest"] = None
+            manifest.stages["ingest"] = {"worker": part is not None}
+            manifest.absorb(later)
+
+
 def run_command(args) -> int:
     """Run one analysis command and write its manifest, also on failure."""
     stages, line = COMMANDS[args.command]
@@ -695,6 +762,7 @@ def run_command(args) -> int:
         check_config(cfg)
         manifest.config_digest = config_digest(cfg)
         run = Run(cfg, outdir, seed=manifest.seed)
+        overlap = workers = False
         if args.input_dir:
             input_dir = Path(args.input_dir)
             manifest.inputs = {
@@ -702,13 +770,20 @@ def run_command(args) -> int:
                 for name in ("cdr", "towers", "states")
             }
             run.data = _timed(manifest, "load", load_pipeline_data, input_dir)
-            manifest.stages["load"] = {
-                "row_reader_from": run.data.report.row_reader_from}
-        for stage in stages:
-            outputs, run.results[stage] = _timed(
-                manifest, stage, globals()[f"stage_{stage}"], run)
-            for name, path in outputs.items():
-                manifest.add_output(name, path)
+            report = run.data.report
+            manifest.stages["load"] = {"row_reader_from": report.row_reader_from,
+                                       "split_row": report.split_row}
+            # The writer pays for its fork where the reader's does.
+            overlap = (stages[0] == "ingest" and len(stages) > 1
+                       and (input_dir / "cdr.csv").stat().st_size
+                       >= ingest.FORK_BYTES)
+            workers = overlap or report.split_row is not None
+        try:
+            _run_stages(run, manifest, stages, overlap)
+        finally:
+            if workers:
+                manifest.peak_rss_mb["workers"] = _peak_rss_mb(
+                    resource.RUSAGE_CHILDREN)
         print(line(run))
     return 0
 

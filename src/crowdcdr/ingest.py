@@ -27,16 +27,19 @@ import io
 import itertools
 import math
 import os
+import pickle
 import warnings
 from collections import Counter
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field, fields
+from functools import partial
 from pathlib import Path
-from typing import IO, Callable, Iterable, Iterator, Mapping, Sequence
+from typing import IO, BinaryIO, Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from .errors import ConfigurationError, IngestError, SchemaError
+from .worker import forked
 
 UNKNOWN_STATE = 0
 N_STATES = 23
@@ -44,6 +47,10 @@ INT64_MIN, INT64_MAX = -(2 ** 63), 2 ** 63 - 1
 
 #: Bytes per block of ``read_cdr_columns``.
 BLOCK_BYTES = 1 << 20
+#: A CDR source of at least this many bytes is read by two processes (see
+#: ``read_cdr_columns``), and ``report`` writes its ingest artifacts in a
+#: worker while the analysis stages run (``cli.run_command``).
+FORK_BYTES = 4 << 20
 #: Rows per batch of the row reader; its tolerance check runs at every
 #: row number divisible by this.
 ROW_BATCH = 10_000
@@ -106,13 +113,17 @@ class IngestReport:
     """Row accounting for one parse pass; rejects are counted by reason.
 
     ``row_reader_from`` is the 1-based data row at which ``_read_rows``
-    took over, or None when every block was canonical.
+    took over, or None when every block was canonical. ``split_row`` is
+    the 1-based data row from which a worker's read was used, or None;
+    it tells how the file was read, not what it holds, so reports that
+    differ only in it are equal.
     """
 
     rows: int = 0
     accepted: int = 0
     rejects: Counter = field(default_factory=Counter)
     row_reader_from: int | None = None
+    split_row: int | None = field(default=None, compare=False)
 
 
 def _parse_bool(text: str) -> bool:
@@ -153,7 +164,7 @@ def _text_stream(source, offset: int) -> Iterator[IO[str]]:
     skips a byte-order mark. A read that fails on the encoding or the CSV
     syntax raises IngestError naming the source.
     """
-    is_path = isinstance(source, (str, Path))
+    is_path = _is_path(source)
     with _reading(str(source) if is_path else "CDR source", IngestError):
         if is_path:
             with open(source, "rb") as fh:
@@ -265,15 +276,23 @@ _BLOCK_DTYPE = np.dtype([
 _FAST_BYTES = bytes(range(0x20, 0x7F)).replace(b'"', b"") + b"\t\r\n"
 
 
-def _line_blocks(fh: IO[bytes], size: int) -> Iterator[bytes]:
-    """The bytes of ``fh``, read ``size`` at a time and cut after line ends.
+def _line_blocks(
+    fh: IO[bytes], size: int, start: int = 0, end: int | None = None
+) -> Iterator[bytes]:
+    """The bytes of ``fh`` from ``start`` (where it stands) to ``end`` (or
+    its end), read in pieces that end at multiples of ``size`` and cut
+    after line ends.
 
     Each block ends at the last ``\\n`` read so far, except the final one
     and one holding a line longer than the csv field size limit: such a
     line cannot be read in canonical form, so it ends the blocks early.
+    As the pieces end where a read from byte 0 ends them, a range that
+    starts at a block end is cut into the blocks a read from 0 gives it.
     """
     carry = b""
-    while data := fh.read(size):
+    while data := fh.read(size - start % size if end is None
+                          else min(size - start % size, end - start)):
+        start += len(data)
         cut = data.rfind(b"\n") + 1
         if cut:
             yield carry + data[:cut]
@@ -386,6 +405,9 @@ class _ColumnSink:
                         for f in fields(CdrColumns)]
         self._rows = 0
 
+    def __len__(self) -> int:
+        return self._rows
+
     def _resize(self, capacity: int) -> None:
         # The fields are never handed out before ``columns``, so no view
         # of the old buffers can outlive the reallocation.
@@ -411,6 +433,23 @@ class _ColumnSink:
         self._resize(self._rows)
         return CdrColumns(*self._fields)
 
+    def send(self, fh: BinaryIO) -> None:
+        """Write the rows added to ``fh``, field after field, as raw bytes."""
+        for column in self._fields:
+            fh.write(column[:self._rows])
+
+    def receive(self, fh: BinaryIO, rows: int) -> bool:
+        """Add ``rows`` rows that ``send`` wrote, read from ``fh`` straight
+        into the fields; False, and none added, when ``fh`` ends first."""
+        start, end = self._rows, self._rows + rows
+        self.reserve(end)
+        for column in self._fields:
+            part = column[start:end]
+            if fh.readinto(part) != part.nbytes:
+                return False
+        self._rows = end
+        return True
+
 
 def read_cdr_columns(
     source,
@@ -435,6 +474,16 @@ def read_cdr_columns(
     same ``_screen_block``, and ``report.row_reader_from`` says where.
     Canonical blocks hold no quote, so no CSV field spans that cut.
 
+    A source of ``FORK_BYTES`` or more is read by two processes: a forked
+    worker screens the blocks after a block end near the middle (see
+    ``_split_point``), and this process those before it, then appends the
+    worker's rows and counts. The worker stops at its first non-canonical
+    block, and the row reader resumes there; at a non-canonical block
+    before the cut the worker is discarded, and if it fails, this process
+    reads its part. As the blocks are those of a read by one process, the
+    columns, the report and any error are too; ``report.split_row`` says
+    where the worker's rows begin.
+
     The accepted rows are copied into columns allocated once, before the
     first block is parsed, for the source's byte size at that block's
     bytes per line; a later block or batch that overflows them grows
@@ -449,12 +498,7 @@ def read_cdr_columns(
     parse. Text that is not UTF-8 or not CSV raises IngestError too, with
     ``report`` holding the rows counted before it.
     """
-    is_path = isinstance(source, (str, Path))
-    if is_path:
-        opened = open(source, "rb")
-    elif isinstance(source, (bytes, bytearray)):
-        opened = io.BytesIO(source)
-    else:
+    if not isinstance(source, (str, Path, bytes, bytearray)):
         raise IngestError(f"unsupported CDR source: {type(source)!r}")
     if report is None:
         report = IngestReport()
@@ -462,9 +506,9 @@ def read_cdr_columns(
     known = (None if known_towers is None else np.fromiter(
         (t for t in known_towers if INT64_MIN <= t <= INT64_MAX), np.int64))
     out = _ColumnSink()
-    with opened as fh:
-        size = os.fstat(fh.fileno()).st_size if is_path else len(source)
-        resume = _read_blocks(fh, size, is_path, window, known, report, out)
+    with _open_source(source) as fh:
+        size = os.fstat(fh.fileno()).st_size if _is_path(source) else len(source)
+        resume = _read_blocks(source, fh, size, window, known, report, out)
     if resume is not None:
         offset, usecols, rows = resume
         report.row_reader_from = rows + 1
@@ -474,27 +518,58 @@ def read_cdr_columns(
     return out.columns()
 
 
+def _is_path(source) -> bool:
+    return isinstance(source, (str, Path))
+
+
+def _open_source(source) -> BinaryIO:
+    """A binary stream of a path or bytes, at its start."""
+    return open(source, "rb") if _is_path(source) else io.BytesIO(source)
+
+
+def _split_point(fh: BinaryIO, size: int) -> int | None:
+    """Where a worker's part of the source begins, or None for one process.
+
+    That is the end of the block that a read from byte 0 ends at the
+    multiple of ``BLOCK_BYTES`` nearest the middle: one past the last line
+    end before it, looked for in the ``BLOCK_BYTES`` (at most 64 KiB)
+    before it. None when the source is below ``FORK_BYTES`` or no line
+    ends there. ``fh`` is left at byte 0.
+    """
+    if size < FORK_BYTES:
+        return None
+    mark = round(size / 2 / BLOCK_BYTES) * BLOCK_BYTES
+    if not 0 < mark < size:
+        return None
+    window = min(BLOCK_BYTES, 1 << 16)
+    fh.seek(mark - window)
+    end = fh.read(window).rfind(b"\n") + 1
+    fh.seek(0)
+    return mark - window + end if end else None
+
+
 def _read_blocks(
-    fh: IO[bytes],
+    source,
+    fh: BinaryIO,
     size: int,
-    strip_bom: bool,
     window: StudyWindow,
     known_towers: np.ndarray | None,
     report: IngestReport,
     out: _ColumnSink,
 ) -> tuple[int, list[int] | None, int] | None:
-    """Screen the canonical blocks of ``fh`` (``size`` bytes) into ``out``.
+    """Screen the canonical blocks of ``source``, open as ``fh`` (``size``
+    bytes), into ``out``, with a worker for the part after
+    ``_split_point``.
 
     Returns None when every block was canonical, else where the row
     reader resumes: the byte offset, the header's column positions (None
     when the header is not canonical) and the rows screened before it.
-    The first block, before it is parsed, reserves ``out``'s rows for
-    every byte left at its own bytes per line.
     """
-    blocks = _line_blocks(fh, BLOCK_BYTES)
+    cut = _split_point(fh, size)
+    blocks = _line_blocks(fh, BLOCK_BYTES, end=cut)
     header, newline, rest = next(blocks, b"").partition(b"\n")
     offset = len(header) + len(newline)     # where ``rest`` starts
-    if strip_bom:
+    if _is_path(source):
         header = header.removeprefix(codecs.BOM_UTF8)
     # A file without a line end after its header goes to the row reader,
     # which tells an empty source from a header-only one.
@@ -502,8 +577,50 @@ def _read_blocks(
     if cells is None:
         return 0, None, 0
     usecols = _header_index(iter([cells]))
-    rows = 0
-    for block in itertools.chain([rest], blocks):
+    screen = partial(_screen_blocks, usecols=usecols, size=size, window=window,
+                     known_towers=known_towers, report=report)
+    # Leaving the block discards a worker whose part is not wanted.
+    with (nullcontext() if cut is None
+          else forked(partial(_read_part, source, cut, screen))) as pipe:
+        offset, rows, done = screen(itertools.chain([rest], blocks), offset, 0,
+                                    out=out)
+        part = _receive_part(pipe, out) if done else None
+    if part is None and done and cut is not None:
+        # No worker, or it failed: its part is read here.
+        fh.seek(cut)
+        offset, rows, done = screen(_line_blocks(fh, BLOCK_BYTES, cut), cut,
+                                    rows, out=out)
+    if part is None:
+        return None if done else (offset, usecols, rows)
+    counts, stop = part
+    report.split_row = rows + 1
+    report.rows += counts.rows
+    report.accepted += counts.accepted
+    report.rejects.update(counts.rejects)
+    return None if stop is None else (stop, usecols, rows + counts.rows)
+
+
+def _screen_blocks(
+    blocks: Iterable[bytes],
+    offset: int,
+    rows: int,
+    *,
+    usecols: list[int],
+    size: int,
+    window: StudyWindow,
+    known_towers: np.ndarray | None,
+    report: IngestReport,
+    out: _ColumnSink,
+) -> tuple[int, int, bool]:
+    """Screen ``blocks``, the first at byte ``offset`` with ``rows`` rows
+    before it, into ``out`` up to the first one that is not canonical.
+
+    Returns that block's offset, the rows before it and False, or the end
+    and True when every block was canonical. The first block, when no row
+    comes before it, reserves ``out``'s rows for every byte up to
+    ``size`` at its own bytes per line.
+    """
+    for block in blocks:
         if not block:
             continue
         if not rows:
@@ -511,11 +628,44 @@ def _read_blocks(
             out.reserve(-(-(size - offset) * lines // len(block)))
         table = _load_block(block, usecols)
         if table is None:
-            return offset, usecols, rows
+            return offset, rows, False
         out.add(_screen_block(table, window, known_towers, report))
         rows += len(table)
         offset += len(block)
-    return None
+    return offset, rows, True
+
+
+def _read_part(source, start: int, screen: Callable, pipe: BinaryIO) -> None:
+    """The worker's read: the canonical blocks of ``source`` from byte
+    ``start`` on, screened by ``screen`` and sent through ``pipe``.
+
+    It sends, pickled, an ``IngestReport`` of its rows, the byte offset
+    of its first non-canonical block (None when it read to the end) and
+    the number of accepted rows; then the rows, as ``_ColumnSink.send``
+    writes them.
+    """
+    report, out = IngestReport(), _ColumnSink()
+    with _open_source(source) as fh:
+        fh.seek(start)
+        offset, _, done = screen(_line_blocks(fh, BLOCK_BYTES, start), start,
+                                 0, report=report, out=out)
+    pickle.dump((report, None if done else offset, len(out)), pipe)
+    out.send(pipe)
+
+
+def _receive_part(
+    pipe: BinaryIO | None, out: _ColumnSink
+) -> tuple[IngestReport, int | None] | None:
+    """The report and the stop offset that ``_read_part`` sent, after its
+    rows are added to ``out``; None when there is no worker or it sent
+    less than all of it."""
+    if pipe is None:
+        return None
+    try:
+        report, stop, rows = pickle.load(pipe)
+    except (EOFError, pickle.UnpicklingError):
+        return None
+    return (report, stop) if out.receive(pipe, rows) else None
 
 
 def _read_rows(

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crowdcdr import attendance, cli, geo, social, synth
+from crowdcdr import attendance, cli, geo, ingest, social, synth
 from crowdcdr.ingest import CdrColumns, TowerSite
 from helpers import CDR_HEADER, nearest_active_tower, scenario_to_json
 
@@ -338,9 +338,11 @@ class TestReport:
         assert manifest_digests(out / "manifest_report.json") == \
             manifest_digests(report_dir / "manifest_report.json")
         assert read_json(report_dir / "manifest_report.json")["stages"] == {
-            "load": {"row_reader_from": None}}
+            "load": {"row_reader_from": None, "split_row": None},
+            "ingest": {"worker": False}}
         assert read_json(out / "manifest_report.json")["stages"] == {
-            "load": {"row_reader_from": 1}}
+            "load": {"row_reader_from": 1, "split_row": None},
+            "ingest": {"worker": False}}
 
     def test_load_keeps_no_cdr_columns(self, gen_dir):
         def live_columns() -> int:
@@ -400,6 +402,164 @@ class TestReport:
                               "e56475ff297ada543282d2cee1191541",
         }
         assert {name: sha(out / name) for name in pinned} == pinned
+
+
+#: ``crowdcdr report`` with the fork threshold and the block size lowered,
+#: so that a desk-small city is read and written by workers. ``{patch}``
+#: may break a stage. After the run, the process says on stderr whether a
+#: child of it is left.
+WORKER_SCRIPT = """
+import os, sys
+from crowdcdr import cli, errors, ingest
+ingest.FORK_BYTES, ingest.BLOCK_BYTES = 0, 16_384
+{patch}
+try:
+    rc = cli.main(sys.argv[1:])
+finally:
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        print("no child left", file=sys.stderr)
+sys.exit(rc)
+"""
+
+
+def processes_naming(text: str) -> list[int]:
+    """Pids of the processes whose command line holds ``text``."""
+    pids = []
+    for cmdline in Path("/proc").glob("[0-9]*/cmdline"):
+        try:
+            if text.encode() in cmdline.read_bytes():
+                pids.append(int(cmdline.parent.name))
+        except OSError:
+            pass
+    return pids
+
+
+def report_with_workers(input_dir: Path, out: Path, patch: str = ""):
+    """The finished ``report`` process of ``WORKER_SCRIPT``, once it is
+    known to have left no child, running or not."""
+    src = str(Path(cli.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    # A deadlock fails the test instead of hanging it.
+    proc = subprocess.run(
+        [sys.executable, "-c", WORKER_SCRIPT.format(patch=patch), "report",
+         "--input-dir", str(input_dir), "--output-dir", str(out)],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert "no child left" in proc.stderr, proc.stderr
+    assert not processes_naming(str(out))
+    return proc
+
+
+def with_rows(gen_dir: Path, to: Path, edit) -> Path:
+    """A copy of the input files whose cdr.csv data rows are ``edit(rows)``."""
+    shutil.copytree(gen_dir, to)
+    header, *rows = (to / "cdr.csv").read_text().splitlines()
+    rows = edit(rows)
+    (to / "cdr.csv").write_text("\n".join([header, *rows]) + "\n")
+    return to
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="workers need os.fork")
+class TestWorkers:
+    """``report`` with workers leaves no process behind, whatever happens."""
+
+    def test_success(self, gen_dir, report_dir, tmp_path):
+        out = tmp_path / "out"
+        proc = report_with_workers(gen_dir, out)
+        assert proc.returncode == 0
+        assert json.loads(proc.stdout) == read_json(report_dir / "summary.json")
+        assert manifest_digests(out / "manifest_report.json") == \
+            manifest_digests(report_dir / "manifest_report.json")
+        blob = read_json(out / "manifest_report.json")
+        assert blob["stages"]["load"]["split_row"] > 1
+        assert blob["stages"]["ingest"] == {"worker": True}
+        assert list(blob["peak_rss_mb"]) == [
+            "load", "ingest", "attendance", "social", "spatial", "sbm",
+            "summary", "workers"]
+        assert list(blob["timings_s"]) == [
+            "load", "ingest", "attendance", "social", "spatial", "sbm",
+            "summary", "total"]
+
+    def test_non_canonical_block_before_the_cut(self, gen_dir, report_dir,
+                                                tmp_path):
+        quoted = with_rows(gen_dir, tmp_path / "in", lambda rows: [
+            '"{}",{}'.format(*rows[0].split(",", 1)), *rows[1:]])
+        out = tmp_path / "out"
+        proc = report_with_workers(quoted, out)
+        assert proc.returncode == 0
+        assert manifest_digests(out / "manifest_report.json") == \
+            manifest_digests(report_dir / "manifest_report.json")
+        assert read_json(out / "manifest_report.json")["stages"]["load"] == {
+            "row_reader_from": 1, "split_row": None}
+
+    def test_tolerance_error_after_the_cut_exits_3(self, gen_dir, tmp_path):
+        garbage = with_rows(gen_dir, tmp_path / "in", lambda rows: [
+            *rows[:-200], *["garbage,row"] * 200])
+        out = tmp_path / "out"
+        proc = report_with_workers(garbage, out)
+        assert proc.returncode == 3
+        assert proc.stderr.startswith("data error:")
+        assert "unparseable" in proc.stderr
+        blob = read_json(out / "manifest_report.json")
+        assert (blob["failed_stage"], blob["exit_code"]) == ("load", 3)
+
+    def test_analysis_error_while_the_writer_runs_exits_4(self, gen_dir,
+                                                          tmp_path):
+        out = tmp_path / "out"
+        proc = report_with_workers(gen_dir, out, patch=(
+            "def broken(run):\n"
+            "    raise errors.SeparationError('separated')\n"
+            "cli.stage_social = broken"))
+        assert proc.returncode == 4
+        assert proc.stderr.startswith("analysis error: separated")
+        blob = read_json(out / "manifest_report.json")
+        assert (blob["failed_stage"], blob["exit_code"]) == ("social", 4)
+        # The writer's outputs are recorded first, as in one process.
+        assert list(blob["timings_s"]) == [
+            "load", "ingest", "attendance", "social", "total"]
+        assert list(blob["outputs"])[:3] == [
+            "observations", "counts", "ingest_report"]
+        assert blob["stages"]["ingest"] == {"worker": True}
+
+    def test_failed_writer_is_run_again_and_fails_as_in_one_process(
+            self, gen_dir, tmp_path):
+        out = tmp_path / "out"
+        (out / "observations.csv").mkdir(parents=True)
+        proc = report_with_workers(gen_dir, out)
+        assert proc.returncode == 1
+        assert proc.stderr.rstrip().endswith("Is a directory: "
+                                             f"'{out / 'observations.csv'}'")
+        blob = read_json(out / "manifest_report.json")
+        assert (blob["failed_stage"], blob["error"]) == (
+            "ingest", "IsADirectoryError")
+        assert list(blob["timings_s"]) == ["load", "ingest", "total"]
+        assert blob["outputs"] == {}
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="workers need os.fork")
+class TestSplitManifest:
+    def test_split_row_is_the_first_row_after_the_cut(
+            self, gen_dir, report_dir, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(ingest, "FORK_BYTES", 0)
+        monkeypatch.setattr(ingest, "BLOCK_BYTES", 16_384)
+        data = (gen_dir / "cdr.csv").read_bytes()
+        with open(gen_dir / "cdr.csv", "rb") as fh:
+            cut = ingest._split_point(fh, len(data))
+        out = tmp_path / "out"
+        assert run("report", "--input-dir", gen_dir, "--output-dir", out) == 0
+        capsys.readouterr()
+        blob = read_json(out / "manifest_report.json")
+        # The header and the rows before the cut end in a line end each.
+        assert blob["stages"] == {
+            "load": {"row_reader_from": None,
+                     "split_row": data[:cut].count(b"\n")},
+            "ingest": {"worker": True}}
+        assert blob["peak_rss_mb"]["workers"] > 0
+        assert manifest_digests(out / "manifest_report.json") == \
+            manifest_digests(report_dir / "manifest_report.json")
 
 
 class TestCellMap:

@@ -2,6 +2,7 @@
 
 import codecs
 import csv
+import dataclasses
 import io
 import random
 import tracemalloc
@@ -974,6 +975,190 @@ class TestByteBlockReader:
                 assert report.row_reader_from == 1
             else:
                 assert 1 < report.row_reader_from <= row
+
+
+# ---------------------------------------------------------------------------
+# The split read: a forked worker screens the blocks after a block end near
+# the middle, and the parent appends its rows
+
+
+def _no_customer(cells):
+    cells[8] = cells[9] = "0"
+
+
+def _stateless_customer(cells):
+    cells[6], cells[8] = "0", "1"
+
+
+#: Row mutations that keep a line canonical and reject it, one per reason.
+REJECTING = {
+    "negative_duration": MUTATIONS["negative_duration"],
+    "text_with_duration": MUTATIONS["text_with_duration"],
+    "outside_window": MUTATIONS["outside_window"],
+    "unknown_tower": MUTATIONS["unknown_tower"],
+    "no_customer_party": _cells(_no_customer),
+    "customer_without_state": _cells(_stateless_customer),
+}
+
+
+def read_outcomes(data, known, monkeypatch):
+    """(columns as lists, or the error class and message; the report) of
+    a read split between two processes and of a read by one."""
+    outcomes = []
+    for fork_bytes in (0, 1 << 62):
+        monkeypatch.setattr(ingest, "FORK_BYTES", fork_bytes)
+        report = IngestReport()
+        try:
+            columns = read_cdr_columns(data, known_towers=known, report=report)
+            got = [getattr(columns, f.name).tolist()
+                   for f in dataclasses.fields(columns)]
+        except (IngestError, SchemaError) as exc:
+            got = (type(exc), str(exc))
+        outcomes.append((got, report))
+    return outcomes
+
+
+def cut_row(data: bytes) -> int | None:
+    """The 0-based data row at which a worker's part of ``data`` begins."""
+    cut = ingest._split_point(io.BytesIO(data), len(data))
+    return None if cut is None else data[:cut].count(b"\n") - 1
+
+
+class TestSplitRead:
+    """Columns, report and error of a split read are those of one process."""
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(where=st.sampled_from(["nowhere", "first_row", "before_cut",
+                                  "after_cut", "later", "last_row"]),
+           later=st.integers(0, 10 ** 6),
+           name=st.sampled_from([*NON_CANONICAL, "garbage_over_tolerance"]),
+           block=st.sampled_from([1924, 13_000]),
+           crlf=st.booleans(), rejects=st.booleans())
+    def test_split_read_matches_one_process(self, desk, monkeypatch, where,
+                                            later, name, block, crlf,
+                                            rejects):
+        text, known = desk
+        header, *lines = text.splitlines()[:4001]
+        end = "\r\n" if crlf else "\n"
+
+        def encode(lines):
+            return (end.join([header, *lines]) + end).encode()
+        monkeypatch.setattr(ingest, "BLOCK_BYTES", block)
+        monkeypatch.setattr(ingest, "FORK_BYTES", 0)
+        split = cut_row(encode(lines))
+        assert 100 < split < 3900
+        if rejects:
+            # Each reason twice on each side of the cut, a few rows from it.
+            for i, mutate in enumerate(REJECTING.values()):
+                for row in (10 + i, split - 60 + i, split + 40 + i,
+                            3950 + i):
+                    lines[row] = mutate(lines[row])
+        # Rows a few lines from the cut, which a mutation moves by a line
+        # at most, or any later row; garbage over 1% of the rows makes the
+        # read raise.
+        row = {"first_row": 0, "before_cut": split - 3, "after_cut": split + 2,
+               "later": split + 3 + later % (len(lines) - split - 3),
+               "last_row": len(lines) - 1}.get(where)
+        if row is not None and name == "garbage_over_tolerance":
+            lines[row:row + 50] = ["garbage,row"] * 50
+        elif row is not None:
+            lines[row] = MUTATIONS[name](lines[row])
+        data = encode(lines)
+        split = cut_row(data)
+        (split_got, split_report), (got, report) = read_outcomes(
+            data, known, monkeypatch)
+        assert split_got == got
+        assert split_report == report
+        assert (split_report.rows, split_report.accepted,
+                split_report.row_reader_from) == (
+            report.rows, report.accepted, report.row_reader_from)
+        assert report.split_row is None
+        # The worker's rows are used unless a block before the cut is
+        # read by rows.
+        if where in ("first_row", "before_cut"):
+            assert split_report.split_row is None
+        else:
+            assert split_report.split_row == split + 1
+        # The row reader takes over at the first row, the last block
+        # before the cut and the first block after it.
+        start = report.row_reader_from
+        if where == "first_row":
+            assert start == 1
+        elif where == "before_cut":     # a line is over 40 bytes
+            assert split - block // 40 < start <= split - 2
+        elif where == "after_cut":
+            assert start == split + 1
+
+    @pytest.mark.parametrize("block", [64, 1924])
+    def test_line_over_the_field_limit_after_the_cut(self, monkeypatch, block):
+        events = [make_event(day=1 + i % 80, caller=100 + i, tower=1 + i % 3)
+                  for i in range(400)]
+        header, *rows = cdr_text(events).splitlines()
+        cells = ["y"] * len(rows)
+        cells[300] = "x" * 300
+        data = "\n".join([header + ",extra",
+                          *(f"{r},{c}" for r, c in zip(rows, cells))]) + "\n"
+        monkeypatch.setattr(ingest, "BLOCK_BYTES", block)
+        monkeypatch.setattr(ingest, "FORK_BYTES", 0)
+        assert cut_row(data.encode()) < 300
+        old = csv.field_size_limit(200)
+        try:
+            (split_got, split_report), (got, report) = read_outcomes(
+                data.encode(), {1, 2, 3}, monkeypatch)
+        finally:
+            csv.field_size_limit(old)
+        assert got[0] is IngestError    # the csv module's field limit
+        assert (split_got, split_report) == (got, report)
+
+    def test_header_only_file(self, monkeypatch):
+        monkeypatch.setattr(ingest, "BLOCK_BYTES", 16)
+        (split_got, split_report), (got, report) = read_outcomes(
+            cdr_text([]).encode(), None, monkeypatch)
+        assert split_got == got == [[]] * 10
+        assert split_report == report == IngestReport()
+
+    @pytest.mark.parametrize("failure", ["raises", "short", "no_fork"])
+    def test_this_process_reads_the_part_of_a_failed_worker(
+            self, desk, monkeypatch, failure):
+        text, known = desk
+        data = text.encode()
+        monkeypatch.setattr(ingest, "BLOCK_BYTES", 13_000)
+        if failure == "raises":
+            def broken(*args):
+                raise MemoryError
+            monkeypatch.setattr(ingest, "_read_part", broken)
+        elif failure == "short":
+            # Only the first of the ten fields.
+            monkeypatch.setattr(ingest._ColumnSink, "send",
+                                lambda sink, fh: fh.write(
+                                    sink._fields[0][:len(sink)]))
+        else:
+            monkeypatch.delattr(ingest.os, "fork")
+        (split_got, split_report), (got, report) = read_outcomes(
+            data, known, monkeypatch)
+        assert (split_got, split_report) == (got, report)
+        assert split_report.split_row is None
+
+    def test_worker_rows_are_used(self, desk, monkeypatch):
+        text, known = desk
+        data = text.encode()
+        monkeypatch.setattr(ingest, "BLOCK_BYTES", 13_000)
+        parts = []
+        receive = ingest._receive_part
+
+        def spy(pipe, out):
+            parts.append(receive(pipe, out))
+            return parts[-1]
+        monkeypatch.setattr(ingest, "_receive_part", spy)
+        monkeypatch.setattr(ingest, "FORK_BYTES", 0)
+        split = cut_row(data)
+        (split_got, split_report), (got, report) = read_outcomes(
+            data, known, monkeypatch)
+        assert (split_got, split_report) == (got, report)
+        [(counts, stop)] = filter(None, parts)    # the read by one process: None
+        assert split_report.split_row == split + 1
+        assert (counts.rows, stop) == (text.count("\n") - 1 - split, None)
 
 
 @st.composite
