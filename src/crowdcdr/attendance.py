@@ -39,8 +39,8 @@ DEFAULT_PREVALENCE = 0.713
 DEFAULT_DAILY_USE = 0.404
 DEFAULT_NON_USE = 0.406
 
-#: Numerator of the reference reciprocal sensitivity curve f(q) = c/q.
-SENSITIVITY_NUMERATOR = 24_467_257
+#: The largest non-use fraction ``calibrate_non_use`` returns.
+NON_USE_CLAMP = 0.95
 
 
 @dataclass(frozen=True)
@@ -185,14 +185,12 @@ def uncorrected_daily(
 def calibrate_non_use(
     base_daily: Mapping[int, float],
     projections: Mapping[int, float],
-    *,
-    clamp: float = 0.95,
 ) -> float:
     """Non-use fraction most consistent with external daily projections.
 
     ``base_daily`` must be computed with non_use = 0. Least squares on
     levels has the closed form s = sum(base*proj) / sum(base^2) for the
-    inflation s = 1/(1-q), hence q = 1 - 1/s, clamped to [0, clamp].
+    inflation s = 1/(1-q), hence q = 1 - 1/s, clamped to [0, NON_USE_CLAMP].
     Projections at or below the raw estimates give q <= 0; that returns 0
     with a warning rather than a negative non-use fraction.
     """
@@ -210,7 +208,7 @@ def calibrate_non_use(
             "calibrated non-use clamped to 0", s,
         )
         return 0.0
-    return min(1.0 - 1.0 / s, clamp)
+    return min(1.0 - 1.0 / s, NON_USE_CLAMP)
 
 
 def sensitivity_curve(

@@ -14,7 +14,8 @@ optionally projections.csv):
 
 Each analysis command is a row of ``COMMANDS``, run by ``run_command``.
 
-Exit codes: 2 for usage errors, 3 for data/validation errors, 4 for
+Exit codes: 2 for usage errors (an ``--output-dir`` that cannot be made a
+directory among them), 3 for data/validation errors, 4 for
 numerical analysis failures (separation, non-convergence). Every run
 writes a manifest with a content digest per output file; a failed run
 records the stage that failed instead of the outputs it did not reach.
@@ -40,7 +41,7 @@ import numpy as np
 
 from . import __version__
 from . import attendance as att
-from . import geo, ingest, sbm, social, spatial
+from . import geo, ingest, reference, sbm, social, spatial
 from .errors import (
     AnalysisError,
     ConfigurationError,
@@ -75,10 +76,10 @@ ANALYSIS_ERRORS = (EstimationError, AnalysisError, SeparationError,
 #: Analysis defaults; the *_note entries document where each constant
 #: comes from so emitted config files are self-describing.
 DEFAULT_CONFIG: dict = {
-    "prevalence": 0.713,
-    "daily_use": 0.404,
-    "non_use": 0.406,
-    "sensitivity_numerator": 24_467_257,
+    "prevalence": att.DEFAULT_PREVALENCE,
+    "daily_use": att.DEFAULT_DAILY_USE,
+    "non_use": att.DEFAULT_NON_USE,
+    "sensitivity_numerator": reference.UNIQUE_VISITOR_HANDSETS,
     "sensitivity_grid": [round(0.05 * k, 2) for k in range(1, 20)],
     "calibrate_non_use": True,
     "exclude_local": True,
@@ -297,9 +298,8 @@ def _own_mappings() -> Iterator[None]:
         _set_mmap_threshold(_MMAP_THRESHOLD)
 
 
-def load_pipeline_data(
-    input_dir: Path, *, window: StudyWindow = DEFAULT_WINDOW
-) -> PipelineData:
+def load_pipeline_data(input_dir: Path) -> PipelineData:
+    window = DEFAULT_WINDOW
     cdr = input_dir / "cdr.csv"
     towers_path = input_dir / "towers.csv"
     states_path = input_dir / "states.csv"
@@ -751,7 +751,6 @@ def run_command(args) -> int:
     """Run one analysis command and write its manifest, also on failure."""
     stages, line = COMMANDS[args.command]
     outdir = Path(args.output_dir)
-    outdir.mkdir(parents=True, exist_ok=True)
     manifest = RunManifest(args.command, seed=getattr(args, "seed", None))
     with _recorded(manifest, outdir / f"manifest_{args.command}.json"):
         cfg = load_config(args.config)
@@ -793,7 +792,6 @@ def cmd_gen(args) -> int:
     from . import synth   # only gen needs it; analysis commands start faster
 
     outdir = Path(args.output_dir)
-    outdir.mkdir(parents=True, exist_ok=True)
     manifest = RunManifest("gen", seed=args.seed)
     with _recorded(manifest, outdir / "manifest_gen.json"):
         if args.config:
@@ -886,6 +884,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     _set_mmap_threshold(_MMAP_THRESHOLD)
     parser = build_parser()
     args = parser.parse_args(argv)
+    try:
+        Path(args.output_dir).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"usage error: cannot create --output-dir {args.output_dir}: "
+              f"{exc.strerror or exc}", file=sys.stderr)
+        return 2
     try:
         return args.func(args)
     except DATA_ERRORS as exc:

@@ -47,13 +47,15 @@ INT64_MIN, INT64_MAX = -(2 ** 63), 2 ** 63 - 1
 
 #: Bytes per block of ``read_cdr_columns``.
 BLOCK_BYTES = 1 << 20
-#: A CDR source of at least this many bytes is read by two processes (see
+#: A CDR file of at least this many bytes is read by two processes (see
 #: ``read_cdr_columns``), and ``report`` writes its ingest artifacts in a
 #: worker while the analysis stages run (``cli.run_command``).
 FORK_BYTES = 4 << 20
 #: Rows per batch of the row reader; its tolerance check runs at every
 #: row number divisible by this.
 ROW_BATCH = 10_000
+#: The largest share of the rows read that may be unparseable.
+MAX_BAD_FRACTION = 0.01
 #: Rows per block of ``write_columns``.
 WRITE_BLOCK_ROWS = 1 << 14
 
@@ -157,22 +159,16 @@ def _reading(name: str, error: type[Exception]) -> Iterator[None]:
 
 
 @contextmanager
-def _text_stream(source, offset: int) -> Iterator[IO[str]]:
-    """A text stream over a path or bytes, from byte ``offset`` on.
+def _text_stream(path: str | Path, offset: int) -> Iterator[IO[str]]:
+    """A text stream over the file at ``path``, from byte ``offset`` on.
 
-    A path is opened here and closed on exit; read from its start, it
-    skips a byte-order mark. A read that fails on the encoding or the CSV
-    syntax raises IngestError naming the source.
+    Read from its start, it skips a byte-order mark. A read that fails on
+    the encoding or the CSV syntax raises IngestError naming the file.
     """
-    is_path = _is_path(source)
-    with _reading(str(source) if is_path else "CDR source", IngestError):
-        if is_path:
-            with open(source, "rb") as fh:
-                fh.seek(offset)
-                yield io.TextIOWrapper(fh, "utf-8-sig" if offset == 0 else "utf-8",
-                                       newline="")
-        else:
-            yield io.StringIO(source[offset:].decode("utf-8"))
+    with (_reading(str(path), IngestError), open(path, "rb") as fh):
+        fh.seek(offset)
+        yield io.TextIOWrapper(fh, "utf-8-sig" if offset == 0 else "utf-8",
+                               newline="")
 
 
 def _header_index(reader) -> list[int]:
@@ -218,11 +214,9 @@ _ROW_REJECTS = ("negative_duration", "text_with_duration", "outside_window",
                 "unknown_tower", "no_customer_party", "customer_without_state")
 
 
-def _tolerance_error(
-    bad_parse: int, rows: int, max_bad_fraction: float
-) -> IngestError:
+def _tolerance_error(bad_parse: int, rows: int) -> IngestError:
     return IngestError(
-        f"{bad_parse}/{rows} rows unparseable (tolerance {max_bad_fraction:g})"
+        f"{bad_parse}/{rows} rows unparseable (tolerance {MAX_BAD_FRACTION:g})"
     )
 
 
@@ -452,17 +446,18 @@ class _ColumnSink:
 
 
 def read_cdr_columns(
-    source,
+    path: str | Path,
     *,
     window: StudyWindow = DEFAULT_WINDOW,
     known_towers: set[int] | None = None,
-    max_bad_fraction: float = 0.01,
     report: IngestReport | None = None,
 ) -> CdrColumns:
     """Every accepted event of a comma-separated CDR file, as columns.
 
-    ``source`` is a path or bytes; the file has a header row with the
-    canonical column names (extra columns are ignored). It is read in
+    ``path`` is a ``str`` or a ``Path``; any other source raises
+    IngestError. The file has a header row with the canonical column
+    names (extra columns are ignored), after a UTF-8 byte-order mark,
+    which is skipped, when there is one. It is read in
     binary blocks of ``BLOCK_BYTES``, each cut after its last line end, so
     the whole file is never held in memory. A block is checked against
     the canonical byte set with one ``bytes.translate``, its line ends
@@ -474,7 +469,7 @@ def read_cdr_columns(
     same ``_screen_block``, and ``report.row_reader_from`` says where.
     Canonical blocks hold no quote, so no CSV field spans that cut.
 
-    A source of ``FORK_BYTES`` or more is read by two processes: a forked
+    A file of ``FORK_BYTES`` or more is read by two processes: a forked
     worker screens the blocks after a block end near the middle (see
     ``_split_point``), and this process those before it, then appends the
     worker's rows and counts. The worker stops at its first non-canonical
@@ -485,55 +480,44 @@ def read_cdr_columns(
     where the worker's rows begin.
 
     The accepted rows are copied into columns allocated once, before the
-    first block is parsed, for the source's byte size at that block's
+    first block is parsed, for the file's byte size at that block's
     bytes per line; a later block or batch that overflows them grows
     them geometrically. So the block transients are freed into a heap
     that holds nothing else, and no list of parts is joined at the end.
 
     ``window`` and ``known_towers`` (when given) reject events outside
     them; ``report`` is filled with the row count, the accepted count and
-    the rejects by reason. More unparseable rows than ``max_bad_fraction``
+    the rejects by reason. More unparseable rows than ``MAX_BAD_FRACTION``
     of the rows read raises IngestError, checked at every row number
     divisible by ``ROW_BATCH`` and at the end; canonical rows always
     parse. Text that is not UTF-8 or not CSV raises IngestError too, with
     ``report`` holding the rows counted before it.
     """
-    if not isinstance(source, (str, Path, bytes, bytearray)):
-        raise IngestError(f"unsupported CDR source: {type(source)!r}")
+    if not isinstance(path, (str, Path)):
+        raise IngestError(f"unsupported CDR source: {type(path)!r}")
     if report is None:
         report = IngestReport()
     # An id outside int64 matches no parsed row, so it can be left out.
     known = (None if known_towers is None else np.fromiter(
         (t for t in known_towers if INT64_MIN <= t <= INT64_MAX), np.int64))
     out = _ColumnSink()
-    with _open_source(source) as fh:
-        size = os.fstat(fh.fileno()).st_size if _is_path(source) else len(source)
-        resume = _read_blocks(source, fh, size, window, known, report, out)
+    with open(path, "rb") as fh:
+        resume = _read_blocks(path, fh, window, known, report, out)
     if resume is not None:
         offset, usecols, rows = resume
         report.row_reader_from = rows + 1
-        _read_rows(source, offset, usecols, rows, window=window,
-                   known_towers=known, max_bad_fraction=max_bad_fraction,
-                   report=report, out=out)
+        _read_rows(path, offset, usecols, rows, window=window,
+                   known_towers=known, report=report, out=out)
     return out.columns()
 
 
-def _is_path(source) -> bool:
-    return isinstance(source, (str, Path))
-
-
-def _open_source(source) -> BinaryIO:
-    """A binary stream of a path or bytes, at its start."""
-    return open(source, "rb") if _is_path(source) else io.BytesIO(source)
-
-
 def _split_point(fh: BinaryIO, size: int) -> int | None:
-    """Where a worker's part of the source begins, or None for one process.
+    """Where a worker's part of the file begins, or None for one process.
 
     That is the end of the block that a read from byte 0 ends at the
     multiple of ``BLOCK_BYTES`` nearest the middle: one past the last line
     end before it, looked for in the ``BLOCK_BYTES`` (at most 64 KiB)
-    before it. None when the source is below ``FORK_BYTES`` or no line
+    before it. None when the file is below ``FORK_BYTES`` or no line
     ends there. ``fh`` is left at byte 0.
     """
     if size < FORK_BYTES:
@@ -549,30 +533,28 @@ def _split_point(fh: BinaryIO, size: int) -> int | None:
 
 
 def _read_blocks(
-    source,
+    path: str | Path,
     fh: BinaryIO,
-    size: int,
     window: StudyWindow,
     known_towers: np.ndarray | None,
     report: IngestReport,
     out: _ColumnSink,
 ) -> tuple[int, list[int] | None, int] | None:
-    """Screen the canonical blocks of ``source``, open as ``fh`` (``size``
-    bytes), into ``out``, with a worker for the part after
-    ``_split_point``.
+    """Screen the canonical blocks of the file at ``path``, open as ``fh``,
+    into ``out``, with a worker for the part after ``_split_point``.
 
     Returns None when every block was canonical, else where the row
     reader resumes: the byte offset, the header's column positions (None
     when the header is not canonical) and the rows screened before it.
     """
+    size = os.fstat(fh.fileno()).st_size
     cut = _split_point(fh, size)
     blocks = _line_blocks(fh, BLOCK_BYTES, end=cut)
     header, newline, rest = next(blocks, b"").partition(b"\n")
     offset = len(header) + len(newline)     # where ``rest`` starts
-    if _is_path(source):
-        header = header.removeprefix(codecs.BOM_UTF8)
+    header = header.removeprefix(codecs.BOM_UTF8)
     # A file without a line end after its header goes to the row reader,
-    # which tells an empty source from a header-only one.
+    # which tells an empty file from a header-only one.
     cells = _plain_header(header) if newline else None
     if cells is None:
         return 0, None, 0
@@ -581,7 +563,7 @@ def _read_blocks(
                      known_towers=known_towers, report=report)
     # Leaving the block discards a worker whose part is not wanted.
     with (nullcontext() if cut is None
-          else forked(partial(_read_part, source, cut, screen))) as pipe:
+          else forked(partial(_read_part, path, cut, screen))) as pipe:
         offset, rows, done = screen(itertools.chain([rest], blocks), offset, 0,
                                     out=out)
         part = _receive_part(pipe, out) if done else None
@@ -635,9 +617,10 @@ def _screen_blocks(
     return offset, rows, True
 
 
-def _read_part(source, start: int, screen: Callable, pipe: BinaryIO) -> None:
-    """The worker's read: the canonical blocks of ``source`` from byte
-    ``start`` on, screened by ``screen`` and sent through ``pipe``.
+def _read_part(path: str | Path, start: int, screen: Callable,
+               pipe: BinaryIO) -> None:
+    """The worker's read: the canonical blocks of the file at ``path`` from
+    byte ``start`` on, screened by ``screen`` and sent through ``pipe``.
 
     It sends, pickled, an ``IngestReport`` of its rows, the byte offset
     of its first non-canonical block (None when it read to the end) and
@@ -645,7 +628,7 @@ def _read_part(source, start: int, screen: Callable, pipe: BinaryIO) -> None:
     writes them.
     """
     report, out = IngestReport(), _ColumnSink()
-    with _open_source(source) as fh:
+    with open(path, "rb") as fh:
         fh.seek(start)
         offset, _, done = screen(_line_blocks(fh, BLOCK_BYTES, start), start,
                                  0, report=report, out=out)
@@ -669,19 +652,18 @@ def _receive_part(
 
 
 def _read_rows(
-    source,
+    path: str | Path,
     offset: int,
     usecols: list[int] | None,
     rows: int,
     *,
     window: StudyWindow,
     known_towers: np.ndarray | None,
-    max_bad_fraction: float,
     report: IngestReport,
     out: _ColumnSink,
 ) -> None:
-    """The accepted rows of ``source`` from byte ``offset`` on, read by rows
-    and added to ``out``.
+    """The accepted rows of the file at ``path`` from byte ``offset`` on,
+    read by rows and added to ``out``.
 
     The ``csv`` module splits the rows, and each row's cells are parsed by
     ``_CELL_PARSERS`` into one preallocated ``_BLOCK_DTYPE`` batch. A row
@@ -693,7 +675,7 @@ def _read_rows(
     """
     batch = np.empty(ROW_BATCH, _BLOCK_DTYPE)
     held = bad = 0
-    with _text_stream(source, offset) as stream:
+    with _text_stream(path, offset) as stream:
         reader = csv.reader(stream)
         if usecols is None:
             usecols = _header_index(reader)
@@ -703,9 +685,9 @@ def _read_rows(
             if rows % ROW_BATCH == 0:
                 out.add(_screen_block(batch[:held], window, known_towers, report))
                 held = 0
-                if bad > max_bad_fraction * rows:
+                if bad > MAX_BAD_FRACTION * rows:
                     report.rows += 1    # the row the check stops at is read
-                    raise _tolerance_error(bad, rows, max_bad_fraction)
+                    raise _tolerance_error(bad, rows)
             try:
                 batch[held] = tuple([parse(row[i]) for parse, i in cells])
             except (ValueError, IndexError):
@@ -715,8 +697,8 @@ def _read_rows(
             else:
                 held += 1
     out.add(_screen_block(batch[:held], window, known_towers, report))
-    if rows and bad / rows > max_bad_fraction:
-        raise _tolerance_error(bad, rows, max_bad_fraction)
+    if rows and bad / rows > MAX_BAD_FRACTION:
+        raise _tolerance_error(bad, rows)
 
 
 def run_starts(*keys: np.ndarray) -> np.ndarray:

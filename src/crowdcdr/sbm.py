@@ -91,18 +91,18 @@ class GroupBiasDemo:
     triples: dict[int, tuple[int, int]]
 
 
+#: Cross-group edge probability of ``joint_bias_demo``'s two states.
+DEMO_P_OUT = 0.04
+
+
 def joint_bias_demo(
     *,
     m: int = 100,
     p_in: float = 0.2,
-    p_out: float = 0.04,
-    g_a: int = 1,
     g_b: int = 50,
-    state_a: int = 1,
-    state_b: int = 2,
     seed: int = 0,
 ) -> GroupBiasDemo:
-    """Sample states A (one group) and B (many groups) and compare.
+    """Sample states 1 (one group) and 2 (``g_b`` groups) and compare.
 
     Every group in both states is an independent Bernoulli(p_in) graph
     on m nodes, so within-group wiring is identical by construction;
@@ -113,14 +113,15 @@ def joint_bias_demo(
     as trace(A^3) / 6, connected triples as the sum of C(deg, 2). A is
     float64, so trace(A^3) = sum((A @ A) * A) is one BLAS product, and
     exact: every count is far below 2^53.
-    Cross-group edges only add to p_kk, so a state with two or more
-    groups draws them as one Binomial(C(g, 2) * m * m, p_out) count.
+    Cross-group edges, of probability ``DEMO_P_OUT``, only add to p_kk,
+    so a state with two or more groups draws them as one
+    Binomial(C(g, 2) * m * m, DEMO_P_OUT) count.
     """
     rng = np.random.default_rng(seed)
     pair_u, pair_v = np.triu_indices(m, k=1)
     census = TripleCensus()
     estimated: dict[int, float] = {}
-    groups = ((state_a, g_a), (state_b, g_b))
+    groups = ((1, 1), (2, g_b))     # (state, its number of groups)
     for state, g in groups:
         # Within-group draws in the order of the planted-partition
         # sampler in tests/helpers.py, its oracle. One block at a time
@@ -137,14 +138,15 @@ def joint_bias_demo(
         closed = trace // 6
         census.closed[state] = closed
         census.open[state] = paths - 3 * closed
-        cross = rng.binomial(comb(g, 2) * m * m, p_out) if g >= 2 else 0
+        cross = rng.binomial(comb(g, 2) * m * m, DEMO_P_OUT) if g >= 2 else 0
         estimated[state] = (edges + int(cross)) / comb(g * m, 2)
-    analytic = {s: group_structure_bias(g, m, p_in, p_out) for s, g in groups}
+    analytic = {s: group_structure_bias(g, m, p_in, DEMO_P_OUT)
+                for s, g in groups}
     return GroupBiasDemo(
         analytic=analytic,
         estimated=estimated,
-        ratio_estimated=estimated[state_a] / estimated[state_b],
-        ratio_analytic=analytic[state_a] / analytic[state_b],
+        ratio_estimated=estimated[1] / estimated[2],
+        ratio_analytic=analytic[1] / analytic[2],
         within_transitivity={s: transitivity(census, s) for s, _ in groups},
         triples={s: (census.closed[s], census.open[s]) for s, _ in groups},
     )

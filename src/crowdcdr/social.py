@@ -26,6 +26,12 @@ from .ingest import CdrColumns, UNKNOWN_STATE
 
 Z_95 = 1.96
 
+#: Newton iterations ``fit_logistic`` takes at most, and the score max-norm
+#: and the parameter step below which it has converged.
+MAX_ITER = 100
+SCORE_TOL = 1e-10
+STEP_TOL = 1e-12
+
 
 class SocialNetwork:
     """Simple undirected graph over customers with known state, as CSR.
@@ -152,23 +158,17 @@ class ContactTable:
     callee_state: np.ndarray
 
 
-def contact_table(columns: CdrColumns, *, drop_state: int | None = None
-                  ) -> ContactTable:
-    """The contact table of CDR columns; parties of ``drop_state`` are
-    left out, as if they were not customers.
+def contact_table(columns: CdrColumns) -> ContactTable:
+    """The contact table of CDR columns.
 
     Each side's parties are made distinct on their own, and the two
     short lists are then merged by position, the callee of a row just
     after its caller, so no array holds both parties of every row.
     """
-    def kept(is_customer: np.ndarray, state: np.ndarray) -> np.ndarray:
-        ok = is_customer & (state != UNKNOWN_STATE)
-        if drop_state is not None:
-            ok &= state != drop_state
-        return ok
-
-    caller_ok = kept(columns.caller_is_customer, columns.caller_state)
-    callee_ok = kept(columns.callee_is_customer, columns.callee_state)
+    caller_ok = (columns.caller_is_customer
+                 & (columns.caller_state != UNKNOWN_STATE))
+    callee_ok = (columns.callee_is_customer
+                 & (columns.callee_state != UNKNOWN_STATE))
     callers = _distinct(caller_ok, [columns.caller_id], [columns.caller_state])
     callees = _distinct(callee_ok, [columns.callee_id], [columns.callee_state])
     # Position 2 * row for a caller, 2 * row + 1 for a callee.
@@ -207,12 +207,12 @@ def _first_rows(*keys: np.ndarray) -> np.ndarray:
 
 
 def build_network(
-    source: CdrColumns | ContactTable,
+    contacts: ContactTable,
     *,
     exclude_local: bool = True,
     local_state: int | None = None,
 ) -> SocialNetwork:
-    """Network over the customers of CDR columns or of their contact table.
+    """Network over the customers of a contact table.
 
     Nodes are customer parties with a known state; an edge requires both
     parties to be customers (otherwise the counterpart's state is
@@ -220,19 +220,16 @@ def build_network(
     ``exclude_local`` is set and ``local_state`` is given, residents of
     the venue's host state are dropped: their phone use is not comparable
     to visitors'. A node takes the state of its first appearance, caller
-    before callee. Columns are turned into their contact table first,
-    with the host state already dropped.
+    before callee.
     """
-    local = local_state if exclude_local else None
-    if isinstance(source, CdrColumns):
-        source = contact_table(source, drop_state=local)
     node, edge = slice(None), slice(None)
-    if local is not None:
-        node = source.party_state != local
-        edge = (source.caller_state != local) & (source.callee_state != local)
+    if exclude_local and local_state is not None:
+        node = contacts.party_state != local_state
+        edge = ((contacts.caller_state != local_state)
+                & (contacts.callee_state != local_state))
     return SocialNetwork(
-        source.party_id[node], source.party_state[node],
-        np.stack([source.caller_id[edge], source.callee_id[edge]], axis=1))
+        contacts.party_id[node], contacts.party_state[node],
+        np.stack([contacts.caller_id[edge], contacts.callee_id[edge]], axis=1))
 
 
 @dataclass
@@ -426,15 +423,12 @@ def fit_logistic(
     w: Sequence[float] | np.ndarray,
     *,
     weights: Sequence[float] | np.ndarray | None = None,
-    max_iter: int = 100,
-    tol: float = 1e-10,
-    step_tol: float = 1e-12,
 ) -> LogisticFit:
     """Maximum-likelihood fit of logit(pr(closed)) = b0 + b1*log10(w).
 
     Newton-Raphson on the two-parameter model; converged when the score
-    max-norm drops below ``tol`` or the parameter step below
-    ``step_tol``. Standard errors come from the inverse observed
+    max-norm drops below ``SCORE_TOL`` or the parameter step below
+    ``STEP_TOL``, within ``MAX_ITER`` iterations. Standard errors come from the inverse observed
     information; the confidence interval is the 95% Wald interval.
     ``weights`` lets aggregated rows carry multiplicities (including
     non-integer expected counts for deterministic checks).
@@ -461,7 +455,7 @@ def fit_logistic(
     trace: list[tuple[int, float, float, float]] = []
     converged = False
     iterations = 0
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, MAX_ITER + 1):
         eta = beta[0] + beta[1] * x
         p = 1.0 / (1.0 + np.exp(-eta))
         resid = wt * (y - p)
@@ -472,7 +466,7 @@ def fit_logistic(
             [(x * s).sum(), (x * x * s).sum()],
         ])
         trace.append((iterations, beta[0], beta[1], float(np.abs(score).max())))
-        if np.abs(score).max() < tol:
+        if np.abs(score).max() < SCORE_TOL:
             converged = True
             break
         try:
@@ -486,12 +480,12 @@ def fit_logistic(
             raise SeparationError(
                 "diverging estimates; data are quasi-separated"
             )
-        if np.abs(step).max() < step_tol:
+        if np.abs(step).max() < STEP_TOL:
             converged = True
             break
     if not converged:
         raise ConvergenceError(
-            f"no convergence after {max_iter} iterations", trace=trace
+            f"no convergence after {MAX_ITER} iterations", trace=trace
         )
 
     eta = beta[0] + beta[1] * x

@@ -48,6 +48,7 @@ from dataclasses import dataclass, field, fields, replace
 from itertools import chain
 from math import cos, exp, expm1, floor, log10, log1p, pi, radians
 from pathlib import Path
+from sys import float_info
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -145,6 +146,17 @@ class ScenarioConfig:
         return out
 
     def validate(self) -> None:
+        for spec in (self, *self.states):
+            for f in fields(spec):
+                v = getattr(spec, f.name)
+                # NaN makes a check such as ``mean_stay <= min_stay``
+                # false, and an integer past the float range overflows
+                # where it meets a float; the checks below catch neither.
+                if (f.type in ("int", "float")
+                        and not -float_info.max <= v <= float_info.max):
+                    raise ConfigurationError(
+                        f"{type(spec).__name__}.{f.name} must be a finite "
+                        f"number, got {v!r:.40}")
         if not self.states:
             raise ConfigurationError("scenario has no states")
         if self.seed < 0:
@@ -199,6 +211,8 @@ class ScenarioConfig:
                 "closure planting wires triangles vs 2-paths and therefore "
                 "requires travel groups of exactly 3"
             )
+        if self.grid_rows < 1 or self.grid_cols < 1:
+            raise ConfigurationError("grid_rows and grid_cols must be positive")
         if self.n_active_cells < 2:
             raise ConfigurationError("need at least 2 active towers")
         if self.n_inactive_towers < 0:

@@ -6,6 +6,7 @@ import csv
 import io
 import itertools
 import json
+import tempfile
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields
@@ -25,13 +26,13 @@ from crowdcdr.attendance import (AdjustmentFactors, _pooled_daily_use,
 from crowdcdr.errors import (ConfigurationError, EstimationError, IngestError,
                              SchemaError)
 from crowdcdr.ingest import (_BOOL_FIELDS, CDR_COLUMNS, DEFAULT_WINDOW,
-                             UNKNOWN_STATE, CdrColumns, IngestReport,
+                             MAX_BAD_FRACTION, UNKNOWN_STATE, CdrColumns, IngestReport,
                              ObservationColumns, StateProfile, StudyWindow,
                              TowerSite, _parse_bool,
                              _parse_int, _parse_state, _reading,
                              _tolerance_error, pack_keys, run_starts,
                              unpack_keys)
-from crowdcdr.sbm import GroupBiasDemo, group_structure_bias
+from crowdcdr.sbm import DEMO_P_OUT, GroupBiasDemo, group_structure_bias
 from crowdcdr.social import SocialNetwork, TripleCensus, Triples, transitivity
 from crowdcdr.spatial import CoLocationSeries, correlate
 
@@ -147,7 +148,6 @@ def parse_cdr(
     delimiter: str = ",",
     window: StudyWindow = DEFAULT_WINDOW,
     known_towers: set[int] | None = None,
-    max_bad_fraction: float = 0.01,
     report: IngestReport | None = None,
 ) -> Iterator[CdrEvent]:
     """Stream events out of a delimiter-separated CDR file.
@@ -164,15 +164,15 @@ def parse_cdr(
     known_towers: set of tower ids or None
         When given, events referencing other towers are rejected; silent
         acceptance would corrupt the spatial statistics.
-    max_bad_fraction: float
-        Tolerated fraction of rows with unparseable fields (including
-        integers outside int64). Exceeding it raises IngestError once the
-        stream is exhausted (checked against the running total every 10000
-        rows as well, so a corrupt 400M-row file fails early instead of at
-        the end).
     report: IngestReport or None
         Filled in as a side channel: total rows, accepted rows, and a
         per-reason reject counter. Nothing is silently dropped.
+
+    More rows with unparseable fields (including integers outside int64)
+    than ``MAX_BAD_FRACTION`` of the rows raises IngestError once the
+    stream is exhausted (checked against the running total every 10000
+    rows as well, so a corrupt 400M-row file fails early instead of at
+    the end).
 
     Yields events lazily in file order; the input is never materialized,
     so a caller that consumes the stream as it goes runs in constant
@@ -188,8 +188,8 @@ def parse_cdr(
         bad_parse = 0
         for row in reader:
             report.rows += 1
-            if report.rows % 10000 == 0 and bad_parse > max_bad_fraction * report.rows:
-                raise _tolerance_error(bad_parse, report.rows, max_bad_fraction)
+            if report.rows % 10000 == 0 and bad_parse > MAX_BAD_FRACTION * report.rows:
+                raise _tolerance_error(bad_parse, report.rows)
             result = _validate_row(row, index, window, known_towers)
             if isinstance(result, str):
                 if result == "unparseable":
@@ -198,8 +198,22 @@ def parse_cdr(
                 continue
             report.accepted += 1
             yield result
-        if report.rows and bad_parse / report.rows > max_bad_fraction:
-            raise _tolerance_error(bad_parse, report.rows, max_bad_fraction)
+        if report.rows and bad_parse / report.rows > MAX_BAD_FRACTION:
+            raise _tolerance_error(bad_parse, report.rows)
+
+
+@contextmanager
+def cdr_file(data: bytes) -> Iterator[Path]:
+    """``data`` written to a temporary ``cdr.csv``, removed on exit.
+
+    ``ingest.read_cdr_columns`` reads only paths. The file gets a
+    directory of its own, not ``tmp_path``: Hypothesis rejects a
+    function-scoped fixture in a ``@given`` test.
+    """
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cdr.csv"
+        path.write_bytes(data)
+        yield path
 
 
 def from_events(events: Iterable[CdrEvent]) -> CdrColumns:
@@ -764,17 +778,17 @@ def finish_cells_loop(poly, count, pts) -> list[tuple[np.ndarray, float]]:
     return cells
 
 
-def joint_bias_demo_oracle(*, m=100, p_in=0.2, p_out=0.04, g_a=1, g_b=50,
-                           state_a=1, state_b=2, seed=0) -> GroupBiasDemo:
+def joint_bias_demo_oracle(*, m=100, p_in=0.2, g_b=50, seed=0) -> GroupBiasDemo:
     """``sbm.joint_bias_demo`` with triangles as int64 trace(A @ A @ A) / 6.
 
     Draws in the same order as the demo, so the results are equal.
     """
+    p_out = DEMO_P_OUT
     rng = np.random.default_rng(seed)
     pair_u, pair_v = np.triu_indices(m, k=1)
     census = TripleCensus()
     estimated = {}
-    groups = ((state_a, g_a), (state_b, g_b))
+    groups = ((1, 1), (2, g_b))
     for state, g in groups:
         trace = paths = edges = 0
         for _ in range(g):
@@ -794,8 +808,8 @@ def joint_bias_demo_oracle(*, m=100, p_in=0.2, p_out=0.04, g_a=1, g_b=50,
     return GroupBiasDemo(
         analytic=analytic,
         estimated=estimated,
-        ratio_estimated=estimated[state_a] / estimated[state_b],
-        ratio_analytic=analytic[state_a] / analytic[state_b],
+        ratio_estimated=estimated[1] / estimated[2],
+        ratio_analytic=analytic[1] / analytic[2],
         within_transitivity={s: transitivity(census, s) for s, _ in groups},
         triples={s: (census.closed[s], census.open[s]) for s, _ in groups},
     )

@@ -1,7 +1,8 @@
 """The package's public API is what the pipeline and the benchmark call.
 
 A public function, class or method that only tests call belongs in
-``tests/helpers.py``, or nowhere.
+``tests/helpers.py``, or nowhere; a keyword option that no caller sets
+is a constant.
 """
 
 import ast
@@ -28,8 +29,8 @@ def referenced_names() -> set[str]:
     return names
 
 
-def public_definitions() -> list[tuple[str, str]]:
-    """(qualified name, name) of each public module-level function or
+def public_definitions() -> list[tuple[str, ast.FunctionDef | ast.ClassDef]]:
+    """(qualified name, node) of each public module-level function or
     class of the package, and of each public method of a public class."""
     out = []
     for path in PACKAGE:
@@ -37,12 +38,28 @@ def public_definitions() -> list[tuple[str, str]]:
             if (not isinstance(node, (ast.FunctionDef, ast.ClassDef))
                     or node.name.startswith("_")):
                 continue
-            out.append((f"{path.stem}.{node.name}", node.name))
+            out.append((f"{path.stem}.{node.name}", node))
             if isinstance(node, ast.ClassDef):
-                out += [(f"{path.stem}.{node.name}.{m.name}", m.name)
+                out += [(f"{path.stem}.{node.name}.{m.name}", m)
                         for m in node.body if isinstance(m, ast.FunctionDef)
                         and not m.name.startswith("_")]
     return out
+
+
+def keywords_passed() -> set[tuple[str, str]]:
+    """(called name, keyword) of every keyword argument of a call in the
+    package, the benchmark or the tests; the called name is the Name or
+    the Attribute the call is made through."""
+    passed = set()
+    for path in [p for top in ("src", "perfbench", "tests")
+                 for p in sorted((ROOT / top).rglob("*.py"))]:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = getattr(func, "id", None) or getattr(func, "attr", None)
+            passed |= {(name, k.arg) for k in node.keywords if k.arg}
+    return passed
 
 
 def test_every_public_name_is_used_outside_the_tests():
@@ -50,5 +67,16 @@ def test_every_public_name_is_used_outside_the_tests():
     used = referenced_names() | {
         f"stage_{stage}" for stages, _ in cli.COMMANDS.values()
         for stage in stages}
-    unused = [q for q, name in public_definitions() if name not in used]
+    unused = [q for q, node in public_definitions() if node.name not in used]
     assert not unused, f"public, but called only by tests: {unused}"
+
+
+def test_every_keyword_option_is_set_by_some_caller():
+    # An option only its default ever takes is a constant in disguise.
+    passed = keywords_passed()
+    unset = [f"{q}({arg.arg}=)" for q, node in public_definitions()
+             if isinstance(node, ast.FunctionDef)
+             for arg, default in zip(node.args.kwonlyargs,
+                                     node.args.kw_defaults)
+             if default is not None and (node.name, arg.arg) not in passed]
+    assert not unset, f"keyword options that no call sets: {unset}"

@@ -2,6 +2,7 @@
 
 import codecs
 import csv
+import dataclasses
 import gc
 import hashlib
 import json
@@ -910,6 +911,31 @@ class TestFailureModes:
                    "--output-dir", tmp_path / "out") == 3
         assert "field larger than field limit" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("where", ["file", "under_a_file"])
+    @pytest.mark.parametrize("command", ["gen", "report"])
+    def test_output_dir_that_cannot_be_made_exits_2(self, gen_dir, tmp_path,
+                                                     capsys, command, where):
+        taken = tmp_path / "taken"
+        taken.write_text("", encoding="utf-8")
+        out = taken if where == "file" else taken / "out"
+        argv = [command, "--output-dir", out]
+        if command == "report":
+            argv += ["--input-dir", gen_dir]
+        assert run(*argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and err.count("\n") == 1
+        assert str(out) in err
+
+    def test_newton_iteration_cap_exits_4(self, gen_dir, tmp_path, capsys,
+                                          monkeypatch):
+        monkeypatch.setattr(social, "MAX_ITER", 1)
+        out = tmp_path / "out"
+        assert run("report", "--input-dir", gen_dir, "--output-dir", out) == 4
+        assert "no convergence after 1 iterations" in capsys.readouterr().err
+        blob = read_json(out / "manifest_report.json")
+        assert (blob["failed_stage"], blob["error"], blob["exit_code"]) == (
+            "social", "ConvergenceError", 4)
+
     def test_missing_required_argument_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
             run("report")
@@ -1003,3 +1029,60 @@ class TestExitCodeFuzz:
                 assert code in (0, 3, 4)
                 blob = read_json(out / f"manifest_{command}.json")
                 assert blob.get("exit_code", 0) == code
+
+
+# ---------------------------------------------------------------------------
+# The same gate for gen: a mutated scenario JSON never ends in a traceback.
+
+SCENARIO_FIELDS = sorted(f.name for f in dataclasses.fields(synth.ScenarioConfig))
+STATE_FIELDS = sorted(f.name for f in dataclasses.fields(synth.StateSpec))
+SIZE_FIELDS = ["n_days", "min_stay", "peak_stay", "group_size", "grid_rows",
+               "grid_cols", "n_inactive_towers"]
+WRONG_KINDS = ["x", None, True, 1.5, -1, [], [1, "a"], {}]
+#: Numbers no float holds: NaN, the infinities and an integer past them.
+NON_FINITE = [float("nan"), float("inf"), float("-inf"), 10 ** 400]
+
+#: (what, key, value) edits of a scenario JSON object; "sizes" sets
+#: several size fields at once. Sizes stay small, so that no scenario is
+#: larger than the desk city.
+SCENARIO_EDITS = st.one_of(
+    st.tuples(st.just("set"), st.sampled_from(SCENARIO_FIELDS),
+              st.sampled_from(WRONG_KINDS + NON_FINITE)),
+    st.tuples(st.just("sizes"), st.none(),
+              st.dictionaries(st.sampled_from(SIZE_FIELDS),
+                              st.integers(-3, 30), min_size=1)),
+    st.tuples(st.just("state"), st.sampled_from(STATE_FIELDS + ["bogus"]),
+              st.sampled_from(WRONG_KINDS + NON_FINITE)),
+    st.tuples(st.just("state"), st.just("attendees"), st.integers(-3, 3000)),
+    st.tuples(st.just("drop"), st.just("states"), st.none()),
+)
+
+
+class TestScenarioExitCodeFuzz:
+    @settings(max_examples=60, deadline=None)
+    @given(edits=st.lists(st.tuples(st.integers(0, 22), SCENARIO_EDITS),
+                          min_size=1, max_size=3))
+    def test_mutated_scenario_exits_0_2_or_3(self, edits):
+        blob = dataclasses.asdict(synth.named_scenario("desk-small"))
+        for state, (what, key, value) in edits:
+            if what == "drop":
+                blob.pop(key, None)
+            elif what == "state":
+                states = blob.get("states")
+                spec = (states[state % len(states)]
+                        if isinstance(states, list) and states else None)
+                if isinstance(spec, dict):
+                    spec[key] = value
+            elif what == "sizes":
+                blob.update(value)
+            else:
+                blob[key] = value
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg_path, out = Path(tmp) / "scenario.json", Path(tmp) / "out"
+            # NaN and Infinity are written as JavaScript spells them, which
+            # json.loads reads.
+            cfg_path.write_text(json.dumps(blob), encoding="utf-8")
+            code = run("gen", "--config", cfg_path, "--output-dir", out)
+            assert code in (0, 2, 3)
+            blob = read_json(out / "manifest_gen.json")
+            assert blob.get("exit_code", 0) == code

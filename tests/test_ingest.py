@@ -25,9 +25,9 @@ from crowdcdr.ingest import (
     read_cdr_columns,
     write_cdr,
 )
-from crowdcdr.social import build_network
+from crowdcdr.social import build_network, contact_table
 from crowdcdr.spatial import build_colocation_series
-from helpers import (build_network_oracle, cdr_text, colocation_oracle,
+from helpers import (build_network_oracle, cdr_file, cdr_text, colocation_oracle,
                      columns_as_events, count_unique_handsets, dedupe_daily,
                      first_day_counts, first_day_counts_oracle, from_events,
                      make_event, make_observations, observation_rows,
@@ -36,7 +36,8 @@ from helpers import (build_network_oracle, cdr_text, colocation_oracle,
 
 
 def parse_all(text, **kwargs):
-    return columns_as_events(read_cdr_columns(text.encode(), **kwargs))
+    with cdr_file(text.encode()) as path:
+        return columns_as_events(read_cdr_columns(path, **kwargs))
 
 
 class TestParse:
@@ -454,33 +455,34 @@ def mutated_cdr(text, edits):
     return ("\n".join([header, *lines]) + "\n").encode("utf-8")
 
 
-def oracle_path(data, known):
+def oracle_path(path, known):
     report = IngestReport()
-    events = list(parse_cdr(data, known_towers=known, report=report))
+    events = list(parse_cdr(path, known_towers=known, report=report))
     obs = dedupe_daily(events)
     return (report, events, obs, count_unique_handsets(obs),
             towers_with_traffic(events),
             build_network_oracle(from_events(events), local_state=1))
 
 
-def columnar_path(data, known):
+def columnar_path(path, known):
     report = IngestReport()
-    columns = read_cdr_columns(data, known_towers=known, report=report)
+    columns = read_cdr_columns(path, known_towers=known, report=report)
     daily = daily_observations(columns)
     return (report, columns_as_events(columns), daily,
             daily.unique_handsets(), set(np.unique(columns.tower_id).tolist()),
-            build_network(columns, local_state=1))
+            build_network(contact_table(columns), local_state=1))
 
 
 def assert_paths_agree(data, known):
-    try:
-        expected = oracle_path(data, known)
-    except IngestError as exc:
-        with pytest.raises(IngestError) as got:
-            columnar_path(data, known)
-        assert str(got.value) == str(exc)
-        return
-    got = columnar_path(data, known)
+    with cdr_file(data) as path:
+        try:
+            expected = oracle_path(path, known)
+        except IngestError as exc:
+            with pytest.raises(IngestError) as got:
+                columnar_path(path, known)
+            assert str(got.value) == str(exc)
+            return
+        got = columnar_path(path, known)
     (report, events, obs, counts, towers, net), (
         report2, events2, obs2, counts2, towers2, net2) = expected, got
     assert (report2.rows, report2.accepted, dict(report2.rejects)) == (
@@ -537,8 +539,9 @@ class TestColumnarIngest:
         def no_fallback(*args, **kwargs):
             raise AssertionError("row reader used on a canonical file")
         monkeypatch.setattr(ingest, "_read_rows", no_fallback)
-        assert len(read_cdr_columns(text.encode(), known_towers=known)) == (
-            text.count("\n") - 1)
+        with cdr_file(text.encode()) as path:
+            assert len(read_cdr_columns(path, known_towers=known)) == (
+                text.count("\n") - 1)
 
     def test_a_loadtxt_warning_sends_the_file_to_the_second_read(
             self, desk, monkeypatch):
@@ -559,9 +562,10 @@ class TestColumnarIngest:
         monkeypatch.setattr(ingest, "BLOCK_BYTES", 13_000)  # about 250 lines
         offsets = []
         monkeypatch.setattr(ingest, "_read_rows",
-                            lambda source, offset, *a, **kw:
+                            lambda path, offset, *a, **kw:
                             offsets.append(offset) or [])
-        read_cdr_columns(data, known_towers=known)
+        with cdr_file(data) as path:
+            read_cdr_columns(path, known_towers=known)
         assert len(blocks) == 3
         # The row reader starts at the block that warned.
         assert offsets == [data.index(b"\n") + 1 + len(blocks[0])
@@ -581,11 +585,12 @@ class TestColumnarIngest:
         monkeypatch.setattr(ingest, "BLOCK_BYTES", 52_000)  # about 1000 lines
         reports = []
         messages = []
-        for parse in (lambda **kw: list(parse_cdr(data, **kw)),
-                      lambda **kw: read_cdr_columns(data, **kw)):
+        for parse in (lambda *a, **kw: list(parse_cdr(*a, **kw)),
+                      read_cdr_columns):
             report = IngestReport()
-            with pytest.raises(IngestError, match="unparseable") as exc:
-                parse(known_towers=known, report=report)
+            with (cdr_file(data) as path,
+                  pytest.raises(IngestError, match="unparseable") as exc):
+                parse(path, known_towers=known, report=report)
             messages.append(str(exc.value))
             reports.append((report.rows, report.accepted, dict(report.rejects)))
         assert messages[0] == messages[1]
@@ -595,32 +600,36 @@ class TestColumnarIngest:
         events = [make_event(tower=1), make_event(tower=2)]
         data = cdr_text(events).encode()
         known = {1, 2 ** 70}
-        assert columns_as_events(read_cdr_columns(data, known_towers=known)) \
-            == list(parse_cdr(data, known_towers=known)) == events[:1]
+        with cdr_file(data) as path:
+            assert columns_as_events(read_cdr_columns(
+                path, known_towers=known)) == list(parse_cdr(
+                    path, known_towers=known)) == events[:1]
 
     def test_empty_and_header_only_sources(self):
         report = IngestReport()
-        assert len(read_cdr_columns(cdr_text([]).encode(), report=report)) == 0
+        with cdr_file(cdr_text([]).encode()) as path:
+            assert len(read_cdr_columns(path, report=report)) == 0
         assert (report.rows, report.accepted) == (0, 0)
-        with pytest.raises(SchemaError, match="header"):
-            read_cdr_columns(b"")
+        with cdr_file(b"") as path, pytest.raises(SchemaError, match="header"):
+            read_cdr_columns(path)
 
     @pytest.mark.parametrize("read", [
         lambda src: list(parse_cdr(src)), read_cdr_columns])
     def test_non_utf8_source_raises_ingest_error(self, read, tmp_path):
         data = cdr_text([make_event()]).replace("call", "c\xe9ll").encode(
             "latin-1")
-        with pytest.raises(IngestError, match="CDR source is not UTF-8"):
-            read(data)
         path = tmp_path / "latin.csv"
         path.write_bytes(data)
         with pytest.raises(IngestError, match="latin.csv is not UTF-8"):
             read(path)
 
     def test_stream_source_is_refused(self):
-        # The fallback reads the source a second time.
-        with pytest.raises(IngestError, match="unsupported CDR source"):
-            read_cdr_columns(io.BytesIO(cdr_text([]).encode()))
+        # Only a path: the row reader reads the file a second time, and a
+        # worker reads its second half. Bytes are refused too.
+        data = cdr_text([]).encode()
+        for source in (io.BytesIO(data), data):
+            with pytest.raises(IngestError, match="unsupported CDR source"):
+                read_cdr_columns(source)
 
 
 def read_outcome(read, source, known):
@@ -686,11 +695,10 @@ class TestRowFallback:
         else:
             lines[-30:] = ["garbage,row"] * 30      # 1.5% of the rows
         data = ("\n".join([header, *lines]) + "\n").encode()
-        src = data
-        if source == "bom_path":
+        if source == "bom_path":    # else the file holds the rows alone
             data = codecs.BOM_UTF8 + data
-            src = tmp_path / "cdr.csv"
-            src.write_bytes(data)
+        src = tmp_path / "cdr.csv"
+        src.write_bytes(data)
         monkeypatch.setattr(ingest, "BLOCK_BYTES", 13_000)  # about 250 lines
         blocks = list(ingest._line_blocks(io.BytesIO(data), 13_000))
         assert len(blocks) > 5
@@ -714,9 +722,10 @@ class TestRowFallback:
         data = ("\n".join([header, *lines]) + "\n").encode()
         pos = len(("\n".join([header, *lines[:row]]) + "\n").encode())
         monkeypatch.setattr(ingest, "BLOCK_BYTES", block)
-        expected = read_outcome(oracle_read, data, known)
-        calls = spy_row_reader(monkeypatch)
-        assert read_outcome(columnar_read, data, known) == expected
+        with cdr_file(data) as path:
+            expected = read_outcome(oracle_read, path, known)
+            calls = spy_row_reader(monkeypatch)
+            assert read_outcome(columnar_read, path, known) == expected
         offset = block_start(data, pos, block)
         assert calls == [(offset, data[:offset].count(b"\n") - 1)]
 
@@ -735,10 +744,11 @@ class TestRowFallback:
         data = ("\n".join([header, *lines]) + "\n").encode()
         pos = len(("\n".join([header, *lines[:first]]) + "\n").encode())
         monkeypatch.setattr(ingest, "BLOCK_BYTES", block)
-        expected = read_outcome(oracle_read, data, known)
-        assert expected[0][0] is IngestError
-        calls = spy_row_reader(monkeypatch)
-        assert read_outcome(columnar_read, data, known) == expected
+        with cdr_file(data) as path:
+            expected = read_outcome(oracle_read, path, known)
+            assert expected[0][0] is IngestError
+            calls = spy_row_reader(monkeypatch)
+            assert read_outcome(columnar_read, path, known) == expected
         offset = block_start(data, pos, block)
         assert calls == [(offset, data[:offset].count(b"\n") - 1)]
 
@@ -783,8 +793,8 @@ READER_CASES = {
 CANONICAL_CASES = ("canonical", "no_trailing_newline", "crlf")
 
 
-def read_both_ways(source, monkeypatch, *, fast: bool):
-    """(read_cdr_columns result, parse_cdr result) for the same source.
+def read_both_ways(data, monkeypatch, *, fast: bool):
+    """(read_cdr_columns result, parse_cdr result) for the same file.
 
     A result is (events, report counts), or the error class and message.
     With ``fast``, the columnar read must not fall back to the row reader.
@@ -792,39 +802,31 @@ def read_both_ways(source, monkeypatch, *, fast: bool):
     def read(fn):
         report = IngestReport()
         try:
-            events = fn(source, known_towers={1, 2, 3}, report=report)
+            events = fn(path, known_towers={1, 2, 3}, report=report)
         except (IngestError, SchemaError) as exc:
             return type(exc), str(exc)
         return events, (report.rows, report.accepted, dict(report.rejects))
 
-    expected = read(lambda *a, **kw: list(parse_cdr(*a, **kw)))
-    if fast:
-        def no_fallback(*args, **kwargs):
-            raise AssertionError("row reader used on a canonical file")
-        monkeypatch.setattr(ingest, "_read_rows", no_fallback)
-    got = read(lambda *a, **kw: columns_as_events(read_cdr_columns(*a, **kw)))
+    with cdr_file(data) as path:
+        expected = read(oracle_read)
+        if fast:
+            def no_fallback(*args, **kwargs):
+                raise AssertionError("row reader used on a canonical file")
+            monkeypatch.setattr(ingest, "_read_rows", no_fallback)
+        got = read(columnar_read)
     return got, expected
 
 
 class TestByteBlockReader:
     @pytest.mark.parametrize("block", [1, 7, 64, None])
     @pytest.mark.parametrize("case", sorted(READER_CASES))
-    def test_bytes_read_as_parse_cdr_reads_them(self, monkeypatch, tmp_path,
-                                                case, block):
+    def test_bytes_read_as_parse_cdr_reads_them(self, monkeypatch, case, block):
         if block is not None:
             monkeypatch.setattr(ingest, "BLOCK_BYTES", block)
         data = READER_CASES[case](cdr_text(reader_events()).encode())
-        got, expected = read_both_ways(data, monkeypatch,
-                                       fast=case in CANONICAL_CASES)
-        assert got == expected
-        monkeypatch.undo()
-        if block is not None:
-            monkeypatch.setattr(ingest, "BLOCK_BYTES", block)
-        # A path is decoded as utf-8-sig, so a leading BOM is skipped.
-        path = tmp_path / "cdr.csv"
-        path.write_bytes(data)
+        # A leading BOM is skipped, so the file is canonical after it.
         got, expected = read_both_ways(
-            path, monkeypatch, fast=case in (*CANONICAL_CASES, "bom"))
+            data, monkeypatch, fast=case in (*CANONICAL_CASES, "bom"))
         assert got == expected
 
     def test_line_straddling_a_block_boundary(self, monkeypatch):
@@ -861,13 +863,15 @@ class TestByteBlockReader:
         header, *rows = desk_small_files[0]["cdr"].read_text().splitlines()
         data = ("\n".join([header, *rows * 8]) + "\n").encode()
         monkeypatch.setattr(ingest, "BLOCK_BYTES", 32_768)   # about 600 lines
-        read_cdr_columns(data[:100_000])     # first-call allocations
-        tracemalloc.start()
-        try:
-            columns = read_cdr_columns(data)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        with cdr_file(data[:100_000]) as path:
+            read_cdr_columns(path)      # first-call allocations
+        with cdr_file(data) as path:
+            tracemalloc.start()
+            try:
+                columns = read_cdr_columns(path)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
         size = sum(getattr(columns, f).nbytes for f in columns.__dataclass_fields__)
         assert len(columns) == 8 * len(rows)
         assert peak <= 1.3 * size
@@ -880,13 +884,15 @@ class TestByteBlockReader:
         header, *rows = desk_small_files[0]["cdr"].read_text().splitlines()
         data = ("\n".join([header, *rows * 8]) + "\n").encode()
         monkeypatch.setattr(ingest, "BLOCK_BYTES", 32_768)   # about 600 lines
-        read_cdr_columns(data[:100_000])     # first-call allocations
-        tracemalloc.start()
-        try:
-            columns = read_cdr_columns(data)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        with cdr_file(data[:100_000]) as path:
+            read_cdr_columns(path)      # first-call allocations
+        with cdr_file(data) as path:
+            tracemalloc.start()
+            try:
+                columns = read_cdr_columns(path)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
         size = sum(getattr(columns, f).nbytes for f in columns.__dataclass_fields__)
         assert len(columns) == 8 * len(rows)
         assert peak <= 1.16 * size
@@ -902,7 +908,8 @@ class TestByteBlockReader:
         path = tmp_path / "cdr.csv"
         path.write_text("\n".join([header, *rows]) + "\n")
         monkeypatch.setattr(ingest, "BLOCK_BYTES", 65_536)
-        read_cdr_columns(path.read_bytes()[:100_000])   # first-call allocations
+        with cdr_file(path.read_bytes()[:100_000]) as warm:
+            read_cdr_columns(warm)      # first-call allocations
         report = IngestReport()
         tracemalloc.start()
         try:
@@ -945,8 +952,9 @@ class TestByteBlockReader:
             capacities.append(capacity)
             resize(sink, capacity)
         monkeypatch.setattr(ingest._ColumnSink, "_resize", spy)
-        got = read_outcome(columnar_read, data, {1, 2, 3})
-        assert got == read_outcome(oracle_read, data, {1, 2, 3})
+        with cdr_file(data) as path:
+            got = read_outcome(columnar_read, path, {1, 2, 3})
+            assert got == read_outcome(oracle_read, path, {1, 2, 3})
         # Reserved at the first block, grown, then trimmed to the rows read.
         assert max(capacities) > capacities[0]
         assert capacities[-1] == len(events)
@@ -955,7 +963,7 @@ class TestByteBlockReader:
                                           monkeypatch):
         text = desk_small_files[0]["cdr"].read_text()
         report = IngestReport()
-        read_cdr_columns(text.encode(), report=report)
+        read_cdr_columns(desk_small_files[0]["cdr"], report=report)
         assert report.row_reader_from is None
         lines = text.splitlines()
         for row in (1, len(lines) - 1):
@@ -965,7 +973,8 @@ class TestByteBlockReader:
             monkeypatch.setattr(ingest, "BLOCK_BYTES", 13_000)
             calls = spy_row_reader(monkeypatch)
             report = IngestReport()
-            read_cdr_columns(data, report=report)
+            with cdr_file(data) as path:
+                read_cdr_columns(path, report=report)
             monkeypatch.undo()
             # The 1-based data row that starts the first non-canonical block.
             [(offset, rows_before)] = calls
@@ -1005,16 +1014,18 @@ def read_outcomes(data, known, monkeypatch):
     """(columns as lists, or the error class and message; the report) of
     a read split between two processes and of a read by one."""
     outcomes = []
-    for fork_bytes in (0, 1 << 62):
-        monkeypatch.setattr(ingest, "FORK_BYTES", fork_bytes)
-        report = IngestReport()
-        try:
-            columns = read_cdr_columns(data, known_towers=known, report=report)
-            got = [getattr(columns, f.name).tolist()
-                   for f in dataclasses.fields(columns)]
-        except (IngestError, SchemaError) as exc:
-            got = (type(exc), str(exc))
-        outcomes.append((got, report))
+    with cdr_file(data) as path:
+        for fork_bytes in (0, 1 << 62):
+            monkeypatch.setattr(ingest, "FORK_BYTES", fork_bytes)
+            report = IngestReport()
+            try:
+                columns = read_cdr_columns(path, known_towers=known,
+                                           report=report)
+                got = [getattr(columns, f.name).tolist()
+                       for f in dataclasses.fields(columns)]
+            except (IngestError, SchemaError) as exc:
+                got = (type(exc), str(exc))
+            outcomes.append((got, report))
     return outcomes
 
 

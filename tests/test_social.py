@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crowdcdr import social
-from crowdcdr.errors import AnalysisError, SeparationError
+from crowdcdr.errors import AnalysisError, ConvergenceError, SeparationError
 from crowdcdr.ingest import UNKNOWN_STATE, CdrColumns, read_cdr_columns
 from crowdcdr.social import (
     ContactTable,
@@ -70,7 +70,7 @@ class TestBuildNetwork:
             make_event(day=2, caller=20, callee=10),
             make_event(day=2, caller=10, callee=20, kind="text"),
         ]
-        net = build_network(from_events(events))
+        net = build_network(contact_table(from_events(events)))
         assert net.n_nodes == 2
         assert net.n_edges == 1
 
@@ -78,13 +78,13 @@ class TestBuildNetwork:
         ev = make_event(
             caller=10, callee=20, callee_customer=False, callee_state=0
         )
-        net = build_network(from_events([ev]))
+        net = build_network(contact_table(from_events([ev])))
         assert net.n_nodes == 1
         assert net.n_edges == 0
 
     def test_unknown_state_party_is_dropped(self):
         ev = make_event(caller_state=UNKNOWN_STATE, callee_state=3)
-        net = build_network(from_events([ev]))
+        net = build_network(contact_table(from_events([ev])))
         assert list(net.nodes()) == [ev.callee_id]
 
     def test_host_state_residents_excluded_on_request(self):
@@ -92,20 +92,20 @@ class TestBuildNetwork:
             make_event(caller=1, callee=2, caller_state=7, callee_state=7),
             make_event(caller=3, callee=4, caller_state=2, callee_state=2),
         ]
-        events = from_events(events)
-        net = build_network(events, exclude_local=True, local_state=7)
+        table = contact_table(from_events(events))
+        net = build_network(table, exclude_local=True, local_state=7)
         assert sorted(net.nodes()) == [3, 4]
         assert net.n_edges == 1
-        full = build_network(events, exclude_local=False, local_state=7)
+        full = build_network(table, exclude_local=False, local_state=7)
         assert full.n_nodes == 4
 
     def test_reconstructs_generated_tie_graph(self, desk_small_files):
         paths, truth = desk_small_files
-        events = read_cdr_columns(paths["cdr"])
-        net = build_network(events, exclude_local=False)
+        table = contact_table(read_cdr_columns(paths["cdr"]))
+        net = build_network(table, exclude_local=False)
         ref = network_from_truth(truth)
         assert dict_graph(net) == dict_graph(ref)
-        net_x = build_network(events, exclude_local=True, local_state=1)
+        net_x = build_network(table, exclude_local=True, local_state=1)
         ref_x = network_from_truth(truth, exclude=1)
         assert dict_graph(net_x) == dict_graph(ref_x)
 
@@ -137,25 +137,27 @@ class TestBuildNetwork:
         want = sets_from_inputs(np.array(node_id, np.int64),
                                 np.array(state, np.int64),
                                 np.array(edges, np.int64).reshape(-1, 2))
-        net = build_network(from_events(events), exclude_local=exclude_local,
-                            local_state=1)
+        net = build_network(contact_table(from_events(events)),
+                            exclude_local=exclude_local, local_state=1)
         assert dict_graph(net) == want
 
     def test_only_kept_parties_are_materialised(self):
         # One row in 100 has kept parties; the rest are host-state
-        # residents. Stacking both parties of every row would take 16
+        # residents. Stacking both parties of every pair would take 16
         # bytes a row for the ids alone.
         n = 200_000
         row = np.arange(n)
         zero = np.zeros(n, np.int64)
         kept = row % 100 == 0
-        events = CdrColumns(zero, row, row + n, zero.astype(bool), zero, zero,
-                            np.where(kept, 2, 1), np.where(kept, 3, 1),
-                            np.ones(n, bool), np.ones(n, bool))
-        build_network(from_events([make_event()]))    # first-call allocations
+        table = contact_table(CdrColumns(
+            zero, row, row + n, zero.astype(bool), zero, zero,
+            np.where(kept, 2, 1), np.where(kept, 3, 1),
+            np.ones(n, bool), np.ones(n, bool)))
+        # First-call allocations.
+        build_network(contact_table(from_events([make_event()])))
         tracemalloc.start()
         try:
-            net = build_network(events, exclude_local=True, local_state=1)
+            net = build_network(table, exclude_local=True, local_state=1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -191,8 +193,6 @@ class TestContactTable:
         table = contact_table(columns)
         assert network_arrays(build_network(
             table, exclude_local=exclude_local, local_state=1)) == want
-        assert network_arrays(build_network(
-            columns, exclude_local=exclude_local, local_state=1)) == want
 
     def test_table_holds_distinct_parties_and_pairs_in_first_order(self):
         columns = from_events([
@@ -210,9 +210,6 @@ class TestContactTable:
                         table.caller_state.tolist(),
                         table.callee_state.tolist())) \
             == [(5, 7, 2, 3), (7, 5, 4, 2)]
-        dropped = contact_table(columns, drop_state=2)
-        assert dropped.party_id.tolist() == [7, 7]
-        assert dropped.caller_id.size == 0
 
 
 class TestNetworkArrays:
@@ -560,6 +557,17 @@ class TestLogisticFit:
         w = [0.001, 0.002, 0.004, 0.1, 0.2, 0.3]
         with pytest.raises(SeparationError, match="separation"):
             fit_logistic(closed, w)
+
+    def test_iteration_cap_raises_convergence_error(self, monkeypatch):
+        # The two-group data converge in a few Newton steps, not in one.
+        closed, w = [1, 0, 1, 0], [0.01, 0.01, 0.1, 0.1]
+        weights = [0.5, 0.5, 0.3, 0.7]
+        assert fit_logistic(closed, w, weights=weights).n_iterations > 1
+        monkeypatch.setattr(social, "MAX_ITER", 1)
+        with pytest.raises(ConvergenceError,
+                           match="no convergence after 1 iterations") as exc:
+            fit_logistic(closed, w, weights=weights)
+        assert [row[0] for row in exc.value.trace] == [1]
 
 
 @pytest.fixture(scope="module")
