@@ -56,14 +56,13 @@ from .ingest import (
     IngestReport,
     ObservationColumns,
     StudyWindow,
-    daily_observations,
     is_int,
     load_projections,
     load_state_profiles,
     load_towers,
     local_state,
     mark_tower_activity,
-    read_cdr_columns,
+    read_cdr,
     write_columns,
     write_table,
 )
@@ -162,11 +161,16 @@ class RunManifest:
     reports it, of the process that ran each stage, after it; when a
     worker ran, ``workers`` holds the largest peak of the run's children.
     ``stages`` holds what a stage tells about its input: for ``load``,
+    how the CDR file was read and what was kept of it. That is
     ``row_reader_from``, the 1-based CDR data row from which the file was
     read by rows (None when it was read wholly in blocks), and
     ``split_row``, the one from which a worker's read was used (None when
-    one process read it); for ``ingest``, ``worker``, whether a worker
-    wrote its artifacts. ``failure`` holds ``failed_stage``, ``error`` and
+    one process read it); ``rows`` and ``accepted``, the CDR data rows
+    read and accepted; ``person_days``, ``parties`` and
+    ``contact_pairs``, the rows of the observations and of the contact
+    table's two parts; and ``active_towers``, the towers with accepted
+    traffic. For ``ingest`` it holds ``worker``, whether a worker wrote
+    its artifacts. ``failure`` holds ``failed_stage``, ``error`` and
     ``exit_code`` when the run stopped on a data or analysis error, and is
     empty otherwise.
     """
@@ -218,13 +222,16 @@ def config_digest(cfg: Mapping) -> str:
 class PipelineData:
     """Everything the analysis stages consume, loaded once.
 
-    The accepted CDR rows are not kept: ``observations`` holds one row
-    per (person, day) derived from them, ``contacts`` the parties and
-    pairs the network is built from, and ``towers`` their activity.
+    The accepted CDR rows are never held together: ``ingest.read_cdr``
+    reduces them block by block to ``observations``, one row per (person,
+    day), ``contacts``, the parties and pairs the network is built from,
+    and the towers with traffic, which set the activity of ``towers``.
+    ``Run.network`` lets go of ``contacts`` (sets it to None) once it has
+    built the network from it.
     """
 
     observations: ObservationColumns
-    contacts: social.ContactTable
+    contacts: social.ContactTable | None
     counts: dict
     towers: list
     profiles: dict
@@ -235,25 +242,24 @@ class PipelineData:
 
 
 # ---------------------------------------------------------------------------
-# The C allocator. ``report``'s peak resident size is reached in
-# ``load_pipeline_data``, while the CDR columns are still held. By default
-# glibc's malloc gives a block of 128 KiB or more its own mapping, but
-# raises that threshold to the size of each such block freed, up to
-# 32 MiB. Which arrays came from the heap then depended on the order of
-# earlier frees, and so did the peak: 96 to 104 MB on the 514k-row x10
-# desk cities, moving with the seed, the output path or an unrelated
-# import. Fixed thresholds, and a trimmed heap while the columns are
-# held, make it depend on the data. Under another C library nothing
+# The C allocator. By default glibc's malloc gives a block of 128 KiB or
+# more its own mapping, but raises that threshold to the size of each such
+# block freed, up to 32 MiB, so which arrays come from the heap depends on
+# the order of earlier frees. ``main`` fixes the threshold, and
+# ``load_pipeline_data`` derives what it derives after the CDR read with a
+# trimmed heap and an array per mapping. Under another C library nothing
 # changes.
 
 #: ``M_MMAP_THRESHOLD`` of glibc's malloc.h.
 _M_MMAP_THRESHOLD = -3
 
-#: The threshold outside ``_own_mappings``: the ceiling of glibc's own
-#: adjustment, so that large transients reuse heap pages from the start.
-_MMAP_THRESHOLD = 32 << 20
+#: The threshold outside ``_own_mappings``: above the transients of one
+#: CDR block (a 1 MiB block and its parsed table), which then reuse heap
+#: pages, and below the person-day columns of a large file's merge, which
+#: then go back to the system when freed instead of fragmenting the heap.
+_MMAP_THRESHOLD = 2 << 20
 
-#: The threshold while the CDR columns are held: glibc's initial one.
+#: The threshold inside ``_own_mappings``: glibc's initial one.
 _PEAK_MMAP_THRESHOLD = 128 << 10
 
 
@@ -309,29 +315,23 @@ def load_pipeline_data(input_dir: Path) -> PipelineData:
     towers = load_towers(towers_path)
     profiles = load_state_profiles(states_path)
     report = IngestReport()
-    columns = read_cdr_columns(
-        cdr,
-        window=window,
-        known_towers={t.tower_id for t in towers},
-        report=report,
-    )
+    cdr_data = read_cdr(cdr, window=window,
+                        known_towers={t.tower_id for t in towers}, report=report)
     if not report.accepted:
         raise IngestError(
             f"no accepted rows in {cdr}: {report.rows} rows, rejected "
             f"{dict(sorted(report.rejects.items()))}"
         )
     with _own_mappings():
-        towers = mark_tower_activity(
-            towers, set(np.unique(columns.tower_id).tolist()))
-        contacts = social.contact_table(columns)
-        daily = daily_observations(columns, window)
-        del columns     # the stages read only what was taken from it
+        towers = mark_tower_activity(towers, set(cdr_data.towers.tolist()))
+        daily = cdr_data.observations
+        counts = daily.unique_handsets()
     proj_path = input_dir / "projections.csv"
     projections = load_projections(proj_path) if proj_path.exists() else None
     return PipelineData(
         observations=daily,
-        contacts=contacts,
-        counts=daily.unique_handsets(),
+        contacts=cdr_data.contacts,
+        counts=counts,
         towers=towers,
         profiles=profiles,
         projections=projections,
@@ -372,11 +372,15 @@ class Run:
 
     @cached_property
     def network(self) -> social.SocialNetwork:
-        return social.build_network(
+        network = social.build_network(
             self.data.contacts,
             exclude_local=self.cfg["exclude_local"],
             local_state=self.data.local,
         )
+        # Nothing else reads the contact table; the later stages run
+        # without it.
+        self.data.contacts = None
+        return network
 
 
 # ---------------------------------------------------------------------------
@@ -769,9 +773,17 @@ def run_command(args) -> int:
                 for name in ("cdr", "towers", "states")
             }
             run.data = _timed(manifest, "load", load_pipeline_data, input_dir)
-            report = run.data.report
-            manifest.stages["load"] = {"row_reader_from": report.row_reader_from,
-                                       "split_row": report.split_row}
+            report, contacts = run.data.report, run.data.contacts
+            manifest.stages["load"] = {
+                "row_reader_from": report.row_reader_from,
+                "split_row": report.split_row,
+                "rows": report.rows,
+                "accepted": report.accepted,
+                "person_days": len(run.data.observations),
+                "parties": len(contacts.party_id),
+                "contact_pairs": len(contacts.caller_id),
+                "active_towers": sum(t.active for t in run.data.towers),
+            }
             # The writer pays for its fork where the reader's does.
             overlap = (stages[0] == "ingest" and len(stages) > 1
                        and (input_dir / "cdr.csv").stat().st_size

@@ -2,10 +2,12 @@
 
 The data model is shared by every downstream module:
 
-- ``CdrColumns``: accepted events (calls and texts) as one numpy array
-  per field; what ``read_cdr_columns`` returns. The analysis stages read
-  only what is taken from it: the daily observations, the towers with
-  traffic and ``social.ContactTable``.
+- ``CdrColumns``: events (calls and texts) as one numpy array per
+  field: what the generator writes, and the accepted rows of one block
+  of a CDR file. ``read_cdr`` reduces each block as soon as it is parsed
+  (``_Reduction``) and returns only what the analysis stages read: the
+  daily observations, the towers with traffic and
+  ``social.ContactTable``. No column as long as the file is ever made.
 - ``TowerSite``: tower coordinates plus an activity flag.
 - ``StateProfile``: per-state market share and the local-state marker.
 - ``ObservationColumns``: one row per (person, day) carrying the first
@@ -39,16 +41,17 @@ from typing import IO, BinaryIO, Callable, Iterable, Iterator, Mapping, Sequence
 import numpy as np
 
 from .errors import ConfigurationError, IngestError, SchemaError
+from .social import ContactTable
 from .worker import forked
 
 UNKNOWN_STATE = 0
 N_STATES = 23
 INT64_MIN, INT64_MAX = -(2 ** 63), 2 ** 63 - 1
 
-#: Bytes per block of ``read_cdr_columns``.
+#: Bytes per block of ``read_cdr``.
 BLOCK_BYTES = 1 << 20
 #: A CDR file of at least this many bytes is read by two processes (see
-#: ``read_cdr_columns``), and ``report`` writes its ingest artifacts in a
+#: ``read_cdr``), and ``report`` writes its ingest artifacts in a
 #: worker while the analysis stages run (``cli.run_command``).
 FORK_BYTES = 4 << 20
 #: Rows per batch of the row reader; its tolerance check runs at every
@@ -386,73 +389,256 @@ def _screen_block(
     )
 
 
-class _ColumnSink:
-    """``CdrColumns`` fields allocated once and filled part by part.
+@dataclass(eq=False)
+class _Reduction:
+    """What is kept of ``rows`` consecutive accepted rows.
 
-    A part that overflows them grows every field by at least half, in
-    place where the allocator can (``ndarray.resize`` reallocates), so
-    no list of parts is kept and nothing is joined at the end.
+    Three tables, each a list of columns; the last column of ``parties``
+    and ``pairs`` holds the position of each entry's first row, counted
+    from the first of the ``rows``:
+
+    - ``first``: (person, timestamp, tower, state) of the located
+      party's first event of each (person, day): the earliest, ties to
+      the smallest tower id and then to the first row; sorted by
+      (person, day);
+    - ``parties``: (id, state, position) of each distinct customer party,
+      sorted, at position 2 * row for a caller and 2 * row + 1 for a
+      callee, so that a row's caller comes before its callee;
+    - ``pairs``: (caller_id, callee_id, caller_state, callee_state,
+      position) of each distinct row whose parties are both customers,
+      sorted.
+
+    States are int8. ``towers`` holds the distinct tower ids, ascending.
+    Screening leaves no customer without a state, so every customer party
+    of an accepted row has one.
     """
 
-    def __init__(self) -> None:
-        self._fields = [np.empty(0, bool if f.name in _BOOL_FIELDS else np.int64)
-                        for f in fields(CdrColumns)]
-        self._rows = 0
+    rows: int
+    first: list[np.ndarray]
+    parties: list[np.ndarray]
+    pairs: list[np.ndarray]
+    towers: np.ndarray
 
     def __len__(self) -> int:
-        return self._rows
-
-    def _resize(self, capacity: int) -> None:
-        # The fields are never handed out before ``columns``, so no view
-        # of the old buffers can outlive the reallocation.
-        for column in self._fields:
-            column.resize(capacity, refcheck=False)
-
-    def reserve(self, capacity: int) -> None:
-        """Room for ``capacity`` rows in all, unless there is more."""
-        if capacity > len(self._fields[0]):
-            self._resize(capacity)
-
-    def add(self, part: CdrColumns) -> None:
-        start, end = self._rows, self._rows + len(part)
-        capacity = len(self._fields[0])
-        if end > capacity:
-            self._resize(max(end, capacity + capacity // 2))
-        for column, f in zip(self._fields, fields(CdrColumns)):
-            column[start:end] = getattr(part, f.name)
-        self._rows = end
-
-    def columns(self) -> CdrColumns:
-        """The rows added, trimmed to their number."""
-        self._resize(self._rows)
-        return CdrColumns(*self._fields)
-
-    def send(self, fh: BinaryIO) -> None:
-        """Write the rows added to ``fh``, field after field, as raw bytes."""
-        for column in self._fields:
-            fh.write(column[:self._rows])
-
-    def receive(self, fh: BinaryIO, rows: int) -> bool:
-        """Add ``rows`` rows that ``send`` wrote, read from ``fh`` straight
-        into the fields; False, and none added, when ``fh`` ends first."""
-        start, end = self._rows, self._rows + rows
-        self.reserve(end)
-        for column in self._fields:
-            part = column[start:end]
-            if fh.readinto(part) != part.nbytes:
-                return False
-        self._rows = end
-        return True
+        return len(self.first[0])
 
 
-def read_cdr_columns(
+def _grouped(ids: np.ndarray, minor: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The rows in (ids, minor) order, and the mask of the first row of
+    each run of equal (ids, minor) in that order; rows of a run keep their
+    order.
+
+    ``ids`` may be any int64 values: they enter the sort key as their
+    rank, so the key spans at most len(ids) times the span of ``minor``.
+    Both sorts are stable, so rows that are already sorted runs, as the
+    tables of a merge are, sort in about linear time.
+    """
+    order = np.argsort(ids, kind="stable")
+    key = ids[order]
+    np.cumsum(run_starts(key), out=key)     # the rank of each id, in place
+    minor = minor[order]
+    low = int(minor.min())
+    span = int(minor.max()) - low + 1
+    if (int(key[-1]) + 1) * span > INT64_MAX:
+        raise ValueError(f"{key[-1]} ids times a span of {span} overflows int64")
+    key *= span
+    key += minor
+    key -= low
+    del minor
+    by_key = np.argsort(key, kind="stable")
+    key.sort(kind="stable")                 # key[by_key], in place
+    starts = run_starts(key)
+    del key
+    # order[by_key], written over by_key a block at a time, so that no
+    # third array of this length is made.
+    for i in range(0, len(by_key), 1 << 16):
+        block = by_key[i:i + (1 << 16)]
+        block[:] = order[block]
+    return by_key, starts
+
+
+def _least(order: np.ndarray, starts: np.ndarray, *keys: np.ndarray) -> np.ndarray:
+    """Of each group of ``order`` (``starts`` marks where each begins), the
+    first row of those least in ``keys``, compared in turn."""
+    shared = starts.copy()                  # alone: a start followed by one
+    shared[:-1] &= starts[1:]
+    np.logical_not(shared, out=shared)
+    rows = order[shared]
+    if len(rows):
+        first = np.flatnonzero(starts[shared])
+        sizes = np.diff(first, append=len(rows))
+        best = np.ones(len(rows), bool)
+        for key in keys:
+            key = np.where(best, key[rows], INT64_MAX)
+            best &= key == np.repeat(np.minimum.reduceat(key, first), sizes)
+        best[best] = run_starts(np.repeat(np.arange(len(sizes)), sizes)[best])
+        shared[shared] = ~best
+    return order[~shared]
+
+
+def _take(table: list[np.ndarray], rows: np.ndarray) -> list[np.ndarray]:
+    """The columns of ``table`` at ``rows``; ``table`` lets go of each
+    column once it is taken, so one column at a time is held twice."""
+    taken = []
+    for i, column in enumerate(table):
+        table[i] = None
+        taken.append(column[rows])
+    return taken
+
+
+def _distinct(table: list[np.ndarray], order: np.ndarray,
+              starts: np.ndarray) -> list[np.ndarray]:
+    """The first row of each group, with the least position in it."""
+    starts = np.flatnonzero(starts)
+    least = np.minimum.reduceat(table.pop()[order], starts)
+    return [*_take(table, order[starts]), least]
+
+
+def _first_events(table: list[np.ndarray], start: int) -> list[np.ndarray]:
+    """``_Reduction.first`` of a table of located events in row order, or
+    of first-event tables end to end; the days count from ``start``."""
+    if not len(table[0]):
+        return table
+    person, ts, tower, _ = table
+    # A table of a merge holds at most one row of a (person, day), so in
+    # both cases the rows of a group are in the order of their rows.
+    day = ts - start
+    day //= 86400
+    day = day.astype(np.int32)
+    order, starts = _grouped(person, day)
+    del person, day
+    rows = _least(order, starts, ts, tower)
+    del ts, tower, order, starts
+    return _take(table, rows)
+
+
+def _distinct_parties(table: list[np.ndarray]) -> list[np.ndarray]:
+    """``_Reduction.parties`` of (id, state, position) rows."""
+    if not len(table[0]):
+        return table
+    return _distinct(table, *_grouped(table[0], table[1]))
+
+
+def _distinct_pairs(table: list[np.ndarray]) -> list[np.ndarray]:
+    """``_Reduction.pairs`` of (caller_id, callee_id, caller_state,
+    callee_state, position) rows."""
+    if not len(table[0]):
+        return table
+    caller, callee, caller_state, callee_state, _ = table
+    # The callee side as the dense rank of its (id, state, state) value.
+    callee = np.unique(pack_keys(np.unique(callee, return_inverse=True)[1],
+                                 caller_state, callee_state)[0],
+                       return_inverse=True)[1]
+    return _distinct(table, *_grouped(caller, callee))
+
+
+def _reduce_rows(rows: CdrColumns, start: int) -> _Reduction:
+    """The ``_Reduction`` of accepted rows, with window start ``start``."""
+    caller, callee = rows.caller_is_customer, rows.callee_is_customer
+    caller_state = rows.caller_state.astype(np.int8)
+    callee_state = rows.callee_state.astype(np.int8)
+    both = caller & callee
+    side = np.stack([caller, callee], axis=1).ravel()
+    return _Reduction(
+        len(rows),
+        _first_events([np.where(caller, rows.caller_id, rows.callee_id),
+                       rows.timestamp, rows.tower_id,
+                       np.where(caller, caller_state, callee_state)], start),
+        _distinct_parties([
+            np.stack([rows.caller_id, rows.callee_id], axis=1).ravel()[side],
+            np.stack([caller_state, callee_state], axis=1).ravel()[side],
+            np.flatnonzero(side)]),
+        _distinct_pairs([rows.caller_id[both], rows.callee_id[both],
+                         caller_state[both], callee_state[both],
+                         np.flatnonzero(both)]),
+        np.unique(rows.tower_id))
+
+
+def _merge(parts: list[_Reduction], start: int) -> _Reduction:
+    """The ``_Reduction`` of the rows of ``parts``, end to end.
+
+    ``parts`` is emptied, and each of its columns let go once it is
+    joined, so that the parts and their join are not held at once.
+    """
+    if len(parts) == 1:
+        return parts.pop()
+    offsets = list(itertools.accumulate((p.rows for p in parts), initial=0))
+
+    def joined(name: str, per_row: int = 0) -> list[np.ndarray]:
+        """The tables ``name`` of ``parts`` end to end, their positions
+        (``per_row`` a row, when given) shifted past the rows before."""
+        tables = [getattr(p, name) for p in parts]
+        shift = [0] * (len(tables[0]) - 1) + [per_row]
+        columns = []
+        for i, by in enumerate(shift):
+            columns.append(np.concatenate([t[i] + by * offset if by else t[i]
+                                           for t, offset in zip(tables, offsets)]))
+            for t in tables:
+                t[i] = None
+        return columns
+
+    # The first events last: they are the largest, and the parts' other
+    # tables are gone by then.
+    parties = _distinct_parties(joined("parties", 2))
+    pairs = _distinct_pairs(joined("pairs", 1))
+    merged = _Reduction(offsets[-1], _first_events(joined("first"), start),
+                        parties, pairs,
+                        np.unique(np.concatenate([p.towers for p in parts])))
+    parts.clear()
+    return merged
+
+
+class _Reductions:
+    """The reduction of the rows added so far, part after part.
+
+    The parts are merged into one whenever those after the first hold at
+    least as many first events as it does. So what is held stays within
+    about twice the reduction of the rows added, plus a part: it grows
+    with the person-days of the rows, not with their number.
+    """
+
+    def __init__(self, window: StudyWindow) -> None:
+        self._start = window.start
+        self._parts: list[_Reduction] = []
+
+    def add(self, part: _Reduction) -> None:
+        self._parts.append(part)
+        if sum(map(len, self._parts[1:])) >= len(self._parts[0]):
+            self.result()
+
+    def add_rows(self, rows: CdrColumns) -> None:
+        self.add(_reduce_rows(rows, self._start))
+
+    def result(self) -> _Reduction:
+        """The reduction of every row added, which is then all it holds."""
+        if not self._parts:
+            self._parts.append(_reduce_rows(CdrColumns(*(
+                np.empty(0, bool if f.name in _BOOL_FIELDS else np.int64)
+                for f in fields(CdrColumns))), self._start))
+        self._parts = [_merge(self._parts, self._start)]
+        return self._parts[0]
+
+
+@dataclass(frozen=True, eq=False)
+class ReducedCdr:
+    """What ``report`` keeps of a CDR file: the daily observations, the
+    contact table the network is built from, and the ids of the towers
+    with accepted traffic, ascending."""
+
+    observations: ObservationColumns
+    contacts: ContactTable
+    towers: np.ndarray
+
+
+def read_cdr(
     path: str | Path,
     *,
     window: StudyWindow = DEFAULT_WINDOW,
     known_towers: set[int] | None = None,
     report: IngestReport | None = None,
-) -> CdrColumns:
-    """Every accepted event of a comma-separated CDR file, as columns.
+) -> ReducedCdr:
+    """The daily observations, contact table and active towers of the
+    accepted events of a comma-separated CDR file.
 
     ``path`` is a ``str`` or a ``Path``; any other source raises
     IngestError. The file has a header row with the canonical column
@@ -469,29 +655,35 @@ def read_cdr_columns(
     same ``_screen_block``, and ``report.row_reader_from`` says where.
     Canonical blocks hold no quote, so no CSV field spans that cut.
 
+    Each screened block, and each batch of the row reader, is reduced as
+    soon as it is parsed (``_Reduction``), and the reductions are merged
+    as they come (``_Reductions``); input position is the last tie-break
+    of every merge. So no column as long as the file is ever made, and
+    memory grows with the person-days, parties and contact pairs, not
+    with the rows.
+
     A file of ``FORK_BYTES`` or more is read by two processes: a forked
-    worker screens the blocks after a block end near the middle (see
-    ``_split_point``), and this process those before it, then appends the
-    worker's rows and counts. The worker stops at its first non-canonical
-    block, and the row reader resumes there; at a non-canonical block
-    before the cut the worker is discarded, and if it fails, this process
-    reads its part. As the blocks are those of a read by one process, the
-    columns, the report and any error are too; ``report.split_row`` says
-    where the worker's rows begin.
+    worker reads and reduces the blocks after a block end near the middle
+    (see ``_split_point``), and this process those before it, then merges
+    the worker's reduction after its own. The worker stops at its first
+    non-canonical block, and the row reader resumes there; at a
+    non-canonical block before the cut the worker is discarded, and if it
+    fails, this process reads its part. As the blocks are those of a read
+    by one process, the result, the report and any error are too;
+    ``report.split_row`` says where the worker's rows begin.
 
-    The accepted rows are copied into columns allocated once, before the
-    first block is parsed, for the file's byte size at that block's
-    bytes per line; a later block or batch that overflows them grows
-    them geometrically. So the block transients are freed into a heap
-    that holds nothing else, and no list of parts is joined at the end.
-
-    ``window`` and ``known_towers`` (when given) reject events outside
-    them; ``report`` is filled with the row count, the accepted count and
-    the rejects by reason. More unparseable rows than ``MAX_BAD_FRACTION``
-    of the rows read raises IngestError, checked at every row number
-    divisible by ``ROW_BATCH`` and at the end; canonical rows always
-    parse. Text that is not UTF-8 or not CSV raises IngestError too, with
-    ``report`` holding the rows counted before it.
+    The observations are one per (person, day) of the located party (the
+    caller when a customer, else the callee), in (person, day) order,
+    with the tower of its earliest event that day; equal timestamps are
+    broken by the smallest tower id, then by input order. The contact
+    table is ``social.ContactTable``'s. ``window`` and ``known_towers``
+    (when given) reject events outside them; ``report`` is filled with
+    the row count, the accepted count and the rejects by reason. More
+    unparseable rows than ``MAX_BAD_FRACTION`` of the rows read raises
+    IngestError, checked at every row number divisible by ``ROW_BATCH``
+    and at the end; canonical rows always parse. Text that is not UTF-8
+    or not CSV raises IngestError too, with ``report`` holding the rows
+    counted before it.
     """
     if not isinstance(path, (str, Path)):
         raise IngestError(f"unsupported CDR source: {type(path)!r}")
@@ -500,7 +692,7 @@ def read_cdr_columns(
     # An id outside int64 matches no parsed row, so it can be left out.
     known = (None if known_towers is None else np.fromiter(
         (t for t in known_towers if INT64_MIN <= t <= INT64_MAX), np.int64))
-    out = _ColumnSink()
+    out = _Reductions(window)
     with open(path, "rb") as fh:
         resume = _read_blocks(path, fh, window, known, report, out)
     if resume is not None:
@@ -508,7 +700,23 @@ def read_cdr_columns(
         report.row_reader_from = rows + 1
         _read_rows(path, offset, usecols, rows, window=window,
                    known_towers=known, report=report, out=out)
-    return out.columns()
+    reduced = out.result()
+    del out
+    person, ts, tower, state = reduced.first
+    reduced.first = None
+    day = ts - window.start
+    del ts
+    day //= 86400
+    day += 1
+    parties = np.argsort(reduced.parties[-1])
+    pairs = np.argsort(reduced.pairs[-1])
+    return ReducedCdr(
+        ObservationColumns(person, state.astype(np.int64), day, tower),
+        ContactTable(*(c[parties].astype(np.int64, copy=False)
+                       for c in reduced.parties[:-1]),
+                     *(c[pairs].astype(np.int64, copy=False)
+                       for c in reduced.pairs[:-1])),
+        reduced.towers)
 
 
 def _split_point(fh: BinaryIO, size: int) -> int | None:
@@ -538,7 +746,7 @@ def _read_blocks(
     window: StudyWindow,
     known_towers: np.ndarray | None,
     report: IngestReport,
-    out: _ColumnSink,
+    out: _Reductions,
 ) -> tuple[int, list[int] | None, int] | None:
     """Screen the canonical blocks of the file at ``path``, open as ``fh``,
     into ``out``, with a worker for the part after ``_split_point``.
@@ -559,14 +767,14 @@ def _read_blocks(
     if cells is None:
         return 0, None, 0
     usecols = _header_index(iter([cells]))
-    screen = partial(_screen_blocks, usecols=usecols, size=size, window=window,
+    screen = partial(_screen_blocks, usecols=usecols, window=window,
                      known_towers=known_towers, report=report)
     # Leaving the block discards a worker whose part is not wanted.
     with (nullcontext() if cut is None
           else forked(partial(_read_part, path, cut, screen))) as pipe:
         offset, rows, done = screen(itertools.chain([rest], blocks), offset, 0,
                                     out=out)
-        part = _receive_part(pipe, out) if done else None
+        part = _receive_part(pipe) if done else None
     if part is None and done and cut is not None:
         # No worker, or it failed: its part is read here.
         fh.seek(cut)
@@ -574,7 +782,8 @@ def _read_blocks(
                                     rows, out=out)
     if part is None:
         return None if done else (offset, usecols, rows)
-    counts, stop = part
+    counts, stop, reduced = part
+    out.add(reduced)
     report.split_row = rows + 1
     report.rows += counts.rows
     report.accepted += counts.accepted
@@ -588,30 +797,24 @@ def _screen_blocks(
     rows: int,
     *,
     usecols: list[int],
-    size: int,
     window: StudyWindow,
     known_towers: np.ndarray | None,
     report: IngestReport,
-    out: _ColumnSink,
+    out: _Reductions,
 ) -> tuple[int, int, bool]:
     """Screen ``blocks``, the first at byte ``offset`` with ``rows`` rows
     before it, into ``out`` up to the first one that is not canonical.
 
     Returns that block's offset, the rows before it and False, or the end
-    and True when every block was canonical. The first block, when no row
-    comes before it, reserves ``out``'s rows for every byte up to
-    ``size`` at its own bytes per line.
+    and True when every block was canonical.
     """
     for block in blocks:
         if not block:
             continue
-        if not rows:
-            lines = max(block.count(b"\n"), 1)
-            out.reserve(-(-(size - offset) * lines // len(block)))
         table = _load_block(block, usecols)
         if table is None:
             return offset, rows, False
-        out.add(_screen_block(table, window, known_towers, report))
+        out.add_rows(_screen_block(table, window, known_towers, report))
         rows += len(table)
         offset += len(block)
     return offset, rows, True
@@ -620,35 +823,33 @@ def _screen_blocks(
 def _read_part(path: str | Path, start: int, screen: Callable,
                pipe: BinaryIO) -> None:
     """The worker's read: the canonical blocks of the file at ``path`` from
-    byte ``start`` on, screened by ``screen`` and sent through ``pipe``.
+    byte ``start`` on, screened by ``screen``, reduced, and sent through
+    ``pipe``.
 
     It sends, pickled, an ``IngestReport`` of its rows, the byte offset
     of its first non-canonical block (None when it read to the end) and
-    the number of accepted rows; then the rows, as ``_ColumnSink.send``
-    writes them.
+    the ``_Reduction`` of its accepted rows.
     """
-    report, out = IngestReport(), _ColumnSink()
+    report, out = IngestReport(), _Reductions(screen.keywords["window"])
     with open(path, "rb") as fh:
         fh.seek(start)
         offset, _, done = screen(_line_blocks(fh, BLOCK_BYTES, start), start,
                                  0, report=report, out=out)
-    pickle.dump((report, None if done else offset, len(out)), pipe)
-    out.send(pipe)
+    pickle.dump((report, None if done else offset, out.result()), pipe,
+                pickle.HIGHEST_PROTOCOL)
 
 
 def _receive_part(
-    pipe: BinaryIO | None, out: _ColumnSink
-) -> tuple[IngestReport, int | None] | None:
-    """The report and the stop offset that ``_read_part`` sent, after its
-    rows are added to ``out``; None when there is no worker or it sent
-    less than all of it."""
+    pipe: BinaryIO | None,
+) -> tuple[IngestReport, int | None, _Reduction] | None:
+    """The report, the stop offset and the reduction that ``_read_part``
+    sent; None when there is no worker or it sent less than all of it."""
     if pipe is None:
         return None
     try:
-        report, stop, rows = pickle.load(pipe)
+        return pickle.load(pipe)
     except (EOFError, pickle.UnpicklingError):
         return None
-    return (report, stop) if out.receive(pipe, rows) else None
 
 
 def _read_rows(
@@ -660,7 +861,7 @@ def _read_rows(
     window: StudyWindow,
     known_towers: np.ndarray | None,
     report: IngestReport,
-    out: _ColumnSink,
+    out: _Reductions,
 ) -> None:
     """The accepted rows of the file at ``path`` from byte ``offset`` on,
     read by rows and added to ``out``.
@@ -683,7 +884,7 @@ def _read_rows(
         for row in reader:
             rows += 1
             if rows % ROW_BATCH == 0:
-                out.add(_screen_block(batch[:held], window, known_towers, report))
+                out.add_rows(_screen_block(batch[:held], window, known_towers, report))
                 held = 0
                 if bad > MAX_BAD_FRACTION * rows:
                     report.rows += 1    # the row the check stops at is read
@@ -696,7 +897,7 @@ def _read_rows(
                 report.rejects["unparseable"] += 1
             else:
                 held += 1
-    out.add(_screen_block(batch[:held], window, known_towers, report))
+    out.add_rows(_screen_block(batch[:held], window, known_towers, report))
     if rows and bad / rows > MAX_BAD_FRACTION:
         raise _tolerance_error(bad, rows)
 
@@ -745,7 +946,7 @@ def unpack_keys(key: np.ndarray, bounds: Sequence[tuple[int, int]]) -> list[np.n
 class ObservationColumns:
     """Daily observations as one int64 array per field.
 
-    Both producers, ``daily_observations`` and
+    Both producers, ``read_cdr`` and
     ``synth.GroundTruth.observations``, give one row per (person, day) in
     (person, day) order. The consumers accept rows in any order and sort
     only rows that are not in that order.
@@ -770,38 +971,6 @@ class ObservationColumns:
         key, sizes = np.unique(key, return_counts=True)
         state, day = unpack_keys(key, bounds)
         return dict(zip(zip(state.tolist(), day.tolist()), sizes.tolist()))
-
-
-def daily_observations(
-    columns: CdrColumns, window: StudyWindow = DEFAULT_WINDOW
-) -> ObservationColumns:
-    """One observation per (person, day) of the located party: the caller
-    when a customer, else the callee.
-
-    The observation keeps the tower of the person's earliest event that
-    day; equal timestamps are broken by the smallest tower_id, so the
-    result does not depend on input order. Rows come out in (person, day)
-    order. One stable sort on the person and a key packing (timestamp,
-    tower rank) puts each (person, day)'s earliest event, ties to the
-    smallest tower and then to input order, first in its group; the day
-    grows with the timestamp, so it needs no sort key of its own.
-    ValueError when the timestamp span times the tower count overflows
-    int64, which window-screened events never do.
-    """
-    caller, tower = columns.caller_is_customer, columns.tower_id
-    person = np.where(caller, columns.caller_id, columns.callee_id)
-    order = np.lexsort((
-        pack_keys(columns.timestamp, np.unique(tower, return_inverse=True)[1])[0],
-        person))
-    order = order[(caller | columns.callee_is_customer)[order]]
-    day = (columns.timestamp[order] - window.start) // 86400 + 1
-    starts = run_starts(person[order], day)
-    first = order[starts]
-    # Each full-length array goes before the next is made.
-    del order
-    day, person = day[starts], person[first]
-    state = np.where(caller, columns.caller_state, columns.callee_state)[first]
-    return ObservationColumns(person, state, day, tower[first])
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,6 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import AnalysisError, ConvergenceError, SeparationError
-from .ingest import CdrColumns, UNKNOWN_STATE
 
 Z_95 = 1.96
 
@@ -156,54 +155,6 @@ class ContactTable:
     callee_id: np.ndarray
     caller_state: np.ndarray
     callee_state: np.ndarray
-
-
-def contact_table(columns: CdrColumns) -> ContactTable:
-    """The contact table of CDR columns.
-
-    Each side's parties are made distinct on their own, and the two
-    short lists are then merged by position, the callee of a row just
-    after its caller, so no array holds both parties of every row.
-    """
-    caller_ok = (columns.caller_is_customer
-                 & (columns.caller_state != UNKNOWN_STATE))
-    callee_ok = (columns.callee_is_customer
-                 & (columns.callee_state != UNKNOWN_STATE))
-    callers = _distinct(caller_ok, [columns.caller_id], [columns.caller_state])
-    callees = _distinct(callee_ok, [columns.callee_id], [columns.callee_state])
-    # Position 2 * row for a caller, 2 * row + 1 for a callee.
-    by_position = np.argsort(np.concatenate([2 * callers[0], 2 * callees[0] + 1]))
-    party_id, party_state = (np.concatenate(side)[by_position]
-                             for side in zip(callers[1], callees[1]))
-    first = _first_rows(party_id, party_state)
-    _, pairs = _distinct(caller_ok & callee_ok,
-                         [columns.caller_id, columns.callee_id],
-                         [columns.caller_state, columns.callee_state])
-    return ContactTable(party_id[first], party_state[first], *pairs)
-
-
-def _distinct(ok: np.ndarray, ids: list[np.ndarray], states: list[np.ndarray]
-              ) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Of the rows where ``ok`` is set, the first of each distinct tuple of
-    id and state values: their positions, and those values.
-
-    States (0..23) are sorted as int8, which keeps the sort's copies small.
-    """
-    values = [c[ok] for c in ids] + [c[ok].astype(np.int8) for c in states]
-    first = _first_rows(*values)
-    return (np.flatnonzero(ok)[first],
-            [v[first].astype(np.int64) for v in values])
-
-
-def _first_rows(*keys: np.ndarray) -> np.ndarray:
-    """Ascending positions of the first row of each distinct key tuple."""
-    order = np.lexsort(keys[::-1])      # stable: ties keep row order
-    starts = np.ones(order.size, bool)
-    for key in keys:                    # one sorted key at a time
-        key = key[order]
-        starts[1:] &= key[1:] == key[:-1]
-    starts[1:] = ~starts[1:]
-    return np.sort(order[starts])
 
 
 def build_network(

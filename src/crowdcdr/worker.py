@@ -1,12 +1,13 @@
 """A forked worker process: how ``report`` puts a second core to work.
 
 Two pieces of ``report`` run in a forked child when the CDR file is large
-enough (``ingest.FORK_BYTES``): the second half of the CDR read, in
-``ingest.read_cdr_columns``, and the ingest artifacts, written by
-``cli.run_command`` while the analysis stages run. Each worker runs the
-code the process would otherwise run itself and sends what it made
-through a pipe; when a worker fails, or sends less than it should, the
-parent does the work itself. So a worker changes no result.
+enough (``ingest.FORK_BYTES``): the read of the second half of the CDR,
+in ``ingest.read_cdr``, which sends back the reduction of its rows, not
+the rows; and the ingest artifacts, written by ``cli.run_command`` while
+the analysis stages run. Each worker runs the code the process would
+otherwise run itself and sends what it made through a pipe; when a
+worker fails, or sends less than it should, the parent does the work
+itself. So a worker changes no result.
 """
 
 from __future__ import annotations

@@ -27,13 +27,15 @@ from crowdcdr.errors import (ConfigurationError, EstimationError, IngestError,
                              SchemaError)
 from crowdcdr.ingest import (_BOOL_FIELDS, CDR_COLUMNS, DEFAULT_WINDOW,
                              MAX_BAD_FRACTION, UNKNOWN_STATE, CdrColumns, IngestReport,
-                             ObservationColumns, StateProfile, StudyWindow,
+                             ObservationColumns, ReducedCdr, StateProfile,
+                             StudyWindow,
                              TowerSite, _parse_bool,
                              _parse_int, _parse_state, _reading,
                              _tolerance_error, pack_keys, run_starts,
                              unpack_keys)
 from crowdcdr.sbm import DEMO_P_OUT, GroupBiasDemo, group_structure_bias
-from crowdcdr.social import SocialNetwork, TripleCensus, Triples, transitivity
+from crowdcdr.social import (ContactTable, SocialNetwork, TripleCensus,
+                             Triples, transitivity)
 from crowdcdr.spatial import CoLocationSeries, correlate
 
 BASE_TS = DEFAULT_WINDOW.start
@@ -176,9 +178,7 @@ def parse_cdr(
 
     Yields events lazily in file order; the input is never materialized,
     so a caller that consumes the stream as it goes runs in constant
-    memory. That promise covers this streaming API only: ``crowdcdr
-    report`` reads the file with ``read_cdr_columns`` and holds every
-    accepted event in memory as columns.
+    memory.
     """
     if report is None:
         report = IngestReport()
@@ -206,7 +206,7 @@ def parse_cdr(
 def cdr_file(data: bytes) -> Iterator[Path]:
     """``data`` written to a temporary ``cdr.csv``, removed on exit.
 
-    ``ingest.read_cdr_columns`` reads only paths. The file gets a
+    ``ingest.read_cdr`` reads only paths. The file gets a
     directory of its own, not ``tmp_path``: Hypothesis rejects a
     function-scoped fixture in a ``@given`` test.
     """
@@ -228,6 +228,116 @@ def from_events(events: Iterable[CdrEvent]) -> CdrColumns:
         col.astype(bool) if f.name in _BOOL_FIELDS else col
         for f, col in zip(fields(CdrColumns), table)
     ))
+
+
+# ---------------------------------------------------------------------------
+# The column oracles of ``ingest.read_cdr``: what ``report`` derived from
+# all accepted rows at once, before the reader reduced each block.
+
+
+def daily_observations(
+    columns: CdrColumns, window: StudyWindow = DEFAULT_WINDOW
+) -> ObservationColumns:
+    """One observation per (person, day) of the located party: the caller
+    when a customer, else the callee.
+
+    The observation keeps the tower of the person's earliest event that
+    day; equal timestamps are broken by the smallest tower_id, so the
+    result does not depend on input order. Rows come out in (person, day)
+    order. One stable sort on the person and a key packing (timestamp,
+    tower rank) puts each (person, day)'s earliest event, ties to the
+    smallest tower and then to input order, first in its group; the day
+    grows with the timestamp, so it needs no sort key of its own.
+    ValueError when the timestamp span times the tower count overflows
+    int64, which window-screened events never do.
+    """
+    caller, tower = columns.caller_is_customer, columns.tower_id
+    person = np.where(caller, columns.caller_id, columns.callee_id)
+    order = np.lexsort((
+        pack_keys(columns.timestamp, np.unique(tower, return_inverse=True)[1])[0],
+        person))
+    order = order[(caller | columns.callee_is_customer)[order]]
+    day = (columns.timestamp[order] - window.start) // 86400 + 1
+    starts = run_starts(person[order], day)
+    first = order[starts]
+    # Each full-length array goes before the next is made.
+    del order
+    day, person = day[starts], person[first]
+    state = np.where(caller, columns.caller_state, columns.callee_state)[first]
+    return ObservationColumns(person, state, day, tower[first])
+
+
+def contact_table(columns: CdrColumns) -> ContactTable:
+    """The contact table of CDR columns.
+
+    Each side's parties are made distinct on their own, and the two
+    short lists are then merged by position, the callee of a row just
+    after its caller, so no array holds both parties of every row.
+    """
+    caller_ok = (columns.caller_is_customer
+                 & (columns.caller_state != UNKNOWN_STATE))
+    callee_ok = (columns.callee_is_customer
+                 & (columns.callee_state != UNKNOWN_STATE))
+    callers = _distinct(caller_ok, [columns.caller_id], [columns.caller_state])
+    callees = _distinct(callee_ok, [columns.callee_id], [columns.callee_state])
+    # Position 2 * row for a caller, 2 * row + 1 for a callee.
+    by_position = np.argsort(np.concatenate([2 * callers[0], 2 * callees[0] + 1]))
+    party_id, party_state = (np.concatenate(side)[by_position]
+                             for side in zip(callers[1], callees[1]))
+    first = _first_rows(party_id, party_state)
+    _, pairs = _distinct(caller_ok & callee_ok,
+                         [columns.caller_id, columns.callee_id],
+                         [columns.caller_state, columns.callee_state])
+    return ContactTable(party_id[first], party_state[first], *pairs)
+
+
+def _distinct(ok: np.ndarray, ids: list[np.ndarray], states: list[np.ndarray]
+              ) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Of the rows where ``ok`` is set, the first of each distinct tuple of
+    id and state values: their positions, and those values.
+
+    States (0..23) are sorted as int8, which keeps the sort's copies small.
+    """
+    values = [c[ok] for c in ids] + [c[ok].astype(np.int8) for c in states]
+    first = _first_rows(*values)
+    return (np.flatnonzero(ok)[first],
+            [v[first].astype(np.int64) for v in values])
+
+
+def _first_rows(*keys: np.ndarray) -> np.ndarray:
+    """Ascending positions of the first row of each distinct key tuple."""
+    order = np.lexsort(keys[::-1])      # stable: ties keep row order
+    starts = np.ones(order.size, bool)
+    for key in keys:                    # one sorted key at a time
+        key = key[order]
+        starts[1:] &= key[1:] == key[:-1]
+    starts[1:] = ~starts[1:]
+    return np.sort(order[starts])
+
+
+def contact_rows(table: ContactTable) -> tuple[list, list]:
+    """The (id, state) parties and the (caller_id, callee_id,
+    caller_state, callee_state) pairs of a contact table, in order."""
+    return (list(zip(table.party_id.tolist(), table.party_state.tolist())),
+            list(zip(table.caller_id.tolist(), table.callee_id.tolist(),
+                     table.caller_state.tolist(), table.callee_state.tolist())))
+
+
+def reduced_rows(cdr: ReducedCdr) -> tuple:
+    """(observation rows, contact rows, tower ids) of ``read_cdr``'s
+    result, as lists, in order."""
+    return (observation_rows(cdr.observations), contact_rows(cdr.contacts),
+            cdr.towers.tolist())
+
+
+def events_reduced(events: Iterable[CdrEvent],
+                   window: StudyWindow = DEFAULT_WINDOW) -> tuple:
+    """What ``reduced_rows`` gives for a file whose accepted events are
+    ``events``: the column oracles over all of them."""
+    columns = from_events(events)
+    return (observation_rows(daily_observations(columns, window)),
+            contact_rows(contact_table(columns)),
+            np.unique(columns.tower_id).tolist())
 
 
 def ts_on_day(day: int, offset: int = 0) -> int:
@@ -624,7 +734,7 @@ def dedupe_daily(
 ) -> ObservationColumns:
     """Collapse events to at most one observation per (person, day).
 
-    The dict-based oracle of ``ingest.daily_observations``: the earliest
+    The dict-based oracle of ``ingest.read_cdr``'s observations: the earliest
     event's tower, equal timestamps broken by the smallest tower_id,
     output sorted by (person, day).
     """

@@ -47,6 +47,15 @@ def manifest_digests(path: Path) -> dict[str, str]:
     return {name: rec["sha256"] for name, rec in blob["outputs"].items()}
 
 
+def how_read(path: Path) -> dict:
+    """A manifest's ``stages``, with ``load`` cut to how the CDR file was
+    read (its counts are checked against the artifacts on their own)."""
+    stages = read_json(path)["stages"]
+    stages["load"] = {k: stages["load"][k]
+                      for k in ("row_reader_from", "split_row")}
+    return stages
+
+
 def timed_stages(outdir: Path, command: str) -> set[str]:
     return set(read_json(outdir / f"manifest_{command}.json")["timings_s"])
 
@@ -338,12 +347,34 @@ class TestReport:
             report_dir / "summary.json")
         assert manifest_digests(out / "manifest_report.json") == \
             manifest_digests(report_dir / "manifest_report.json")
-        assert read_json(report_dir / "manifest_report.json")["stages"] == {
+        assert how_read(report_dir / "manifest_report.json") == {
             "load": {"row_reader_from": None, "split_row": None},
             "ingest": {"worker": False}}
-        assert read_json(out / "manifest_report.json")["stages"] == {
+        assert how_read(out / "manifest_report.json") == {
             "load": {"row_reader_from": 1, "split_row": None},
             "ingest": {"worker": False}}
+        # What was kept of the file does not depend on how it was read.
+        assert read_json(out / "manifest_report.json")["stages"]["load"] == {
+            **read_json(report_dir / "manifest_report.json")["stages"]["load"],
+            "row_reader_from": 1}
+
+    def test_load_counts_match_the_artifacts(self, gen_dir, report_dir):
+        load = read_json(report_dir / "manifest_report.json")["stages"]["load"]
+        ingest_report = read_json(report_dir / "ingest_report.json")
+        assert (load["rows"], load["accepted"], load["active_towers"]) == (
+            ingest_report["rows"], ingest_report["accepted"],
+            ingest_report["towers_active"])
+        assert load["person_days"] == len(
+            read_rows(report_dir / "observations.csv"))
+        assert load["person_days"] == read_json(
+            report_dir / "summary.json")["person_days"]
+        contacts = cli.load_pipeline_data(gen_dir).contacts
+        assert (load["parties"], load["contact_pairs"]) == (
+            len(contacts.party_id), len(contacts.caller_id))
+        # Every node of the network is a party, and every edge a pair.
+        fit = read_json(report_dir / "social_fit.json")
+        assert 0 < fit["n_nodes"] <= load["parties"]
+        assert 0 < fit["n_edges"] <= load["contact_pairs"]
 
     def test_load_keeps_no_cdr_columns(self, gen_dir):
         def live_columns() -> int:
@@ -493,7 +524,7 @@ class TestWorkers:
         assert proc.returncode == 0
         assert manifest_digests(out / "manifest_report.json") == \
             manifest_digests(report_dir / "manifest_report.json")
-        assert read_json(out / "manifest_report.json")["stages"]["load"] == {
+        assert how_read(out / "manifest_report.json")["load"] == {
             "row_reader_from": 1, "split_row": None}
 
     def test_tolerance_error_after_the_cut_exits_3(self, gen_dir, tmp_path):
@@ -554,7 +585,7 @@ class TestSplitManifest:
         capsys.readouterr()
         blob = read_json(out / "manifest_report.json")
         # The header and the rows before the cut end in a line end each.
-        assert blob["stages"] == {
+        assert how_read(out / "manifest_report.json") == {
             "load": {"row_reader_from": None,
                      "split_row": data[:cut].count(b"\n")},
             "ingest": {"worker": True}}

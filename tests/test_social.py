@@ -15,14 +15,13 @@ from hypothesis import strategies as st
 
 from crowdcdr import social
 from crowdcdr.errors import AnalysisError, ConvergenceError, SeparationError
-from crowdcdr.ingest import UNKNOWN_STATE, CdrColumns, read_cdr_columns
+from crowdcdr.ingest import UNKNOWN_STATE, CdrColumns, read_cdr
 from crowdcdr.social import (
     ContactTable,
     SocialNetwork,
     Triples,
     build_network,
     census_triples,
-    contact_table,
     closed_fraction,
     enumerate_connected_triples,
     fit_closure_model,
@@ -31,8 +30,9 @@ from crowdcdr.social import (
     transitivity,
 )
 from helpers import (brute_force_triples, build_network_oracle,
-                     census_oracle, dict_graph, from_events, make_event,
-                     network_from_truth, subsample_oracle, triple_rows)
+                     census_oracle, contact_table, dict_graph, from_events,
+                     make_event, network_from_truth, subsample_oracle,
+                     triple_rows)
 from helpers import enumerate_connected_triples as triples_oracle
 
 LN_3_OVER_7 = math.log(3.0 / 7.0)
@@ -101,7 +101,7 @@ class TestBuildNetwork:
 
     def test_reconstructs_generated_tie_graph(self, desk_small_files):
         paths, truth = desk_small_files
-        table = contact_table(read_cdr_columns(paths["cdr"]))
+        table = read_cdr(paths["cdr"]).contacts
         net = build_network(table, exclude_local=False)
         ref = network_from_truth(truth)
         assert dict_graph(net) == dict_graph(ref)

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from crowdcdr import attendance as att
 from crowdcdr import synth
 from crowdcdr.errors import ConfigurationError
-from crowdcdr.ingest import read_cdr_columns
+from crowdcdr.ingest import IngestReport, read_cdr
 from crowdcdr.synth import ScenarioConfig, StateSpec
 from helpers import (activity_slots, cell_counts, colocation_probability,
                      estimate_daily_use, scenario_to_json,
@@ -122,7 +122,9 @@ class TestValidation:
         cfg.validate()
         paths, truth = synth.generate(cfg, tmp_path)
         assert all(v == 0 for v in truth.visible.values())
-        assert len(read_cdr_columns(paths["cdr"])) == 0
+        report = IngestReport()
+        read_cdr(paths["cdr"], report=report)
+        assert report.accepted == 0
         assert sum(truth.true_total.values()) > 0
 
     def test_config_json_roundtrip(self, tmp_path):
