@@ -27,7 +27,6 @@ import argparse
 import ctypes
 import hashlib
 import json
-import pickle
 import resource
 import sys
 import time
@@ -474,7 +473,8 @@ def stage_social(run: Run) -> tuple[dict[str, Path], social.LogisticFit]:
     # The series first, so that data with no stays fails as it does in
     # the attendance stage.
     series, net, cfg, outdir = run.series, run.network, run.cfg, run.outdir
-    census = social.census_triples(net)
+    triples, states = social.enumerate_connected_triples(net), net.states()
+    census = social.census_triples(triples, states)
     out = {}
     out["social_census"] = outdir / "social_census.csv"
     write_table(
@@ -484,10 +484,9 @@ def stage_social(run: Run) -> tuple[dict[str, Path], social.LogisticFit]:
             (s, census.closed.get(s, 0), census.open.get(s, 0),
              social.transitivity(census, s), social.closed_fraction(census, s),
              series.representation.get(s, ""))
-            for s in net.states()
+            for s in states
         ],
     )
-    triples = social.enumerate_connected_triples(net)
     fit = social.fit_closure_model(
         triples, series.representation, seed=cfg["subsample_seed"],
     )
@@ -707,12 +706,13 @@ def _run_stage(run: Run, manifest: RunManifest, stage: str) -> None:
         manifest.add_output(name, path)
 
 
-def _write_ingest(run: Run, pipe) -> None:
-    """The ingest stage, as the writer worker runs it: the manifest of its
-    timing, peak and outputs goes back through ``pipe``."""
-    part = RunManifest("ingest")
-    _run_stage(run, part, "ingest")
-    pickle.dump(part, pipe)
+def _write_ingest(run: Run, manifest: RunManifest) -> RunManifest:
+    """Run the ingest stage and record it in ``manifest``, which is
+    returned: by the writer worker, its copy, with its own timing, peak
+    and outputs; where this process redoes it, the run's manifest, so
+    that a failure here is recorded as the ingest stage's."""
+    _run_stage(run, manifest, "ingest")
+    return manifest
 
 
 def _run_stages(run: Run, manifest: RunManifest, stages: Sequence[str],
@@ -723,8 +723,8 @@ def _run_stages(run: Run, manifest: RunManifest, stages: Sequence[str],
     this process runs the rest; they only read ``run.data``. The worker
     is joined once they have ended, also on an error, and its stage is
     recorded before theirs, as a run in one process records it. A worker
-    that failed is replaced by the stage run here, so that it fails, or
-    not, as it would have in one process.
+    that failed is replaced by the stage run here (``worker.forked``), so
+    that it fails, or not, as it would have in one process.
     """
     if not overlap:
         for stage in stages:
@@ -733,21 +733,16 @@ def _run_stages(run: Run, manifest: RunManifest, stages: Sequence[str],
                 manifest.stages["ingest"] = {"worker": False}
         return
     later = RunManifest(manifest.command)
-    with forked(partial(_write_ingest, run)) as pipe:
+    with forked(partial(_write_ingest, run, manifest)) as result:
         try:
             for stage in stages[1:]:
                 _run_stage(run, later, stage)
         finally:
-            try:
-                part = pickle.load(pipe) if pipe else None
-            except (EOFError, pickle.UnpicklingError):
-                part = None
-            if part is None:
-                _run_stage(run, manifest, "ingest")
-            else:
-                manifest.absorb(part)
+            written, worker = result()
+            if worker:
+                manifest.absorb(written)
                 run.results["ingest"] = None
-            manifest.stages["ingest"] = {"worker": part is not None}
+            manifest.stages["ingest"] = {"worker": worker}
             manifest.absorb(later)
 
 

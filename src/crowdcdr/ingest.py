@@ -3,8 +3,8 @@
 The data model is shared by every downstream module:
 
 - ``CdrColumns``: events (calls and texts) as one numpy array per
-  field: what the generator writes, and the accepted rows of one block
-  of a CDR file. ``read_cdr`` reduces each block as soon as it is parsed
+  field: what the generator makes and ``write_cdr`` writes.
+  ``read_cdr`` reduces each parsed block of a CDR file at once
   (``_Reduction``) and returns only what the analysis stages read: the
   daily observations, the towers with traffic and
   ``social.ContactTable``. No column as long as the file is ever made.
@@ -29,7 +29,6 @@ import io
 import itertools
 import math
 import os
-import pickle
 import warnings
 from collections import Counter
 from contextlib import contextmanager, nullcontext
@@ -212,7 +211,7 @@ _CELL_PARSERS = (_parse_int, _parse_int, _parse_int, _parse_kind, _parse_int,
                  _parse_int, _parse_state, _parse_state, _parse_flag, _parse_flag)
 
 
-#: Reject reasons of a parsed row, in the order ``_screen_block`` tests them.
+#: Reject reasons of a parsed row, in the order ``_reduce_block`` tests them.
 _ROW_REJECTS = ("negative_duration", "text_with_duration", "outside_window",
                 "unknown_tower", "no_customer_party", "customer_without_state")
 
@@ -254,8 +253,6 @@ class CdrColumns:
         return cls(*(np.concatenate([getattr(p, f.name) for p in parts])
                      for f in fields(cls)))
 
-
-_BOOL_FIELDS = ("is_text", "caller_is_customer", "callee_is_customer")
 
 #: One parsed block or batch of rows: the numeric fields as int64;
 #: ``kind`` and the customer flags as ASCII bytes, so that only their
@@ -350,43 +347,6 @@ def _load_block(block: bytes, usecols: list[int]) -> np.ndarray | None:
         if not ((table[f] >= 0) & (table[f] <= N_STATES)).all():
             return None
     return table
-
-
-def _screen_block(
-    table: np.ndarray,
-    window: StudyWindow,
-    known_towers: np.ndarray | None,
-    report: IngestReport,
-) -> CdrColumns:
-    """The accepted rows of a canonical block; the rest counted by reason."""
-    ts, duration, tower = table["timestamp"], table["duration"], table["tower_id"]
-    caller_state, callee_state = table["caller_state"], table["callee_state"]
-    is_text = table["kind"] == b"text"
-    caller_cust = table["caller_is_customer"] == b"1"
-    callee_cust = table["callee_is_customer"] == b"1"
-    unknown = (np.zeros(len(table), bool) if known_towers is None
-               else ~np.isin(tower, known_towers))
-    codes = np.select([
-        duration < 0,
-        is_text & (duration != 0),
-        (ts < window.start) | (ts >= window.end),
-        unknown,
-        ~(caller_cust | callee_cust),
-        (caller_cust & (caller_state == UNKNOWN_STATE))
-        | (callee_cust & (callee_state == UNKNOWN_STATE)),
-    ], np.arange(1, len(_ROW_REJECTS) + 1), 0)
-    tally = np.bincount(codes, minlength=len(_ROW_REJECTS) + 1).tolist()
-    report.rows += len(table)
-    report.accepted += tally[0]
-    for reason, n in zip(_ROW_REJECTS, tally[1:]):
-        if n:
-            report.rejects[reason] += n
-    keep = codes == 0
-    return CdrColumns(
-        ts[keep], table["caller_id"][keep], table["callee_id"][keep],
-        is_text[keep], duration[keep], tower[keep], caller_state[keep],
-        callee_state[keep], caller_cust[keep], callee_cust[keep],
-    )
 
 
 @dataclass(eq=False)
@@ -532,26 +492,55 @@ def _distinct_pairs(table: list[np.ndarray]) -> list[np.ndarray]:
     return _distinct(table, *_grouped(caller, callee))
 
 
-def _reduce_rows(rows: CdrColumns, start: int) -> _Reduction:
-    """The ``_Reduction`` of accepted rows, with window start ``start``."""
-    caller, callee = rows.caller_is_customer, rows.callee_is_customer
-    caller_state = rows.caller_state.astype(np.int8)
-    callee_state = rows.callee_state.astype(np.int8)
+def _reduce_block(
+    table: np.ndarray,
+    window: StudyWindow,
+    known_towers: np.ndarray | None,
+    report: IngestReport,
+) -> _Reduction:
+    """The ``_Reduction`` of the accepted rows of a parsed block or batch
+    (a ``_BLOCK_DTYPE`` table); the rest counted in ``report`` by reason."""
+    ts, duration, tower = table["timestamp"], table["duration"], table["tower_id"]
+    caller_state, callee_state = table["caller_state"], table["callee_state"]
+    caller = table["caller_is_customer"] == b"1"
+    callee = table["callee_is_customer"] == b"1"
+    unknown = (np.zeros(len(table), bool) if known_towers is None
+               else ~np.isin(tower, known_towers))
+    codes = np.select([
+        duration < 0,
+        (table["kind"] == b"text") & (duration != 0),
+        (ts < window.start) | (ts >= window.end),
+        unknown,
+        ~(caller | callee),
+        (caller & (caller_state == UNKNOWN_STATE))
+        | (callee & (callee_state == UNKNOWN_STATE)),
+    ], np.arange(1, len(_ROW_REJECTS) + 1), 0)
+    tally = np.bincount(codes, minlength=len(_ROW_REJECTS) + 1).tolist()
+    report.rows += len(table)
+    report.accepted += tally[0]
+    for reason, n in zip(_ROW_REJECTS, tally[1:]):
+        if n:
+            report.rejects[reason] += n
+    keep = codes == 0
+    caller_id, callee_id = table["caller_id"][keep], table["callee_id"][keep]
+    caller, callee, tower = caller[keep], callee[keep], tower[keep]
+    caller_state = caller_state[keep].astype(np.int8)
+    callee_state = callee_state[keep].astype(np.int8)
     both = caller & callee
     side = np.stack([caller, callee], axis=1).ravel()
     return _Reduction(
-        len(rows),
-        _first_events([np.where(caller, rows.caller_id, rows.callee_id),
-                       rows.timestamp, rows.tower_id,
-                       np.where(caller, caller_state, callee_state)], start),
+        tally[0],
+        _first_events([np.where(caller, caller_id, callee_id), ts[keep], tower,
+                       np.where(caller, caller_state, callee_state)],
+                      window.start),
         _distinct_parties([
-            np.stack([rows.caller_id, rows.callee_id], axis=1).ravel()[side],
+            np.stack([caller_id, callee_id], axis=1).ravel()[side],
             np.stack([caller_state, callee_state], axis=1).ravel()[side],
             np.flatnonzero(side)]),
-        _distinct_pairs([rows.caller_id[both], rows.callee_id[both],
+        _distinct_pairs([caller_id[both], callee_id[both],
                          caller_state[both], callee_state[both],
                          np.flatnonzero(both)]),
-        np.unique(rows.tower_id))
+        np.unique(tower))
 
 
 def _merge(parts: list[_Reduction], start: int) -> _Reduction:
@@ -598,7 +587,7 @@ class _Reductions:
     """
 
     def __init__(self, window: StudyWindow) -> None:
-        self._start = window.start
+        self._window = window
         self._parts: list[_Reduction] = []
 
     def add(self, part: _Reduction) -> None:
@@ -606,16 +595,12 @@ class _Reductions:
         if sum(map(len, self._parts[1:])) >= len(self._parts[0]):
             self.result()
 
-    def add_rows(self, rows: CdrColumns) -> None:
-        self.add(_reduce_rows(rows, self._start))
-
     def result(self) -> _Reduction:
         """The reduction of every row added, which is then all it holds."""
         if not self._parts:
-            self._parts.append(_reduce_rows(CdrColumns(*(
-                np.empty(0, bool if f.name in _BOOL_FIELDS else np.int64)
-                for f in fields(CdrColumns))), self._start))
-        self._parts = [_merge(self._parts, self._start)]
+            self._parts.append(_reduce_block(np.empty(0, _BLOCK_DTYPE),
+                                             self._window, None, IngestReport()))
+        self._parts = [_merge(self._parts, self._window.start)]
         return self._parts[0]
 
 
@@ -649,16 +634,17 @@ def read_cdr(
     the canonical byte set with one ``bytes.translate``, its line ends
     found with one byte scan (which also bounds the line length and
     counts the lines), then parsed by one ``numpy.loadtxt`` call and
-    screened by ``_screen_block``. From the first header or block that is
-    not in canonical form (see ``_plain_header`` and ``_load_block``) on,
-    the file is read by ``_read_rows``, which screens its rows with the
-    same ``_screen_block``, and ``report.row_reader_from`` says where.
-    Canonical blocks hold no quote, so no CSV field spans that cut.
+    screened and reduced by ``_reduce_block``. From the first header or
+    block that is not in canonical form (see ``_plain_header`` and
+    ``_load_block``) on, the file is read by ``_read_rows``, which passes
+    its rows to the same ``_reduce_block``, and ``report.row_reader_from``
+    says where. Canonical blocks hold no quote, so no CSV field spans
+    that cut.
 
-    Each screened block, and each batch of the row reader, is reduced as
-    soon as it is parsed (``_Reduction``), and the reductions are merged
-    as they come (``_Reductions``); input position is the last tie-break
-    of every merge. So no column as long as the file is ever made, and
+    Each block, and each batch of the row reader, is thus reduced as soon
+    as it is parsed (``_Reduction``), and the reductions are merged as
+    they come (``_Reductions``); input position is the last tie-break of
+    every merge. So no column as long as the file is ever made, and
     memory grows with the person-days, parties and contact pairs, not
     with the rows.
 
@@ -667,10 +653,11 @@ def read_cdr(
     (see ``_split_point``), and this process those before it, then merges
     the worker's reduction after its own. The worker stops at its first
     non-canonical block, and the row reader resumes there; at a
-    non-canonical block before the cut the worker is discarded, and if it
-    fails, this process reads its part. As the blocks are those of a read
-    by one process, the result, the report and any error are too;
-    ``report.split_row`` says where the worker's rows begin.
+    non-canonical block before the cut the worker is discarded. A worker
+    that fails has its part read here (``worker.forked``). As the blocks
+    are those of a read by one process, the result, the report and any
+    error are too; ``report.split_row`` says where the worker's rows
+    begin, when its read was used.
 
     The observations are one per (person, day) of the located party (the
     caller when a customer, else the callee), in (person, day) order,
@@ -771,20 +758,15 @@ def _read_blocks(
                      known_towers=known_towers, report=report)
     # Leaving the block discards a worker whose part is not wanted.
     with (nullcontext() if cut is None
-          else forked(partial(_read_part, path, cut, screen))) as pipe:
+          else forked(partial(_read_part, path, cut, screen))) as result:
         offset, rows, done = screen(itertools.chain([rest], blocks), offset, 0,
                                     out=out)
-        part = _receive_part(pipe) if done else None
-    if part is None and done and cut is not None:
-        # No worker, or it failed: its part is read here.
-        fh.seek(cut)
-        offset, rows, done = screen(_line_blocks(fh, BLOCK_BYTES, cut), cut,
-                                    rows, out=out)
-    if part is None:
-        return None if done else (offset, usecols, rows)
-    counts, stop, reduced = part
+        if cut is None or not done:
+            return None if done else (offset, usecols, rows)
+        (counts, stop, reduced), worker = result()
     out.add(reduced)
-    report.split_row = rows + 1
+    if worker:
+        report.split_row = rows + 1
     report.rows += counts.rows
     report.accepted += counts.accepted
     report.rejects.update(counts.rejects)
@@ -802,7 +784,7 @@ def _screen_blocks(
     report: IngestReport,
     out: _Reductions,
 ) -> tuple[int, int, bool]:
-    """Screen ``blocks``, the first at byte ``offset`` with ``rows`` rows
+    """Reduce ``blocks``, the first at byte ``offset`` with ``rows`` rows
     before it, into ``out`` up to the first one that is not canonical.
 
     Returns that block's offset, the rows before it and False, or the end
@@ -814,42 +796,28 @@ def _screen_blocks(
         table = _load_block(block, usecols)
         if table is None:
             return offset, rows, False
-        out.add_rows(_screen_block(table, window, known_towers, report))
+        out.add(_reduce_block(table, window, known_towers, report))
         rows += len(table)
         offset += len(block)
     return offset, rows, True
 
 
-def _read_part(path: str | Path, start: int, screen: Callable,
-               pipe: BinaryIO) -> None:
+def _read_part(
+    path: str | Path, start: int, screen: Callable,
+) -> tuple[IngestReport, int | None, _Reduction]:
     """The worker's read: the canonical blocks of the file at ``path`` from
-    byte ``start`` on, screened by ``screen``, reduced, and sent through
-    ``pipe``.
+    byte ``start`` on, reduced by ``screen``.
 
-    It sends, pickled, an ``IngestReport`` of its rows, the byte offset
-    of its first non-canonical block (None when it read to the end) and
-    the ``_Reduction`` of its accepted rows.
+    Returns an ``IngestReport`` of its rows, the byte offset of its first
+    non-canonical block (None when it read to the end) and the
+    ``_Reduction`` of its accepted rows.
     """
     report, out = IngestReport(), _Reductions(screen.keywords["window"])
     with open(path, "rb") as fh:
         fh.seek(start)
         offset, _, done = screen(_line_blocks(fh, BLOCK_BYTES, start), start,
                                  0, report=report, out=out)
-    pickle.dump((report, None if done else offset, out.result()), pipe,
-                pickle.HIGHEST_PROTOCOL)
-
-
-def _receive_part(
-    pipe: BinaryIO | None,
-) -> tuple[IngestReport, int | None, _Reduction] | None:
-    """The report, the stop offset and the reduction that ``_read_part``
-    sent; None when there is no worker or it sent less than all of it."""
-    if pipe is None:
-        return None
-    try:
-        return pickle.load(pipe)
-    except (EOFError, pickle.UnpicklingError):
-        return None
+    return report, None if done else offset, out.result()
 
 
 def _read_rows(
@@ -869,7 +837,7 @@ def _read_rows(
     The ``csv`` module splits the rows, and each row's cells are parsed by
     ``_CELL_PARSERS`` into one preallocated ``_BLOCK_DTYPE`` batch. A row
     with a cell they refuse, or too few cells, is counted unparseable; the
-    batch is screened by ``_screen_block`` before each row number
+    batch is reduced by ``_reduce_block`` before each row number
     divisible by ``ROW_BATCH``, where the tolerance is checked, and at the
     end. ``usecols`` is None when the header is read here too, and
     ``rows`` counts the rows before ``offset``.
@@ -884,7 +852,7 @@ def _read_rows(
         for row in reader:
             rows += 1
             if rows % ROW_BATCH == 0:
-                out.add_rows(_screen_block(batch[:held], window, known_towers, report))
+                out.add(_reduce_block(batch[:held], window, known_towers, report))
                 held = 0
                 if bad > MAX_BAD_FRACTION * rows:
                     report.rows += 1    # the row the check stops at is read
@@ -897,7 +865,7 @@ def _read_rows(
                 report.rejects["unparseable"] += 1
             else:
                 held += 1
-    out.add_rows(_screen_block(batch[:held], window, known_towers, report))
+    out.add(_reduce_block(batch[:held], window, known_towers, report))
     if rows and bad / rows > MAX_BAD_FRACTION:
         raise _tolerance_error(bad, rows)
 
@@ -977,16 +945,33 @@ class ObservationColumns:
 # Auxiliary file loaders
 
 
+def _finite(text: str) -> float:
+    """float(text), refusing NaN and the infinities."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"not a finite number: {text!r}")
+    return value
+
+
+def _non_negative(text: str) -> float:
+    """A finite float of at least 0."""
+    value = _finite(text)
+    if value < 0:
+        raise ValueError(f"negative: {text!r}")
+    return value
+
+
 def _read_table(
     path, what: str, columns: Mapping[str, Callable]
 ) -> list[tuple]:
     """Rows of an auxiliary file, each cell converted by its column's type.
 
-    A missing column, a cell its type rejects (named by file and line),
-    or text that is not UTF-8 or not CSV raises SchemaError. A UTF-8
-    byte-order mark is skipped.
+    The first of ``columns`` is the key: no two rows may hold the same
+    value in it. A missing column, a cell its type rejects, a repeated
+    key (each named by file and line), or text that is not UTF-8 or not
+    CSV raises SchemaError. A UTF-8 byte-order mark is skipped.
     """
-    rows = []
+    rows, keys = [], set()
     with (_reading(f"{what} file {path}", SchemaError),
           open(path, "r", newline="", encoding="utf-8-sig") as fh):
         # A short row's missing cells read as "", which the types reject.
@@ -995,27 +980,24 @@ def _read_table(
             raise SchemaError(f"{what} file must have columns {sorted(columns)}")
         for row in reader:
             try:
-                rows.append(tuple(conv(row[c]) for c, conv in columns.items()))
+                values = tuple(conv(row[c]) for c, conv in columns.items())
+                if values[0] in keys:
+                    raise ValueError(f"duplicate {next(iter(columns))} {values[0]}")
             except (TypeError, ValueError) as exc:
                 raise SchemaError(
                     f"{what} file {path}, line {reader.line_num}: {exc}"
                 ) from None
+            keys.add(values[0])
+            rows.append(values)
     return rows
 
 
 def load_towers(path) -> list[TowerSite]:
     """Read the tower file (tower_id, latitude, longitude)."""
-    towers: list[TowerSite] = []
-    seen: set[int] = set()
-    for tid, lat, lon in _read_table(
+    return [TowerSite(*row) for row in _read_table(
         path, "tower",
-        {"tower_id": int, "latitude": float, "longitude": float},
-    ):
-        if tid in seen:
-            raise ConfigurationError(f"duplicate tower_id {tid}")
-        seen.add(tid)
-        towers.append(TowerSite(tid, lat, lon))
-    return towers
+        {"tower_id": int, "latitude": _finite, "longitude": _finite},
+    )]
 
 
 def load_state_profiles(path) -> dict[int, StateProfile]:
@@ -1030,8 +1012,6 @@ def load_state_profiles(path) -> dict[int, StateProfile]:
             raise ConfigurationError(
                 f"market share for state {code} outside (0, 1]: {share}"
             )
-        if code in profiles:
-            raise ConfigurationError(f"duplicate state_code {code}")
         profiles[code] = StateProfile(
             state_code=code, name=name, market_share=share, is_local=is_local,
         )
@@ -1044,10 +1024,11 @@ def load_state_profiles(path) -> dict[int, StateProfile]:
 
 
 def load_projections(path) -> dict[int, float]:
-    """Read the external projections file (day, projected_attendance)."""
+    """Read the external projections file (day, projected_attendance):
+    one row a day, each a finite count of at least 0."""
     return dict(_read_table(
         path, "projections",
-        {"day": int, "projected_attendance": float},
+        {"day": int, "projected_attendance": _non_negative},
     ))
 
 

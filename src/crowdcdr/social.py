@@ -50,15 +50,12 @@ class SocialNetwork:
                          np.asarray(edges, np.int64).reshape(-1, 2))
         self._added_nodes: list[tuple[int, int]] = []
         self._added_edges: list[tuple[int, int]] = []
-        self._triples: Triples | None = None
 
     def add_node(self, person: int, state: int) -> None:
         self._added_nodes.append((person, state))
-        self._triples = None
 
     def add_edge(self, a: int, b: int) -> None:
         self._added_edges.append((a, b))
-        self._triples = None
 
     def _built(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         if self._added_nodes or self._added_edges:
@@ -191,14 +188,14 @@ class TripleCensus:
     open: dict[int, int] = field(default_factory=dict)
 
 
-def census_triples(net: SocialNetwork) -> TripleCensus:
-    """Count open and closed same-state triples for every state.
+def census_triples(triples: Triples, states: Sequence[int]) -> TripleCensus:
+    """Count open and closed triples for every state of ``states``.
 
-    Per-state counts of ``enumerate_connected_triples``; a state with
-    nodes but no triples gets zeros.
+    Per-state counts of ``triples``, as ``enumerate_connected_triples``
+    gives them; ``states`` are the network's (``SocialNetwork.states``),
+    and one with no triples gets zeros.
     """
-    triples = enumerate_connected_triples(net)
-    states = np.array(net.states(), np.int64)
+    states = np.array(states, np.int64)
     row = np.searchsorted(states, triples.state)
     closed = np.bincount(row[triples.closed], minlength=states.size)
     open_ = np.bincount(row[~triples.closed], minlength=states.size)
@@ -274,17 +271,8 @@ def enumerate_connected_triples(net: SocialNetwork) -> Triples:
     by state, then centre id, then the pair's ``combinations`` order. An
     open wedge is its triple's only one; a closed triple (the wedge's
     ends are linked) is kept at its least node. Deterministic so seeded
-    subsampling is reproducible; computed once per network.
+    subsampling is reproducible.
     """
-    if net._triples is None:
-        net._triples = _wedge_pass(net)
-        # Every caller gets this one value.
-        for column in vars(net._triples).values():
-            column.flags.writeable = False
-    return net._triples
-
-
-def _wedge_pass(net: SocialNetwork) -> Triples:
     n = net.n_nodes
     state, indices = net.state, net.indices
     # The same-state sub-CSR as sorted row * n + col keys.

@@ -25,7 +25,7 @@ from crowdcdr.attendance import (AdjustmentFactors, _pooled_daily_use,
                                  daily_attendance_by_state)
 from crowdcdr.errors import (ConfigurationError, EstimationError, IngestError,
                              SchemaError)
-from crowdcdr.ingest import (_BOOL_FIELDS, CDR_COLUMNS, DEFAULT_WINDOW,
+from crowdcdr.ingest import (CDR_COLUMNS, DEFAULT_WINDOW,
                              MAX_BAD_FRACTION, UNKNOWN_STATE, CdrColumns, IngestReport,
                              ObservationColumns, ReducedCdr, StateProfile,
                              StudyWindow,
@@ -214,6 +214,10 @@ def cdr_file(data: bytes) -> Iterator[Path]:
         path = Path(tmp) / "cdr.csv"
         path.write_bytes(data)
         yield path
+
+
+#: The ``CdrColumns`` fields that hold bools.
+_BOOL_FIELDS = ("is_text", "caller_is_customer", "callee_is_customer")
 
 
 def from_events(events: Iterable[CdrEvent]) -> CdrColumns:

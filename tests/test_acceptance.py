@@ -91,7 +91,8 @@ def test_3_triple_census_matches_cubic_enumeration():
             for v in range(u + 1, n):
                 if mask[u, v]:
                     net.add_edge(u, v)
-        census = social.census_triples(net)
+        census = social.census_triples(social.enumerate_connected_triples(net),
+                                        net.states())
         closed, open_ = brute_force_triples(net)
         graphs += 1
         for s in set(states.tolist()):

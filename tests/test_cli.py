@@ -485,12 +485,12 @@ def report_with_workers(input_dir: Path, out: Path, patch: str = ""):
     return proc
 
 
-def with_rows(gen_dir: Path, to: Path, edit) -> Path:
-    """A copy of the input files whose cdr.csv data rows are ``edit(rows)``."""
+def with_rows(gen_dir: Path, to: Path, edit, name: str = "cdr.csv") -> Path:
+    """A copy of the input files whose ``name`` data rows are ``edit(rows)``."""
     shutil.copytree(gen_dir, to)
-    header, *rows = (to / "cdr.csv").read_text().splitlines()
+    header, *rows = (to / name).read_text().splitlines()
     rows = edit(rows)
-    (to / "cdr.csv").write_text("\n".join([header, *rows]) + "\n")
+    (to / name).write_text("\n".join([header, *rows]) + "\n")
     return to
 
 
@@ -693,7 +693,62 @@ class TestSubcommands:
         assert timed_stages(out, "sbm") == {"load", "sbm", "total"}
 
 
+def with_cell(row: str, i: int, value: str) -> str:
+    """A CSV line with its cell ``i`` set to ``value``."""
+    cells = row.split(",")
+    cells[i] = value
+    return ",".join(cells)
+
+
+def nan_latitude(active: bool):
+    """An edit of towers.csv rows: NaN as the latitude of the first tower
+    that has CDR traffic (``active``) or has none."""
+    def edit(rows, active_ids):
+        i = next(i for i, row in enumerate(rows)
+                 if (row.split(",")[0] in active_ids) == active)
+        rows[i] = with_cell(rows[i], 1, "nan")
+        return rows
+    return edit
+
+
+#: Values the loaders refuse: (file, an edit of its data rows given the
+#: ids of the towers with traffic, what the error says).
+MALFORMED = {
+    "projection_nan": ("projections.csv", lambda rows, _: [
+        with_cell(rows[0], 1, "nan"), *rows[1:]], "line 2: not a finite number"),
+    "projection_inf": ("projections.csv", lambda rows, _: [
+        with_cell(rows[0], 1, "inf"), *rows[1:]], "line 2: not a finite number"),
+    "projection_negative": ("projections.csv", lambda rows, _: [
+        with_cell(rows[0], 1, "-1"), *rows[1:]], "line 2: negative"),
+    "projection_repeated_day": ("projections.csv", lambda rows, _: [
+        with_cell(rows[0], 1, "1000"), with_cell(rows[0], 1, "2000"),
+        *rows[1:]], "line 3: duplicate day"),
+    "silent_tower_nan": ("towers.csv", nan_latitude(False),
+                         "not a finite number"),
+    "active_tower_nan": ("towers.csv", nan_latitude(True),
+                         "not a finite number"),
+    "repeated_tower": ("towers.csv", lambda rows, _: [rows[0], *rows],
+                       "line 3: duplicate tower_id"),
+}
+
+
 class TestFailureModes:
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_malformed_auxiliary_value_exits_3(self, gen_dir, tmp_path,
+                                               capsys, case):
+        name, edit, message = MALFORMED[case]
+        active = {row["tower_id"] for row in read_rows(gen_dir / "cdr.csv")}
+        broken = with_rows(gen_dir, tmp_path / "in",
+                           lambda rows: edit(rows, active), name)
+        out = tmp_path / "out"
+        assert run("report", "--input-dir", broken, "--output-dir", out) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error:")
+        assert f"{name}, line" in err and message in err
+        blob = read_json(out / "manifest_report.json")
+        assert (blob["failed_stage"], blob["error"], blob["exit_code"]) == (
+            "load", "SchemaError", 3)
+
     def test_missing_states_file_exits_3(self, gen_dir, tmp_path, capsys):
         broken = tmp_path / "broken"
         broken.mkdir()
@@ -1036,6 +1091,11 @@ def mutate(data: bytes, op: str, i: int, payload: bytes) -> bytes:
     return b"\n".join(lines)
 
 
+def refuse_constant(name: str):
+    """A ``json.loads`` hook that refuses NaN and the infinities."""
+    raise ValueError(f"{name} is not JSON")
+
+
 class TestExitCodeFuzz:
     @settings(max_examples=60, deadline=None)
     @given(edits=st.lists(st.tuples(st.sampled_from(INPUT_FILES), MUTATIONS),
@@ -1060,6 +1120,12 @@ class TestExitCodeFuzz:
                 assert code in (0, 3, 4)
                 blob = read_json(out / f"manifest_{command}.json")
                 assert blob.get("exit_code", 0) == code
+                if code == 0:
+                    # JSON has no NaN or infinity: a run that passes writes
+                    # none.
+                    for path in out.glob("*.json"):
+                        json.loads(path.read_text(encoding="utf-8"),
+                                   parse_constant=refuse_constant)
 
 
 # ---------------------------------------------------------------------------

@@ -3,9 +3,12 @@
 import codecs
 import csv
 import io
+import os
+import pickle
 import random
 import tracemalloc
 import warnings
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -1133,19 +1136,21 @@ class TestSplitRead:
         text, known = desk
         data = text.encode()
         monkeypatch.setattr(ingest, "BLOCK_BYTES", 13_000)
+        parent = os.getpid()
+        read_part = ingest._read_part
         if failure == "raises":
+            # Only in the child: the read here is the one that must work.
             def broken(*args):
-                raise MemoryError
+                if os.getpid() != parent:
+                    raise MemoryError
+                return read_part(*args)
             monkeypatch.setattr(ingest, "_read_part", broken)
         elif failure == "short":
-            # The first half of what it would send.
-            read_part = ingest._read_part
-
-            def short(path, start, screen, pipe):
-                sent = io.BytesIO()
-                read_part(path, start, screen, sent)
-                pipe.write(sent.getvalue()[:len(sent.getvalue()) // 2])
-            monkeypatch.setattr(ingest, "_read_part", short)
+            # The child sends the first half of its pickle.
+            def short(value, pipe, protocol=None):
+                sent = pickle.dumps(value, protocol)
+                pipe.write(sent[:len(sent) // 2])
+            monkeypatch.setattr(pickle, "dump", short)
         else:
             monkeypatch.delattr(ingest.os, "fork")
         (split_got, split_report), (got, report) = read_outcomes(
@@ -1157,19 +1162,25 @@ class TestSplitRead:
         text, known = desk
         data = text.encode()
         monkeypatch.setattr(ingest, "BLOCK_BYTES", 13_000)
-        parts = []
-        receive = ingest._receive_part
+        results = []
+        forked = ingest.forked
 
-        def spy(pipe):
-            parts.append(receive(pipe))
-            return parts[-1]
-        monkeypatch.setattr(ingest, "_receive_part", spy)
+        @contextmanager
+        def spied(work):
+            with forked(work) as result:
+                def spy():
+                    results.append(result())
+                    return results[-1]
+                yield spy
+        monkeypatch.setattr(ingest, "forked", spied)
         monkeypatch.setattr(ingest, "FORK_BYTES", 0)
         split = cut_row(data)
         (split_got, split_report), (got, report) = read_outcomes(
             data, known, monkeypatch)
         assert (split_got, split_report) == (got, report)
-        [(counts, stop, _)] = filter(None, parts)  # the read by one process: None
+        # The read by one process forks no worker.
+        [((counts, stop, _), from_worker)] = results
+        assert from_worker
         assert split_report.split_row == split + 1
         assert (counts.rows, stop) == (text.count("\n") - 1 - split, None)
 

@@ -16,7 +16,8 @@ from crowdcdr.sbm import (
     group_structure_bias,
     joint_bias_demo,
 )
-from crowdcdr.social import SocialNetwork, census_triples, transitivity
+from crowdcdr.social import (SocialNetwork, census_triples,
+                             enumerate_connected_triples, transitivity)
 from helpers import (group_structure_bias_se, joint_bias_demo_oracle,
                      sample_grouped_state)
 
@@ -181,7 +182,8 @@ class TestJointDemo:
             rng, state=2, g=50, m=100, p_in=0.2, p_out=0, first_node=100
         )
         for state, net in ((1, net_a), (2, net_b)):
-            census = census_triples(net)
+            census = census_triples(enumerate_connected_triples(net),
+                                    net.states())
             assert demo.triples[state] == (
                 census.closed[state], census.open[state]
             )
