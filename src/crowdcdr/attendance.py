@@ -192,7 +192,8 @@ def calibrate_non_use(
     levels has the closed form s = sum(base*proj) / sum(base^2) for the
     inflation s = 1/(1-q), hence q = 1 - 1/s, clamped to [0, NON_USE_CLAMP].
     Projections at or below the raw estimates give q <= 0; that returns 0
-    with a warning rather than a negative non-use fraction.
+    with a warning rather than a negative non-use fraction; q above the
+    clamp warns too.
     """
     days = sorted(set(base_daily) & set(projections))
     if not days:
@@ -208,7 +209,15 @@ def calibrate_non_use(
             "calibrated non-use clamped to 0", s,
         )
         return 0.0
-    return min(1.0 - 1.0 / s, NON_USE_CLAMP)
+    q = 1.0 - 1.0 / s
+    if q > NON_USE_CLAMP:
+        log.warning(
+            "projections exceed uncorrected estimates %.4g-fold, which "
+            "implies non-use %.4f; calibrated non-use clamped to %s",
+            s, q, NON_USE_CLAMP,
+        )
+        return NON_USE_CLAMP
+    return q
 
 
 def sensitivity_curve(

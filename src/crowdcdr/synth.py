@@ -34,18 +34,26 @@ attendance peaks on the configured days while off-peak days stay
 locally stationary -- the property the calibration days rely on.
 
 The generator is columnar: rosters, stays, activity slots, ties and the
-CDR rows are numpy arrays built by array arithmetic. Two loops stay
-scalar because their order is the output's: the floor-with-carry quota
-schedule over (cohort, interior day), and one ``rng.permutation`` per
-cohort, in (arrival, stay) order. Output is byte-deterministic given
-the config.
+CDR rows are numpy arrays built by array arithmetic. It works in two
+parts. The plan (``_plan``) holds all that does not depend on the seed:
+the quotas, each state's roster and stays, presence per day, the
+activity schedule (the day of every slot and which shuffled cohort
+member fills it), theta per day and the tower grid. It is computed once
+per config, keyed on every field but the seed, and kept until a call
+with another config, so a sweep over seeds pays for it once. The draws
+(``generate_tables``) are the seed's: one shuffle per cohort, the cells
+and the group placement, the ties, and the planted co-location that
+follows from them. Two loops stay scalar because their order is the
+output's: the floor-with-carry quota schedule over (cohort, interior
+day), in the plan, and the shuffles, in (arrival, stay) order. Output
+is byte-deterministic given the config, whichever plan was kept.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, fields, replace
-from itertools import chain
+from itertools import chain, compress
 from math import cos, exp, expm1, floor, log10, log1p, pi, radians
 from pathlib import Path
 from sys import float_info
@@ -576,73 +584,219 @@ def _cohorts(
     return order, starts, np.diff(starts, append=len(order))
 
 
-def _activity_slots(
-    arrivals: np.ndarray, stays: np.ndarray, config: ScenarioConfig,
-    rng: np.random.Generator,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(persons, days) of active person-days plus active-day counts.
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+@dataclass(frozen=True)
+class _Schedule:
+    """Which slots a roster fills on which day, before anyone is drawn.
 
     Everyone is active on arrival and departure. Interior activity is
     allocated per (arrival, stay) cohort: each interior day gets its
     ``_interior_quotas`` slots, assigned to members in rotation from a
     shuffled order. Totals match the planted daily-use rate with only
-    rounding error, at the day level and per person. Rows: each person's
-    two anchors, then the cohorts in (arrival, stay) order, day by day.
+    rounding error, at the day level and per person. Slots: each
+    person's two anchors, then the cohorts in (arrival, stay) order,
+    day by day.
     """
+
+    days: np.ndarray        # the day of each slot
+    n: int                  # persons
+    pool: np.ndarray        # members of cohorts with interior days, by cohort
+    cuts: np.ndarray        # start and end in the pool of each such cohort
+    rotation: np.ndarray    # per interior slot: its position in the pool
+
+    def persons(self, rng: np.random.Generator) -> np.ndarray:
+        """The person in each slot: one shuffle per cohort, in order.
+
+        Slot r of a cohort goes to its shuffled member r mod k, so each
+        day's rotation starts where the previous day's stopped. Shuffling
+        a one-member cohort draws nothing, so it is skipped.
+        """
+        pool = self.pool.copy()
+        for lo, hi in zip(*self.cuts.tolist()):
+            rng.shuffle(pool[lo:hi])
+        return np.concatenate([np.repeat(np.arange(self.n), 2),
+                               pool[self.rotation]])
+
+
+def _schedule(arrivals: np.ndarray, stays: np.ndarray, u: float) -> _Schedule:
+    """The activity schedule of a roster at daily-use rate ``u``."""
     a = arrivals.astype(np.int64)
     s = stays.astype(np.int64)
     order, starts, sizes = _cohorts(a, s)
-    first, k = starts.tolist(), sizes.tolist()
-    quotas = _interior_quotas(s[order[starts]].tolist(), k, config.daily_use)
-    active = [c for c, quota in enumerate(quotas) if quota]
-    # One permutation per cohort with interior days, in cohort order.
-    shuffled = order[np.concatenate([np.zeros(0, np.int64), *(
-        first[c] + rng.permutation(k[c]) for c in active)])]
+    quotas = _interior_quotas(s[order[starts]].tolist(), sizes.tolist(), u)
+    active = np.array([c for c, quota in enumerate(quotas) if quota], np.int64)
     head = order[starts[active]]    # a member of each active cohort
     take = np.fromiter(chain.from_iterable(quotas), np.int64)
-    day = np.repeat(_runs(s[head] - 2, a[head] + 1), take)
-    # Slot r of a cohort goes to its shuffled member r mod k: each day's
-    # rotation starts where the previous day's stopped.
+    interior = np.repeat(_runs(s[head] - 2, a[head] + 1), take)
     slots = np.array([sum(quotas[c]) for c in active], dtype=np.int64)
     size = sizes[active]
-    person = shuffled[np.repeat(np.cumsum(size) - size, slots)
-                      + _runs(slots) % np.repeat(size, slots)]
-    persons = np.concatenate([np.repeat(np.arange(len(a)), 2), person])
-    days = np.concatenate([np.column_stack([a, a + s - 1]).ravel(), day])
-    return persons, days, np.bincount(persons, minlength=len(a))
+    lo = np.cumsum(size) - size
+    return _Schedule(
+        days=_read_only(np.concatenate(
+            [np.column_stack([a, a + s - 1]).ravel(), interior])),
+        n=len(a),
+        pool=_read_only(order[_runs(size, starts[active])]),
+        cuts=_read_only(np.stack([lo, lo + size])[:, size > 1]),
+        rotation=_read_only(np.repeat(lo, slots)
+                            + _runs(slots) % np.repeat(size, slots)),
+    )
 
 
 def _expected_p(
-    sg: float, n_act: int, theta: float, n_cells: int
-) -> float | None:
-    """Expected co-location probability given realized same-group pairs.
+    sg: np.ndarray, n_act: np.ndarray, theta: np.ndarray, n_cells: int
+) -> np.ndarray:
+    """Expected co-location probability on each day, given its realized
+    same-group pairs.
 
     Same-group active pairs share a cell with probability
     theta^2 + (1 - theta^2)/C; all other pairs collide uniformly at 1/C.
+    Every day needs at least two active persons. Each element takes the
+    scalar formula's operations in its order, so it is the same float.
     """
-    if n_act < 2:
-        return None
     tp = n_act * (n_act - 1) / 2.0
     p_same = theta * theta + (1.0 - theta * theta) / n_cells
     return (sg * p_same + (tp - sg) / n_cells) / tp
 
 
-def _put_daily(table: dict, state: int, counts: np.ndarray) -> None:
-    """Add the non-zero days of a day-indexed count array to ``table``."""
-    days = np.flatnonzero(counts[1:]) + 1
-    table.update(zip(((state, d) for d in days.tolist()),
-                     counts[days].tolist()))
+def _put_daily(table: dict, keys: tuple, counts: np.ndarray) -> None:
+    """Add the non-zero days of a day-indexed count array to ``table``.
+
+    ``keys`` holds the (state, day) key of days 1, 2, ... in order.
+    """
+    counts = counts[1:].tolist()
+    table.update(zip(compress(keys, counts), filter(None, counts)))
+
+
+@dataclass(frozen=True)
+class _StatePlan:
+    """The seed-free part of one state with visible customers."""
+
+    code: int
+    stream: int                 # index of its random stream
+    q_r: float
+    groups: np.ndarray          # group per visible person, -1 for singletons
+    n_groups: int
+    members: np.ndarray         # rows of the grouped persons, group by group
+    schedule: _Schedule
+    day_counts: np.ndarray      # active persons per day
+    p_days: np.ndarray          # days with at least two active persons
+    p_keys: tuple[tuple[int, int], ...]  # their (state, day) keys
+    theta_by_day: np.ndarray
+
+
+@dataclass(frozen=True)
+class _CityPlan:
+    """Everything ``generate_tables`` derives from the config but the seed.
+
+    Its arrays are read-only. The tables a ``GroundTruth`` holds per
+    day or per node are built from them on each run: as dicts they
+    would take more memory than the arrays.
+    """
+
+    key: str
+    towers: tuple[TowerSite, ...]
+    active_ids: tuple[int, ...]
+    customers: dict[int, int]
+    never_users: dict[int, int]
+    visible: dict[int, int]
+    closed_prob: dict[int, float]
+    present: dict[int, np.ndarray]  # attendees present per day, by state
+    day_keys: dict[int, tuple[tuple[int, int], ...]]  # (state, day) by state
+    states: tuple[_StatePlan, ...]  # the states with visible customers
+
+
+def _city_plan(config: ScenarioConfig, key: str) -> _CityPlan:
+    towers, active_ids = tower_grid(config)
+    total_attendees = sum(s.attendees for s in config.states)
+    crowded = config.crowding_days
+    customers, never_users, visible, closed_prob = {}, {}, {}, {}
+    present, day_keys = {}, {}
+    states = []
+    for i, spec in enumerate(sorted(config.states, key=lambda s: s.code)):
+        code = spec.code
+        customers[code], never_users[code], visible[code] = _quotas(spec, config)
+        q_r = 1.0 / (1.0 + exp(-(config.beta0 + config.beta1
+                                 * log10(spec.attendees / total_attendees))))
+        closed_prob[code] = q_r
+        day_keys[code] = tuple((code, d) for d in range(1, config.n_days + 1))
+
+        arrivals, stays, groups, n_groups = _roster(visible[code], spec, config)
+
+        # presence of every attendee, visible or not
+        hidden = _invisible_roster(spec.attendees - visible[code], spec, config)
+        first = np.concatenate([arrivals, hidden[0]])
+        end = first + np.concatenate([stays, hidden[1]])
+        n = max(config.n_days + 2, int(end.max(initial=0)) + 1)
+        present[code] = _read_only(np.cumsum(
+            np.bincount(first, minlength=n) - np.bincount(end, minlength=n)
+        )[:config.n_days + 1])
+
+        if visible[code] == 0:
+            continue
+
+        schedule = _schedule(arrivals, stays, config.daily_use)
+        day_counts = np.bincount(schedule.days, minlength=config.n_days + 1)
+
+        theta_by_day = np.full(config.n_days + 1, min(spec.theta, config.theta_cap))
+        for d in crowded:
+            theta_by_day[d] = min(config.theta_cap,
+                                  spec.theta * config.theta_peak_boost)
+        members = np.flatnonzero(groups >= 0)
+        busy = day_counts[1:] >= 2
+        states.append(_StatePlan(
+            code=code,
+            stream=i,
+            q_r=q_r,
+            groups=_read_only(groups),
+            n_groups=n_groups,
+            members=_read_only(members),
+            schedule=schedule,
+            day_counts=_read_only(day_counts),
+            p_days=_read_only(np.flatnonzero(busy) + 1),
+            p_keys=tuple(compress(day_keys[code], busy.tolist())),
+            theta_by_day=_read_only(theta_by_day),
+        ))
+    return _CityPlan(key, tuple(towers), tuple(active_ids), customers,
+                     never_users, visible, closed_prob, present, day_keys,
+                     tuple(states))
+
+
+#: The plan of the last config generated. A sweep over seeds reuses it.
+_PLAN: _CityPlan | None = None
+
+
+def _plan(config: ScenarioConfig) -> _CityPlan:
+    """The seed-free plan of ``config``, computed once per config.
+
+    The key is the repr of every field but the seed: unlike ``==``, it
+    tells 1 from 1.0 and 0.0 from -0.0, and it copies the states list,
+    which a caller may change after this call. The plan returned is read
+    once from ``_PLAN``, so a thread that swaps in another config's plan
+    meanwhile cannot hand this caller the wrong one.
+    """
+    global _PLAN
+    key = repr(replace(config, seed=0))
+    plan = _PLAN
+    if plan is None or plan.key != key:
+        plan = _PLAN = None     # the last plan goes before the next is built
+        plan = _PLAN = _city_plan(config, key)
+    return plan
 
 
 def generate_tables(config: ScenarioConfig) -> GroundTruth:
     """Simulate a scenario and return ground truth plus observed tables.
 
+    The seed-free plan comes from ``_plan``; this draws the seed's part.
     The slot arrays hold every active person-day; they are empty when no
     state has visible customers.
     """
     config.validate()
-    towers, active_ids = tower_grid(config)
-    n_cells = len(active_ids)
+    plan = _plan(config)
+    n_cells = len(plan.active_ids)
     total_attendees = sum(s.attendees for s in config.states)
     no_slots = np.zeros(0, np.int64)
     truth = GroundTruth(
@@ -650,115 +804,89 @@ def generate_tables(config: ScenarioConfig) -> GroundTruth:
         n_days=config.n_days,
         true_total={s.code: s.attendees for s in config.states},
         true_w={s.code: s.attendees / total_attendees for s in config.states},
-        customers={},
-        never_users={},
-        visible={},
+        customers=dict(plan.customers),
+        never_users=dict(plan.never_users),
+        visible=dict(plan.visible),
         true_daily={},
         observed_counts={},
-        closed_prob={},
+        closed_prob=dict(plan.closed_prob),
         edges=[],
         triples=Triples(),
         node_state={},
-        towers=towers,
-        active_tower_ids=active_ids,
+        towers=list(plan.towers),
+        active_tower_ids=list(plan.active_ids),
         slot_person=no_slots,
         slot_state=no_slots,
         slot_day=no_slots,
         slot_cell=no_slots,
     )
 
-    states = sorted(config.states, key=lambda s: s.code)
-    streams = np.random.SeedSequence(config.seed).spawn(len(states))
+    for code, present in plan.present.items():
+        _put_daily(truth.true_daily, plan.day_keys[code], present)
+    streams = np.random.SeedSequence(config.seed).spawn(len(config.states))
     all_person: list[np.ndarray] = []
     all_state: list[np.ndarray] = []
     all_day: list[np.ndarray] = []
     all_cell: list[np.ndarray] = []
-    crowded = config.crowding_days
     planted: list[Triples] = []
 
-    for spec, stream in zip(states, streams):
-        rng = np.random.default_rng(stream)
-        customers, never, visible = _quotas(spec, config)
-        truth.customers[spec.code] = customers
-        truth.never_users[spec.code] = never
-        truth.visible[spec.code] = visible
-        q_r = 1.0 / (1.0 + exp(-(config.beta0
-                                 + config.beta1 * log10(truth.true_w[spec.code]))))
-        truth.closed_prob[spec.code] = q_r
-
-        arrivals, stays, groups, n_groups = _roster(visible, spec, config)
-
-        # presence of every attendee, visible or not
-        hidden = _invisible_roster(spec.attendees - visible, spec, config)
-        first = np.concatenate([arrivals, hidden[0]])
-        end = first + np.concatenate([stays, hidden[1]])
-        n = max(config.n_days + 2, int(end.max(initial=0)) + 1)
-        present = np.cumsum(np.bincount(first, minlength=n)
-                            - np.bincount(end, minlength=n))
-        _put_daily(truth.true_daily, spec.code, present[:config.n_days + 1])
-
-        if visible == 0:
-            continue
-
-        p_arr, d_arr, _ = _activity_slots(arrivals, stays, config, rng)
-        day_counts = np.bincount(d_arr, minlength=config.n_days + 1)
-        _put_daily(truth.observed_counts, spec.code, day_counts)
-
-        theta_by_day = np.full(config.n_days + 1, min(spec.theta, config.theta_cap))
-        for d in crowded:
-            theta_by_day[d] = min(config.theta_cap,
-                                  spec.theta * config.theta_peak_boost)
-        g_arr = groups[p_arr]
+    for sp in plan.states:
+        rng = np.random.default_rng(streams[sp.stream])
+        p_arr = sp.schedule.persons(rng)
+        d_arr = sp.schedule.days
+        g_arr = sp.groups[p_arr]
         cells = rng.integers(0, n_cells, size=p_arr.size)
         grouped = g_arr >= 0
+        sg_by_day = np.zeros(config.n_days + 1)
         if grouped.any():
             gd_key = g_arr[grouped].astype(np.int64) * (config.n_days + 1) \
                 + d_arr[grouped]
-            uniq, inverse, counts = np.unique(
-                gd_key, return_inverse=True, return_counts=True
-            )
+            # The (group, day) keys are dense, so counting them gives what
+            # np.unique would sort out: the keys present in ascending
+            # order, the slots of each and each slot's rank among them.
+            per_key = np.bincount(gd_key)
+            uniq = np.flatnonzero(per_key)
+            counts = per_key[uniq]
+            per_key[uniq] = np.arange(uniq.size)
+            inverse = per_key[gd_key]
             group_cell = rng.integers(0, n_cells, size=uniq.size)
-            coin = rng.random(gd_key.size) < theta_by_day[d_arr[grouped]]
+            coin = rng.random(gd_key.size) < sp.theta_by_day[d_arr[grouped]]
             member_cells = np.where(coin, group_cell[inverse], cells[grouped])
             cells[grouped] = member_cells
             # realized same-group simultaneously-active pairs per day
-            sg_by_day = np.zeros(config.n_days + 1)
             np.add.at(sg_by_day, uniq % (config.n_days + 1),
                       counts * (counts - 1) / 2.0)
-        else:
-            sg_by_day = np.zeros(config.n_days + 1)
-        p_vals = []
-        for d in range(1, config.n_days + 1):
-            n_act = int(day_counts[d])
-            p = _expected_p(float(sg_by_day[d]), n_act,
-                            float(theta_by_day[d]), n_cells)
-            if p is not None:
-                truth.planted_p[(spec.code, d)] = p
-                p_vals.append(p)
-        if p_vals:
-            truth.planted_qa[spec.code] = float(np.mean(p_vals))
-        all_person.append(spec.code * PERSON_STRIDE + 1 + p_arr)
-        all_state.append(np.full(p_arr.size, spec.code, dtype=np.int64))
+        _put_daily(truth.observed_counts, plan.day_keys[sp.code],
+                   sp.day_counts)
+        days = sp.p_days
+        p_vals = _expected_p(sg_by_day[days], sp.day_counts[days],
+                             sp.theta_by_day[days], n_cells)
+        truth.planted_p.update(zip(sp.p_keys, p_vals.tolist()))
+        if p_vals.size:
+            truth.planted_qa[sp.code] = float(np.mean(p_vals))
+        all_person.append(sp.code * PERSON_STRIDE + 1 + p_arr)
+        all_state.append(np.full(p_arr.size, sp.code, dtype=np.int64))
         all_day.append(d_arr)
         all_cell.append(cells)
 
+        n_groups = sp.n_groups
         if n_groups:
-            base = spec.code * PERSON_STRIDE + 1
+            base = sp.code * PERSON_STRIDE + 1
             truth.node_state.update(
-                dict.fromkeys(range(base, base + visible), spec.code))
+                dict.fromkeys(range(base, base + sp.groups.size), sp.code))
             wired = rng.random(n_groups) < config.p_in
-            closed = rng.random(n_groups) < q_r
-            # Group g's members are the g-th run of consecutive roster rows.
-            members = np.flatnonzero(groups >= 0)
+            closed = rng.random(n_groups) < sp.q_r
             if wired.any():
-                nodes = (members.reshape(n_groups, -1) + base)[wired]
-                planted.append(Triples(nodes, np.full(len(nodes), spec.code),
+                # Group g's members are the g-th run of consecutive roster rows.
+                nodes = (sp.members.reshape(n_groups, -1) + base)[wired]
+                planted.append(Triples(nodes, np.full(len(nodes), sp.code),
                                        closed[wired]))
                 # Per triple a 2-path, then its closure.
                 tie = nodes[:, [[0, 1], [1, 2], [0, 2]]]
                 tie = tie[np.arange(3) < 2 + closed[wired][:, None]]
                 truth.edges += zip(tie[:, 0].tolist(), tie[:, 1].tolist())
             if config.p_out > 0:
+                members = sp.members
                 n_m = members.size
                 n_pairs = n_m * (n_m - 1) // 2
                 picks = rng.binomial(n_pairs, config.p_out)
@@ -767,7 +895,7 @@ def generate_tables(config: ScenarioConfig) -> GroundTruth:
                 i = ((2 * n_m - 1 - np.sqrt((2 * n_m - 1) ** 2 - 8 * flat))
                      // 2).astype(np.int64)
                 j = flat - i * (2 * n_m - i - 1) // 2 + i + 1
-                cross = groups[members[i]] != groups[members[j]]
+                cross = sp.groups[members[i]] != sp.groups[members[j]]
                 truth.edges += zip((members[i][cross] + base).tolist(),
                                    (members[j][cross] + base).tolist())
 

@@ -546,6 +546,25 @@ def triple_rows(triples: Triples) -> list[tuple]:
                     triples.closed.tolist()))
 
 
+def truth_rows(truth) -> dict:
+    """Every field of a ``synth.GroundTruth`` as plain values, for ``==``.
+
+    Arrays keep their dtype and dicts their order. Nothing is shared with
+    ``truth``, so a later write to it leaves the rows as they are.
+    """
+    out = {}
+    for f in fields(truth):
+        v = getattr(truth, f.name)
+        if isinstance(v, np.ndarray):
+            v = (v.dtype.str, v.tolist())
+        elif isinstance(v, Triples):
+            v = triple_rows(v)
+        elif isinstance(v, (dict, list)):
+            v = list(v.items() if isinstance(v, dict) else v)
+        out[f.name] = v
+    return out
+
+
 def subsample_oracle(rows, seed: int) -> list[tuple]:
     """Greedy node-disjoint pass over a seeded permutation, by a set."""
     rng = np.random.default_rng(seed)
@@ -797,8 +816,8 @@ def stratified_stays(k, config, max_stay=None, phase=0.5) -> list[int]:
 def activity_slots(arrivals, stays, daily_use, rng):
     """(persons, days, n_active) by per-cohort, per-slot loops.
 
-    The loop oracle of ``synth._activity_slots``: the same draws from
-    ``rng`` in the same order.
+    The loop oracle of ``synth._schedule`` and its ``persons``: the same
+    draws from ``rng`` in the same order.
     """
     n = len(arrivals)
     n_active = np.full(n, 2, dtype=np.int64)

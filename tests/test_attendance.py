@@ -1,10 +1,12 @@
 """Attendance estimation under the four censoring corrections."""
 
+import logging
 import random
 
 import numpy as np
 import pytest
 
+from crowdcdr import synth
 from crowdcdr.attendance import (
     AdjustmentFactors,
     build_series,
@@ -175,6 +177,20 @@ class TestCalibration:
     def test_extreme_projections_are_clamped(self):
         assert calibrate_non_use({1: 1.0}, {1: 1000.0}) == 0.95
 
+    def test_clamping_to_the_cap_warns_once_with_s(self, caplog):
+        with caplog.at_level(logging.WARNING, logger="crowdcdr.attendance"):
+            assert calibrate_non_use({1: 1.0, 2: 1.0},
+                                     {1: 1e300, 2: 1.0}) == 0.95
+        assert [r.levelno for r in caplog.records] == [logging.WARNING]
+        assert "5e+299-fold" in caplog.records[0].getMessage()
+
+    @pytest.mark.parametrize("factor", [2.0, 20.0])
+    def test_calibration_below_or_at_the_cap_is_silent(self, caplog, factor):
+        with caplog.at_level(logging.WARNING, logger="crowdcdr.attendance"):
+            q = calibrate_non_use({1: 10.0}, {1: 10.0 * factor})
+        assert q == 1.0 - 1.0 / factor
+        assert caplog.records == []
+
     def test_recovers_planted_fraction_from_exact_projections(
         self, desk_small_truth
     ):
@@ -313,3 +329,38 @@ class TestBuildSeries:
             for obs in (ordered, shuffled)
         ]
         assert series[0] == series[1]
+
+
+class TestDailyAgainstPlantedTruth:
+    def test_desk_seed_1_daily_estimate_is_pinned_with_its_bias(self):
+        """The paper's daily estimator against ``true_daily``, in memory.
+
+        The estimate is biased and this pins the bias: the generator makes
+        every visible person active on arrival and departure, so on days
+        when cohorts arrive or leave nearly every present visible person
+        is seen, yet each count is still divided by the daily-use rate
+        pooled over whole stays. Those days come out up to 1/0.404 high
+        and mid-stay days low. An estimator that removes the bias must
+        change these numbers on purpose.
+        """
+        truth = synth.generate_tables(synth.desk_scenario(1))
+        series = build_series(
+            truth.observations(), truth.observed_counts, truth.profiles(),
+            total_days=truth.n_days,
+            projections=synth.emit_projections(truth, noise=0.0),
+        )
+        true = truth.true_daily_total()
+        ratio = {d: series.daily[d] / true[d] for d in true}
+        assert min(ratio.values()) == pytest.approx(0.5363, abs=1e-4)
+        assert max(ratio.values()) == pytest.approx(2.5026, abs=1e-4)
+        assert (min(ratio, key=ratio.get), max(ratio, key=ratio.get)) == (44, 1)
+        assert sum(abs(r - 1) > 0.15 for r in ratio.values()) == 27
+        peak = max(series.daily, key=series.daily.get)
+        assert (peak, round(series.daily[peak]), true[peak]) == (69, 31824, 18713)
+        true_peak = max(true, key=true.get)
+        assert (true_peak, true[true_peak], round(series.daily[true_peak])) \
+            == (43, 18825, 11190)
+        # The cumulative estimate, which needs no daily-use correction,
+        # is within 1% of the planted total.
+        assert series.cumulative[truth.n_days] == pytest.approx(
+            sum(truth.true_total.values()), rel=0.01)

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from crowdcdr.ingest import IngestReport, read_cdr
 from crowdcdr.synth import ScenarioConfig, StateSpec
 from helpers import (activity_slots, cell_counts, colocation_probability,
                      estimate_daily_use, scenario_to_json,
-                     stays_from_observations, stratified_stays)
+                     stays_from_observations, stratified_stays, truth_rows)
 
 
 def two_state_config(**overrides):
@@ -423,11 +424,108 @@ class TestColumnarGenerator:
         cfg = two_state_config(daily_use=daily_use)
         arrivals, stays, _, _ = synth._roster(300, cfg.states[1], cfg)
         rng, rng_oracle = (np.random.default_rng(11) for _ in range(2))
-        persons, days, n_active = synth._activity_slots(arrivals, stays, cfg,
-                                                        rng)
+        schedule = synth._schedule(arrivals, stays, daily_use)
+        persons = schedule.persons(rng)
         want_p, want_d, want_n = activity_slots(arrivals, stays, daily_use,
                                                 rng_oracle)
         assert persons.tolist() == want_p
-        assert days.tolist() == want_d
-        assert n_active.tolist() == want_n.tolist()
+        assert schedule.days.tolist() == want_d
+        assert (np.bincount(persons, minlength=len(arrivals)).tolist()
+                == want_n.tolist())
         assert rng.bit_generator.state == rng_oracle.bit_generator.state
+
+
+def cold_truth(config):
+    """``truth_rows`` of ``generate_tables`` with the plan cleared first."""
+    synth._PLAN = None
+    return truth_rows(synth.generate_tables(config))
+
+
+def plan_config():
+    """A small city in which every field but the seed can change alone."""
+    return two_state_config(peak_stay=7, p_in=0.0)
+
+
+#: A valid new value for each field of ``plan_config`` but the seed.
+CONFIG_CHANGES = {
+    "n_days": 80, "window_start": ScenarioConfig().window_start + 86400,
+    "mean_stay": 10.0, "min_stay": 6, "peak_days": (41, 60), "peak_stay": 8,
+    "peak_fraction": 0.3, "prevalence": 0.7, "daily_use": 0.5,
+    "non_use": 0.3, "group_size": 2, "p_in": 0.5, "p_out": 0.01,
+    "beta0": 0.5, "beta1": -0.3, "grid_rows": 10, "grid_cols": 12,
+    "cell_km": 0.5, "n_inactive_towers": 5, "origin_lat": 20.0,
+    "origin_lon": 80.0, "theta_peak_boost": 1.2, "theta_cap": 0.9,
+    "projection_days": (25, 35), "projection_noise": 0.05,
+}
+#: The same for the visiting state's fields; ``is_local`` swaps between
+#: the two states, since exactly one must be local.
+STATE_CHANGES = {"code": 3, "name": "elsewhere", "attendees": 700,
+                 "market_share": 0.3, "theta": 0.5, "is_local": None}
+
+
+def with_one_field_changed(name):
+    base = plan_config()
+    if name in CONFIG_CHANGES:
+        return replace(base, **{name: CONFIG_CHANGES[name]})
+    host, away = base.states
+    if name == "is_local":
+        return replace(base, states=[replace(host, is_local=False),
+                                     replace(away, is_local=True)])
+    away = replace(away, **{name: STATE_CHANGES[name]})
+    return replace(base, states=[host, away])
+
+
+class TestPlanCache:
+    """``generate_tables`` plans a city once and reuses it across seeds."""
+
+    def test_the_cases_cover_every_field_but_the_seed(self):
+        assert set(CONFIG_CHANGES) == {
+            f.name for f in fields(ScenarioConfig)} - {"seed", "states"}
+        assert set(STATE_CHANGES) == {f.name for f in fields(StateSpec)}
+
+    @pytest.mark.parametrize("name", [*CONFIG_CHANGES, *STATE_CHANGES])
+    def test_a_config_that_differs_in_one_field_gets_its_own_plan(self, name):
+        config = with_one_field_changed(name)
+        config.validate()
+        synth.generate_tables(plan_config())
+        warm = truth_rows(synth.generate_tables(config))
+        assert warm == cold_truth(config)
+
+    def test_interleaved_scenarios_each_get_the_truth_of_a_cold_run(self):
+        runs = [("desk", 3), ("desk", 1), ("band", 1), ("desk", 2),
+                ("desk-small", 1), ("desk-small", 2), ("desk", 3)]
+        want = [cold_truth(synth.named_scenario(name, seed))
+                for name, seed in runs]
+        synth._PLAN = None
+        plans = []
+        for (name, seed), expected in zip(runs, want):
+            got = truth_rows(synth.generate_tables(
+                synth.named_scenario(name, seed)))
+            assert got == expected, (name, seed)
+            plans.append(synth._PLAN)
+        # The plan is reused exactly when the scenario repeats.
+        reused = [a is b for a, b in zip(plans, plans[1:])]
+        assert reused == [True, False, False, False, True, False]
+
+    def test_writing_to_a_returned_truth_leaves_the_next_run_unchanged(self):
+        config = synth.named_scenario("desk-small", seed=1)
+        want = cold_truth(config)
+        truth = synth.generate_tables(config)
+        for a in (truth.slot_person, truth.slot_state, truth.slot_day,
+                  truth.slot_cell, truth.triples.nodes, truth.triples.state,
+                  truth.triples.closed):
+            a[...] = 0
+        for table in (truth.true_daily, truth.observed_counts,
+                      truth.customers, truth.never_users, truth.visible,
+                      truth.closed_prob, truth.node_state, truth.planted_p,
+                      truth.planted_qa, truth.towers, truth.active_tower_ids,
+                      truth.edges):
+            table.clear()
+        assert truth_rows(synth.generate_tables(config)) == want
+
+    def test_the_plan_arrays_are_read_only(self):
+        synth.generate_tables(plan_config())
+        sp = synth._PLAN.states[0]
+        with pytest.raises(ValueError, match="read-only"):
+            sp.schedule.days[0] = 0
+
