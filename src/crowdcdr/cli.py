@@ -169,9 +169,15 @@ class RunManifest:
     ``contact_pairs``, the rows of the observations and of the contact
     table's two parts; and ``active_towers``, the towers with accepted
     traffic. For ``ingest`` it holds ``worker``, whether a worker wrote
-    its artifacts. ``failure`` holds ``failed_stage``, ``error`` and
-    ``exit_code`` when the run stopped on a data or analysis error, and is
-    empty otherwise.
+    its artifacts. For ``social``: ``nodes``, ``edges``, ``triples_all``
+    and ``triples_independent``, the network and its triples, all and in
+    the node-disjoint subsample. For ``spatial``: ``active_cells`` and
+    ``silent_towers``, the towers with and without a cell;
+    ``colocation_days``, the (state, day) pairs with a defined p; and
+    ``clip_steps``, the clipping passes the tessellation ran, which is
+    the most bisectors any one cell was clipped by. ``failure`` holds
+    ``failed_stage``, ``error`` and ``exit_code`` when the run stopped on
+    a data or analysis error, and is empty otherwise.
     """
 
     command: str
@@ -196,9 +202,10 @@ class RunManifest:
         self.outputs[name] = {"path": str(path), "sha256": sha256_of(path)}
 
     def absorb(self, part: RunManifest) -> None:
-        """Add the timings, peaks and outputs of ``part`` after these."""
+        """Add the timings, peaks, stages and outputs of ``part`` after these."""
         self.timings_s.update(part.timings_s)
         self.peak_rss_mb.update(part.peak_rss_mb)
+        self.stages.update(part.stages)
         self.outputs.update(part.outputs)
 
     def write(self, path: Path) -> None:
@@ -346,7 +353,8 @@ class Run:
 
     The attendance series and the social network are built on first
     use, so each is built at most once per run, by whichever stage asks
-    first. ``results`` holds each finished stage's result by name.
+    first. ``results`` holds each finished stage's result by name, and
+    ``counts`` what a stage tells the manifest's ``stages`` block.
     """
 
     cfg: dict
@@ -354,6 +362,7 @@ class Run:
     seed: int | None = None
     data: PipelineData | None = None
     results: dict[str, object] = field(default_factory=dict)
+    counts: dict[str, dict] = field(default_factory=dict)
 
     @cached_property
     def series(self) -> att.AttendanceSeries:
@@ -490,6 +499,12 @@ def stage_social(run: Run) -> tuple[dict[str, Path], social.LogisticFit]:
     fit = social.fit_closure_model(
         triples, series.representation, seed=cfg["subsample_seed"],
     )
+    run.counts["social"] = {
+        "nodes": net.n_nodes,
+        "edges": net.n_edges,
+        "triples_all": len(triples),
+        "triples_independent": fit.n_triples,
+    }
     out["social_fit"] = outdir / "social_fit.json"
     out["social_fit"].write_text(json.dumps({
         "n_nodes": net.n_nodes,
@@ -557,13 +572,18 @@ def stage_spatial(run: Run) -> tuple[dict[str, Path], dict]:
             for s, r in sorted(report.items())
         ],
     )
-    active = [t for t in data.towers if t.active]
     cells = geo.build_tessellation(data.towers)
     out["cells"] = outdir / "cells.csv"
     write_table(
         out["cells"], ("tower_id", "area_km2", "wkt"),
         geo.cells_table(cells),
     )
+    run.counts["spatial"] = {
+        "active_cells": len(cells),
+        "silent_towers": len(data.towers) - len(cells),
+        "colocation_days": sum(p is not None for p in col.p.values()),
+        "clip_steps": max(c.clips for c in cells),
+    }
     summary = {
         "rho_a": spatial.correlate(q_a, mean_log),
         "rho_d": spatial.correlate(q_d, mean_log),
@@ -573,7 +593,7 @@ def stage_spatial(run: Run) -> tuple[dict[str, Path], dict]:
             q_d, mean_log, seed=cfg["bootstrap_seed"]),
         "high_days": sorted(high),
         "peak_mode": cfg["peak_mode"],
-        "n_active_cells": len(active),
+        "n_active_cells": len(cells),
         "bootstrap_replicates": cfg["bootstrap_replicates"],
     }
     out["spatial_summary"] = outdir / "spatial_summary.json"
@@ -702,6 +722,8 @@ def _run_stage(run: Run, manifest: RunManifest, stage: str) -> None:
     """Run ``stage_<stage>``, found by name, and record it in ``manifest``."""
     outputs, run.results[stage] = _timed(
         manifest, stage, globals()[f"stage_{stage}"], run)
+    if stage in run.counts:
+        manifest.stages[stage] = run.counts[stage]
     for name, path in outputs.items():
         manifest.add_output(name, path)
 

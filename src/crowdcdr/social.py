@@ -316,19 +316,30 @@ def _centre_pairs(centres: np.ndarray, deg: np.ndarray):
 def subsample_independent(triples: Triples, seed: int) -> Triples:
     """Random subset of triples in which no individual appears twice.
 
-    A greedy pass over a seeded random permutation, accepting a triple
-    iff none of its nodes has been used. Maximal for the permutation,
-    deterministic given the seed; rows come in acceptance order.
+    The greedy pass over a seeded random permutation that accepts a
+    triple iff none of its nodes has been used: maximal for the
+    permutation, deterministic given the seed; rows come in acceptance
+    order. It runs in rounds over arrays: a triple that is the earliest
+    one left at each of its nodes is one the sequential pass accepts, so
+    each round accepts all of those, then drops every triple that touches
+    a node they use (Blelloch, Fineman & Shun 2012, "Greedy sequential
+    maximal independent set and matching are parallel on average").
     """
     order = np.random.default_rng(seed).permutation(len(triples))
-    used: set[int] = set()
-    selected: list[int] = []
-    for row, (a, b, c) in zip(order.tolist(), triples.nodes[order].tolist()):
-        if a in used or b in used or c in used:
-            continue
-        used.update((a, b, c))
-        selected.append(row)
-    return triples.take(np.array(selected, np.intp))
+    _, node = np.unique(triples.nodes[order], return_inverse=True)
+    node = node.reshape(-1, 3)
+    n_nodes = int(node.max(initial=-1)) + 1
+    accepted = np.zeros(len(order), bool)
+    left = np.arange(len(order))    # positions in the permutation, ascending
+    while left.size:
+        earliest = np.full(n_nodes, len(order))
+        np.minimum.at(earliest, node[left], left[:, None])
+        won = left[(earliest[node[left]] == left[:, None]).all(axis=1)]
+        accepted[won] = True
+        used = np.zeros(n_nodes, bool)
+        used[node[won]] = True
+        left = left[~used[node[left]].any(axis=1)]
+    return triples.take(order[accepted])
 
 
 @dataclass(frozen=True)

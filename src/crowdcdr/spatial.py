@@ -22,7 +22,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass, field
 from math import log10
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -68,9 +68,6 @@ class CoLocationSeries:
     p: dict[tuple[int, int], float | None] = field(default_factory=dict)
     states: list[int] = field(default_factory=list)
     n_days: int = 0
-
-    def defined_days(self, state: int, days: Iterable[int]) -> list[int]:
-        return [d for d in days if self.p.get((state, d)) is not None]
 
 
 def build_colocation_series(
@@ -149,11 +146,30 @@ def partition_days(
     return high, low
 
 
-def _mean_defined(series: CoLocationSeries, state: int, days: Iterable[int]) -> float | None:
-    vals = [series.p[(state, d)] for d in series.defined_days(state, days)]
-    if not vals:
-        return None
-    return float(np.mean(vals))
+def _defined_values(
+    series: CoLocationSeries, high: set[int], low: set[int]
+) -> dict[int, tuple[list[float], list[float], list[float]]]:
+    """Each state's p values on its defined days (those with a p), over
+    the window's days, over ``high`` and over ``low``, each in day order.
+
+    One pass over the series groups the defined days by state; each state
+    then reads its three lists from its own days.
+    """
+    by_state: dict[int, dict[int, float]] = defaultdict(dict)
+    for (state, day), p in series.p.items():
+        if p is not None:
+            by_state[state][day] = p
+    high_days, low_days = sorted(high), sorted(low)
+    out = {}
+    for state, p in by_state.items():
+        window = [p[d] for d in sorted(p) if 1 <= d <= series.n_days]
+        out[state] = (window, [p[d] for d in high_days if d in p],
+                      [p[d] for d in low_days if d in p])
+    return out
+
+
+def _mean(values: list[float]) -> float | None:
+    return float(np.mean(values)) if values else None
 
 
 @dataclass
@@ -179,12 +195,11 @@ def aggregate_q(
     and the divisor reduced; imputing zero would conflate absence with
     dispersion. Q_D is missing when Q_L is zero or either side is empty.
     """
-    all_days = range(1, series.n_days + 1)
+    defined = _defined_values(series, high, low)
     out: dict[int, StateSpatial] = {}
     for state in series.states:
-        q_a = _mean_defined(series, state, all_days)
-        q_h = _mean_defined(series, state, sorted(high))
-        q_l = _mean_defined(series, state, sorted(low))
+        window, high_p, low_p = defined.get(state, ([], [], []))
+        q_a, q_h, q_l = _mean(window), _mean(high_p), _mean(low_p)
         q_d = None
         if q_h is not None and q_l is not None and q_l > 0:
             q_d = q_h / q_l
@@ -194,7 +209,7 @@ def aggregate_q(
             q_h=q_h,
             q_l=q_l,
             q_d=q_d,
-            n_days_defined=len(series.defined_days(state, all_days)),
+            n_days_defined=len(window),
         )
     return out
 
@@ -253,17 +268,14 @@ def attach_bootstrap_cis(
     seed: int = 0,
 ) -> None:
     """Fill ci_a and ci_d in place, one seeded substream per state."""
-    all_days = range(1, series.n_days + 1)
+    defined = _defined_values(series, high, low)
     for k, state in enumerate(sorted(report)):
         stat = report[state]
-        days = series.defined_days(state, all_days)
-        vals = [series.p[(state, d)] for d in days]
+        vals, hv, lv = defined.get(state, ([], [], []))
         if len(vals) >= 2:
             stat.ci_a = bootstrap_mean_ci(
                 vals, replicates=replicates, seed=seed * 1_000_003 + 2 * k
             )
-        hv = [series.p[(state, d)] for d in series.defined_days(state, sorted(high))]
-        lv = [series.p[(state, d)] for d in series.defined_days(state, sorted(low))]
         if len(hv) >= 2 and len(lv) >= 2 and stat.q_d is not None:
             stat.ci_d = bootstrap_ratio_ci(
                 hv, lv, replicates=replicates, seed=seed * 1_000_003 + 2 * k + 1

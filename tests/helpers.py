@@ -36,7 +36,8 @@ from crowdcdr.ingest import (CDR_COLUMNS, DEFAULT_WINDOW,
 from crowdcdr.sbm import DEMO_P_OUT, GroupBiasDemo, group_structure_bias
 from crowdcdr.social import (ContactTable, SocialNetwork, TripleCensus,
                              Triples, transitivity)
-from crowdcdr.spatial import CoLocationSeries, correlate
+from crowdcdr.spatial import (CoLocationSeries, StateSpatial, bootstrap_mean_ci,
+                              bootstrap_ratio_ci, correlate)
 
 BASE_TS = DEFAULT_WINDOW.start
 
@@ -891,6 +892,64 @@ def mirrored_voronoi_cells(
     return cells
 
 
+def clip_cells_matrix(
+    pts: np.ndarray, bbox: tuple[float, float, float, float]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``geo._clip_cells`` from the full towers x towers squared-distance
+    matrix and its stable argsort, each row's towers in its order.
+
+    The oracle of the bucket-grid candidates: the same padded vertices,
+    counts and clips per cell.
+    """
+    xmin, ymin, xmax, ymax = bbox
+    n = len(pts)
+    box = [[xmin, ymin], [xmax, ymin], [xmax, ymax], [xmin, ymax]]
+    poly = np.tile(np.array(box, dtype=float), (n, 1, 1))   # count[i] rows used
+    count = np.full(n, 4)
+    clips = np.zeros(n, np.int64)
+    d2 = ((pts[:, None] - pts[None]) ** 2).sum(axis=2)
+    order = np.argsort(d2, axis=1, kind="stable")   # column 0 is the tower
+    live = np.arange(n)
+    for k in range(1, n):   # one Sutherland-Hodgman pass over the live cells
+        slots = np.arange(poly.shape[1])
+        valid = slots < count[live, None]
+        reach2 = np.where(valid, ((poly[live] - pts[live, None]) ** 2).sum(axis=2), 0)
+        near = d2[live, order[live, k]] <= 4 * reach2.max(axis=1)
+        live, valid = live[near], valid[near]
+        if not live.size:
+            break
+        clips[live] += 1
+        cell, own, other = poly[live], pts[live], pts[order[live, k]]
+        side = ((cell - (own + other)[:, None] / 2) * (other - own)[:, None]).sum(2)
+        succ = (slots + 1) % count[live, None]
+        side_next = np.take_along_axis(side, succ, axis=1)
+        inside, crossing = valid & (side <= 0), valid & (side * side_next < 0)
+        emitted = inside + crossing.astype(int)
+        slot = np.cumsum(emitted, axis=1) - emitted
+        count[live] = emitted.sum(axis=1)
+        if count.max() > poly.shape[1]:
+            poly = np.pad(poly, ((0, 0), (0, count.max() - poly.shape[1]), (0, 0)))
+        r, c = np.nonzero(inside)
+        poly[live[r], slot[r, c]] = cell[r, c]
+        r, c = np.nonzero(crossing)
+        t = (side[r, c] / (side[r, c] - side_next[r, c]))[:, None]
+        a, b = cell[r, c], cell[r, succ[r, c]]
+        poly[live[r], slot[r, c] + inside[r, c]] = a + t * (b - a)
+    return poly, count, clips
+
+
+def serving_towers_loop(towers: Sequence[TowerSite]) -> dict[int, int]:
+    """``geo.serving_towers`` by one scan of every active tower per silent
+    tower: the least squared distance, ties to the smallest id."""
+    active, pts, origin = geo._active_points(towers, None)
+    mapping = {t.tower_id: t.tower_id for t in active}
+    for t in towers:
+        if not t.active:
+            d2 = ((pts - geo.project_tower(t, origin)) ** 2).sum(axis=1)
+            mapping[t.tower_id] = active[int(d2.argmin())].tower_id
+    return mapping
+
+
 def finish_cells_loop(poly, count, pts) -> list[tuple[np.ndarray, float]]:
     """(vertices, area) of each clipped cell, finished one cell at a time.
 
@@ -946,6 +1005,35 @@ def joint_bias_demo_oracle(*, m=100, p_in=0.2, g_b=50, seed=0) -> GroupBiasDemo:
         within_transitivity={s: transitivity(census, s) for s, _ in groups},
         triples={s: (census.closed[s], census.open[s]) for s, _ in groups},
     )
+
+
+def spatial_report_loop(series: CoLocationSeries, high, low, *,
+                        replicates=1000, seed=0) -> dict:
+    """``spatial.aggregate_q`` then ``attach_bootstrap_cis``, each state's
+    defined days looked up day by day in every list they build."""
+    def values(state, days):
+        return [series.p[(state, d)] for d in days
+                if series.p.get((state, d)) is not None]
+
+    all_days = range(1, series.n_days + 1)
+    out = {}
+    for state in series.states:
+        vals = [values(state, days) for days in (all_days, sorted(high), sorted(low))]
+        q_a, q_h, q_l = (float(np.mean(v)) if v else None for v in vals)
+        q_d = q_h / q_l if q_h is not None and q_l is not None and q_l > 0 else None
+        out[state] = StateSpatial(state, q_a, q_h, q_l, q_d,
+                                  n_days_defined=len(vals[0]))
+    for k, state in enumerate(sorted(out)):
+        stat = out[state]
+        a, hv, lv = (values(state, days)
+                     for days in (all_days, sorted(high), sorted(low)))
+        if len(a) >= 2:
+            stat.ci_a = bootstrap_mean_ci(a, replicates=replicates,
+                                          seed=seed * 1_000_003 + 2 * k)
+        if len(hv) >= 2 and len(lv) >= 2 and stat.q_d is not None:
+            stat.ci_d = bootstrap_ratio_ci(hv, lv, replicates=replicates,
+                                           seed=seed * 1_000_003 + 2 * k + 1)
+    return out
 
 
 def correlation_p_value_oracle(values, mean_log_rep, *, n_permutations=199,

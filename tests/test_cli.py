@@ -20,7 +20,8 @@ from hypothesis import strategies as st
 
 from crowdcdr import attendance, cli, geo, ingest, social, synth
 from crowdcdr.ingest import CdrColumns, TowerSite
-from helpers import CDR_HEADER, nearest_active_tower, scenario_to_json
+from helpers import (CDR_HEADER, clip_cells_matrix, nearest_active_tower,
+                     scenario_to_json)
 
 PLANTED_PEAKS = {41, 46, 69}
 
@@ -48,12 +49,12 @@ def manifest_digests(path: Path) -> dict[str, str]:
 
 
 def how_read(path: Path) -> dict:
-    """A manifest's ``stages``, with ``load`` cut to how the CDR file was
-    read (its counts are checked against the artifacts on their own)."""
+    """A manifest's ``stages`` for how the CDR file was read: ``load`` cut
+    to that, and ``ingest`` (the counts are checked against the artifacts
+    on their own)."""
     stages = read_json(path)["stages"]
-    stages["load"] = {k: stages["load"][k]
-                      for k in ("row_reader_from", "split_row")}
-    return stages
+    return {"load": {k: stages["load"][k] for k in ("row_reader_from", "split_row")},
+            "ingest": stages["ingest"]}
 
 
 def timed_stages(outdir: Path, command: str) -> set[str]:
@@ -376,6 +377,29 @@ class TestReport:
         assert 0 < fit["n_nodes"] <= load["parties"]
         assert 0 < fit["n_edges"] <= load["contact_pairs"]
 
+    def test_social_and_spatial_counts_match_the_artifacts(self, gen_dir,
+                                                           report_dir):
+        stages = read_json(report_dir / "manifest_report.json")["stages"]
+        assert list(stages) == ["load", "ingest", "social", "spatial"]
+        fit = read_json(report_dir / "social_fit.json")
+        assert stages["social"] == {
+            "nodes": fit["n_nodes"], "edges": fit["n_edges"],
+            "triples_all": fit["n_triples_all"],
+            "triples_independent": fit["n_triples_independent"]}
+        spatial_counts = stages["spatial"]
+        cells = read_rows(report_dir / "cells.csv")
+        assert spatial_counts["active_cells"] == len(cells) == \
+            stages["load"]["active_towers"]
+        assert spatial_counts["silent_towers"] == read_json(
+            report_dir / "ingest_report.json")["towers_silent"]
+        assert spatial_counts["colocation_days"] == len(
+            read_rows(report_dir / "spatial_daily.csv"))
+        _, pts, _ = geo._active_points(cli.load_pipeline_data(gen_dir).towers, None)
+        pad = geo.DEFAULT_PAD_KM
+        _, _, clips = clip_cells_matrix(
+            pts, (*(pts.min(axis=0) - pad), *(pts.max(axis=0) + pad)))
+        assert spatial_counts["clip_steps"] == clips.max() > 0
+
     def test_load_keeps_no_cdr_columns(self, gen_dir):
         def live_columns() -> int:
             gc.collect()
@@ -589,6 +613,10 @@ class TestSplitManifest:
             "load": {"row_reader_from": None,
                      "split_row": data[:cut].count(b"\n")},
             "ingest": {"worker": True}}
+        # The stages the parent ran are recorded after the worker's.
+        stages = read_json(report_dir / "manifest_report.json")["stages"]
+        assert list(blob["stages"]) == list(stages)
+        assert blob["stages"]["spatial"] == stages["spatial"]
         assert blob["peak_rss_mb"]["workers"] > 0
         assert manifest_digests(out / "manifest_report.json") == \
             manifest_digests(report_dir / "manifest_report.json")

@@ -12,8 +12,9 @@ from crowdcdr import geo, synth
 from crowdcdr.errors import ConfigurationError
 from crowdcdr.geo import build_tessellation, project_local, tower_origin
 from crowdcdr.ingest import TowerSite
-from helpers import (finish_cells_loop, haversine_km, mirrored_voronoi_cells,
-                     nearest_active_tower)
+from helpers import (clip_cells_matrix, finish_cells_loop, haversine_km,
+                     mirrored_voronoi_cells, nearest_active_tower,
+                     serving_towers_loop)
 
 ORIGIN = (25.45, 81.85)
 DESK_GRID = synth.tower_grid(synth.named_scenario("desk-small"))[0]
@@ -90,7 +91,7 @@ def dropped_as_the_loop_drops(towers) -> int:
     """Assert the cells are the per-cell loop's, bit for bit; count drops."""
     _, pts, _ = geo._active_points(towers, None)
     pad = geo.DEFAULT_PAD_KM
-    poly, count = geo._clip_cells(
+    poly, count, _ = geo._clip_cells(
         pts, (*(pts.min(axis=0) - pad), *(pts.max(axis=0) + pad)))
     want = finish_cells_loop(poly, count, pts)
     cells = build_tessellation(towers)
@@ -99,6 +100,82 @@ def dropped_as_the_loop_drops(towers) -> int:
         assert np.array_equal(cell.polygon, verts)
         assert cell.area == area
     return int(count.sum()) - sum(len(c.polygon) for c in cells)
+
+
+def clustered_towers(seed, clusters, size):
+    """``clusters`` tight groups of ``size`` towers, up to 0.1 degrees apart."""
+    rng = np.random.default_rng(seed)
+    centres = rng.uniform(-0.1, 0.1, size=(clusters, 2))
+    offsets = centres.repeat(size, axis=0) + rng.normal(0, 0.002, (clusters * size, 2))
+    return [tower(i, dlat, dlon)
+            for i, (dlat, dlon) in enumerate(offsets.tolist(), start=1)]
+
+
+#: Lattice offsets at squared distance 25, 100 or 169 from the centre:
+#: the Pythagorean triples (3, 4, 5), (6, 8, 10) and (5, 12, 13).
+RINGS = [(a * sa, b * sb) for a, b in [(0, 5), (3, 4), (0, 10), (6, 8),
+                                       (0, 13), (5, 12)]
+         for sa in (1, -1) for sb in (1, -1)]
+RINGS = sorted({p for a, b in RINGS for p in ((a, b), (b, a))})
+
+CLUSTERED_LAYOUTS = st.builds(clustered_towers, st.integers(0, 2 ** 32),
+                              st.integers(1, 4), st.integers(1, 30))
+COCIRCULAR_LAYOUTS = st.lists(st.sampled_from(RINGS), unique=True).map(
+    lambda ring: lattice_towers([(0, 0), *ring]))
+FEW_TOWERS = st.builds(scattered_towers, st.integers(0, 2 ** 32),
+                       st.integers(1, 3))
+
+
+def lattice_points(cells, step):
+    """Points on a lattice with an exact binary step, in km: exact ties."""
+    return np.array(cells, dtype=float).reshape(-1, 2) * step
+
+
+# Points in km, for the clipping itself: exact lattices and rings tie
+# distances exactly, which projected towers seldom do.
+POINT_LAYOUTS = st.one_of(
+    st.builds(lambda seed, n: np.random.default_rng(seed).uniform(-5, 5, (n, 2)),
+              st.integers(0, 2 ** 32), st.integers(1, 150)),
+    st.builds(lattice_points,
+              st.lists(st.tuples(st.integers(-12, 12), st.integers(-12, 12)),
+                       min_size=1, max_size=150, unique=True),
+              st.sampled_from([0.25, 0.5, 1.0])),
+    st.builds(lattice_points,
+              st.lists(st.sampled_from(RINGS), unique=True).map(
+                  lambda ring: [(0, 0), *ring]),
+              st.sampled_from([0.125, 0.25])),
+    st.builds(lambda seed, k, m: np.random.default_rng(seed).uniform(-20, 20, (k, 2))
+              .repeat(m, axis=0)
+              + np.random.default_rng(seed + 1).normal(0, 0.05, (k * m, 2)),
+              st.integers(0, 2 ** 30), st.integers(1, 4), st.integers(1, 40)),
+    st.builds(lambda n, step, d: np.outer(np.arange(n) * step, d),
+              st.integers(1, 60), st.sampled_from([0.25, 0.3, 1.0]),
+              st.sampled_from([(1.0, 0.0), (0.0, 1.0), (1.0, 1.0), (2.0, -1.0)])),
+)
+
+
+def assert_clips_equal_the_matrix_oracle(pts, bbox):
+    """``geo._clip_cells`` against the towers x towers oracle, bit for bit."""
+    poly, count, clips = geo._clip_cells(pts, bbox)
+    want_poly, want_count, want_clips = clip_cells_matrix(pts, bbox)
+    assert np.array_equal(count, want_count)
+    assert np.array_equal(clips, want_clips)
+    for i, k in enumerate(count):
+        assert np.array_equal(poly[i, :k], want_poly[i, :k])
+    return clips
+
+
+def tessellation_with(clip, towers, **kwargs):
+    """``build_tessellation`` with ``clip`` in place of ``geo._clip_cells``:
+    its cells, or the error it raised."""
+    saved = geo._clip_cells
+    geo._clip_cells = clip
+    try:
+        return build_tessellation(towers, **kwargs)
+    except ConfigurationError as exc:
+        return exc
+    finally:
+        geo._clip_cells = saved
 
 
 class TestProjection:
@@ -266,6 +343,52 @@ class TestTessellation:
     def test_cocircular_grid_vertices_are_dropped_as_the_loop_drops(self):
         assert dropped_as_the_loop_drops(DESK_GRID) > 0
 
+    @given(POINT_LAYOUTS, st.sampled_from([0.5, 2.0, 6.0]))
+    @settings(max_examples=120, deadline=None)
+    def test_clipping_equals_the_distance_matrix_oracle(self, pts, pad):
+        pts = np.unique(pts, axis=0)
+        bbox = (*(pts.min(axis=0) - pad), *(pts.max(axis=0) + pad))
+        assert_clips_equal_the_matrix_oracle(pts, bbox)
+
+    def test_cells_past_the_first_candidates_ask_again(self):
+        # The desk grid's corner cells read 50 towers, its edge cells 29 to
+        # 31; with a 6 km pad every edge cell reads more than the first batch.
+        for pad in (2.0, 6.0):
+            _, pts, _ = geo._active_points(DESK_GRID, None)
+            bbox = (*(pts.min(axis=0) - pad), *(pts.max(axis=0) + pad))
+            clips = assert_clips_equal_the_matrix_oracle(pts, bbox)
+            assert clips.max() + 1 > geo.FIRST_CANDIDATES
+        lattice = lattice_points([(i, j) for i in range(30) for j in range(30)], 0.25)
+        clips = assert_clips_equal_the_matrix_oracle(
+            lattice, (-6.0, -6.0, 13.25, 13.25))
+        assert clips.max() + 1 > 4 * geo.FIRST_CANDIDATES
+
+    @given(st.one_of(RANDOM_LAYOUTS, COLLINEAR_LAYOUTS, GRID_LAYOUTS,
+                     TOWER_GRID_SUBSETS, CLUSTERED_LAYOUTS, COCIRCULAR_LAYOUTS,
+                     FEW_TOWERS),
+           st.one_of(st.none(), st.tuples(st.floats(-9, -0.5), st.floats(-9, -0.5),
+                                          st.floats(0.5, 9), st.floats(0.5, 9))),
+           st.sampled_from([None, ORIGIN, (ORIGIN[0] + 0.01, ORIGIN[1] - 0.02)]))
+    @settings(max_examples=80, deadline=None)
+    def test_tessellation_equals_the_matrix_oracle(self, towers, bbox, origin):
+        got = tessellation_with(geo._clip_cells, towers, bbox=bbox, origin=origin)
+        want = tessellation_with(clip_cells_matrix, towers, bbox=bbox, origin=origin)
+        if isinstance(want, ConfigurationError):
+            assert type(got) is type(want) and str(got) == str(want)
+            return
+        assert [c.tower_id for c in got] == [c.tower_id for c in want]
+        _, pts, origin = geo._active_points(towers, origin)
+        if bbox is None:
+            bbox = (*(pts.min(axis=0) - geo.DEFAULT_PAD_KM),
+                    *(pts.max(axis=0) + geo.DEFAULT_PAD_KM))
+        poly, count, clips = clip_cells_matrix(pts, bbox)
+        looped = finish_cells_loop(poly, count, pts)
+        for cell, other, (verts, area), n_clips in zip(got, want, looped, clips):
+            assert np.array_equal(cell.polygon, other.polygon)
+            assert np.array_equal(cell.polygon, verts)
+            assert cell.area == other.area == area
+            assert cell.clips == other.clips == n_clips
+
     def test_polygon_rows_for_export(self):
         cells = build_tessellation([tower(1, 0, 0)], pad_km=2.0)
         rows = geo.cells_table(cells)
@@ -277,3 +400,56 @@ class TestTessellation:
         first = wkt[len("POLYGON((") : -2].split(", ")[0]
         last = wkt[len("POLYGON((") : -2].split(", ")[-1]
         assert first == last
+
+
+class TestServingTowers:
+    @given(st.one_of(RANDOM_LAYOUTS, GRID_LAYOUTS, CLUSTERED_LAYOUTS,
+                     COCIRCULAR_LAYOUTS),
+           st.integers(0, 2 ** 32), st.floats(0.05, 0.95))
+    @settings(max_examples=60, deadline=None)
+    def test_equals_the_loop_oracle(self, towers, seed, share):
+        rng = random.Random(seed)
+        towers = [TowerSite(t.tower_id, t.latitude, t.longitude,
+                            i == 0 or rng.random() < share)
+                  for i, t in enumerate(towers)]
+        # Silent towers far outside the active extent too.
+        towers.append(tower(len(towers) + 1, 0.3, -0.3, active=False))
+        assert geo.serving_towers(towers) == serving_towers_loop(towers)
+
+    @given(st.permutations([3, 5, 8, 13]))
+    def test_equidistant_silent_tower_goes_to_the_smallest_id(self, ids):
+        # Latitudes 25.25 to 25.75 are exact in binary, and so is their
+        # centroid: the silent tower at it is exactly as far from the
+        # north and south towers, and from the east and west ones.
+        lat, lon = 25.5, 81.75
+        towers = [TowerSite(ids[0], lat + 0.25, lon, True),
+                  TowerSite(ids[1], lat - 0.25, lon, True),
+                  TowerSite(ids[2], lat, lon + 0.25, True),
+                  TowerSite(ids[3], lat, lon - 0.25, True),
+                  TowerSite(99, lat, lon, False)]
+        got = geo.serving_towers(towers)
+        assert got == serving_towers_loop(towers)
+        assert got[99] == min(ids[2:])    # east-west is the nearer pair
+
+    def test_silent_towers_of_the_desk_grid(self):
+        towers = grid_subset(11, 0.3)
+        assert geo.serving_towers(towers) == serving_towers_loop(towers)
+
+
+class TestBucketQuery:
+    @given(POINT_LAYOUTS, st.integers(0, 2 ** 32), st.integers(1, 200))
+    @settings(max_examples=80, deadline=None)
+    def test_equals_the_stable_argsort_prefix(self, pts, seed, want):
+        pts = np.unique(pts, axis=0)
+        want = min(want, len(pts))
+        rng = np.random.default_rng(seed)
+        low, high = pts.min(axis=0) - 3, pts.max(axis=0) + 3
+        where = np.vstack([pts, rng.uniform(low, high, (20, 2)),
+                           rng.uniform(low - 50, high + 50, (5, 2))])
+        got, got_d2, start, size = geo._Buckets(pts).nearest(where, want)
+        for q, s, k in zip(where, start, size):
+            d2 = ((q - pts) ** 2).sum(axis=1)
+            order = np.argsort(d2, kind="stable")
+            expect = order[d2[order] <= d2[order[want - 1]]]
+            assert np.array_equal(got[s:s + k], expect)
+            assert np.array_equal(got_d2[s:s + k], d2[expect])

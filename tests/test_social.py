@@ -457,7 +457,34 @@ class TestTripleEnumeration:
             assert len(set(nodes)) == 3
 
 
+def _triples_of(rows) -> Triples:
+    """Triples over sparse, large node ids, closed on every third row."""
+    nodes = np.sort(np.array(rows, np.int64).reshape(-1, 3), axis=1)
+    return Triples(nodes * 7919 + 10 ** 9, np.full(len(nodes), 2),
+                   np.arange(len(nodes)) % 3 == 0)
+
+
+# Triples that share nodes: one hub in many triples, chains whose
+# neighbours share one or two nodes, and triples over a small node pool.
+SHARED_NODE_TRIPLES = st.one_of(
+    st.lists(st.tuples(st.integers(1, 40), st.integers(41, 80)), max_size=60)
+    .map(lambda pairs: _triples_of([(0, a, b) for a, b in pairs])),
+    st.builds(lambda n, step: _triples_of([(i, i + 1, i + 2) for i in range(0, n * step, step)]),
+              st.integers(0, 60), st.integers(1, 2)),
+    st.lists(st.sets(st.integers(0, 15), min_size=3, max_size=3), max_size=60)
+    .map(lambda sets: _triples_of([sorted(s) for s in sets])),
+)
+
+
 class TestSubsample:
+    @given(st.lists(SHARED_NODE_TRIPLES, min_size=1, max_size=3))
+    @settings(max_examples=80, deadline=None)
+    def test_rounds_equal_the_sequential_set_loop(self, parts):
+        triples = Triples.concat(parts)
+        for seed in range(4):
+            assert (triple_rows(subsample_independent(triples, seed))
+                    == subsample_oracle(triple_rows(triples), seed))
+
     def test_shared_node_keeps_exactly_one(self):
         triples = Triples([(1, 2, 3), (3, 4, 5)], [2, 2], [True, False])
         for seed in range(5):

@@ -23,7 +23,7 @@ from crowdcdr.spatial import (
 )
 from helpers import (colocation_probability, colocation_series_loop,
                      correlation_p_value_oracle, make_observations,
-                     pair_enumeration_probability)
+                     pair_enumeration_probability, spatial_report_loop)
 
 
 def series_from_p(p_by_state_day, n_days):
@@ -313,6 +313,24 @@ class TestBootstrap:
             assert stat.ci_a is not None and stat.ci_d is not None
             assert stat.ci_a[0] <= stat.q_a <= stat.ci_a[1]
             assert stat.ci_d[0] <= stat.q_d <= stat.ci_d[1]
+
+
+    @given(st.dictionaries(
+               st.tuples(st.integers(1, 4), st.integers(0, 12)),
+               st.one_of(st.none(), st.floats(0, 1)), max_size=40),
+           st.sets(st.integers(0, 12)), st.sets(st.integers(0, 12)),
+           st.integers(0, 2 ** 16))
+    @settings(max_examples=60, deadline=None)
+    def test_report_equals_the_day_by_day_loop(self, p, high, low, seed):
+        # Keys in any order, days outside the 10-day window, states with
+        # no defined day, and day sets that overlap or leave the window.
+        series = spatial.CoLocationSeries(
+            p=dict(random.Random(seed).sample(sorted(p.items()), len(p))),
+            states=sorted({s for s, _ in p}), n_days=10)
+        report = aggregate_q(series, high, low)
+        attach_bootstrap_cis(report, series, high, low, replicates=200, seed=seed)
+        assert report == spatial_report_loop(series, high, low,
+                                             replicates=200, seed=seed)
 
 
 class TestRepresentation:
