@@ -351,8 +351,8 @@ class TestTessellation:
         assert_clips_equal_the_matrix_oracle(pts, bbox)
 
     def test_cells_past_the_first_candidates_ask_again(self):
-        # The desk grid's corner cells read 50 towers, its edge cells 29 to
-        # 31; with a 6 km pad every edge cell reads more than the first batch.
+        # The desk grid's corner cells read 50 towers and its edge cells 29
+        # to 31, more than their first list; with a 6 km pad, more still.
         for pad in (2.0, 6.0):
             _, pts, _ = geo._active_points(DESK_GRID, None)
             bbox = (*(pts.min(axis=0) - pad), *(pts.max(axis=0) + pad))
@@ -437,19 +437,20 @@ class TestServingTowers:
 
 
 class TestBucketQuery:
-    @given(POINT_LAYOUTS, st.integers(0, 2 ** 32), st.integers(1, 200))
+    @given(POINT_LAYOUTS, st.integers(0, 2 ** 32), st.integers(1, 200),
+           st.sampled_from([0.0, 0.3, 4.0, 30.0]))
     @settings(max_examples=80, deadline=None)
-    def test_equals_the_stable_argsort_prefix(self, pts, seed, want):
+    def test_equals_the_stable_argsort_prefix(self, pts, seed, want, radius2):
         pts = np.unique(pts, axis=0)
         want = min(want, len(pts))
         rng = np.random.default_rng(seed)
         low, high = pts.min(axis=0) - 3, pts.max(axis=0) + 3
         where = np.vstack([pts, rng.uniform(low, high, (20, 2)),
                            rng.uniform(low - 50, high + 50, (5, 2))])
-        got, got_d2, start, size = geo._Buckets(pts).nearest(where, want)
+        got, got_d2, start, size = geo._Buckets(pts).nearest(where, want, radius2)
         for q, s, k in zip(where, start, size):
             d2 = ((q - pts) ** 2).sum(axis=1)
             order = np.argsort(d2, kind="stable")
-            expect = order[d2[order] <= d2[order[want - 1]]]
+            expect = order[d2[order] <= max(d2[order[want - 1]], radius2)]
             assert np.array_equal(got[s:s + k], expect)
             assert np.array_equal(got_d2[s:s + k], d2[expect])
