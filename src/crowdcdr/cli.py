@@ -27,6 +27,7 @@ import argparse
 import ctypes
 import hashlib
 import json
+import os
 import resource
 import sys
 import time
@@ -36,12 +37,31 @@ from functools import cache, cached_property, partial
 from pathlib import Path
 from typing import Callable, Iterator, Mapping, Sequence
 
-import numpy as np
+#: The variables that set the thread count of numpy's OpenBLAS, the first
+#: taking precedence over the other two.
+BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
+                         "OMP_NUM_THREADS")
 
-from . import __version__
-from . import attendance as att
-from . import geo, ingest, reference, sbm, social, spatial
-from .errors import (
+# One BLAS thread for the command: its BLAS calls are too small to share,
+# its parallelism is its forked workers, and on a 2-vCPU host a second
+# thread costs every run about 75 ms as numpy loads. Set before numpy
+# loads, so it must stay above every import that loads it; not where the
+# user set one of the variables, nor where numpy was loaded before (it
+# would change no thread).
+if ("numpy" not in sys.modules
+        and os.environ.keys().isdisjoint(BLAS_THREAD_VARIABLES)):
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+
+#: The variables as they stood then, None where unset: for the command,
+#: as numpy found them. The manifest records them.
+BLAS_THREADS = {name: os.environ.get(name) for name in BLAS_THREAD_VARIABLES}
+
+import numpy as np  # noqa: E402
+
+from . import __version__  # noqa: E402
+from . import attendance as att  # noqa: E402
+from . import geo, ingest, reference, sbm, social, spatial  # noqa: E402
+from .errors import (  # noqa: E402
     AnalysisError,
     ConfigurationError,
     ConvergenceError,
@@ -50,7 +70,7 @@ from .errors import (
     SchemaError,
     SeparationError,
 )
-from .ingest import (
+from .ingest import (  # noqa: E402
     DEFAULT_WINDOW,
     IngestReport,
     ObservationColumns,
@@ -65,7 +85,7 @@ from .ingest import (
     write_columns,
     write_table,
 )
-from .worker import forked
+from .worker import forked  # noqa: E402
 
 DATA_ERRORS = (SchemaError, IngestError, ConfigurationError)
 ANALYSIS_ERRORS = (EstimationError, AnalysisError, SeparationError,
@@ -177,7 +197,9 @@ class RunManifest:
     ``clip_steps``, the clipping passes the tessellation ran, which is
     the most bisectors any one cell was clipped by. ``failure`` holds
     ``failed_stage``, ``error`` and ``exit_code`` when the run stopped on
-    a data or analysis error, and is empty otherwise.
+    a data or analysis error, and is empty otherwise. ``versions`` holds
+    those of crowdcdr, numpy and Python, and under ``blas_threads`` the
+    ``BLAS_THREADS`` variables.
     """
 
     command: str
@@ -188,7 +210,7 @@ class RunManifest:
     timings_s: dict[str, float] = field(default_factory=dict)
     peak_rss_mb: dict[str, float] = field(default_factory=dict)
     stages: dict[str, dict] = field(default_factory=dict)
-    versions: dict[str, str] = field(default_factory=dict)
+    versions: dict[str, object] = field(default_factory=dict)
     failure: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -196,6 +218,7 @@ class RunManifest:
             "crowdcdr": __version__,
             "numpy": np.__version__,
             "python": sys.version.split()[0],
+            "blas_threads": dict(BLAS_THREADS),
         }
 
     def add_output(self, name: str, path: Path) -> None:
@@ -526,7 +549,8 @@ def stage_social(run: Run) -> tuple[dict[str, Path], social.LogisticFit]:
 
 def stage_spatial(run: Run) -> tuple[dict[str, Path], dict]:
     data, series, cfg, outdir = run.data, run.series, run.cfg, run.outdir
-    cell_of = geo.serving_towers(data.towers)
+    active = geo.project_active(data.towers)
+    cell_of = geo.serving_towers(data.towers, active)
     # Unlike the social stage, the host state stays in: its (weak)
     # co-location is part of the per-state spatial report.
     col = spatial.build_colocation_series(
@@ -572,7 +596,7 @@ def stage_spatial(run: Run) -> tuple[dict[str, Path], dict]:
             for s, r in sorted(report.items())
         ],
     )
-    cells = geo.build_tessellation(data.towers)
+    cells = geo.build_tessellation(active)
     out["cells"] = outdir / "cells.csv"
     write_table(
         out["cells"], ("tower_id", "area_km2", "wkt"),

@@ -93,43 +93,56 @@ def tower_origin(towers: Sequence[TowerSite]) -> tuple[float, float]:
     )
 
 
-def _active_points(
-    towers: Sequence[TowerSite], origin: tuple[float, float] | None
-) -> tuple[list[TowerSite], np.ndarray, tuple[float, float]]:
+@dataclass(frozen=True)
+class ActiveTowers:
+    """The active towers, by id, and their points in the local frame."""
+
+    towers: list[TowerSite]
+    pts: np.ndarray             # (len(towers), 2), km
+    origin: tuple[float, float]
+
+
+def project_active(
+    towers: Sequence[TowerSite], origin: tuple[float, float] | None = None
+) -> ActiveTowers:
+    """The active towers projected about ``origin``, by default their
+    centroid: once per run, for ``serving_towers`` and
+    ``build_tessellation`` both."""
     active = sorted((t for t in towers if t.active), key=lambda t: t.tower_id)
     if not active:
         raise ConfigurationError("no active towers")
     if origin is None:
         origin = tower_origin(towers)
     pts = np.array([project_tower(t, origin) for t in active])
-    return active, pts, origin
+    return ActiveTowers(active, pts, origin)
 
 
-def serving_towers(towers: Sequence[TowerSite]) -> dict[int, int]:
+def serving_towers(
+    towers: Sequence[TowerSite], active: ActiveTowers
+) -> dict[int, int]:
     """tower_id -> the active tower serving it: itself, or the nearest one
     when the tower is silent.
 
-    Each tower is projected once. A silent tower goes to the active tower
-    at the least squared distance, ties to the smallest id, found by one
-    bucket-grid query for all silent towers.
+    ``active`` is ``project_active(towers)``; only the silent towers are
+    projected here. A silent tower goes to the active tower at the least
+    squared distance, ties to the smallest id, found by one bucket-grid
+    query for all silent towers.
     """
-    active, pts, origin = _active_points(towers, None)
-    mapping = {t.tower_id: t.tower_id for t in active}
+    mapping = {t.tower_id: t.tower_id for t in active.towers}
     silent = [t for t in towers if not t.active]
     if silent:
-        where = np.array([project_tower(t, origin) for t in silent])
-        nearest, _, start, _ = _Buckets(pts).nearest(where, 1)
+        where = np.array([project_tower(t, active.origin) for t in silent])
+        nearest, _, start, _ = _Buckets(active.pts).nearest(where, 1)
         for t, i in zip(silent, nearest[start].tolist()):
-            mapping[t.tower_id] = active[i].tower_id
+            mapping[t.tower_id] = active.towers[i].tower_id
     return mapping
 
 
 def build_tessellation(
-    towers: Sequence[TowerSite],
+    active: ActiveTowers,
     *,
     pad_km: float = DEFAULT_PAD_KM,
     bbox: tuple[float, float, float, float] | None = None,
-    origin: tuple[float, float] | None = None,
 ) -> list[VoronoiCell]:
     """Voronoi cells of the active towers, clipped to the bounding box.
 
@@ -138,7 +151,7 @@ def build_tessellation(
     nearest first, until the next tower lies beyond twice the cell's
     farthest vertex (the security radius), so the areas sum to the box's.
     """
-    active, pts, origin = _active_points(towers, origin)
+    pts = active.pts
     rounded = {tuple(p) for p in np.round(pts, 9).tolist()}
     if len(rounded) != len(pts):
         raise ConfigurationError("active towers with duplicate coordinates")
@@ -172,7 +185,7 @@ def build_tessellation(
     x_prev = np.take_along_axis(x, previous(count), axis=1)
     y_prev = np.take_along_axis(y, previous(count), axis=1)
     cells = []
-    for i, tower in enumerate(active):
+    for i, tower in enumerate(active.towers):
         k = count[i]
         # Shoelace area with one np.dot per term and cell: a row sum over
         # the padded arrays would round some areas differently.

@@ -11,6 +11,11 @@ arguments, whose return value the child sends back pickled through a
 pipe. The parent gets that value when it is whole; else, and where there
 is no child, it runs the same function itself, and it is told which. So
 a worker changes no result, and its caller keeps only its own work.
+
+A worker forked by the command has no BLAS threads to lose: ``crowdcdr.cli``
+runs BLAS on one thread, the caller's, unless the user set a thread count.
+A program that loaded numpy before ``crowdcdr.cli``, or set more threads,
+keeps the rule that its workers must not call BLAS.
 """
 
 from __future__ import annotations
@@ -67,9 +72,12 @@ def _start(work: Callable[[], object]) -> tuple[int, BinaryIO] | tuple[None, Non
     The child leaves by ``os._exit``, with status 0 once its value is
     sent and 1 on any exception, so it never returns into the caller's
     frames, flushes the parent's stdio buffers or runs ``atexit``
-    handlers. ``work`` must not call BLAS there: the BLAS threads of the
-    parent do not exist in it. The child runs off the CPU its parent ran
-    on when it was forked (see ``_leave_cpu``).
+    handlers. Under the command BLAS runs on the calling thread alone, so
+    ``work`` may call it; where BLAS has more threads (numpy loaded before
+    ``crowdcdr.cli``, or a thread count the user set), ``work`` must not
+    call BLAS there: the BLAS threads of the parent do not exist in it.
+    The child runs off the CPU its parent ran on when it was forked (see
+    ``_leave_cpu``).
     """
     if not hasattr(os, "fork"):
         return None, None
@@ -78,7 +86,8 @@ def _start(work: Callable[[], object]) -> tuple[int, BinaryIO] | tuple[None, Non
     try:
         with warnings.catch_warnings():
             # Python 3.12 warns when a process with threads forks; the
-            # only other threads are BLAS's, which a worker never calls.
+            # only other threads can be BLAS's (none under the command),
+            # which a worker then must not call.
             warnings.filterwarnings("ignore", ".*fork", DeprecationWarning)
             pid = os.fork()
     except OSError:

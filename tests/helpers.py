@@ -941,13 +941,26 @@ def clip_cells_matrix(
 def serving_towers_loop(towers: Sequence[TowerSite]) -> dict[int, int]:
     """``geo.serving_towers`` by one scan of every active tower per silent
     tower: the least squared distance, ties to the smallest id."""
-    active, pts, origin = geo._active_points(towers, None)
-    mapping = {t.tower_id: t.tower_id for t in active}
+    active = geo.project_active(towers)
+    mapping = {t.tower_id: t.tower_id for t in active.towers}
     for t in towers:
         if not t.active:
-            d2 = ((pts - geo.project_tower(t, origin)) ** 2).sum(axis=1)
-            mapping[t.tower_id] = active[int(d2.argmin())].tower_id
+            d2 = ((active.pts - geo.project_tower(t, active.origin)) ** 2).sum(axis=1)
+            mapping[t.tower_id] = active.towers[int(d2.argmin())].tower_id
     return mapping
+
+
+def tessellate(towers: Sequence[TowerSite], origin=None, *,
+               pad_km=geo.DEFAULT_PAD_KM, bbox=None) -> list[geo.VoronoiCell]:
+    """``geo.build_tessellation`` of ``towers`` projected about ``origin``,
+    by default their centroid, as ``cli.stage_spatial`` projects them."""
+    return geo.build_tessellation(geo.project_active(towers, origin),
+                                  pad_km=pad_km, bbox=bbox)
+
+
+def serving_towers(towers: Sequence[TowerSite]) -> dict[int, int]:
+    """``geo.serving_towers`` as ``cli.stage_spatial`` calls it."""
+    return geo.serving_towers(towers, geo.project_active(towers))
 
 
 def finish_cells_loop(poly, count, pts) -> list[tuple[np.ndarray, float]]:
@@ -1136,7 +1149,8 @@ def nearest_active_tower(
     A plain linear scan, exact by construction; it doubles as the oracle
     for the tessellation's ownership relation.
     """
-    active, pts, _ = geo._active_points(towers, origin)
+    projected = geo.project_active(towers, origin)
+    active, pts = projected.towers, projected.pts
     d2 = ((pts - np.asarray(point, dtype=float)) ** 2).sum(axis=1)
     best = min(range(len(active)), key=lambda i: (d2[i], active[i].tower_id))
     return active[best].tower_id

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from crowdcdr import attendance, cli, geo, ingest, social, synth
 from crowdcdr.ingest import CdrColumns, TowerSite
 from helpers import (CDR_HEADER, clip_cells_matrix, nearest_active_tower,
-                     scenario_to_json)
+                     scenario_to_json, serving_towers)
 
 PLANTED_PEAKS = {41, 46, 69}
 
@@ -288,6 +288,7 @@ class TestReport:
         }
         assert "failed_stage" not in blob
         assert "crowdcdr" in blob["versions"]
+        assert blob["versions"]["blas_threads"] == cli.BLAS_THREADS
         assert list(blob["peak_rss_mb"]) == [
             "load", "ingest", "attendance", "social", "spatial", "sbm",
             "summary"]
@@ -394,7 +395,7 @@ class TestReport:
             report_dir / "ingest_report.json")["towers_silent"]
         assert spatial_counts["colocation_days"] == len(
             read_rows(report_dir / "spatial_daily.csv"))
-        _, pts, _ = geo._active_points(cli.load_pipeline_data(gen_dir).towers, None)
+        pts = geo.project_active(cli.load_pipeline_data(gen_dir).towers).pts
         pad = geo.DEFAULT_PAD_KM
         _, _, clips = clip_cells_matrix(
             pts, (*(pts.min(axis=0) - pad), *(pts.max(axis=0) + pad)))
@@ -636,7 +637,7 @@ class TestCellMap:
                 geo.project_tower(t, origin), towers, origin=origin)
             for t in towers
         }
-        assert geo.serving_towers(towers) == want
+        assert serving_towers(towers) == want
 
 
 class TestSubcommands:

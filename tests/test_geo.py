@@ -10,11 +10,11 @@ from hypothesis import strategies as st
 
 from crowdcdr import geo, synth
 from crowdcdr.errors import ConfigurationError
-from crowdcdr.geo import build_tessellation, project_local, tower_origin
+from crowdcdr.geo import project_local, tower_origin
 from crowdcdr.ingest import TowerSite
 from helpers import (clip_cells_matrix, finish_cells_loop, haversine_km,
                      mirrored_voronoi_cells, nearest_active_tower,
-                     serving_towers_loop)
+                     serving_towers, serving_towers_loop, tessellate)
 
 ORIGIN = (25.45, 81.85)
 DESK_GRID = synth.tower_grid(synth.named_scenario("desk-small"))[0]
@@ -89,12 +89,12 @@ SCATTERED_LAYOUTS = st.builds(scattered_towers, st.integers(0, 2 ** 32),
 
 def dropped_as_the_loop_drops(towers) -> int:
     """Assert the cells are the per-cell loop's, bit for bit; count drops."""
-    _, pts, _ = geo._active_points(towers, None)
+    pts = geo.project_active(towers).pts
     pad = geo.DEFAULT_PAD_KM
     poly, count, _ = geo._clip_cells(
         pts, (*(pts.min(axis=0) - pad), *(pts.max(axis=0) + pad)))
     want = finish_cells_loop(poly, count, pts)
-    cells = build_tessellation(towers)
+    cells = tessellate(towers)
     assert len(cells) == len(want)
     for cell, (verts, area) in zip(cells, want):
         assert np.array_equal(cell.polygon, verts)
@@ -171,7 +171,7 @@ def tessellation_with(clip, towers, **kwargs):
     saved = geo._clip_cells
     geo._clip_cells = clip
     try:
-        return build_tessellation(towers, **kwargs)
+        return tessellate(towers, **kwargs)
     except ConfigurationError as exc:
         return exc
     finally:
@@ -222,7 +222,7 @@ class TestProjection:
 
 class TestTessellation:
     def test_single_tower_owns_whole_box(self):
-        cells = build_tessellation([tower(1, 0, 0)], pad_km=2.0)
+        cells = tessellate([tower(1, 0, 0)], pad_km=2.0)
         assert len(cells) == 1
         assert cells[0].area == pytest.approx(16.0, rel=1e-9)
 
@@ -230,7 +230,7 @@ class TestTessellation:
         towers = [tower(1, 0, 0), tower(2, 0.02, 0)]
         midline = project_local(ORIGIN[0] + 0.01, ORIGIN[1], *ORIGIN)[1]
         bbox = (-3.0, midline - 3.0, 3.0, midline + 3.0)
-        cells = build_tessellation(towers, bbox=bbox, origin=ORIGIN)
+        cells = tessellate(towers, bbox=bbox, origin=ORIGIN)
         areas = {c.tower_id: c.area for c in cells}
         assert areas[1] == pytest.approx(18.0, rel=1e-9)
         assert areas[2] == pytest.approx(18.0, rel=1e-9)
@@ -250,7 +250,7 @@ class TestTessellation:
             for i in range(1, 41)
         ]
         bbox = (-8.0, -8.0, 8.0, 8.0)
-        cells = build_tessellation(towers, bbox=bbox)
+        cells = tessellate(towers, bbox=bbox)
         total = sum(c.area for c in cells)
         assert total == pytest.approx(256.0, rel=1e-6)
 
@@ -262,7 +262,7 @@ class TestTessellation:
         ]
         bbox = (-6.0, -6.0, 6.0, 6.0)
         origin = ORIGIN
-        cells = build_tessellation(towers, bbox=bbox, origin=origin)
+        cells = tessellate(towers, bbox=bbox, origin=origin)
         polys = {c.tower_id: c.polygon for c in cells}
         for _ in range(10_000):
             p = (rng.uniform(-6, 6), rng.uniform(-6, 6))
@@ -299,19 +299,19 @@ class TestTessellation:
     def test_rejects_duplicate_tower_coordinates(self):
         towers = [tower(1, 0, 0), tower(2, 0, 0)]
         with pytest.raises(ConfigurationError, match="duplicate"):
-            build_tessellation(towers)
+            tessellate(towers)
 
     def test_rejects_empty_active_set(self):
         with pytest.raises(ConfigurationError, match="no active towers"):
-            build_tessellation([tower(1, 0, 0, active=False)])
+            tessellate([tower(1, 0, 0, active=False)])
 
     def test_rejects_degenerate_bounding_box(self):
         with pytest.raises(ConfigurationError, match="degenerate"):
-            build_tessellation([tower(1, 0, 0)], bbox=(0, 0, 0, 5))
+            tessellate([tower(1, 0, 0)], bbox=(0, 0, 0, 5))
 
     def test_inactive_towers_get_no_cell(self):
         towers = [tower(1, 0, 0), tower(2, 0.02, 0, active=False)]
-        cells = build_tessellation(towers, pad_km=1.0)
+        cells = tessellate(towers, pad_km=1.0)
         assert [c.tower_id for c in cells] == [1]
 
     @given(st.one_of(RANDOM_LAYOUTS, COLLINEAR_LAYOUTS, GRID_LAYOUTS,
@@ -319,7 +319,7 @@ class TestTessellation:
     @settings(max_examples=60, deadline=None)
     def test_cells_equal_the_mirrored_voronoi_oracle(self, towers):
         want = mirrored_voronoi_cells(towers)
-        cells = build_tessellation(towers)
+        cells = tessellate(towers)
         assert [c.tower_id for c in cells] == sorted(want)
         for cell in cells:
             verts, area = want[cell.tower_id]
@@ -354,7 +354,7 @@ class TestTessellation:
         # The desk grid's corner cells read 50 towers and its edge cells 29
         # to 31, more than their first list; with a 6 km pad, more still.
         for pad in (2.0, 6.0):
-            _, pts, _ = geo._active_points(DESK_GRID, None)
+            pts = geo.project_active(DESK_GRID).pts
             bbox = (*(pts.min(axis=0) - pad), *(pts.max(axis=0) + pad))
             clips = assert_clips_equal_the_matrix_oracle(pts, bbox)
             assert clips.max() + 1 > geo.FIRST_CANDIDATES
@@ -377,7 +377,7 @@ class TestTessellation:
             assert type(got) is type(want) and str(got) == str(want)
             return
         assert [c.tower_id for c in got] == [c.tower_id for c in want]
-        _, pts, origin = geo._active_points(towers, origin)
+        pts = geo.project_active(towers, origin).pts
         if bbox is None:
             bbox = (*(pts.min(axis=0) - geo.DEFAULT_PAD_KM),
                     *(pts.max(axis=0) + geo.DEFAULT_PAD_KM))
@@ -390,7 +390,7 @@ class TestTessellation:
             assert cell.clips == other.clips == n_clips
 
     def test_polygon_rows_for_export(self):
-        cells = build_tessellation([tower(1, 0, 0)], pad_km=2.0)
+        cells = tessellate([tower(1, 0, 0)], pad_km=2.0)
         rows = geo.cells_table(cells)
         assert len(rows) == 1
         tid, area, wkt = rows[0]
@@ -414,7 +414,7 @@ class TestServingTowers:
                   for i, t in enumerate(towers)]
         # Silent towers far outside the active extent too.
         towers.append(tower(len(towers) + 1, 0.3, -0.3, active=False))
-        assert geo.serving_towers(towers) == serving_towers_loop(towers)
+        assert serving_towers(towers) == serving_towers_loop(towers)
 
     @given(st.permutations([3, 5, 8, 13]))
     def test_equidistant_silent_tower_goes_to_the_smallest_id(self, ids):
@@ -427,13 +427,13 @@ class TestServingTowers:
                   TowerSite(ids[2], lat, lon + 0.25, True),
                   TowerSite(ids[3], lat, lon - 0.25, True),
                   TowerSite(99, lat, lon, False)]
-        got = geo.serving_towers(towers)
+        got = serving_towers(towers)
         assert got == serving_towers_loop(towers)
         assert got[99] == min(ids[2:])    # east-west is the nearer pair
 
     def test_silent_towers_of_the_desk_grid(self):
         towers = grid_subset(11, 0.3)
-        assert geo.serving_towers(towers) == serving_towers_loop(towers)
+        assert serving_towers(towers) == serving_towers_loop(towers)
 
 
 class TestBucketQuery:
