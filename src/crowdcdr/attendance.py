@@ -287,9 +287,9 @@ def build_series(
 ) -> AttendanceSeries:
     """Full attendance assembly used by the CLI.
 
-    Daily use is re-estimated from the observations; non-use is
-    calibrated against projections when given. Either falls back to the
-    documented defaults inside ``factors``.
+    Daily use is always estimated from the observations, so
+    ``factors.daily_use`` is not read. Non-use is calibrated against
+    projections when given, and otherwise taken from ``factors``.
     """
     base = factors or AdjustmentFactors()
     active, length, first = _stays(observations)

@@ -10,7 +10,7 @@ optionally projections.csv):
 - ``social``     triple census and the closure-vs-representation fit
 - ``spatial``    co-location report, day partition, bootstrap CIs
 - ``sbm``        block-model baseline and the group-structure bias demo
-- ``report``     all of the above plus a single summary
+- ``report``     all of the above but the demo, plus a single summary
 
 Each analysis command is a row of ``COMMANDS``, run by ``run_command``.
 
@@ -91,11 +91,10 @@ DATA_ERRORS = (SchemaError, IngestError, ConfigurationError)
 ANALYSIS_ERRORS = (EstimationError, AnalysisError, SeparationError,
                    ConvergenceError)
 
-#: Analysis defaults; the *_note entries document where each constant
-#: comes from so emitted config files are self-describing.
+#: Analysis defaults. Daily use is not among them: it is always estimated
+#: from the observed stays.
 DEFAULT_CONFIG: dict = {
     "prevalence": att.DEFAULT_PREVALENCE,
-    "daily_use": att.DEFAULT_DAILY_USE,
     "non_use": att.DEFAULT_NON_USE,
     "sensitivity_numerator": reference.UNIQUE_VISITOR_HANDSETS,
     "sensitivity_grid": [round(0.05 * k, 2) for k in range(1, 20)],
@@ -106,20 +105,6 @@ DEFAULT_CONFIG: dict = {
     "bootstrap_seed": 0,
     "peak_mode": "data",
     "calendar_peaks": [41, 46, 69],
-    "_notes": {
-        "prevalence": "wireless subscription rate for the visitor "
-                      "population, 2013 telecom-census figure",
-        "daily_use": "share of present customers who use the phone on a "
-                     "given day; the pipeline re-estimates this from "
-                     "observed stay spans, this value is the fallback",
-        "non_use": "share of customers who never use the phone during "
-                   "their stay; recalibrated against projections when "
-                   "calibrate_non_use is true and projections exist",
-        "sensitivity_numerator": "numerator of the published reciprocal "
-                                 "sensitivity curve f(q) = c/q",
-        "calendar_peaks": "principal bathing days as 1-based day indices "
-                          "(Feb 10, Feb 15, Mar 10 for a Jan 1 start)",
-    },
 }
 
 
@@ -142,14 +127,19 @@ def load_config(path: str | None) -> dict:
 def check_config(cfg: Mapping) -> None:
     """Raise ConfigurationError for a config value no stage can run with."""
     low, high = spatial.MIN_BOOTSTRAP_REPLICATES, spatial.MAX_BOOTSTRAP_REPLICATES
-    number = (lambda v: is_int(v) or isinstance(v, float), "a number")
+    # NaN fails both comparisons, and an integer past the float range
+    # fails one.
+    number = (lambda v: (is_int(v) or isinstance(v, float))
+              and -sys.float_info.max <= v <= sys.float_info.max,
+              "a finite number")
     flag = (lambda v: isinstance(v, bool), "true or false")
     seed = (lambda v: is_int(v) and v >= 0, "a non-negative integer")
     kinds = {
-        "prevalence": number, "daily_use": number, "non_use": number,
+        "prevalence": number, "non_use": number,
         "sensitivity_numerator": number,
         "sensitivity_grid": (lambda v: isinstance(v, list)
-                             and all(map(number[0], v)), "a list of numbers"),
+                             and all(map(number[0], v)),
+                             "a list of finite numbers"),
         "calibrate_non_use": flag, "exclude_local": flag,
         "subsample_seed": seed, "bootstrap_seed": seed,
         "bootstrap_replicates": (lambda v: is_int(v) and low <= v <= high,
@@ -378,6 +368,7 @@ class Run:
     use, so each is built at most once per run, by whichever stage asks
     first. ``results`` holds each finished stage's result by name, and
     ``counts`` what a stage tells the manifest's ``stages`` block.
+    ``seed`` is the SBM demo's, from ``crowdcdr sbm --seed``.
     """
 
     cfg: dict
@@ -391,10 +382,7 @@ class Run:
     def series(self) -> att.AttendanceSeries:
         cfg = self.cfg
         factors = att.AdjustmentFactors(
-            prevalence=cfg["prevalence"],
-            daily_use=cfg["daily_use"],
-            non_use=cfg["non_use"],
-        )
+            prevalence=cfg["prevalence"], non_use=cfg["non_use"])
         return att.build_series(
             self.data.observations, self.data.counts, self.data.profiles,
             total_days=self.data.window.days, factors=factors,
@@ -628,15 +616,21 @@ def stage_spatial(run: Run) -> tuple[dict[str, Path], dict]:
 
 
 def stage_sbm(run: Run) -> tuple[dict[str, Path], None]:
-    outdir = run.outdir
     out = {}
     if run.data is not None:
-        out["sbm_blocks"] = outdir / "sbm_blocks.csv"
+        out["sbm_blocks"] = run.outdir / "sbm_blocks.csv"
         write_table(
             out["sbm_blocks"],
             ("state_code", "n", "edges_within", "p_kk", "baseline"),
             sbm.block_table(sbm.estimate_block_probs(run.network)),
         )
+    return out, None
+
+
+def stage_sbm_demo(run: Run) -> tuple[dict[str, Path], None]:
+    """The bias curve and the two-state demo, which read no input."""
+    outdir = run.outdir
+    out = {}
     curve = sbm.bias_curve(
         [1, 2, 5, 10, 20, 50, 100, 200, 500], m=5, p_in=0.20, p_out=0.04
     )
@@ -696,7 +690,8 @@ COMMANDS: dict[str, tuple[tuple[str, ...], Callable[[Run], str]]] = {
     "spatial": (("spatial",), lambda run: (
         "spatial: rho_A undefined" if run.results["spatial"]["rho_a"] is None
         else f"spatial: rho_A {run.results['spatial']['rho_a']:+.3f}")),
-    "sbm": (("sbm",), lambda run: "sbm: bias curve and joint demo written"),
+    "sbm": (("sbm", "sbm_demo"),
+            lambda run: "sbm: bias curve and joint demo written"),
     "report": (("ingest", "attendance", "social", "spatial", "sbm", "summary"),
                lambda run: json.dumps(run.results["summary"], indent=2)),
 }
@@ -926,7 +921,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=_int_between(0), default=0)
 
     p = analysis("report", "full pipeline + summary")
-    p.add_argument("--seed", type=_int_between(0), default=0)
     social_flags(p)
     spatial_flags(p)
 

@@ -996,7 +996,7 @@ def load_towers(path) -> list[TowerSite]:
     """Read the tower file (tower_id, latitude, longitude)."""
     return [TowerSite(*row) for row in _read_table(
         path, "tower",
-        {"tower_id": int, "latitude": _finite, "longitude": _finite},
+        {"tower_id": _parse_int, "latitude": _finite, "longitude": _finite},
     )]
 
 

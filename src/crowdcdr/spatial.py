@@ -312,15 +312,12 @@ def mean_log_representation(
     return {s: sums[s] / counts[s] for s in sorted(sums)}
 
 
-def correlate(
+def _paired(
     values: Mapping[int, float | None],
     mean_log_rep: Mapping[int, float],
-) -> float | None:
-    """Pearson correlation of a per-state statistic with log representation.
-
-    States missing either quantity are dropped; needs at least 3 complete
-    pairs and positive variance on both sides, otherwise None.
-    """
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """The complete pairs, in state order, that ``correlate`` correlates:
+    None for fewer than 3 or for no variance on either side."""
     states = [
         s
         for s in sorted(values)
@@ -332,7 +329,20 @@ def correlate(
     b = np.array([mean_log_rep[s] for s in states], dtype=float)
     if a.std() == 0 or b.std() == 0:
         return None
-    return float(np.corrcoef(a, b)[0, 1])
+    return a, b
+
+
+def correlate(
+    values: Mapping[int, float | None],
+    mean_log_rep: Mapping[int, float],
+) -> float | None:
+    """Pearson correlation of a per-state statistic with log representation.
+
+    States missing either quantity are dropped; needs at least 3 complete
+    pairs and positive variance on both sides, otherwise None.
+    """
+    pairs = _paired(values, mean_log_rep)
+    return None if pairs is None else float(np.corrcoef(*pairs)[0, 1])
 
 
 def correlation_p_value(
@@ -352,16 +362,11 @@ def correlation_p_value(
     their correlations come from one matrix-vector product of the
     centred values.
     """
-    observed = correlate(values, mean_log_rep)
-    if observed is None:
+    pairs = _paired(values, mean_log_rep)
+    if pairs is None:
         return None
-    states = [
-        s
-        for s in sorted(values)
-        if values[s] is not None and s in mean_log_rep
-    ]
-    a = np.array([values[s] for s in states], dtype=float)
-    b = np.array([mean_log_rep[s] for s in states], dtype=float)
+    a, b = pairs
+    observed = float(np.corrcoef(a, b)[0, 1])
     rng = np.random.default_rng(seed)
     shuffles = np.array([rng.permutation(b.size) for _ in range(n_permutations)],
                         np.intp).reshape(-1, b.size)

@@ -220,11 +220,14 @@ class TestReport:
             "sensitivity.csv", "attendance_summary.json",
             "social_census.csv", "social_fit.json",
             "spatial_daily.csv", "spatial_report.csv", "cells.csv",
-            "spatial_summary.json", "sbm_bias_curve.csv", "sbm_demo.json",
-            "sbm_blocks.csv", "summary.json", "manifest_report.json",
+            "spatial_summary.json", "sbm_blocks.csv", "summary.json",
+            "manifest_report.json",
         ]
         for name in expected:
             assert (report_dir / name).exists(), name
+        # The SBM demo reads no input: only the sbm command writes it.
+        for name in ("sbm_bias_curve.csv", "sbm_demo.json"):
+            assert not (report_dir / name).exists(), name
 
     def test_summary_keys_and_values(self, report_dir):
         summary = read_json(report_dir / "summary.json")
@@ -710,16 +713,26 @@ class TestSubcommands:
         demo = read_json(out / "sbm_demo.json")
         assert demo["ratio_estimated"] > 4
         assert not (out / "sbm_blocks.csv").exists()
-        assert timed_stages(out, "sbm") == {"sbm", "total"}
+        assert timed_stages(out, "sbm") == {"sbm", "sbm_demo", "total"}
+        # The bytes report wrote when it still ran the demo, at seed 0.
+        assert {name: sha(out / name) for name in (
+            "sbm_demo.json", "sbm_bias_curve.csv")} == {
+            "sbm_demo.json": "d0afea39667eccf9b6a2891433dd772b"
+                             "c868555b957ecdad3337454d6d8edc80",
+            "sbm_bias_curve.csv": "cd571001b84ca07bd81ab5ea8ed10f4a"
+                                  "aedbae2359b91afbb6bc39f709ddbec3",
+        }
 
-    def test_sbm_with_input_adds_block_table(self, gen_dir, tmp_path):
+    def test_sbm_with_input_adds_block_table(self, gen_dir, report_dir,
+                                             tmp_path):
         out = tmp_path / "sbm2"
         assert run("sbm", "--input-dir", gen_dir, "--output-dir", out) == 0
         blocks = read_rows(out / "sbm_blocks.csv")
         assert blocks and set(blocks[0]) == {
             "state_code", "n", "edges_within", "p_kk", "baseline",
         }
-        assert timed_stages(out, "sbm") == {"load", "sbm", "total"}
+        assert sha(out / "sbm_blocks.csv") == sha(report_dir / "sbm_blocks.csv")
+        assert timed_stages(out, "sbm") == {"load", "sbm", "sbm_demo", "total"}
 
 
 def with_cell(row: str, i: int, value: str) -> str:
@@ -925,6 +938,9 @@ class TestFailureModes:
         '{"subsample_seed": -1}',
         '{"peak_mode": "weird"}',
         '{"exclude_local": 1}',
+        '{"sensitivity_numerator": NaN}',
+        '{"sensitivity_numerator": Infinity}',
+        '{"sensitivity_grid": [NaN, 0.5]}',
     ])
     def test_wrong_typed_config_exits_3(self, gen_dir, tmp_path, capsys,
                                         text):
@@ -934,19 +950,41 @@ class TestFailureModes:
                    "--output-dir", tmp_path / "out", "--config", cfg_path) == 3
         err = capsys.readouterr().err
         assert err.startswith("data error:") and err.count("\n") == 1
+        # The message names the key it refuses, the first of the object.
+        blob = json.loads(text)
+        assert not isinstance(blob, dict) or next(iter(blob)) in err
         blob = read_json(tmp_path / "out" / "manifest_report.json")
         assert (blob["failed_stage"], blob["error"], blob["exit_code"]) == (
             "config", "ConfigurationError", 3)
 
-    @pytest.mark.parametrize("command", ["gen", "sbm", "report"])
-    def test_negative_seed_exits_2(self, gen_dir, tmp_path, capsys, command):
-        argv = [command, "--output-dir", tmp_path, "--seed", -1]
-        if command == "report":
-            argv += ["--input-dir", gen_dir]
+    @pytest.mark.parametrize("command", ["gen", "sbm"])
+    def test_negative_seed_exits_2(self, tmp_path, capsys, command):
         with pytest.raises(SystemExit) as exc:
-            run(*argv)
+            run(command, "--output-dir", tmp_path, "--seed", -1)
         assert exc.value.code == 2
         assert "at least 0" in capsys.readouterr().err
+
+    def test_report_has_no_seed(self, gen_dir, tmp_path, capsys):
+        # Nothing report computes is random but what its config seeds.
+        with pytest.raises(SystemExit) as exc:
+            run("report", "--input-dir", gen_dir, "--output-dir", tmp_path,
+                "--seed", 1)
+        assert exc.value.code == 2
+        usage, error = capsys.readouterr().err.splitlines()
+        assert usage.startswith("usage: crowdcdr ")
+        assert error == "crowdcdr: error: unrecognized arguments: --seed 1"
+        assert not (tmp_path / "manifest_report.json").exists()
+
+    @pytest.mark.parametrize("key, value", [("daily_use", 0.9),
+                                            ("_notes", "provenance")])
+    def test_removed_config_key_exits_3(self, gen_dir, tmp_path, capsys,
+                                        key, value):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({key: value}), encoding="utf-8")
+        assert run("report", "--input-dir", gen_dir,
+                   "--output-dir", tmp_path / "out", "--config", cfg_path) == 3
+        err = capsys.readouterr().err
+        assert err == f"data error: unknown config keys: [{key!r}]\n"
 
     def test_unknown_config_key_exits_3(self, gen_dir, tmp_path, capsys):
         cfg_path = tmp_path / "bad.json"
@@ -985,6 +1023,21 @@ class TestFailureModes:
         assert run("ingest", "--input-dir", broken,
                    "--output-dir", tmp_path / "out") == 3
         assert "towers.csv, line 2" in capsys.readouterr().err
+
+    def test_tower_id_beyond_int64_exits_3(self, gen_dir, tmp_path, capsys):
+        # No CDR row can name such a tower, but the spatial stage maps
+        # every tower into int64 arrays; it was an OverflowError, exit 1.
+        broken = tmp_path / "bigtower"
+        shutil.copytree(gen_dir, broken)
+        header, first, *rest = (gen_dir / "towers.csv").read_text(
+            encoding="utf-8").splitlines()
+        first = ",".join([str(2 ** 63), *first.split(",")[1:]])
+        (broken / "towers.csv").write_text(
+            "\n".join([header, first, *rest]) + "\n", encoding="utf-8")
+        assert run("report", "--input-dir", broken,
+                   "--output-dir", tmp_path / "out") == 3
+        err = capsys.readouterr().err
+        assert "towers.csv, line 2" in err and "outside int64" in err
 
     @pytest.mark.parametrize("name", ["cdr.csv", "towers.csv", "states.csv",
                                       "projections.csv"])
