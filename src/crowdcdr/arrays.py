@@ -1,0 +1,62 @@
+"""Integer-array helpers shared by the layers: runs, distinct values and
+packed sort keys."""
+
+from __future__ import annotations
+
+import math
+from typing import Sequence
+
+import numpy as np
+
+INT64_MIN, INT64_MAX = -(2 ** 63), 2 ** 63 - 1
+
+
+def run_starts(*keys: np.ndarray) -> np.ndarray:
+    """Mask of the first element of each run of equal key tuples."""
+    starts = np.ones(len(keys[0]), bool)
+    starts[1:] = np.logical_or.reduce([k[1:] != k[:-1] for k in keys])
+    return starts
+
+
+def distinct(values: np.ndarray) -> np.ndarray:
+    """The distinct values of an integer array, ascending.
+
+    ``np.unique``'s result by one sort: numpy 2.3 and later give a plain
+    ``np.unique`` of integers to a hash table, which is many times slower
+    on these arrays, and whose first call imports ``numpy.ma``.
+    """
+    values = np.sort(values)
+    return values[run_starts(values)]
+
+
+def pack_keys(*columns: np.ndarray) -> tuple[np.ndarray, list[tuple[int, int]]]:
+    """One int64 key per row that orders rows as the column tuples do.
+
+    The first column is the most significant; each enters as its offset
+    from its minimum. Returns the key and each column's (minimum, span),
+    which ``unpack_keys`` takes. The spans are multiplied in Python ints,
+    and ValueError is raised when their product is beyond int64, so a
+    key never wraps around.
+    """
+    bounds = [(int(c.min()), int(c.max()) - int(c.min()) + 1) if len(c) else (0, 1)
+              for c in columns]
+    if math.prod(span for _, span in bounds) > INT64_MAX:
+        raise ValueError(f"packed key of spans {[s for _, s in bounds]} "
+                         "overflows int64")
+    key = np.zeros(len(columns[0]), np.int64)
+    for col, (low, span) in zip(columns, bounds):
+        # In place, with no temporary column; a sum past int64 wraps and
+        # subtracting ``low`` wraps it back.
+        key *= span
+        key += col
+        key -= low
+    return key, bounds
+
+
+def unpack_keys(key: np.ndarray, bounds: Sequence[tuple[int, int]]) -> list[np.ndarray]:
+    """The columns ``pack_keys`` packed into ``key``, given its bounds."""
+    columns = []
+    for low, span in reversed(bounds):
+        key, offset = np.divmod(key, span)
+        columns.append(offset + low)
+    return columns[::-1]

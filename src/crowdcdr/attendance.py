@@ -29,7 +29,8 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import ConfigurationError, EstimationError
-from .ingest import ObservationColumns, StateProfile, run_starts
+from .arrays import run_starts
+from .ingest import ObservationColumns, StateProfile
 
 log = logging.getLogger(__name__)
 
@@ -43,6 +44,11 @@ DEFAULT_NON_USE = 0.406
 NON_USE_CLAMP = 0.95
 
 
+def _check_fraction(name: str, value: float) -> None:
+    if not 0.0 < value < 1.0:
+        raise ConfigurationError(f"{name} must be in (0, 1), got {value}")
+
+
 @dataclass(frozen=True)
 class AdjustmentFactors:
     prevalence: float = DEFAULT_PREVALENCE
@@ -51,9 +57,7 @@ class AdjustmentFactors:
 
     def __post_init__(self):
         for name in ("prevalence", "daily_use", "non_use"):
-            v = getattr(self, name)
-            if not 0.0 < v < 1.0:
-                raise ConfigurationError(f"{name} must be in (0, 1), got {v}")
+            _check_fraction(name, getattr(self, name))
 
 
 @dataclass
@@ -282,30 +286,32 @@ def build_series(
     profiles: Mapping[int, StateProfile],
     *,
     total_days: int,
-    factors: AdjustmentFactors | None = None,
+    prevalence: float = DEFAULT_PREVALENCE,
+    non_use: float = DEFAULT_NON_USE,
     projections: Mapping[int, float] | None = None,
 ) -> AttendanceSeries:
     """Full attendance assembly used by the CLI.
 
-    Daily use is always estimated from the observations, so
-    ``factors.daily_use`` is not read. Non-use is calibrated against
-    projections when given, and otherwise taken from ``factors``.
+    Daily use is always estimated from the observations. Non-use is
+    calibrated against projections when given, and otherwise taken from
+    ``non_use``. The series' ``factors`` are the ones it applied: the
+    daily use estimated and the non-use used.
     """
-    base = factors or AdjustmentFactors()
+    _check_fraction("prevalence", prevalence)
+    _check_fraction("non_use", non_use)
     active, length, first = _stays(observations)
     daily_use = _pooled_daily_use(active, length)
 
-    non_use = base.non_use
     non_use_est = None
     if projections:
         base_daily = uncorrected_daily(
-            counts, profiles, prevalence=base.prevalence, daily_use=daily_use
+            counts, profiles, prevalence=prevalence, daily_use=daily_use
         )
         non_use_est = calibrate_non_use(base_daily, projections)
         if non_use_est > 0:
             non_use = non_use_est
 
-    eff = AdjustmentFactors(base.prevalence, daily_use, non_use)
+    eff = AdjustmentFactors(prevalence, daily_use, non_use)
     by_state_daily = daily_attendance_by_state(counts, profiles, eff)
     by_state_cum = cumulative_attendance_by_state(
         first.unique_handsets(), profiles, eff, total_days=total_days

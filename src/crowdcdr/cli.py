@@ -154,6 +154,14 @@ def check_config(cfg: Mapping) -> None:
             raise ConfigurationError(f"{key} must be {kind}, got {cfg[key]!r:.40}")
 
 
+#: Where this process's peak resident size is read: the high-water mark
+#: Linux keeps per process, or ``getrusage``'s ``ru_maxrss``, which
+#: survives ``execve`` and so can be the peak of the process that
+#: started this one.
+_STATUS = Path("/proc/self/status")
+_PEAK_RSS_SOURCE = "VmHWM" if _STATUS.exists() else "ru_maxrss"
+
+
 def sha256_of(path: Path) -> str:
     h = hashlib.sha256()
     with open(path, "rb") as fh:
@@ -166,9 +174,12 @@ def sha256_of(path: Path) -> str:
 class RunManifest:
     """Inputs, outputs (with digests), versions, timings and memory of one run.
 
-    ``peak_rss_mb`` holds the peak resident set size, as ``getrusage``
-    reports it, of the process that ran each stage, after it; when a
-    worker ran, ``workers`` holds the largest peak of the run's children.
+    ``peak_rss_mb`` holds the peak resident set size of the process that
+    ran each stage, after it, as ``peak_rss_source`` says it was read:
+    ``VmHWM`` (Linux's high-water mark of the process) or ``ru_maxrss``
+    (``getrusage``'s, which can be that of the process that started this
+    one). When a worker ran, ``workers`` holds the largest ``ru_maxrss``
+    of the run's children, each of which starts its own mark at its fork.
     ``stages`` holds what a stage tells about its input: for ``load``,
     how the CDR file was read and what was kept of it. That is
     ``row_reader_from``, the 1-based CDR data row from which the file was
@@ -199,6 +210,7 @@ class RunManifest:
     outputs: dict[str, dict] = field(default_factory=dict)
     timings_s: dict[str, float] = field(default_factory=dict)
     peak_rss_mb: dict[str, float] = field(default_factory=dict)
+    peak_rss_source: str = _PEAK_RSS_SOURCE
     stages: dict[str, dict] = field(default_factory=dict)
     versions: dict[str, object] = field(default_factory=dict)
     failure: dict = field(default_factory=dict)
@@ -264,39 +276,32 @@ class PipelineData:
 # The C allocator. By default glibc's malloc gives a block of 128 KiB or
 # more its own mapping, but raises that threshold to the size of each such
 # block freed, up to 32 MiB, so which arrays come from the heap depends on
-# the order of earlier frees. ``main`` fixes the threshold, and
-# ``load_pipeline_data`` derives what it derives after the CDR read with a
-# trimmed heap and an array per mapping. Under another C library nothing
-# changes.
+# the order of earlier frees. ``main`` fixes the threshold. Under another C
+# library nothing changes.
 
 #: ``M_MMAP_THRESHOLD`` of glibc's malloc.h.
 _M_MMAP_THRESHOLD = -3
 
-#: The threshold outside ``_own_mappings``: above the transients of one
-#: CDR block (a 1 MiB block and its parsed table), which then reuse heap
-#: pages, and below the person-day columns of a large file's merge, which
-#: then go back to the system when freed instead of fragmenting the heap.
+#: Above the transients of one CDR block (a 1 MiB block and its parsed
+#: table), which then reuse heap pages, and below the person-day columns
+#: of a large file's merge, which then go back to the system when freed
+#: instead of fragmenting the heap.
 _MMAP_THRESHOLD = 2 << 20
-
-#: The threshold inside ``_own_mappings``: glibc's initial one.
-_PEAK_MMAP_THRESHOLD = 128 << 10
 
 
 @cache
 def _glibc() -> ctypes.CDLL | None:
-    """The C library when it has glibc's ``mallopt`` and ``malloc_trim``."""
+    """The C library when it has glibc's ``mallopt``."""
     if not sys.platform.startswith("linux"):
         return None
     try:
         libc = ctypes.CDLL(None)
     except OSError:
         return None
-    if not (hasattr(libc, "mallopt") and hasattr(libc, "malloc_trim")):
+    if not hasattr(libc, "mallopt"):
         return None
     libc.mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
     libc.mallopt.restype = ctypes.c_int
-    libc.malloc_trim.argtypes = (ctypes.c_size_t,)
-    libc.malloc_trim.restype = ctypes.c_int
     return libc
 
 
@@ -305,22 +310,6 @@ def _set_mmap_threshold(size: int) -> None:
     libc = _glibc()
     if libc is not None:
         libc.mallopt(_M_MMAP_THRESHOLD, size)
-
-
-@contextmanager
-def _own_mappings() -> Iterator[None]:
-    """Return the heap's free pages to the system, then give every block
-    of ``_PEAK_MMAP_THRESHOLD`` or more its own mapping until the end, so
-    that each large array counts in the resident size only while it lives.
-    """
-    libc = _glibc()
-    if libc is not None:
-        libc.malloc_trim(0)
-    _set_mmap_threshold(_PEAK_MMAP_THRESHOLD)
-    try:
-        yield
-    finally:
-        _set_mmap_threshold(_MMAP_THRESHOLD)
 
 
 def load_pipeline_data(input_dir: Path) -> PipelineData:
@@ -341,10 +330,9 @@ def load_pipeline_data(input_dir: Path) -> PipelineData:
             f"no accepted rows in {cdr}: {report.rows} rows, rejected "
             f"{dict(sorted(report.rejects.items()))}"
         )
-    with _own_mappings():
-        towers = mark_tower_activity(towers, set(cdr_data.towers.tolist()))
-        daily = cdr_data.observations
-        counts = daily.unique_handsets()
+    towers = mark_tower_activity(towers, set(cdr_data.towers.tolist()))
+    daily = cdr_data.observations
+    counts = daily.unique_handsets()
     proj_path = input_dir / "projections.csv"
     projections = load_projections(proj_path) if proj_path.exists() else None
     return PipelineData(
@@ -381,11 +369,10 @@ class Run:
     @cached_property
     def series(self) -> att.AttendanceSeries:
         cfg = self.cfg
-        factors = att.AdjustmentFactors(
-            prevalence=cfg["prevalence"], non_use=cfg["non_use"])
         return att.build_series(
             self.data.observations, self.data.counts, self.data.profiles,
-            total_days=self.data.window.days, factors=factors,
+            total_days=self.data.window.days, prevalence=cfg["prevalence"],
+            non_use=cfg["non_use"],
             projections=self.data.projections if cfg["calibrate_non_use"] else None,
         )
 
@@ -708,6 +695,12 @@ def _timed(manifest: RunManifest, name: str, fn: Callable, *args):
 
 
 def _peak_rss_mb(who: int) -> float:
+    """The peak resident size in MB of this process (``RUSAGE_SELF``),
+    from ``_PEAK_RSS_SOURCE``, or the largest of its children's."""
+    if who == resource.RUSAGE_SELF and _PEAK_RSS_SOURCE == "VmHWM":
+        for line in _STATUS.read_text().splitlines():
+            if line.startswith("VmHWM:"):
+                return round(int(line.split()[1]) / 1024, 1)     # kB
     # ru_maxrss is in kilobytes on Linux.
     return round(resource.getrusage(who).ru_maxrss / 1024, 1)
 

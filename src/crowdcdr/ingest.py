@@ -11,8 +11,9 @@ The data model is shared by every downstream module:
 - ``TowerSite``: tower coordinates plus an activity flag.
 - ``StateProfile``: per-state market share and the local-state marker.
 - ``ObservationColumns``: one row per (person, day) carrying the first
-  tower used that day, as one array per field; the atom for attendance
-  and co-location statistics.
+  tower used that day, as one array per field, each as narrow as the
+  window and the known towers allow (15 bytes a row from ``read_cdr``);
+  the atom for attendance and co-location statistics.
 
 Each event carries a single serving tower, which locates the operator's
 customer side of the communication (the caller when the caller is a
@@ -39,13 +40,15 @@ from typing import IO, BinaryIO, Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
+from .arrays import (INT64_MAX, INT64_MIN, distinct, pack_keys, run_starts,
+                     unpack_keys)
 from .errors import ConfigurationError, IngestError, SchemaError
 from .social import ContactTable
 from .worker import forked
 
 UNKNOWN_STATE = 0
 N_STATES = 23
-INT64_MIN, INT64_MAX = -(2 ** 63), 2 ** 63 - 1
+INT32_MIN, INT32_MAX = -(2 ** 31), 2 ** 31 - 1
 
 #: Bytes per block of ``read_cdr``.
 BLOCK_BYTES = 1 << 20
@@ -357,10 +360,11 @@ class _Reduction:
     and ``pairs`` holds the position of each entry's first row, counted
     from the first of the ``rows``:
 
-    - ``first``: (person, timestamp, tower, state) of the located
-      party's first event of each (person, day): the earliest, ties to
-      the smallest tower id and then to the first row; sorted by
-      (person, day);
+    - ``first``: (person, seconds, tower, state) of the located party's
+      first event of each (person, day): the earliest, ties to the
+      smallest tower id and then to the first row; sorted by (person,
+      day). The seconds count from the window's start, and they and the
+      tower are as narrow as ``_widths`` makes them;
     - ``parties``: (id, state, position) of each distinct customer party,
       sorted, at position 2 * row for a caller and 2 * row + 1 for a
       callee, so that a row's caller comes before its callee;
@@ -381,6 +385,15 @@ class _Reduction:
 
     def __len__(self) -> int:
         return len(self.first[0])
+
+
+def _widths(window: StudyWindow) -> tuple[type, type]:
+    """The dtypes of the seconds since ``window.start`` and of the 1-based
+    day of an accepted row: int32 and int16 where every value in the
+    window fits, else int64. Fixed before the read, so every part of it,
+    the worker's too, has the same columns."""
+    return (np.int32 if window.days * 86400 <= INT32_MAX + 1 else np.int64,
+            np.int16 if window.days < 2 ** 15 else np.int64)
 
 
 def _grouped(ids: np.ndarray, minor: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -429,7 +442,7 @@ def _least(order: np.ndarray, starts: np.ndarray, *keys: np.ndarray) -> np.ndarr
         sizes = np.diff(first, append=len(rows))
         best = np.ones(len(rows), bool)
         for key in keys:
-            key = np.where(best, key[rows], INT64_MAX)
+            key = np.where(best, key[rows], np.iinfo(key.dtype).max)
             best &= key == np.repeat(np.minimum.reduceat(key, first), sizes)
         best[best] = run_starts(np.repeat(np.arange(len(sizes)), sizes)[best])
         shared[shared] = ~best
@@ -454,22 +467,97 @@ def _distinct(table: list[np.ndarray], order: np.ndarray,
     return [*_take(table, order[starts]), least]
 
 
-def _first_events(table: list[np.ndarray], start: int) -> list[np.ndarray]:
+def _first_events(table: list[np.ndarray]) -> list[np.ndarray]:
     """``_Reduction.first`` of a table of located events in row order, or
-    of first-event tables end to end; the days count from ``start``."""
+    of first-event tables end to end."""
     if not len(table[0]):
         return table
-    person, ts, tower, _ = table
+    person, seconds, tower, _ = table
     # A table of a merge holds at most one row of a (person, day), so in
     # both cases the rows of a group are in the order of their rows.
-    day = ts - start
-    day //= 86400
-    day = day.astype(np.int32)
-    order, starts = _grouped(person, day)
-    del person, day
-    rows = _least(order, starts, ts, tower)
-    del ts, tower, order, starts
+    order, starts = _grouped(person, seconds // 86400)
+    del person
+    rows = _least(order, starts, seconds, tower)
+    del seconds, tower, order, starts
     return _take(table, rows)
+
+
+#: Rows of the later table that ``_merged_first`` places at a time.
+MERGE_BLOCK_ROWS = 1 << 16
+
+
+def _day_key(person: np.ndarray, seconds: np.ndarray, low: int,
+             days: int) -> np.ndarray:
+    """(person - low) * days + day of first-event rows."""
+    key = person - low
+    key *= days
+    key += seconds // 86400
+    return key
+
+
+def _merged_first(a: list[np.ndarray], b: list[np.ndarray],
+                  days: int) -> list[np.ndarray] | None:
+    """The first-event table of the rows of ``a`` then those of ``b``, two
+    such tables over a window of ``days``, merged without a sort; None
+    when their packed (person, day) key would overflow int64.
+
+    Each table holds one row per (person, day), in that order, so its
+    keys are distinct and ascending. A row of ``b`` goes where
+    ``searchsorted`` puts its key among ``a``'s; where ``a`` holds the
+    key, ``b``'s row replaces ``a``'s only when its (seconds, tower) is
+    less, as ``a``'s rows come first. ``b`` is placed, and copied,
+    ``MERGE_BLOCK_ROWS`` rows at a time, so that besides the columns only
+    ``a``'s keys and masks span a table; the merged columns are built one
+    at a time, and ``a`` and ``b`` let go of each once it is.
+    """
+    if not len(a[0]) or not len(b[0]):
+        return a if len(a[0]) else b
+    low = min(int(a[0][0]), int(b[0][0]))
+    if (max(int(a[0][-1]), int(b[0][-1])) - low + 1) * days > INT64_MAX:
+        return None
+    key = _day_key(a[0], a[1], low, days)
+    new = np.empty(len(b[0]), bool)         # a holds no row of its key
+    from_b = np.zeros(len(a[0]) + len(b[0]), bool)
+    slots, won, spans = [], [], []
+    n_new = 0
+    for start in range(0, len(b[0]), MERGE_BLOCK_ROWS):
+        rows = slice(start, start + MERGE_BLOCK_ROWS)
+        b_key = _day_key(b[0][rows], b[1][rows], low, days)
+        pos = np.searchsorted(key, b_key)
+        held = np.take(key, pos, mode="clip") == b_key
+        np.logical_not(held, out=new[rows])
+        # A row goes after a's rows before its key and the new rows of
+        # ``b`` before it; one whose key ``a`` holds takes the slot of
+        # a's row, if it wins.
+        fresh = pos[~held] + n_new + np.arange(len(held) - held.sum())
+        from_b[fresh] = True
+        if fresh.size:              # the span of the merge they fill
+            spans.append((rows, slice(fresh[0], fresh[-1] + 1)))
+        repeat = np.flatnonzero(held)
+        met = pos[repeat]
+        slot = met + n_new + repeat - np.arange(repeat.size)
+        repeat += start
+        a_seconds, b_seconds = a[1][met], b[1][repeat]
+        wins = (b_seconds < a_seconds) | ((b_seconds == a_seconds)
+                                          & (b[2][repeat] < a[2][met]))
+        slots.append(slot[wins])
+        won.append(repeat[wins])
+        n_new += fresh.size
+    del key
+    from_b = from_b[:len(a[0]) + n_new]
+    from_a = ~from_b
+    slots, won = np.concatenate(slots), np.concatenate(won)
+    merged = []
+    for i in range(len(a)):
+        column = np.empty(from_b.size, a[i].dtype)
+        column[from_a] = a[i]
+        a[i] = None
+        for rows, span in spans:
+            column[span][from_b[span]] = b[i][rows][new[rows]]
+        column[slots] = b[i][won]
+        b[i] = None
+        merged.append(column)
+    return merged
 
 
 def _distinct_parties(table: list[np.ndarray]) -> list[np.ndarray]:
@@ -499,7 +587,10 @@ def _reduce_block(
     report: IngestReport,
 ) -> _Reduction:
     """The ``_Reduction`` of the accepted rows of a parsed block or batch
-    (a ``_BLOCK_DTYPE`` table); the rest counted in ``report`` by reason."""
+    (a ``_BLOCK_DTYPE`` table); the rest counted in ``report`` by reason.
+
+    The tower column takes the dtype of ``known_towers`` (int64 when it
+    is None), which every accepted tower is in."""
     ts, duration, tower = table["timestamp"], table["duration"], table["tower_id"]
     caller_state, callee_state = table["caller_state"], table["callee_state"]
     caller = table["caller_is_customer"] == b"1"
@@ -523,16 +614,18 @@ def _reduce_block(
             report.rejects[reason] += n
     keep = codes == 0
     caller_id, callee_id = table["caller_id"][keep], table["callee_id"][keep]
-    caller, callee, tower = caller[keep], callee[keep], tower[keep]
+    caller, callee = caller[keep], callee[keep]
+    tower = tower[keep].astype(np.int64 if known_towers is None
+                               else known_towers.dtype)
+    seconds = (ts[keep] - window.start).astype(_widths(window)[0])
     caller_state = caller_state[keep].astype(np.int8)
     callee_state = callee_state[keep].astype(np.int8)
     both = caller & callee
     side = np.stack([caller, callee], axis=1).ravel()
     return _Reduction(
         tally[0],
-        _first_events([np.where(caller, caller_id, callee_id), ts[keep], tower,
-                       np.where(caller, caller_state, callee_state)],
-                      window.start),
+        _first_events([np.where(caller, caller_id, callee_id), seconds, tower,
+                       np.where(caller, caller_state, callee_state)]),
         _distinct_parties([
             np.stack([caller_id, callee_id], axis=1).ravel()[side],
             np.stack([caller_state, callee_state], axis=1).ravel()[side],
@@ -540,50 +633,52 @@ def _reduce_block(
         _distinct_pairs([caller_id[both], callee_id[both],
                          caller_state[both], callee_state[both],
                          np.flatnonzero(both)]),
-        np.unique(tower))
+        distinct(tower))
 
 
-def _merge(parts: list[_Reduction], start: int) -> _Reduction:
-    """The ``_Reduction`` of the rows of ``parts``, end to end.
+def _merge(a: _Reduction, b: _Reduction, days: int) -> _Reduction:
+    """The ``_Reduction`` of the rows of ``a``, then those of ``b``, over a
+    window of ``days``.
 
-    ``parts`` is emptied, and each of its columns let go once it is
-    joined, so that the parts and their join are not held at once.
+    Each column of ``a`` and ``b`` is let go of once it is joined, so
+    that the two and their merge are not held at once. The first events
+    are merged by ``_merged_first``, or joined and grouped again where
+    their key would overflow; the other tables are joined and grouped
+    again, a stable sort of two sorted runs.
     """
-    if len(parts) == 1:
-        return parts.pop()
-    offsets = list(itertools.accumulate((p.rows for p in parts), initial=0))
-
     def joined(name: str, per_row: int = 0) -> list[np.ndarray]:
-        """The tables ``name`` of ``parts`` end to end, their positions
-        (``per_row`` a row, when given) shifted past the rows before."""
-        tables = [getattr(p, name) for p in parts]
-        shift = [0] * (len(tables[0]) - 1) + [per_row]
+        """The tables ``name`` of ``a`` and ``b`` end to end, the positions
+        of ``b`` (``per_row`` a row, when given) shifted past ``a``'s rows."""
+        tables = getattr(a, name), getattr(b, name)
         columns = []
-        for i, by in enumerate(shift):
-            columns.append(np.concatenate([t[i] + by * offset if by else t[i]
-                                           for t, offset in zip(tables, offsets)]))
-            for t in tables:
-                t[i] = None
+        for i in range(len(tables[0])):
+            by = per_row if i == len(tables[0]) - 1 else 0
+            columns.append(np.concatenate([tables[0][i],
+                                           tables[1][i] + by * a.rows if by
+                                           else tables[1][i]]))
+            tables[0][i] = tables[1][i] = None
         return columns
 
-    # The first events last: they are the largest, and the parts' other
-    # tables are gone by then.
+    # The first events last: they are the largest, and the other tables
+    # of ``a`` and ``b`` are gone by then.
     parties = _distinct_parties(joined("parties", 2))
     pairs = _distinct_pairs(joined("pairs", 1))
-    merged = _Reduction(offsets[-1], _first_events(joined("first"), start),
-                        parties, pairs,
-                        np.unique(np.concatenate([p.towers for p in parts])))
-    parts.clear()
-    return merged
+    towers = distinct(np.concatenate([a.towers, b.towers]))
+    first = _merged_first(a.first, b.first, days)
+    if first is None:
+        first = _first_events(joined("first"))
+    return _Reduction(a.rows + b.rows, first, parties, pairs, towers)
 
 
 class _Reductions:
     """The reduction of the rows added so far, part after part.
 
-    The parts are merged into one whenever those after the first hold at
-    least as many first events as it does. So what is held stays within
-    about twice the reduction of the rows added, plus a part: it grows
-    with the person-days of the rows, not with their number.
+    The parts are a stack, the first rows at its bottom. A part added is
+    merged with the one below it while it holds at least as many first
+    events, as a binary counter carries. So each first event is merged
+    about log2(parts) times, and what is held stays within about twice
+    the reduction of the rows added, plus a part: it grows with the
+    person-days of the rows, not with their number.
     """
 
     def __init__(self, window: StudyWindow) -> None:
@@ -592,15 +687,21 @@ class _Reductions:
 
     def add(self, part: _Reduction) -> None:
         self._parts.append(part)
-        if sum(map(len, self._parts[1:])) >= len(self._parts[0]):
-            self.result()
+        while (len(self._parts) > 1
+               and len(self._parts[-1]) >= len(self._parts[-2])):
+            self._merge_top()
+
+    def _merge_top(self) -> None:
+        b, a = self._parts.pop(), self._parts.pop()
+        self._parts.append(_merge(a, b, self._window.days))
 
     def result(self) -> _Reduction:
         """The reduction of every row added, which is then all it holds."""
         if not self._parts:
             self._parts.append(_reduce_block(np.empty(0, _BLOCK_DTYPE),
                                              self._window, None, IngestReport()))
-        self._parts = [_merge(self._parts, self._window.start)]
+        while len(self._parts) > 1:
+            self._merge_top()
         return self._parts[0]
 
 
@@ -646,7 +747,8 @@ def read_cdr(
     they come (``_Reductions``); input position is the last tie-break of
     every merge. So no column as long as the file is ever made, and
     memory grows with the person-days, parties and contact pairs, not
-    with the rows.
+    with the rows: 17 bytes a person-day where the observations are
+    narrow.
 
     A file of ``FORK_BYTES`` or more is read by two processes: a forked
     worker reads and reduces the blocks after a block end near the middle
@@ -662,7 +764,10 @@ def read_cdr(
     The observations are one per (person, day) of the located party (the
     caller when a customer, else the callee), in (person, day) order,
     with the tower of its earliest event that day; equal timestamps are
-    broken by the smallest tower id, then by input order. The contact
+    broken by the smallest tower id, then by input order. The person is
+    int64 and the state int8; the day is int16 and the tower int32 where
+    ``window`` and ``known_towers`` let every accepted value fit, else
+    int64. The contact
     table is ``social.ContactTable``'s. ``window`` and ``known_towers``
     (when given) reject events outside them; ``report`` is filled with
     the row count, the accepted count and the rejects by reason. More
@@ -677,8 +782,13 @@ def read_cdr(
     if report is None:
         report = IngestReport()
     # An id outside int64 matches no parsed row, so it can be left out.
+    # Every accepted tower is a known one, so where the known ones fit
+    # int32 the tower columns are int32 (see ``_reduce_block``).
     known = (None if known_towers is None else np.fromiter(
         (t for t in known_towers if INT64_MIN <= t <= INT64_MAX), np.int64))
+    if known is not None and (not known.size or INT32_MIN <= known.min()
+                              and known.max() <= INT32_MAX):
+        known = known.astype(np.int32)
     out = _Reductions(window)
     with open(path, "rb") as fh:
         resume = _read_blocks(path, fh, window, known, report, out)
@@ -689,16 +799,15 @@ def read_cdr(
                    known_towers=known, report=report, out=out)
     reduced = out.result()
     del out
-    person, ts, tower, state = reduced.first
+    person, day, tower, state = reduced.first
     reduced.first = None
-    day = ts - window.start
-    del ts
-    day //= 86400
+    day //= 86400                   # the seconds become the day, in place
     day += 1
+    day = day.astype(_widths(window)[1], copy=False)
     parties = np.argsort(reduced.parties[-1])
     pairs = np.argsort(reduced.pairs[-1])
     return ReducedCdr(
-        ObservationColumns(person, state.astype(np.int64), day, tower),
+        ObservationColumns(person, state, day, tower),
         ContactTable(*(c[parties].astype(np.int64, copy=False)
                        for c in reduced.parties[:-1]),
                      *(c[pairs].astype(np.int64, copy=False)
@@ -870,54 +979,18 @@ def _read_rows(
         raise _tolerance_error(bad, rows)
 
 
-def run_starts(*keys: np.ndarray) -> np.ndarray:
-    """Mask of the first element of each run of equal key tuples."""
-    starts = np.ones(len(keys[0]), bool)
-    starts[1:] = np.logical_or.reduce([k[1:] != k[:-1] for k in keys])
-    return starts
-
-
-def pack_keys(*columns: np.ndarray) -> tuple[np.ndarray, list[tuple[int, int]]]:
-    """One int64 key per row that orders rows as the column tuples do.
-
-    The first column is the most significant; each enters as its offset
-    from its minimum. Returns the key and each column's (minimum, span),
-    which ``unpack_keys`` takes. The spans are multiplied in Python ints,
-    and ValueError is raised when their product is beyond int64, so a
-    key never wraps around.
-    """
-    bounds = [(int(c.min()), int(c.max()) - int(c.min()) + 1) if len(c) else (0, 1)
-              for c in columns]
-    if math.prod(span for _, span in bounds) > INT64_MAX:
-        raise ValueError(f"packed key of spans {[s for _, s in bounds]} "
-                         "overflows int64")
-    key = np.zeros(len(columns[0]), np.int64)
-    for col, (low, span) in zip(columns, bounds):
-        # In place, with no temporary column; a sum past int64 wraps and
-        # subtracting ``low`` wraps it back.
-        key *= span
-        key += col
-        key -= low
-    return key, bounds
-
-
-def unpack_keys(key: np.ndarray, bounds: Sequence[tuple[int, int]]) -> list[np.ndarray]:
-    """The columns ``pack_keys`` packed into ``key``, given its bounds."""
-    columns = []
-    for low, span in reversed(bounds):
-        key, offset = np.divmod(key, span)
-        columns.append(offset + low)
-    return columns[::-1]
-
-
 @dataclass(frozen=True, eq=False)
 class ObservationColumns:
-    """Daily observations as one int64 array per field.
+    """Daily observations as one integer array per field.
 
     Both producers, ``read_cdr`` and
     ``synth.GroundTruth.observations``, give one row per (person, day) in
-    (person, day) order. The consumers accept rows in any order and sort
-    only rows that are not in that order.
+    (person, day) order. ``read_cdr`` gives the person as int64, the
+    state as int8, the day as int16 and the tower as int32 wherever its
+    window and known towers let the values fit: 15 bytes a row, against
+    32 in int64. The consumers accept
+    rows in any order and sort only rows that are not in that order, and
+    they take any integer widths.
     """
 
     person_id: np.ndarray
@@ -936,8 +1009,10 @@ class ObservationColumns:
     def unique_handsets(self) -> dict[tuple[int, int], int]:
         """Distinct-person count per (state, day), in (state, day) order."""
         key, bounds = pack_keys(self.state_code, self.day)
-        key, sizes = np.unique(key, return_counts=True)
-        state, day = unpack_keys(key, bounds)
+        key.sort()                  # in place, where np.unique copies
+        starts = np.flatnonzero(run_starts(key))
+        sizes = np.diff(starts, append=key.size)
+        state, day = unpack_keys(key[starts], bounds)
         return dict(zip(zip(state.tolist(), day.tolist()), sizes.tolist()))
 
 
@@ -1084,9 +1159,14 @@ def write_columns(
         if any(ch in text for ch in (",", '"', "\n", "\r")):
             raise ValueError(f"cell {text!r} would need CSV quoting")
     row = ",".join(["%s"] * len(columns)) + "\n"
-    # Columns of one dtype stack as that dtype; mixed ones as Python
-    # objects, so that no cell takes another column's type.
-    dtype = None if len({c.dtype for c in columns}) == 1 else object
+    # Columns of one dtype stack as that dtype, and integer columns of
+    # any widths as int64; other mixes as Python objects, so that no cell
+    # takes another column's type.
+    dtypes = {c.dtype for c in columns}
+    dtype = (None if len(dtypes) == 1
+             else np.int64 if all(d.kind in "iu" and np.can_cast(d, np.int64)
+                                  for d in dtypes)
+             else object)
     n_rows = len(columns[0]) if len(columns) else 0
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\n")

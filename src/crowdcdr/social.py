@@ -21,6 +21,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
+from .arrays import distinct
 from .errors import AnalysisError, ConvergenceError, SeparationError
 
 Z_95 = 1.96
@@ -107,7 +108,7 @@ class SocialNetwork:
         return zip(self.node_id[a].tolist(), self.node_id[b].tolist())
 
     def states(self) -> list[int]:
-        return np.unique(self.state).tolist()
+        return distinct(self.state).tolist()
 
 
 def _upper_edges(indptr: np.ndarray, indices: np.ndarray):
@@ -127,7 +128,7 @@ def _csr(node_id, state, edges):
     if not known.all():
         raise KeyError(f"edge endpoint {edges[~known][0]} is not a node")
     # Both directions of every distinct pair as sorted row * n + col keys.
-    keys = np.unique(pos.min(axis=1) * n + pos.max(axis=1))
+    keys = distinct(pos.min(axis=1) * n + pos.max(axis=1))
     keys = np.sort(np.concatenate([keys, keys % n * n + keys // n]))
     indptr = np.zeros(n + 1, np.int64)
     np.cumsum(np.bincount(keys // n, minlength=n), out=indptr[1:])

@@ -27,7 +27,8 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import EstimationError
-from .ingest import ObservationColumns, pack_keys, run_starts, unpack_keys
+from .arrays import distinct, pack_keys, run_starts, unpack_keys
+from .ingest import ObservationColumns
 
 #: Fewest bootstrap replicates a percentile interval is computed from.
 MIN_BOOTSTRAP_REPLICATES = 200
@@ -35,6 +36,9 @@ MIN_BOOTSTRAP_REPLICATES = 200
 MAX_BOOTSTRAP_REPLICATES = 100_000
 #: Replicates drawn and gathered at a time, so memory is block x days.
 BOOTSTRAP_BLOCK_ROWS = 1024
+#: Entries per tower that ``build_colocation_series``'s dense tower table
+#: may span before towers are looked up by ``searchsorted`` instead.
+DENSE_CELL_SLACK = 16
 
 
 def _check_replicates(replicates: int) -> None:
@@ -70,6 +74,37 @@ class CoLocationSeries:
     n_days: int = 0
 
 
+def _cells(first_tower: np.ndarray, towers: np.ndarray,
+           cell_rank: np.ndarray) -> np.ndarray:
+    """``cell_rank`` of each observation's tower in ``towers`` (sorted); a
+    tower not in ``towers`` raises KeyError.
+
+    Where the observed tower ids span fewer than ``DENSE_CELL_SLACK``
+    entries per tower (plus 2**16), each is looked up in a dense table
+    over that span; else it is found by ``searchsorted``.
+    """
+    if not first_tower.size:
+        return np.zeros(0, np.int32)
+    if not towers.size:
+        raise KeyError(first_tower[0].item())
+    low, high = int(first_tower.min()), int(first_tower.max())
+    if high - low < DENSE_CELL_SLACK * towers.size + (1 << 16):
+        table = np.full(high - low + 1, -1, np.int32)
+        inside = (towers >= low) & (towers <= high)
+        table[towers[inside] - low] = cell_rank[inside]
+        index = first_tower.astype(np.intp)
+        index -= low
+        cell = table[index]
+    else:
+        row = np.searchsorted(towers, first_tower)
+        # A tower past the last one is checked against the last one.
+        np.minimum(row, towers.size - 1, out=row)
+        cell = np.where(towers[row] == first_tower, cell_rank[row], -1)
+    if cell.min() < 0:
+        raise KeyError(first_tower[cell < 0][0].item())
+    return cell
+
+
 def build_colocation_series(
     observations: ObservationColumns,
     *,
@@ -80,37 +115,30 @@ def build_colocation_series(
 
     ``cell_of_tower`` maps towers onto their owning cell (identity when
     every observed tower is active and owns its own cell); an observed
-    tower it lacks raises KeyError. Each observation's cell is found by
-    ``searchsorted`` in the small tower table, the packed (state, day,
-    cell) keys are sorted in place, and each (state, day)'s total and
-    sum of n(n - 1) over its cells come from one ``np.add.reduceat``.
+    tower it lacks raises KeyError. Each observation's cell is looked up
+    by ``_cells``, the packed (state, day, cell) keys are sorted in
+    place, and each (state, day)'s total and sum of n(n - 1) over its
+    cells come from one ``np.add.reduceat``.
     """
-    first_tower = observations.first_tower
     if cell_of_tower is None:
-        towers = np.unique(first_tower)
+        towers = distinct(observations.first_tower)
         cell_rank = np.arange(towers.size)
     else:
         towers = np.array(sorted(cell_of_tower), np.int64)
         owner = np.array([cell_of_tower[t] for t in towers.tolist()], np.int64)
         cell_rank = np.unique(owner, return_inverse=True)[1]
-    row = np.searchsorted(towers, first_tower)
-    # A tower past the last one is checked against the last one.
-    np.minimum(row, towers.size - 1, out=row)
-    unknown = (towers[row] != first_tower if towers.size
-               else np.ones(row.size, bool))
-    if unknown.any():
-        raise KeyError(first_tower[unknown][0].item())
     # Each observation-length array goes before the next is made.
-    cell = cell_rank[row]
-    del row
+    cell = _cells(observations.first_tower, towers, cell_rank)
     key, bounds = pack_keys(observations.state_code, observations.day, cell)
     del cell
     key.sort()
     # One run per occupied (state, day, cell), its length the occupancy;
     # each (state, day) group is a run of consecutive cells.
+    n_rows = key.size
     runs = np.flatnonzero(run_starts(key))
-    occupancy = np.diff(runs, append=key.size)
     key = key[runs]
+    occupancy = np.diff(runs, append=n_rows)
+    del runs
     groups = np.flatnonzero(run_starts(key // bounds[-1][1]))
     totals = np.add.reduceat(occupancy, groups).tolist()
     pairs = np.add.reduceat(occupancy * (occupancy - 1), groups).tolist()
@@ -240,7 +268,8 @@ def bootstrap_ratio_ci(
     """Percentile bootstrap 95% interval for mean(high)/mean(low).
 
     High and low days are resampled separately (stratified), keeping the
-    two regimes' day counts fixed.
+    two regimes' day counts fixed. A replicate whose low-day mean is zero,
+    or so small that the ratio overflows, is left out.
     """
     hv = np.asarray(high_values, dtype=float)
     lv = np.asarray(low_values, dtype=float)
@@ -251,9 +280,13 @@ def bootstrap_ratio_ci(
     num = _resampled_means(rng, hv, replicates)    # every high-day block first
     den = _resampled_means(rng, lv, replicates)
     ok = den > 0
-    if not ok.any():
+    with np.errstate(over="ignore"):
+        stats = num[ok] / den[ok]
+    # A denominator so small that the ratio overflows counts as zero: an
+    # infinite ratio would make the percentiles NaN.
+    stats = stats[np.isfinite(stats)]
+    if not stats.size:
         raise EstimationError("all bootstrap denominators are zero")
-    stats = num[ok] / den[ok]
     lo, hi = np.percentile(stats, [2.5, 97.5])
     return float(lo), float(hi)
 

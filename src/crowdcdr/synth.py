@@ -61,6 +61,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .arrays import run_starts
 from .errors import ConfigurationError
 from .geo import EARTH_RADIUS_KM
 from .ingest import (
@@ -71,7 +72,6 @@ from .ingest import (
     TowerSite,
     StateProfile,
     is_int,
-    run_starts,
     write_cdr,
     write_table,
 )

@@ -211,7 +211,38 @@ def modules_imported_by_report(gen_dir, tmp_path, module: str) -> dict:
             (line.split() for line in (lines[0], lines[-1]))}
 
 
+#: Runs the command in its arguments from a process that first holds
+#: ``{mb}`` MB, written so that they are resident, and exits with its code.
+SPAWNER_SCRIPT = ("import subprocess, sys\n"
+                  "held = b'x' * ({mb} << 20)\n"
+                  "sys.exit(subprocess.call(sys.argv[1:]))\n")
+
+
 class TestReport:
+    @pytest.mark.skipif(not Path("/proc/self/status").exists(),
+                        reason="VmHWM is read from /proc/self/status")
+    def test_stage_peaks_are_not_the_spawners(self, gen_dir, tmp_path):
+        # ru_maxrss survives execve, so it read the spawner's peak at
+        # every stage; VmHWM is the process's own.
+        src = str(Path(cli.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        peaks = {}
+        for mb in (0, 210):
+            out = tmp_path / f"out-{mb}"
+            proc = subprocess.run(
+                [sys.executable, "-c", SPAWNER_SCRIPT.format(mb=mb),
+                 sys.executable, "-m", "crowdcdr.cli", "report",
+                 "--input-dir", str(gen_dir), "--output-dir", str(out)],
+                capture_output=True, text=True, env=env, timeout=300)
+            assert proc.returncode == 0, proc.stderr
+            blob = read_json(out / "manifest_report.json")
+            assert blob["peak_rss_source"] == "VmHWM"
+            peaks[mb] = blob["peak_rss_mb"]
+        assert list(peaks[210]) == list(peaks[0])
+        for stage, small in peaks[0].items():
+            assert abs(peaks[210][stage] - small) <= 5, (stage, peaks)
+
     def test_artifact_catalog(self, report_dir):
         expected = [
             "observations.csv", "counts.csv", "ingest_report.json",
@@ -296,6 +327,7 @@ class TestReport:
             "load", "ingest", "attendance", "social", "spatial", "sbm",
             "summary"]
         assert all(v > 0 for v in blob["peak_rss_mb"].values())
+        assert blob["peak_rss_source"] in ("VmHWM", "ru_maxrss")
 
     def test_spatial_summary_reports_permutation_p_values(self, report_dir):
         spa = read_json(report_dir / "spatial_summary.json")

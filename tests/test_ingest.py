@@ -19,12 +19,17 @@ from crowdcdr import ingest, synth
 from crowdcdr.errors import IngestError, SchemaError
 from crowdcdr.ingest import (
     DEFAULT_WINDOW,
+    INT32_MAX,
+    INT32_MIN,
     INT64_MAX,
     INT64_MIN,
     IngestReport,
+    StudyWindow,
     pack_keys,
     read_cdr,
     write_cdr,
+    write_columns,
+    write_table,
 )
 from crowdcdr.social import build_network
 from crowdcdr.spatial import build_colocation_series
@@ -41,6 +46,13 @@ from helpers import (build_network_oracle, cdr_file, cdr_text, colocation_oracle
 #: three bools): what the reader held for every accepted row of a file
 #: before it reduced each block.
 COLUMN_BYTES_PER_ROW = 7 * 8 + 3
+
+#: Bytes per person-day that ``read_cdr``'s traced peak stays below on
+#: desk's rows 8 times over: 241 measured with the narrow first-event
+#: columns and the merge by searchsorted, 282 before them. Most of it is
+#: the 1 MiB block in hand and its parsed table, as desk has only 42k
+#: person-days.
+PEAK_BYTES_PER_PERSON_DAY = 255
 
 
 def parse_all(text, **kwargs):
@@ -908,6 +920,7 @@ class TestByteBlockReader:
             tracemalloc.stop()
         assert report.accepted == report.rows == 8 * len(rows)
         assert peak < COLUMN_BYTES_PER_ROW * report.rows
+        assert peak < PEAK_BYTES_PER_PERSON_DAY * len(got.observations)
         assert reduced_rows(got) == reduced_rows(once)
 
     def test_row_reader_batches_stay_small(self, desk_small_files, tmp_path,
@@ -1378,3 +1391,98 @@ class TestPackedKeys:
             wide.unique_handsets()
         with pytest.raises(ValueError, match="overflows int64"):
             build_colocation_series(wide, n_days=3)
+
+
+#: Tower ids at and past the ends of int32.
+INT32_EDGES = (INT32_MIN - 1, INT32_MIN, INT32_MIN + 1, -1, 0, 1,
+               INT32_MAX - 1, INT32_MAX, INT32_MAX + 1)
+
+#: Windows whose seconds and days fit their narrow widths, or not: 24,855
+#: days are the most whose seconds fit int32, and 32,767 the most whose
+#: days fit int16.
+NARROW_WINDOWS = tuple(StudyWindow(days=d)
+                       for d in (90, 24_855, 24_856, 32_767, 32_768))
+
+
+@st.composite
+def narrow_edge_files(draw):
+    """(window, known towers, events): few persons, some at the ends of
+    int64, so that their packed (person, day) key overflows, on few days
+    of a long window, its last among them; known tower ids at and past
+    the ends of int32, and one tower that may be unknown."""
+    window = draw(st.sampled_from(NARROW_WINDOWS))
+    known = draw(st.sets(st.sampled_from(INT32_EDGES), min_size=1, max_size=4))
+    towers = [*known, draw(st.sampled_from(INT32_EDGES))]
+    days = draw(st.lists(st.integers(0, window.days - 1), min_size=1,
+                         max_size=3)) + [window.days - 1]
+    stamps = [window.start + 86400 * day + draw(st.integers(0, 86399))
+              for day in days for _ in range(2)]
+    persons = draw(st.lists(st.integers(1, 6) | st.sampled_from(
+        [INT64_MIN, INT64_MAX]), min_size=1, max_size=5, unique=True))
+    events = [make_event(timestamp=draw(st.sampled_from(stamps)),
+                         caller=draw(st.sampled_from(persons)),
+                         callee=draw(st.sampled_from(persons)),
+                         tower=draw(st.sampled_from(towers)),
+                         caller_state=draw(st.integers(1, 3)),
+                         callee_state=draw(st.integers(1, 3)),
+                         caller_customer=draw(st.booleans()),
+                         callee_customer=draw(st.booleans()))
+              for _ in range(draw(st.integers(1, 60)))]
+    return window, known, events
+
+
+class TestNarrowColumns:
+    """``read_cdr`` keeps the seconds, days and towers as narrow as the
+    window and the known towers allow, and gives what the int64 column
+    oracles give."""
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(drawn=narrow_edge_files(), block=st.sampled_from([150, 400, None]),
+           merge_rows=st.sampled_from([1, 3, None]))
+    def test_narrow_columns_equal_the_int64_oracles(self, monkeypatch, drawn,
+                                                   block, merge_rows):
+        window, known, events = drawn
+        if block is not None:       # reductions merged, and repeats met
+            monkeypatch.setattr(ingest, "BLOCK_BYTES", block)
+        if merge_rows is not None:
+            monkeypatch.setattr(ingest, "MERGE_BLOCK_ROWS", merge_rows)
+        with cdr_file(cdr_text(events).encode()) as path:
+            got = read_cdr(path, window=window, known_towers=known)
+            expected = events_reduced(
+                parse_cdr(path, window=window, known_towers=known), window)
+        assert reduced_rows(got) == expected
+        obs = got.observations
+        assert obs.first_tower.dtype == (
+            np.int32 if all(INT32_MIN <= t <= INT32_MAX for t in known)
+            else np.int64)
+        assert obs.day.dtype == (np.int16 if window.days <= 32_767
+                                 else np.int64)
+        assert (obs.person_id.dtype, obs.state_code.dtype) == (np.int64,
+                                                               np.int8)
+
+    def test_observations_take_15_bytes_a_row(self, desk_small_files):
+        towers = {t.tower_id
+                  for t in ingest.load_towers(desk_small_files[0]["towers"])}
+        obs = read_cdr(desk_small_files[0]["cdr"],
+                       known_towers=towers).observations
+        assert sum(c.itemsize for c in (obs.person_id, obs.state_code,
+                                        obs.day, obs.first_tower)) == 15
+
+
+class TestWriteColumns:
+    def test_mixed_integer_widths_write_the_int64_bytes(self, tmp_path,
+                                                        monkeypatch):
+        monkeypatch.setattr(ingest, "WRITE_BLOCK_ROWS", 2)
+        columns = [np.array([INT64_MIN, -1, 0, 5, INT64_MAX], np.int64),
+                   np.array([-128, 0, 1, 3, 127], np.int8),
+                   np.array([-32768, 0, 1, 2, 32767], np.int16),
+                   np.array([INT32_MIN, 0, 1, 2, INT32_MAX], np.int32),
+                   np.array([0, 1, 2, 3, 2 ** 32 - 1], np.uint32)]
+        header = [f"c{i}" for i in range(len(columns))]
+        paths = [tmp_path / name for name in ("mixed", "wide", "table")]
+        write_columns(paths[0], header, columns)
+        write_columns(paths[1], header, [c.astype(np.int64) for c in columns])
+        write_table(paths[2], header, zip(*(c.tolist() for c in columns)))
+        assert paths[0].read_bytes() == paths[1].read_bytes() \
+            == paths[2].read_bytes()
