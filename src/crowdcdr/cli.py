@@ -186,15 +186,16 @@ class RunManifest:
     read by rows (None when it was read wholly in blocks), and
     ``split_row``, the one from which a worker's read was used (None when
     one process read it); ``rows`` and ``accepted``, the CDR data rows
-    read and accepted; ``person_days``, ``parties`` and
-    ``contact_pairs``, the rows of the observations and of the contact
-    table's two parts; and ``active_towers``, the towers with accepted
-    traffic. For ``ingest`` it holds ``worker``, whether a worker wrote
-    its artifacts. For ``social``: ``nodes``, ``edges``, ``triples_all``
-    and ``triples_independent``, the network and its triples, all and in
-    the node-disjoint subsample. For ``spatial``: ``active_cells`` and
-    ``silent_towers``, the towers with and without a cell;
-    ``colocation_days``, the (state, day) pairs with a defined p; and
+    read and accepted; ``rejects``, the rows rejected by reason, sorted by
+    reason (``rejected`` in ``ingest_report.json``); ``person_days``,
+    ``parties`` and ``contact_pairs``, the rows of the observations and of
+    the contact table's two parts; and ``active_towers``, the towers with
+    accepted traffic. For ``ingest`` it holds ``worker``, whether a
+    worker wrote its artifacts. For ``social``: ``nodes``, ``edges``,
+    ``triples_all`` and ``triples_independent``, the network and its
+    triples, all and in the node-disjoint subsample. For ``spatial``:
+    ``active_cells`` and ``silent_towers``, the towers with and without a
+    cell; ``colocation_days``, the (state, day) pairs with a defined p; and
     ``clip_steps``, the clipping passes the tessellation ran, which is
     the most bisectors any one cell was clipped by. ``failure`` holds
     ``failed_stage``, ``error`` and ``exit_code`` when the run stopped on
@@ -808,6 +809,7 @@ def run_command(args) -> int:
                 "split_row": report.split_row,
                 "rows": report.rows,
                 "accepted": report.accepted,
+                "rejects": dict(sorted(report.rejects.items())),
                 "person_days": len(run.data.observations),
                 "parties": len(contacts.party_id),
                 "contact_pairs": len(contacts.caller_id),

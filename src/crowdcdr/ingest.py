@@ -5,8 +5,9 @@ The data model is shared by every downstream module:
 - ``CdrColumns``: events (calls and texts) as one numpy array per
   field: what the generator makes and ``write_cdr`` writes.
   ``read_cdr`` reduces each parsed block of a CDR file at once
-  (``_Reduction``) and returns only what the analysis stages read: the
-  daily observations, the towers with traffic and
+  (``_Reduction``), merges the reductions as they come, each table by
+  one sorted merge (``_merged``), and returns only what the analysis
+  stages read: the daily observations, the towers with traffic and
   ``social.ContactTable``. No column as long as the file is ever made.
 - ``TowerSite``: tower coordinates plus an activity flag.
 - ``StateProfile``: per-state market share and the local-state marker.
@@ -374,7 +375,10 @@ class _Reduction:
 
     States are int8. ``towers`` holds the distinct tower ids, ascending.
     Screening leaves no customer without a state, so every customer party
-    of an accepted row has one.
+    of an accepted row has one. Each table holds one row per key, in key
+    order: (person, day) for ``first``, and the columns before the
+    position for the others. ``_merge`` merges two by that key alone,
+    with no packed key, so any int64 ids work.
     """
 
     rows: int
@@ -403,8 +407,6 @@ def _grouped(ids: np.ndarray, minor: np.ndarray) -> tuple[np.ndarray, np.ndarray
 
     ``ids`` may be any int64 values: they enter the sort key as their
     rank, so the key spans at most len(ids) times the span of ``minor``.
-    Both sorts are stable, so rows that are already sorted runs, as the
-    tables of a merge are, sort in about linear time.
     """
     order = np.argsort(ids, kind="stable")
     key = ids[order]
@@ -461,20 +463,16 @@ def _take(table: list[np.ndarray], rows: np.ndarray) -> list[np.ndarray]:
 
 def _distinct(table: list[np.ndarray], order: np.ndarray,
               starts: np.ndarray) -> list[np.ndarray]:
-    """The first row of each group, with the least position in it."""
-    starts = np.flatnonzero(starts)
-    least = np.minimum.reduceat(table.pop()[order], starts)
-    return [*_take(table, order[starts]), least]
+    """The first row of each group, at its least position: a group keeps
+    the order of its rows."""
+    return _take(table, order[starts])
 
 
 def _first_events(table: list[np.ndarray]) -> list[np.ndarray]:
-    """``_Reduction.first`` of a table of located events in row order, or
-    of first-event tables end to end."""
+    """``_Reduction.first`` of a table of located events in row order."""
     if not len(table[0]):
         return table
     person, seconds, tower, _ = table
-    # A table of a merge holds at most one row of a (person, day), so in
-    # both cases the rows of a group are in the order of their rows.
     order, starts = _grouped(person, seconds // 86400)
     del person
     rows = _least(order, starts, seconds, tower)
@@ -482,49 +480,68 @@ def _first_events(table: list[np.ndarray]) -> list[np.ndarray]:
     return _take(table, rows)
 
 
-#: Rows of the later table that ``_merged_first`` places at a time.
-MERGE_BLOCK_ROWS = 1 << 16
+#: Rows of the later table that ``_merged`` places at a time.
+MERGE_BLOCK_ROWS = 1 << 14
 
 
-def _day_key(person: np.ndarray, seconds: np.ndarray, low: int,
-             days: int) -> np.ndarray:
-    """(person - low) * days + day of first-event rows."""
-    key = person - low
-    key *= days
-    key += seconds // 86400
-    return key
+def _bisect(column: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+            values: np.ndarray, right: bool) -> np.ndarray:
+    """Where each of ``values`` goes in ``column[lo:hi]``, its own sorted
+    range: ``bisect.bisect_left``'s place, or ``bisect_right``'s when
+    ``right``. One step of all the binary searches at a time."""
+    lo, hi = lo.copy(), hi.copy()
+    while (live := np.flatnonzero(lo < hi)).size:
+        mid = (lo[live] + hi[live]) // 2
+        after = (column[mid] <= values[live] if right
+                 else column[mid] < values[live])
+        lo[live[after]] = mid[after] + 1
+        hi[live[~after]] = mid[~after]
+    return lo
 
 
-def _merged_first(a: list[np.ndarray], b: list[np.ndarray],
-                  days: int) -> list[np.ndarray] | None:
-    """The first-event table of the rows of ``a`` then those of ``b``, two
-    such tables over a window of ``days``, merged without a sort; None
-    when their packed (person, day) key would overflow int64.
+def _placed(a: list[np.ndarray],
+            b: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """``bisect.bisect_left`` and ``bisect_right`` of each row of the key
+    columns ``b`` among the rows of the key columns ``a``, which are
+    sorted: by ``searchsorted`` on the first column, then narrowed column
+    by column, by ``_bisect`` within each run of ``a``'s rows equal to it
+    in the columns before. No key is packed, so any int64 values work."""
+    lo = np.searchsorted(a[0], b[0], "left")
+    hi = np.searchsorted(a[0], b[0], "right")
+    for a_column, b_column in zip(a[1:], b[1:]):
+        live = np.flatnonzero(lo < hi)
+        values = b_column[live]
+        left = _bisect(a_column, lo[live], hi[live], values, False)
+        hi[live] = _bisect(a_column, left, hi[live], values, True)
+        lo[live] = left
+    return lo, hi
 
-    Each table holds one row per (person, day), in that order, so its
-    keys are distinct and ascending. A row of ``b`` goes where
-    ``searchsorted`` puts its key among ``a``'s; where ``a`` holds the
-    key, ``b``'s row replaces ``a``'s only when its (seconds, tower) is
-    less, as ``a``'s rows come first. ``b`` is placed, and copied,
-    ``MERGE_BLOCK_ROWS`` rows at a time, so that besides the columns only
-    ``a``'s keys and masks span a table; the merged columns are built one
-    at a time, and ``a`` and ``b`` let go of each once it is.
+
+def _merged(a: list[np.ndarray], b: list[np.ndarray], key: Callable,
+            tie: Callable) -> list[np.ndarray]:
+    """The table of the rows of ``a`` then those of ``b``, two tables of
+    distinct ``key`` rows in ascending order, merged without a sort.
+
+    ``key`` and ``tie`` give a table's key and tie-break columns. A row
+    of ``b`` goes where ``_placed`` puts its key among ``a``'s; where
+    ``a`` holds the key, ``b``'s row replaces ``a``'s only when its
+    ``tie`` columns are less, as ``a``'s rows come first. ``b`` is
+    placed, and copied, ``MERGE_BLOCK_ROWS`` rows at a time, so that
+    besides the columns only ``a``'s key and masks span a table; the
+    merged columns are built one at a time, and ``a`` and ``b`` let go of
+    each once it is.
     """
     if not len(a[0]) or not len(b[0]):
         return a if len(a[0]) else b
-    low = min(int(a[0][0]), int(b[0][0]))
-    if (max(int(a[0][-1]), int(b[0][-1])) - low + 1) * days > INT64_MAX:
-        return None
-    key = _day_key(a[0], a[1], low, days)
+    a_key = key(a)
     new = np.empty(len(b[0]), bool)         # a holds no row of its key
     from_b = np.zeros(len(a[0]) + len(b[0]), bool)
     slots, won, spans = [], [], []
     n_new = 0
     for start in range(0, len(b[0]), MERGE_BLOCK_ROWS):
         rows = slice(start, start + MERGE_BLOCK_ROWS)
-        b_key = _day_key(b[0][rows], b[1][rows], low, days)
-        pos = np.searchsorted(key, b_key)
-        held = np.take(key, pos, mode="clip") == b_key
+        pos, end = _placed(a_key, key([column[rows] for column in b]))
+        held = end > pos
         np.logical_not(held, out=new[rows])
         # A row goes after a's rows before its key and the new rows of
         # ``b`` before it; one whose key ``a`` holds takes the slot of
@@ -537,13 +554,15 @@ def _merged_first(a: list[np.ndarray], b: list[np.ndarray],
         met = pos[repeat]
         slot = met + n_new + repeat - np.arange(repeat.size)
         repeat += start
-        a_seconds, b_seconds = a[1][met], b[1][repeat]
-        wins = (b_seconds < a_seconds) | ((b_seconds == a_seconds)
-                                          & (b[2][repeat] < a[2][met]))
+        # b's row wins where its tie columns are less, compared in turn.
+        wins = np.zeros(repeat.size, bool)
+        for b_tie, a_tie in reversed([*zip(tie(b), tie(a))]):
+            b_tie, a_tie = b_tie[repeat], a_tie[met]
+            wins = (b_tie < a_tie) | (b_tie == a_tie) & wins
         slots.append(slot[wins])
         won.append(repeat[wins])
         n_new += fresh.size
-    del key
+    del a_key
     from_b = from_b[:len(a[0]) + n_new]
     from_a = ~from_b
     slots, won = np.concatenate(slots), np.concatenate(won)
@@ -636,37 +655,19 @@ def _reduce_block(
         distinct(tower))
 
 
-def _merge(a: _Reduction, b: _Reduction, days: int) -> _Reduction:
-    """The ``_Reduction`` of the rows of ``a``, then those of ``b``, over a
-    window of ``days``.
-
-    Each column of ``a`` and ``b`` is let go of once it is joined, so
-    that the two and their merge are not held at once. The first events
-    are merged by ``_merged_first``, or joined and grouped again where
-    their key would overflow; the other tables are joined and grouped
-    again, a stable sort of two sorted runs.
-    """
-    def joined(name: str, per_row: int = 0) -> list[np.ndarray]:
-        """The tables ``name`` of ``a`` and ``b`` end to end, the positions
-        of ``b`` (``per_row`` a row, when given) shifted past ``a``'s rows."""
-        tables = getattr(a, name), getattr(b, name)
-        columns = []
-        for i in range(len(tables[0])):
-            by = per_row if i == len(tables[0]) - 1 else 0
-            columns.append(np.concatenate([tables[0][i],
-                                           tables[1][i] + by * a.rows if by
-                                           else tables[1][i]]))
-            tables[0][i] = tables[1][i] = None
-        return columns
-
+def _merge(a: _Reduction, b: _Reduction) -> _Reduction:
+    """The ``_Reduction`` of the rows of ``a``, then those of ``b``, each
+    table merged by ``_merged``; ``b``'s positions are shifted past
+    ``a``'s rows, so a party or pair of ``b`` never replaces ``a``'s."""
+    b.parties[-1] += 2 * a.rows
+    b.pairs[-1] += a.rows
+    parties = _merged(a.parties, b.parties, lambda t: t[:2], lambda t: t[2:])
+    pairs = _merged(a.pairs, b.pairs, lambda t: t[:4], lambda t: t[4:])
+    towers = distinct(np.concatenate([a.towers, b.towers]))
     # The first events last: they are the largest, and the other tables
     # of ``a`` and ``b`` are gone by then.
-    parties = _distinct_parties(joined("parties", 2))
-    pairs = _distinct_pairs(joined("pairs", 1))
-    towers = distinct(np.concatenate([a.towers, b.towers]))
-    first = _merged_first(a.first, b.first, days)
-    if first is None:
-        first = _first_events(joined("first"))
+    first = _merged(a.first, b.first, lambda t: [t[0], t[1] // 86400],
+                    lambda t: t[1:3])
     return _Reduction(a.rows + b.rows, first, parties, pairs, towers)
 
 
@@ -681,8 +682,9 @@ class _Reductions:
     person-days of the rows, not with their number.
     """
 
-    def __init__(self, window: StudyWindow) -> None:
-        self._window = window
+    def __init__(self, window: StudyWindow, known: np.ndarray | None) -> None:
+        # ``_reduce_block``'s arguments for no rows, in the read's widths.
+        self._empty = (np.empty(0, _BLOCK_DTYPE), window, known, IngestReport())
         self._parts: list[_Reduction] = []
 
     def add(self, part: _Reduction) -> None:
@@ -693,13 +695,13 @@ class _Reductions:
 
     def _merge_top(self) -> None:
         b, a = self._parts.pop(), self._parts.pop()
-        self._parts.append(_merge(a, b, self._window.days))
+        self._parts.append(_merge(a, b))
 
     def result(self) -> _Reduction:
-        """The reduction of every row added, which is then all it holds."""
+        """The reduction of every row added, which is then all it holds;
+        with none added, that of none, in the read's column widths."""
         if not self._parts:
-            self._parts.append(_reduce_block(np.empty(0, _BLOCK_DTYPE),
-                                             self._window, None, IngestReport()))
+            self._parts.append(_reduce_block(*self._empty))
         while len(self._parts) > 1:
             self._merge_top()
         return self._parts[0]
@@ -744,8 +746,9 @@ def read_cdr(
 
     Each block, and each batch of the row reader, is thus reduced as soon
     as it is parsed (``_Reduction``), and the reductions are merged as
-    they come (``_Reductions``); input position is the last tie-break of
-    every merge. So no column as long as the file is ever made, and
+    they come (``_Reductions``), each table without a sort (``_merged``),
+    whatever its ids; input position is the last tie-break of every
+    merge. So no column as long as the file is ever made, and
     memory grows with the person-days, parties and contact pairs, not
     with the rows: 17 bytes a person-day where the observations are
     narrow.
@@ -789,7 +792,7 @@ def read_cdr(
     if known is not None and (not known.size or INT32_MIN <= known.min()
                               and known.max() <= INT32_MAX):
         known = known.astype(np.int32)
-    out = _Reductions(window)
+    out = _Reductions(window, known)
     with open(path, "rb") as fh:
         resume = _read_blocks(path, fh, window, known, report, out)
     if resume is not None:
@@ -921,7 +924,8 @@ def _read_part(
     non-canonical block (None when it read to the end) and the
     ``_Reduction`` of its accepted rows.
     """
-    report, out = IngestReport(), _Reductions(screen.keywords["window"])
+    report = IngestReport()
+    out = _Reductions(screen.keywords["window"], screen.keywords["known_towers"])
     with open(path, "rb") as fh:
         fh.seek(start)
         offset, _, done = screen(_line_blocks(fh, BLOCK_BYTES, start), start,

@@ -413,6 +413,35 @@ class TestReport:
         assert 0 < fit["n_nodes"] <= load["parties"]
         assert 0 < fit["n_edges"] <= load["contact_pairs"]
 
+    def test_load_records_the_rejects_of_the_ingest_report(self, gen_dir,
+                                                            tmp_path):
+        # Cells of the canonical columns to set, one row per reason.
+        edits = {
+            "negative_duration": {4: "-5"},
+            "text_with_duration": {3: "text", 4: "30"},
+            "outside_window": {0: "0"},
+            "unknown_tower": {5: "99999"},
+            "no_customer_party": {8: "0", 9: "0"},
+            "customer_without_state": {6: "0", 8: "1"},
+        }
+
+        def edit(rows):
+            for row, cells in zip(range(10, 100, 10), edits.values()):
+                values = rows[row].split(",")
+                for i, value in cells.items():
+                    values[i] = value
+                rows[row] = ",".join(values)
+            return [*rows, "garbage,row"]
+        src = with_rows(gen_dir, tmp_path / "in", edit)
+        out = tmp_path / "out"
+        assert run("report", "--input-dir", src, "--output-dir", out) == 0
+        rejected = read_json(out / "ingest_report.json")["rejected"]
+        assert rejected == dict.fromkeys([*edits, "unparseable"], 1)
+        rejects = read_json(out / "manifest_report.json")["stages"]["load"][
+            "rejects"]
+        assert list(rejects.items()) == list(rejected.items())
+        assert list(rejects) == sorted(rejects)
+
     def test_social_and_spatial_counts_match_the_artifacts(self, gen_dir,
                                                            report_dir):
         stages = read_json(report_dir / "manifest_report.json")["stages"]

@@ -1,5 +1,6 @@
 """Parsing, validation, daily deduplication, and distinct counting."""
 
+import bisect
 import codecs
 import csv
 import io
@@ -1138,10 +1139,45 @@ class TestSplitRead:
 
     def test_header_only_file(self, monkeypatch):
         monkeypatch.setattr(ingest, "BLOCK_BYTES", 16)
+        data = cdr_text([]).encode()
         (split_got, split_report), (got, report) = read_outcomes(
-            cdr_text([]).encode(), None, monkeypatch)
+            data, None, monkeypatch)
         assert split_got == got == events_reduced([])
         assert split_report == report == IngestReport()
+        # As narrow as for a file whose rows are all rejected.
+        rejected = cdr_text([make_event(tower=3)]).encode()
+        for source in (data, rejected):
+            with cdr_file(source) as path:
+                for fork_bytes in (0, 1 << 62):
+                    monkeypatch.setattr(ingest, "FORK_BYTES", fork_bytes)
+                    got = read_cdr(path, known_towers={1, 2})
+                    assert (got.observations.first_tower.dtype,
+                            got.observations.day.dtype,
+                            got.towers.dtype) == (np.int32, np.int16,
+                                                  np.int32)
+
+    def test_worker_that_stops_at_once_keeps_the_narrow_towers(
+            self, monkeypatch):
+        # The worker's first row is quoted, so its reduction holds no row
+        # and the row reader reads its part.
+        events = [make_event(day=1 + i % 80, caller=100 + i, tower=1 + i % 3)
+                  for i in range(400)]
+        header, *rows = cdr_text(events).splitlines()
+        monkeypatch.setattr(ingest, "BLOCK_BYTES", 1924)
+        monkeypatch.setattr(ingest, "FORK_BYTES", 0)
+        split = cut_row(("\n".join([header, *rows]) + "\n").encode())
+        rows[split] = MUTATIONS["quoted"](rows[split])
+        data = ("\n".join([header, *rows]) + "\n").encode()
+        assert cut_row(data) == split
+        with cdr_file(data) as path:
+            for fork_bytes in (0, 1 << 62):
+                monkeypatch.setattr(ingest, "FORK_BYTES", fork_bytes)
+                report = IngestReport()
+                got = read_cdr(path, known_towers={1, 2, 3}, report=report)
+                assert report.row_reader_from == split + 1
+                assert (got.observations.first_tower.dtype,
+                        got.towers.dtype) == (np.int32, np.int32)
+                assert reduced_rows(got) == events_reduced(events)
 
     @pytest.mark.parametrize("failure", ["raises", "short", "no_fork"])
     def test_this_process_reads_the_part_of_a_failed_worker(
@@ -1198,18 +1234,24 @@ class TestSplitRead:
         assert (counts.rows, stop) == (text.count("\n") - 1 - split, None)
 
 
+#: The two ids at each end of int64.
+INT64_ENDS = (INT64_MIN, INT64_MIN + 1, INT64_MAX - 1, INT64_MAX)
+
+
 @st.composite
 def interleaved_files(draw):
     """(CDR bytes, block size): rows in any order over few persons, days,
     towers and timestamps, so that a (person, day) and a party recur
     across blocks and across the cut, equal timestamps meet at other
-    towers, and a party's state changes from row to row.
+    towers, and a party's state changes from row to row. Some persons
+    are at the ends of int64, so that packed keys of their parties and
+    pairs would overflow.
 
     A row for each reject reason the screen gives is planted, and 0 to 3
     unparseable rows (over 1% of the rows with 3); one non-canonical
     row, when drawn, hands the read to the row reader from its block on.
     """
-    persons = st.integers(1, 8)
+    persons = st.integers(1, 8) | st.sampled_from(INT64_ENDS)
     stamps = draw(st.lists(st.integers(0, 4 * 86400 - 1).map(ts_on_day),
                            min_size=2, max_size=6))
     events = [make_event(timestamp=draw(st.sampled_from(stamps)),
@@ -1244,12 +1286,15 @@ class TestStreamedReduction:
 
     @settings(max_examples=60, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(drawn=interleaved_files())
+    @given(drawn=interleaved_files(),
+           merge_rows=st.sampled_from([1, 3, None]))
     def test_split_block_reductions_match_the_column_oracles(
-            self, monkeypatch, drawn):
+            self, monkeypatch, drawn, merge_rows):
         data, block = drawn
         monkeypatch.setattr(ingest, "BLOCK_BYTES", block)
         monkeypatch.setattr(ingest, "FORK_BYTES", 0)
+        if merge_rows is not None:
+            monkeypatch.setattr(ingest, "MERGE_BLOCK_ROWS", merge_rows)
         known = {1, 2, 3, 4}
         with cdr_file(data) as path:
             assert cut_row(data) is not None      # a worker reads
@@ -1258,6 +1303,37 @@ class TestStreamedReduction:
         if got[0][0] is not IngestError:
             assert set(got[1][2]) >= {*REJECTING}
             assert got[0][2] == sorted(got[0][2])      # the tower ids
+
+
+@st.composite
+def key_tables(draw):
+    """(width, a, b): sorted distinct rows of 1 to 4 int64 columns, and
+    rows to place among them, about half of them drawn from ``a``. The
+    first column takes at most three values and the others many, so long
+    runs of rows share their leading columns, as a caller's pairs share
+    the caller; every column reaches the ends of int64."""
+    width = draw(st.integers(1, 4))
+    values = st.integers(-40, 40) | st.sampled_from(INT64_ENDS)
+    leading = st.sampled_from(draw(st.lists(values, min_size=1, max_size=3)))
+    rows = st.tuples(leading, *[values] * (width - 1))
+    a = sorted(draw(st.sets(rows, max_size=150)))
+    b = draw(st.lists(rows | st.sampled_from(a) if a else rows, max_size=60))
+    return width, a, b
+
+
+class TestColumnwisePlacement:
+    """``ingest._placed`` places key rows as ``bisect`` places tuples."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(drawn=key_tables())
+    def test_places_as_bisect_places_tuples(self, drawn):
+        width, a, b = drawn
+
+        def columns(rows):
+            return list(np.array(rows, np.int64).reshape(-1, width).T.copy())
+        lo, hi = ingest._placed(columns(a), columns(b))
+        assert lo.tolist() == [bisect.bisect_left(a, row) for row in b]
+        assert hi.tolist() == [bisect.bisect_right(a, row) for row in b]
 
 
 @st.composite
@@ -1299,7 +1375,7 @@ class TestObservationGrouping:
 #: Ids near zero, at the int64 extremes, and anywhere between.
 EXTREME_IDS = st.one_of(
     st.integers(-3, 3),
-    st.sampled_from([INT64_MIN, INT64_MIN + 1, INT64_MAX - 1, INT64_MAX]),
+    st.sampled_from(INT64_ENDS),
     st.integers(INT64_MIN, INT64_MAX),
 )
 
@@ -1407,9 +1483,9 @@ NARROW_WINDOWS = tuple(StudyWindow(days=d)
 @st.composite
 def narrow_edge_files(draw):
     """(window, known towers, events): few persons, some at the ends of
-    int64, so that their packed (person, day) key overflows, on few days
-    of a long window, its last among them; known tower ids at and past
-    the ends of int32, and one tower that may be unknown."""
+    int64, so that a packed (person, day) key of them would overflow, on
+    few days of a long window, its last among them; known tower ids at
+    and past the ends of int32, and one tower that may be unknown."""
     window = draw(st.sampled_from(NARROW_WINDOWS))
     known = draw(st.sets(st.sampled_from(INT32_EDGES), min_size=1, max_size=4))
     towers = [*known, draw(st.sampled_from(INT32_EDGES))]
