@@ -190,10 +190,12 @@ class RunManifest:
     reason (``rejected`` in ``ingest_report.json``); ``person_days``,
     ``parties`` and ``contact_pairs``, the rows of the observations and of
     the contact table's two parts; and ``active_towers``, the towers with
-    accepted traffic. For ``ingest`` it holds ``worker``, whether a
-    worker wrote its artifacts. For ``social``: ``nodes``, ``edges``,
-    ``triples_all`` and ``triples_independent``, the network and its
-    triples, all and in the node-disjoint subsample. For ``spatial``:
+    accepted traffic. When ``load`` fails, it holds those before
+    ``person_days``, as far as the file was read. For ``ingest`` it
+    holds ``worker``, whether a worker wrote its artifacts. For
+    ``social``: ``nodes``, ``edges``, ``triples_all`` and
+    ``triples_independent``, the network and its triples, all and in the
+    node-disjoint subsample. For ``spatial``:
     ``active_cells`` and ``silent_towers``, the towers with and without a
     cell; ``colocation_days``, the (state, day) pairs with a defined p; and
     ``clip_steps``, the clipping passes the tessellation ran, which is
@@ -313,7 +315,9 @@ def _set_mmap_threshold(size: int) -> None:
         libc.mallopt(_M_MMAP_THRESHOLD, size)
 
 
-def load_pipeline_data(input_dir: Path) -> PipelineData:
+def load_pipeline_data(input_dir: Path, report: IngestReport) -> PipelineData:
+    """The inputs of ``input_dir``, the CDR file's counts filled into
+    ``report`` as it is read, so that they are there if it fails."""
     window = DEFAULT_WINDOW
     cdr = input_dir / "cdr.csv"
     towers_path = input_dir / "towers.csv"
@@ -323,7 +327,6 @@ def load_pipeline_data(input_dir: Path) -> PipelineData:
             raise IngestError(f"missing input file {p}")
     towers = load_towers(towers_path)
     profiles = load_state_profiles(states_path)
-    report = IngestReport()
     cdr_data = read_cdr(cdr, window=window,
                         known_towers={t.tower_id for t in towers}, report=report)
     if not report.accepted:
@@ -802,14 +805,20 @@ def run_command(args) -> int:
                 name: str(input_dir / f"{name}.csv")
                 for name in ("cdr", "towers", "states")
             }
-            run.data = _timed(manifest, "load", load_pipeline_data, input_dir)
-            report, contacts = run.data.report, run.data.contacts
-            manifest.stages["load"] = {
-                "row_reader_from": report.row_reader_from,
-                "split_row": report.split_row,
-                "rows": report.rows,
-                "accepted": report.accepted,
-                "rejects": dict(sorted(report.rejects.items())),
+            report = IngestReport()
+            try:
+                run.data = _timed(manifest, "load", load_pipeline_data,
+                                  input_dir, report)
+            finally:
+                manifest.stages["load"] = {
+                    "row_reader_from": report.row_reader_from,
+                    "split_row": report.split_row,
+                    "rows": report.rows,
+                    "accepted": report.accepted,
+                    "rejects": dict(sorted(report.rejects.items())),
+                }
+            contacts = run.data.contacts
+            manifest.stages["load"] |= {
                 "person_days": len(run.data.observations),
                 "parties": len(contacts.party_id),
                 "contact_pairs": len(contacts.caller_id),

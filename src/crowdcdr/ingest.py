@@ -5,10 +5,14 @@ The data model is shared by every downstream module:
 - ``CdrColumns``: events (calls and texts) as one numpy array per
   field: what the generator makes and ``write_cdr`` writes.
   ``read_cdr`` reduces each parsed block of a CDR file at once
-  (``_Reduction``), merges the reductions as they come, each table by
-  one sorted merge (``_merged``), and returns only what the analysis
-  stages read: the daily observations, the towers with traffic and
-  ``social.ContactTable``. No column as long as the file is ever made.
+  (``_Reduction``), merges the reductions as they come, and returns
+  only what the analysis stages read: the daily observations, the
+  towers with traffic and ``social.ContactTable``. Each of the
+  reduction's three tables is declared once, as its key and tie columns
+  (``_FIRST``, ``_PARTIES``, ``_PAIRS``); a block is reduced by one
+  stable sort under that declaration (``_reduced``), and two reductions
+  are merged under it by one sorted merge (``_merged``). No column as
+  long as the file is ever made.
 - ``TowerSite``: tower coordinates plus an activity flag.
 - ``StateProfile``: per-state market share and the local-state marker.
 - ``ObservationColumns``: one row per (person, day) carrying the first
@@ -376,9 +380,12 @@ class _Reduction:
     States are int8. ``towers`` holds the distinct tower ids, ascending.
     Screening leaves no customer without a state, so every customer party
     of an accepted row has one. Each table holds one row per key, in key
-    order: (person, day) for ``first``, and the columns before the
-    position for the others. ``_merge`` merges two by that key alone,
-    with no packed key, so any int64 ids work.
+    order, the one least in its tie columns: ``_FIRST``, ``_PARTIES``
+    and ``_PAIRS`` declare them ((person, day) by (seconds, tower) for
+    ``first``, and the columns before the position by the position for
+    the others). ``_reduce_block`` reduces a block's tables under them
+    (``_reduced``), and ``_merge`` merges two reductions under them
+    (``_merged``), with no packed key, so any int64 ids work.
     """
 
     rows: int
@@ -400,84 +407,25 @@ def _widths(window: StudyWindow) -> tuple[type, type]:
             np.int16 if window.days < 2 ** 15 else np.int64)
 
 
-def _grouped(ids: np.ndarray, minor: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The rows in (ids, minor) order, and the mask of the first row of
-    each run of equal (ids, minor) in that order; rows of a run keep their
-    order.
-
-    ``ids`` may be any int64 values: they enter the sort key as their
-    rank, so the key spans at most len(ids) times the span of ``minor``.
-    """
-    order = np.argsort(ids, kind="stable")
-    key = ids[order]
-    np.cumsum(run_starts(key), out=key)     # the rank of each id, in place
-    minor = minor[order]
-    low = int(minor.min())
-    span = int(minor.max()) - low + 1
-    if (int(key[-1]) + 1) * span > INT64_MAX:
-        raise ValueError(f"{key[-1]} ids times a span of {span} overflows int64")
-    key *= span
-    key += minor
-    key -= low
-    del minor
-    by_key = np.argsort(key, kind="stable")
-    key.sort(kind="stable")                 # key[by_key], in place
-    starts = run_starts(key)
-    del key
-    # order[by_key], written over by_key a block at a time, so that no
-    # third array of this length is made.
-    for i in range(0, len(by_key), 1 << 16):
-        block = by_key[i:i + (1 << 16)]
-        block[:] = order[block]
-    return by_key, starts
+#: The key and tie columns of each table of ``_Reduction``, as functions
+#: of its list of columns: a table holds one row per key, the one least
+#: in its tie columns, and of rows equal in those too, the first. Both
+#: the reduction of a block (``_reduced``) and the merge of two
+#: reductions (``_merged``) read them.
+_FIRST = (lambda t: [t[0], t[1] // 86400], lambda t: t[1:3])
+_PARTIES = (lambda t: t[:2], lambda t: t[2:])
+_PAIRS = (lambda t: t[:4], lambda t: t[4:])
 
 
-def _least(order: np.ndarray, starts: np.ndarray, *keys: np.ndarray) -> np.ndarray:
-    """Of each group of ``order`` (``starts`` marks where each begins), the
-    first row of those least in ``keys``, compared in turn."""
-    shared = starts.copy()                  # alone: a start followed by one
-    shared[:-1] &= starts[1:]
-    np.logical_not(shared, out=shared)
-    rows = order[shared]
-    if len(rows):
-        first = np.flatnonzero(starts[shared])
-        sizes = np.diff(first, append=len(rows))
-        best = np.ones(len(rows), bool)
-        for key in keys:
-            key = np.where(best, key[rows], np.iinfo(key.dtype).max)
-            best &= key == np.repeat(np.minimum.reduceat(key, first), sizes)
-        best[best] = run_starts(np.repeat(np.arange(len(sizes)), sizes)[best])
-        shared[shared] = ~best
-    return order[~shared]
-
-
-def _take(table: list[np.ndarray], rows: np.ndarray) -> list[np.ndarray]:
-    """The columns of ``table`` at ``rows``; ``table`` lets go of each
-    column once it is taken, so one column at a time is held twice."""
-    taken = []
-    for i, column in enumerate(table):
-        table[i] = None
-        taken.append(column[rows])
-    return taken
-
-
-def _distinct(table: list[np.ndarray], order: np.ndarray,
-              starts: np.ndarray) -> list[np.ndarray]:
-    """The first row of each group, at its least position: a group keeps
-    the order of its rows."""
-    return _take(table, order[starts])
-
-
-def _first_events(table: list[np.ndarray]) -> list[np.ndarray]:
-    """``_Reduction.first`` of a table of located events in row order."""
-    if not len(table[0]):
-        return table
-    person, seconds, tower, _ = table
-    order, starts = _grouped(person, seconds // 86400)
-    del person
-    rows = _least(order, starts, seconds, tower)
-    del seconds, tower, order, starts
-    return _take(table, rows)
+def _reduced(table: list[np.ndarray], key: Callable,
+             tie: Callable) -> list[np.ndarray]:
+    """The rows of ``table`` that ``key`` and ``tie`` keep (see
+    ``_FIRST``), in key order: one stable sort by the key columns, then
+    the tie columns, and the first row of each run of equal keys."""
+    keys = key(table)
+    order = np.lexsort([*reversed(tie(table)), *reversed(keys)])
+    rows = order[run_starts(*(k[order] for k in keys))]
+    return [column[rows] for column in table]
 
 
 #: Rows of the later table that ``_merged`` places at a time.
@@ -505,9 +453,14 @@ def _placed(a: list[np.ndarray],
     columns ``b`` among the rows of the key columns ``a``, which are
     sorted: by ``searchsorted`` on the first column, then narrowed column
     by column, by ``_bisect`` within each run of ``a``'s rows equal to it
-    in the columns before. No key is packed, so any int64 values work."""
+    in the columns before. No key is packed, so any int64 values work.
+    The right-hand ``searchsorted`` runs only for the rows whose first
+    column ``a`` holds; the others' run is empty."""
     lo = np.searchsorted(a[0], b[0], "left")
-    hi = np.searchsorted(a[0], b[0], "right")
+    hi = lo.copy()
+    if len(a[0]):
+        held = np.flatnonzero(a[0].take(lo, mode="clip") == b[0])
+        hi[held] = np.searchsorted(a[0], b[0][held], "right")
     for a_column, b_column in zip(a[1:], b[1:]):
         live = np.flatnonzero(lo < hi)
         values = b_column[live]
@@ -522,14 +475,16 @@ def _merged(a: list[np.ndarray], b: list[np.ndarray], key: Callable,
     """The table of the rows of ``a`` then those of ``b``, two tables of
     distinct ``key`` rows in ascending order, merged without a sort.
 
-    ``key`` and ``tie`` give a table's key and tie-break columns. A row
-    of ``b`` goes where ``_placed`` puts its key among ``a``'s; where
-    ``a`` holds the key, ``b``'s row replaces ``a``'s only when its
-    ``tie`` columns are less, as ``a``'s rows come first. ``b`` is
-    placed, and copied, ``MERGE_BLOCK_ROWS`` rows at a time, so that
-    besides the columns only ``a``'s key and masks span a table; the
-    merged columns are built one at a time, and ``a`` and ``b`` let go of
-    each once it is.
+    ``key`` and ``tie`` are the table's declaration (``_FIRST``,
+    ``_PARTIES`` or ``_PAIRS``), the one ``_reduced`` reduced ``a`` and
+    ``b`` by: they give its key and tie-break columns. A row of ``b``
+    goes where ``_placed`` puts its key among ``a``'s; where ``a`` holds
+    the key, ``b``'s row replaces ``a``'s only when its ``tie`` columns
+    are less, as ``a``'s rows come first. ``b`` is placed, and copied,
+    ``MERGE_BLOCK_ROWS`` rows at a time, each block among ``a``'s rows
+    from the previous block's place on, so that besides the columns only
+    ``a``'s key and masks span a table; the merged columns are built one
+    at a time, and ``a`` and ``b`` let go of each once it is.
     """
     if not len(a[0]) or not len(b[0]):
         return a if len(a[0]) else b
@@ -537,10 +492,16 @@ def _merged(a: list[np.ndarray], b: list[np.ndarray], key: Callable,
     new = np.empty(len(b[0]), bool)         # a holds no row of its key
     from_b = np.zeros(len(a[0]) + len(b[0]), bool)
     slots, won, spans = [], [], []
-    n_new = 0
+    n_new = base = 0
     for start in range(0, len(b[0]), MERGE_BLOCK_ROWS):
         rows = slice(start, start + MERGE_BLOCK_ROWS)
-        pos, end = _placed(a_key, key([column[rows] for column in b]))
+        # b is sorted, so this block goes nowhere before the last one's
+        # last row: only a's rows from there on are searched.
+        pos, end = _placed([column[base:] for column in a_key],
+                           key([column[rows] for column in b]))
+        pos += base
+        end += base
+        base = pos[-1]
         held = end > pos
         np.logical_not(held, out=new[rows])
         # A row goes after a's rows before its key and the new rows of
@@ -577,26 +538,6 @@ def _merged(a: list[np.ndarray], b: list[np.ndarray], key: Callable,
         b[i] = None
         merged.append(column)
     return merged
-
-
-def _distinct_parties(table: list[np.ndarray]) -> list[np.ndarray]:
-    """``_Reduction.parties`` of (id, state, position) rows."""
-    if not len(table[0]):
-        return table
-    return _distinct(table, *_grouped(table[0], table[1]))
-
-
-def _distinct_pairs(table: list[np.ndarray]) -> list[np.ndarray]:
-    """``_Reduction.pairs`` of (caller_id, callee_id, caller_state,
-    callee_state, position) rows."""
-    if not len(table[0]):
-        return table
-    caller, callee, caller_state, callee_state, _ = table
-    # The callee side as the dense rank of its (id, state, state) value.
-    callee = np.unique(pack_keys(np.unique(callee, return_inverse=True)[1],
-                                 caller_state, callee_state)[0],
-                       return_inverse=True)[1]
-    return _distinct(table, *_grouped(caller, callee))
 
 
 def _reduce_block(
@@ -643,15 +584,13 @@ def _reduce_block(
     side = np.stack([caller, callee], axis=1).ravel()
     return _Reduction(
         tally[0],
-        _first_events([np.where(caller, caller_id, callee_id), seconds, tower,
-                       np.where(caller, caller_state, callee_state)]),
-        _distinct_parties([
-            np.stack([caller_id, callee_id], axis=1).ravel()[side],
-            np.stack([caller_state, callee_state], axis=1).ravel()[side],
-            np.flatnonzero(side)]),
-        _distinct_pairs([caller_id[both], callee_id[both],
-                         caller_state[both], callee_state[both],
-                         np.flatnonzero(both)]),
+        _reduced([np.where(caller, caller_id, callee_id), seconds, tower,
+                  np.where(caller, caller_state, callee_state)], *_FIRST),
+        _reduced([np.stack([caller_id, callee_id], axis=1).ravel()[side],
+                  np.stack([caller_state, callee_state], axis=1).ravel()[side],
+                  np.flatnonzero(side)], *_PARTIES),
+        _reduced([caller_id[both], callee_id[both], caller_state[both],
+                  callee_state[both], np.flatnonzero(both)], *_PAIRS),
         distinct(tower))
 
 
@@ -661,13 +600,12 @@ def _merge(a: _Reduction, b: _Reduction) -> _Reduction:
     ``a``'s rows, so a party or pair of ``b`` never replaces ``a``'s."""
     b.parties[-1] += 2 * a.rows
     b.pairs[-1] += a.rows
-    parties = _merged(a.parties, b.parties, lambda t: t[:2], lambda t: t[2:])
-    pairs = _merged(a.pairs, b.pairs, lambda t: t[:4], lambda t: t[4:])
+    parties = _merged(a.parties, b.parties, *_PARTIES)
+    pairs = _merged(a.pairs, b.pairs, *_PAIRS)
     towers = distinct(np.concatenate([a.towers, b.towers]))
     # The first events last: they are the largest, and the other tables
     # of ``a`` and ``b`` are gone by then.
-    first = _merged(a.first, b.first, lambda t: [t[0], t[1] // 86400],
-                    lambda t: t[1:3])
+    first = _merged(a.first, b.first, *_FIRST)
     return _Reduction(a.rows + b.rows, first, parties, pairs, towers)
 
 
@@ -746,11 +684,14 @@ def read_cdr(
 
     Each block, and each batch of the row reader, is thus reduced as soon
     as it is parsed (``_Reduction``), and the reductions are merged as
-    they come (``_Reductions``), each table without a sort (``_merged``),
-    whatever its ids; input position is the last tie-break of every
-    merge. So no column as long as the file is ever made, and
-    memory grows with the person-days, parties and contact pairs, not
-    with the rows: 17 bytes a person-day where the observations are
+    they come (``_Reductions``). Each table is declared once, as its key
+    and tie columns (``_FIRST``, ``_PARTIES``, ``_PAIRS``): a block's is
+    reduced by one stable sort under it (``_reduced``), and two
+    reductions' are merged under it without a sort (``_merged``),
+    whatever the ids; input position is the last tie-break of every
+    reduction and merge. So no column as long as the file is ever made,
+    and memory grows with the person-days, parties and contact pairs,
+    not with the rows: 17 bytes a person-day where the observations are
     narrow.
 
     A file of ``FORK_BYTES`` or more is read by two processes: a forked

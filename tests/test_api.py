@@ -14,12 +14,17 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = sorted((ROOT / "src" / "crowdcdr").glob("*.py"))
 
 
-def referenced_names() -> set[str]:
-    """Every name read by a Name or Attribute node, or imported, in the
-    package or the benchmark; strings and docstrings do not count."""
+def referenced_names(
+        paths=(*PACKAGE, *sorted((ROOT / "perfbench").glob("*.py")))
+) -> set[str]:
+    """Every name read by a Name or Attribute node, or imported, in
+    ``paths``, the package and the benchmark unless given; strings,
+    docstrings and the targets of assignments do not count."""
     names = set()
-    for path in [*PACKAGE, *sorted((ROOT / "perfbench").glob("*.py"))]:
+    for path in paths:
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(getattr(node, "ctx", None), ast.Store):
+                continue
             if isinstance(node, ast.Name):
                 names.add(node.id)
             elif isinstance(node, ast.Attribute):
@@ -80,3 +85,31 @@ def test_every_keyword_option_is_set_by_some_caller():
                                      node.args.kw_defaults)
              if default is not None and (node.name, arg.arg) not in passed]
     assert not unset, f"keyword options that no call sets: {unset}"
+
+
+def private_definitions() -> list[str]:
+    """module.name of each private module-level function, class and
+    assigned name of the package; dunder names are not private."""
+    out = []
+    for path in PACKAGE:
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = (node.targets if isinstance(node, ast.Assign)
+                           else [node.target])
+                names = [n.id for t in targets for n in ast.walk(t)
+                         if isinstance(n, ast.Name)]
+            else:
+                continue
+            out += [f"{path.stem}.{name}" for name in names
+                    if name.startswith("_") and not name.endswith("__")]
+    return out
+
+
+def test_every_private_name_is_read_in_the_package():
+    # A private name only its own definition mentions is dead code.
+    read = referenced_names(PACKAGE)
+    unread = [q for q in private_definitions()
+              if q.rpartition(".")[2] not in read]
+    assert not unread, f"private, but read nowhere in the package: {unread}"

@@ -8,6 +8,7 @@ import hashlib
 import json
 import os
 import random
+import re
 import shutil
 import subprocess
 import sys
@@ -405,7 +406,8 @@ class TestReport:
             read_rows(report_dir / "observations.csv"))
         assert load["person_days"] == read_json(
             report_dir / "summary.json")["person_days"]
-        contacts = cli.load_pipeline_data(gen_dir).contacts
+        contacts = cli.load_pipeline_data(gen_dir,
+                                          ingest.IngestReport()).contacts
         assert (load["parties"], load["contact_pairs"]) == (
             len(contacts.party_id), len(contacts.caller_id))
         # Every node of the network is a party, and every edge a pair.
@@ -459,7 +461,8 @@ class TestReport:
             report_dir / "ingest_report.json")["towers_silent"]
         assert spatial_counts["colocation_days"] == len(
             read_rows(report_dir / "spatial_daily.csv"))
-        pts = geo.project_active(cli.load_pipeline_data(gen_dir).towers).pts
+        towers = cli.load_pipeline_data(gen_dir, ingest.IngestReport()).towers
+        pts = geo.project_active(towers).pts
         pad = geo.DEFAULT_PAD_KM
         _, _, clips = clip_cells_matrix(
             pts, (*(pts.min(axis=0) - pad), *(pts.max(axis=0) + pad)))
@@ -471,7 +474,7 @@ class TestReport:
             return sum(isinstance(o, CdrColumns) for o in gc.get_objects())
 
         before = live_columns()
-        data = cli.load_pipeline_data(gen_dir)
+        data = cli.load_pipeline_data(gen_dir, ingest.IngestReport())
         assert not any(isinstance(v, CdrColumns) for v in vars(data).values())
         assert isinstance(data.contacts, social.ContactTable)
         # Nothing else holds the columns once load has returned.
@@ -915,6 +918,27 @@ class TestFailureModes:
         assert "'unknown_tower': 50" in err
         blob = read_json(tmp_path / "out" / "manifest_report.json")
         assert (blob["failed_stage"], blob["exit_code"]) == ("load", 3)
+
+    def test_unparseable_rows_beyond_tolerance_are_counted(
+            self, gen_dir, tmp_path, capsys):
+        # Every 50th row garbage: 2% unparseable, over the 1% tolerance.
+        garbage = with_rows(gen_dir, tmp_path / "in", lambda rows: [
+            "garbage,row" if i % 50 == 49 else row
+            for i, row in enumerate(rows)])
+        assert run("report", "--input-dir", garbage,
+                   "--output-dir", tmp_path / "out") == 3
+        bad, rows = re.search(r"(\d+)/(\d+) rows unparseable",
+                              capsys.readouterr().err).groups()
+        blob = read_json(tmp_path / "out" / "manifest_report.json")
+        assert (blob["failed_stage"], blob["exit_code"]) == ("load", 3)
+        load = blob["stages"]["load"]
+        assert load["rejects"]["unparseable"] == int(bad) > 0
+        assert load["rows"] == int(rows)
+        # The file is one block, which is not canonical.
+        assert (load["row_reader_from"], load["split_row"]) == (1, None)
+        assert 0 < load["accepted"] < load["rows"]
+        # The reduction's counts are those of a load that finished.
+        assert "person_days" not in load
 
     def test_config_bootstrap_replicates_below_minimum_exits_3(
             self, gen_dir, tmp_path, capsys):

@@ -1336,6 +1336,94 @@ class TestColumnwisePlacement:
         assert hi.tolist() == [bisect.bisect_right(a, row) for row in b]
 
 
+#: Each table of ``ingest._Reduction``: its declaration, the dtypes of
+#: its columns, a strategy for each column's values, and its key and tie
+#: of a row as Python tuples, for the oracle.
+REDUCED_TABLES = {
+    "first": (
+        ingest._FIRST, (np.int64, np.int32, np.int32, np.int8),
+        (INT64_ENDS, (0, 86399, 86400, INT32_MAX), (INT32_MIN, INT32_MAX),
+         (-128, 127)),
+        lambda row: (row[0], row[1] // 86400), lambda row: row[1:3]),
+    "parties": (
+        ingest._PARTIES, (np.int64, np.int8, np.int64),
+        (INT64_ENDS, (-128, 127), (0,)),
+        lambda row: row[:2], lambda row: row[2:]),
+    "pairs": (
+        ingest._PAIRS, (np.int64, np.int64, np.int8, np.int8, np.int64),
+        (INT64_ENDS, INT64_ENDS, (-128, 127), (-128, 127), (0,)),
+        lambda row: row[:4], lambda row: row[4:]),
+}
+
+
+@st.composite
+def reduced_table_rows(draw):
+    """(name, x, y): a table of ``REDUCED_TABLES`` and two lists of its
+    rows. Each column takes one to three values, small ones (up to three
+    days of seconds in the int32 columns) or the ends of its dtype, so
+    that keys repeat and ties are often equal."""
+    name = draw(st.sampled_from(sorted(REDUCED_TABLES)))
+    _, dtypes, ends, _, _ = REDUCED_TABLES[name]
+    pools = [st.sampled_from(draw(st.lists(
+        st.integers(0, 3 * 86400 if dtype == np.int32 else 3)
+        | st.sampled_from(column_ends), min_size=1, max_size=3)))
+        for dtype, column_ends in zip(dtypes, ends)]
+    rows = st.lists(st.tuples(*pools), max_size=30)
+    return name, draw(rows), draw(rows)
+
+
+def reduction_oracle(rows, key, tie):
+    """Of the rows of each key, the one least in (tie, row index), in
+    key order."""
+    least = {}
+    for i, row in enumerate(rows):
+        least[key(row)] = min(least.get(key(row), (tie(row), i, row)),
+                              (tie(row), i, row))
+    return [least[k][2] for k in sorted(least)]
+
+
+class TestTableReduction:
+    """A block's tables are reduced by ``ingest._reduced`` under the same
+    declaration that ``ingest._merged`` merges two reductions by."""
+
+    @staticmethod
+    def columns(rows, dtypes):
+        return [np.array([row[i] for row in rows], dtype)
+                for i, dtype in enumerate(dtypes)]
+
+    @staticmethod
+    def rows(columns):
+        return list(zip(*(column.tolist() for column in columns)))
+
+    @settings(max_examples=400, deadline=None)
+    @given(drawn=reduced_table_rows())
+    def test_keeps_the_least_tie_of_each_key_in_key_order(self, drawn):
+        name, x, y = drawn
+        declared, dtypes, _, key, tie = REDUCED_TABLES[name]
+        got = ingest._reduced(self.columns(x + y, dtypes), *declared)
+        assert [column.dtype for column in got] == list(map(np.dtype, dtypes))
+        assert self.rows(got) == reduction_oracle(x + y, key, tie)
+
+    @settings(max_examples=400, deadline=None)
+    @given(drawn=reduced_table_rows(), merge_rows=st.sampled_from([1, 3, None]))
+    def test_merging_two_reductions_reduces_their_rows(self, drawn,
+                                                       merge_rows):
+        name, x, y = drawn
+        declared, dtypes, _, _, _ = REDUCED_TABLES[name]
+        if name != "first":     # y's positions come after x's
+            after = max([row[-1] for row in x], default=-1) + 1
+            y = [(*row[:-1], row[-1] + after) for row in y]
+        whole = ingest._reduced(self.columns(x + y, dtypes), *declared)
+        with pytest.MonkeyPatch.context() as mp:
+            if merge_rows is not None:
+                mp.setattr(ingest, "MERGE_BLOCK_ROWS", merge_rows)
+            merged = ingest._merged(
+                ingest._reduced(self.columns(x, dtypes), *declared),
+                ingest._reduced(self.columns(y, dtypes), *declared),
+                *declared)
+        assert self.rows(merged) == self.rows(whole)
+
+
 @st.composite
 def observation_sets(draw):
     """Unsorted rows, unique per (person, day), over few states and towers."""
