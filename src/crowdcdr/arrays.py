@@ -12,9 +12,15 @@ INT64_MIN, INT64_MAX = -(2 ** 63), 2 ** 63 - 1
 
 
 def run_starts(*keys: np.ndarray) -> np.ndarray:
-    """Mask of the first element of each run of equal key tuples."""
+    """Mask of the first element of each run of equal key tuples.
+
+    Built in the mask itself, with one temporary mask for each key after
+    the first.
+    """
     starts = np.ones(len(keys[0]), bool)
-    starts[1:] = np.logical_or.reduce([k[1:] != k[:-1] for k in keys])
+    np.not_equal(keys[0][1:], keys[0][:-1], out=starts[1:])
+    for k in keys[1:]:
+        starts[1:] |= k[1:] != k[:-1]
     return starts
 
 
@@ -23,23 +29,35 @@ def distinct(values: np.ndarray) -> np.ndarray:
 
     ``np.unique``'s result by one sort: numpy 2.3 and later give a plain
     ``np.unique`` of integers to a hash table, which is many times slower
-    on these arrays, and whose first call imports ``numpy.ma``.
+    on these arrays, and whose first call imports ``numpy.ma`` (as
+    ``np.percentile`` and ``np.quantile`` do, through ``np.unique``).
     """
     values = np.sort(values)
     return values[run_starts(values)]
 
 
-def pack_keys(*columns: np.ndarray) -> tuple[np.ndarray, list[tuple[int, int]]]:
+def column_bounds(column: np.ndarray) -> tuple[int, int]:
+    """A column's (minimum, span), as ``pack_keys`` packs it."""
+    if not len(column):
+        return 0, 1
+    low = int(column.min())
+    return low, int(column.max()) - low + 1
+
+
+def pack_keys(
+    *columns: np.ndarray, bounds: Sequence[tuple[int, int]] | None = None
+) -> tuple[np.ndarray, list[tuple[int, int]]]:
     """One int64 key per row that orders rows as the column tuples do.
 
     The first column is the most significant; each enters as its offset
     from its minimum. Returns the key and each column's (minimum, span),
-    which ``unpack_keys`` takes. The spans are multiplied in Python ints,
-    and ValueError is raised when their product is beyond int64, so a
-    key never wraps around.
+    which ``unpack_keys`` takes. ``bounds`` gives them for columns that
+    are blocks of longer ones, so that each block packs as the whole
+    would. The spans are multiplied in Python ints, and ValueError is
+    raised when their product is beyond int64, so a key never wraps
+    around.
     """
-    bounds = [(int(c.min()), int(c.max()) - int(c.min()) + 1) if len(c) else (0, 1)
-              for c in columns]
+    bounds = [column_bounds(c) for c in columns] if bounds is None else list(bounds)
     if math.prod(span for _, span in bounds) > INT64_MAX:
         raise ValueError(f"packed key of spans {[s for _, s in bounds]} "
                          "overflows int64")

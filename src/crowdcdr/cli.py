@@ -198,8 +198,9 @@ class RunManifest:
     node-disjoint subsample. For ``spatial``:
     ``active_cells`` and ``silent_towers``, the towers with and without a
     cell; ``colocation_days``, the (state, day) pairs with a defined p; and
-    ``clip_steps``, the clipping passes the tessellation ran, which is
-    the most bisectors any one cell was clipped by. ``failure`` holds
+    ``clip_steps``, the most bisectors any one cell was clipped by,
+    those that left it as it was included (not the clipping's passes,
+    which follow the cuts). ``failure`` holds
     ``failed_stage``, ``error`` and ``exit_code`` when the run stopped on
     a data or analysis error, and is empty otherwise. ``versions`` holds
     those of crowdcdr, numpy and Python, and under ``blas_threads`` the

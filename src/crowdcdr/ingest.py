@@ -45,8 +45,8 @@ from typing import IO, BinaryIO, Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .arrays import (INT64_MAX, INT64_MIN, distinct, pack_keys, run_starts,
-                     unpack_keys)
+from .arrays import (INT64_MAX, INT64_MIN, column_bounds, distinct, pack_keys,
+                     run_starts, unpack_keys)
 from .errors import ConfigurationError, IngestError, SchemaError
 from .social import ContactTable
 from .worker import forked
@@ -68,6 +68,9 @@ ROW_BATCH = 10_000
 MAX_BAD_FRACTION = 0.01
 #: Rows per block of ``write_columns``.
 WRITE_BLOCK_ROWS = 1 << 14
+#: Rows per block of ``ObservationColumns.unique_handsets``, and the most
+#: (state, day) bins it counts densely.
+COUNT_BLOCK_ROWS = 1 << 16
 
 #: Canonical CDR column order; also the default schema (field -> column name).
 CDR_COLUMNS = (
@@ -952,13 +955,34 @@ class ObservationColumns:
                                   self.day[rows], self.first_tower[rows])
 
     def unique_handsets(self) -> dict[tuple[int, int], int]:
-        """Distinct-person count per (state, day), in (state, day) order."""
-        key, bounds = pack_keys(self.state_code, self.day)
-        key.sort()                  # in place, where np.unique copies
-        starts = np.flatnonzero(run_starts(key))
-        sizes = np.diff(starts, append=key.size)
-        state, day = unpack_keys(key[starts], bounds)
-        return dict(zip(zip(state.tolist(), day.tolist()), sizes.tolist()))
+        """Distinct-person count per (state, day), in (state, day) order.
+
+        The rows are one per (person, day), so this counts rows: one
+        ``np.bincount`` over the dense (state, day) span per
+        ``COUNT_BLOCK_ROWS`` rows, with no key and no sort. A span of more
+        bins than that (from ``read_cdr``, only with a window of more
+        than 2,730 days) is counted by sorting packed keys instead.
+        """
+        (state_low, states), (day_low, days) = map(column_bounds,
+                                                   (self.state_code, self.day))
+        if states * days > COUNT_BLOCK_ROWS:
+            key, bounds = pack_keys(self.state_code, self.day)
+            key, sizes = np.unique(key, return_counts=True)
+            state, day = unpack_keys(key, bounds)
+            return dict(zip(zip(state.tolist(), day.tolist()), sizes.tolist()))
+        counts = np.zeros(states * days, np.int64)
+        for start in range(0, len(self), COUNT_BLOCK_ROWS):
+            rows = slice(start, start + COUNT_BLOCK_ROWS)
+            index = self.state_code[rows].astype(np.intp)
+            index -= state_low
+            index *= days
+            index += self.day[rows]
+            index -= day_low
+            counts += np.bincount(index, minlength=counts.size)
+        held = np.flatnonzero(counts)
+        state, day = np.divmod(held, days)
+        return dict(zip(zip((state + state_low).tolist(), (day + day_low).tolist()),
+                        counts[held].tolist()))
 
 
 # ---------------------------------------------------------------------------

@@ -390,9 +390,10 @@ def fit_logistic(
         raise AnalysisError("closed and w must be 1-d of equal length")
     if y.size == 0:
         raise AnalysisError("no triples to fit")
-    if np.any((wv <= 0) | (wv >= 1)):
+    if not ((wv > 0) & (wv < 1)).all():     # NaN fails too
         raise AnalysisError("representation values must lie in (0, 1)")
-    if np.unique(wv).size < 2:
+    # Not np.unique, which imports numpy.ma on its first call.
+    if wv.min() == wv.max():
         raise AnalysisError("need at least 2 distinct representation values")
     wt = np.ones_like(y) if weights is None else np.asarray(weights, dtype=float)
     if np.any(wt < 0) or wt.sum() == 0:

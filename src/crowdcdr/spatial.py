@@ -22,12 +22,12 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass, field
 from math import log10
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
 from .errors import EstimationError
-from .arrays import distinct, pack_keys, run_starts, unpack_keys
+from .arrays import column_bounds, distinct, pack_keys, run_starts, unpack_keys
 from .ingest import ObservationColumns
 
 #: Fewest bootstrap replicates a percentile interval is computed from.
@@ -39,6 +39,8 @@ BOOTSTRAP_BLOCK_ROWS = 1024
 #: Entries per tower that ``build_colocation_series``'s dense tower table
 #: may span before towers are looked up by ``searchsorted`` instead.
 DENSE_CELL_SLACK = 16
+#: Observations whose cells ``build_colocation_series`` looks up at a time.
+COLOCATION_BLOCK_ROWS = 1 << 16
 
 
 def _check_replicates(replicates: int) -> None:
@@ -74,35 +76,41 @@ class CoLocationSeries:
     n_days: int = 0
 
 
-def _cells(first_tower: np.ndarray, towers: np.ndarray,
-           cell_rank: np.ndarray) -> np.ndarray:
-    """``cell_rank`` of each observation's tower in ``towers`` (sorted); a
-    tower not in ``towers`` raises KeyError.
+def _cell_lookup(first_tower: np.ndarray, towers: np.ndarray,
+                 cell_rank: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """A function from a block of ``first_tower`` to the ``cell_rank`` of
+    each row's tower in ``towers`` (sorted); a tower not in ``towers``
+    raises KeyError.
 
     Where the observed tower ids span fewer than ``DENSE_CELL_SLACK``
     entries per tower (plus 2**16), each is looked up in a dense table
     over that span; else it is found by ``searchsorted``.
     """
-    if not first_tower.size:
-        return np.zeros(0, np.int32)
-    if not towers.size:
+    if first_tower.size and not towers.size:
         raise KeyError(first_tower[0].item())
-    low, high = int(first_tower.min()), int(first_tower.max())
-    if high - low < DENSE_CELL_SLACK * towers.size + (1 << 16):
-        table = np.full(high - low + 1, -1, np.int32)
-        inside = (towers >= low) & (towers <= high)
+    low, span = column_bounds(first_tower)
+    if span <= DENSE_CELL_SLACK * towers.size + (1 << 16):
+        table = np.full(span, -1, np.int32)
+        inside = (towers >= low) & (towers <= low + span - 1)
         table[towers[inside] - low] = cell_rank[inside]
-        index = first_tower.astype(np.intp)
-        index -= low
-        cell = table[index]
+
+        def find(block):
+            index = block.astype(np.intp)
+            index -= low
+            return table[index]
     else:
-        row = np.searchsorted(towers, first_tower)
-        # A tower past the last one is checked against the last one.
-        np.minimum(row, towers.size - 1, out=row)
-        cell = np.where(towers[row] == first_tower, cell_rank[row], -1)
-    if cell.min() < 0:
-        raise KeyError(first_tower[cell < 0][0].item())
-    return cell
+        def find(block):
+            row = np.searchsorted(towers, block)
+            # A tower past the last one is checked against the last one.
+            np.minimum(row, towers.size - 1, out=row)
+            return np.where(towers[row] == block, cell_rank[row], -1)
+
+    def lookup(block):
+        cell = find(block)
+        if cell.min() < 0:
+            raise KeyError(block[cell < 0][0].item())
+        return cell
+    return lookup
 
 
 def build_colocation_series(
@@ -115,10 +123,12 @@ def build_colocation_series(
 
     ``cell_of_tower`` maps towers onto their owning cell (identity when
     every observed tower is active and owns its own cell); an observed
-    tower it lacks raises KeyError. Each observation's cell is looked up
-    by ``_cells``, the packed (state, day, cell) keys are sorted in
-    place, and each (state, day)'s total and sum of n(n - 1) over its
-    cells come from one ``np.add.reduceat``.
+    tower it lacks raises KeyError. The packed (state, day, cell) keys are
+    sorted in place, and each (state, day)'s total and sum of n(n - 1)
+    over its cells come from one ``np.add.reduceat``. The cells are
+    looked up ``COLOCATION_BLOCK_ROWS`` rows at a time, once for their
+    bounds and once to pack the key, so the key is the only array as
+    long as the observations.
     """
     if cell_of_tower is None:
         towers = distinct(observations.first_tower)
@@ -127,18 +137,32 @@ def build_colocation_series(
         towers = np.array(sorted(cell_of_tower), np.int64)
         owner = np.array([cell_of_tower[t] for t in towers.tolist()], np.int64)
         cell_rank = np.unique(owner, return_inverse=True)[1]
-    # Each observation-length array goes before the next is made.
-    cell = _cells(observations.first_tower, towers, cell_rank)
-    key, bounds = pack_keys(observations.state_code, observations.day, cell)
-    del cell
+    obs = observations
+    lookup = _cell_lookup(obs.first_tower, towers, cell_rank)
+    blocks = [slice(start, start + COLOCATION_BLOCK_ROWS)
+              for start in range(0, len(obs), COLOCATION_BLOCK_ROWS)]
+    # The cells' bounds first, so that the key is the one all the cells
+    # at once would pack.
+    lows, highs = [], []
+    for rows in blocks:
+        cell = lookup(obs.first_tower[rows])
+        lows.append(int(cell.min()))
+        highs.append(int(cell.max()))
+    low = min(lows, default=0)
+    bounds = [column_bounds(obs.state_code), column_bounds(obs.day),
+              (low, max(highs, default=0) - low + 1)]
+    key = np.empty(len(obs), np.int64)
+    for rows in blocks:
+        key[rows] = pack_keys(obs.state_code[rows], obs.day[rows],
+                              lookup(obs.first_tower[rows]), bounds=bounds)[0]
     key.sort()
     # One run per occupied (state, day, cell), its length the occupancy;
-    # each (state, day) group is a run of consecutive cells.
-    n_rows = key.size
-    runs = np.flatnonzero(run_starts(key))
-    key = key[runs]
-    occupancy = np.diff(runs, append=n_rows)
-    del runs
+    # each (state, day) group is a run of consecutive cells. The sorted
+    # key goes before the runs' bounds are taken.
+    starts = run_starts(key)
+    key = key[starts]
+    occupancy = np.diff(np.flatnonzero(starts), append=starts.size)
+    del starts
     groups = np.flatnonzero(run_starts(key // bounds[-1][1]))
     totals = np.add.reduceat(occupancy, groups).tolist()
     pairs = np.add.reduceat(occupancy * (occupancy - 1), groups).tolist()
@@ -242,6 +266,30 @@ def aggregate_q(
     return out
 
 
+#: The 95% interval's quantiles, as ``np.percentile`` divides them.
+_INTERVAL_QUANTILES = np.array([2.5, 97.5]) / 100
+
+
+def _percentile_interval(stats: np.ndarray) -> np.ndarray:
+    """``np.percentile(stats, [2.5, 97.5])`` of finite ``stats``, bit for
+    bit, without the ``np.unique`` call in it that imports numpy.ma.
+
+    numpy's default (linear) method step by step: the virtual index
+    (n - 1) * q, the partition numpy makes about its neighbours (so tied
+    zeros of either sign land where numpy puts them), and ``_lerp``,
+    which takes b - (b - a) * (1 - t) where t >= 0.5.
+    """
+    virtual = (stats.size - 1) * _INTERVAL_QUANTILES
+    below = np.floor(virtual).astype(np.intp)
+    above = below + 1
+    top = virtual >= stats.size - 1
+    below[top] = above[top] = -1
+    ordered = np.partition(stats, sorted({0, -1, *below.tolist(), *above.tolist()}))
+    a, b, t = ordered[below], ordered[above], virtual - below
+    diff = b - a
+    return np.where(t >= 0.5, b - diff * (1 - t), a + diff * t)
+
+
 def bootstrap_mean_ci(
     values: Sequence[float],
     *,
@@ -254,7 +302,7 @@ def bootstrap_mean_ci(
         raise EstimationError("need at least 2 defined days to bootstrap")
     _check_replicates(replicates)
     stats = _resampled_means(np.random.default_rng(seed), vals, replicates)
-    lo, hi = np.percentile(stats, [2.5, 97.5])
+    lo, hi = _percentile_interval(stats)
     return float(lo), float(hi)
 
 
@@ -287,7 +335,7 @@ def bootstrap_ratio_ci(
     stats = stats[np.isfinite(stats)]
     if not stats.size:
         raise EstimationError("all bootstrap denominators are zero")
-    lo, hi = np.percentile(stats, [2.5, 97.5])
+    lo, hi = _percentile_interval(stats)
     return float(lo), float(hi)
 
 

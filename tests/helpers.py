@@ -789,6 +789,20 @@ def count_unique_handsets(
                             observations.day.tolist())))
 
 
+def unique_handsets_by_sort(
+    observations: ObservationColumns,
+) -> dict[tuple[int, int], int]:
+    """``ObservationColumns.unique_handsets`` as it was before it counted
+    by ``np.bincount``: packed (state, day) keys sorted in place, one run
+    per (state, day)."""
+    key, bounds = pack_keys(observations.state_code, observations.day)
+    key.sort()
+    starts = np.flatnonzero(run_starts(key))
+    sizes = np.diff(starts, append=key.size)
+    state, day = unpack_keys(key[starts], bounds)
+    return dict(zip(zip(state.tolist(), day.tolist()), sizes.tolist()))
+
+
 def towers_with_traffic(events) -> set[int]:
     return {ev.tower_id for ev in events}
 

@@ -314,6 +314,16 @@ class TestTessellation:
         cells = tessellate(towers, pad_km=1.0)
         assert [c.tower_id for c in cells] == [1]
 
+    def test_large_layouts_equal_the_matrix_oracle(self):
+        # Many cells each skip many bisectors that do not cut: 1,500
+        # uniform towers (an 18 MB matrix), and a lattice whose ties put
+        # several towers at each distance.
+        pts = np.random.default_rng(1500).uniform(0, 20, (1500, 2))
+        clips = assert_clips_equal_the_matrix_oracle(pts, (-2.0, -2.0, 22.0, 22.0))
+        assert clips.max() > 2 * geo._CLIP_WINDOW
+        lattice = lattice_points([(i, j) for i in range(20) for j in range(21)], 1.0)
+        assert_clips_equal_the_matrix_oracle(lattice, (-2.0, -2.0, 21.0, 22.0))
+
     @given(st.one_of(RANDOM_LAYOUTS, COLLINEAR_LAYOUTS, GRID_LAYOUTS,
                      TOWER_GRID_SUBSETS))
     @settings(max_examples=60, deadline=None)

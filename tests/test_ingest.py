@@ -25,6 +25,7 @@ from crowdcdr.ingest import (
     INT64_MAX,
     INT64_MIN,
     IngestReport,
+    ObservationColumns,
     StudyWindow,
     pack_keys,
     read_cdr,
@@ -40,7 +41,8 @@ from helpers import (build_network_oracle, cdr_file, cdr_text, colocation_oracle
                      first_day_counts, first_day_counts_oracle, from_events,
                      make_event, make_observations, observation_rows,
                      parse_cdr, reduced_rows, stays_from_observations,
-                     stays_oracle, towers_with_traffic, ts_on_day)
+                     stays_oracle, towers_with_traffic, ts_on_day,
+                     unique_handsets_by_sort)
 
 
 #: Bytes a row of ``ingest.CdrColumns`` takes (seven int64 fields and
@@ -1511,6 +1513,32 @@ def extreme_observations(draw):
     return obs, {t: draw(st.sampled_from(cells)) for t in towers}
 
 
+@st.composite
+def handset_observations(draw):
+    """Unsorted observations, one row per (person, day), with int8 states
+    and int16 days or int64 columns of both; the (state, day) span dense,
+    or too wide to count densely, or empty."""
+    narrow = draw(st.booleans())
+    if draw(st.booleans()):     # a span that bincount counts
+        state_ids = st.integers(0, ingest.N_STATES)
+        start = 0 if narrow else draw(st.sampled_from([0, -2 ** 40, 2 ** 62]))
+        day_ids = st.integers(start + 1, start + 90)
+    elif narrow:
+        state_ids, day_ids = st.integers(-128, 127), st.integers(-2 ** 15, 2 ** 15 - 1)
+    else:
+        state_ids, day_ids = st.integers(-2 ** 20, 2 ** 20), st.integers(-2 ** 40, 2 ** 40)
+    rows = draw(st.lists(st.tuples(st.integers(0, 30), day_ids), unique=True,
+                         max_size=80))
+    state = draw(st.lists(state_ids, min_size=len(rows), max_size=len(rows)))
+    person, day = (np.array(c, np.int64) for c in zip(*rows)) if rows else (
+        np.zeros(0, np.int64),) * 2
+    if narrow:
+        return ObservationColumns(person, np.array(state, np.int8),
+                                  day.astype(np.int16), np.ones(len(rows), np.int32))
+    return ObservationColumns(person, np.array(state, np.int64), day,
+                              np.ones(len(rows), np.int64))
+
+
 class TestPackedKeys:
     @settings(max_examples=200, deadline=None)
     @given(events=extreme_events())
@@ -1528,6 +1556,14 @@ class TestPackedKeys:
         assert list(counts) == sorted(counts)
         assert sorted(stays_from_observations(obs)) == sorted(stays_oracle(obs))
         assert first_day_counts(obs) == first_day_counts_oracle(obs)
+
+    @settings(max_examples=200, deadline=None)
+    @given(obs=handset_observations())
+    def test_unique_handsets_counts_as_the_sort_did(self, obs):
+        counts = obs.unique_handsets()
+        want = unique_handsets_by_sort(obs)
+        assert list(counts.items()) == list(want.items())
+        assert all(type(v) is int for key in counts for v in (*key, counts[key]))
 
     @settings(max_examples=200, deadline=None)
     @given(drawn=extreme_observations())

@@ -575,6 +575,9 @@ class TestLogisticFit:
             fit_logistic([1, 0], [0.1])
         with pytest.raises(AnalysisError, match="in \\(0, 1\\)"):
             fit_logistic([1, 0], [0.5, 1.5])
+        for w in ([0.2, np.nan], [np.nan, np.nan], [np.nan, 0.2, 0.3]):
+            with pytest.raises(AnalysisError, match="in \\(0, 1\\)"):
+                fit_logistic([1, 0, 1][:len(w)], w)
         with pytest.raises(AnalysisError, match="distinct"):
             fit_logistic([1, 0], [0.1, 0.1])
         with pytest.raises(AnalysisError, match="weights"):

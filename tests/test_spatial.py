@@ -254,6 +254,23 @@ class TestBootstrap:
         assert bootstrap_mean_ci(vals, replicates=1000, seed=5) == want[0]
         assert bootstrap_ratio_ci(high, low, replicates=1000, seed=5) == want[1]
 
+    @given(st.lists(st.one_of(
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.floats(-1e-306, 1e-306, allow_nan=False),        # subnormals, zeros
+        st.floats(1e299, 1e301), st.floats(-1e301, -1e299),
+        st.sampled_from([0.0, -0.0, 1.0, -1.0, 5e-324, 1e300, -1e300,
+                         1.7976931348623157e308, -1.7976931348623157e308])),
+        min_size=1, max_size=3000))
+    @example([0.0, -0.0] * 20)
+    @example([1e300, -1e300, 1.5e308, -1.5e308])
+    @settings(max_examples=300, deadline=None)
+    def test_interval_percentiles_are_numpys_bit_for_bit(self, values):
+        stats = np.array(values)
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = np.percentile(stats, [2.5, 97.5])
+            got = spatial._percentile_interval(stats)
+        assert got.tobytes() == want.tobytes()
+
     def test_constant_series_gives_zero_width_interval(self):
         lo, hi = bootstrap_mean_ci([0.013] * 30, replicates=1000, seed=1)
         assert lo == hi == pytest.approx(0.013)
