@@ -192,7 +192,9 @@ class RunManifest:
     the contact table's two parts; and ``active_towers``, the towers with
     accepted traffic. When ``load`` fails, it holds those before
     ``person_days``, as far as the file was read. For ``ingest`` it
-    holds ``worker``, whether a worker wrote its artifacts. For
+    holds ``worker``, whether a worker wrote its artifacts, and when one
+    did, ``wait_s``, the seconds this process waited for it after its own
+    stages. For
     ``social``: ``nodes``, ``edges``, ``triples_all`` and
     ``triples_independent``, the network and its triples, all and in the
     node-disjoint subsample. For ``spatial``:
@@ -761,7 +763,8 @@ def _run_stages(run: Run, manifest: RunManifest, stages: Sequence[str],
     With ``overlap``, a forked worker runs the first, ``ingest``, while
     this process runs the rest; they only read ``run.data``. The worker
     is joined once they have ended, also on an error, and its stage is
-    recorded before theirs, as a run in one process records it. A worker
+    recorded before theirs, as a run in one process records it, with the
+    time this process waited for it. A worker
     that failed is replaced by the stage run here (``worker.forked``), so
     that it fails, or not, as it would have in one process.
     """
@@ -777,11 +780,14 @@ def _run_stages(run: Run, manifest: RunManifest, stages: Sequence[str],
             for stage in stages[1:]:
                 _run_stage(run, later, stage)
         finally:
+            start = time.monotonic()
             written, worker = result()
+            waited = round(time.monotonic() - start, 3)
             if worker:
                 manifest.absorb(written)
                 run.results["ingest"] = None
-            manifest.stages["ingest"] = {"worker": worker}
+            manifest.stages["ingest"] = ({"worker": True, "wait_s": waited}
+                                         if worker else {"worker": False})
             manifest.absorb(later)
 
 

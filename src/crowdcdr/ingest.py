@@ -66,7 +66,8 @@ FORK_BYTES = 4 << 20
 ROW_BATCH = 10_000
 #: The largest share of the rows read that may be unparseable.
 MAX_BAD_FRACTION = 0.01
-#: Rows per block of ``write_columns``.
+#: Rows per block of ``write_columns``: each block is one byte buffer,
+#: of this many rows times the block's widest row, and one write.
 WRITE_BLOCK_ROWS = 1 << 14
 #: Rows per block of ``ObservationColumns.unique_handsets``, and the most
 #: (state, day) bins it counts densely.
@@ -751,15 +752,26 @@ def read_cdr(
     day //= 86400                   # the seconds become the day, in place
     day += 1
     day = day.astype(_widths(window)[1], copy=False)
-    parties = np.argsort(reduced.parties[-1])
-    pairs = np.argsort(reduced.pairs[-1])
-    return ReducedCdr(
-        ObservationColumns(person, state, day, tower),
-        ContactTable(*(c[parties].astype(np.int64, copy=False)
-                       for c in reduced.parties[:-1]),
-                     *(c[pairs].astype(np.int64, copy=False)
-                       for c in reduced.pairs[:-1])),
-        reduced.towers)
+    # One table at a time, so the old and new contact columns are never
+    # all held at once.
+    parties = _in_row_order(reduced.parties)
+    reduced.parties = None
+    pairs = _in_row_order(reduced.pairs)
+    reduced.pairs = None
+    return ReducedCdr(ObservationColumns(person, state, day, tower),
+                      ContactTable(*parties, *pairs), reduced.towers)
+
+
+def _in_row_order(table: list[np.ndarray]) -> list[np.ndarray]:
+    """The columns of a ``_Reduction`` table but its last, as int64 and
+    ordered by that last, the position of each entry's first row. Each
+    column of ``table`` is set to None once its copy exists."""
+    order = np.argsort(table.pop())
+    out = []
+    for i, column in enumerate(table):
+        table[i] = None
+        out.append(column[order].astype(np.int64, copy=False))
+    return out
 
 
 def _split_point(fh: BinaryIO, size: int) -> int | None:
@@ -1116,33 +1128,135 @@ def write_cdr(columns: CdrColumns, path) -> None:
 def write_columns(
     path, header: Sequence[str], columns: Sequence[np.ndarray]
 ) -> None:
-    """``write_table`` for integer and string columns, with the same bytes.
+    """``write_table`` for integer, bool and string columns, with the same
+    bytes.
 
-    Rows are written ``WRITE_BLOCK_ROWS`` at a time, each block as one
-    %-format of its cells, so a text cell that ``csv`` would quote (one
-    holding a comma, a quote or a line break) is refused instead.
+    A cell that ``csv`` would quote (one holding a comma, a quote or a
+    line break, or an empty cell alone in its row) is refused with
+    ValueError, as are columns of unequal lengths, before the file is
+    opened. Rows are written ``WRITE_BLOCK_ROWS`` at a time, each block
+    as one byte buffer and one write: its cells are laid out a column at
+    a time, one row of the buffer per character position, each column
+    padded to its widest cell in the block; the buffer is transposed
+    once and compacted by one mask of the characters kept. An integer
+    column's digits come from repeated division by 10 of its magnitudes,
+    in uint32 or, where a block needs it, uint64 (``_magnitudes``,
+    ``_put_digits``); a bool or text column is coded by one ``np.unique`` over the whole
+    column, whose codes pick each cell's word from a table of the words'
+    UTF-8 bytes (``_words``).
     """
-    texts = [*header, *(v for c in columns if c.dtype.kind not in "biu"
-                        for v in np.unique(c).tolist())]
+    n_rows = len(columns[0]) if len(columns) else 0
+    if any(len(c) != n_rows for c in columns):
+        raise ValueError("columns of unequal lengths")
+    coded = {i: _words(c) for i, c in enumerate(columns)
+             if c.dtype.kind not in "iu"}
+    texts = [*header, *(w for words, _ in coded.values() for w in words)]
     for text in texts:
         if any(ch in text for ch in (",", '"', "\n", "\r")):
             raise ValueError(f"cell {text!r} would need CSV quoting")
-    row = ",".join(["%s"] * len(columns)) + "\n"
-    # Columns of one dtype stack as that dtype, and integer columns of
-    # any widths as int64; other mixes as Python objects, so that no cell
-    # takes another column's type.
-    dtypes = {c.dtype for c in columns}
-    dtype = (None if len(dtypes) == 1
-             else np.int64 if all(d.kind in "iu" and np.can_cast(d, np.int64)
-                                  for d in dtypes)
-             else object)
-    n_rows = len(columns[0]) if len(columns) else 0
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\n")
+    # csv quotes a row's only cell when it is empty, so that the row is
+    # not a blank line.
+    alone = [*header] if len(header) == 1 else []
+    if len(columns) == 1 and 0 in coded:
+        alone += coded[0][0]
+    if "" in alone:
+        raise ValueError("an empty cell alone in a row would need CSV quoting")
+    tables = {i: _word_table(words) for i, (words, _) in coded.items()}
+    ends = [ord(",")] * (len(columns) - 1) + [ord("\n")]
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\n").encode("utf-8"))
         for start in range(0, n_rows, WRITE_BLOCK_ROWS):
-            block = np.stack([c[start:start + WRITE_BLOCK_ROWS] for c in columns],
-                             axis=1, dtype=dtype)
-            fh.write(row * len(block) % tuple(block.ravel().tolist()))
+            stop = min(start + WRITE_BLOCK_ROWS, n_rows)
+            cells = [coded[i][1][start:stop] if i in coded
+                     else _magnitudes(c[start:stop])
+                     for i, c in enumerate(columns)]
+            widths = [len(tables[i][0]) if i in coded else cell[2]
+                      for i, cell in enumerate(cells)]
+            buf = np.empty((sum(widths) + len(widths), stop - start), np.uint8)
+            kept = np.empty(buf.shape, bool)
+            at = 0
+            for i, (cell, width, end) in enumerate(zip(cells, widths, ends)):
+                field = slice(at, at + width)
+                if i in coded:
+                    word_bytes, word_kept = tables[i]
+                    np.take(word_bytes, cell, axis=1, out=buf[field], mode="clip")
+                    np.take(word_kept, cell, axis=1, out=kept[field], mode="clip")
+                else:
+                    _put_digits(*cell[:2], buf[field], kept[field])
+                at += width
+                buf[at] = end
+                kept[at] = True
+                at += 1
+            fh.write(buf.T[kept.T])
+
+
+def _words(column: np.ndarray) -> tuple[list, np.ndarray]:
+    """The distinct cells of a bool or text column as ``str`` would write
+    them, and each row's index among them."""
+    if column.dtype.kind == "b":
+        return ["False", "True"], column.view(np.uint8)
+    words, codes = np.unique(column, return_inverse=True)
+    return words.tolist(), codes
+
+
+def _word_table(words: list[str]) -> tuple[np.ndarray, np.ndarray]:
+    """The UTF-8 bytes of ``words``, one column each, left-aligned and
+    padded with zeros, and the mask of the bytes that are a word's (a
+    mask, so that a NUL in a word is kept)."""
+    encoded = [w.encode("utf-8") for w in words]
+    lengths = np.array([len(e) for e in encoded], np.intp)
+    width = int(lengths.max(initial=0))
+    table = np.zeros((width, len(encoded)), np.uint8)
+    for j, e in enumerate(encoded):
+        table[:len(e), j] = np.frombuffer(e, np.uint8)
+    return table, np.arange(width)[:, None] < lengths
+
+
+def _magnitudes(x: np.ndarray) -> tuple[np.ndarray, np.ndarray | None, int]:
+    """An integer block's magnitudes, in uint32 where they are all below
+    2**32 and else in uint64; its mask of negatives, None when it has
+    none; and the width of its widest cell.
+
+    A negative is negated after the cast, modulo 2**32 or 2**64, so its
+    magnitude is exact for every value, INT64_MIN too.
+    """
+    low, high = int(x.min()), int(x.max())
+    largest = max(high, -low)
+    m = x.astype(np.uint32 if largest < 2 ** 32 else np.uint64)
+    negative = None
+    if low < 0:
+        negative = x < 0
+        np.negative(m, out=m, where=negative)
+    return m, negative, len(str(largest)) + (low < 0)
+
+
+def _put_digits(m: np.ndarray, negative: np.ndarray | None,
+                buf: np.ndarray, kept: np.ndarray) -> None:
+    """Write magnitudes ``m`` right-aligned into ``buf``, one row per
+    character position, with a "-" just before the first digit of each
+    ``negative`` (which then has a row of its own, the first); mark the
+    characters that are written in ``kept``. ``m`` is used up.
+    """
+    last = len(buf) - 1
+    digits = len(buf) - (negative is not None)
+    if negative is not None:
+        kept[0] = False         # the row of the longest negatives' "-"
+    q, t = np.empty_like(m), np.empty_like(m)
+    kept[last] = True
+    for k in range(digits):
+        row = last - k
+        if k:
+            np.not_equal(m, 0, out=kept[row])    # no leading zeros
+        np.floor_divide(m, 10, out=q)
+        np.multiply(q, 10, out=t)
+        np.subtract(m, t, out=t)
+        np.add(t, ord("0"), out=buf[row], casting="unsafe")
+        m, q = q, m
+    if negative is not None:
+        rows = np.flatnonzero(negative)
+        sign_at = kept[:, rows].argmax(axis=0) - 1    # before the first digit
+        buf[sign_at, rows] = ord("-")
+        kept[sign_at, rows] = True
 
 
 def write_table(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:

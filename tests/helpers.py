@@ -18,7 +18,7 @@ from typing import IO, Iterable, Iterator, Mapping, Sequence
 import numpy as np
 import pytest
 
-from crowdcdr import geo
+from crowdcdr import geo, ingest
 from crowdcdr.attendance import (AdjustmentFactors, _pooled_daily_use,
                                  _stays, _sum_by_day,
                                  cumulative_attendance_by_state,
@@ -424,6 +424,37 @@ def observation_rows(obs: ObservationColumns) -> list[tuple[int, int, int, int]]
     """The (person_id, state_code, day, first_tower) rows of columns, in order."""
     return list(zip(obs.person_id.tolist(), obs.state_code.tolist(),
                     obs.day.tolist(), obs.first_tower.tolist()))
+
+
+def write_columns_by_format(
+    path, header: Sequence[str], columns: Sequence[np.ndarray]
+) -> None:
+    """The oracle of ``ingest.write_columns``: each block of
+    ``ingest.WRITE_BLOCK_ROWS`` rows as one %-format of its cells, as
+    Python objects; a text cell that ``csv`` would quote for a comma, a
+    quote or a line break is refused with ValueError.
+    """
+    texts = [*header, *(v for c in columns if c.dtype.kind not in "biu"
+                        for v in np.unique(c).tolist())]
+    for text in texts:
+        if any(ch in text for ch in (",", '"', "\n", "\r")):
+            raise ValueError(f"cell {text!r} would need CSV quoting")
+    row = ",".join(["%s"] * len(columns)) + "\n"
+    # Columns of one dtype stack as that dtype, and integer columns of
+    # any widths as int64; other mixes as Python objects, so that no cell
+    # takes another column's type.
+    dtypes = {c.dtype for c in columns}
+    dtype = (None if len(dtypes) == 1
+             else np.int64 if all(d.kind in "iu" and np.can_cast(d, np.int64)
+                                  for d in dtypes)
+             else object)
+    n_rows = len(columns[0]) if len(columns) else 0
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write(",".join(header) + "\n")
+        for start in range(0, n_rows, ingest.WRITE_BLOCK_ROWS):
+            block = np.stack([c[start:start + ingest.WRITE_BLOCK_ROWS]
+                              for c in columns], axis=1, dtype=dtype)
+            fh.write(row * len(block) % tuple(block.ravel().tolist()))
 
 
 CDR_HEADER = (

@@ -39,6 +39,20 @@ def read_json(path: Path) -> dict:
     return json.loads(path.read_text(encoding="utf-8"))
 
 
+class _Seconds:
+    """Equal to any non-negative float: a time in a manifest."""
+
+    def __eq__(self, other):
+        return isinstance(other, float) and other >= 0
+
+    def __repr__(self):
+        return "<seconds>"
+
+
+#: A forked writer's ``stages.ingest``, whose wait varies from run to run.
+WORKER_WROTE = {"worker": True, "wait_s": _Seconds()}
+
+
 def read_rows(path: Path) -> list[dict]:
     with open(path, newline="", encoding="utf-8") as fh:
         return list(csv.DictReader(fh))
@@ -599,7 +613,7 @@ class TestWorkers:
             manifest_digests(report_dir / "manifest_report.json")
         blob = read_json(out / "manifest_report.json")
         assert blob["stages"]["load"]["split_row"] > 1
-        assert blob["stages"]["ingest"] == {"worker": True}
+        assert blob["stages"]["ingest"] == WORKER_WROTE
         assert list(blob["peak_rss_mb"]) == [
             "load", "ingest", "attendance", "social", "spatial", "sbm",
             "summary", "workers"]
@@ -646,7 +660,7 @@ class TestWorkers:
             "load", "ingest", "attendance", "social", "total"]
         assert list(blob["outputs"])[:3] == [
             "observations", "counts", "ingest_report"]
-        assert blob["stages"]["ingest"] == {"worker": True}
+        assert blob["stages"]["ingest"] == WORKER_WROTE
 
     def test_failed_writer_is_run_again_and_fails_as_in_one_process(
             self, gen_dir, tmp_path):
@@ -680,7 +694,7 @@ class TestSplitManifest:
         assert how_read(out / "manifest_report.json") == {
             "load": {"row_reader_from": None,
                      "split_row": data[:cut].count(b"\n")},
-            "ingest": {"worker": True}}
+            "ingest": WORKER_WROTE}
         # The stages the parent ran are recorded after the worker's.
         stages = read_json(report_dir / "manifest_report.json")["stages"]
         assert list(blob["stages"]) == list(stages)
@@ -688,6 +702,18 @@ class TestSplitManifest:
         assert blob["peak_rss_mb"]["workers"] > 0
         assert manifest_digests(out / "manifest_report.json") == \
             manifest_digests(report_dir / "manifest_report.json")
+
+    def test_wait_for_the_writer_is_recorded_only_when_it_ran(
+            self, gen_dir, report_dir, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(ingest, "FORK_BYTES", 0)
+        out = tmp_path / "out"
+        assert run("report", "--input-dir", gen_dir, "--output-dir", out) == 0
+        capsys.readouterr()
+        blob = read_json(out / "manifest_report.json")
+        wait = blob["stages"]["ingest"]["wait_s"]
+        assert 0 <= wait <= blob["timings_s"]["total"]
+        assert read_json(report_dir / "manifest_report.json")["stages"][
+            "ingest"] == {"worker": False}
 
 
 class TestCellMap:

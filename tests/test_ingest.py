@@ -7,13 +7,15 @@ import io
 import os
 import pickle
 import random
+import tempfile
 import tracemalloc
 import warnings
 from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from crowdcdr import ingest, synth
@@ -42,7 +44,7 @@ from helpers import (build_network_oracle, cdr_file, cdr_text, colocation_oracle
                      make_event, make_observations, observation_rows,
                      parse_cdr, reduced_rows, stays_from_observations,
                      stays_oracle, towers_with_traffic, ts_on_day,
-                     unique_handsets_by_sort)
+                     unique_handsets_by_sort, write_columns_by_format)
 
 
 #: Bytes a row of ``ingest.CdrColumns`` takes (seven int64 fields and
@@ -206,12 +208,16 @@ class TestParse:
     @pytest.mark.parametrize("text", ["a,b", 'say "x"', "two\nlines", "cr\r"])
     def test_write_columns_refuses_a_cell_that_needs_quoting(self, tmp_path,
                                                              text):
+        path = tmp_path / "x.csv"
+        path.write_bytes(b"kept\n")
         with pytest.raises(ValueError, match="quoting"):
-            ingest.write_columns(tmp_path / "x.csv", ("id", "kind"),
+            ingest.write_columns(path, ("id", "kind"),
                                  [np.array([1, 2]), np.array(["call", text])])
         with pytest.raises(ValueError, match="quoting"):
-            ingest.write_columns(tmp_path / "x.csv", ("id", text),
+            ingest.write_columns(path, ("id", text),
                                  [np.array([1]), np.array([2])])
+        # Refused before the file is opened, so it keeps its bytes.
+        assert path.read_bytes() == b"kept\n"
 
 
 class TestDedupe:
@@ -1670,6 +1676,36 @@ class TestNarrowColumns:
                                         obs.day, obs.first_tower)) == 15
 
 
+#: The integer dtypes ``write_columns`` takes.
+INT_DTYPES = [np.dtype(t)
+              for t in ("i1", "i2", "i4", "i8", "u1", "u2", "u4", "u8")]
+#: Characters of the text cells: none that csv quotes, and some of
+#: several UTF-8 bytes; a NUL that ends a cell is dropped by numpy.
+TEXT_CHARS = ["a", "Z", "9", "-", " ", "\t", "\0", "é", "€", "\U0001f600"]
+
+
+@st.composite
+def written_tables(draw):
+    """A header and 1-5 columns of 0-60 rows: integers of every width,
+    at their extremes too, bools and text."""
+    n_rows = draw(st.integers(0, 60))
+    columns = []
+    for kind in draw(st.lists(st.sampled_from([*INT_DTYPES, "bool", "text"]),
+                              min_size=1, max_size=5)):
+        if kind == "bool":
+            cells, dtype = st.booleans(), bool
+        elif kind == "text":
+            cells, dtype = st.text(st.sampled_from(TEXT_CHARS), max_size=6), str
+        else:
+            info = np.iinfo(kind)
+            cells, dtype = st.one_of(
+                st.sampled_from([info.min, info.max, 0, 1, info.max - 9]),
+                st.integers(info.min, info.max)), kind
+        columns.append(np.array(draw(st.lists(cells, min_size=n_rows,
+                                              max_size=n_rows)), dtype))
+    return [f"c{i}é" for i in range(len(columns))], columns
+
+
 class TestWriteColumns:
     def test_mixed_integer_widths_write_the_int64_bytes(self, tmp_path,
                                                         monkeypatch):
@@ -1686,3 +1722,42 @@ class TestWriteColumns:
         write_table(paths[2], header, zip(*(c.tolist() for c in columns)))
         assert paths[0].read_bytes() == paths[1].read_bytes() \
             == paths[2].read_bytes()
+
+    def test_refusals_leave_an_existing_file_as_it_was(self, tmp_path):
+        path = tmp_path / "x.csv"
+        path.write_bytes(b"kept\n")
+        # csv quotes an empty cell alone in its row, header or data; the
+        # lengths differ in the last case.
+        for header, columns in [(("",), [np.array([1])]),
+                                (("kind",), [np.array(["call", ""])]),
+                                (("a", "b"), [np.array([1, 2]), np.array([3])])]:
+            with pytest.raises(ValueError):
+                write_columns(path, header, columns)
+        assert path.read_bytes() == b"kept\n"
+
+    @settings(max_examples=200, deadline=None)
+    @given(table=written_tables(), block=st.integers(1, 20))
+    @example(table=(["a", "b"], [np.array(["a\0b", "\0c", ""]),
+                                 np.array([INT64_MIN, 0, 2 ** 32])]), block=2)
+    @example(table=(["u"], [np.array([0, 2 ** 64 - 1, 2 ** 32], np.uint64)]),
+             block=1)
+    def test_writes_the_oracle_and_csv_module_bytes(self, table, block):
+        header, columns = table
+        with tempfile.TemporaryDirectory() as tmp, \
+                pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ingest, "WRITE_BLOCK_ROWS", block)
+            got, oracle = Path(tmp, "got.csv"), Path(tmp, "oracle.csv")
+            if len(columns) == 1 and "" in map(str, columns[0].tolist()):
+                # csv would write the lone empty cell as "".
+                with pytest.raises(ValueError, match="quoting"):
+                    write_columns(got, header, columns)
+                assert not got.exists()
+                return
+            write_columns(got, header, columns)
+            write_columns_by_format(oracle, header, columns)
+            want = io.StringIO(newline="")
+            writer = csv.writer(want, lineterminator="\n")
+            writer.writerow(header)
+            writer.writerows(zip(*(c.tolist() for c in columns)))
+            assert got.read_bytes() == oracle.read_bytes() \
+                == want.getvalue().encode("utf-8")

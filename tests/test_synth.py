@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from crowdcdr import attendance as att
-from crowdcdr import synth
+from crowdcdr import ingest, synth
 from crowdcdr.errors import ConfigurationError
 from crowdcdr.ingest import IngestReport, read_cdr
 from crowdcdr.synth import ScenarioConfig, StateSpec
@@ -374,6 +374,11 @@ DESK_SMALL_DIGESTS = {
 }
 
 
+#: SHA-256 of desk seed 1's ``cdr.csv``: its 51,207 rows span four blocks
+#: of ``ingest.WRITE_BLOCK_ROWS``, where desk-small's fit in one.
+DESK_CDR_DIGEST = "7c2736aa861e5b6ca89a07c04bda2e14441dc06c53648f5f0c5545b2e493f875"
+
+
 class TestColumnarGenerator:
     @pytest.mark.parametrize("seed", sorted(DESK_SMALL_DIGESTS))
     def test_generated_files_are_pinned(self, tmp_path, seed):
@@ -382,6 +387,12 @@ class TestColumnarGenerator:
         digests = {name: hashlib.sha256(path.read_bytes()).hexdigest()
                    for name, path in paths.items()}
         assert digests == DESK_SMALL_DIGESTS[seed]
+
+    def test_cdr_file_of_several_writer_blocks_is_pinned(self, tmp_path):
+        paths, _ = synth.generate(synth.named_scenario("desk", 1), tmp_path)
+        data = paths["cdr"].read_bytes()
+        assert data.count(b"\n") - 1 > 3 * ingest.WRITE_BLOCK_ROWS
+        assert hashlib.sha256(data).hexdigest() == DESK_CDR_DIGEST
 
     @settings(max_examples=300, deadline=None)
     @given(k=st.integers(0, 300),
