@@ -41,9 +41,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigurationError
-from .ingest import TowerSite
+from .ingest import EARTH_RADIUS_KM, TowerSite
 
-EARTH_RADIUS_KM = 6371.0
 MAX_RANGE_KM = 60.0     # supported distance from the projection origin
 DEFAULT_PAD_KM = 2.0    # bounding-box padding beyond the tower extent
 

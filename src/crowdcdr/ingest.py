@@ -93,6 +93,10 @@ def is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+#: The radius of the sphere that tower latitudes and longitudes lie on.
+EARTH_RADIUS_KM = 6371.0
+
+
 @dataclass(frozen=True, slots=True)
 class TowerSite:
     tower_id: int
@@ -258,12 +262,6 @@ class CdrColumns:
 
     def __len__(self) -> int:
         return len(self.timestamp)
-
-    @classmethod
-    def concat(cls, parts: Sequence[CdrColumns]) -> CdrColumns:
-        """The parts end to end."""
-        return cls(*(np.concatenate([getattr(p, f.name) for p in parts])
-                     for f in fields(cls)))
 
 
 #: One parsed block or batch of rows: the numeric fields as int64;
@@ -1118,7 +1116,7 @@ def write_cdr(columns: CdrColumns, path) -> None:
     """Write events in canonical form; re-parsing yields the same events."""
     write_columns(path, CDR_COLUMNS, [
         columns.timestamp, columns.caller_id, columns.callee_id,
-        np.where(columns.is_text, "text", "call"), columns.duration,
+        (["call", "text"], columns.is_text), columns.duration,
         columns.tower_id, columns.caller_state, columns.callee_state,
         columns.caller_is_customer.astype(np.int64),
         columns.callee_is_customer.astype(np.int64),
@@ -1126,30 +1124,38 @@ def write_cdr(columns: CdrColumns, path) -> None:
 
 
 def write_columns(
-    path, header: Sequence[str], columns: Sequence[np.ndarray]
+    path, header: Sequence[str],
+    columns: Sequence[np.ndarray | tuple[Sequence[str], np.ndarray]],
 ) -> None:
     """``write_table`` for integer, bool and string columns, with the same
     bytes.
 
-    A cell that ``csv`` would quote (one holding a comma, a quote or a
-    line break, or an empty cell alone in its row) is refused with
-    ValueError, as are columns of unequal lengths, before the file is
-    opened. Rows are written ``WRITE_BLOCK_ROWS`` at a time, each block
-    as one byte buffer and one write: its cells are laid out a column at
-    a time, one row of the buffer per character position, each column
-    padded to its widest cell in the block; the buffer is transposed
-    once and compacted by one mask of the characters kept. An integer
-    column's digits come from repeated division by 10 of its magnitudes,
-    in uint32 or, where a block needs it, uint64 (``_magnitudes``,
-    ``_put_digits``); a bool or text column is coded by one ``np.unique`` over the whole
-    column, whose codes pick each cell's word from a table of the words'
-    UTF-8 bytes (``_words``).
+    A column may also be word-coded: a pair of a list of words and an
+    integer or bool array of codes, whose row r holds the word at its
+    code. A cell that ``csv`` would quote (one holding a comma, a quote
+    or a line break, or an empty cell alone in its row) is refused with
+    ValueError, as are columns of unequal lengths and codes outside
+    their words, before the file is opened. Rows are written
+    ``WRITE_BLOCK_ROWS`` at a time, each block as one byte buffer and one
+    write: its cells are laid out a column at a time, one row of the
+    buffer per character position, each column padded to its widest
+    cell in the block; the buffer is transposed once and compacted by
+    one mask of the characters kept. An integer column's digits come
+    from repeated division by 10 of its magnitudes, in uint32 or, where
+    a block needs it, uint64 (``_magnitudes``, ``_put_digits``); a bool
+    or text column is coded by one ``np.unique`` over the whole column
+    (``_words``), and each code picks its cell's word from a table of
+    the words' UTF-8 bytes.
     """
+    coded = {i: _words(c) for i, c in enumerate(columns)
+             if isinstance(c, tuple) or c.dtype.kind not in "iu"}
+    columns = [coded[i][1] if i in coded else c for i, c in enumerate(columns)]
     n_rows = len(columns[0]) if len(columns) else 0
     if any(len(c) != n_rows for c in columns):
         raise ValueError("columns of unequal lengths")
-    coded = {i: _words(c) for i, c in enumerate(columns)
-             if c.dtype.kind not in "iu"}
+    if any(len(codes) and not 0 <= codes.min() <= codes.max() < len(words)
+           for words, codes in coded.values()):
+        raise ValueError("a code outside its column's words")
     texts = [*header, *(w for words, _ in coded.values() for w in words)]
     for text in texts:
         if any(ch in text for ch in (",", '"', "\n", "\r")):
@@ -1190,9 +1196,13 @@ def write_columns(
             fh.write(buf.T[kept.T])
 
 
-def _words(column: np.ndarray) -> tuple[list, np.ndarray]:
-    """The distinct cells of a bool or text column as ``str`` would write
-    them, and each row's index among them."""
+def _words(column: np.ndarray | tuple) -> tuple[list, np.ndarray]:
+    """The words of a word-coded column, or the distinct cells of a bool
+    or text column as ``str`` would write them; and each row's index
+    among them, as unsigned or intp codes."""
+    if isinstance(column, tuple):
+        words, codes = column
+        return list(words), codes.view(np.uint8) if codes.dtype == bool else codes
     if column.dtype.kind == "b":
         return ["False", "True"], column.view(np.uint8)
     words, codes = np.unique(column, return_inverse=True)

@@ -54,17 +54,17 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field, fields, replace
 from itertools import chain, compress
-from math import cos, exp, expm1, floor, log10, log1p, pi, radians
+from math import cos, exp, expm1, log10, log1p, pi, radians
 from pathlib import Path
 from sys import float_info
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .arrays import run_starts
+from .arrays import INT64_MAX, column_bounds, pack_keys, run_starts
 from .errors import ConfigurationError
-from .geo import EARTH_RADIUS_KM
 from .ingest import (
+    EARTH_RADIUS_KM,
     CdrColumns,
     ObservationColumns,
     StudyWindow,
@@ -230,6 +230,19 @@ class ScenarioConfig:
             raise ConfigurationError(
                 "group size exceeds every state's visible customer count"
             )
+        for s, v in zip(self.states, visible):
+            if v >= PERSON_STRIDE:
+                raise ConfigurationError(
+                    f"state {s.code}: {v} visible customers; person ids "
+                    f"hold fewer than {PERSON_STRIDE} a state")
+        # build_events sorts on a key packed from the second of the
+        # window and the person id, which spans the state codes.
+        codes = [s.code for s in self.states]
+        if (self.n_days * 86400 * (max(codes) - min(codes) + 1)
+                * PERSON_STRIDE > INT64_MAX):
+            raise ConfigurationError(
+                f"state codes {min(codes)}..{max(codes)} over {self.n_days} "
+                "days overflow the int64 event sort key")
 
     @classmethod
     def from_json(cls, path) -> "ScenarioConfig":
@@ -317,6 +330,14 @@ def _runs(counts: np.ndarray, first=0) -> np.ndarray:
     return np.arange(total) + np.repeat(first - (ends - counts), counts)
 
 
+#: Relative distance from an integer within which ``_stratified_stays``
+#: recomputes a ratio from ``math.log1p``. With numpy's ``log1p`` the
+#: ratios of ``desk_scenario(72, scale=10)`` differ by 1.07 ulps at most
+#: (numpy 2.4, AVX-512), so 1e-9 leaves a margin of millions of ulps; no
+#: ratio of that city comes that close to an integer.
+_CEIL_SLACK = 1e-9
+
+
 def _stratified_stays(
     counts: Sequence[int], config: ScenarioConfig,
     max_stays: Sequence[int], phases: Sequence[float],
@@ -332,9 +353,13 @@ def _stratified_stays(
     varying the phase across cohorts stops their departure days from
     landing on a common lattice.
 
-    Every step is the scalar formula's, in its order. The logarithm
-    comes from ``math.log1p``: numpy's SIMD ``log1p`` can differ in the
-    last bit, which is enough to flip a ceil at a boundary.
+    Every step is the scalar formula's, in its order, and gives its
+    bits. The logarithm is ``np.log1p`` over the whole column, but
+    numpy's SIMD ``log1p`` can differ from ``math.log1p`` in the last
+    bit, which is enough to flip a ceil at a boundary: so every ratio
+    within ``_CEIL_SLACK`` of an integer is recomputed from
+    ``math.log1p``. A quantile that rounds to 1 is among them, and
+    ``math.log1p`` raises ValueError for it.
     """
     counts = np.asarray(counts, dtype=np.int64)
     max_stays = np.asarray(max_stays, dtype=np.int64)
@@ -347,8 +372,11 @@ def _stratified_stays(
     j = _runs(counts)
     q = (j + np.repeat(phases, counts)) / np.repeat(counts, counts) \
         * np.repeat(mass, counts)
-    log_q = np.fromiter(map(log1p, (-q).tolist()), float, q.size)
-    g = np.maximum(1, np.ceil(log_q / log_p)).astype(np.int64)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.log1p(-q) / log_p
+        near = ~(np.abs(ratio - np.rint(ratio)) > ratio * _CEIL_SLACK)  # NaN too
+    ratio[near] = [log1p(x) / log_p for x in (-q[near]).tolist()]
+    g = np.maximum(1, np.ceil(ratio)).astype(np.int64)
     return config.min_stay - 1 + g
 
 
@@ -398,7 +426,7 @@ class GroundTruth:
 
     def observations(self) -> ObservationColumns:
         """What ingest + dedupe should reconstruct from the emitted files."""
-        order = np.lexsort((self.slot_day, self.slot_person))
+        order = _person_day_order(self.slot_person, self.slot_day, self.n_days)
         towers = np.array(self.active_tower_ids, dtype=np.int64)
         return ObservationColumns(
             self.slot_person[order], self.slot_state[order],
@@ -430,6 +458,20 @@ class GroundTruth:
             "n_edges": len(self.edges),
             "n_triples": len(self.triples),
         }
+
+
+def _person_day_order(
+    person: np.ndarray, day: np.ndarray, n_days: int
+) -> np.ndarray:
+    """The slots in (person, day) order, by one packed key.
+
+    A person has at most one slot a day, so the key is unique and any
+    sort gives this order; the stable one is the quicker on slots that
+    come person by person.
+    """
+    key, _ = pack_keys(person, day, bounds=[column_bounds(person),
+                                            (0, n_days + 1)])
+    return np.argsort(key, kind="stable")
 
 
 def tower_grid(config: ScenarioConfig) -> tuple[list[TowerSite], list[int]]:
@@ -558,6 +600,9 @@ def _interior_quotas(
     k * interior_rate on each of its s - 2 interior days; one carry runs
     through all cohorts in the given order, so rounding losses cancel. A
     cohort without interior activity gets an empty list.
+
+    The carry stays in [-1e-9, 1 - 1e-9), so ``int`` of x + 1e-9 is its
+    floor, and as the rate is at most 1 a take never exceeds k.
     """
     carry = 0.5
     out = []
@@ -566,11 +611,11 @@ def _interior_quotas(
         quota = []
         if rate > 0:
             mu = k * rate
-            for _ in range(s - 2):
+            quota = [0] * (s - 2)
+            for i in range(s - 2):
                 x = mu + carry
-                take = min(int(floor(x + 1e-9)), k)
+                quota[i] = take = int(x + 1e-9)
                 carry = x - take
-                quota.append(take)
         out.append(quota)
     return out
 
@@ -942,37 +987,75 @@ def build_events(truth: GroundTruth) -> CdrColumns:
     creates no social tie) plus one event per social edge on the lower
     endpoint's arrival day. All events of a person-day share that day's
     placement, so the first-tower observation is unambiguous. Rows are
-    sorted by (timestamp, caller, callee), ties keeping anchors first.
+    sorted by (timestamp, caller, callee) (``_event_order``).
     """
     start = truth.config.window.start
     p, state, d = truth.slot_person, truth.slot_state, truth.slot_day
-    tower = np.array(truth.active_tower_ids, dtype=np.int64)[truth.slot_cell]
-    text = (p + d) % 2 == 0
     n = len(p)
-    anchors = CdrColumns(
-        start + (d - 1) * 86400 + (13 * p + 104729 * d) % 86400,
-        p, PEER_BASE + p % 977, text, np.where(text, 0, 30 + (31 * p + d) % 600),
-        tower, state, np.zeros(n, np.int64), np.ones(n, bool), np.zeros(n, bool),
-    )
+    second = (d - 1) * 86400 + (13 * p + 104729 * d) % 86400
     # Each person's first slot (the grouped minimum of its days) gives
     # the day, tower and state of the person's tie events.
-    by_person = np.lexsort((d, p))
+    by_person = _person_day_order(p, d, truth.n_days)
     first = by_person[run_starts(p[by_person])]
-    edges = np.array(truth.edges, dtype=np.int64).reshape(-1, 2)
-    caller, callee = edges.min(axis=1), edges.max(axis=1)
+    m = len(truth.edges)
+    edges = np.fromiter(chain.from_iterable(truth.edges), np.int64, 2 * m)
+    caller = np.minimum(edges[0::2], edges[1::2])
+    callee = np.maximum(edges[0::2], edges[1::2])
     row = first[np.searchsorted(p[first], caller)]
     callee_row = first[np.searchsorted(p[first], callee)]
     day = d[row]
-    m = len(edges)
-    ties = CdrColumns(
-        start + (day - 1) * 86400 + (13 * caller + 104729 * day + 7) % 86400,
+    tie_second = (day - 1) * 86400 + (13 * caller + 104729 * day + 7) % 86400
+    order = _event_order(second, p, tie_second, caller, callee, truth.n_days)
+
+    tower = np.array(truth.active_tower_ids, dtype=np.int64)[truth.slot_cell]
+    text = (p + d) % 2 == 0
+    anchors = [
+        start + second,
+        p, PEER_BASE + p % 977, text, np.where(text, 0, 30 + (31 * p + d) % 600),
+        tower, state, np.zeros(n, np.int64), np.ones(n, bool), np.zeros(n, bool),
+    ]
+    ties = [
+        start + tie_second,
         caller, callee, np.zeros(m, bool), 60 + (caller + callee) % 300,
         tower[row], state[row], state[callee_row], np.ones(m, bool),
         np.ones(m, bool),
-    )
-    events = CdrColumns.concat([anchors, ties])
-    order = np.lexsort((events.callee_id, events.caller_id, events.timestamp))
-    return CdrColumns(*(getattr(events, f.name)[order] for f in fields(CdrColumns)))
+    ]
+    # One field at a time, each part dropped once placed, so that the
+    # events are held about twice at most.
+    columns = []
+    for i in range(len(anchors)):
+        columns.append(np.concatenate([anchors[i], ties[i]])[order])
+        anchors[i] = ties[i] = None
+    return CdrColumns(*columns)
+
+
+def _event_order(
+    second: np.ndarray, caller: np.ndarray, tie_second: np.ndarray,
+    tie_caller: np.ndarray, tie_callee: np.ndarray, n_days: int,
+) -> np.ndarray:
+    """The order of the anchors, then the ties, by (second, caller, callee).
+
+    An anchor's (second, caller) is unique, as a person has one slot a
+    day, so the anchors sort on one key packed from the two. A person's
+    ties all fall in one second, 7 s after the anchor of that day, so
+    they share no anchor's key: they are sorted on their own, by that key
+    and the callee, and each is placed after the anchors of lower key.
+    ``ScenarioConfig.validate`` keeps the keys inside int64.
+    """
+    bounds = [(0, n_days * 86400), column_bounds(caller)]
+    key, _ = pack_keys(second, caller, bounds=bounds)
+    anchor_order = np.argsort(key)
+    key = key[anchor_order]
+    tie_key, _ = pack_keys(tie_second, tie_caller, bounds=bounds)
+    tie_order = np.lexsort((tie_callee, tie_key))
+    n, m = len(key), len(tie_key)
+    at = np.searchsorted(key, tie_key[tie_order]) + np.arange(m)
+    order = np.empty(n + m, np.intp)
+    is_tie = np.zeros(n + m, bool)
+    is_tie[at] = True
+    order[at] = n + tie_order
+    order[~is_tie] = anchor_order
+    return order
 
 
 def generate(config: ScenarioConfig, outdir) -> tuple[dict[str, Path], GroundTruth]:

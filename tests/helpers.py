@@ -859,6 +859,24 @@ def stratified_stays(k, config, max_stay=None, phase=0.5) -> list[int]:
     return stays
 
 
+def interior_quotas(stays, sizes, u) -> list[list[int]]:
+    """The floor-with-carry quotas of ``synth._interior_quotas``, with an
+    explicit floor and cap at the cohort's size."""
+    carry = 0.5
+    out = []
+    for s, k in zip(stays, sizes):
+        quota = []
+        rate = (u * s - 2.0) / (s - 2.0) if s > 2 else 0.0
+        mu = k * rate
+        for _ in range(s - 2 if rate > 0 else 0):
+            x = mu + carry
+            take = min(int(floor(x + 1e-9)), k)
+            carry = x - take
+            quota.append(take)
+        out.append(quota)
+    return out
+
+
 def activity_slots(arrivals, stays, daily_use, rng):
     """(persons, days, n_active) by per-cohort, per-slot loops.
 

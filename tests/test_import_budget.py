@@ -4,7 +4,8 @@ Each check runs in a fresh interpreter, since the test process has
 imported every module already. ``numpy.ma`` costs about 13 ms to import
 and no stage needs it; numpy imports it on the first call of a plain
 ``np.unique`` or of ``np.percentile``. ``report`` never plants a city,
-so it must not import ``crowdcdr.synth`` either.
+so it must not import ``crowdcdr.synth`` either; and planting a city
+draws no tessellation, so ``gen`` must not import ``crowdcdr.geo``.
 """
 
 import json
@@ -35,6 +36,13 @@ rc = cli.main(["report", "--input-dir", sys.argv[1], "--output-dir", sys.argv[2]
 print(json.dumps({"rc": rc, "modules": sorted(sys.modules)}))
 """
 
+GENERATE = """
+import json, sys
+from crowdcdr import synth
+paths, _ = synth.generate(synth.named_scenario("desk-small", 1), sys.argv[1])
+print(json.dumps({"files": len(paths), "modules": sorted(sys.modules)}))
+"""
+
 CLOSURE_FIT = """
 import json, sys
 import numpy as np
@@ -55,6 +63,13 @@ def test_report_imports_neither_numpy_ma_nor_synth(desk_small_files, tmp_path):
     assert "numpy.ma" not in got["modules"]
     assert "crowdcdr.synth" not in got["modules"]
     assert "crowdcdr.geo" in got["modules"]        # the run went through
+
+
+def test_generating_a_city_does_not_import_geo(tmp_path):
+    got = modules_after(GENERATE, str(tmp_path))
+    assert got["files"] == 5
+    assert "crowdcdr.geo" not in got["modules"]
+    assert "crowdcdr.synth" in got["modules"]
 
 
 def test_closure_fit_does_not_import_numpy_ma():

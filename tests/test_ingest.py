@@ -1735,6 +1735,28 @@ class TestWriteColumns:
                 write_columns(path, header, columns)
         assert path.read_bytes() == b"kept\n"
 
+    @pytest.mark.parametrize("dtype", [bool, np.uint8, np.int64])
+    def test_word_coded_column_writes_the_csv_module_bytes(self, tmp_path,
+                                                           monkeypatch, dtype):
+        monkeypatch.setattr(ingest, "WRITE_BLOCK_ROWS", 3)
+        codes = (np.arange(8) * 5 % 7 % 2).astype(dtype)
+        words = ["call", "text"]
+        ids = np.arange(8) - 3
+        path = tmp_path / "x.csv"
+        write_columns(path, ["id", "kind"], [ids, (words, codes)])
+        want = io.StringIO(newline="")
+        writer = csv.writer(want, lineterminator="\n")
+        writer.writerow(["id", "kind"])
+        writer.writerows(zip(ids.tolist(), (words[c] for c in codes.tolist())))
+        assert path.read_bytes() == want.getvalue().encode("utf-8")
+
+    @pytest.mark.parametrize("codes", [[0, 2], [-1, 0]])
+    def test_a_code_outside_its_words_is_refused(self, tmp_path, codes):
+        path = tmp_path / "x.csv"
+        with pytest.raises(ValueError, match="outside"):
+            write_columns(path, ["kind"], [(["call", "text"], np.array(codes))])
+        assert not path.exists()
+
     @settings(max_examples=200, deadline=None)
     @given(table=written_tables(), block=st.integers(1, 20))
     @example(table=(["a", "b"], [np.array(["a\0b", "\0c", ""]),

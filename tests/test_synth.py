@@ -2,6 +2,8 @@
 
 import hashlib
 import json
+import math
+from collections import Counter
 from dataclasses import fields, replace
 
 import numpy as np
@@ -15,8 +17,16 @@ from crowdcdr.errors import ConfigurationError
 from crowdcdr.ingest import IngestReport, read_cdr
 from crowdcdr.synth import ScenarioConfig, StateSpec
 from helpers import (activity_slots, cell_counts, colocation_probability,
-                     estimate_daily_use, scenario_to_json,
+                     estimate_daily_use, interior_quotas, scenario_to_json,
                      stays_from_observations, stratified_stays, truth_rows)
+
+
+def widest_code_states():
+    """Two states whose codes span the most that ``validate`` accepts
+    over the default 90 days."""
+    span = (2 ** 63 - 1) // (90 * 86400 * synth.PERSON_STRIDE)
+    return [StateSpec(1, "host", 500, 0.5, is_local=True, theta=0.0),
+            StateSpec(span, "away", 600, 0.25, theta=0.4)]
 
 
 def two_state_config(**overrides):
@@ -103,11 +113,23 @@ class TestValidation:
                 [StateSpec(1, "a", 10, 0.5, is_local=True, theta=1.2)],
                 "theta outside",
             ),
+            (
+                [StateSpec(1, "a", 10 ** 8, 1.0, is_local=True)],
+                "person ids",
+            ),
         ],
     )
     def test_rejects_bad_state_lists(self, states, message):
         with pytest.raises(ConfigurationError, match=message):
             ScenarioConfig(seed=1, states=states).validate()
+
+    def test_rejects_state_codes_too_wide_for_the_event_sort_key(self):
+        widest = two_state_config(states=widest_code_states())
+        widest.validate()
+        far = widest.states[1].code + 1
+        wider = [widest.states[0], replace(widest.states[1], code=far)]
+        with pytest.raises(ConfigurationError, match="sort key"):
+            two_state_config(states=wider).validate()
 
     def test_rejects_groups_larger_than_every_visible_pool(self):
         tiny = [
@@ -352,6 +374,41 @@ class TestEventMaterialization:
         assert events.caller_is_customer[tie].all()
         assert (~tie).sum() == len(truth.slot_person)
 
+    @pytest.mark.parametrize("config", [
+        synth.named_scenario("desk-small", 1),
+        two_state_config(p_out=0.05),
+        two_state_config(non_use=1.0),
+        two_state_config(p_out=0.05, states=widest_code_states()),
+    ], ids=["desk-small", "p_out", "no-events", "widest-codes"])
+    def test_events_come_in_the_lexsort_order(self, config):
+        truth = synth.generate_tables(config)
+        events = synth.build_events(truth)
+        keys = (events.callee_id, events.caller_id, events.timestamp)
+        assert np.array_equal(np.lexsort(keys), np.arange(len(events)))
+        # No two rows share all three keys, so this is the only order.
+        assert len(set(zip(*(k.tolist() for k in keys)))) == len(events)
+        if config.p_out:
+            tie = events.callee_is_customer
+            per_second = Counter(zip(events.timestamp[tie].tolist(),
+                                     events.caller_id[tie].tolist()))
+            assert max(per_second.values()) >= 3
+        if config.non_use == 1.0:
+            assert len(events) == 0
+        # The order of the edge list does not reach the file.
+        edges = truth.edges[::-1]
+        np.random.default_rng(0).shuffle(edges)
+        again = synth.build_events(replace(truth, edges=edges))
+        for f in fields(again):
+            assert np.array_equal(getattr(again, f.name), getattr(events, f.name))
+
+    def test_observations_come_in_person_day_order(self):
+        truth = synth.generate_tables(two_state_config(p_out=0.05,
+                                                       states=widest_code_states()))
+        obs = truth.observations()
+        order = np.lexsort((truth.slot_day, truth.slot_person))
+        assert np.array_equal(obs.person_id, truth.slot_person[order])
+        assert np.array_equal(obs.day, truth.slot_day[order])
+
 
 #: SHA-256 of every file ``generate`` writes for desk-small, per seed.
 DESK_SMALL_DIGESTS = {
@@ -374,9 +431,41 @@ DESK_SMALL_DIGESTS = {
 }
 
 
+#: SHA-256 of every file ``generate`` writes for ``two_state_config`` with
+#: cross-group ties (``p_out = 0.05``): 445 edges, up to 12 ties of one
+#: caller in one second.
+P_OUT_DIGESTS = {
+    "cdr": "9f484d132d91088e06b131ff8986a839fdb66020e442e9f6018ee294b5e7bc8d",
+    "towers": "6cfe2a42683badd615eeef4f37a17fe69fa23b8305bdd07a5d6aad3caa9a871d",
+    "states": "af07bded7e1fa15a20f87f6f6a93c475cf832e971974affaaae3c9373f275e92",
+    "projections":
+        "859f48071ca8dd68b19296ff0d013a26ceabd2664e6ee6f87277157c7ab63134",
+    "truth": "145f7c823f4c678ba470cd25ac22f8cc31f17590f6f6c5c43be474dc85081929",
+}
+
+
 #: SHA-256 of desk seed 1's ``cdr.csv``: its 51,207 rows span four blocks
 #: of ``ingest.WRITE_BLOCK_ROWS``, where desk-small's fit in one.
 DESK_CDR_DIGEST = "7c2736aa861e5b6ca89a07c04bda2e14441dc06c53648f5f0c5545b2e493f875"
+
+
+#: (k, phase, min_stay, excess, span, j): cohorts whose quantile j gives a
+#: ratio within an ulp of an integer, where numpy 2.4's SIMD ``log1p`` on
+#: an AVX-512 x86 CPU takes the ceil one off ``math.log1p``'s.
+BOUNDARY_QUANTILES = [
+    (5, 0.3795239230992825, 4, 12.0, 61, 1),
+    (3, 0.8114501161369414, 2, 30.32, 12, 2),
+    (1, 0.24543427107276058, 10, 39.797, 25, 0),
+    (2, 0.8178439159804064, 6, 20.327, 48, 1),
+]
+
+
+def at_boundary_quantiles(test):
+    """Hypothesis ``@example``s of the cohorts in ``BOUNDARY_QUANTILES``."""
+    for k, phase, min_stay, excess, span, _ in BOUNDARY_QUANTILES:
+        test = example(k=k, phase=phase, min_stay=min_stay, excess=excess,
+                       span=span)(test)
+    return test
 
 
 class TestColumnarGenerator:
@@ -387,6 +476,13 @@ class TestColumnarGenerator:
         digests = {name: hashlib.sha256(path.read_bytes()).hexdigest()
                    for name, path in paths.items()}
         assert digests == DESK_SMALL_DIGESTS[seed]
+
+    def test_generated_files_with_cross_group_ties_are_pinned(self, tmp_path):
+        paths, truth = synth.generate(two_state_config(p_out=0.05), tmp_path)
+        assert len(truth.edges) == 445
+        digests = {name: hashlib.sha256(path.read_bytes()).hexdigest()
+                   for name, path in paths.items()}
+        assert digests == P_OUT_DIGESTS
 
     def test_cdr_file_of_several_writer_blocks_is_pinned(self, tmp_path):
         paths, _ = synth.generate(synth.named_scenario("desk", 1), tmp_path)
@@ -404,6 +500,7 @@ class TestColumnarGenerator:
     @example(k=1, phase=0.0, min_stay=5, excess=7.0, span=10)
     @example(k=40, phase=0.3, min_stay=5, excess=7.0, span=0)
     @example(k=2, phase=0.9999999999999999, min_stay=2, excess=1.0, span=53)
+    @at_boundary_quantiles
     def test_stays_equal_the_scalar_oracle(self, k, phase, min_stay, excess,
                                            span):
         cfg = ScenarioConfig(min_stay=min_stay, mean_stay=min_stay + excess)
@@ -417,6 +514,28 @@ class TestColumnarGenerator:
         else:
             got = synth._stratified_stays([k], cfg, [max_stay], [phase])
             assert got.tolist() == want
+
+    @pytest.mark.parametrize("k, phase, min_stay, excess, span, j",
+                             BOUNDARY_QUANTILES)
+    def test_boundary_quantiles_are_recomputed(self, k, phase, min_stay,
+                                               excess, span, j):
+        cfg = ScenarioConfig(min_stay=min_stay, mean_stay=min_stay + excess)
+        log_p = math.log1p(-1.0 / (cfg.mean_stay - cfg.min_stay + 1.0))
+        mass = -math.expm1(log_p * (span + 1))
+        ratio = math.log1p(-((j + phase) / k * mass)) / log_p
+        # Within an ulp of an integer, so inside the recomputed window.
+        assert abs(ratio - round(ratio)) <= math.ulp(ratio)
+        assert abs(ratio - round(ratio)) <= ratio * synth._CEIL_SLACK
+
+    @settings(max_examples=300, deadline=None)
+    @given(cohorts=st.lists(st.tuples(st.integers(0, 40), st.integers(1, 3000)),
+                            max_size=60),
+           u=st.floats(0.0, 1.0))
+    def test_interior_quotas_equal_the_floor_with_carry_oracle(self, cohorts,
+                                                               u):
+        stays, sizes = [c[0] for c in cohorts], [c[1] for c in cohorts]
+        assert synth._interior_quotas(stays, sizes, u) \
+            == interior_quotas(stays, sizes, u)
 
     def test_stays_of_several_cohorts_concatenate(self):
         cfg = ScenarioConfig()
