@@ -185,7 +185,9 @@ class RunManifest:
     ``row_reader_from``, the 1-based CDR data row from which the file was
     read by rows (None when it was read wholly in blocks), and
     ``split_row``, the one from which a worker's read was used (None when
-    one process read it); ``rows`` and ``accepted``, the CDR data rows
+    one process read it), and ``worker_wait_s``, the seconds this process
+    waited for that worker after its own part (None with ``split_row``);
+    ``rows`` and ``accepted``, the CDR data rows
     read and accepted; ``rejects``, the rows rejected by reason, sorted by
     reason (``rejected`` in ``ingest_report.json``); ``person_days``,
     ``parties`` and ``contact_pairs``, the rows of the observations and of
@@ -820,6 +822,7 @@ def run_command(args) -> int:
                 manifest.stages["load"] = {
                     "row_reader_from": report.row_reader_from,
                     "split_row": report.split_row,
+                    "worker_wait_s": report.worker_wait_s,
                     "rows": report.rows,
                     "accepted": report.accepted,
                     "rejects": dict(sorted(report.rejects.items())),

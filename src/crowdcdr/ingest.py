@@ -9,10 +9,9 @@ The data model is shared by every downstream module:
   only what the analysis stages read: the daily observations, the
   towers with traffic and ``social.ContactTable``. Each of the
   reduction's three tables is declared once, as its key and tie columns
-  (``_FIRST``, ``_PARTIES``, ``_PAIRS``); a block is reduced by one
-  stable sort under that declaration (``_reduced``), and two reductions
-  are merged under it by one sorted merge (``_merged``). No column as
-  long as the file is ever made.
+  (``_FIRST``, ``_PARTIES``, ``_PAIRS``), and ordered and reduced under
+  that declaration by one rule (``_reduced``), a block's tables and two
+  merged reductions' alike. No column as long as the file is ever made.
 - ``TowerSite``: tower coordinates plus an activity flag.
 - ``StateProfile``: per-state market share and the local-state marker.
 - ``ObservationColumns``: one row per (person, day) carrying the first
@@ -35,6 +34,7 @@ import io
 import itertools
 import math
 import os
+import time
 import warnings
 from collections import Counter
 from contextlib import contextmanager, nullcontext
@@ -134,9 +134,10 @@ class IngestReport:
 
     ``row_reader_from`` is the 1-based data row at which ``_read_rows``
     took over, or None when every block was canonical. ``split_row`` is
-    the 1-based data row from which a worker's read was used, or None;
-    it tells how the file was read, not what it holds, so reports that
-    differ only in it are equal.
+    the 1-based data row from which a worker's read was used, or None,
+    and ``worker_wait_s`` the seconds this process then waited for that
+    read after its own, or None; they tell how the file was read, not
+    what it holds, so reports that differ only in them are equal.
     """
 
     rows: int = 0
@@ -144,6 +145,7 @@ class IngestReport:
     rejects: Counter = field(default_factory=Counter)
     row_reader_from: int | None = None
     split_row: int | None = field(default=None, compare=False)
+    worker_wait_s: float | None = field(default=None, compare=False)
 
 
 def _parse_bool(text: str) -> bool:
@@ -385,9 +387,10 @@ class _Reduction:
     order, the one least in its tie columns: ``_FIRST``, ``_PARTIES``
     and ``_PAIRS`` declare them ((person, day) by (seconds, tower) for
     ``first``, and the columns before the position by the position for
-    the others). ``_reduce_block`` reduces a block's tables under them
-    (``_reduced``), and ``_merge`` merges two reductions under them
-    (``_merged``), with no packed key, so any int64 ids work.
+    the others). ``_reduced`` orders and reduces a table under them: a
+    block's tables in ``_reduce_block``, and in ``_merge`` the tables of
+    two reductions joined (``_merged``). It packs no key, so any int64
+    ids work.
     """
 
     rows: int
@@ -411,135 +414,111 @@ def _widths(window: StudyWindow) -> tuple[type, type]:
 
 #: The key and tie columns of each table of ``_Reduction``, as functions
 #: of its list of columns: a table holds one row per key, the one least
-#: in its tie columns, and of rows equal in those too, the first. Both
-#: the reduction of a block (``_reduced``) and the merge of two
-#: reductions (``_merged``) read them.
+#: in its tie columns, and of rows equal in those too, the first. The
+#: first key column is the table's first column. ``_reduced`` orders and
+#: reduces every table by them, a block's and two merged reductions'.
 _FIRST = (lambda t: [t[0], t[1] // 86400], lambda t: t[1:3])
 _PARTIES = (lambda t: t[:2], lambda t: t[2:])
 _PAIRS = (lambda t: t[:4], lambda t: t[4:])
+
+#: Rows that ``_reduced`` compares, or re-sorts, at a time.
+RESORT_ROWS = 1 << 14
 
 
 def _reduced(table: list[np.ndarray], key: Callable,
              tie: Callable) -> list[np.ndarray]:
     """The rows of ``table`` that ``key`` and ``tie`` keep (see
-    ``_FIRST``), in key order: one stable sort by the key columns, then
-    the tie columns, and the first row of each run of equal keys."""
+    ``_FIRST``), in key order, in its dtypes.
+
+    One stable sort of the first column, then one pass over adjacent
+    rows finds the runs of equal first values that are not yet in key
+    and tie order; those runs alone are re-sorted, by ``np.lexsort``, a
+    run at a time or together up to ``RESORT_ROWS`` rows. Rows equal in
+    every key and tie column stay in table order, and the first row of
+    each key is kept. The pass, too, takes ``RESORT_ROWS`` rows at a
+    time, so that besides the columns, and the key columns made from
+    them, only the order and a mask span the table. Each column of
+    ``table`` is set to None once its kept rows are copied.
+    """
+    order = np.argsort(table[0], kind="stable")
     keys = key(table)
-    order = np.lexsort([*reversed(tie(table)), *reversed(keys)])
-    rows = order[run_starts(*(k[order] for k in keys))]
-    return [column[rows] for column in table]
+    columns, n_keys = [*keys, *tie(table)], len(keys)
+    del keys
+    # Whether each row of ``order`` holds a key the row before it does
+    # not; where each run of equal first values but the first starts; and
+    # the rows that the row after them goes before.
+    keep = np.ones(len(order), bool)
+    runs, descents = [np.zeros(0, np.intp)], [np.zeros(0, np.intp)]
+    for lo in range(0, len(order) - 1, RESORT_ROWS):
+        rows = order[lo:lo + RESORT_ROWS + 1]
+        same = np.ones(len(rows) - 1, bool)
+        before = np.zeros(same.size, bool)
+        for i in reversed(range(len(columns))):
+            column = columns[i][rows]
+            equal = column[1:] == column[:-1]
+            before &= equal
+            if i:
+                before |= column[1:] < column[:-1]
+            if i < n_keys:
+                same &= equal
+        np.logical_not(same, out=keep[lo + 1:lo + len(rows)])
+        runs.append(np.flatnonzero(~equal) + lo + 1)
+        descents.append(np.flatnonzero(before) + lo)
+    runs, descents = np.concatenate(runs), np.concatenate(descents)
+    if descents.size:
+        _resort(order, keep, columns, n_keys, runs, descents)
+    del columns
+    rows = order[keep]
+    del order, keep
+    out = []
+    for i, column in enumerate(table):
+        table[i] = None
+        out.append(column[rows])
+    return out
 
 
-#: Rows of the later table that ``_merged`` places at a time.
-MERGE_BLOCK_ROWS = 1 << 14
-
-
-def _bisect(column: np.ndarray, lo: np.ndarray, hi: np.ndarray,
-            values: np.ndarray, right: bool) -> np.ndarray:
-    """Where each of ``values`` goes in ``column[lo:hi]``, its own sorted
-    range: ``bisect.bisect_left``'s place, or ``bisect_right``'s when
-    ``right``. One step of all the binary searches at a time."""
-    lo, hi = lo.copy(), hi.copy()
-    while (live := np.flatnonzero(lo < hi)).size:
-        mid = (lo[live] + hi[live]) // 2
-        after = (column[mid] <= values[live] if right
-                 else column[mid] < values[live])
-        lo[live[after]] = mid[after] + 1
-        hi[live[~after]] = mid[~after]
-    return lo
-
-
-def _placed(a: list[np.ndarray],
-            b: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """``bisect.bisect_left`` and ``bisect_right`` of each row of the key
-    columns ``b`` among the rows of the key columns ``a``, which are
-    sorted: by ``searchsorted`` on the first column, then narrowed column
-    by column, by ``_bisect`` within each run of ``a``'s rows equal to it
-    in the columns before. No key is packed, so any int64 values work.
-    The right-hand ``searchsorted`` runs only for the rows whose first
-    column ``a`` holds; the others' run is empty."""
-    lo = np.searchsorted(a[0], b[0], "left")
-    hi = lo.copy()
-    if len(a[0]):
-        held = np.flatnonzero(a[0].take(lo, mode="clip") == b[0])
-        hi[held] = np.searchsorted(a[0], b[0][held], "right")
-    for a_column, b_column in zip(a[1:], b[1:]):
-        live = np.flatnonzero(lo < hi)
-        values = b_column[live]
-        left = _bisect(a_column, lo[live], hi[live], values, False)
-        hi[live] = _bisect(a_column, left, hi[live], values, True)
-        lo[live] = left
-    return lo, hi
+def _resort(order: np.ndarray, keep: np.ndarray, columns: list[np.ndarray],
+            n_keys: int, runs: np.ndarray, descents: np.ndarray) -> None:
+    """Re-sort, in ``order``, the runs of equal first values that hold a
+    row of ``descents`` by all of ``columns``, and mark again in ``keep``
+    the rows of the re-sorted runs that start a key (see ``_reduced``).
+    ``runs`` holds where each run but the first starts."""
+    which = np.searchsorted(runs, descents, "right")     # ascending
+    which = which[run_starts(which)]
+    starts = np.concatenate([[0], runs])
+    ends = np.append(runs, len(order))
+    starts, ends = starts[which], ends[which]
+    lengths = ends - starts
+    # Runs go together until their rows reach ``RESORT_ROWS``.
+    offsets = np.cumsum(lengths) - lengths
+    cuts = np.flatnonzero(np.diff(offsets // RESORT_ROWS)) + 1
+    for lo, hi in zip([0, *cuts], [*cuts, len(which)]):
+        span = lengths[lo:hi]
+        rows = (np.repeat(starts[lo:hi] - offsets[lo:hi], span)
+                + np.arange(offsets[lo], offsets[lo] + span.sum()))
+        held = order[rows]
+        held = held[np.lexsort([column[held] for column in reversed(columns)])]
+        order[rows] = held
+        repeat = np.ones(len(rows) - 1, bool)
+        for column in columns[:n_keys]:
+            column = column[held]
+            repeat &= column[1:] == column[:-1]
+        keep[rows[1:]] = ~repeat
 
 
 def _merged(a: list[np.ndarray], b: list[np.ndarray], key: Callable,
             tie: Callable) -> list[np.ndarray]:
-    """The table of the rows of ``a`` then those of ``b``, two tables of
-    distinct ``key`` rows in ascending order, merged without a sort.
-
-    ``key`` and ``tie`` are the table's declaration (``_FIRST``,
-    ``_PARTIES`` or ``_PAIRS``), the one ``_reduced`` reduced ``a`` and
-    ``b`` by: they give its key and tie-break columns. A row of ``b``
-    goes where ``_placed`` puts its key among ``a``'s; where ``a`` holds
-    the key, ``b``'s row replaces ``a``'s only when its ``tie`` columns
-    are less, as ``a``'s rows come first. ``b`` is placed, and copied,
-    ``MERGE_BLOCK_ROWS`` rows at a time, each block among ``a``'s rows
-    from the previous block's place on, so that besides the columns only
-    ``a``'s key and masks span a table; the merged columns are built one
-    at a time, and ``a`` and ``b`` let go of each once it is.
-    """
+    """The table of the rows of ``a`` then those of ``b``, two tables
+    reduced under the declaration ``key`` and ``tie``, reduced under it
+    by ``_reduced``: their columns are joined one at a time, and ``a``
+    and ``b`` let go of each once it is."""
     if not len(a[0]) or not len(b[0]):
         return a if len(a[0]) else b
-    a_key = key(a)
-    new = np.empty(len(b[0]), bool)         # a holds no row of its key
-    from_b = np.zeros(len(a[0]) + len(b[0]), bool)
-    slots, won, spans = [], [], []
-    n_new = base = 0
-    for start in range(0, len(b[0]), MERGE_BLOCK_ROWS):
-        rows = slice(start, start + MERGE_BLOCK_ROWS)
-        # b is sorted, so this block goes nowhere before the last one's
-        # last row: only a's rows from there on are searched.
-        pos, end = _placed([column[base:] for column in a_key],
-                           key([column[rows] for column in b]))
-        pos += base
-        end += base
-        base = pos[-1]
-        held = end > pos
-        np.logical_not(held, out=new[rows])
-        # A row goes after a's rows before its key and the new rows of
-        # ``b`` before it; one whose key ``a`` holds takes the slot of
-        # a's row, if it wins.
-        fresh = pos[~held] + n_new + np.arange(len(held) - held.sum())
-        from_b[fresh] = True
-        if fresh.size:              # the span of the merge they fill
-            spans.append((rows, slice(fresh[0], fresh[-1] + 1)))
-        repeat = np.flatnonzero(held)
-        met = pos[repeat]
-        slot = met + n_new + repeat - np.arange(repeat.size)
-        repeat += start
-        # b's row wins where its tie columns are less, compared in turn.
-        wins = np.zeros(repeat.size, bool)
-        for b_tie, a_tie in reversed([*zip(tie(b), tie(a))]):
-            b_tie, a_tie = b_tie[repeat], a_tie[met]
-            wins = (b_tie < a_tie) | (b_tie == a_tie) & wins
-        slots.append(slot[wins])
-        won.append(repeat[wins])
-        n_new += fresh.size
-    del a_key
-    from_b = from_b[:len(a[0]) + n_new]
-    from_a = ~from_b
-    slots, won = np.concatenate(slots), np.concatenate(won)
-    merged = []
+    table = []
     for i in range(len(a)):
-        column = np.empty(from_b.size, a[i].dtype)
-        column[from_a] = a[i]
-        a[i] = None
-        for rows, span in spans:
-            column[span][from_b[span]] = b[i][rows][new[rows]]
-        column[slots] = b[i][won]
-        b[i] = None
-        merged.append(column)
-    return merged
+        table.append(np.concatenate([a[i], b[i]]))
+        a[i] = b[i] = None
+    return _reduced(table, key, tie)
 
 
 def _reduce_block(
@@ -619,7 +598,11 @@ class _Reductions:
     events, as a binary counter carries. So each first event is merged
     about log2(parts) times, and what is held stays within about twice
     the reduction of the rows added, plus a part: it grows with the
-    person-days of the rows, not with their number.
+    person-days of the rows, not with their number. A merge joins the
+    two parts' tables and reduces them again (``_merge``); as each part
+    is sorted by its first column, their join is two sorted runs, which
+    the stable sort of ``_reduced`` merges, and on a time-ordered log
+    few runs of one person, party or caller are left out of order.
     """
 
     def __init__(self, window: StudyWindow, known: np.ndarray | None) -> None:
@@ -687,11 +670,13 @@ def read_cdr(
     Each block, and each batch of the row reader, is thus reduced as soon
     as it is parsed (``_Reduction``), and the reductions are merged as
     they come (``_Reductions``). Each table is declared once, as its key
-    and tie columns (``_FIRST``, ``_PARTIES``, ``_PAIRS``): a block's is
-    reduced by one stable sort under it (``_reduced``), and two
-    reductions' are merged under it without a sort (``_merged``),
-    whatever the ids; input position is the last tie-break of every
-    reduction and merge. So no column as long as the file is ever made,
+    and tie columns (``_FIRST``, ``_PARTIES``, ``_PAIRS``), and one rule
+    orders and reduces it under that declaration, a block's and two
+    merged reductions' alike, whatever the ids (``_reduced``): a stable
+    sort of its first column, then a re-sort of only the runs of equal
+    first values that are out of key and tie order; input position is
+    the last tie-break of every reduction and merge. So no column as
+    long as the file is ever made,
     and memory grows with the person-days, parties and contact pairs,
     not with the rows: 17 bytes a person-day where the observations are
     narrow.
@@ -829,10 +814,13 @@ def _read_blocks(
                                     out=out)
         if cut is None or not done:
             return None if done else (offset, usecols, rows)
+        start = time.monotonic()
         (counts, stop, reduced), worker = result()
+        waited = round(time.monotonic() - start, 3)
     out.add(reduced)
     if worker:
         report.split_row = rows + 1
+        report.worker_wait_s = waited
     report.rows += counts.rows
     report.accepted += counts.accepted
     report.rejects.update(counts.rejects)

@@ -69,6 +69,7 @@ from .ingest import (
     ObservationColumns,
     StudyWindow,
     DEFAULT_WINDOW,
+    N_STATES,
     TowerSite,
     StateProfile,
     is_int,
@@ -1063,8 +1064,15 @@ def generate(config: ScenarioConfig, outdir) -> tuple[dict[str, Path], GroundTru
 
     Writes cdr.csv, towers.csv, states.csv, projections.csv and a
     ground-truth summary; returns the paths and the in-memory truth.
-    Deterministic given the config, byte for byte.
+    Deterministic given the config, byte for byte. A state code outside
+    1..``ingest.N_STATES``, which ``ingest`` cannot read back, raises
+    ConfigurationError before any file is written.
     """
+    codes = sorted(s.code for s in config.states
+                   if not 1 <= s.code <= N_STATES)
+    if codes:
+        raise ConfigurationError(
+            f"state codes {codes} outside 1..{N_STATES}, which ingest reads")
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     truth = generate_tables(config)

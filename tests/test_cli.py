@@ -128,6 +128,17 @@ class TestGen:
         assert "visible customers" in capsys.readouterr().out
         assert sha(out / "cdr.csv") == sha(gen_dir / "cdr.csv")
 
+    def test_state_code_that_ingest_cannot_read_exits_3(self, tmp_path,
+                                                        capsys):
+        cfg_path = tmp_path / "scenario.json"
+        scenario_to_json(synth.ScenarioConfig(seed=4, states=[
+            synth.StateSpec(1, "host", 500, 0.5, is_local=True, theta=0.0),
+            synth.StateSpec(100, "away", 600, 0.25, theta=0.4)]), cfg_path)
+        out = tmp_path / "out"
+        assert run("gen", "--config", cfg_path, "--output-dir", out) == 3
+        assert "state codes [100]" in capsys.readouterr().err
+        assert not (out / "cdr.csv").exists()
+
     def test_unknown_scenario_name_exits_3(self, tmp_path, capsys):
         assert run("gen", "--scenario", "nonesuch",
                    "--output-dir", tmp_path / "x") == 3
@@ -714,6 +725,20 @@ class TestSplitManifest:
         assert 0 <= wait <= blob["timings_s"]["total"]
         assert read_json(report_dir / "manifest_report.json")["stages"][
             "ingest"] == {"worker": False}
+
+    def test_wait_for_the_read_worker_is_recorded_only_on_a_split_read(
+            self, gen_dir, report_dir, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(ingest, "FORK_BYTES", 0)
+        monkeypatch.setattr(ingest, "BLOCK_BYTES", 16_384)
+        out = tmp_path / "out"
+        assert run("report", "--input-dir", gen_dir, "--output-dir", out) == 0
+        capsys.readouterr()
+        blob = read_json(out / "manifest_report.json")
+        load = blob["stages"]["load"]
+        assert load["split_row"] > 1
+        assert 0 <= load["worker_wait_s"] <= blob["timings_s"]["load"]
+        unsplit = read_json(report_dir / "manifest_report.json")["stages"]["load"]
+        assert (unsplit["split_row"], unsplit["worker_wait_s"]) == (None, None)
 
 
 class TestCellMap:

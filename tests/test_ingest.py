@@ -1,6 +1,5 @@
 """Parsing, validation, daily deduplication, and distinct counting."""
 
-import bisect
 import codecs
 import csv
 import io
@@ -53,8 +52,8 @@ from helpers import (build_network_oracle, cdr_file, cdr_text, colocation_oracle
 COLUMN_BYTES_PER_ROW = 7 * 8 + 3
 
 #: Bytes per person-day that ``read_cdr``'s traced peak stays below on
-#: desk's rows 8 times over: 241 measured with the narrow first-event
-#: columns and the merge by searchsorted, 282 before them. Most of it is
+#: desk's rows 8 times over: 239 measured with the narrow first-event
+#: columns, 282 before them. Most of it is
 #: the 1 MiB block in hand and its parsed table, as desk has only 42k
 #: person-days.
 PEAK_BYTES_PER_PERSON_DAY = 255
@@ -1295,14 +1294,14 @@ class TestStreamedReduction:
     @settings(max_examples=60, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(drawn=interleaved_files(),
-           merge_rows=st.sampled_from([1, 3, None]))
+           resort_rows=st.sampled_from([1, 3, None]))
     def test_split_block_reductions_match_the_column_oracles(
-            self, monkeypatch, drawn, merge_rows):
+            self, monkeypatch, drawn, resort_rows):
         data, block = drawn
         monkeypatch.setattr(ingest, "BLOCK_BYTES", block)
         monkeypatch.setattr(ingest, "FORK_BYTES", 0)
-        if merge_rows is not None:
-            monkeypatch.setattr(ingest, "MERGE_BLOCK_ROWS", merge_rows)
+        if resort_rows is not None:
+            monkeypatch.setattr(ingest, "RESORT_ROWS", resort_rows)
         known = {1, 2, 3, 4}
         with cdr_file(data) as path:
             assert cut_row(data) is not None      # a worker reads
@@ -1311,37 +1310,6 @@ class TestStreamedReduction:
         if got[0][0] is not IngestError:
             assert set(got[1][2]) >= {*REJECTING}
             assert got[0][2] == sorted(got[0][2])      # the tower ids
-
-
-@st.composite
-def key_tables(draw):
-    """(width, a, b): sorted distinct rows of 1 to 4 int64 columns, and
-    rows to place among them, about half of them drawn from ``a``. The
-    first column takes at most three values and the others many, so long
-    runs of rows share their leading columns, as a caller's pairs share
-    the caller; every column reaches the ends of int64."""
-    width = draw(st.integers(1, 4))
-    values = st.integers(-40, 40) | st.sampled_from(INT64_ENDS)
-    leading = st.sampled_from(draw(st.lists(values, min_size=1, max_size=3)))
-    rows = st.tuples(leading, *[values] * (width - 1))
-    a = sorted(draw(st.sets(rows, max_size=150)))
-    b = draw(st.lists(rows | st.sampled_from(a) if a else rows, max_size=60))
-    return width, a, b
-
-
-class TestColumnwisePlacement:
-    """``ingest._placed`` places key rows as ``bisect`` places tuples."""
-
-    @settings(max_examples=300, deadline=None)
-    @given(drawn=key_tables())
-    def test_places_as_bisect_places_tuples(self, drawn):
-        width, a, b = drawn
-
-        def columns(rows):
-            return list(np.array(rows, np.int64).reshape(-1, width).T.copy())
-        lo, hi = ingest._placed(columns(a), columns(b))
-        assert lo.tolist() == [bisect.bisect_left(a, row) for row in b]
-        assert hi.tolist() == [bisect.bisect_right(a, row) for row in b]
 
 
 #: Each table of ``ingest._Reduction``: its declaration, the dtypes of
@@ -1380,6 +1348,34 @@ def reduced_table_rows(draw):
     return name, draw(rows), draw(rows)
 
 
+@st.composite
+def first_sorted_table_rows(draw):
+    """(name, rows): a table of ``REDUCED_TABLES`` sorted by its first
+    column, as a merge's two reductions joined are. Each run of equal
+    first values is in key and tie order, in reverse, or as drawn, so
+    that some hold descents in their later key or tie columns; those
+    columns take small values or the ends of their dtype, so that ties
+    are often equal."""
+    name = draw(st.sampled_from(sorted(REDUCED_TABLES)))
+    _, dtypes, ends, key, tie = REDUCED_TABLES[name]
+    firsts = sorted(draw(st.sets(st.integers(-3, 3) | st.sampled_from(ends[0]),
+                                 min_size=1, max_size=5)))
+    pools = [st.sampled_from(draw(st.lists(
+        st.integers(0, 3 * 86400 if dtype == np.int32 else 3)
+        | st.sampled_from(column_ends), min_size=1, max_size=3)))
+        for dtype, column_ends in zip(dtypes[1:], ends[1:])]
+    rows = []
+    for first in firsts:
+        run = draw(st.lists(st.tuples(st.just(first), *pools), min_size=1,
+                            max_size=6))
+        arranged = draw(st.sampled_from(["in order", "reversed", "drawn"]))
+        if arranged != "drawn":
+            run.sort(key=lambda row: (key(row), tie(row)),
+                     reverse=arranged == "reversed")
+        rows += run
+    return name, rows
+
+
 def reduction_oracle(rows, key, tie):
     """Of the rows of each key, the one least in (tie, row index), in
     key order."""
@@ -1391,8 +1387,9 @@ def reduction_oracle(rows, key, tie):
 
 
 class TestTableReduction:
-    """A block's tables are reduced by ``ingest._reduced`` under the same
-    declaration that ``ingest._merged`` merges two reductions by."""
+    """``ingest._reduced`` reduces a block's tables, and those of two
+    reductions merged by ``ingest._merged``, under each table's
+    declaration."""
 
     @staticmethod
     def columns(rows, dtypes):
@@ -1413,9 +1410,23 @@ class TestTableReduction:
         assert self.rows(got) == reduction_oracle(x + y, key, tie)
 
     @settings(max_examples=400, deadline=None)
-    @given(drawn=reduced_table_rows(), merge_rows=st.sampled_from([1, 3, None]))
+    @given(drawn=first_sorted_table_rows(),
+           resort_rows=st.sampled_from([1, 3, None]))
+    def test_runs_out_of_order_are_resorted(self, drawn, resort_rows):
+        # Chunks of 1 and 3 rows end inside runs and between them.
+        name, rows = drawn
+        declared, dtypes, _, key, tie = REDUCED_TABLES[name]
+        with pytest.MonkeyPatch.context() as mp:
+            if resort_rows is not None:
+                mp.setattr(ingest, "RESORT_ROWS", resort_rows)
+            got = ingest._reduced(self.columns(rows, dtypes), *declared)
+        assert [column.dtype for column in got] == list(map(np.dtype, dtypes))
+        assert self.rows(got) == reduction_oracle(rows, key, tie)
+
+    @settings(max_examples=400, deadline=None)
+    @given(drawn=reduced_table_rows(), resort_rows=st.sampled_from([1, 3, None]))
     def test_merging_two_reductions_reduces_their_rows(self, drawn,
-                                                       merge_rows):
+                                                       resort_rows):
         name, x, y = drawn
         declared, dtypes, _, _, _ = REDUCED_TABLES[name]
         if name != "first":     # y's positions come after x's
@@ -1423,8 +1434,8 @@ class TestTableReduction:
             y = [(*row[:-1], row[-1] + after) for row in y]
         whole = ingest._reduced(self.columns(x + y, dtypes), *declared)
         with pytest.MonkeyPatch.context() as mp:
-            if merge_rows is not None:
-                mp.setattr(ingest, "MERGE_BLOCK_ROWS", merge_rows)
+            if resort_rows is not None:
+                mp.setattr(ingest, "RESORT_ROWS", resort_rows)
             merged = ingest._merged(
                 ingest._reduced(self.columns(x, dtypes), *declared),
                 ingest._reduced(self.columns(y, dtypes), *declared),
@@ -1645,14 +1656,14 @@ class TestNarrowColumns:
     @settings(max_examples=150, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(drawn=narrow_edge_files(), block=st.sampled_from([150, 400, None]),
-           merge_rows=st.sampled_from([1, 3, None]))
+           resort_rows=st.sampled_from([1, 3, None]))
     def test_narrow_columns_equal_the_int64_oracles(self, monkeypatch, drawn,
-                                                   block, merge_rows):
+                                                   block, resort_rows):
         window, known, events = drawn
         if block is not None:       # reductions merged, and repeats met
             monkeypatch.setattr(ingest, "BLOCK_BYTES", block)
-        if merge_rows is not None:
-            monkeypatch.setattr(ingest, "MERGE_BLOCK_ROWS", merge_rows)
+        if resort_rows is not None:
+            monkeypatch.setattr(ingest, "RESORT_ROWS", resort_rows)
         with cdr_file(cdr_text(events).encode()) as path:
             got = read_cdr(path, window=window, known_towers=known)
             expected = events_reduced(
