@@ -1,5 +1,5 @@
-"""Integer-array helpers shared by the layers: runs, distinct values and
-packed sort keys."""
+"""Integer-array helpers shared by the layers: runs, distinct values,
+packed sort keys and the width of positions and keys."""
 
 from __future__ import annotations
 
@@ -9,6 +9,19 @@ from typing import Sequence
 import numpy as np
 
 INT64_MIN, INT64_MAX = -(2 ** 63), 2 ** 63 - 1
+INT32_MAX = 2 ** 31 - 1
+
+
+def index_dtype(largest: int) -> type:
+    """The dtype that holds the integers 0 to ``largest``: int32 where it
+    does, else int64.
+
+    For positions inside the graph arrays and for keys that are sorted
+    in place, which half the bytes in int32. Not for the index arrays of
+    a large gather: numpy gathers by an intp index faster than by an
+    int32 one, which it converts as it goes.
+    """
+    return np.int32 if largest <= INT32_MAX else np.int64
 
 
 def run_starts(*keys: np.ndarray) -> np.ndarray:

@@ -178,8 +178,12 @@ class RunManifest:
     ran each stage, after it, as ``peak_rss_source`` says it was read:
     ``VmHWM`` (Linux's high-water mark of the process) or ``ru_maxrss``
     (``getrusage``'s, which can be that of the process that started this
-    one). When a worker ran, ``workers`` holds the largest ``ru_maxrss``
-    of the run's children, each of which starts its own mark at its fork.
+    one). Either is the process's high-water mark so far, so a stage
+    whose own peak is lower than an earlier stage's shows that earlier
+    value: the largest is the run's peak, and a later stage's own peak
+    shows only where it is above all before it. When a worker ran,
+    ``workers`` holds the largest ``ru_maxrss`` of the run's children,
+    each of which starts its own mark at its fork.
     ``stages`` holds what a stage tells about its input: for ``load``,
     how the CDR file was read and what was kept of it. That is
     ``row_reader_from``, the 1-based CDR data row from which the file was
@@ -363,7 +367,8 @@ class Run:
 
     The attendance series and the social network are built on first
     use, so each is built at most once per run, by whichever stage asks
-    first. ``results`` holds each finished stage's result by name, and
+    first; the ``sbm`` stage, the last to read the network, lets go of
+    it. ``results`` holds each finished stage's result by name, and
     ``counts`` what a stage tells the manifest's ``stages`` block.
     ``seed`` is the SBM demo's, from ``crowdcdr sbm --seed``.
     """
@@ -503,15 +508,15 @@ def stage_social(run: Run) -> tuple[dict[str, Path], social.LogisticFit]:
             for s in states
         ],
     )
-    fit = social.fit_closure_model(
-        triples, series.representation, seed=cfg["subsample_seed"],
-    )
-    run.counts["social"] = {
+    counts = run.counts["social"] = {
         "nodes": net.n_nodes,
         "edges": net.n_edges,
         "triples_all": len(triples),
-        "triples_independent": fit.n_triples,
     }
+    fit = social.fit_closure_model(
+        triples, series.representation, seed=cfg["subsample_seed"],
+    )
+    counts["triples_independent"] = fit.n_triples
     out["social_fit"] = outdir / "social_fit.json"
     out["social_fit"].write_text(json.dumps({
         "n_nodes": net.n_nodes,
@@ -540,6 +545,9 @@ def stage_spatial(run: Run) -> tuple[dict[str, Path], dict]:
     col = spatial.build_colocation_series(
         data.observations, n_days=data.window.days, cell_of_tower=cell_of,
     )
+    counts = run.counts["spatial"] = {
+        "colocation_days": sum(p is not None for p in col.p.values()),
+    }
     high, low = spatial.partition_days(
         series.daily, n_days=data.window.days,
         peak_days=cfg["calendar_peaks"] if cfg["peak_mode"] == "calendar" else None,
@@ -586,10 +594,9 @@ def stage_spatial(run: Run) -> tuple[dict[str, Path], dict]:
         out["cells"], ("tower_id", "area_km2", "wkt"),
         geo.cells_table(cells),
     )
-    run.counts["spatial"] = {
+    counts |= {
         "active_cells": len(cells),
         "silent_towers": len(data.towers) - len(cells),
-        "colocation_days": sum(p is not None for p in col.p.values()),
         "clip_steps": max(c.clips for c in cells),
     }
     summary = {
@@ -620,6 +627,8 @@ def stage_sbm(run: Run) -> tuple[dict[str, Path], None]:
             ("state_code", "n", "edges_within", "p_kk", "baseline"),
             sbm.block_table(sbm.estimate_block_probs(run.network)),
         )
+        # The last stage to read the network: the later ones run without it.
+        del run.network
     return out, None
 
 
@@ -688,7 +697,7 @@ COMMANDS: dict[str, tuple[tuple[str, ...], Callable[[Run], str]]] = {
         else f"spatial: rho_A {run.results['spatial']['rho_a']:+.3f}")),
     "sbm": (("sbm", "sbm_demo"),
             lambda run: "sbm: bias curve and joint demo written"),
-    "report": (("ingest", "attendance", "social", "spatial", "sbm", "summary"),
+    "report": (("ingest", "attendance", "social", "sbm", "spatial", "summary"),
                lambda run: json.dumps(run.results["summary"], indent=2)),
 }
 
@@ -740,11 +749,14 @@ def _recorded(manifest: RunManifest, path: Path) -> Iterator[None]:
 
 
 def _run_stage(run: Run, manifest: RunManifest, stage: str) -> None:
-    """Run ``stage_<stage>``, found by name, and record it in ``manifest``."""
-    outputs, run.results[stage] = _timed(
-        manifest, stage, globals()[f"stage_{stage}"], run)
-    if stage in run.counts:
-        manifest.stages[stage] = run.counts[stage]
+    """Run ``stage_<stage>``, found by name, and record it in ``manifest``:
+    its counts so far also when it fails."""
+    try:
+        outputs, run.results[stage] = _timed(
+            manifest, stage, globals()[f"stage_{stage}"], run)
+    finally:
+        if stage in run.counts:
+            manifest.stages[stage] = run.counts[stage]
     for name, path in outputs.items():
         manifest.add_output(name, path)
 
@@ -827,11 +839,10 @@ def run_command(args) -> int:
                     "accepted": report.accepted,
                     "rejects": dict(sorted(report.rejects.items())),
                 }
-            contacts = run.data.contacts
             manifest.stages["load"] |= {
                 "person_days": len(run.data.observations),
-                "parties": len(contacts.party_id),
-                "contact_pairs": len(contacts.caller_id),
+                "parties": len(run.data.contacts.party_id),
+                "contact_pairs": len(run.data.contacts.caller_id),
                 "active_towers": sum(t.active for t in run.data.towers),
             }
             # The writer pays for its fork where the reader's does.

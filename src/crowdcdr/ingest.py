@@ -416,17 +416,19 @@ def _widths(window: StudyWindow) -> tuple[type, type]:
 #: of its list of columns: a table holds one row per key, the one least
 #: in its tie columns, and of rows equal in those too, the first. The
 #: first key column is the table's first column. ``_reduced`` orders and
-#: reduces every table by them, a block's and two merged reductions'.
+#: reduces every table by them, a block's and two merged reductions', and
+#: applies them to the table's rows ``RESORT_ROWS`` at a time, so that a
+#: key column made from the others (the day) is never made whole.
 _FIRST = (lambda t: [t[0], t[1] // 86400], lambda t: t[1:3])
 _PARTIES = (lambda t: t[:2], lambda t: t[2:])
 _PAIRS = (lambda t: t[:4], lambda t: t[4:])
 
-#: Rows that ``_reduced`` compares, or re-sorts, at a time.
+#: Rows that ``_reduced`` compares, re-sorts or compacts at a time.
 RESORT_ROWS = 1 << 14
 
 
-def _reduced(table: list[np.ndarray], key: Callable,
-             tie: Callable) -> list[np.ndarray]:
+def _reduced(table: list[np.ndarray], key: Callable, tie: Callable,
+             in_place: bool = False) -> list[np.ndarray]:
     """The rows of ``table`` that ``key`` and ``tie`` keep (see
     ``_FIRST``), in key order, in its dtypes.
 
@@ -436,72 +438,104 @@ def _reduced(table: list[np.ndarray], key: Callable,
     run at a time or together up to ``RESORT_ROWS`` rows. Rows equal in
     every key and tie column stay in table order, and the first row of
     each key is kept. The pass, too, takes ``RESORT_ROWS`` rows at a
-    time, so that besides the columns, and the key columns made from
-    them, only the order and a mask span the table. Each column of
-    ``table`` is set to None once its kept rows are copied.
+    time. The first column is put in sorted order first: sorted in place
+    with ``in_place`` (a merge's, two sorted runs, which the stable sort
+    merges in linear time), else gathered by the order. It and the order
+    are cut to the kept rows in place, so that, with ``in_place``,
+    besides the columns only the order, a mask and one output column
+    narrower than the first span the table. Each column of ``table`` is
+    set to None once its kept rows are copied; the first is copied only
+    when rows were dropped, after the order has gone.
     """
     order = np.argsort(table[0], kind="stable")
-    keys = key(table)
-    columns, n_keys = [*keys, *tie(table)], len(keys)
-    del keys
+    # From here on the first column is in sorted order, as ``order`` puts it.
+    if in_place:
+        table[0].sort(kind="stable")
+    else:
+        table[0] = table[0][order]
+    first = table[0]
     # Whether each row of ``order`` holds a key the row before it does
-    # not; where each run of equal first values but the first starts; and
-    # the rows that the row after them goes before.
+    # not, and the rows that the row after them goes before.
     keep = np.ones(len(order), bool)
-    runs, descents = [np.zeros(0, np.intp)], [np.zeros(0, np.intp)]
+    descents = [np.zeros(0, np.intp)]
     for lo in range(0, len(order) - 1, RESORT_ROWS):
-        rows = order[lo:lo + RESORT_ROWS + 1]
-        same = np.ones(len(rows) - 1, bool)
+        columns, n_keys = _sort_columns(
+            table, order, slice(lo, lo + RESORT_ROWS + 1), key, tie)
+        same = np.ones(len(columns[0]) - 1, bool)
         before = np.zeros(same.size, bool)
         for i in reversed(range(len(columns))):
-            column = columns[i][rows]
+            column = columns[i]
             equal = column[1:] == column[:-1]
             before &= equal
             if i:
                 before |= column[1:] < column[:-1]
             if i < n_keys:
                 same &= equal
-        np.logical_not(same, out=keep[lo + 1:lo + len(rows)])
-        runs.append(np.flatnonzero(~equal) + lo + 1)
+        np.logical_not(same, out=keep[lo + 1:lo + len(columns[0])])
         descents.append(np.flatnonzero(before) + lo)
-    runs, descents = np.concatenate(runs), np.concatenate(descents)
+    descents = np.concatenate(descents)
     if descents.size:
-        _resort(order, keep, columns, n_keys, runs, descents)
-    del columns
-    rows = order[keep]
-    del order, keep
-    out = []
-    for i, column in enumerate(table):
+        _resort(order, keep, table, key, tie, descents)
+    n_rows = len(first)
+    rows, first = _compacted(order, keep), _compacted(first, keep)
+    del keep
+    out = [first]
+    for i in range(1, len(table)):
+        out.append(table[i][rows])
         table[i] = None
-        out.append(column[rows])
+    table[0] = None
+    del rows, order
+    if len(first) < n_rows:
+        out[0] = first.copy()
     return out
 
 
-def _resort(order: np.ndarray, keep: np.ndarray, columns: list[np.ndarray],
-            n_keys: int, runs: np.ndarray, descents: np.ndarray) -> None:
+def _sort_columns(table: list[np.ndarray], order: np.ndarray, at,
+                  key: Callable, tie: Callable) -> tuple[list[np.ndarray], int]:
+    """The key then the tie columns of the rows ``order[at]`` of
+    ``table``, whose first column is sorted (``table[0][at]`` holds
+    theirs), and how many of them are key columns."""
+    rows = order[at]
+    held = [table[0][at], *(column[rows] for column in table[1:])]
+    keys = key(held)
+    return [*keys, *tie(held)], len(keys)
+
+
+def _compacted(column: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """``column[keep]``, made in place at the front of ``column``,
+    ``RESORT_ROWS`` elements at a time: the front is returned, a view."""
+    n = 0
+    for lo in range(0, len(column), RESORT_ROWS):
+        held = column[lo:lo + RESORT_ROWS][keep[lo:lo + RESORT_ROWS]]
+        column[n:n + held.size] = held
+        n += held.size
+    return column[:n]
+
+
+def _resort(order: np.ndarray, keep: np.ndarray, table: list[np.ndarray],
+            key: Callable, tie: Callable, descents: np.ndarray) -> None:
     """Re-sort, in ``order``, the runs of equal first values that hold a
-    row of ``descents`` by all of ``columns``, and mark again in ``keep``
-    the rows of the re-sorted runs that start a key (see ``_reduced``).
-    ``runs`` holds where each run but the first starts."""
-    which = np.searchsorted(runs, descents, "right")     # ascending
-    which = which[run_starts(which)]
-    starts = np.concatenate([[0], runs])
-    ends = np.append(runs, len(order))
-    starts, ends = starts[which], ends[which]
-    lengths = ends - starts
+    row of ``descents`` by every key and tie column of ``table``, whose
+    first column is sorted, and mark again in ``keep`` the rows of the
+    re-sorted runs that start a key (see ``_reduced``)."""
+    first = table[0]
+    value = first[descents]                 # ascending
+    value = value[run_starts(value)]
+    starts = np.searchsorted(first, value, "left")
+    lengths = np.searchsorted(first, value, "right") - starts
     # Runs go together until their rows reach ``RESORT_ROWS``.
     offsets = np.cumsum(lengths) - lengths
     cuts = np.flatnonzero(np.diff(offsets // RESORT_ROWS)) + 1
-    for lo, hi in zip([0, *cuts], [*cuts, len(which)]):
+    for lo, hi in zip([0, *cuts], [*cuts, len(starts)]):
         span = lengths[lo:hi]
         rows = (np.repeat(starts[lo:hi] - offsets[lo:hi], span)
                 + np.arange(offsets[lo], offsets[lo] + span.sum()))
-        held = order[rows]
-        held = held[np.lexsort([column[held] for column in reversed(columns)])]
-        order[rows] = held
+        columns, n_keys = _sort_columns(table, order, rows, key, tie)
+        by = np.lexsort(columns[::-1])
+        order[rows] = order[rows][by]
         repeat = np.ones(len(rows) - 1, bool)
         for column in columns[:n_keys]:
-            column = column[held]
+            column = column[by]
             repeat &= column[1:] == column[:-1]
         keep[rows[1:]] = ~repeat
 
@@ -518,7 +552,7 @@ def _merged(a: list[np.ndarray], b: list[np.ndarray], key: Callable,
     for i in range(len(a)):
         table.append(np.concatenate([a[i], b[i]]))
         a[i] = b[i] = None
-    return _reduced(table, key, tie)
+    return _reduced(table, key, tie, in_place=True)
 
 
 def _reduce_block(
@@ -678,8 +712,10 @@ def read_cdr(
     the last tie-break of every reduction and merge. So no column as
     long as the file is ever made,
     and memory grows with the person-days, parties and contact pairs,
-    not with the rows: 17 bytes a person-day where the observations are
-    narrow.
+    not with the rows: 17 bytes a person-day held where the observations
+    are narrow, and at most 29 while two reductions' first events are
+    merged (the joined table, its 8-byte order and the stable sort's
+    buffer, or one output column, see ``_reduced``).
 
     A file of ``FORK_BYTES`` or more is read by two processes: a forked
     worker reads and reduces the blocks after a block end near the middle
@@ -699,7 +735,8 @@ def read_cdr(
     int64 and the state int8; the day is int16 and the tower int32 where
     ``window`` and ``known_towers`` let every accepted value fit, else
     int64. The contact
-    table is ``social.ContactTable``'s. ``window`` and ``known_towers``
+    table is ``social.ContactTable``'s, with int64 ids and int8 states.
+    ``window`` and ``known_towers``
     (when given) reject events outside them; ``report`` is filled with
     the row count, the accepted count and the rejects by reason. More
     unparseable rows than ``MAX_BAD_FRACTION`` of the rows read raises
@@ -746,14 +783,14 @@ def read_cdr(
 
 
 def _in_row_order(table: list[np.ndarray]) -> list[np.ndarray]:
-    """The columns of a ``_Reduction`` table but its last, as int64 and
-    ordered by that last, the position of each entry's first row. Each
-    column of ``table`` is set to None once its copy exists."""
+    """The columns of a ``_Reduction`` table but its last, in their dtypes
+    and ordered by that last, the position of each entry's first row.
+    Each column of ``table`` is set to None once its copy exists."""
     order = np.argsort(table.pop())
     out = []
     for i, column in enumerate(table):
         table[i] = None
-        out.append(column[order].astype(np.int64, copy=False))
+        out.append(column[order])
     return out
 
 
@@ -807,13 +844,18 @@ def _read_blocks(
     usecols = _header_index(iter([cells]))
     screen = partial(_screen_blocks, usecols=usecols, window=window,
                      known_towers=known_towers, report=report)
+    # The chain lets go of the first block once it is screened.
+    blocks = itertools.chain([rest], blocks)
+    del rest
     # Leaving the block discards a worker whose part is not wanted.
     with (nullcontext() if cut is None
           else forked(partial(_read_part, path, cut, screen))) as result:
-        offset, rows, done = screen(itertools.chain([rest], blocks), offset, 0,
-                                    out=out)
+        offset, rows, done = screen(blocks, offset, 0, out=out)
         if cut is None or not done:
             return None if done else (offset, usecols, rows)
+        # This process's parts are merged while the worker still reads,
+        # so that one merge is left after the wait.
+        out.result()
         start = time.monotonic()
         (counts, stop, reduced), worker = result()
         waited = round(time.monotonic() - start, 3)
@@ -842,7 +884,8 @@ def _screen_blocks(
     before it, into ``out`` up to the first one that is not canonical.
 
     Returns that block's offset, the rows before it and False, or the end
-    and True when every block was canonical.
+    and True when every block was canonical. A block's bytes and parsed
+    table go before its reduction is added, and so before any merge.
     """
     for block in blocks:
         if not block:
@@ -850,9 +893,11 @@ def _screen_blocks(
         table = _load_block(block, usecols)
         if table is None:
             return offset, rows, False
-        out.add(_reduce_block(table, window, known_towers, report))
         rows += len(table)
         offset += len(block)
+        part = _reduce_block(table, window, known_towers, report)
+        del block, table
+        out.add(part)
     return offset, rows, True
 
 
@@ -934,7 +979,8 @@ class ObservationColumns:
     (person, day) order. ``read_cdr`` gives the person as int64, the
     state as int8, the day as int16 and the tower as int32 wherever its
     window and known towers let the values fit: 15 bytes a row, against
-    32 in int64. The consumers accept
+    32 in int64, from a read that holds at most 29 bytes a row while it
+    merges. The consumers accept
     rows in any order and sort only rows that are not in that order, and
     they take any integer widths.
     """

@@ -21,7 +21,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .arrays import distinct
+from .arrays import distinct, index_dtype, pack_keys, run_starts
 from .errors import AnalysisError, ConvergenceError, SeparationError
 
 Z_95 = 1.96
@@ -118,21 +118,51 @@ def _upper_edges(indptr: np.ndarray, indices: np.ndarray):
 
 
 def _csr(node_id, state, edges):
-    """(node_id, state, indptr, indices) of the graph on those inputs."""
-    ids, first = np.unique(node_id, return_index=True)
+    """(node_id, state, indptr, indices) of the graph on those inputs.
+
+    The edges' ends are found one column at a time, as node positions
+    as narrow as ``index_dtype`` makes them for the node count, which
+    ``indices`` keeps; their packed keys are sorted in place.
+    """
+    order = np.argsort(node_id, kind="stable")
+    ids = node_id[order]
+    starts = run_starts(ids)
+    ids, first = ids[starts], order[starts]
+    del order, starts
     n = ids.size
-    edges = edges[edges[:, 0] != edges[:, 1]]
-    pos = np.searchsorted(ids, edges)
-    known = pos < n
-    known[known] = ids[pos[known]] == edges[known]
-    if not known.all():
-        raise KeyError(f"edge endpoint {edges[~known][0]} is not a node")
+    width = index_dtype(n)
+    loop = edges[:, 0] == edges[:, 1]
+    if loop.any():
+        edges = edges[~loop]
+    del loop
+    ends, missing = [], []
+    for end in range(2):
+        at = np.searchsorted(ids, edges[:, end])
+        np.minimum(at, n - 1, out=at)
+        missing.append(ids[at] != edges[:, end] if n else np.ones(len(at), bool))
+        ends.append(at.astype(width))
+    missing = np.stack(missing, axis=1)
+    if missing.any():
+        raise KeyError(f"edge endpoint {edges[missing][0]} is not a node")
+    del missing
     # Both directions of every distinct pair as sorted row * n + col keys.
-    keys = distinct(pos.min(axis=1) * n + pos.max(axis=1))
-    keys = np.sort(np.concatenate([keys, keys % n * n + keys // n]))
+    bounds = [(0, n), (0, n)]
+    keys = pack_keys(np.minimum(*ends), np.maximum(*ends), bounds=bounds)[0]
+    del ends
+    keys.sort()
+    keys = keys[run_starts(keys)]
+    both = np.empty(2 * keys.size, np.int64)
+    both[:keys.size] = keys
+    back = both[keys.size:]
+    np.remainder(keys, n, out=back)
+    back *= n
+    back += keys // n
+    del keys
+    both.sort()
     indptr = np.zeros(n + 1, np.int64)
-    np.cumsum(np.bincount(keys // n, minlength=n), out=indptr[1:])
-    return ids, state[first], indptr, keys % n
+    np.cumsum(np.bincount(both // n, minlength=n), out=indptr[1:])
+    both %= n
+    return ids, state[first], indptr, both.astype(width)
 
 
 @dataclass(frozen=True, eq=False)
@@ -176,9 +206,14 @@ def build_network(
         node = contacts.party_state != local_state
         edge = ((contacts.caller_state != local_state)
                 & (contacts.callee_state != local_state))
-    return SocialNetwork(
-        contacts.party_id[node], contacts.party_state[node],
-        np.stack([contacts.caller_id[edge], contacts.callee_id[edge]], axis=1))
+    # The edges' two columns are filled one at a time.
+    caller = contacts.caller_id[edge]
+    edges = np.empty((len(caller), 2), np.int64)
+    edges[:, 0] = caller
+    del caller
+    edges[:, 1] = contacts.callee_id[edge]
+    return SocialNetwork(contacts.party_id[node], contacts.party_state[node],
+                         edges)
 
 
 @dataclass
@@ -261,8 +296,9 @@ class Triples:
                    np.concatenate([t.closed for t in parts]))
 
 
-#: Centre pairs handled per block of the wedge pass.
-WEDGE_BLOCK = 1 << 20
+#: Centre pairs handled per block of the wedge pass: each takes about
+#: 100 bytes while its block is made.
+WEDGE_BLOCK = 1 << 14
 
 
 def enumerate_connected_triples(net: SocialNetwork) -> Triples:
@@ -272,16 +308,21 @@ def enumerate_connected_triples(net: SocialNetwork) -> Triples:
     by state, then centre id, then the pair's ``combinations`` order. An
     open wedge is its triple's only one; a closed triple (the wedge's
     ends are linked) is kept at its least node. Deterministic so seeded
-    subsampling is reproducible.
+    subsampling is reproducible. Node positions are as narrow as
+    ``index_dtype`` makes them, and the wedges are made ``WEDGE_BLOCK``
+    at a time.
     """
     n = net.n_nodes
     state, indices = net.state, net.indices
     # The same-state sub-CSR as sorted row * n + col keys.
-    row = np.repeat(np.arange(n), np.diff(net.indptr))
+    row = np.repeat(np.arange(n, dtype=index_dtype(n)), np.diff(net.indptr))
     same = state[row] == state[indices]
     row, col = row[same], indices[same]
-    keys = row * n + col
+    del same
+    bounds = [(0, n), (0, n)]
+    keys = pack_keys(row, col, bounds=bounds)[0]
     deg = np.bincount(row, minlength=n)
+    del row
     start = np.cumsum(deg) - deg
     centres = np.argsort(state, kind="stable")
     centres = centres[deg[centres] >= 2]
@@ -293,7 +334,7 @@ def enumerate_connected_triples(net: SocialNetwork) -> Triples:
         hi = max(lo + 1, int(np.searchsorted(cum, done + WEDGE_BLOCK, "right")))
         v, i, j = _centre_pairs(centres[lo:hi], deg)
         u, w = col[start[v] + i], col[start[v] + j]
-        key = u * n + w
+        key = pack_keys(u, w, bounds=bounds)[0]
         closed = keys[np.minimum(np.searchsorted(keys, key), keys.size - 1)] == key
         keep = ~closed | (v < u)
         nodes = np.sort(np.stack([v, u, w], axis=1)[keep], axis=1)
@@ -327,13 +368,14 @@ def subsample_independent(triples: Triples, seed: int) -> Triples:
     maximal independent set and matching are parallel on average").
     """
     order = np.random.default_rng(seed).permutation(len(triples))
-    _, node = np.unique(triples.nodes[order], return_inverse=True)
-    node = node.reshape(-1, 3)
+    node = _dense_labels(triples.nodes[order].ravel()).reshape(-1, 3)
     n_nodes = int(node.max(initial=-1)) + 1
+    width = index_dtype(len(order))
     accepted = np.zeros(len(order), bool)
-    left = np.arange(len(order))    # positions in the permutation, ascending
+    # Positions in the permutation, ascending.
+    left = np.arange(len(order), dtype=width)
     while left.size:
-        earliest = np.full(n_nodes, len(order))
+        earliest = np.full(n_nodes, len(order), width)
         np.minimum.at(earliest, node[left], left[:, None])
         won = left[(earliest[node[left]] == left[:, None]).all(axis=1)]
         accepted[won] = True
@@ -341,6 +383,18 @@ def subsample_independent(triples: Triples, seed: int) -> Triples:
         used[node[won]] = True
         left = left[~used[node[left]].any(axis=1)]
     return triples.take(order[accepted])
+
+
+def _dense_labels(values: np.ndarray) -> np.ndarray:
+    """Each value's rank among the distinct ``values``, as narrow as
+    ``index_dtype`` makes it: ``np.unique``'s inverse, with one sorted
+    copy of the values."""
+    by = np.argsort(values)
+    ranks = np.cumsum(run_starts(values[by]), dtype=index_dtype(values.size))
+    ranks -= 1
+    labels = np.empty_like(ranks)
+    labels[by] = ranks
+    return labels
 
 
 @dataclass(frozen=True)

@@ -21,13 +21,14 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
-from math import log10
+from math import log10, prod
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
 from .errors import EstimationError
-from .arrays import column_bounds, distinct, pack_keys, run_starts, unpack_keys
+from .arrays import (column_bounds, distinct, index_dtype, pack_keys,
+                     run_starts, unpack_keys)
 from .ingest import ObservationColumns
 
 #: Fewest bootstrap replicates a percentile interval is computed from.
@@ -124,11 +125,12 @@ def build_colocation_series(
     ``cell_of_tower`` maps towers onto their owning cell (identity when
     every observed tower is active and owns its own cell); an observed
     tower it lacks raises KeyError. The packed (state, day, cell) keys are
-    sorted in place, and each (state, day)'s total and sum of n(n - 1)
-    over its cells come from one ``np.add.reduceat``. The cells are
-    looked up ``COLOCATION_BLOCK_ROWS`` rows at a time, once for their
-    bounds and once to pack the key, so the key is the only array as
-    long as the observations.
+    sorted in place, in int32 where their span fits (``index_dtype``),
+    and each (state, day)'s total and sum of n(n - 1) over its cells
+    come from one ``np.add.reduceat``. The cells are looked up
+    ``COLOCATION_BLOCK_ROWS`` rows at a time, once for their bounds and
+    once to pack the key, so the key is the only array as long as the
+    observations.
     """
     if cell_of_tower is None:
         towers = distinct(observations.first_tower)
@@ -151,21 +153,30 @@ def build_colocation_series(
     low = min(lows, default=0)
     bounds = [column_bounds(obs.state_code), column_bounds(obs.day),
               (low, max(highs, default=0) - low + 1)]
-    key = np.empty(len(obs), np.int64)
+    span = prod(s for _, s in bounds)
+    key = np.empty(len(obs), index_dtype(span - 1))
     for rows in blocks:
         key[rows] = pack_keys(obs.state_code[rows], obs.day[rows],
                               lookup(obs.first_tower[rows]), bounds=bounds)[0]
     key.sort()
     # One run per occupied (state, day, cell), its length the occupancy;
     # each (state, day) group is a run of consecutive cells. The sorted
-    # key goes before the runs' bounds are taken.
+    # key goes before the runs' bounds are taken, and they before the
+    # occupancies, as narrow as ``index_dtype`` makes them.
     starts = run_starts(key)
     key = key[starts]
-    occupancy = np.diff(np.flatnonzero(starts), append=starts.size)
+    at = np.flatnonzero(starts)
     del starts
+    occupancy = np.empty(at.size, index_dtype(len(obs)))
+    np.subtract(at[1:], at[:-1], out=occupancy[:-1], casting="unsafe")
+    occupancy[-1:] = len(obs) - at[-1:]
+    del at
     groups = np.flatnonzero(run_starts(key // bounds[-1][1]))
     totals = np.add.reduceat(occupancy, groups).tolist()
-    pairs = np.add.reduceat(occupancy * (occupancy - 1), groups).tolist()
+    # n(n - 1) in int64, where it is exact.
+    ordered = occupancy.astype(np.int64)
+    ordered *= occupancy - 1
+    pairs = np.add.reduceat(ordered, groups).tolist()
     state, day, _ = unpack_keys(key[groups], bounds)
     series = CoLocationSeries(n_days=n_days)
     for group, n, same in zip(zip(state.tolist(), day.tolist()), totals, pairs):

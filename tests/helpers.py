@@ -7,6 +7,7 @@ import io
 import itertools
 import json
 import tempfile
+import tracemalloc
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields
@@ -40,6 +41,19 @@ from crowdcdr.spatial import (CoLocationSeries, StateSpatial, bootstrap_mean_ci,
                               bootstrap_ratio_ci, correlate)
 
 BASE_TS = DEFAULT_WINDOW.start
+
+
+def traced_peak(fn, *args, **kwargs):
+    """``fn(*args, **kwargs)`` and the most bytes tracemalloc saw held at
+    once while it ran, of what was allocated after it started: arrays
+    made before the call are not counted, nor are they when freed."""
+    tracemalloc.start()
+    try:
+        result = fn(*args, **kwargs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak
 
 
 # ---------------------------------------------------------------------------

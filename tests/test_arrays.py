@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from crowdcdr.arrays import distinct
+from crowdcdr.arrays import distinct, index_dtype
 
 INTEGER_DTYPES = st.sampled_from([np.int8, np.int16, np.int32, np.int64,
                                   np.uint8, np.uint32])
@@ -25,3 +25,15 @@ class TestDistinct:
         values = np.array([3, 1, 3, 2], np.int64)
         assert distinct(values).tolist() == [1, 2, 3]
         assert values.tolist() == [3, 1, 3, 2]
+
+
+class TestIndexDtype:
+    def test_int32_up_to_its_largest_value(self):
+        assert index_dtype(0) is np.int32
+        assert index_dtype(2 ** 31 - 1) is np.int32
+        assert np.array(2 ** 31 - 1, index_dtype(2 ** 31 - 1)) == 2 ** 31 - 1
+
+    def test_int64_past_it(self):
+        assert index_dtype(2 ** 31) is np.int64
+        assert np.array(2 ** 31, index_dtype(2 ** 31)) == 2 ** 31
+

@@ -20,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crowdcdr import attendance, cli, geo, ingest, social, synth
+from crowdcdr.errors import ConfigurationError, SeparationError
 from crowdcdr.ingest import CdrColumns, TowerSite
 from helpers import (CDR_HEADER, clip_cells_matrix, nearest_active_tower,
                      scenario_to_json, serving_towers)
@@ -350,7 +351,7 @@ class TestReport:
         assert "crowdcdr" in blob["versions"]
         assert blob["versions"]["blas_threads"] == cli.BLAS_THREADS
         assert list(blob["peak_rss_mb"]) == [
-            "load", "ingest", "attendance", "social", "spatial", "sbm",
+            "load", "ingest", "attendance", "social", "sbm", "spatial",
             "summary"]
         assert all(v > 0 for v in blob["peak_rss_mb"].values())
         assert blob["peak_rss_source"] in ("VmHWM", "ru_maxrss")
@@ -626,10 +627,10 @@ class TestWorkers:
         assert blob["stages"]["load"]["split_row"] > 1
         assert blob["stages"]["ingest"] == WORKER_WROTE
         assert list(blob["peak_rss_mb"]) == [
-            "load", "ingest", "attendance", "social", "spatial", "sbm",
+            "load", "ingest", "attendance", "social", "sbm", "spatial",
             "summary", "workers"]
         assert list(blob["timings_s"]) == [
-            "load", "ingest", "attendance", "social", "spatial", "sbm",
+            "load", "ingest", "attendance", "social", "sbm", "spatial",
             "summary", "total"]
 
     def test_non_canonical_block_before_the_cut(self, gen_dir, report_dir,
@@ -1239,6 +1240,36 @@ class TestFailureModes:
         blob = read_json(out / "manifest_report.json")
         assert (blob["failed_stage"], blob["error"], blob["exit_code"]) == (
             "social", "ConvergenceError", 4)
+
+    def test_a_failed_fit_records_the_social_counts_before_it(
+            self, gen_dir, report_dir, tmp_path, capsys, monkeypatch):
+        def separated(*args, **kwargs):
+            raise SeparationError("separated")
+        monkeypatch.setattr(social, "fit_closure_model", separated)
+        out = tmp_path / "out"
+        assert run("report", "--input-dir", gen_dir, "--output-dir", out) == 4
+        assert "separated" in capsys.readouterr().err
+        blob = read_json(out / "manifest_report.json")
+        assert (blob["failed_stage"], blob["exit_code"]) == ("social", 4)
+        whole = read_json(report_dir / "manifest_report.json")["stages"]["social"]
+        assert blob["stages"]["social"] == {
+            key: whole[key] for key in ("nodes", "edges", "triples_all")}
+        assert blob["stages"]["social"]["triples_all"] > 0
+
+    def test_a_failed_tessellation_records_the_spatial_counts_before_it(
+            self, gen_dir, report_dir, tmp_path, capsys, monkeypatch):
+        def broken(towers):
+            raise ConfigurationError("no cells")
+        monkeypatch.setattr(geo, "build_tessellation", broken)
+        out = tmp_path / "out"
+        assert run("report", "--input-dir", gen_dir, "--output-dir", out) == 3
+        capsys.readouterr()
+        blob = read_json(out / "manifest_report.json")
+        assert blob["failed_stage"] == "spatial"
+        whole = read_json(report_dir / "manifest_report.json")["stages"]
+        assert blob["stages"]["spatial"] == {
+            "colocation_days": whole["spatial"]["colocation_days"]}
+        assert blob["stages"]["social"] == whole["social"]
 
     def test_missing_required_argument_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -7,7 +7,6 @@ import os
 import pickle
 import random
 import tempfile
-import tracemalloc
 import warnings
 from contextlib import contextmanager
 from pathlib import Path
@@ -42,8 +41,9 @@ from helpers import (build_network_oracle, cdr_file, cdr_text, colocation_oracle
                      first_day_counts, first_day_counts_oracle, from_events,
                      make_event, make_observations, observation_rows,
                      parse_cdr, reduced_rows, stays_from_observations,
-                     stays_oracle, towers_with_traffic, ts_on_day,
-                     unique_handsets_by_sort, write_columns_by_format)
+                     stays_oracle, towers_with_traffic, traced_peak,
+                     ts_on_day, unique_handsets_by_sort,
+                     write_columns_by_format)
 
 
 #: Bytes a row of ``ingest.CdrColumns`` takes (seven int64 fields and
@@ -895,12 +895,7 @@ class TestByteBlockReader:
             read_cdr(path)              # first-call allocations
         report = IngestReport()
         with cdr_file(data) as path:
-            tracemalloc.start()
-            try:
-                read_cdr(path, report=report)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+            _, peak = traced_peak(read_cdr, path, report=report)
         size = COLUMN_BYTES_PER_ROW * report.accepted
         assert report.accepted == 8 * len(rows)
         assert peak <= 1.3 * size
@@ -920,16 +915,31 @@ class TestByteBlockReader:
         monkeypatch.setattr(ingest, "FORK_BYTES", 1 << 62)  # all in this process
         once = read_cdr(paths["cdr"], known_towers=known)
         report = IngestReport()
-        tracemalloc.start()
-        try:
-            got = read_cdr(repeated, known_towers=known, report=report)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        got, peak = traced_peak(read_cdr, repeated, known_towers=known,
+                                report=report)
         assert report.accepted == report.rows == 8 * len(rows)
         assert peak < COLUMN_BYTES_PER_ROW * report.rows
         assert peak < PEAK_BYTES_PER_PERSON_DAY * len(got.observations)
         assert reduced_rows(got) == reduced_rows(once)
+
+    def test_joining_the_two_halves_holds_under_36_bytes_a_row(self):
+        # The split read's last merge: this process's first events and the
+        # worker's, joined (17 bytes a row, allocated here) and reduced.
+        # With the day key, the run starts and the kept rows made whole
+        # beside the order it took 54 bytes a row.
+        rng = np.random.default_rng(5)
+
+        def half(rows):
+            return [np.sort(rng.integers(0, 10 ** 9, rows)),
+                    rng.integers(0, 90 * 86400, rows).astype(np.int32),
+                    rng.integers(0, 400, rows).astype(np.int32),
+                    rng.integers(1, 24, rows).astype(np.int8)]
+
+        ingest._merged(half(100), half(100), *ingest._FIRST)
+        joined, peak = traced_peak(ingest._merged, half(200_000),
+                                   half(200_000), *ingest._FIRST)
+        assert len(joined[0]) > 399_000
+        assert peak < 36 * 400_000
 
     def test_row_reader_batches_stay_small(self, desk_small_files, tmp_path,
                                            monkeypatch):
@@ -945,12 +955,7 @@ class TestByteBlockReader:
         with cdr_file(path.read_bytes()[:100_000]) as warm:
             read_cdr(warm)              # first-call allocations
         report = IngestReport()
-        tracemalloc.start()
-        try:
-            read_cdr(path, report=report)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(read_cdr, path, report=report)
         size = COLUMN_BYTES_PER_ROW * report.accepted
         assert report.row_reader_from == 1
         assert report.accepted == len(rows)

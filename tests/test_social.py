@@ -5,7 +5,6 @@ import importlib.util
 import json
 import math
 import random
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +31,7 @@ from crowdcdr.social import (
 from helpers import (brute_force_triples, build_network_oracle,
                      census_oracle, contact_table, dict_graph, from_events,
                      make_event, network_from_truth, subsample_oracle,
-                     triple_rows)
+                     traced_peak, triple_rows)
 from helpers import enumerate_connected_triples as triples_oracle
 
 LN_3_OVER_7 = math.log(3.0 / 7.0)
@@ -160,12 +159,8 @@ class TestBuildNetwork:
             np.ones(n, bool), np.ones(n, bool)))
         # First-call allocations.
         build_network(contact_table(from_events([make_event()])))
-        tracemalloc.start()
-        try:
-            net = build_network(table, exclude_local=True, local_state=1)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        net, peak = traced_peak(build_network, table, exclude_local=True,
+                                local_state=1)
         assert (net.n_nodes, net.n_edges) == (2 * kept.sum(), kept.sum())
         assert peak < 8 * n
 
@@ -655,3 +650,39 @@ class TestSweepBuilder:
         blob = json.dumps(sweep.run_sweep(range(1, 6))).encode()
         assert hashlib.sha256(blob).hexdigest() == (
             "9b007b8bc4916c63309ff4666730eb38d873665782d0e4c20960a95a9b8576cc")
+
+
+def four_cliques(n_groups: int):
+    """Inputs of a graph of ``n_groups`` groups of four, each member
+    linked to the other three and each link listed both ways, over 20
+    states: 12 edge rows, 6 edges and 4 closed triples a group."""
+    node_id = np.arange(4 * n_groups, dtype=np.int64) * 7919 + 13
+    state = np.arange(node_id.size) // 4 % 20
+    group = np.arange(node_id.size).reshape(-1, 4)
+    pairs = np.concatenate([group[:, [a, b]] for a in range(4)
+                            for b in range(4) if a != b])
+    return node_id, state, node_id[pairs]
+
+
+class TestWorkingMemory:
+    """The graph passes hold little beside their inputs and outputs: the
+    edges' ends are found a column at a time, positions are int32, and
+    the wedges are made ``WEDGE_BLOCK`` at a time."""
+
+    def test_building_the_csr_takes_under_50_bytes_an_edge_row(self):
+        node_id, state, edges = four_cliques(15_000)
+        SocialNetwork(*four_cliques(2))     # first-call allocations
+        net, peak = traced_peak(SocialNetwork, node_id, state, edges)
+        assert (net.n_nodes, net.n_edges) == (60_000, 90_000)
+        # With both ends searched at once in intp and the edges copied
+        # for their self-pairs, it took 73.
+        assert peak < 50 * len(edges)
+
+    def test_enumeration_takes_under_200_bytes_a_triple(self):
+        net = SocialNetwork(*four_cliques(15_000))
+        enumerate_connected_triples(SocialNetwork(*four_cliques(2)))
+        triples, peak = traced_peak(enumerate_connected_triples, net)
+        assert len(triples) == 60_000 and triples.closed.all()
+        # With every wedge made at once, in int64, it took 361.
+        assert peak < 200 * len(triples)
+

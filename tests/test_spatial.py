@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from crowdcdr import spatial, synth
 from crowdcdr.errors import EstimationError
+from crowdcdr.ingest import ObservationColumns
 from crowdcdr.spatial import (
     aggregate_q,
     attach_bootstrap_cis,
@@ -23,7 +24,8 @@ from crowdcdr.spatial import (
 )
 from helpers import (colocation_probability, colocation_series_loop,
                      correlation_p_value_oracle, make_observations,
-                     pair_enumeration_probability, spatial_report_loop)
+                     pair_enumeration_probability, spatial_report_loop,
+                     traced_peak)
 
 
 def series_from_p(p_by_state_day, n_days):
@@ -152,6 +154,32 @@ class TestSeries:
         assert list(got.totals.items()) == list(want.totals.items())
         assert list(got.p.items()) == list(want.p.items())
         assert got.states == want.states
+
+
+class TestSeriesMemory:
+    def test_holds_under_22_bytes_an_observation(self):
+        # Nearly every (state, day, cell) holds one person, so the runs
+        # are about as many as the rows. With an int64 key and int64 run
+        # bounds and lengths it took 28 bytes a row.
+        rng = np.random.default_rng(5)
+        n = 300_000
+        obs = ObservationColumns(
+            np.arange(n, dtype=np.int64), rng.integers(1, 24, n).astype(np.int8),
+            rng.integers(1, 91, n).astype(np.int16),
+            rng.integers(0, 400, n).astype(np.int32))
+        build_colocation_series(obs.take(slice(0, 1000)), n_days=90)
+        series, peak = traced_peak(build_colocation_series, obs, n_days=90)
+        assert sum(series.totals.values()) == n
+        assert peak < 22 * n
+
+    def test_a_span_beyond_int32_packs_the_key_in_int64(self):
+        # State codes over 10**4, days over 10**6 and 3 cells.
+        obs = make_observations([(1, 1, 1, 0), (2, 1, 1, 0), (3, 10 ** 4, 10 ** 6, 9),
+                                 (4, 10 ** 4, 10 ** 6, 9), (5, 10 ** 4, 10 ** 6, 5)])
+        got = build_colocation_series(obs, n_days=90)
+        want = colocation_series_loop(obs, n_days=90)
+        assert list(got.totals.items()) == list(want.totals.items())
+        assert list(got.p.items()) == list(want.p.items())
 
 
 class TestPartition:
