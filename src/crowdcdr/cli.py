@@ -19,12 +19,19 @@ directory among them), 3 for data/validation errors, 4 for
 numerical analysis failures (separation, non-convergence). Every run
 writes a manifest with a content digest per output file; a failed run
 records the stage that failed instead of the outputs it did not reach.
+
+The command process, ``python -m crowdcdr.cli`` or the ``crowdcdr``
+console script (``crowdcdr.__main__``), runs BLAS on one thread and
+without the cyclic garbage collector, which it freezes before it exits
+(``command``). Importing this module pins the BLAS thread alone; a call
+to ``main`` from another program leaves its collector as it found it.
 """
 
 from __future__ import annotations
 
 import argparse
 import ctypes
+import gc
 import hashlib
 import json
 import os
@@ -55,6 +62,15 @@ if ("numpy" not in sys.modules
 #: The variables as they stood then, None where unset: for the command,
 #: as numpy found them. The manifest records them.
 BLAS_THREADS = {name: os.environ.get(name) for name in BLAS_THREAD_VARIABLES}
+
+# No cyclic collector in the command process: a whole ``report`` leaves
+# under a thousand unreachable objects, none holding an array, so its
+# collections (38 while numpy and this package load, more in the stages)
+# find next to nothing. Off before numpy loads; under ``python -m`` only,
+# so an import changes nothing (the console script turns it off in
+# ``crowdcdr.__main__``).
+if __name__ == "__main__":
+    gc.disable()
 
 import numpy as np  # noqa: E402
 
@@ -211,8 +227,10 @@ class RunManifest:
     which follow the cuts). ``failure`` holds
     ``failed_stage``, ``error`` and ``exit_code`` when the run stopped on
     a data or analysis error, and is empty otherwise. ``versions`` holds
-    those of crowdcdr, numpy and Python, and under ``blas_threads`` the
-    ``BLAS_THREADS`` variables.
+    those of crowdcdr, numpy and Python, under ``blas_threads`` the
+    ``BLAS_THREADS`` variables, and under ``gc`` the cyclic collector as
+    the manifest is written: ``enabled`` (false in the command process)
+    and ``collections``, how many it has run in this process.
     """
 
     command: str
@@ -246,6 +264,10 @@ class RunManifest:
         self.outputs.update(part.outputs)
 
     def write(self, path: Path) -> None:
+        self.versions["gc"] = {
+            "enabled": gc.isenabled(),
+            "collections": sum(gen["collections"] for gen in gc.get_stats()),
+        }
         blob = asdict(self)
         blob.update(blob.pop("failure"))
         path.write_text(json.dumps(blob, indent=2) + "\n", encoding="utf-8")
@@ -972,5 +994,15 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 4
 
 
+def command() -> int:
+    """``main`` as the command process runs it: the collector frozen
+    when it returns, so the collections at the interpreter's exit walk
+    none of the run's objects. Called once, by an entry point."""
+    try:
+        return main()
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(command())

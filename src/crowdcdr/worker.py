@@ -15,7 +15,9 @@ a worker changes no result, and its caller keeps only its own work.
 A worker forked by the command has no BLAS threads to lose: ``crowdcdr.cli``
 runs BLAS on one thread, the caller's, unless the user set a thread count.
 A program that loaded numpy before ``crowdcdr.cli``, or set more threads,
-keeps the rule that its workers must not call BLAS.
+keeps the rule that its workers must not call BLAS. A worker inherits its
+parent's cyclic collector, off in the command process, and leaves by
+``os._exit``, so no collection of the inherited heap runs in it at exit.
 """
 
 from __future__ import annotations

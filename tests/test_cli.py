@@ -15,6 +15,7 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -215,6 +216,16 @@ class TestGen:
         assert err.startswith("data error:") and "mean_stay" in err
 
 
+def fresh_python(*args) -> subprocess.CompletedProcess:
+    """A finished run of a fresh interpreter with ``args``, which finds
+    this checkout's ``crowdcdr``."""
+    src = str(Path(cli.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, *map(str, args)],
+                          capture_output=True, text=True, env=env, timeout=300)
+
+
 def modules_imported_by_report(gen_dir, tmp_path, module: str) -> dict:
     """Whether a fresh interpreter holds ``module`` after importing
     ``crowdcdr.cli`` and after a ``report`` run on ``gen_dir``."""
@@ -224,14 +235,8 @@ def modules_imported_by_report(gen_dir, tmp_path, module: str) -> dict:
               "rc = cli.main(sys.argv[1:])\n"
               f"print('report', {module!r} in sys.modules)\n"
               "sys.exit(rc)\n")
-    src = str(Path(cli.__file__).parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run(
-        [sys.executable, "-c", script, "report", "--input-dir",
-         str(gen_dir), "--output-dir", str(tmp_path / "out")],
-        capture_output=True, text=True, env=env, timeout=300,
-    )
+    proc = fresh_python("-c", script, "report", "--input-dir", gen_dir,
+                        "--output-dir", tmp_path / "out")
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     return {stage: flag == "True" for stage, flag in
@@ -251,17 +256,13 @@ class TestReport:
     def test_stage_peaks_are_not_the_spawners(self, gen_dir, tmp_path):
         # ru_maxrss survives execve, so it read the spawner's peak at
         # every stage; VmHWM is the process's own.
-        src = str(Path(cli.__file__).parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
         peaks = {}
         for mb in (0, 210):
             out = tmp_path / f"out-{mb}"
-            proc = subprocess.run(
-                [sys.executable, "-c", SPAWNER_SCRIPT.format(mb=mb),
-                 sys.executable, "-m", "crowdcdr.cli", "report",
-                 "--input-dir", str(gen_dir), "--output-dir", str(out)],
-                capture_output=True, text=True, env=env, timeout=300)
+            proc = fresh_python(
+                "-c", SPAWNER_SCRIPT.format(mb=mb), sys.executable, "-m",
+                "crowdcdr.cli", "report", "--input-dir", gen_dir,
+                "--output-dir", out)
             assert proc.returncode == 0, proc.stderr
             blob = read_json(out / "manifest_report.json")
             assert blob["peak_rss_source"] == "VmHWM"
@@ -552,6 +553,116 @@ class TestReport:
                               "e56475ff297ada543282d2cee1191541",
         }
         assert {name: sha(out / name) for name in pinned} == pinned
+
+
+#: The two ways to start the command process: ``python -m crowdcdr.cli``,
+#: and the console script's entry function, which ``python -m crowdcdr`` runs.
+ENTRIES = ["crowdcdr.cli", "crowdcdr"]
+
+#: Edits that give ``with_rows`` copies of a desk-small city, named for
+#: how ``report`` reads them.
+READS = {
+    "canonical": lambda rows: rows,
+    # The whole file goes through the row reader.
+    "quoted_first_row": lambda rows: ['"{}",{}'.format(*rows[0].split(",", 1)),
+                                      *rows[1:]],
+    # Rows rejected for an unknown tower, read in blocks.
+    "rejected_rows": lambda rows: [
+        ",".join(c if i != 5 else "99999" for i, c in enumerate(row.split(",")))
+        if k % 500 == 250 else row for k, row in enumerate(rows)],
+}
+
+
+def junk_rows(rows):
+    """Data rows that make ``report`` exit 3."""
+    return ["junk"] * 20
+
+
+class TestCommandProcess:
+    """The command process runs without the cyclic collector; an
+    in-process ``main`` leaves the caller's collector as it was."""
+
+    def test_importing_the_entry_points_leaves_the_collector(self):
+        script = ("import gc\n"
+                  "import crowdcdr.cli, crowdcdr.__main__\n"
+                  "print(gc.isenabled(), gc.get_freeze_count())\n")
+        proc = fresh_python("-c", script)
+        assert proc.stdout.split() == ["True", "0"], proc.stderr
+
+    def test_the_console_script_freezes_the_collector_when_main_returns(
+            self, gen_dir, tmp_path):
+        script = ("import gc, sys\n"
+                  "from crowdcdr.__main__ import main\n"
+                  "code = main()\n"
+                  "print(gc.isenabled(), gc.get_freeze_count() > 0, code)\n")
+        proc = fresh_python("-c", script, "report", "--input-dir", gen_dir,
+                            "--output-dir", tmp_path / "out")
+        assert proc.stdout.splitlines()[-1].split() == ["False", "True", "0"], \
+            proc.stderr
+
+    @pytest.mark.parametrize("edit, code", [(READS["canonical"], 0),
+                                            (junk_rows, 3)], ids=["ok", "data"])
+    def test_in_process_main_leaves_the_collector_as_it_found_it(
+            self, gen_dir, tmp_path, capsys, edit, code):
+        src = with_rows(gen_dir, tmp_path / "in", edit)
+        before = gc.isenabled(), gc.get_freeze_count()
+        assert run("report", "--input-dir", src,
+                   "--output-dir", tmp_path / "out") == code
+        assert (gc.isenabled(), gc.get_freeze_count()) == before
+        assert read_json(tmp_path / "out" / "manifest_report.json")[
+            "versions"]["gc"]["enabled"] is before[0]
+
+    @pytest.mark.parametrize("entry", ENTRIES)
+    def test_the_command_runs_without_the_collector(self, gen_dir, report_dir,
+                                                    tmp_path, entry):
+        out = tmp_path / "out"
+        proc = fresh_python("-m", entry, "report", "--input-dir", gen_dir,
+                            "--output-dir", out)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == read_json(report_dir / "summary.json")
+        assert manifest_digests(out / "manifest_report.json") == \
+            manifest_digests(report_dir / "manifest_report.json")
+        collector = read_json(out / "manifest_report.json")["versions"]["gc"]
+        assert collector["enabled"] is False
+        assert isinstance(collector["collections"], int)
+
+    @pytest.mark.parametrize("entry", ENTRIES)
+    def test_a_data_error_in_the_command_exits_3(self, gen_dir, tmp_path,
+                                                 entry):
+        src = with_rows(gen_dir, tmp_path / "in", junk_rows)
+        proc = fresh_python("-m", entry, "report", "--input-dir", src,
+                            "--output-dir", tmp_path / "out")
+        assert proc.returncode == 3
+        assert proc.stderr.startswith("data error:"), proc.stderr
+        blob = read_json(tmp_path / "out" / "manifest_report.json")
+        assert (blob["exit_code"], blob["versions"]["gc"]["enabled"]) == (3, False)
+
+    @pytest.mark.parametrize("edit", READS.values(), ids=READS)
+    def test_a_run_leaves_little_garbage(self, gen_dir, tmp_path, capsys,
+                                         edit):
+        # What the command, without a collector, keeps until it exits:
+        # 600 objects on each of these inputs, most of them the argument
+        # parser's. Cycles made per row would pass the bound. An array is
+        # never tracked by the collector, so none can be among them: what
+        # they refer to is checked instead.
+        src = with_rows(gen_dir, tmp_path / "in", edit)
+        gc.collect()
+        enabled = gc.isenabled()
+        gc.disable()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            assert run("report", "--input-dir", src,
+                       "--output-dir", tmp_path / "out") == 0
+            gc.collect()
+            garbage = list(gc.garbage)
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+            if enabled:
+                gc.enable()
+        assert len(garbage) <= 2000
+        assert not [o for o in gc.get_referents(*garbage)
+                    if isinstance(o, np.ndarray)]
 
 
 #: ``crowdcdr report`` with the fork threshold and the block size lowered,

@@ -100,11 +100,13 @@ def test_a_worker_of_the_command_can_call_blas():
     assert python(script).split() == ["True", "True"]
 
 
-def test_the_pin_comes_before_numpy_loads():
-    # An import sorter could move it below the imports that load numpy.
+def assert_before_numpy_loads(setting: str) -> None:
+    """Only standard-library imports come before the top-level ``if``
+    of ``crowdcdr.cli`` that holds ``setting``, and numpy's after it: an
+    import sorter could move it below the imports that load numpy."""
     tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
     pin = next(i for i, node in enumerate(tree.body)
-               if isinstance(node, ast.If) and "os.environ[" in ast.unparse(node))
+               if isinstance(node, ast.If) and setting in ast.unparse(node))
     before = [node for node in tree.body[:pin]
               if isinstance(node, (ast.Import, ast.ImportFrom))]
     after = [node for node in tree.body[pin:]
@@ -121,13 +123,21 @@ def test_the_pin_comes_before_numpy_loads():
                for node in after)
 
 
+def test_the_pin_comes_before_numpy_loads():
+    assert_before_numpy_loads("os.environ[")
+
+
+def test_the_collector_is_off_before_numpy_loads():
+    assert_before_numpy_loads("gc.disable()")
+
+
 @pytest.mark.parametrize("variables, recorded", [
     ({}, {**UNSET, "OPENBLAS_NUM_THREADS": "1"}),
     ({"OMP_NUM_THREADS": "3"}, {**UNSET, "OMP_NUM_THREADS": "3"}),
 ], ids=["pinned", "overridden"])
 def test_the_manifests_record_the_thread_variables(tmp_path, variables, recorded):
     # What the ``crowdcdr`` console script runs.
-    command = "import sys\nfrom crowdcdr.cli import main\nsys.exit(main())\n"
+    command = "import sys\nfrom crowdcdr.__main__ import main\nsys.exit(main())\n"
     python(command, "gen", "--scenario", "desk-small", "--seed", "1",
            "--output-dir", str(tmp_path / "in"), **variables)
     python(command, "report", "--input-dir", str(tmp_path / "in"),
